@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -39,6 +40,17 @@ from .verifier import EQUALITY_THEOREM, applicable_theorems, equality_instance, 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite number >= 0 (anything else exits 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _fail(message: str) -> int:
@@ -210,13 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the ambient structure axioms")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("verify", help="evaluate inequality checks on a scenario")
     p.add_argument("file")
     p.add_argument("--theorems", help="comma-separated ids, e.g. 3.1,3.3,3.5i")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.add_argument("--json", action="store_true", help="one JSON report per line")
     p.set_defaults(func=cmd_verify)
 
@@ -227,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, choices=(2, 3), default=None)
     p.add_argument("--kind", type=int, choices=(1, 2), default=None,
                    help="connection kind; default runs both")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--out", help="directory for report.json and finding scenarios")
     p.set_defaults(func=cmd_fuzz)
 

@@ -129,7 +129,10 @@ def parse_scenario(data: dict) -> ParsedScenario:
             raise ScenarioError("ambient.generator", "expected an object")
         seed = _integer(_need(gen, "seed", "ambient.generator"), "ambient.generator.seed")
         scale = _number(gen.get("hprime_scale", 1.0), "ambient.generator.hprime_scale")
-        strict = bool(gen.get("strict_kmu", False))
+        strict = gen.get("strict_kmu", False)
+        if not isinstance(strict, bool):
+            raise ScenarioError("ambient.generator.strict_kmu",
+                                f"expected true or false, got {json.dumps(strict)}")
         try:
             model = random_point(m, kappa, mu_contact, c, seed, scale, strict)
         except ValueError as exc:
@@ -220,6 +223,8 @@ def parse_scenario(data: dict) -> ParsedScenario:
             checks.k = kk
         if "tol" in ch:
             checks.tol = _number(ch["tol"], "checks.tol")
+            if not (np.isfinite(checks.tol) and checks.tol >= 0.0):
+                raise ScenarioError("checks.tol", "must be a finite number >= 0")
 
     return ParsedScenario(model=model, spec=spec, sub=sub, checks=checks, raw=data)
 

@@ -3,18 +3,23 @@
 The hyperplane Casorati extrema and the k-Ricci infimum are optimization
 problems over low-dimensional spheres (degree-4 polynomials or eigenvalue
 sums).  Desk scale suffices: a dense deterministic layout locates the basin,
-then projected coordinate descent with a shrinking step polishes it far below
-the 1e-6 target.  Both stages are deterministic for a fixed layout, which is
-versioned so reports can record their provenance.
+then a local method polishes it far below the 1e-6 target.  The Casorati
+search evaluates its quartic on the layout through the layout's quadratic
+monomials and polishes with Riemannian Newton (``ckv.submanifold``); the
+k-Ricci searches polish with the projected coordinate descent of
+``refine_on_sphere``.  Both are deterministic for a fixed layout, and the
+layout and search together are versioned so reports can record their
+provenance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-LAYOUT_VERSION = "sphere-layout-v1"
+LAYOUT_VERSION = "sphere-layout-v2"
 _LAYOUT_SEED = 0x5EED_1AE0
 _LAYOUT_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_MONOMIAL_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -44,6 +49,31 @@ def sphere_samples(dim: int, count: int) -> np.ndarray:
             cached = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         cached.setflags(write=False)
         _LAYOUT_CACHE[key] = cached
+    return cached
+
+
+def quadratic_monomials(U: np.ndarray) -> np.ndarray:
+    """Products u_a u_b, a <= b, in the order of ``np.triu_indices``, for each
+    row of U, shape (k, dim (dim + 1) / 2).  A quadratic form u^T A u is
+    their dot product with the upper triangle of A, off-diagonal entries
+    doubled."""
+    k, dim = U.shape
+    out = np.empty((dim * (dim + 1) // 2, k))   # filled row by row, returned transposed
+    col = 0
+    for a in range(dim):
+        np.multiply(U.T[a], U.T[a:], out=out[col:col + dim - a])
+        col += dim - a
+    return out.T
+
+
+def layout_monomials(dim: int, count: int) -> np.ndarray:
+    """``quadratic_monomials`` of ``sphere_samples(dim, count)``, cached."""
+    key = (dim, count)
+    cached = _MONOMIAL_CACHE.get(key)
+    if cached is None:
+        cached = quadratic_monomials(sphere_samples(dim, count))
+        cached.setflags(write=False)
+        _MONOMIAL_CACHE[key] = cached
     return cached
 
 

@@ -6,7 +6,10 @@ tangential/normal parts, forms the induced second fundamental form of the
 chosen connection, and precomputes the full induced curvature tensor
 R[a,b,c,d] = R(e_a, e_b, e_c, e_d) on the tangent frame.  Every intrinsic
 quantity (sectional curvature, scalar curvature, Ricci curvatures, the
-k-Ricci invariant, Casorati curvatures) is then a cheap contraction.
+k-Ricci invariant, Casorati curvatures) is then a cheap contraction, except
+the hyperplane extrema of the Casorati curvature: closed forms when h has at
+most one nonzero normal slice, a sphere layout polished by batched Riemannian
+Newton otherwise (see ``casorati``).
 
 The tensor is assembled from outer products of the restricted structure data;
 ``induced_curvature_direct`` evaluates the same value through the ambient
@@ -28,7 +31,12 @@ from .connections import KIND_FIRST, ConnectionSpec, ambient_curvature, correcti
 from .contact import ContactPointModel
 from .errors import DimensionMismatch, NonSymmetricH
 from .frames import Plane, as_vector, complete_frame, orthonormalize
-from .spheresearch import extremize_on_sphere, refine_on_sphere, sphere_samples
+from .spheresearch import (
+    extremize_on_sphere,
+    layout_monomials,
+    quadratic_monomials,
+    sphere_samples,
+)
 
 __all__ = [
     "SubmanifoldPoint",
@@ -488,9 +496,10 @@ class CasoratiCurvatures:
 
     C(L) for a hyperplane L with unit normal u is the normalized squared
     Frobenius norm of the h-slices compressed by the projector off u; as a
-    function of u it is a degree-4 polynomial on the sphere, extremized by
-    dense sampling plus refinement (deterministic layout).  ``c_of`` evaluates
-    C(L) for an arbitrary subspace given by tangent vectors.
+    function of u it is a degree-4 polynomial on the sphere (see
+    ``casorati``).  ``argmin_u``/``argmax_u`` are unit normals attaining
+    ``inf_CL``/``sup_CL``; ``samples`` is the number of layout directions
+    evaluated (0 on the closed-form path).
     """
 
     C: float
@@ -501,7 +510,6 @@ class CasoratiCurvatures:
     argmin_u: np.ndarray
     argmax_u: np.ndarray
     samples: int
-    c_of: object = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -522,22 +530,143 @@ def casorati_of_subspace(sub: SubmanifoldPoint, basis) -> float:
     return float(np.sum(restricted * restricted)) / l
 
 
+# Newton starts per extremum; a single start misses separated basins.
+CASORATI_STARTS = 8
+_NEWTON_MAX_ITER = 60
+_NEWTON_STEP_FLOOR = 2.0 ** -30   # a row stops after 30 failed halvings in a row
+_NEWTON_EIG_FLOOR = 1e-8          # |Hessian eigenvalues| floored at this share of the largest
+
+
+@dataclass(frozen=True)
+class _Quartic:
+    """F(u) = ||h||^2 - 2 u^T S u + sum_r (u^T h_r u)^2 with S = sum_r h_r^2,
+    over the nonzero slices h_r; C(L) = F(u) / (n - 1) for the hyperplane
+    with unit normal u.  ``coeffs`` turns the quadratic monomials of u into
+    the forms (u^T S u, u^T h_1 u, ...)."""
+
+    h: np.ndarray
+    S: np.ndarray
+    h_sq: float
+    coeffs: np.ndarray
+
+    @classmethod
+    def of(cls, h: np.ndarray) -> "_Quartic":
+        h = h[np.any(h != 0.0, axis=(1, 2))]
+        S = np.einsum("rab,rbc->ac", h, h)
+        forms = np.concatenate([S[None], h])
+        iu, ju = np.triu_indices(S.shape[0])
+        coeffs = forms[:, iu, ju].T * np.where(iu == ju, 1.0, 2.0)[:, None]
+        return cls(h=h, S=S, h_sq=float(np.sum(h * h)), coeffs=coeffs)
+
+    def values(self, monomials: np.ndarray) -> np.ndarray:
+        """F at the rows whose quadratic monomials are given (see
+        ``quadratic_monomials``)."""
+        forms = monomials @ self.coeffs
+        q = forms[:, 1:]
+        return self.h_sq - 2.0 * forms[:, 0] + np.einsum("kr,kr->k", q, q)
+
+    def at(self, U: np.ndarray) -> np.ndarray:
+        return self.values(quadratic_monomials(U))
+
+
 def _hyperplane_values(sub: SubmanifoldPoint, U: np.ndarray) -> np.ndarray:
     """C(L) for hyperplanes with unit normals U (batch), via
     ||Q h Q||_F^2 = ||h||_F^2 - 2 u^T h^2 u + (u^T h u)^2 per slice."""
-    n = sub.n
-    h = sub.h
-    total = np.full(U.shape[0], np.sum(h * h))
-    h2 = np.einsum("rab,rbc->rac", h, h)
-    total -= 2.0 * np.einsum("rab,ka,kb->k", h2, U, U)
-    total += np.einsum("kr->k", np.einsum("rab,ka,kb->kr", h, U, U) ** 2)
-    return total / (n - 1)
+    return _Quartic.of(sub.h).at(U) / (sub.n - 1)
+
+
+def _one_slice_extrema(h1: np.ndarray):
+    """Exact (inf F, argmin, sup F, argmax) for a single slice h1.
+
+    With h1 = V diag(lam) V^T and w_i = (V^T u)_i^2 on the simplex, F is
+    ||h||^2 - 2 sum lam_i^2 w_i + (sum lam_i w_i)^2, a convex function of w.
+    Its maximum is at a vertex: sup F = ||h||^2 - min lam_i^2 at an
+    eigenvector.  -2 s + t^2 has no stationary point, so the minimum lies on
+    an edge w = t e_i + (1 - t) e_j, where F is a convex quadratic in t that
+    is least at t = lam_i / (lam_i - lam_j), clipped to [0, 1]; the pairs
+    i = j cover the vertices.
+    """
+    lam, V = np.linalg.eigh(h1)
+    sq = lam * lam
+    total = float(sq.sum())
+    li, lj = lam[:, None], lam[None, :]
+    diff = li - lj
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(np.where(diff != 0.0, li / diff, 0.0), 0.0, 1.0)
+    mean = lj + t * diff
+    edge = total - 2.0 * (lj * lj + t * (li * li - lj * lj)) + mean * mean
+    i, j = np.unravel_index(int(np.argmin(edge)), edge.shape)
+    umin = np.sqrt(t[i, j]) * V[:, i] + np.sqrt(1.0 - t[i, j]) * V[:, j]
+    k = int(np.argmin(sq))
+    return float(edge[i, j]), umin, total - float(sq[k]), V[:, k].copy()
+
+
+def _newton_on_sphere(quartic: _Quartic, U: np.ndarray, sign: np.ndarray):
+    """Batched Riemannian Newton on sign * F from the rows of U.
+
+    Closed-form derivatives: gradient 4 A u and Hessian 4 (A + 2 sum_r h_r u
+    (h_r u)^T) with A = sum_r q_r h_r - S and q_r = u^T h_r u.  The
+    Riemannian Hessian P (Hess - <u, grad> I) P (P = I - u u^T) has its
+    eigenvalues' magnitudes floored, so every step descends; the step is
+    retracted by normalising and kept only if it strictly lowers sign * F,
+    otherwise that row's step halves.  A row stops when its Newton decrement
+    falls below 1e-15 (1 + |F|) or its step below ``_NEWTON_STEP_FLOOR``;
+    rows where F is not finite are left as they are.  Returns the final rows
+    and their values of F.
+    """
+    h, S = quartic.h, quartic.S
+    n = U.shape[1]
+    h_flat = h.reshape(len(h), n * n)
+    eye = np.eye(n)
+    U = U.copy()
+    f = sign * quartic.at(U)
+    step = np.ones(len(U))
+    active = np.flatnonzero(np.isfinite(f))
+    for _ in range(_NEWTON_MAX_ITER):
+        if active.size == 0:
+            break
+        u, s = U[active], 4.0 * sign[active]
+        hu = np.einsum("rab,kb->kra", h, u)
+        q = np.einsum("kra,ka->kr", hu, u)
+        A = (q @ h_flat).reshape(-1, n, n) - S
+        grad = s[:, None] * np.einsum("kab,kb->ka", A, u)
+        radial = np.einsum("ka,ka->k", u, grad)
+        grad -= radial[:, None] * u
+        hess = s[:, None, None] * (A + 2.0 * (hu.transpose(0, 2, 1) @ hu))
+        proj = eye - u[:, :, None] * u[:, None, :]
+        w, Q = np.linalg.eigh(proj @ (hess - radial[:, None, None] * eye) @ proj)
+        w = np.abs(w)
+        w = np.maximum(w, np.maximum(_NEWTON_EIG_FLOOR * w.max(axis=1, keepdims=True),
+                                     np.finfo(float).tiny))
+        c = np.einsum("kab,ka->kb", Q, grad) / w
+        decrement = np.einsum("kb,kb->k", c, c * w)
+        live = decrement >= 1e-15 * (1.0 + np.abs(f[active]))
+        d = -np.einsum("kab,kb->ka", Q, c)
+        d -= np.einsum("ka,ka->k", d, u)[:, None] * u
+        length = np.sqrt(np.einsum("ka,ka->k", d, d))
+        cand = u + (step[active] / np.maximum(length, 1.0))[:, None] * d
+        cand /= np.sqrt(np.einsum("ka,ka->k", cand, cand))[:, None]
+        fc = sign[active] * quartic.at(cand)
+        better = live & (fc < f[active])
+        rows = active[better]
+        U[rows], f[rows], step[rows] = cand[better], fc[better], 1.0
+        step[active[live & ~better]] *= 0.5
+        active = active[live & (step[active] >= _NEWTON_STEP_FLOOR)]
+    return U, sign * f
 
 
 def casorati(sub: SubmanifoldPoint, samples: int = 10_000) -> CasoratiCurvatures:
     """Casorati curvature C, hyperplane inf/sup of C(L), and the normalized
     delta invariants delta_c(n-1) = C/2 + (n+1)/(2n) inf C(L) and
     delta_c_hat(n-1) = 2C - (2n-1)/(2n) sup C(L).
+
+    C(L) = F(u) / (n - 1) with F(u) = ||h||^2 - 2 u^T S u + sum_r (u^T h_r u)^2
+    and S = sum_r h_r^2.  With at most one nonzero slice of h the extrema are
+    closed forms (``_one_slice_extrema``).  Otherwise F is evaluated on the
+    deterministic sphere layout of ``samples`` directions, and batched
+    Riemannian Newton (``_newton_on_sphere``) polishes the
+    ``CASORATI_STARTS`` lowest and highest layout points; each extremum is
+    the best polished value, which is never worse than the layout's.
 
     Deterministic for a fixed sample count; memoized on the point (the search
     is the dominant cost and several inequality checks share it).
@@ -548,18 +677,29 @@ def casorati(sub: SubmanifoldPoint, samples: int = 10_000) -> CasoratiCurvatures
         return hit
     n = sub.n
     C = sub.h_norm_sq / n
-    f = lambda U: _hyperplane_values(sub, U)
-    U0 = sphere_samples(n, samples)
-    vals = f(U0)
-    umin, inf_val = refine_on_sphere(f, U0[int(np.argmin(vals))], minimize=True)
-    umax, sup_val = refine_on_sphere(f, U0[int(np.argmax(vals))], minimize=False)
+    quartic = _Quartic.of(sub.h)
+    if len(quartic.h) <= 1:
+        h1 = quartic.h[0] if len(quartic.h) else np.zeros((n, n))
+        inf_f, umin, sup_f, umax = _one_slice_extrema(h1)
+        evaluated = 0
+    else:
+        U0 = sphere_samples(n, samples)
+        vals = quartic.values(layout_monomials(n, samples))
+        K = min(CASORATI_STARTS, samples)
+        lows = np.argpartition(vals, K - 1)[:K]
+        highs = np.argpartition(vals, samples - K)[samples - K:]
+        starts = np.concatenate([U0[lows], U0[highs]])
+        U, F = _newton_on_sphere(quartic, starts, np.repeat([1.0, -1.0], K))
+        lo, hi = int(np.argmin(F[:K])), K + int(np.argmax(F[K:]))
+        inf_f, umin, sup_f, umax = float(F[lo]), U[lo], float(F[hi]), U[hi]
+        evaluated = samples
+    inf_val, sup_val = inf_f / (n - 1), sup_f / (n - 1)
     delta_c = 0.5 * C + (n + 1) / (2.0 * n) * inf_val
     delta_hat = 2.0 * C - (2.0 * n - 1) / (2.0 * n) * sup_val
     result = CasoratiCurvatures(
-        C=C, inf_CL=float(inf_val), sup_CL=float(sup_val),
+        C=C, inf_CL=inf_val, sup_CL=sup_val,
         delta_c=float(delta_c), delta_c_hat=float(delta_hat),
-        argmin_u=umin, argmax_u=umax, samples=samples,
-        c_of=lambda basis: casorati_of_subspace(sub, basis),
+        argmin_u=umin, argmax_u=umax, samples=evaluated,
     )
     sub.cache[key] = result
     return result

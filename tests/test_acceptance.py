@@ -6,13 +6,16 @@ aggregates are shared with criterion 7's proof-chain assertions.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ckv
 from ckv.connections import second_connection
 from ckv.contact import random_point, curvature_lc
 from ckv.frames import Plane
@@ -245,10 +248,15 @@ def random_scenario_n3(idx):
 def test_criterion_8_fuzz_determinism(tmp_path):
     cmd = [sys.executable, "-m", "ckv.cli", "fuzz", "--count", "40",
            "--seed", "11", "--kind", "1"]
+    # the child imports the same ckv as this process, installed or not
+    package_root = str(Path(ckv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     runs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        proc = subprocess.run(cmd + ["--out", str(out)], capture_output=True, text=True)
+        proc = subprocess.run(cmd + ["--out", str(out)], capture_output=True, text=True,
+                              env=env)
         assert proc.returncode == 0, proc.stderr
         runs.append((out / "report.json").read_bytes())
     assert runs[0] == runs[1]

@@ -85,6 +85,29 @@ def test_parse_errors_carry_field_path(mutate, path_fragment):
     assert path_fragment in str(err.value)
 
 
+@pytest.mark.parametrize("strict", ["false", 0, 1, None, [True]])
+def test_parse_strict_kmu_accepts_only_booleans(strict):
+    data = _equality_scenario()
+    data["ambient"] = {
+        "m": 2, "kappa": 0.5, "mu_contact": 1.0, "c": -2.0,
+        "generator": {"seed": 11, "strict_kmu": strict},
+    }
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert "ambient.generator.strict_kmu" in str(err.value)
+
+
+@pytest.mark.parametrize("tol", [-1e-8, float("nan"), float("inf")])
+def test_parse_rejects_bad_tol(tol):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_equality_scenario({"tol": tol}))
+    assert "checks.tol" in str(err.value)
+
+
+def test_parse_accepts_zero_tol():
+    assert parse_scenario(_equality_scenario({"tol": 0.0})).checks.tol == 0.0
+
+
 def test_run_report_roundtrip():
     parsed = parse_scenario(_equality_scenario())
     validation = validate_structure(parsed.model)
@@ -166,6 +189,27 @@ def test_cli_verify_json_lines(tmp_path, capsys):
     for line in lines:
         obj = json.loads(line)
         assert {"theorem", "lhs", "rhs", "slack", "holds"} <= set(obj)
+
+
+@pytest.mark.parametrize("command", ["verify", "validate", "fuzz"])
+@pytest.mark.parametrize("tol", ["-1e-8", "nan", "inf", "-inf"])
+def test_cli_rejects_bad_tol(tmp_path, capsys, command, tol):
+    argv = [command, "--tol", tol]
+    if command == "fuzz":
+        argv += ["--count", "0"]
+    else:
+        argv.append(_write(tmp_path, _equality_scenario()))
+    assert main(argv) == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_cli_scenario_tol_nan_is_an_input_error(tmp_path, capsys):
+    # a NaN tolerance used to turn the exact equality witness into a violation
+    data = _equality_scenario({"tol": 0.0})
+    data["checks"]["tol"] = float("nan")
+    path = _write(tmp_path, data)
+    assert main(["verify", path, "--theorems", "3.1"]) == 2
+    assert "checks.tol" in capsys.readouterr().err
 
 
 def test_cli_case_commands(tmp_path, capsys):

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckv.connections import first_connection, second_connection
 from ckv.contact import random_point, standard_point
 from ckv.errors import DimensionMismatch, NonSymmetricH, RankDeficient
-from ckv.frames import Plane
+from ckv.frames import Plane, complete_frame
+from ckv.fuzz import FuzzConfig, random_scenario
+from ckv.scenario import parse_scenario
+from ckv.spheresearch import quadratic_monomials
 from ckv.submanifold import (
     attach,
     casorati,
@@ -312,6 +317,82 @@ def test_casorati_example_against_grid_oracle():
     winner = U[np.argmin(vals)]
     assert abs(abs(winner[2]) - 1.0) < 2e-2  # minimizer is +/- e3
     assert abs(abs(cas.argmin_u[2]) - 1.0) < 1e-6
+
+
+def _two_slice_sub(hhat):
+    """n = 3 in the standard 5-dim reduction with both normal slices given."""
+    return attach(standard_point(2), _zero_spec(), E5[:3], np.asarray(hhat, float))
+
+
+def _random_two_slice_hhat(rng):
+    hhat = rng.standard_normal((2, 3, 3))
+    return (hhat + np.transpose(hhat, (0, 2, 1))) / 2.0
+
+
+def test_quadratic_monomials_give_quadratic_forms():
+    rng = np.random.default_rng(8)
+    U = rng.standard_normal((5, 4))
+    A = rng.standard_normal((4, 4))
+    A = A + A.T
+    iu, ju = np.triu_indices(4)
+    assert np.array_equal(quadratic_monomials(U), U[:, iu] * U[:, ju])
+    coeffs = A[iu, ju] * np.where(iu == ju, 1.0, 2.0)
+    assert np.allclose(quadratic_monomials(U) @ coeffs, np.einsum("ka,ab,kb->k", U, A, U),
+                       rtol=1e-13, atol=1e-13)
+
+
+def test_casorati_one_slice_sup_is_exact():
+    # instance 514 of the kind-1 acceptance campaign has a single normal slice
+    # (n = 4, p = 1); a sampled search fell short of its sup by 6.9e-4
+    cfg = FuzzConfig(count=1000, seed=20240817, kind=1)
+    sub = parse_scenario(random_scenario(514, cfg)).sub
+    assert sub.p == 1
+    lam = np.linalg.eigvalsh(sub.h[0])
+    exact = (sub.h_norm_sq - float(np.min(lam * lam))) / (sub.n - 1)
+    assert abs(casorati(sub).sup_CL - exact) < 1e-12
+
+
+def test_casorati_multi_slice_against_grid_oracle():
+    sub = _two_slice_sub(_random_two_slice_hhat(np.random.default_rng(2024)))
+    cas = casorati(sub)
+    _, vals = _latlong_oracle(sub)
+    assert cas.inf_CL <= vals.min() + 1e-9
+    assert cas.sup_CL >= vals.max() - 1e-9
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_casorati_arguments_attain_the_extrema(multi):
+    rng = np.random.default_rng(77)
+    hhat = _random_two_slice_hhat(rng)
+    if not multi:
+        hhat[1] = 0.0
+    sub = _two_slice_sub(hhat)
+    cas = casorati(sub)
+    for u, value in ((cas.argmin_u, cas.inf_CL), (cas.argmax_u, cas.sup_CL)):
+        assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+        hyperplane = complete_frame(u[None, :]) @ sub.tangent
+        assert abs(casorati_of_subspace(sub, hyperplane) - value) < 1e-12 * (1.0 + abs(value))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 1e3))
+def test_casorati_extrema_bound_every_hyperplane(seed, scale):
+    rng = np.random.default_rng(seed)
+    sub = _two_slice_sub(scale * _random_two_slice_hhat(rng))
+    cas = casorati(sub)
+    U = rng.standard_normal((64, 3))
+    for u in U / np.linalg.norm(U, axis=1, keepdims=True):
+        value = casorati_of_subspace(sub, complete_frame(u[None, :]) @ sub.tangent)
+        slack = 1e-12 * (1.0 + sub.h_norm_sq)
+        assert cas.inf_CL - slack <= value <= cas.sup_CL + slack
+
+
+def test_casorati_overflowing_h_does_not_raise():
+    hhat = _random_two_slice_hhat(np.random.default_rng(5))
+    hhat[0, 0, 0] = 1e200
+    with np.errstate(all="ignore"):
+        cas = casorati(_two_slice_sub(hhat))
+    assert not np.isfinite(cas.inf_CL) and not np.isfinite(cas.sup_CL)
 
 
 def test_casorati_of_subspace():
