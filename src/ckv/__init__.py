@@ -29,7 +29,6 @@ from .errors import (
 )
 from .frames import Plane, orthonormalize, restrict_form, split
 from .fuzz import FuzzConfig, FuzzReport, run_fuzz
-from .report import RunReport
 from .scenario import load_scenario, parse_scenario, save_scenario, scenario_from_parts
 from .submanifold import (
     CasoratiCurvatures,

@@ -16,7 +16,7 @@ enforced, since none of the verified inequalities depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -270,8 +270,3 @@ def curvature_lc(model: ContactPointModel, X, Y, Z, W) -> float:
     is the constant c.
     """
     return float(sum(_curvature_lc_groups(model, X, Y, Z, W)))
-
-
-def rebuild(model: ContactPointModel, **changes) -> ContactPointModel:
-    """Model with some fields replaced (dataclasses.replace wrapper)."""
-    return replace(model, **changes)

@@ -78,10 +78,7 @@ class SubmanifoldPoint:
     # decomposition fields
     xi_top: np.ndarray
     xi_perp: np.ndarray
-    P_top: np.ndarray
-    P_perp: np.ndarray
     phat: np.ndarray          # tangential phi, n x n
-    fnor: np.ndarray          # normal part of phi on the frame, p x n
     hprime_top: np.ndarray    # tangential h', n x n
     phi_hprime_top: np.ndarray  # tangential phi h', n x n
     # restricted auxiliary data
@@ -102,12 +99,6 @@ class SubmanifoldPoint:
     def mean_curvature(self) -> np.ndarray:
         """Mean curvature vector of the induced connection, as an ambient vector."""
         traces = np.einsum("rii->r", self.h) / self.n
-        return traces @ self.normal
-
-    @property
-    def mean_curvature_lc(self) -> np.ndarray:
-        """Mean curvature vector of the Levi-Civita form."""
-        traces = np.einsum("rii->r", self.hhat) / self.n
         return traces @ self.normal
 
     @property
@@ -210,7 +201,8 @@ def attach(
     get the remaining coordinate vectors, in index order, as normals.
 
     Induced second fundamental form: kind 1 subtracts lambda2 <P, e_r> off the
-    diagonal of every slice (h = hhat - lambda2 g(.,.) P_perp); kind 2 leaves
+    diagonal of every slice (h = hhat - lambda2 g(.,.) P^perp, with P^perp the
+    normal part of P); kind 2 leaves
     it unchanged.
     """
     d = model.dim
@@ -238,9 +230,7 @@ def attach(
         h -= spec.lambda2 * pi_nor[:, None, None] * np.eye(n)[None, :, :]
 
     xi_top_amb = E.T @ (E @ model.xi)
-    P_top_amb = E.T @ (E @ spec.P)
     phat = E @ model.phi @ E.T
-    fnor = N @ model.phi @ E.T
     hp_top = E @ model.hprime @ E.T
     php_top = E @ (model.phi @ model.hprime) @ E.T
 
@@ -263,8 +253,7 @@ def attach(
         model=model, spec=spec, n=n, p=p, tangent=E, normal=N,
         hhat=hhat, h=h,
         xi_top=xi_top_amb, xi_perp=model.xi - xi_top_amb,
-        P_top=P_top_amb, P_perp=spec.P - P_top_amb,
-        phat=phat, fnor=fnor, hprime_top=hp_top, phi_hprime_top=php_top,
+        phat=phat, hprime_top=hp_top, phi_hprime_top=php_top,
         eta_t=eta_t, pi_t=pi_t, pi_nor=pi_nor,
         alpha_t=alpha_t, beta_t=beta_t, alpha_prime_t=ap_t,
         riem=riem,

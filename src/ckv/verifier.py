@@ -8,12 +8,14 @@ connection, 4.x the second):
   3.4 / 4.3   mean-curvature lower bound through the k-Ricci invariant
   3.5i / 4.4i, 3.5ii / 4.4ii   Casorati delta-invariant bounds on 2 tau
 
-Every right-hand side is assembled term by term from the plane invariants and
-the global invariants of the submanifold point.  ``cross_check`` recomputes
-the intermediate expansions (pairwise curvature, scalar curvature, plane
-curvatures, the trace identity, and the quasi-convex hyperplane polynomial Q)
-through both the raw tensor pipeline and the closed forms, reporting the
-worst residual: any disagreement beyond rounding is a transcription bug by
+Every proof puts the Gauss equation into a scalar, sectional or Ricci
+curvature, so every right-hand side is a trace of one closed form, the
+non-Gauss part of R(x, y, y, x) on orthonormal tangent pairs
+(``_pair_nongauss``), plus the algebraic bound on h that the proof applies to
+the Gauss part.  ``cross_check`` compares that form (pairwise curvature,
+scalar curvature, plane curvatures, the trace identity, and the quasi-convex
+hyperplane polynomial Q) against the raw tensor pipeline, reporting the worst
+residual: any disagreement beyond rounding is a transcription bug by
 definition.
 
 Convention: all correction-tensor traces entering right-hand sides (lambda =
@@ -25,6 +27,7 @@ uses the symmetrized sectional curvature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +98,7 @@ class PlaneInvariants:
     phi_plane = <phat e1, e2>^2 (the squared phi-angle of the plane)
     the det/tr fields are restrictions of h', phi h', alpha, beta, alpha'
     P_plane_sq = pi(e1)^2 + pi(e2)^2
-    pi_tr_h = g_tr_h_P = <P, h(e1,e1) + h(e2,e2)> for the active h
+    g_tr_h_P = <P, h(e1,e1) + h(e2,e2)> for the active h
     """
 
     gamma: float
@@ -108,7 +111,6 @@ class PlaneInvariants:
     tr_beta: float
     tr_alpha_prime: float
     P_plane_sq: float
-    pi_tr_h: float
     g_tr_h_P: float
 
 
@@ -136,104 +138,84 @@ def plane_invariants(sub: SubmanifoldPoint, plane: Plane) -> PlaneInvariants:
         tr_beta=float(np.trace(be2)),
         tr_alpha_prime=float(np.trace(ap2)),
         P_plane_sq=float((sub.pi_t @ v1) ** 2 + (sub.pi_t @ v2) ** 2),
-        pi_tr_h=g_tr_h_P,
         g_tr_h_P=g_tr_h_P,
     )
 
 
 # ---------------------------------------------------------------------------
-# global invariants
+# the non-Gauss curvature form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Globals:
-    n: int
-    c: float
-    kappa: float
-    mu: float
-    xi_sq: float          # ||xi_top||^2
-    phat_sq: float        # ||phat||^2
-    hp_sq: float          # ||(h')^top||^2
-    php_sq: float         # ||(phi h')^top||^2
-    tr_hp: float          # tr (h')^top
-    tr_php: float         # tr (phi h')^top
-    xi_hp_xi: float       # g(xi_top, h' xi_top)
-    lam: float            # tr alpha over the tangent frame
-    m_beta: float         # tr beta over the tangent frame
-    lam_prime: float      # tr alpha' over the tangent frame
-    P_top_sq: float       # ||P_top||^2
-    pi_H: float
-    H_sq: float
-    h_sq: float
+def _on_pairs(M: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Stacked bilinear forms M (f, n, n) on the rows of X and Y (k, n).
+
+    Returns shape (3, f, k): the values on (x, y), on (x, x) and on (y, y).
+    """
+    left, right = np.stack([X, X, Y])[:, None], np.stack([Y, X, Y])[:, None]
+    return np.sum((left @ M) * right, axis=-1)
 
 
-def _globals(sub: SubmanifoldPoint) -> _Globals:
-    u = sub.eta_t
-    A, B = sub.hprime_top, sub.phi_hprime_top
-    return _Globals(
-        n=sub.n,
-        c=sub.model.c,
-        kappa=sub.model.kappa,
-        mu=sub.model.mu_contact,
-        xi_sq=float(u @ u),
-        phat_sq=float(np.sum(sub.phat * sub.phat)),
-        hp_sq=float(np.sum(A * A)),
-        php_sq=float(np.sum(B * B)),
-        tr_hp=float(np.trace(A)),
-        tr_php=float(np.trace(B)),
-        xi_hp_xi=float(u @ A @ u),
-        lam=float(np.trace(sub.alpha_t)),
-        m_beta=float(np.trace(sub.beta_t)),
-        lam_prime=float(np.trace(sub.alpha_prime_t)),
-        P_top_sq=float(sub.pi_t @ sub.pi_t),
-        pi_H=sub.pi_H,
-        H_sq=sub.mean_curvature_sq,
-        h_sq=sub.h_norm_sq,
-    )
+def _pair_nongauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Non-Gauss part of R(x, y, y, x) for rows of orthonormal tangent pairs.
 
-
-def _hp_bracket(g: _Globals) -> float:
-    """||(phi h')^top||^2 - ||(h')^top||^2 + tr((h')^top)^2 - tr((phi h')^top)^2."""
-    return g.php_sq - g.hp_sq + g.tr_hp ** 2 - g.tr_php ** 2
-
-
-def _tau_nongauss(sub: SubmanifoldPoint, g: _Globals) -> float:
-    """Closed form of the scalar curvature minus its Gauss quadratic sum."""
-    n = g.n
-    val = (
-        (n - 1) * n / 2.0 * (g.c + 3.0) / 4.0
-        + 3.0 * (g.c - 1.0) / 8.0 * g.phat_sq
-        - (g.c + 3.0 - 4.0 * g.kappa) / 4.0 * (n - 1) * g.xi_sq
-        + 0.25 * _hp_bracket(g)
-        + (n - 1) * g.tr_hp
-        + (1.0 - g.mu) * (g.xi_hp_xi - g.tr_hp * g.xi_sq)
-    )
-    if sub.spec.kind == KIND_FIRST:
-        l1, l2 = sub.spec.lambda1, sub.spec.lambda2
-        val += (
-            -(l1 + l2) / 2.0 * (n - 1) * g.lam
-            - l2 * (l1 - l2) / 2.0 * (n - 1) * g.m_beta
-            - (l1 - l2) / 2.0 * (n - 1) * n * g.pi_H
-        )
+    X and Y hold tangent-frame coordinates, shape (k, n), with each (x, y)
+    orthonormal.  The full value adds sum_r h_r(x,x) h_r(y,y) - h_r(x,y)^2
+    (``_pair_gauss``).  The ambient terms are those of the contact space form
+    with h' = A, phi h' = B and eta = u on the frame; the connection terms are
+    folded into the quadratic forms A - C_x (in x) and A - C_y (in y).
+    """
+    model, spec = sub.model, sub.spec
+    c, mu, u, A = model.c, model.mu_contact, sub.eta_t, sub.hprime_top
+    h_P = np.einsum("r,rab->ab", sub.pi_nor, sub.h)  # <h(., .), P>
+    if spec.kind == KIND_FIRST:
+        l1, l2 = spec.lambda1, spec.lambda2
+        c_x = l2 * sub.alpha_t + l2 * (l1 - l2) * sub.beta_t
+        c_y = l1 * sub.alpha_t + (l1 - l2) * h_P
     else:
-        b = sub.spec.b
-        val += (
-            -(n - 1) / 2.0 * b * g.lam_prime
-            + (n - 1) / 2.0 * b ** 2 * g.P_top_sq
-            - b / 2.0 * (n - 1) * n * g.pi_H
-        )
-    return val
+        b = spec.b
+        c_x = np.zeros_like(A)
+        c_y = b * sub.alpha_prime_t - b ** 2 * np.outer(sub.pi_t, sub.pi_t) + b * h_P
+    forms = np.stack([sub.phat, A, sub.phi_hprime_top, A - c_x, A - c_y])
+    xy, xx, yy = _on_pairs(forms, X, Y)
+    ux, uy = X @ u, Y @ u
+    return (
+        (c + 3.0) / 4.0
+        - (c + 3.0 - 4.0 * model.kappa) / 4.0 * (ux ** 2 + uy ** 2)
+        + 3.0 * (c - 1.0) / 4.0 * xy[0] ** 2
+        + 0.5 * (xy[2] ** 2 - xy[1] ** 2 + xx[1] * yy[1] - xx[2] * yy[2])
+        + xx[3] + yy[4]
+        + (1.0 - mu) * (2.0 * ux * uy * xy[1] - xx[1] * uy ** 2 - yy[1] * ux ** 2)
+    )
+
+
+def _pair_gauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Gauss part of R(x, y, y, x): sum_r h_r(x,x) h_r(y,y) - h_r(x,y)^2."""
+    xy, xx, yy = _on_pairs(sub.h, X, Y)
+    return np.sum(xx * yy - xy ** 2, axis=0)
+
+
+def _frame_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays I, J of the ordered frame pairs i != j and their coordinate rows."""
+    I, J = np.nonzero(~np.eye(n, dtype=bool))
+    return I, J, np.eye(n)[I], np.eye(n)[J]
+
+
+def _tau_nongauss(sub: SubmanifoldPoint) -> float:
+    """Scalar curvature minus its Gauss sum: half the pair form over frame pairs.
+
+    Memoized on ``sub.cache``; E = 2 tau_ng is the invariant aggregate with
+    2 tau - E = n^2 ||H||^2 - ||h||^2.
+    """
+    if "tau_nongauss" not in sub.cache:
+        _, _, X, Y = _frame_pairs(sub.n)
+        sub.cache["tau_nongauss"] = 0.5 * float(np.sum(_pair_nongauss(sub, X, Y)))
+    return sub.cache["tau_nongauss"]
 
 
 def _gauss_sum(sub: SubmanifoldPoint) -> float:
     """sum_r sum_{i<j} (h_ii h_jj - h_ij^2) = sum_r ((tr h^r)^2 - ||h^r||^2)/2."""
     traces = np.einsum("rii->r", sub.h)
     return float(traces @ traces - np.sum(sub.h * sub.h)) / 2.0
-
-
-def _expansion_constant(sub: SubmanifoldPoint, g: _Globals) -> float:
-    """The invariant aggregate E with 2 tau - E = n^2 ||H||^2 - ||h||^2."""
-    return 2.0 * _tau_nongauss(sub, g)
 
 
 # ---------------------------------------------------------------------------
@@ -268,114 +250,15 @@ class VerdictReport:
         }
 
 
-def _scaled_tol(tol: float, lhs: float, rhs: float) -> float:
-    return tol * (1.0 + abs(lhs) + abs(rhs))
-
-
 def _verdict(theorem_id: str, lhs: float, rhs: float, tol: float, diagnostics: dict) -> VerdictReport:
     lhs, rhs = float(lhs), float(rhs)
+    # A NaN slack is no violation and an infinite one is no pass: overflowed
+    # input data has no verdict.
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(f"{theorem_id}: non-finite side (lhs {lhs}, rhs {rhs})")
     slack = rhs - lhs
-    eff = _scaled_tol(tol, lhs, rhs)
+    eff = tol * (1.0 + abs(lhs) + abs(rhs))
     return VerdictReport(theorem_id, lhs, rhs, slack, bool(slack >= -eff), tol, diagnostics)
-
-
-def _rhs_tau_minus_k(sub: SubmanifoldPoint, g: _Globals, pi: PlaneInvariants) -> float:
-    n = g.n
-    rhs = (
-        (n + 1) * (n - 2) / 2.0 * (g.c + 3.0) / 4.0
-        + (g.c + 3.0 - 4.0 * g.kappa) / 4.0 * (-(n - 1) * g.xi_sq + pi.gamma)
-        + (g.c - 1.0) / 8.0 * (3.0 * g.phat_sq - 6.0 * pi.phi_plane)
-        + 0.25 * _hp_bracket(g)
-        - 0.5 * (pi.det_hprime - pi.det_phi_hprime)
-        + (n - 1) * g.tr_hp - pi.tr_hprime
-        + (1.0 - g.mu) * (g.xi_hp_xi - g.tr_hp * g.xi_sq + pi.theta)
-        + n ** 2 * (n - 2) / (2.0 * (n - 1)) * g.H_sq
-    )
-    if sub.spec.kind == KIND_FIRST:
-        l1, l2 = sub.spec.lambda1, sub.spec.lambda2
-        rhs += (
-            -(l1 + l2) / 2.0 * (n - 1) * g.lam
-            - l2 / 2.0 * (l1 - l2) * (n - 1) * g.m_beta
-            - (l1 - l2) / 2.0 * (n - 1) * n * g.pi_H
-            + (l1 + l2) / 2.0 * pi.tr_alpha
-            + l2 * (l1 - l2) / 2.0 * pi.tr_beta
-            + (l1 - l2) / 2.0 * pi.g_tr_h_P
-        )
-    else:
-        b = sub.spec.b
-        rhs += (
-            -(n - 1) / 2.0 * b * g.lam_prime
-            + (n - 1) / 2.0 * b ** 2 * g.P_top_sq
-            - b / 2.0 * (n - 1) * n * g.pi_H
-            + b / 2.0 * pi.tr_alpha_prime
-            - b ** 2 / 2.0 * pi.P_plane_sq
-            + b / 2.0 * pi.pi_tr_h
-        )
-    return rhs
-
-
-def _ricci_direction_data(sub: SubmanifoldPoint, X) -> dict:
-    x = sub.tangent_coords(X)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-10:
-        raise ValueError("Ricci bound needs a unit direction")
-    E = sub.tangent
-    phiX = sub.model.phi @ X
-    hpX = sub.model.hprime @ X
-    phpX = sub.model.phi @ hpX
-    h_xx_comp = np.einsum("rij,i,j->r", sub.h, x, x)
-    return {
-        "x": x,
-        "eta_X": float(sub.model.xi @ X),
-        "phatX_sq": float(np.sum((E @ phiX) ** 2)),
-        "hpX_top_sq": float(np.sum((E @ hpX) ** 2)),
-        "phpX_top_sq": float(np.sum((E @ phpX) ** 2)),
-        "g_X_hpX": float(X @ hpX),
-        "g_X_phpX": float(X @ phpX),
-        "g_X_hp_xitop": float(X @ (sub.model.hprime @ sub.xi_top)),
-        "alpha_XX": float(x @ sub.alpha_t @ x),
-        "beta_XX": float(x @ sub.beta_t @ x),
-        "ap_XX": float(x @ sub.alpha_prime_t @ x),
-        "pi_X": float(sub.spec.P @ X),
-        "pi_h_XX": float(h_xx_comp @ sub.pi_nor),
-        "h_XX_norm": float(np.linalg.norm(h_xx_comp)),
-    }
-
-
-def _rhs_ricci(sub: SubmanifoldPoint, g: _Globals, dd: dict) -> float:
-    n = g.n
-    rhs = (
-        (n - 1) * (g.c + 3.0) / 4.0
-        + 3.0 * (g.c - 1.0) / 4.0 * dd["phatX_sq"]
-        - (g.c + 3.0 - 4.0 * g.kappa) / 4.0 * ((n - 2) * dd["eta_X"] ** 2 + g.xi_sq)
-        + 0.5 * (
-            dd["phpX_top_sq"] - dd["hpX_top_sq"]
-            + dd["g_X_hpX"] * g.tr_hp - dd["g_X_phpX"] * g.tr_php
-        )
-        + (n - 2 - g.xi_sq + g.mu * g.xi_sq) * dd["g_X_hpX"]
-        + (1.0 - dd["eta_X"] ** 2 + g.mu * dd["eta_X"] ** 2) * g.tr_hp
-        + (2.0 - 2.0 * g.mu) * dd["eta_X"] * dd["g_X_hp_xitop"]
-        + n ** 2 / 4.0 * g.H_sq
-    )
-    if sub.spec.kind == KIND_FIRST:
-        l1, l2 = sub.spec.lambda1, sub.spec.lambda2
-        rhs += (
-            -l1 * g.lam
-            + (l1 - l2 * (n - 1)) * dd["alpha_XX"]
-            - l2 * (l1 - l2) * (n - 1) * dd["beta_XX"]
-            - n * (l1 - l2) * g.pi_H
-            + (l1 - l2) * dd["pi_h_XX"]
-        )
-    else:
-        b = sub.spec.b
-        rhs += (
-            -b * g.lam_prime
-            + b * dd["ap_XX"]
-            + b ** 2 * g.P_top_sq
-            - b ** 2 * dd["pi_X"] ** 2
-            - n * b * g.pi_H
-            + b * dd["pi_h_XX"]
-        )
-    return rhs
 
 
 def verify(
@@ -385,7 +268,6 @@ def verify(
     X=None,
     k: int | None = None,
     tol: float = 1e-8,
-    report_alt_trace_reading: bool = False,
 ) -> VerdictReport:
     """Evaluate one inequality of the catalog and report its verdict.
 
@@ -393,24 +275,24 @@ def verify(
     ``k`` (default n).  For 3.4/4.3 the k-Ricci invariant enters through its
     exact modes (k = n eigenvalue, or the k = 2 grid on n = 3); a sampled k is
     reported as advisory in the diagnostics and the verdict is computed
-    through the exact k = n chain instead.
-
-    ``report_alt_trace_reading`` additionally records, for 4.2, the right-hand
-    side under the alternative trace reading of its linear trace term (which
-    coincides with the primary reading whenever alpha degenerates to alpha').
+    through the exact k = n chain instead.  ``tol`` must be finite and >= 0,
+    and a non-finite side raises ``ValueError`` rather than give a verdict.
     """
     _require_kind(sub, theorem_id)
-    g = _globals(sub)
-    n = g.n
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    n = sub.n
+    H_sq, h_sq = sub.mean_curvature_sq, sub.h_norm_sq
 
     if theorem_id in _NEEDS_PLANE:
         if plane is None:
             raise MissingArgument(f"{theorem_id} needs a plane")
-        pi = plane_invariants(sub, plane)
+        v1, v2 = sub.plane_coords(plane)
+        k_ng = 0.5 * float(np.sum(_pair_nongauss(sub, np.stack([v1, v2]), np.stack([v2, v1]))))
         lhs = scalar_tau(sub) - sectional(sub, plane)
-        rhs = _rhs_tau_minus_k(sub, g, pi)
+        rhs = _tau_nongauss(sub) - k_ng + n ** 2 * (n - 2) / (2.0 * (n - 1)) * H_sq
         diag = {
-            "plane_invariants": pi.__dict__.copy(),
+            "plane_invariants": plane_invariants(sub, plane).__dict__.copy(),
             "shape_match": _adapted_block_match(sub, plane),
         }
         return _verdict(theorem_id, lhs, rhs, tol, diag)
@@ -418,26 +300,23 @@ def verify(
     if theorem_id in _NEEDS_X:
         if X is None:
             raise MissingArgument(f"{theorem_id} needs a unit tangent direction X")
-        dd = _ricci_direction_data(sub, X)
-        lhs = ricci(sub, X, symmetrized=False)
-        rhs = _rhs_ricci(sub, g, dd)
+        lhs = ricci(sub, X, symmetrized=False)  # rejects a non-unit X
+        x = sub.tangent_coords(X)
+        frame = complete_frame(x[None, :])
+        ric_ng = float(np.sum(_pair_nongauss(sub, np.broadcast_to(x, frame.shape), frame)))
+        rhs = ric_ng + n ** 2 / 4.0 * H_sq
         diag = {
-            "H_zero": bool(g.H_sq < 1e-20),
-            "X_in_kernel": bool(_kernel_residual(sub, dd["x"]) < 1e-10),
+            "H_zero": bool(H_sq < 1e-20),
+            "X_in_kernel": bool(_kernel_residual(sub, x) < 1e-10),
             "h_zero": bool(np.abs(sub.h).max() < 1e-12 if sub.h.size else True),
         }
-        if theorem_id == "4.2" and report_alt_trace_reading:
-            # Alternative reading of the linear trace term: with no kind-1
-            # parameters present alpha collapses to alpha', so both readings
-            # agree identically; recorded for the audit trail.
-            diag["rhs_alt_trace_reading"] = rhs
         return _verdict(theorem_id, lhs, rhs, tol, diag)
 
+    E = 2.0 * _tau_nongauss(sub)
     if theorem_id in ("3.4", "4.3"):
         if k is None:
             k = n
         est = theta_k(sub, k)
-        E = _expansion_constant(sub, g)
         diag: dict = {"theta_mode": est.mode, "theta_value": est.value, "k": k,
                       "theta_samples": est.samples}
         if est.exact:
@@ -448,25 +327,21 @@ def verify(
             # Cauchy-Schwarz step, and the exact k = n invariant.
             exact = theta_k(sub, n, strategy="exact_eigen")
             two_tau = 2.0 * scalar_tau(sub)
-            diag["identity_residual"] = abs(two_tau - E - (n ** 2 * g.H_sq - g.h_sq))
-            diag["cauchy_schwarz_slack"] = g.h_sq - n * g.H_sq
+            diag["identity_residual"] = abs(two_tau - E - (n ** 2 * H_sq - h_sq))
+            diag["cauchy_schwarz_slack"] = h_sq - n * H_sq
             diag["theta_exact_k_n"] = exact.value
             diag["theta_advisory"] = est.value
             lhs = n * (n - 1) * exact.value - E
-        rhs = n * (n - 1) * g.H_sq
+        rhs = n * (n - 1) * H_sq
         return _verdict(theorem_id, lhs, rhs, tol, diag)
 
-    if theorem_id in ("3.5i", "3.5ii", "4.4i", "4.4ii"):
-        cas = casorati(sub)
-        E = _expansion_constant(sub, g)
-        delta = cas.delta_c if theorem_id.endswith("i") and not theorem_id.endswith("ii") else cas.delta_c_hat
-        lhs = 2.0 * scalar_tau(sub)
-        rhs = n * (n - 1) * delta + E
-        diag = cas.as_dict()
-        diag["shape_match"] = _quasi_umbilical_match(sub, theorem_id)
-        return _verdict(theorem_id, lhs, rhs, tol, diag)
-
-    raise ValueError(f"unknown theorem id {theorem_id!r}")
+    cas = casorati(sub)
+    delta = cas.delta_c_hat if theorem_id.endswith("ii") else cas.delta_c
+    lhs = 2.0 * scalar_tau(sub)
+    rhs = n * (n - 1) * delta + E
+    diag = cas.as_dict()
+    diag["shape_match"] = _quasi_umbilical_match(sub, theorem_id)
+    return _verdict(theorem_id, lhs, rhs, tol, diag)
 
 
 def _kernel_residual(sub: SubmanifoldPoint, x: np.ndarray) -> float:
@@ -605,89 +480,6 @@ def ricci_bound_batch(h: np.ndarray) -> np.ndarray:
 # cross checks: closed expansions vs the raw tensor pipeline
 # ---------------------------------------------------------------------------
 
-def _pair_core(sub: SubmanifoldPoint, i: int, j: int) -> float:
-    """Closed form of the ambient part of R(e_i, e_j, e_j, e_i), i != j."""
-    g = sub.model
-    u, A, B, Phi = sub.eta_t, sub.hprime_top, sub.phi_hprime_top, sub.phat
-    mu = g.mu_contact
-    return (
-        (g.c + 3.0) / 4.0
-        + (g.c + 3.0 - 4.0 * g.kappa) / 4.0 * (-u[i] ** 2 - u[j] ** 2)
-        + 3.0 * (g.c - 1.0) / 4.0 * Phi[i, j] ** 2
-        + 0.5 * (B[i, j] ** 2 - A[i, j] ** 2 + A[i, i] * A[j, j] - B[i, i] * B[j, j])
-        + A[i, i] + A[j, j]
-        + 2.0 * u[i] * u[j] * A[i, j] - A[i, i] * u[j] ** 2 - A[j, j] * u[i] ** 2
-        + mu * (A[i, i] * u[j] ** 2 + A[j, j] * u[i] ** 2 - 2.0 * u[i] * u[j] * A[i, j])
-    )
-
-
-def _pair_expansion(sub: SubmanifoldPoint, i: int, j: int) -> float:
-    """Closed form of R(e_i, e_j, e_j, e_i) for frame indices i != j."""
-    val = _pair_core(sub, i, j)
-    h = sub.h
-    gauss = float(np.sum(h[:, i, i] * h[:, j, j] - h[:, i, j] ** 2))
-    if sub.spec.kind == KIND_FIRST:
-        l1, l2 = sub.spec.lambda1, sub.spec.lambda2
-        val += (
-            -l1 * sub.alpha_t[j, j] - l2 * sub.alpha_t[i, i]
-            - l2 * (l1 - l2) * sub.beta_t[i, i]
-            - (l1 - l2) * float(h[:, j, j] @ sub.pi_nor)
-        )
-    else:
-        b = sub.spec.b
-        val += (
-            -b * sub.alpha_prime_t[j, j]
-            + b ** 2 * sub.pi_t[j] ** 2
-            - b * float(h[:, j, j] @ sub.pi_nor)
-        )
-    return val + gauss
-
-
-def _plane_core(sub: SubmanifoldPoint, pi: PlaneInvariants) -> float:
-    g = sub.model
-    return (
-        (g.c + 3.0) / 4.0
-        - (g.c + 3.0 - 4.0 * g.kappa) / 4.0 * pi.gamma
-        + 3.0 * (g.c - 1.0) / 4.0 * pi.phi_plane
-        + 0.5 * (pi.det_hprime - pi.det_phi_hprime)
-        + pi.tr_hprime
-        + (g.mu_contact - 1.0) * pi.theta
-    )
-
-
-def _plane_closed_forms(sub: SubmanifoldPoint, plane: Plane) -> tuple[float, float, float]:
-    """Closed forms of R(e1,e2,e2,e1), R(e1,e2,e1,e2), K for a tangent plane."""
-    v1, v2 = sub.plane_coords(plane)
-    V = np.stack([v1, v2])
-    pi = plane_invariants(sub, plane)
-    core = _plane_core(sub, pi)
-    h2 = np.einsum("ia,rab,jb->rij", V, sub.h, V)
-    gauss = float(np.sum(h2[:, 0, 0] * h2[:, 1, 1] - h2[:, 0, 1] ** 2))
-    al2 = V @ sub.alpha_t @ V.T
-    be2 = V @ sub.beta_t @ V.T
-    ap2 = V @ sub.alpha_prime_t @ V.T
-    pi1, pi2 = float(sub.pi_t @ v1), float(sub.pi_t @ v2)
-    g_h11_P = float(h2[:, 0, 0] @ sub.pi_nor)
-    g_h22_P = float(h2[:, 1, 1] @ sub.pi_nor)
-    if sub.spec.kind == KIND_FIRST:
-        l1, l2 = sub.spec.lambda1, sub.spec.lambda2
-        r1221 = core - l1 * al2[1, 1] - l2 * al2[0, 0] - l2 * (l1 - l2) * be2[0, 0] \
-            - (l1 - l2) * g_h22_P + gauss
-        r1212 = -core + l1 * al2[0, 0] + l2 * al2[1, 1] + l2 * (l1 - l2) * be2[1, 1] \
-            + (l1 - l2) * g_h11_P - gauss
-        k_val = core - (l1 + l2) / 2.0 * (al2[0, 0] + al2[1, 1]) \
-            - l2 * (l1 - l2) / 2.0 * (be2[0, 0] + be2[1, 1]) \
-            - (l1 - l2) / 2.0 * (g_h11_P + g_h22_P) + gauss
-    else:
-        b = sub.spec.b
-        r1221 = core - b * ap2[1, 1] + b ** 2 * pi2 ** 2 - b * g_h22_P + gauss
-        r1212 = -core + b * ap2[0, 0] - b ** 2 * pi1 ** 2 + b * g_h11_P - gauss
-        k_val = core - b / 2.0 * (ap2[0, 0] + ap2[1, 1]) \
-            + b ** 2 / 2.0 * (pi1 ** 2 + pi2 ** 2) \
-            - b / 2.0 * (g_h11_P + g_h22_P) + gauss
-    return r1221, r1212, k_val
-
-
 @dataclass(frozen=True)
 class CrossCheckReport:
     """Residuals between the raw pipeline and the closed expansions."""
@@ -718,37 +510,29 @@ def cross_check(sub: SubmanifoldPoint, plane_seed: int = 0) -> CrossCheckReport:
     R = sub.riem
     res: dict[str, float] = {}
 
-    res["R_pair"] = max(
-        abs(_pair_expansion(sub, i, j) - float(R[i, j, j, i]))
-        for i in range(n) for j in range(n) if i != j
-    )
+    I, J, X, Y = _frame_pairs(n)
+    closed = _pair_nongauss(sub, X, Y) + _pair_gauss(sub, X, Y)
+    res["R_pair"] = float(np.abs(closed - R[I, J, J, I]).max())
 
     tau_k, tau_double = scalar_tau_pair(sub)
-    g = _globals(sub)
-    tau_closed = _tau_nongauss(sub, g) + _gauss_sum(sub)
+    E = 2.0 * _tau_nongauss(sub)
     res["tau_formulas"] = abs(tau_k - tau_double)
-    res["tau_closed"] = abs(tau_k - tau_closed)
+    res["tau_closed"] = abs(tau_k - (0.5 * E + _gauss_sum(sub)))
 
+    # the coordinate plane and two seeded random planes, in frame coordinates
     rng = np.random.default_rng(plane_seed)
-    planes = [Plane(sub.tangent[0], sub.tangent[1])]
-    for _ in range(2):
-        basis = orthonormalize(rng.standard_normal((2, n)))
-        planes.append(Plane(basis[0] @ sub.tangent, basis[1] @ sub.tangent))
-    worst_1221 = worst_1212 = worst_k = 0.0
-    for plane in planes:
-        v1, v2 = sub.plane_coords(plane)
-        c1221, c1212, ck = _plane_closed_forms(sub, plane)
-        t1221 = float(np.einsum("abcd,a,b,c,d->", R, v1, v2, v2, v1))
-        t1212 = float(np.einsum("abcd,a,b,c,d->", R, v1, v2, v1, v2))
-        worst_1221 = max(worst_1221, abs(c1221 - t1221))
-        worst_1212 = max(worst_1212, abs(c1212 - t1212))
-        worst_k = max(worst_k, abs(ck - (t1221 - t1212) / 2.0))
-    res["R_1221"] = worst_1221
-    res["R_1212"] = worst_1212
-    res["K_plane"] = worst_k
+    bases = [np.eye(n)[:2]] + [orthonormalize(rng.standard_normal((2, n))) for _ in range(2)]
+    V1, V2 = np.array([b[0] for b in bases]), np.array([b[1] for b in bases])
+    Xp, Yp = np.concatenate([V1, V2]), np.concatenate([V2, V1])
+    r12, r21 = np.split(_pair_nongauss(sub, Xp, Yp) + _pair_gauss(sub, Xp, Yp), 2)
+    t1221 = np.einsum("abcd,ka,kb,kc,kd->k", R, V1, V2, V2, V1)
+    t1212 = np.einsum("abcd,ka,kb,kc,kd->k", R, V1, V2, V1, V2)
+    res["R_1221"] = float(np.abs(r12 - t1221).max())
+    res["R_1212"] = float(np.abs(-r21 - t1212).max())
+    res["K_plane"] = float(np.abs((r12 + r21) / 2.0 - (t1221 - t1212) / 2.0).max())
 
-    E = _expansion_constant(sub, g)
-    res["trace_identity"] = abs(2.0 * tau_k - E - (n ** 2 * g.H_sq - g.h_sq))
+    H_sq, h_sq = sub.mean_curvature_sq, sub.h_norm_sq
+    res["trace_identity"] = abs(2.0 * tau_k - E - (n ** 2 * H_sq - h_sq))
 
     # Q over a deterministic hyperplane sample: coordinate normals plus a
     # seeded batch; must stay nonnegative for every hyperplane.
@@ -757,12 +541,12 @@ def cross_check(sub: SubmanifoldPoint, plane_seed: int = 0) -> CrossCheckReport:
     CL = _hyperplane_values(sub, U)
     cas = casorati(sub)
     CL = np.append(CL, cas.inf_CL)
-    C = g.h_sq / n
+    C = h_sq / n
     q_vals = n * (n - 1) / 2.0 * C + (n - 1) * (n + 1) / 2.0 * CL - 2.0 * tau_k + E
     return CrossCheckReport(
         residuals=res,
         q_min=float(q_vals.min()),
-        cauchy_schwarz_slack=g.h_sq - n * g.H_sq,
+        cauchy_schwarz_slack=h_sq - n * H_sq,
     )
 
 

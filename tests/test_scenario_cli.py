@@ -9,15 +9,12 @@ from ckv.contact import standard_point, validate_structure
 from ckv.connections import first_connection
 from ckv.errors import ScenarioError
 from ckv.fuzz import FuzzConfig, run_fuzz
-from ckv.report import RunReport
 from ckv.scenario import (
     load_scenario,
     parse_scenario,
     save_scenario,
     scenario_from_parts,
 )
-from ckv.verifier import cross_check, verify
-from ckv.frames import Plane
 
 E5 = np.eye(5)
 
@@ -108,21 +105,6 @@ def test_parse_accepts_zero_tol():
     assert parse_scenario(_equality_scenario({"tol": 0.0})).checks.tol == 0.0
 
 
-def test_run_report_roundtrip():
-    parsed = parse_scenario(_equality_scenario())
-    validation = validate_structure(parsed.model)
-    verdicts = [
-        verify(parsed.sub, "3.1", plane=Plane(parsed.sub.tangent[0], parsed.sub.tangent[1])),
-        verify(parsed.sub, "3.3", X=parsed.sub.tangent[0]),
-    ]
-    report = RunReport(validation=validation, verdicts=verdicts,
-                       cross=cross_check(parsed.sub), timing_seconds=1.23)
-    blob = json.dumps(report.to_dict(), sort_keys=True)
-    restored = RunReport.from_dict(json.loads(blob))
-    assert json.dumps(restored.to_dict(), sort_keys=True) == blob
-    assert restored.timing_seconds == 0.0  # timing is runtime-only
-
-
 # --- CLI ---------------------------------------------------------------------
 
 def _write(tmp_path, data, name="scn.json"):
@@ -210,6 +192,22 @@ def test_cli_scenario_tol_nan_is_an_input_error(tmp_path, capsys):
     path = _write(tmp_path, data)
     assert main(["verify", path, "--theorems", "3.1"]) == 2
     assert "checks.tol" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("section,key", [("submanifold", "hhat"), ("ambient", "c")])
+def test_cli_verify_overflow_is_an_input_error(tmp_path, capsys, section, key):
+    # these used to print NaN slacks (exit 1) or infinite slacks that "held" (exit 0)
+    data = _equality_scenario()
+    if key == "hhat":
+        data[section][key][0][0][0] = 1e200
+    else:
+        data[section][key] = 1e308
+    path = _write(tmp_path, data)
+    assert main(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
 
 
 def test_cli_case_commands(tmp_path, capsys):

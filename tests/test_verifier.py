@@ -4,9 +4,12 @@ import pytest
 from ckv.connections import first_connection, second_connection
 from ckv.contact import random_point, standard_point
 from ckv.errors import MissingArgument, WrongConnectionKind
-from ckv.frames import Plane, orthonormalize
-from ckv.submanifold import attach
+from ckv.frames import Plane, complete_frame, orthonormalize
+from ckv.fuzz import FuzzConfig, random_scenario
+from ckv.scenario import parse_scenario
+from ckv.submanifold import attach, casorati
 from ckv.verifier import (
+    THEOREMS_FIRST,
     algebraic_bounds_check,
     applicable_theorems,
     chen_bound_batch,
@@ -123,6 +126,33 @@ def test_verify_unknown_id():
         verify(sub, "5.1")
 
 
+@pytest.mark.parametrize("tol", [-1e-3, float("nan"), float("inf"), -float("inf")])
+def test_verify_rejects_bad_tol(tol):
+    # a negative or NaN tol used to turn this exact witness into a violation
+    sub = equality_instance("cor32", 3, {"h11": 1.0, "h22": 1.0})
+    with pytest.raises(ValueError, match="tol"):
+        verify(sub, "3.1", plane=Plane(sub.tangent[0], sub.tangent[1]), tol=tol)
+
+
+def _overflowing_sub(which):
+    hhat = np.zeros((2, 3, 3))
+    hhat[0] = np.diag([1.0, 1.0, 2.0])
+    if which == "hhat":
+        hhat[0, 0, 0] = 1e200
+    model = standard_point(2, c=1e308 if which == "c" else 1.0)
+    return attach(model, _zero_spec(), E5[:3], hhat)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("which", ["hhat", "c"])
+@pytest.mark.parametrize("tid", THEOREMS_FIRST)
+def test_verify_raises_on_non_finite_sides(which, tid):
+    # overflowed data used to give NaN slacks or an infinite slack that "held"
+    sub = _overflowing_sub(which)
+    with pytest.raises(ValueError):
+        verify(sub, tid, plane=Plane(E5[0], E5[1]), X=E5[0])
+
+
 # --- equality witnesses --------------------------------------------------------
 
 @pytest.mark.parametrize("case,tid,params", [
@@ -218,6 +248,39 @@ def test_bounds_input_validation():
         algebraic_bounds_check(np.zeros((3, 3)), "nope")
 
 
+# --- the algebraic reductions of the proofs --------------------------------------
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_slacks_reduce_to_algebraic_bounds(kind):
+    # Only the Gauss part of each inequality survives: its slack is the
+    # algebraic bound on h that the proof applies, in an adapted frame.
+    chen_id, ricci_id, _, casorati_id, _ = applicable_theorems(kind)
+    rng = np.random.default_rng(61)
+    for index in range(30):
+        sub = parse_scenario(random_scenario(index, FuzzConfig(seed=62, kind=kind))).sub
+        n = sub.n
+
+        def adapted(rows):
+            frame = np.vstack([rows, complete_frame(rows)])
+            return np.einsum("ia,rab,jb->rij", frame, sub.h, frame)
+
+        def close(verdict, expected):
+            bound = 1e-12 * (1 + abs(verdict.lhs) + abs(verdict.rhs))
+            assert abs(verdict.slack - expected) <= bound, (kind, index, verdict.theorem_id)
+
+        basis = orthonormalize(rng.standard_normal((2, n)))
+        plane = Plane(basis[0] @ sub.tangent, basis[1] @ sub.tangent)
+        close(verify(sub, chen_id, plane=plane), chen_bound_batch(adapted(basis)[None])[0])
+
+        x = orthonormalize(rng.standard_normal((1, n)))
+        h_x = adapted(x)
+        close(verify(sub, ricci_id, X=x[0] @ sub.tangent),
+              ricci_bound_batch(h_x[None])[0] + np.sum(h_x[:, 0, 1:] ** 2))
+
+        gauss = n ** 2 * sub.mean_curvature_sq - sub.h_norm_sq
+        close(verify(sub, casorati_id), n * (n - 1) * casorati(sub).delta_c - gauss)
+
+
 # --- cross checks ----------------------------------------------------------------
 
 def test_cross_check_zero_spec_machine_precision():
@@ -289,8 +352,3 @@ def test_second_kind_verdicts_invariant_in_a():
             assert abs(v0.lhs - v.lhs) < 1e-12 * (1 + abs(v0.lhs))
             assert abs(v0.rhs - v.rhs) < 1e-12 * (1 + abs(v0.rhs))
 
-
-def test_alt_trace_reading_recorded():
-    sub = _random_sub(59, 2)
-    verdict = verify(sub, "4.2", X=sub.tangent[0], report_alt_trace_reading=True)
-    assert verdict.diagnostics["rhs_alt_trace_reading"] == verdict.rhs
