@@ -20,19 +20,18 @@ from ckv import (
     verify,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="ckv-demo-"))
+with tempfile.TemporaryDirectory(prefix="ckv-demo-") as workdir:
+    print("=== write an equality scenario and read it back ===")
+    sub = equality_instance("thm35_i", 3, {"a": 1.0})
+    data = scenario_from_parts(sub.model, sub.spec, sub.tangent, sub.hhat,
+                               checks={"theorems": ["3.5i"], "tol": 1e-8})
+    path = Path(workdir) / "thm35_i.json"
+    save_scenario(path, data)
+    print(f"  wrote {path} ({path.stat().st_size} bytes)")
 
-print("=== write an equality scenario and read it back ===")
-sub = equality_instance("thm35_i", 3, {"a": 1.0})
-data = scenario_from_parts(sub.model, sub.spec, sub.tangent, sub.hhat,
-                           checks={"theorems": ["3.5i"], "tol": 1e-8})
-path = workdir / "thm35_i.json"
-save_scenario(path, data)
-print(f"  wrote {path} ({path.stat().st_size} bytes)")
-
-parsed = parse_scenario(load_scenario(path))
-verdict = verify(parsed.sub, "3.5i")
-print(f"  reloaded and verified: slack = {verdict.slack:.3e}")
+    parsed = parse_scenario(load_scenario(path))
+    verdict = verify(parsed.sub, "3.5i")
+    print(f"  reloaded and verified: slack = {verdict.slack:.3e}")
 
 print("\n=== seeded fuzz campaigns are reproducible ===")
 cfg = FuzzConfig(count=40, seed=2718, kind=1)

@@ -33,7 +33,6 @@ __all__ = ["FuzzConfig", "FuzzReport", "run_fuzz", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20240817
 CROSS_TOL = 1e-9
-Q_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -212,9 +211,7 @@ def _still_fails(data: dict, check: dict, tol: float) -> bool:
     try:
         if "theorem" in check:
             return not _run_check(parsed.sub, check, tol).holds
-        cc = cross_check(parsed.sub)
-        return cc.max_residual > CROSS_TOL or cc.q_min < -Q_TOL \
-            or cc.cauchy_schwarz_slack < -Q_TOL
+        return not cross_check(parsed.sub).ok()
     except Exception:
         return False
 
@@ -274,7 +271,7 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
         report.max_cross_residual = max(report.max_cross_residual, cc.max_residual)
         report.min_q = min(report.min_q, cc.q_min)
         report.min_cauchy_schwarz = min(report.min_cauchy_schwarz, cc.cauchy_schwarz_slack)
-        if cc.max_residual > CROSS_TOL or cc.q_min < -Q_TOL or cc.cauchy_schwarz_slack < -Q_TOL:
+        if not cc.ok():
             check = {"cross_check": {k: v for k, v in cc.residuals.items() if v > CROSS_TOL},
                      "q_min": cc.q_min}
             minimized = minimize_finding(data, {"cross_check": True}, cfg.kind, cfg.tol)

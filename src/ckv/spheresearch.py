@@ -6,7 +6,7 @@ sums).  Desk scale suffices: a dense deterministic layout locates the basin,
 then a local method polishes it far below the 1e-6 target.  The Casorati
 search evaluates its quartic on the layout through the layout's quadratic
 monomials and polishes with Riemannian Newton (``ckv.submanifold``); the
-k-Ricci searches polish with the projected coordinate descent of
+k-Ricci search polishes with the projected coordinate descent of
 ``refine_on_sphere``.  Both are deterministic for a fixed layout, and the
 layout and search together are versioned so reports can record their
 provenance.
@@ -77,51 +77,36 @@ def layout_monomials(dim: int, count: int) -> np.ndarray:
     return cached
 
 
-def refine_on_sphere(
-    f_batch,
-    u0: np.ndarray,
-    minimize: bool = True,
-    step0: float = 0.1,
-    max_iter: int = 200,
-    step_floor: float = 1e-13,
-) -> tuple[np.ndarray, float]:
-    """Projected coordinate descent from ``u0`` with a shrinking step.
+def refine_on_sphere(f_batch, u0: np.ndarray) -> tuple[np.ndarray, float]:
+    """Projected coordinate descent minimizing ``f_batch`` from ``u0``.
 
     ``f_batch`` maps an array of unit vectors (k, dim) to values (k,).  At each
-    iteration all +/- coordinate moves of the current step size are evaluated
-    in one batch; the best improving move is taken, otherwise the step halves.
+    iteration all +/- coordinate moves of the current step size (0.1 at the
+    start) are evaluated in one batch; the best improving move is taken,
+    otherwise the step halves, until 200 iterations or a step below 1e-13.
     Deterministic, and convergent to ~machine precision inside a smooth basin.
     """
-    sign = 1.0 if minimize else -1.0
     u = np.asarray(u0, dtype=float)
     u = u / np.linalg.norm(u)
-    best = sign * float(f_batch(u[None, :])[0])
-    dim = u.shape[0]
-    step = step0
-    eye = np.eye(dim)
-    for _ in range(max_iter):
-        if step < step_floor:
+    best = float(f_batch(u[None, :])[0])
+    eye = np.eye(u.shape[0])
+    step = 0.1
+    for _ in range(200):
+        if step < 1e-13:
             break
         cand = np.concatenate([u + step * eye, u - step * eye])
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        vals = sign * np.asarray(f_batch(cand))
+        vals = np.asarray(f_batch(cand))
         k = int(np.argmin(vals))
         if vals[k] < best - 1e-17 * (1.0 + abs(best)):
             best = float(vals[k])
             u = cand[k]
         else:
             step *= 0.5
-    return u, sign * best
+    return u, best
 
 
-def extremize_on_sphere(
-    f_batch,
-    dim: int,
-    samples: int,
-    minimize: bool = True,
-) -> tuple[np.ndarray, float]:
-    """Dense layout plus refinement; returns (arg, value)."""
+def extremize_on_sphere(f_batch, dim: int, samples: int) -> tuple[np.ndarray, float]:
+    """Minimum over the dense layout, refined; returns (arg, value)."""
     U = sphere_samples(dim, samples)
-    vals = np.asarray(f_batch(U))
-    idx = int(np.argmin(vals) if minimize else np.argmax(vals))
-    return refine_on_sphere(f_batch, U[idx], minimize=minimize)
+    return refine_on_sphere(f_batch, U[int(np.argmin(f_batch(U)))])

@@ -380,9 +380,11 @@ def ricci_form(sub: SubmanifoldPoint) -> np.ndarray:
 class ThetaEstimate:
     """k-Ricci invariant estimate: value, how it was obtained, sample count.
 
-    mode 'exact_eigen' (k = n) and 'grid' (k = 2 over the plane Grassmannian,
-    n = 3) are exact up to the refinement target; 'multistart' values are
-    sampled upper bounds on the true infimum and are labeled as estimates.
+    mode 'exact_eigen' (k = n) is an eigenvalue; 'grid' (k = 2 on n = 3) and
+    'multistart' (k < n, n >= 4) come from one sphere search over the
+    direction x.  'grid' counts as exact: on n = 3 every direction in the
+    optimal plane attains the infimum.  'multistart' values are sampled
+    upper bounds on the true infimum and are labeled as estimates.
     """
 
     value: float
@@ -394,89 +396,58 @@ class ThetaEstimate:
         return self.mode in ("exact_eigen", "grid")
 
 
-def _per_direction_form(sub: SubmanifoldPoint, x: np.ndarray) -> np.ndarray:
-    """Symmetric form S_x with sum over an orthonormal set {v} of S_x(v,v)
-    equal to the symmetrized partial Ricci of x over that set."""
-    M = np.einsum("abcd,a,d->bc", sub.riem, x, x)
-    Nf = np.einsum("abcd,a,c->bd", sub.riem, x, x)
-    S = (M - Nf) / 2.0
-    return (S + S.T) / 2.0
+THETA_SAMPLES = 10_000
+_THETA_CHUNK = 1024   # rows per stacked eigvalsh; bounds the batch's memory
 
 
-def _partial_ricci_min(sub: SubmanifoldPoint, x: np.ndarray, k: int) -> float:
-    """inf over k-planes containing x of the k-Ricci sum at x.
+def _finite(form: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(form)):
+        raise ValueError("Theta_k: the curvature data overflows (non-finite curvature form)")
+    return form
 
-    For fixed x the infimum over the remaining (k-1) directions is exact: the
-    sum of the k-1 smallest eigenvalues of S_x restricted to the orthogonal
-    complement of x inside the tangent space.
+
+def _partial_ricci_min(sub: SubmanifoldPoint, X: np.ndarray, k: int) -> np.ndarray:
+    """inf over k-planes containing x of the k-Ricci sum at x, per unit row x of X.
+
+    For fixed x the infimum over the remaining k-1 directions is exact: the
+    sum of the k-1 smallest eigenvalues of S_x on the orthogonal complement
+    of x, where S_x(v, v) = (R(x,v,v,x) - R(x,v,x,v)) / 2.  S_x is one matmul
+    of x (x) x with the riem tensor antisymmetrized in its last pair; in
+    P S_x P (P = I - x x^T) the zero eigenvalue of x is shifted above the
+    spectrum by ||S_x||_F + 1, so it is never among the k-1 smallest.
     """
     n = sub.n
-    S = _per_direction_form(sub, x)
-    basis = complete_frame(x[None, :] / np.linalg.norm(x))
-    Sperp = basis @ S @ basis.T
-    w = np.linalg.eigvalsh(Sperp)
-    return float(np.sum(w[: k - 1]))
+    anti = (sub.riem - sub.riem.transpose(0, 1, 3, 2)) / 2.0
+    form = anti.transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    out = np.empty(len(X))
+    for lo in range(0, len(X), _THETA_CHUNK):
+        x = X[lo:lo + _THETA_CHUNK]
+        xx = x[:, :, None] * x[:, None, :]
+        S = (xx.reshape(len(x), n * n) @ form).reshape(len(x), n, n)
+        S = (S + S.transpose(0, 2, 1)) / 2.0
+        shift = _finite(np.linalg.norm(S, axis=(1, 2)) + 1.0)
+        P = np.eye(n) - xx
+        w = np.linalg.eigvalsh(P @ S @ P + shift[:, None, None] * xx)
+        out[lo:lo + len(x)] = np.sum(w[:, : k - 1], axis=1)
+    return out
 
 
-def _theta_grid_n3(sub: SubmanifoldPoint, samples: int) -> tuple[float, int]:
-    """k = 2, n = 3: planes are orthogonal complements of unit vectors."""
-
-    def plane_basis(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ref = np.where(np.abs(U[:, [0]]) < 0.9, np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]))
-        v1 = np.cross(U, ref)
-        v1 /= np.linalg.norm(v1, axis=1, keepdims=True)
-        v2 = np.cross(U, v1)
-        v2 /= np.linalg.norm(v2, axis=1, keepdims=True)
-        return v1, v2
-
-    def f(U: np.ndarray) -> np.ndarray:
-        v1, v2 = plane_basis(U)
-        return _sectional_batch(sub, v1, v2)
-
-    _, val = extremize_on_sphere(f, 3, samples, minimize=True)
-    return val, samples
-
-
-def theta_k(sub: SubmanifoldPoint, k: int, strategy: str = "auto", samples: int = 10_000) -> ThetaEstimate:
+def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     """The normalized k-Ricci infimum Theta_k over k-planes and unit directions.
 
-    k = n reduces to an eigenvalue problem of ``ricci_form`` (exact); k = 2 on
-    n = 3 is a dense grid over the plane Grassmannian with local refinement;
-    everything else is a multistart search over the unit direction x with the
-    plane infimum solved exactly per direction (eigenvalue sums), reported as
-    an estimate.
+    k = n is an eigenvalue problem of ``ricci_form`` (exact).  For k < n the
+    plane infimum at each direction x is exact (``_partial_ricci_min``) and
+    ``extremize_on_sphere`` minimizes it over ``THETA_SAMPLES`` layout
+    directions.  Raises ValueError when the curvature data overflows.
     """
     n = sub.n
     if not 2 <= k <= n:
         raise ValueError(f"k must satisfy 2 <= k <= n = {n}, got {k}")
-    if strategy not in ("auto", "exact_eigen", "grid", "multistart"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "auto":
-        if k == n:
-            strategy = "exact_eigen"
-        elif k == 2 and n == 3:
-            strategy = "grid"
-        else:
-            strategy = "multistart"
-
-    if strategy == "exact_eigen":
-        if k != n:
-            raise ValueError("exact_eigen applies only to k = n")
-        w = np.linalg.eigvalsh(ricci_form(sub))
+    if k == n:
+        w = np.linalg.eigvalsh(_finite(ricci_form(sub)))
         return ThetaEstimate(float(w[0]) / (n - 1), "exact_eigen", 0)
-
-    if strategy == "grid":
-        if k != 2 or n != 3:
-            raise ValueError("grid mode is implemented for k = 2 on n = 3")
-        val, count = _theta_grid_n3(sub, samples)
-        return ThetaEstimate(val, "grid", count)
-
-    def f(U: np.ndarray) -> np.ndarray:
-        return np.array([_partial_ricci_min(sub, u, k) for u in U])
-
-    count = max(512, samples // 8)
-    _, val = extremize_on_sphere(f, n, count, minimize=True)
-    return ThetaEstimate(val / (k - 1), "multistart", count)
+    _, val = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, k), n, THETA_SAMPLES)
+    return ThetaEstimate(val / (k - 1), "grid" if n == 3 else "multistart", THETA_SAMPLES)
 
 
 @dataclass(frozen=True)

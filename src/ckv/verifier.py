@@ -273,7 +273,7 @@ def verify(
 
     3.1/4.1 need ``plane``; 3.3/4.2 need a unit tangent ``X``; 3.4/4.3 take
     ``k`` (default n).  For 3.4/4.3 the k-Ricci invariant enters through its
-    exact modes (k = n eigenvalue, or the k = 2 grid on n = 3); a sampled k is
+    exact modes (k = n eigenvalue, or the k = 2 search on n = 3); a sampled k is
     reported as advisory in the diagnostics and the verdict is computed
     through the exact k = n chain instead.  ``tol`` must be finite and >= 0,
     and a non-finite side raises ``ValueError`` rather than give a verdict.
@@ -325,7 +325,7 @@ def verify(
             # Sampled estimates only upper-bound the invariant, so the verdict
             # must come from the exact chain: the trace identity, the
             # Cauchy-Schwarz step, and the exact k = n invariant.
-            exact = theta_k(sub, n, strategy="exact_eigen")
+            exact = theta_k(sub, n)
             two_tau = 2.0 * scalar_tau(sub)
             diag["identity_residual"] = abs(two_tau - E - (n ** 2 * H_sq - h_sq))
             diag["cauchy_schwarz_slack"] = h_sq - n * H_sq
@@ -434,46 +434,41 @@ def algebraic_bounds_check(h_matrices, which: str, tol: float = 1e-9) -> BoundsC
         h = h[None, :, :]
     if np.abs(h - np.transpose(h, (0, 2, 1))).max() > 1e-12:
         raise ValueError("algebraic bounds need symmetric matrices")
-    n = h.shape[1]
-    traces = np.einsum("rii->r", h)
-    H_sq = float(traces @ traces) / n ** 2
-    if which == "chen":
-        if n < 3:
-            raise ValueError("the chen bound needs n >= 3")
-        diag = np.einsum("rii->ri", h)
-        pair_sum = (traces ** 2 - np.einsum("ri,ri->r", diag, diag)) / 2.0
-        off_sum = (np.einsum("rij,rij->r", h, h) - np.einsum("ri,ri->r", diag, diag)) / 2.0
-        lhs = float(np.sum(pair_sum - h[:, 0, 0] * h[:, 1, 1] - off_sum + h[:, 0, 1] ** 2))
-        rhs = n ** 2 * (n - 2) / (2.0 * (n - 1)) * H_sq
-    elif which == "ricci":
-        if n < 2:
-            raise ValueError("the ricci bound needs n >= 2")
-        lhs = float(np.sum(h[:, 0, 0] * (traces - h[:, 0, 0])))
-        rhs = n ** 2 / 4.0 * H_sq
-    else:
+    least_n = {"chen": 3, "ricci": 2}.get(which)
+    if least_n is None:
         raise ValueError(f"unknown bound {which!r}")
+    if h.shape[1] < least_n:
+        raise ValueError(f"the {which} bound needs n >= {least_n}")
+    lhs, rhs = (float(side[0]) for side in _bound_sides(h[None], which))
     return BoundsCheck(lhs, rhs, bool(lhs <= rhs + tol * (1.0 + abs(lhs) + abs(rhs))))
+
+
+def _bound_sides(h: np.ndarray, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of the 'chen' or 'ricci' bound for a batch (B, p, n, n)."""
+    n = h.shape[-1]
+    traces = np.einsum("brii->br", h)
+    H_sq = np.einsum("br,br->b", traces, traces) / n ** 2
+    h11 = h[:, :, 0, 0]
+    if which == "ricci":
+        return np.sum(h11 * (traces - h11), axis=1), n ** 2 / 4.0 * H_sq
+    diag = np.einsum("brii->bri", h)
+    diag_sq = np.einsum("bri,bri->br", diag, diag)
+    pair_sum = (traces ** 2 - diag_sq) / 2.0
+    off_sum = (np.einsum("brij,brij->br", h, h) - diag_sq) / 2.0
+    lhs = np.sum(pair_sum - h11 * h[:, :, 1, 1] - off_sum + h[:, :, 0, 1] ** 2, axis=1)
+    return lhs, n ** 2 * (n - 2) / (2.0 * (n - 1)) * H_sq
 
 
 def chen_bound_batch(h: np.ndarray) -> np.ndarray:
     """Vectorized rhs - lhs of the 'chen' bound for a batch (B, p, n, n)."""
-    n = h.shape[-1]
-    traces = np.einsum("brii->br", h)
-    H_sq = np.einsum("br,br->b", traces, traces) / n ** 2
-    diag = np.einsum("brii->bri", h)
-    pair_sum = (traces ** 2 - np.einsum("bri,bri->br", diag, diag)) / 2.0
-    off_sum = (np.einsum("brij,brij->br", h, h) - np.einsum("bri,bri->br", diag, diag)) / 2.0
-    lhs = np.sum(pair_sum - h[:, :, 0, 0] * h[:, :, 1, 1] - off_sum + h[:, :, 0, 1] ** 2, axis=1)
-    return n ** 2 * (n - 2) / (2.0 * (n - 1)) * H_sq - lhs
+    lhs, rhs = _bound_sides(h, "chen")
+    return rhs - lhs
 
 
 def ricci_bound_batch(h: np.ndarray) -> np.ndarray:
     """Vectorized rhs - lhs of the 'ricci' bound for a batch (B, p, n, n)."""
-    n = h.shape[-1]
-    traces = np.einsum("brii->br", h)
-    H_sq = np.einsum("br,br->b", traces, traces) / n ** 2
-    lhs = np.sum(h[:, :, 0, 0] * (traces - h[:, :, 0, 0]), axis=1)
-    return n ** 2 / 4.0 * H_sq - lhs
+    lhs, rhs = _bound_sides(h, "ricci")
+    return rhs - lhs
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_criterion_7_theta_oracles(fuzz_campaign):
         sub = parsed.sub
 
         # grid vs 1e5 random plane probes (independently refined)
-        grid = theta_k(sub, 2, strategy="grid")
+        grid = theta_k(sub, 2)
         v1 = rng.standard_normal((100_000, 3))
         v1 /= np.linalg.norm(v1, axis=1, keepdims=True)
         w = rng.standard_normal((100_000, 3))
@@ -213,19 +213,19 @@ def test_criterion_7_theta_oracles(fuzz_campaign):
 
         normal0 = np.cross(v1[best], w[best])
         normal0 /= np.linalg.norm(normal0)
-        _, probe_refined = refine_on_sphere(k_of_normal, normal0, minimize=True)
+        _, probe_refined = refine_on_sphere(k_of_normal, normal0)
         probe = min(float(probe_vals.min()), probe_refined)
         worst_grid = max(worst_grid, abs(grid.value - probe))
         assert abs(grid.value - probe) < 1e-5
 
         # eigen-exact vs sampled quadratic form, locally refined
-        exact = theta_k(sub, sub.n, strategy="exact_eigen")
+        exact = theta_k(sub, sub.n)
         Q = ricci_form(sub)
         f = lambda U: np.einsum("ki,ij,kj->k", U, Q, U)
         xs = rng.standard_normal((10_000, sub.n))
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
         vals = f(xs)
-        _, sampled = refine_on_sphere(f, xs[int(np.argmin(vals))], minimize=True)
+        _, sampled = refine_on_sphere(f, xs[int(np.argmin(vals))])
         sampled /= (sub.n - 1)
         worst_eigen = max(worst_eigen, abs(exact.value - sampled))
         assert abs(exact.value - sampled) < 1e-6

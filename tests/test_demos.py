@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion against this ckv."""
+"""Smoke test: every demo script runs to completion against this ckv and
+cleans up its temporary files."""
 
 import os
 import subprocess
@@ -21,3 +22,4 @@ def test_demo_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                           env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("ckv-demo-*")), "demo left its temp dir behind"

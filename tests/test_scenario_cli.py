@@ -210,6 +210,16 @@ def test_cli_verify_overflow_is_an_input_error(tmp_path, capsys, section, key):
     assert "non-finite" in captured.err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_verify_theta_overflow_is_an_input_error(tmp_path, capsys):
+    data = _equality_scenario()
+    data["ambient"]["c"] = 1e308
+    assert main(["verify", _write(tmp_path, data), "--theorems", "3.4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows" in captured.err
+
+
 def test_cli_case_commands(tmp_path, capsys):
     out_file = tmp_path / "case.json"
     assert main(["case", "--id", "cor32", "--params", "h11=1,h22=1",

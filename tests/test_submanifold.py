@@ -9,8 +9,10 @@ from ckv.errors import DimensionMismatch, NonSymmetricH, RankDeficient
 from ckv.frames import Plane, complete_frame
 from ckv.fuzz import FuzzConfig, random_scenario
 from ckv.scenario import parse_scenario
-from ckv.spheresearch import quadratic_monomials
+from ckv.spheresearch import extremize_on_sphere, quadratic_monomials
 from ckv.submanifold import (
+    THETA_SAMPLES,
+    _partial_ricci_min,
     attach,
     casorati,
     casorati_of_subspace,
@@ -261,11 +263,37 @@ def test_theta_eigen_vs_sampling():
 def test_theta_multistart_upper_bound():
     sub = _random_sub(42, 2, n=4, m=3)
     exact = theta_k(sub, 4)
-    est = theta_k(sub, 4, strategy="multistart")
-    assert est.mode == "multistart" and est.samples > 0
-    assert exact.value <= est.value + 1e-9
+    # the k < n search, run on the k = n infimum, never goes below the eigenvalue
+    _, sampled = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, 4), 4, THETA_SAMPLES)
+    assert exact.value <= sampled / 3 + 1e-9
     mid = theta_k(sub, 3)
-    assert mid.mode == "multistart"
+    assert mid.mode == "multistart" and mid.samples == THETA_SAMPLES
+
+
+def _partial_ricci_reference(sub, x, k):
+    """Per direction: S_x compressed onto a complete_frame basis of x^perp."""
+    M = np.einsum("abcd,a,d->bc", sub.riem, x, x)
+    N = np.einsum("abcd,a,c->bd", sub.riem, x, x)
+    S = (M - N) / 2.0
+    basis = complete_frame(x[None, :])
+    w = np.linalg.eigvalsh(basis @ ((S + S.T) / 2.0) @ basis.T)
+    return float(np.sum(w[: k - 1]))
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("n", [3, 4])
+def test_partial_ricci_min_matches_per_direction_reference(n, kind):
+    sub = _random_sub(43 + n, kind, n=n, m=3)
+    rng = np.random.default_rng(44)
+    X = rng.standard_normal((200, n))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    for k in range(2, n + 1):
+        batched = _partial_ricci_min(sub, X, k)
+        ref = np.array([_partial_ricci_reference(sub, x, k) for x in X])
+        assert np.all(np.abs(batched - ref) <= 1e-12 * (1 + np.abs(ref))), k
+    # at k = n the k - 1 = n - 1 eigenvalues sum to the Ricci quadratic form
+    quad = np.einsum("ki,ij,kj->k", X, ricci_form(sub), X)
+    assert np.all(np.abs(batched - quad) <= 1e-12 * (1 + np.abs(quad)))
 
 
 def test_theta_invalid_k():

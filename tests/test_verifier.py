@@ -153,6 +153,18 @@ def test_verify_raises_on_non_finite_sides(which, tid):
         verify(sub, tid, plane=Plane(E5[0], E5[1]), X=E5[0])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
+def test_theta_overflow_is_named(n, k):
+    # c = 1e308 used to reach eigvalsh and fail with "Eigenvalues did not converge"
+    hhat = np.zeros((5 - n, n, n))
+    hhat[0] = np.diag(np.arange(1.0, n + 1))
+    sub = attach(standard_point(2, c=1e308), _zero_spec(), E5[:n], hhat)
+    with pytest.raises(ValueError, match="overflows") as info:
+        verify(sub, "3.4", k=k)
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
 # --- equality witnesses --------------------------------------------------------
 
 @pytest.mark.parametrize("case,tid,params", [
