@@ -28,7 +28,7 @@ ct = correction_tensors(spec)
 print(f"  alpha(e1,e1) = {ct.alpha[0, 0]:+.4f}   (expected -1.5)")
 print(f"  alpha(e2,e2) = {ct.alpha[1, 1]:+.4f}   (expected +0.5)")
 print(f"  beta(e1,e1)  = {ct.beta[0, 0]:+.4f}   (expected +1.5)")
-print(f"  tr beta      = {ct.trace_beta:+.4f}   (expected +3.5, ambient trace)")
+print(f"  tr beta      = {np.trace(ct.beta):+.4f}   (expected +3.5, ambient trace)")
 
 print("\n=== zero parameters reduce both connections to Levi-Civita ===")
 args = rng.standard_normal((4, 5))

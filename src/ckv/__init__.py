@@ -27,7 +27,7 @@ from .errors import (
     ScenarioError,
     WrongConnectionKind,
 )
-from .frames import Plane, orthonormalize, restrict_form, split
+from .frames import Plane, orthonormalize
 from .fuzz import FuzzConfig, FuzzReport, run_fuzz
 from .scenario import load_scenario, parse_scenario, save_scenario, scenario_from_parts
 from .submanifold import (

@@ -28,14 +28,17 @@ from .contact import validate_structure
 from .errors import GeometryError, MissingArgument, ScenarioError, WrongConnectionKind
 from .frames import Plane
 from .fuzz import DEFAULT_SEED, FuzzConfig, run_fuzz
-from .scenario import (
-    KNOWN_THEOREMS,
-    load_scenario,
-    parse_scenario,
-    save_scenario,
-    scenario_from_parts,
+from .scenario import load_scenario, parse_scenario, save_scenario, scenario_from_parts
+from .verifier import (
+    DEFAULT_TOL,
+    EQUALITY_THEOREM,
+    TAKES_PLANE,
+    THEOREMS_FIRST,
+    THEOREMS_SECOND,
+    applicable_theorems,
+    equality_instance,
+    verify,
 )
-from .verifier import EQUALITY_THEOREM, applicable_theorems, equality_instance, verify
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -50,6 +53,17 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """argparse type for --count: an integer >= 0 (anything else exits 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -72,21 +86,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def _resolve_arguments(parsed, theorem_id: str):
-    """Plane / direction / k for one check, from the scenario with defaults."""
-    sub = parsed.sub
-    checks = parsed.checks
-    plane = None
-    if theorem_id in ("3.1", "4.1"):
-        i, j = checks.plane if checks.plane is not None else (0, 1)
-        plane = Plane(sub.tangent[i], sub.tangent[j])
-    X = None
-    if theorem_id in ("3.3", "4.2"):
-        X = checks.X if checks.X is not None else sub.tangent[0]
-    k = checks.k
-    return plane, X, k
-
-
 def cmd_verify(args) -> int:
     try:
         parsed = parse_scenario(load_scenario(args.file))
@@ -104,16 +103,20 @@ def cmd_verify(args) -> int:
     else:
         ids = list(applicable_theorems(parsed.spec.kind))
     for tid in ids:
-        if tid not in KNOWN_THEOREMS:
+        if tid not in THEOREMS_FIRST + THEOREMS_SECOND:
             return _fail(f"unknown theorem id {tid!r}")
 
-    tol = args.tol if args.tol is not None else parsed.checks.tol
+    # verify ignores the arguments a theorem does not take
+    sub, checks = parsed.sub, parsed.checks
+    i, j = checks.plane if checks.plane is not None else (0, 1)
+    plane = Plane(sub.tangent[i], sub.tangent[j])
+    X = checks.X if checks.X is not None else sub.tangent[0]
+    tol = args.tol if args.tol is not None else checks.tol
     t0 = time.perf_counter()
     verdicts = []
     for tid in ids:
-        plane, X, k = _resolve_arguments(parsed, tid)
         try:
-            verdicts.append(verify(parsed.sub, tid, plane=plane, X=X, k=k, tol=tol))
+            verdicts.append(verify(sub, tid, plane=plane, X=X, k=checks.k, tol=tol))
         except (WrongConnectionKind, MissingArgument, GeometryError, ValueError) as exc:
             return _fail(f"{tid}: {exc}")
     elapsed = time.perf_counter() - t0
@@ -154,12 +157,15 @@ def cmd_fuzz(args) -> int:
     findings = sum(len(r.findings) for r in reports)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(blob, encoding="utf-8")
-        for r in reports:
-            for i, finding in enumerate(r.findings):
-                save_scenario(out / f"finding_kind{r.config.kind}_{i:03d}.json",
-                              finding["scenario"])
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "report.json").write_text(blob, encoding="utf-8")
+            for r in reports:
+                for i, finding in enumerate(r.findings):
+                    save_scenario(out / f"finding_kind{r.config.kind}_{i:03d}.json",
+                                  finding["scenario"])
+        except OSError as exc:
+            return _fail(f"cannot write {out}: {exc.strerror or exc}")
         print(f"report written to {out / 'report.json'}")
     else:
         sys.stdout.write(blob)
@@ -198,18 +204,21 @@ def cmd_case(args) -> int:
     except (ValueError, GeometryError) as exc:
         return _fail(str(exc))
     tid = EQUALITY_THEOREM[args.id]
-    plane = Plane(sub.tangent[0], sub.tangent[1]) if tid in ("3.1", "4.1") else None
-    verdict = verify(sub, tid, plane=plane)
+    verdict = verify(sub, tid, plane=Plane(sub.tangent[0], sub.tangent[1]))
     print(f"case {args.id}: theorem {tid} slack = {verdict.slack:.3e} "
           f"(lhs = {verdict.lhs:.8g}, rhs = {verdict.rhs:.8g})")
     if args.out:
-        checks = {"theorems": [tid], "tol": 1e-8}
-        if plane is not None:
+        checks = {"theorems": [tid], "tol": DEFAULT_TOL}
+        if tid in TAKES_PLANE:
             checks["plane"] = [0, 1]
         data = scenario_from_parts(sub.model, sub.spec, sub.tangent, sub.hhat, checks)
-        save_scenario(args.out, data)
+        try:
+            save_scenario(args.out, data)
+        except OSError as exc:
+            return _fail(f"cannot write {args.out}: {exc.strerror or exc}")
         print(f"scenario written to {args.out}")
-    return EXIT_OK if abs(verdict.slack) < 1e-8 * (1 + abs(verdict.lhs) + abs(verdict.rhs)) else EXIT_VIOLATION
+    eff = DEFAULT_TOL * (1 + abs(verdict.lhs) + abs(verdict.rhs))
+    return EXIT_OK if abs(verdict.slack) < eff else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fuzz", help="seeded random verification campaign")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_count, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n", type=int, choices=(3, 4), default=None)
     p.add_argument("--m", type=int, choices=(2, 3), default=None)
     p.add_argument("--kind", type=int, choices=(1, 2), default=None,
                    help="connection kind; default runs both")
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--out", help="directory for report.json and finding scenarios")
     p.set_defaults(func=cmd_fuzz)
 

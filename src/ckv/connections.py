@@ -12,7 +12,7 @@ semi-symmetric non-metric one.  Kind 2 deforms by a * pi(X) Y + b * pi(Y) X.
 
 Naming note: both the contact parameter mu and the trace of the correction
 tensor beta are conventionally called mu; here the former is ``mu_contact``
-on the model and the latter ``trace_beta`` to keep them apart.
+on the model, and the latter is only ever taken as a trace of ``beta``.
 """
 
 from __future__ import annotations
@@ -93,23 +93,18 @@ def second_connection(a: float, b: float, P, D) -> ConnectionSpec:
 
 @dataclass(frozen=True)
 class CorrectionTensors:
-    """The (0,2) correction tensors and their full-frame traces.
+    """The (0,2) correction tensors of the first connection.
 
     alpha(X,Y) = D(X,Y) - lambda1 pi(X) pi(Y) + (lambda2/2) g(X,Y) pi(P)
     beta(X,Y)  = (pi(P)/2) g(X,Y) + pi(X) pi(Y)
-    alpha'     = D
 
-    For a kind-2 spec the lambda terms are absent, so alpha degenerates to D.
-    The trace fields are the ambient matrix traces; the inequality assembler
-    restricts the matrices to the submanifold frame itself.
+    For a kind-2 spec the lambda terms are absent, so alpha degenerates to D
+    (the kind-2 tensor alpha' is D itself, ``ConnectionSpec.D``).  The
+    inequality assembler restricts the matrices to the submanifold frame.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
-    alpha_prime: np.ndarray
-    trace_alpha: float
-    trace_beta: float
-    trace_alpha_prime: float
 
 
 def correction_tensors(spec: ConnectionSpec) -> CorrectionTensors:
@@ -120,14 +115,7 @@ def correction_tensors(spec: ConnectionSpec) -> CorrectionTensors:
     l2 = spec.lambda2 if spec.kind == KIND_FIRST else 0.0
     alpha = D - l1 * np.outer(P, P) + (l2 / 2.0) * pi_P * np.eye(d)
     beta = (pi_P / 2.0) * np.eye(d) + np.outer(P, P)
-    return CorrectionTensors(
-        alpha=alpha,
-        beta=beta,
-        alpha_prime=D.copy(),
-        trace_alpha=float(np.trace(alpha)),
-        trace_beta=float(np.trace(beta)),
-        trace_alpha_prime=float(np.trace(D)),
-    )
+    return CorrectionTensors(alpha=alpha, beta=beta)
 
 
 def ambient_curvature(model: ContactPointModel, spec: ConnectionSpec, X, Y, Z, W) -> float:

@@ -63,10 +63,6 @@ class ContactPointModel:
     def dim(self) -> int:
         return 2 * self.m + 1
 
-    def eta(self, X) -> float:
-        """eta(X) = <xi, X>."""
-        return float(np.dot(self.xi, X))
-
 
 @dataclass(frozen=True)
 class StructureCheck:

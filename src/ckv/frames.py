@@ -4,7 +4,7 @@ Everything in this package stores tensors as component arrays in a fixed
 orthonormal frame, so the metric is the identity and inner products are plain
 dot products.  This module provides the frame-level primitives: Gram-Schmidt
 orthonormalization with a rank guard, completion of a frame to a full basis,
-tangent/normal splitting, and restriction of bilinear forms to 2-planes.
+and ordered orthonormal 2-plane bases.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient
-
-DEFAULT_TOL = 1e-10
 
 
 def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -45,14 +43,14 @@ def as_matrix(a, dim: int | None = None, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
+def orthonormalize(vectors) -> np.ndarray:
     """Orthonormalize a linearly independent family, preserving order and span.
 
     Modified Gram-Schmidt with one re-orthogonalization pass.  The first vector
     keeps its direction, so already-orthogonal inputs only get normalized.
 
     Raises RankDeficient when the numerical rank (singular values relative to
-    the largest) falls below the family size.
+    the largest, cut at 1e-10) falls below the family size.
     """
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     if V.size == 0:
@@ -63,7 +61,7 @@ def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     if k > d:
         raise RankDeficient(f"{k} vectors cannot be independent in dimension {d}")
     sv = np.linalg.svd(V, compute_uv=False)
-    if sv[-1] < tol * sv[0]:
+    if sv[-1] < 1e-10 * sv[0]:
         raise RankDeficient(
             f"numerical rank below {k} (smallest/largest singular value {sv[-1] / sv[0]:.3e})"
         )
@@ -76,7 +74,7 @@ def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     return out
 
 
-def complete_frame(frame: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def complete_frame(frame: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of ``frame`` rows.
 
     Candidates are the standard basis vectors in index order, so coordinate
@@ -105,25 +103,6 @@ def complete_frame(frame: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.array(extra)
 
 
-def split(frame: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``v`` into its component in span(frame rows) and the orthogonal rest."""
-    frame = np.atleast_2d(np.asarray(frame, dtype=float))
-    v = as_vector(v, frame.shape[1], "split input")
-    tangential = frame.T @ (frame @ v)
-    return tangential, v - tangential
-
-
-def restrict_form(B: np.ndarray, plane: "Plane") -> np.ndarray:
-    """Restrict a (0,2)-tensor to a plane's basis: out[i][j] = B(e_i, e_j)."""
-    B = as_matrix(B, name="restrict_form input")
-    if B.shape[0] != plane.e1.shape[0]:
-        raise DimensionMismatch(
-            f"form size {B.shape[0]} does not match plane dimension {plane.e1.shape[0]}"
-        )
-    e = np.stack([plane.e1, plane.e2])
-    return e @ B @ e.T
-
-
 @dataclass(frozen=True)
 class Plane:
     """Ordered orthonormal pair spanning a 2-plane."""
@@ -140,12 +119,6 @@ class Plane:
             raise ValueError("plane basis vectors must be orthogonal to 1e-12")
         object.__setattr__(self, "e1", e1)
         object.__setattr__(self, "e2", e2)
-
-    @classmethod
-    def from_span(cls, v1, v2, tol: float = DEFAULT_TOL) -> "Plane":
-        """Plane spanned by two independent (not necessarily orthonormal) vectors."""
-        basis = orthonormalize([v1, v2], tol)
-        return cls(basis[0], basis[1])
 
     def rotated(self, angle: float) -> "Plane":
         """Same plane, basis rotated in-plane by ``angle``."""

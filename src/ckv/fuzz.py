@@ -27,12 +27,20 @@ from .frames import Plane
 from .scenario import parse_scenario, scenario_from_parts
 from .spheresearch import LAYOUT_VERSION
 from .submanifold import SubmanifoldPoint
-from .verifier import applicable_theorems, cross_check, verify
+from .verifier import (
+    CROSS_TOL,
+    DEFAULT_TOL,
+    TAKES_K,
+    TAKES_PLANE,
+    TAKES_X,
+    applicable_theorems,
+    cross_check,
+    verify,
+)
 
 __all__ = ["FuzzConfig", "FuzzReport", "run_fuzz", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20240817
-CROSS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,7 @@ class FuzzConfig:
     kind: int = 1
     n: int | None = None   # None: draw from {3, 4}
     m: int | None = None   # None: draw from {2, 3}
-    tol: float = 1e-8
+    tol: float = DEFAULT_TOL
 
 
 @dataclass
@@ -153,13 +161,13 @@ def _checks_for(sub: SubmanifoldPoint, raw: dict, kind: int) -> list[dict]:
     planes = [(0, 1), (1, 2)]
     xs = [sub.tangent[0].tolist(), raw["checks"]["X"]]
     for tid in fam:
-        if tid in ("3.1", "4.1"):
+        if tid in TAKES_PLANE:
             for pair in planes:
                 checks.append({"theorem": tid, "plane": list(pair)})
-        elif tid in ("3.3", "4.2"):
+        elif tid in TAKES_X:
             for x in xs:
                 checks.append({"theorem": tid, "X": list(x)})
-        elif tid in ("3.4", "4.3"):
+        elif tid in TAKES_K:
             checks.append({"theorem": tid, "k": n})
         else:
             checks.append({"theorem": tid})
@@ -251,7 +259,7 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
             prev = report.min_slack.get(tid)
             if prev is None or verdict.slack < prev:
                 report.min_slack[tid] = verdict.slack
-            if tid in ("3.4", "4.3") and "theta_advisory" in verdict.diagnostics:
+            if "theta_advisory" in verdict.diagnostics:
                 report.theta_advisory.append({
                     "instance": index,
                     "advisory_theta": verdict.diagnostics["theta_advisory"],

@@ -35,6 +35,7 @@ from .contact import ContactPointModel, random_point
 from .connections import ConnectionSpec, first_connection, second_connection
 from .errors import GeometryError, ScenarioError
 from .submanifold import SubmanifoldPoint, attach
+from .verifier import DEFAULT_TOL, THEOREMS_FIRST, THEOREMS_SECOND
 
 __all__ = [
     "Checks",
@@ -45,16 +46,13 @@ __all__ = [
     "scenario_from_parts",
 ]
 
-KNOWN_THEOREMS = {"3.1", "3.3", "3.4", "3.5i", "3.5ii", "4.1", "4.2", "4.3", "4.4i", "4.4ii"}
-
-
 @dataclass
 class Checks:
     theorems: list[str] | None = None
     plane: tuple[int, int] | None = None
     X: np.ndarray | None = None
     k: int | None = None
-    tol: float = 1e-8
+    tol: float = DEFAULT_TOL
 
 
 @dataclass
@@ -203,7 +201,7 @@ def parse_scenario(data: dict) -> ParsedScenario:
             if not isinstance(ids, list):
                 raise ScenarioError("checks.theorems", "expected a list of ids")
             for t in ids:
-                if t not in KNOWN_THEOREMS:
+                if t not in THEOREMS_FIRST + THEOREMS_SECOND:
                     raise ScenarioError("checks.theorems", f"unknown theorem id {t!r}")
             checks.theorems = list(ids)
         if "plane" in ch:

@@ -64,7 +64,8 @@ class SubmanifoldPoint:
     tangent/normal are row-stacked orthonormal frames; hhat and h are the
     (p, n, n) component arrays of the Levi-Civita and induced second
     fundamental forms.  The ``*_top`` matrices are tangent-frame restrictions
-    (e.g. phat[a,b] = <e_a, phi e_b>).
+    (e.g. phat[a,b] = <e_a, phi e_b>).  Every array is read-only; ``cache``
+    holds values memoized from them.
     """
 
     model: ContactPointModel
@@ -76,8 +77,6 @@ class SubmanifoldPoint:
     hhat: np.ndarray
     h: np.ndarray
     # decomposition fields
-    xi_top: np.ndarray
-    xi_perp: np.ndarray
     phat: np.ndarray          # tangential phi, n x n
     hprime_top: np.ndarray    # tangential h', n x n
     phi_hprime_top: np.ndarray  # tangential phi h', n x n
@@ -109,11 +108,6 @@ class SubmanifoldPoint:
     @property
     def h_norm_sq(self) -> float:
         return float(np.sum(self.h * self.h))
-
-    @property
-    def pi_H(self) -> float:
-        """pi(H) = <P, H>; only the normal part of P contributes."""
-        return float(self.spec.P @ self.mean_curvature)
 
     def tangent_coords(self, X) -> np.ndarray:
         """Coordinates of a tangent vector in the tangent frame (checked)."""
@@ -191,7 +185,6 @@ def attach(
     spec: ConnectionSpec,
     tangent_basis,
     hhat,
-    tol: float = 1e-10,
 ) -> SubmanifoldPoint:
     """Build a submanifold germ from a tangent basis and its Levi-Civita form.
 
@@ -208,7 +201,7 @@ def attach(
     d = model.dim
     if spec.dim != d:
         raise DimensionMismatch(f"connection dimension {spec.dim} != ambient {d}")
-    E = orthonormalize(tangent_basis, tol)  # may raise RankDeficient
+    E = orthonormalize(tangent_basis)  # may raise RankDeficient
     n = E.shape[0]
     if E.shape[1] != d:
         raise DimensionMismatch(f"tangent vectors have length {E.shape[1]}, ambient is {d}")
@@ -229,7 +222,6 @@ def attach(
     if spec.kind == KIND_FIRST:
         h -= spec.lambda2 * pi_nor[:, None, None] * np.eye(n)[None, :, :]
 
-    xi_top_amb = E.T @ (E @ model.xi)
     phat = E @ model.phi @ E.T
     hp_top = E @ model.hprime @ E.T
     php_top = E @ (model.phi @ model.hprime) @ E.T
@@ -246,18 +238,18 @@ def attach(
         alpha_t, beta_t, ap_t, pi_t, pi_nor, h,
     )
 
-    for arr in (E, N, hhat, h, riem):
-        arr.setflags(write=False)
-
-    return SubmanifoldPoint(
+    sub = SubmanifoldPoint(
         model=model, spec=spec, n=n, p=p, tangent=E, normal=N,
         hhat=hhat, h=h,
-        xi_top=xi_top_amb, xi_perp=model.xi - xi_top_amb,
         phat=phat, hprime_top=hp_top, phi_hprime_top=php_top,
         eta_t=eta_t, pi_t=pi_t, pi_nor=pi_nor,
         alpha_t=alpha_t, beta_t=beta_t, alpha_prime_t=ap_t,
         riem=riem,
     )
+    for value in vars(sub).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return sub
 
 
 def _h_vector(sub: SubmanifoldPoint, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -490,6 +482,7 @@ def casorati_of_subspace(sub: SubmanifoldPoint, basis) -> float:
     return float(np.sum(restricted * restricted)) / l
 
 
+CASORATI_SAMPLES = 10_000
 # Newton starts per extremum; a single start misses separated basins.
 CASORATI_STARTS = 8
 _NEWTON_MAX_ITER = 60
@@ -615,7 +608,7 @@ def _newton_on_sphere(quartic: _Quartic, U: np.ndarray, sign: np.ndarray):
     return U, sign * f
 
 
-def casorati(sub: SubmanifoldPoint, samples: int = 10_000) -> CasoratiCurvatures:
+def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
     """Casorati curvature C, hyperplane inf/sup of C(L), and the normalized
     delta invariants delta_c(n-1) = C/2 + (n+1)/(2n) inf C(L) and
     delta_c_hat(n-1) = 2C - (2n-1)/(2n) sup C(L).
@@ -623,16 +616,15 @@ def casorati(sub: SubmanifoldPoint, samples: int = 10_000) -> CasoratiCurvatures
     C(L) = F(u) / (n - 1) with F(u) = ||h||^2 - 2 u^T S u + sum_r (u^T h_r u)^2
     and S = sum_r h_r^2.  With at most one nonzero slice of h the extrema are
     closed forms (``_one_slice_extrema``).  Otherwise F is evaluated on the
-    deterministic sphere layout of ``samples`` directions, and batched
+    deterministic sphere layout of ``CASORATI_SAMPLES`` directions, and batched
     Riemannian Newton (``_newton_on_sphere``) polishes the
     ``CASORATI_STARTS`` lowest and highest layout points; each extremum is
     the best polished value, which is never worse than the layout's.
 
-    Deterministic for a fixed sample count; memoized on the point (the search
-    is the dominant cost and several inequality checks share it).
+    Deterministic; memoized on the point (the search is the dominant cost and
+    several inequality checks share it).  The argument arrays are read-only.
     """
-    key = ("casorati", samples)
-    hit = sub.cache.get(key)
+    hit = sub.cache.get("casorati")
     if hit is not None:
         return hit
     n = sub.n
@@ -643,9 +635,10 @@ def casorati(sub: SubmanifoldPoint, samples: int = 10_000) -> CasoratiCurvatures
         inf_f, umin, sup_f, umax = _one_slice_extrema(h1)
         evaluated = 0
     else:
+        samples = CASORATI_SAMPLES
         U0 = sphere_samples(n, samples)
         vals = quartic.values(layout_monomials(n, samples))
-        K = min(CASORATI_STARTS, samples)
+        K = CASORATI_STARTS
         lows = np.argpartition(vals, K - 1)[:K]
         highs = np.argpartition(vals, samples - K)[samples - K:]
         starts = np.concatenate([U0[lows], U0[highs]])
@@ -653,6 +646,8 @@ def casorati(sub: SubmanifoldPoint, samples: int = 10_000) -> CasoratiCurvatures
         lo, hi = int(np.argmin(F[:K])), K + int(np.argmax(F[K:]))
         inf_f, umin, sup_f, umax = float(F[lo]), U[lo], float(F[hi]), U[hi]
         evaluated = samples
+    umin.setflags(write=False)
+    umax.setflags(write=False)
     inf_val, sup_val = inf_f / (n - 1), sup_f / (n - 1)
     delta_c = 0.5 * C + (n + 1) / (2.0 * n) * inf_val
     delta_hat = 2.0 * C - (2.0 * n - 1) / (2.0 * n) * sup_val
@@ -661,5 +656,5 @@ def casorati(sub: SubmanifoldPoint, samples: int = 10_000) -> CasoratiCurvatures
         delta_c=float(delta_c), delta_c_hat=float(delta_hat),
         argmin_u=umin, argmax_u=umax, samples=evaluated,
     )
-    sub.cache[key] = result
+    sub.cache["casorati"] = result
     return result

@@ -34,7 +34,7 @@ import numpy as np
 
 from .connections import KIND_FIRST, KIND_SECOND, first_connection
 from .contact import standard_point
-from .errors import DimensionMismatch, MissingArgument, WrongConnectionKind
+from .errors import MissingArgument, WrongConnectionKind
 from .frames import Plane, complete_frame, orthonormalize
 from .submanifold import (
     SubmanifoldPoint,
@@ -51,6 +51,12 @@ from .submanifold import (
 __all__ = [
     "THEOREMS_FIRST",
     "THEOREMS_SECOND",
+    "TAKES_PLANE",
+    "TAKES_X",
+    "TAKES_K",
+    "DEFAULT_TOL",
+    "CROSS_TOL",
+    "EQUALITY_THEOREM",
     "applicable_theorems",
     "PlaneInvariants",
     "plane_invariants",
@@ -67,8 +73,14 @@ __all__ = [
 
 THEOREMS_FIRST = ("3.1", "3.3", "3.4", "3.5i", "3.5ii")
 THEOREMS_SECOND = ("4.1", "4.2", "4.3", "4.4i", "4.4ii")
-_NEEDS_PLANE = {"3.1", "4.1"}
-_NEEDS_X = {"3.3", "4.2"}
+# the theorems that take a plane, a direction X, or k; the rest take none
+TAKES_PLANE = frozenset({"3.1", "4.1"})
+TAKES_X = frozenset({"3.3", "4.2"})
+TAKES_K = frozenset({"3.4", "4.3"})
+DEFAULT_TOL = 1e-8   # relative verdict tolerance, scaled by 1 + |lhs| + |rhs|
+CROSS_TOL = 1e-9     # largest accepted cross-check residual
+_Q_TOL = 1e-8        # how far below zero the Q polynomial and Cauchy-Schwarz may dip
+_SHAPE_TOL = 1e-8    # equality-pattern diagnostics
 
 
 def applicable_theorems(kind: int) -> tuple[str, ...]:
@@ -267,15 +279,16 @@ def verify(
     plane: Plane | None = None,
     X=None,
     k: int | None = None,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
 ) -> VerdictReport:
     """Evaluate one inequality of the catalog and report its verdict.
 
     3.1/4.1 need ``plane``; 3.3/4.2 need a unit tangent ``X``; 3.4/4.3 take
-    ``k`` (default n).  For 3.4/4.3 the k-Ricci invariant enters through its
-    exact modes (k = n eigenvalue, or the k = 2 search on n = 3); a sampled k is
-    reported as advisory in the diagnostics and the verdict is computed
-    through the exact k = n chain instead.  ``tol`` must be finite and >= 0,
+    ``k`` (default n).  Arguments a theorem does not take are ignored.  For
+    3.4/4.3 the k-Ricci invariant enters through its exact modes (k = n
+    eigenvalue, or the k = 2 search on n = 3); a sampled k is reported as
+    advisory in the diagnostics and the verdict is computed through the exact
+    k = n chain instead.  ``tol`` must be finite and >= 0,
     and a non-finite side raises ``ValueError`` rather than give a verdict.
     """
     _require_kind(sub, theorem_id)
@@ -284,7 +297,7 @@ def verify(
     n = sub.n
     H_sq, h_sq = sub.mean_curvature_sq, sub.h_norm_sq
 
-    if theorem_id in _NEEDS_PLANE:
+    if theorem_id in TAKES_PLANE:
         if plane is None:
             raise MissingArgument(f"{theorem_id} needs a plane")
         v1, v2 = sub.plane_coords(plane)
@@ -297,7 +310,7 @@ def verify(
         }
         return _verdict(theorem_id, lhs, rhs, tol, diag)
 
-    if theorem_id in _NEEDS_X:
+    if theorem_id in TAKES_X:
         if X is None:
             raise MissingArgument(f"{theorem_id} needs a unit tangent direction X")
         lhs = ricci(sub, X, symmetrized=False)  # rejects a non-unit X
@@ -313,7 +326,7 @@ def verify(
         return _verdict(theorem_id, lhs, rhs, tol, diag)
 
     E = 2.0 * _tau_nongauss(sub)
-    if theorem_id in ("3.4", "4.3"):
+    if theorem_id in TAKES_K:
         if k is None:
             k = n
         est = theta_k(sub, k)
@@ -352,7 +365,7 @@ def _kernel_residual(sub: SubmanifoldPoint, x: np.ndarray) -> float:
     return float(np.linalg.norm(vals, axis=0).max())
 
 
-def _adapted_block_match(sub: SubmanifoldPoint, plane: Plane, tol: float = 1e-8) -> bool:
+def _adapted_block_match(sub: SubmanifoldPoint, plane: Plane) -> bool:
     """Diagnostic: shape operators in the plane-adapted frame match the
     equality pattern of the tau - K bound.
 
@@ -364,25 +377,25 @@ def _adapted_block_match(sub: SubmanifoldPoint, plane: Plane, tol: float = 1e-8)
     v1, v2 = sub.plane_coords(plane)
     basis = np.vstack([v1, v2, complete_frame(np.vstack([v1, v2]))])
     h_adapted = np.einsum("ia,rab,jb->rij", basis, sub.h, basis)
-    scale = 1.0 + (np.abs(h_adapted).max() if h_adapted.size else 0.0)
+    tol = _SHAPE_TOL * (1.0 + (np.abs(h_adapted).max() if h_adapted.size else 0.0))
     first = h_adapted[0]
     off = first - np.diag(np.diag(first))
-    if np.abs(off).max() > tol * scale:
+    if np.abs(off).max() > tol:
         return False
     s = first[0, 0] + first[1, 1]
-    if np.abs(np.diag(first)[2:] - s).max() > tol * scale:
+    if np.abs(np.diag(first)[2:] - s).max() > tol:
         return False
     for other in h_adapted[1:]:
-        if abs(other[0, 0] + other[1, 1]) > tol * scale:
+        if abs(other[0, 0] + other[1, 1]) > tol:
             return False
         masked = other.copy()
         masked[:2, :2] = 0.0
-        if np.abs(masked).max() > tol * scale:
+        if np.abs(masked).max() > tol:
             return False
     return True
 
 
-def _quasi_umbilical_match(sub: SubmanifoldPoint, theorem_id: str, tol: float = 1e-8) -> bool:
+def _quasi_umbilical_match(sub: SubmanifoldPoint, theorem_id: str) -> bool:
     """Diagnostic: do the shape operators match the printed equality pattern?
 
     Checked in the eigenbasis of the first shape operator: diag(a,...,a,2a)
@@ -393,18 +406,18 @@ def _quasi_umbilical_match(sub: SubmanifoldPoint, theorem_id: str, tol: float = 
     if h.size == 0:
         return True
     rest = float(np.abs(h[1:]).max()) if h.shape[0] > 1 else 0.0
-    if rest > tol:
+    if rest > _SHAPE_TOL:
         return False
     w = np.sort(np.linalg.eigvalsh(h[0]))
-    if np.abs(w).max() < tol:
+    if np.abs(w).max() < _SHAPE_TOL:
         return True
     double = theorem_id.endswith("ii")
     for pos in range(len(w)):
         a = np.delete(w, pos)
         lone = w[pos]
-        if np.abs(a - a[0]).max() < tol * (1 + np.abs(w).max()):
+        if np.abs(a - a[0]).max() < _SHAPE_TOL * (1 + np.abs(w).max()):
             target = a[0] / 2.0 if double else 2.0 * a[0]
-            if abs(lone - target) < tol * (1 + np.abs(w).max()):
+            if abs(lone - target) < _SHAPE_TOL * (1 + np.abs(w).max()):
                 return True
     return False
 
@@ -420,14 +433,15 @@ class BoundsCheck:
     holds: bool
 
 
-def algebraic_bounds_check(h_matrices, which: str, tol: float = 1e-9) -> BoundsCheck:
+def algebraic_bounds_check(h_matrices, which: str) -> BoundsCheck:
     """The two quadratic shape-operator bounds used by the inequality proofs.
 
     'chen':  sum_r [ sum_{i<j} h_ii h_jj - h_11 h_22 - sum_{i<j} h_ij^2 + h_12^2 ]
              <= n^2 (n-2) / (2(n-1)) ||H||^2          (n >= 3)
     'ricci': sum_r sum_{j>=2} h_11 h_jj <= n^2/4 ||H||^2   (n >= 2)
 
-    with ||H||^2 = (1/n^2) sum_r (tr h^r)^2.
+    with ||H||^2 = (1/n^2) sum_r (tr h^r)^2.  ``holds`` lets lhs exceed rhs
+    by 1e-9 (1 + |lhs| + |rhs|).
     """
     h = np.asarray(h_matrices, dtype=float)
     if h.ndim == 2:
@@ -440,7 +454,7 @@ def algebraic_bounds_check(h_matrices, which: str, tol: float = 1e-9) -> BoundsC
     if h.shape[1] < least_n:
         raise ValueError(f"the {which} bound needs n >= {least_n}")
     lhs, rhs = (float(side[0]) for side in _bound_sides(h[None], which))
-    return BoundsCheck(lhs, rhs, bool(lhs <= rhs + tol * (1.0 + abs(lhs) + abs(rhs))))
+    return BoundsCheck(lhs, rhs, bool(lhs <= rhs + 1e-9 * (1.0 + abs(lhs) + abs(rhs))))
 
 
 def _bound_sides(h: np.ndarray, which: str) -> tuple[np.ndarray, np.ndarray]:
@@ -487,11 +501,13 @@ class CrossCheckReport:
     def max_residual(self) -> float:
         return max(self.residuals.values())
 
-    def ok(self, tol: float = 1e-9, q_tol: float = 1e-8) -> bool:
-        return self.max_residual < tol and self.q_min > -q_tol and self.cauchy_schwarz_slack > -q_tol
+    def ok(self) -> bool:
+        """Every residual below ``CROSS_TOL``, Q and Cauchy-Schwarz above -1e-8."""
+        return (self.max_residual < CROSS_TOL and self.q_min > -_Q_TOL
+                and self.cauchy_schwarz_slack > -_Q_TOL)
 
 
-def cross_check(sub: SubmanifoldPoint, plane_seed: int = 0) -> CrossCheckReport:
+def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     """Recompute every expansion two ways and report the worst residuals.
 
     Pairwise curvature on all frame index pairs, scalar curvature (both
@@ -515,7 +531,7 @@ def cross_check(sub: SubmanifoldPoint, plane_seed: int = 0) -> CrossCheckReport:
     res["tau_closed"] = abs(tau_k - (0.5 * E + _gauss_sum(sub)))
 
     # the coordinate plane and two seeded random planes, in frame coordinates
-    rng = np.random.default_rng(plane_seed)
+    rng = np.random.default_rng(0)
     bases = [np.eye(n)[:2]] + [orthonormalize(rng.standard_normal((2, n))) for _ in range(2)]
     V1, V2 = np.array([b[0] for b in bases]), np.array([b[1] for b in bases])
     Xp, Yp = np.concatenate([V1, V2]), np.concatenate([V2, V1])
@@ -554,7 +570,6 @@ def equality_instance(
     n: int = 3,
     params: dict | None = None,
     seed: int = 0,
-    m: int | None = None,
 ) -> SubmanifoldPoint:
     """Construct a submanifold point attaining equality in one inequality.
 
@@ -565,19 +580,17 @@ def equality_instance(
     case 'thm35_i':  diag(a, ..., a, 2a); equality in 3.5i.
     case 'thm35_ii': diag(2a, ..., 2a, a); equality in 3.5ii.
 
-    The ambient is the c = 1, kappa = 1, h' = 0 reduction with a zero kind-1
-    connection (P tangent trivially).  ``seed`` != 0 rotates the submanifold
-    placement inside the ambient by a random orthogonal map, which must not
-    change any verdict.
+    The ambient is the c = 1, kappa = 1, h' = 0 reduction of dimension
+    2m + 1 with m = max(2, (n + 2) // 2), which leaves at least two normal
+    directions, with a zero kind-1 connection (P tangent trivially).
+    ``seed`` != 0 rotates the submanifold placement inside the ambient by a
+    random orthogonal map, which must not change any verdict.
     """
     params = dict(params or {})
     if case not in ("cor32", "thm35_i", "thm35_ii"):
         raise ValueError(f"unknown equality case {case!r}")
-    if m is None:
-        m = max(2, (n + 2) // 2)
+    m = max(2, (n + 2) // 2)
     d = 2 * m + 1
-    if d < n + 2:
-        raise DimensionMismatch(f"ambient dim {d} too small for n = {n} plus two normals")
     p = d - n
     hhat = np.zeros((p, n, n))
     if case == "cor32":

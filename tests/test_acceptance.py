@@ -76,7 +76,7 @@ def test_criterion_1_equality_witness_31():
 def test_criterion_2_equality_witness_35i():
     t0 = time.perf_counter()
     sub = equality_instance("cor32", 3, {"h11": 1.0, "h22": 1.0})
-    cas = casorati(sub, samples=10_000)
+    cas = casorati(sub)
     verdict = verify(sub, "3.5i")
     elapsed = time.perf_counter() - t0
     assert abs(cas.C - 2.0) < 1e-12

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ckv.errors import DimensionMismatch, RankDeficient
-from ckv.frames import Plane, complete_frame, orthonormalize, restrict_form, split
+from ckv.errors import RankDeficient
+from ckv.frames import Plane, complete_frame, orthonormalize
 
 
 def test_orthonormalize_already_orthogonal():
@@ -35,55 +35,6 @@ def test_orthonormalize_preserves_span():
     # every input reconstructs from the outputs
     recon = (V @ out.T) @ out
     assert np.abs(recon - V).max() < 1e-10
-
-
-def test_split_examples():
-    frame = np.eye(5)[:3]
-    t, nrm = split(frame, np.eye(5)[3])
-    assert np.allclose(t, 0) and np.allclose(nrm, np.eye(5)[3])
-
-    v = np.eye(5)[0] + np.eye(5)[4]
-    t, nrm = split(frame, v)
-    assert np.allclose(t, np.eye(5)[0]) and np.allclose(nrm, np.eye(5)[4])
-
-    t, nrm = split(np.eye(5)[:1], [3, 4, 0, 0, 0])
-    assert np.allclose(t, [3, 0, 0, 0, 0]) and np.allclose(nrm, [0, 4, 0, 0, 0])
-
-
-def test_split_idempotent_and_exact():
-    rng = np.random.default_rng(5)
-    frame = orthonormalize(rng.standard_normal((3, 7)))
-    for _ in range(20):
-        v = rng.standard_normal(7)
-        t, nrm = split(frame, v)
-        assert np.abs(t + nrm - v).max() < 1e-13
-        assert np.abs(frame @ nrm).max() < 1e-12
-        t2, n2 = split(frame, t)
-        assert np.abs(t2 - t).max() < 1e-12 and np.abs(n2).max() < 1e-12
-
-
-def test_restrict_form_examples():
-    plane = Plane(np.eye(3)[0], np.eye(3)[2])
-    out = restrict_form(np.diag([1.0, 2.0, 3.0]), plane)
-    assert np.allclose(out, np.diag([1.0, 3.0]))
-
-    out = restrict_form(np.eye(4), Plane(np.eye(4)[1], np.eye(4)[3]))
-    assert np.allclose(out, np.eye(2))
-
-
-def test_restrict_form_trace_rotation_invariant():
-    rng = np.random.default_rng(6)
-    B = rng.standard_normal((5, 5))
-    plane = Plane.from_span(rng.standard_normal(5), rng.standard_normal(5))
-    base = np.trace(restrict_form(B, plane))
-    for _ in range(100):
-        rotated = plane.rotated(rng.uniform(0, 2 * np.pi))
-        assert abs(np.trace(restrict_form(B, rotated)) - base) < 1e-12
-
-
-def test_restrict_form_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        restrict_form(np.eye(4), Plane(np.eye(3)[0], np.eye(3)[1]))
 
 
 def test_plane_rejects_bad_basis():

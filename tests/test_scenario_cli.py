@@ -246,6 +246,29 @@ def test_cli_fuzz_count_zero(tmp_path, capsys):
     assert payload["reports"][0]["summary"]["instances"] == 0
 
 
+def test_cli_fuzz_rejects_negative_count(capsys):
+    assert main(["fuzz", "--count", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "--count" in captured.err
+
+
+def test_cli_fuzz_out_onto_a_file_is_an_input_error(tmp_path, capsys):
+    blocker = tmp_path / "report"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["fuzz", "--count", "1", "--kind", "1", "--out", str(blocker)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(blocker) in captured.err
+
+
+def test_cli_case_out_in_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["case", "--id", "cor32", "--out", str(target)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_cli_fuzz_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["fuzz", "--count", "6", "--seed", "5", "--kind", "1", "--out", str(out1)]) == 0

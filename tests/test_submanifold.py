@@ -11,6 +11,7 @@ from ckv.fuzz import FuzzConfig, random_scenario
 from ckv.scenario import parse_scenario
 from ckv.spheresearch import extremize_on_sphere, quadratic_monomials
 from ckv.submanifold import (
+    CASORATI_SAMPLES,
     THETA_SAMPLES,
     _partial_ricci_min,
     attach,
@@ -81,9 +82,9 @@ def test_attach_lambda2_zero_keeps_hhat():
 
 def test_attach_xi_tangent_decomposition():
     sub = attach(standard_point(2), _zero_spec(), E5[[0, 1, 4]], np.zeros((2, 3, 3)))
-    assert np.allclose(sub.xi_top, E5[4])
+    assert np.allclose(sub.eta_t @ sub.tangent, E5[4])
     assert abs(float(sub.eta_t @ sub.eta_t) - 1.0) < 1e-13
-    assert np.abs(sub.xi_perp).max() < 1e-13
+    assert np.abs(sub.normal @ sub.model.xi).max() < 1e-13
 
 
 def test_attach_errors():
@@ -96,6 +97,24 @@ def test_attach_errors():
         attach(standard_point(2), _zero_spec(), E5[:3], bad)
     with pytest.raises(DimensionMismatch):
         attach(standard_point(2), _zero_spec(), E5[:3], np.zeros((3, 3, 3)))
+
+
+@pytest.mark.parametrize("two_slices", [False, True])
+def test_attach_and_casorati_arrays_are_read_only(two_slices):
+    # casorati and the non-Gauss scalar curvature memoize values computed from
+    # these arrays on sub.cache, so none of them may change after attach
+    sub = _random_sub(7, 1) if two_slices else _plain_sub(np.diag([1.0, 1.0, 2.0]))
+    for name, value in vars(sub).items():
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, name
+    with pytest.raises(ValueError):
+        sub.pi_nor[0] = 1.0
+    cas = casorati(sub)
+    assert cas.samples == (CASORATI_SAMPLES if two_slices else 0)
+    with pytest.raises(ValueError):
+        cas.argmin_u[0] = 1.0
+    with pytest.raises(ValueError):
+        cas.argmax_u[0] = 1.0
 
 
 def test_attach_second_kind_h_equals_hhat():

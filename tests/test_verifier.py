@@ -9,6 +9,9 @@ from ckv.fuzz import FuzzConfig, random_scenario
 from ckv.scenario import parse_scenario
 from ckv.submanifold import attach, casorati
 from ckv.verifier import (
+    TAKES_K,
+    TAKES_PLANE,
+    TAKES_X,
     THEOREMS_FIRST,
     algebraic_bounds_check,
     applicable_theorems,
@@ -118,6 +121,17 @@ def test_verify_wrong_kind():
     sub = equality_instance("cor32")
     with pytest.raises(WrongConnectionKind):
         verify(sub, "4.1", plane=Plane(sub.tangent[0], sub.tangent[1]))
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_verify_ignores_arguments_a_theorem_does_not_take(kind):
+    # ckv verify passes its plane, X and k to every theorem
+    sub = _random_sub(31, kind, n=4, m=3)
+    given = {"plane": Plane(sub.tangent[1], sub.tangent[2]), "X": sub.tangent[0], "k": 3}
+    takes = {"plane": TAKES_PLANE, "X": TAKES_X, "k": TAKES_K}
+    for tid in applicable_theorems(kind):
+        own = {key: value for key, value in given.items() if tid in takes[key]}
+        assert verify(sub, tid, **given).to_dict() == verify(sub, tid, **own).to_dict()
 
 
 def test_verify_unknown_id():
