@@ -143,6 +143,12 @@ def cmd_fuzz(args) -> int:
     else:
         seed = DEFAULT_SEED
     kinds = [args.kind] if args.kind else [1, 2]
+    out = Path(args.out) if args.out else None
+    if out is not None:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _fail(f"cannot write {out}: {exc.strerror or exc}")
 
     t0 = time.perf_counter()
     reports = []
@@ -155,10 +161,8 @@ def cmd_fuzz(args) -> int:
     payload = {"reports": [r.to_dict() for r in reports]}
     blob = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     findings = sum(len(r.findings) for r in reports)
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         try:
-            out.mkdir(parents=True, exist_ok=True)
             (out / "report.json").write_text(blob, encoding="utf-8")
             for r in reports:
                 for i, finding in enumerate(r.findings):

@@ -5,11 +5,14 @@ problems over low-dimensional spheres (degree-4 polynomials or eigenvalue
 sums).  Desk scale suffices: a dense deterministic layout locates the basin,
 then a local method polishes it far below the 1e-6 target.  The Casorati
 search evaluates its quartic on the layout through the layout's quadratic
-monomials and polishes with Riemannian Newton (``ckv.submanifold``); the
-k-Ricci search polishes with the projected coordinate descent of
-``refine_on_sphere``.  Both are deterministic for a fixed layout, and the
-layout and search together are versioned so reports can record their
-provenance.
+monomials and polishes with Riemannian Newton (``ckv.submanifold``).  The
+k-Ricci search is needed only for k < n on n >= 4 (on n = 3, Theta_2 is an
+eigenvalue): its caller evaluates the per-direction spectra on the layout
+once per point, every k sums its own share of them, and
+``extremize_on_sphere`` polishes the least value with the projected
+coordinate descent of ``refine_on_sphere``.  Both searches are deterministic
+for a fixed layout, and the layout and search together are versioned so
+reports can record their provenance.
 """
 
 from __future__ import annotations
@@ -106,7 +109,11 @@ def refine_on_sphere(f_batch, u0: np.ndarray) -> tuple[np.ndarray, float]:
     return u, best
 
 
-def extremize_on_sphere(f_batch, dim: int, samples: int) -> tuple[np.ndarray, float]:
-    """Minimum over the dense layout, refined; returns (arg, value)."""
-    U = sphere_samples(dim, samples)
-    return refine_on_sphere(f_batch, U[int(np.argmin(f_batch(U)))])
+def extremize_on_sphere(f_batch, dim: int, values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimum over the dense layout, refined; returns (arg, value).
+
+    ``values`` are ``f_batch`` on ``sphere_samples(dim, len(values))``, passed
+    in so that a caller can share one layout evaluation between searches.
+    """
+    U = sphere_samples(dim, len(values))
+    return refine_on_sphere(f_batch, U[int(np.argmin(values))])

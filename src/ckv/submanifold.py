@@ -372,11 +372,12 @@ def ricci_form(sub: SubmanifoldPoint) -> np.ndarray:
 class ThetaEstimate:
     """k-Ricci invariant estimate: value, how it was obtained, sample count.
 
-    mode 'exact_eigen' (k = n) is an eigenvalue; 'grid' (k = 2 on n = 3) and
-    'multistart' (k < n, n >= 4) come from one sphere search over the
-    direction x.  'grid' counts as exact: on n = 3 every direction in the
-    optimal plane attains the infimum.  'multistart' values are sampled
-    upper bounds on the true infimum and are labeled as estimates.
+    mode 'exact_eigen' (k = n) and 'grid' (k = 2 on n = 3) are eigenvalues:
+    on n = 3 every bivector is decomposable, so Theta_2 is the least
+    eigenvalue of the sectional-curvature form on 2-vectors (``samples`` 0).
+    'multistart' (k < n, n >= 4) comes from a sphere search over the
+    direction x; its values are sampled upper bounds on the true infimum and
+    are labeled as estimates.
     """
 
     value: float
@@ -398,20 +399,30 @@ def _finite(form: np.ndarray) -> np.ndarray:
     return form
 
 
-def _partial_ricci_min(sub: SubmanifoldPoint, X: np.ndarray, k: int) -> np.ndarray:
-    """inf over k-planes containing x of the k-Ricci sum at x, per unit row x of X.
+def _theta_form(sub: SubmanifoldPoint) -> np.ndarray:
+    """riem antisymmetrized in its last pair, as the (n*n, n*n) matrix
+    form[(a, d), (b, c)] = anti[a, b, c, d]; memoized and read-only."""
+    form = sub.cache.get("theta_form")
+    if form is None:
+        n = sub.n
+        anti = (sub.riem - sub.riem.transpose(0, 1, 3, 2)) / 2.0
+        form = anti.transpose(0, 3, 1, 2).reshape(n * n, n * n)
+        form.setflags(write=False)
+        sub.cache["theta_form"] = form
+    return form
 
-    For fixed x the infimum over the remaining k-1 directions is exact: the
-    sum of the k-1 smallest eigenvalues of S_x on the orthogonal complement
-    of x, where S_x(v, v) = (R(x,v,v,x) - R(x,v,x,v)) / 2.  S_x is one matmul
-    of x (x) x with the riem tensor antisymmetrized in its last pair; in
-    P S_x P (P = I - x x^T) the zero eigenvalue of x is shifted above the
-    spectrum by ||S_x||_F + 1, so it is never among the k-1 smallest.
+
+def _direction_spectra(sub: SubmanifoldPoint, X: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the shifted P S_x P, one row per unit row x of X.
+
+    S_x(v, v) = (R(x,v,v,x) - R(x,v,x,v)) / 2 is one matmul of x (x) x with
+    ``_theta_form``; in P S_x P (P = I - x x^T) the zero eigenvalue of x is
+    shifted above the spectrum by ||S_x||_F + 1, so the first n - 1 values
+    are the spectrum of S_x on the orthogonal complement of x.
     """
     n = sub.n
-    anti = (sub.riem - sub.riem.transpose(0, 1, 3, 2)) / 2.0
-    form = anti.transpose(0, 3, 1, 2).reshape(n * n, n * n)
-    out = np.empty(len(X))
+    form = _theta_form(sub)
+    out = np.empty((len(X), n))
     for lo in range(0, len(X), _THETA_CHUNK):
         x = X[lo:lo + _THETA_CHUNK]
         xx = x[:, :, None] * x[:, None, :]
@@ -419,18 +430,53 @@ def _partial_ricci_min(sub: SubmanifoldPoint, X: np.ndarray, k: int) -> np.ndarr
         S = (S + S.transpose(0, 2, 1)) / 2.0
         shift = _finite(np.linalg.norm(S, axis=(1, 2)) + 1.0)
         P = np.eye(n) - xx
-        w = np.linalg.eigvalsh(P @ S @ P + shift[:, None, None] * xx)
-        out[lo:lo + len(x)] = np.sum(w[:, : k - 1], axis=1)
+        out[lo:lo + len(x)] = np.linalg.eigvalsh(P @ S @ P + shift[:, None, None] * xx)
     return out
+
+
+def _partial_ricci_min(sub: SubmanifoldPoint, X: np.ndarray, k: int) -> np.ndarray:
+    """inf over k-planes containing x of the k-Ricci sum at x, per unit row x of X.
+
+    For fixed x the infimum over the remaining k-1 directions is exact: the
+    sum of the k-1 smallest eigenvalues of S_x on the orthogonal complement
+    of x (``_direction_spectra``).
+    """
+    return np.sum(_direction_spectra(sub, X)[:, : k - 1], axis=1)
+
+
+def _layout_spectra(sub: SubmanifoldPoint) -> np.ndarray:
+    """``_direction_spectra`` on the ``THETA_SAMPLES`` layout, shape
+    (THETA_SAMPLES, n).  It does not depend on k, so every k < n shares it;
+    memoized and read-only."""
+    spectra = sub.cache.get("theta_spectra")
+    if spectra is None:
+        spectra = _direction_spectra(sub, sphere_samples(sub.n, THETA_SAMPLES))
+        spectra.setflags(write=False)
+        sub.cache["theta_spectra"] = spectra
+    return spectra
+
+
+def _bivector_form(sub: SubmanifoldPoint) -> np.ndarray:
+    """Symmetric form B on 2-vectors with K(x ^ y) = B(x ^ y, x ^ y) for
+    orthonormal x, y: B[(a,b),(c,d)] = anti[a,b,d,c] over pairs a < b, c < d."""
+    n = sub.n
+    anti = _theta_form(sub).reshape(n, n, n, n).transpose(0, 2, 3, 1)
+    a, b = np.triu_indices(n, 1)
+    B = anti[a[:, None], b[:, None], b[None, :], a[None, :]]
+    return (B + B.T) / 2.0
 
 
 def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     """The normalized k-Ricci infimum Theta_k over k-planes and unit directions.
 
-    k = n is an eigenvalue problem of ``ricci_form`` (exact).  For k < n the
-    plane infimum at each direction x is exact (``_partial_ricci_min``) and
-    ``extremize_on_sphere`` minimizes it over ``THETA_SAMPLES`` layout
-    directions.  Raises ValueError when the curvature data overflows.
+    k = n is an eigenvalue problem of ``ricci_form``, and so is k = 2 on
+    n = 3: every 2-vector in R^3 is decomposable, so Theta_2 is the least
+    eigenvalue of ``_bivector_form`` (mode 'grid').  Both are exact.  For
+    k < n on n >= 4 the plane infimum at each direction x is exact
+    (``_partial_ricci_min``) and ``extremize_on_sphere`` minimizes it over
+    the ``THETA_SAMPLES`` layout directions, refining from the least layout
+    value; the layout spectra are computed once per point and shared by
+    every k.  Raises ValueError when the curvature data overflows.
     """
     n = sub.n
     if not 2 <= k <= n:
@@ -438,8 +484,12 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     if k == n:
         w = np.linalg.eigvalsh(_finite(ricci_form(sub)))
         return ThetaEstimate(float(w[0]) / (n - 1), "exact_eigen", 0)
-    _, val = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, k), n, THETA_SAMPLES)
-    return ThetaEstimate(val / (k - 1), "grid" if n == 3 else "multistart", THETA_SAMPLES)
+    if n == 3:
+        w = np.linalg.eigvalsh(_finite(_bivector_form(sub)))
+        return ThetaEstimate(float(w[0]), "grid", 0)
+    values = np.sum(_layout_spectra(sub)[:, : k - 1], axis=1)
+    _, val = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, k), n, values)
+    return ThetaEstimate(val / (k - 1), "multistart", THETA_SAMPLES)
 
 
 @dataclass(frozen=True)

@@ -285,10 +285,10 @@ def verify(
 
     3.1/4.1 need ``plane``; 3.3/4.2 need a unit tangent ``X``; 3.4/4.3 take
     ``k`` (default n).  Arguments a theorem does not take are ignored.  For
-    3.4/4.3 the k-Ricci invariant enters through its exact modes (k = n
-    eigenvalue, or the k = 2 search on n = 3); a sampled k is reported as
-    advisory in the diagnostics and the verdict is computed through the exact
-    k = n chain instead.  ``tol`` must be finite and >= 0,
+    3.4/4.3 the k-Ricci invariant enters through its exact modes (k = n, and
+    k = 2 on n = 3, both eigenvalues); a sampled k is reported as advisory in
+    the diagnostics and the verdict is computed through the exact k = n chain
+    instead.  ``tol`` must be finite and >= 0,
     and a non-finite side raises ``ValueError`` rather than give a verdict.
     """
     _require_kind(sub, theorem_id)

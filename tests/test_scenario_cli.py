@@ -262,6 +262,19 @@ def test_cli_fuzz_out_onto_a_file_is_an_input_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and str(blocker) in captured.err
 
 
+def test_cli_fuzz_bad_out_fails_before_the_campaign(tmp_path, monkeypatch, capsys):
+    def no_campaign(cfg):
+        raise AssertionError("run_fuzz ran before --out was checked")
+
+    monkeypatch.setattr("ckv.cli.run_fuzz", no_campaign)
+    blocker = tmp_path / "report"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["fuzz", "--count", "1", "--out", str(blocker)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(blocker) in captured.err
+
+
 def test_cli_case_out_in_a_missing_directory_is_an_input_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     assert main(["case", "--id", "cor32", "--out", str(target)]) == 2

@@ -9,7 +9,7 @@ from ckv.errors import DimensionMismatch, NonSymmetricH, RankDeficient
 from ckv.frames import Plane, complete_frame
 from ckv.fuzz import FuzzConfig, random_scenario
 from ckv.scenario import parse_scenario
-from ckv.spheresearch import extremize_on_sphere, quadratic_monomials
+from ckv.spheresearch import quadratic_monomials, refine_on_sphere, sphere_samples
 from ckv.submanifold import (
     CASORATI_SAMPLES,
     THETA_SAMPLES,
@@ -279,14 +279,61 @@ def test_theta_eigen_vs_sampling():
     assert sampled - est.value < 1e-2  # coarse sampling still lands nearby
 
 
+def _theta_search(sub, k):
+    """The layout-plus-refine search for Theta_k, recomputed with no memo."""
+    f = lambda X: _partial_ricci_min(sub, X, k)
+    U = sphere_samples(sub.n, THETA_SAMPLES)
+    _, val = refine_on_sphere(f, U[int(np.argmin(f(U)))])
+    return val / (k - 1)
+
+
 def test_theta_multistart_upper_bound():
     sub = _random_sub(42, 2, n=4, m=3)
     exact = theta_k(sub, 4)
     # the k < n search, run on the k = n infimum, never goes below the eigenvalue
-    _, sampled = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, 4), 4, THETA_SAMPLES)
-    assert exact.value <= sampled / 3 + 1e-9
+    assert exact.value <= _theta_search(sub, 4) + 1e-9
     mid = theta_k(sub, 3)
     assert mid.mode == "multistart" and mid.samples == THETA_SAMPLES
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_theta_exact_n3_matches_search(kind):
+    cfg = FuzzConfig(seed=61, kind=kind, n=3)
+    for i in range(100):
+        sub = parse_scenario(random_scenario(i, cfg)).sub
+        est = theta_k(sub, 2)
+        assert est.mode == "grid" and est.exact and est.samples == 0
+        searched = _theta_search(sub, 2)
+        bound = 1e-12 * (1.0 + abs(searched))
+        # the eigenvalue is the infimum, so no sampled direction may beat it
+        assert est.value <= searched + bound, i
+        assert abs(est.value - searched) <= bound, i
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from([1, 2]),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_theta_n3_is_below_every_sectional(seed, kind, coeffs):
+    sub = parse_scenario(random_scenario(0, FuzzConfig(seed=seed, kind=kind, n=3))).sub
+    q, _ = np.linalg.qr(np.reshape(coeffs, (3, 2)))   # orthonormal columns, always
+    K = sectional(sub, Plane(*(q.T @ sub.tangent)))
+    assert theta_k(sub, 2).value <= K + 1e-12 * (1.0 + abs(K))
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_theta_layout_spectrum_is_shared(kind):
+    cfg = FuzzConfig(seed=62, kind=kind, n=4)
+    for i in range(3):
+        data = random_scenario(i, cfg)
+        forward, backward = parse_scenario(data).sub, parse_scenario(data).sub
+        first = [theta_k(forward, 2), theta_k(forward, 3)]
+        second = [theta_k(backward, 3), theta_k(backward, 2)][::-1]
+        assert first == second
+        for k, est in zip((2, 3), first):
+            assert est.value == _theta_search(parse_scenario(data).sub, k)
+        for key in ("theta_form", "theta_spectra"):
+            with pytest.raises(ValueError):
+                forward.cache[key][0, 0] = 0.0
 
 
 def _partial_ricci_reference(sub, x, k):
