@@ -36,7 +36,6 @@ from .submanifold import (
     ThetaEstimate,
     attach,
     casorati,
-    casorati_of_subspace,
     induced_curvature,
     induced_curvature_direct,
     ricci,

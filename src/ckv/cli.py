@@ -194,7 +194,10 @@ def _parse_params(text: str | None) -> dict:
         if "=" not in item:
             raise ValueError(f"bad parameter {item!r}, expected key=value")
         key, value = item.split("=", 1)
-        params[key.strip()] = float(value)
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError(f"parameter {key.strip()!r} must be finite, got {value.strip()!r}")
+        params[key.strip()] = number
     return params
 
 
@@ -208,7 +211,10 @@ def cmd_case(args) -> int:
     except (ValueError, GeometryError) as exc:
         return _fail(str(exc))
     tid = EQUALITY_THEOREM[args.id]
-    verdict = verify(sub, tid, plane=Plane(sub.tangent[0], sub.tangent[1]))
+    try:
+        verdict = verify(sub, tid, plane=Plane(sub.tangent[0], sub.tangent[1]))
+    except ValueError as exc:   # overflowing data; numpy's LinAlgError is a ValueError
+        return _fail(f"case {args.id}: {exc}")
     print(f"case {args.id}: theorem {tid} slack = {verdict.slack:.3e} "
           f"(lhs = {verdict.lhs:.8g}, rhs = {verdict.rhs:.8g})")
     if args.out:

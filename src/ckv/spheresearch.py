@@ -7,12 +7,13 @@ then a local method polishes it far below the 1e-6 target.  The Casorati
 search evaluates its quartic on the layout through the layout's quadratic
 monomials and polishes with Riemannian Newton (``ckv.submanifold``).  The
 k-Ricci search is needed only for k < n on n >= 4 (on n = 3, Theta_2 is an
-eigenvalue): its caller evaluates the per-direction spectra on the layout
-once per point, every k sums its own share of them, and
-``extremize_on_sphere`` polishes the least value with the projected
-coordinate descent of ``refine_on_sphere``.  Both searches are deterministic
-for a fixed layout, and the layout and search together are versioned so
-reports can record their provenance.
+eigenvalue): its caller evaluates, once per point, the spectra of S_x on
+x^perp in a Householder basis (``complements``; cached for the layout by
+``layout_complements``) at every layout direction x, every k sums its own
+share of them, and ``extremize_on_sphere`` polishes the least value with
+the projected coordinate descent of ``refine_on_sphere``.  Both searches are
+deterministic for a fixed layout, and the layout and search together are
+versioned so reports can record their provenance.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ LAYOUT_VERSION = "sphere-layout-v2"
 _LAYOUT_SEED = 0x5EED_1AE0
 _LAYOUT_CACHE: dict[tuple[int, int], np.ndarray] = {}
 _MONOMIAL_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_COMPLEMENT_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -77,6 +79,30 @@ def layout_monomials(dim: int, count: int) -> np.ndarray:
         cached = quadratic_monomials(sphere_samples(dim, count))
         cached.setflags(write=False)
         _MONOMIAL_CACHE[key] = cached
+    return cached
+
+
+def complements(U: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the complements of the unit rows u of U, shape
+    (k, dim, dim - 1): the last dim - 1 columns of the Householder reflection
+    H = I - v v^T / (1 + |u_0|), v = u + s e_0 with s = copysign(1, u_0),
+    which maps e_0 to -s u."""
+    w = 1.0 + np.abs(U[:, 0])
+    v = U.copy()
+    v[:, 0] = np.copysign(w, U[:, 0])
+    C = (v / -w[:, None])[:, :, None] * U[:, None, 1:]
+    C[:, 1:] += np.eye(U.shape[1] - 1)
+    return C
+
+
+def layout_complements(dim: int, count: int) -> np.ndarray:
+    """``complements`` of ``sphere_samples(dim, count)``, cached."""
+    key = (dim, count)
+    cached = _COMPLEMENT_CACHE.get(key)
+    if cached is None:
+        cached = complements(sphere_samples(dim, count))
+        cached.setflags(write=False)
+        _COMPLEMENT_CACHE[key] = cached
     return cached
 
 

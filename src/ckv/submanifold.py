@@ -32,7 +32,9 @@ from .contact import ContactPointModel
 from .errors import DimensionMismatch, NonSymmetricH
 from .frames import Plane, as_vector, complete_frame, orthonormalize
 from .spheresearch import (
+    complements,
     extremize_on_sphere,
+    layout_complements,
     layout_monomials,
     quadratic_monomials,
     sphere_samples,
@@ -412,25 +414,22 @@ def _theta_form(sub: SubmanifoldPoint) -> np.ndarray:
     return form
 
 
-def _direction_spectra(sub: SubmanifoldPoint, X: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the shifted P S_x P, one row per unit row x of X.
+def _direction_spectra(sub: SubmanifoldPoint, X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Ascending spectra of S_x on x^perp in a Householder basis, one row of
+    n - 1 values per unit row x of X.
 
     S_x(v, v) = (R(x,v,v,x) - R(x,v,x,v)) / 2 is one matmul of x (x) x with
-    ``_theta_form``; in P S_x P (P = I - x x^T) the zero eigenvalue of x is
-    shifted above the spectrum by ||S_x||_F + 1, so the first n - 1 values
-    are the spectrum of S_x on the orthogonal complement of x.
+    ``_theta_form``; ``C`` holds the bases of x^perp (``complements`` of X),
+    and the spectrum is that of the symmetrized (n-1) x (n-1) matrix C^T S_x C.
     """
     n = sub.n
     form = _theta_form(sub)
-    out = np.empty((len(X), n))
+    out = np.empty((len(X), n - 1))
     for lo in range(0, len(X), _THETA_CHUNK):
-        x = X[lo:lo + _THETA_CHUNK]
-        xx = x[:, :, None] * x[:, None, :]
-        S = (xx.reshape(len(x), n * n) @ form).reshape(len(x), n, n)
-        S = (S + S.transpose(0, 2, 1)) / 2.0
-        shift = _finite(np.linalg.norm(S, axis=(1, 2)) + 1.0)
-        P = np.eye(n) - xx
-        out[lo:lo + len(x)] = np.linalg.eigvalsh(P @ S @ P + shift[:, None, None] * xx)
+        x, c = X[lo:lo + _THETA_CHUNK], C[lo:lo + _THETA_CHUNK]
+        S = ((x[:, :, None] * x[:, None, :]).reshape(len(x), n * n) @ form).reshape(len(x), n, n)
+        M = c.transpose(0, 2, 1) @ S @ c
+        out[lo:lo + len(x)] = np.linalg.eigvalsh(_finite((M + M.transpose(0, 2, 1)) / 2.0))
     return out
 
 
@@ -441,16 +440,18 @@ def _partial_ricci_min(sub: SubmanifoldPoint, X: np.ndarray, k: int) -> np.ndarr
     sum of the k-1 smallest eigenvalues of S_x on the orthogonal complement
     of x (``_direction_spectra``).
     """
-    return np.sum(_direction_spectra(sub, X)[:, : k - 1], axis=1)
+    return np.sum(_direction_spectra(sub, X, complements(X))[:, : k - 1], axis=1)
 
 
 def _layout_spectra(sub: SubmanifoldPoint) -> np.ndarray:
-    """``_direction_spectra`` on the ``THETA_SAMPLES`` layout, shape
-    (THETA_SAMPLES, n).  It does not depend on k, so every k < n shares it;
-    memoized and read-only."""
+    """``_direction_spectra`` on the ``THETA_SAMPLES`` layout with its cached
+    complements, shape (THETA_SAMPLES, n - 1).  It does not depend on k, so
+    every k < n shares it; memoized and read-only."""
     spectra = sub.cache.get("theta_spectra")
     if spectra is None:
-        spectra = _direction_spectra(sub, sphere_samples(sub.n, THETA_SAMPLES))
+        n = sub.n
+        spectra = _direction_spectra(sub, sphere_samples(n, THETA_SAMPLES),
+                                     layout_complements(n, THETA_SAMPLES))
         spectra.setflags(write=False)
         sub.cache["theta_spectra"] = spectra
     return spectra
@@ -473,8 +474,9 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     n = 3: every 2-vector in R^3 is decomposable, so Theta_2 is the least
     eigenvalue of ``_bivector_form`` (mode 'grid').  Both are exact.  For
     k < n on n >= 4 the plane infimum at each direction x is exact
-    (``_partial_ricci_min``) and ``extremize_on_sphere`` minimizes it over
-    the ``THETA_SAMPLES`` layout directions, refining from the least layout
+    (``_partial_ricci_min``: the k-1 least eigenvalues of S_x on x^perp in
+    a Householder basis) and ``extremize_on_sphere`` minimizes it over the
+    ``THETA_SAMPLES`` layout directions, refining from the least layout
     value; the layout spectra are computed once per point and shared by
     every k.  Raises ValueError when the curvature data overflows.
     """
@@ -521,15 +523,6 @@ class CasoratiCurvatures:
             "delta_c": self.delta_c,
             "delta_c_hat": self.delta_c_hat,
         }
-
-
-def casorati_of_subspace(sub: SubmanifoldPoint, basis) -> float:
-    """C(L) for an l-dimensional subspace given by tangent vectors."""
-    B = np.array([sub.tangent_coords(v) for v in np.atleast_2d(np.asarray(basis, float))])
-    B = orthonormalize(B)
-    l = B.shape[0]
-    restricted = np.einsum("ia,rab,jb->rij", B, sub.h, B)
-    return float(np.sum(restricted * restricted)) / l
 
 
 CASORATI_SAMPLES = 10_000

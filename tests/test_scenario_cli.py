@@ -234,6 +234,18 @@ def test_cli_case_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case,params", [
+    ("cor32", "h11=nan"), ("cor32", "h11=1e200"), ("thm35_i", "a=inf"),
+])
+def test_cli_case_non_finite_params_are_an_input_error(capsys, case, params):
+    # these used to end in a traceback and exit 1
+    assert main(["case", "--id", case, "--params", params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_case_unknown_id():
     # argparse rejects unknown choices with exit code 2
     assert main(["case", "--id", "bogus"]) == 2

@@ -6,17 +6,22 @@ from hypothesis import strategies as st
 from ckv.connections import first_connection, second_connection
 from ckv.contact import random_point, standard_point
 from ckv.errors import DimensionMismatch, NonSymmetricH, RankDeficient
-from ckv.frames import Plane, complete_frame
+from ckv.frames import Plane, complete_frame, orthonormalize
 from ckv.fuzz import FuzzConfig, random_scenario
 from ckv.scenario import parse_scenario
-from ckv.spheresearch import quadratic_monomials, refine_on_sphere, sphere_samples
+from ckv.spheresearch import (
+    complements,
+    layout_complements,
+    quadratic_monomials,
+    refine_on_sphere,
+    sphere_samples,
+)
 from ckv.submanifold import (
     CASORATI_SAMPLES,
     THETA_SAMPLES,
     _partial_ricci_min,
     attach,
     casorati,
-    casorati_of_subspace,
     induced_curvature,
     induced_curvature_direct,
     ricci,
@@ -334,6 +339,22 @@ def test_theta_layout_spectrum_is_shared(kind):
         for key in ("theta_form", "theta_spectra"):
             with pytest.raises(ValueError):
                 forward.cache[key][0, 0] = 0.0
+    with pytest.raises(ValueError):
+        layout_complements(4, THETA_SAMPLES)[0, 0, 0] = 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1), zero_first=st.booleans())
+def test_complements_are_orthonormal_bases_of_the_complement(dim, seed, zero_first):
+    U = np.random.default_rng(seed).standard_normal((16, dim))
+    if zero_first:
+        U[::2, 0] = 0.0
+    U = np.concatenate([U / np.linalg.norm(U, axis=1, keepdims=True), np.eye(dim), -np.eye(dim)])
+    C = complements(U)
+    assert C.shape == (len(U), dim, dim - 1)
+    gram = np.einsum("kia,kib->kab", C, C)
+    assert np.max(np.abs(gram - np.eye(dim - 1))) < 1e-14
+    assert np.max(np.abs(np.einsum("ki,kia->ka", U, C))) < 1e-14
 
 
 def _partial_ricci_reference(sub, x, k):
@@ -352,7 +373,10 @@ def test_partial_ricci_min_matches_per_direction_reference(n, kind):
     sub = _random_sub(43 + n, kind, n=n, m=3)
     rng = np.random.default_rng(44)
     X = rng.standard_normal((200, n))
+    X[:40, 0] = 0.0   # the Householder sign switches at x_0 = 0
     X /= np.linalg.norm(X, axis=1, keepdims=True)
+    eye = np.eye(n)
+    X = np.concatenate([X, eye[:2], -eye[:2]])
     for k in range(2, n + 1):
         batched = _partial_ricci_min(sub, X, k)
         ref = np.array([_partial_ricci_reference(sub, x, k) for x in X])
@@ -375,6 +399,14 @@ def test_theta_invalid_k():
 def test_casorati_zero():
     cas = casorati(_plain_sub())
     assert cas.C == 0.0 and cas.delta_c == 0.0 and cas.delta_c_hat == 0.0
+
+
+def casorati_of_subspace(sub, basis):
+    """C(L) for an l-dimensional subspace given by tangent vectors."""
+    B = np.array([sub.tangent_coords(v) for v in np.atleast_2d(np.asarray(basis, float))])
+    B = orthonormalize(B)
+    restricted = np.einsum("ia,rab,jb->rij", B, sub.h, B)
+    return float(np.sum(restricted * restricted)) / B.shape[0]
 
 
 def _latlong_oracle(sub, count=400):
