@@ -37,7 +37,6 @@ from .submanifold import (
     attach,
     casorati,
     induced_curvature,
-    induced_curvature_direct,
     ricci,
     ricci_form,
     scalar_tau,
@@ -46,11 +45,9 @@ from .submanifold import (
     theta_k,
 )
 from .verifier import (
-    BoundsCheck,
     CrossCheckReport,
     PlaneInvariants,
     VerdictReport,
-    algebraic_bounds_check,
     applicable_theorems,
     cross_check,
     equality_instance,

@@ -24,6 +24,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .contact import validate_structure
 from .errors import GeometryError, MissingArgument, ScenarioError, WrongConnectionKind
 from .frames import Plane
@@ -56,8 +58,8 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
-    """argparse type for --count: an integer >= 0 (anything else exits 2)."""
+def _natural(text: str) -> int:
+    """argparse type for --count and --seed: an integer >= 0 (anything else exits 2)."""
     try:
         value = int(text)
     except ValueError:
@@ -77,7 +79,7 @@ def cmd_validate(args) -> int:
         parsed = parse_scenario(load_scenario(args.file))
     except ScenarioError as exc:
         return _fail(str(exc))
-    report = validate_structure(parsed.model, tol=args.tol)
+    report = validate_structure(parsed.sub.model, tol=args.tol)
     width = max(len(c.name) for c in report.checks)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -91,23 +93,23 @@ def cmd_verify(args) -> int:
         parsed = parse_scenario(load_scenario(args.file))
     except ScenarioError as exc:
         return _fail(str(exc))
-    struct = validate_structure(parsed.model)
+    sub, checks = parsed.sub, parsed.checks
+    struct = validate_structure(sub.model)
     if not struct.passed:
         failing = [c.name for c in struct.checks if not c.passed]
         return _fail(f"ambient structure axioms fail: {', '.join(failing)}")
 
     if args.theorems:
         ids = [t.strip() for t in args.theorems.split(",") if t.strip()]
-    elif parsed.checks.theorems:
-        ids = parsed.checks.theorems
+    elif checks.theorems:
+        ids = checks.theorems
     else:
-        ids = list(applicable_theorems(parsed.spec.kind))
+        ids = list(applicable_theorems(sub.spec.kind))
     for tid in ids:
         if tid not in THEOREMS_FIRST + THEOREMS_SECOND:
             return _fail(f"unknown theorem id {tid!r}")
 
     # verify ignores the arguments a theorem does not take
-    sub, checks = parsed.sub, parsed.checks
     i, j = checks.plane if checks.plane is not None else (0, 1)
     plane = Plane(sub.tangent[i], sub.tangent[j])
     X = checks.X if checks.X is not None else sub.tangent[0]
@@ -118,7 +120,8 @@ def cmd_verify(args) -> int:
         try:
             verdicts.append(verify(sub, tid, plane=plane, X=X, k=checks.k, tol=tol))
         except (WrongConnectionKind, MissingArgument, GeometryError, ValueError) as exc:
-            return _fail(f"{tid}: {exc}")
+            message = str(exc)
+            return _fail(message if message.startswith(tid) else f"{tid}: {message}")
     elapsed = time.perf_counter() - t0
 
     if args.json:
@@ -137,9 +140,9 @@ def cmd_fuzz(args) -> int:
         seed = args.seed
     elif os.environ.get("CKV_SEED"):
         try:
-            seed = int(os.environ["CKV_SEED"])
-        except ValueError:
-            return _fail("CKV_SEED must be an integer")
+            seed = _natural(os.environ["CKV_SEED"])
+        except argparse.ArgumentTypeError as exc:
+            return _fail(f"CKV_SEED: {exc}")
     else:
         seed = DEFAULT_SEED
     kinds = [args.kind] if args.kind else [1, 2]
@@ -252,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fuzz", help="seeded random verification campaign")
-    p.add_argument("--count", type=_count, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--count", type=_natural, default=100)
+    p.add_argument("--seed", type=_natural, default=None)
     p.add_argument("--n", type=int, choices=(3, 4), default=None)
     p.add_argument("--m", type=int, choices=(2, 3), default=None)
     p.add_argument("--kind", type=int, choices=(1, 2), default=None,
@@ -266,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, choices=sorted(EQUALITY_THEOREM))
     p.add_argument("--params", help="comma-separated key=value pairs, e.g. h11=1,h22=1")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--out", help="write the constructed scenario here")
     p.set_defaults(func=cmd_case)
     return parser
@@ -279,7 +282,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching the input-error contract
         return int(exc.code or 0)
-    return args.func(args)
+    # overflowing input data ends in one "error:" line from the finite
+    # guards, without numpy's floating-point warnings ahead of it
+    with np.errstate(all="ignore"):
+        return args.func(args)
 
 
 def entry():

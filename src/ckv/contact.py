@@ -80,12 +80,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def residual(self, name: str) -> float:
-        for c in self.checks:
-            if c.name == name:
-                return c.max_residual
-        raise KeyError(name)
-
 
 def _structure_residuals(model: ContactPointModel) -> dict[str, float]:
     phi, xi, hp = model.phi, model.xi, model.hprime

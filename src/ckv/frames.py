@@ -119,12 +119,3 @@ class Plane:
             raise ValueError("plane basis vectors must be orthogonal to 1e-12")
         object.__setattr__(self, "e1", e1)
         object.__setattr__(self, "e2", e2)
-
-    def rotated(self, angle: float) -> "Plane":
-        """Same plane, basis rotated in-plane by ``angle``."""
-        c, s = np.cos(angle), np.sin(angle)
-        return Plane(c * self.e1 + s * self.e2, -s * self.e1 + c * self.e2)
-
-    def reflected(self) -> "Plane":
-        """Same plane with the second basis vector flipped."""
-        return Plane(self.e1, -self.e2)

@@ -57,11 +57,8 @@ class Checks:
 
 @dataclass
 class ParsedScenario:
-    model: ContactPointModel
-    spec: ConnectionSpec
     sub: SubmanifoldPoint
     checks: Checks
-    raw: dict
 
 
 def _need(data: dict, key: str, path: str):
@@ -224,7 +221,7 @@ def parse_scenario(data: dict) -> ParsedScenario:
             if not (np.isfinite(checks.tol) and checks.tol >= 0.0):
                 raise ScenarioError("checks.tol", "must be a finite number >= 0")
 
-    return ParsedScenario(model=model, spec=spec, sub=sub, checks=checks, raw=data)
+    return ParsedScenario(sub=sub, checks=checks)
 
 
 def scenario_from_parts(

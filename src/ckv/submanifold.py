@@ -12,9 +12,8 @@ most one nonzero normal slice, a sphere layout polished by batched Riemannian
 Newton otherwise (see ``casorati``).
 
 The tensor is assembled from outer products of the restricted structure data;
-``induced_curvature_direct`` evaluates the same value through the ambient
-curvature plus the Gauss-equation corrections on raw vectors and serves as
-the independent reference path in the tests.
+the tests compare it with an independent evaluation on raw vectors, the
+ambient curvature of the connection plus the Gauss-equation corrections.
 
 Since the connections are not metric, R(X,Y,Z,W) != -R(X,Y,W,Z) in general
 and the sectional curvature is the symmetrized combination
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connections import KIND_FIRST, ConnectionSpec, ambient_curvature, correction_tensors
+from .connections import KIND_FIRST, ConnectionSpec, correction_tensors
 from .contact import ContactPointModel
 from .errors import DimensionMismatch, NonSymmetricH
 from .frames import Plane, as_vector, complete_frame, orthonormalize
@@ -44,7 +43,6 @@ __all__ = [
     "SubmanifoldPoint",
     "attach",
     "induced_curvature",
-    "induced_curvature_direct",
     "sectional",
     "scalar_tau",
     "scalar_tau_pair",
@@ -254,41 +252,11 @@ def attach(
     return sub
 
 
-def _h_vector(sub: SubmanifoldPoint, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """h(X, Y) as an ambient (normal) vector, from tangent coordinates."""
-    comps = np.einsum("rij,i,j->r", sub.h, x, y)
-    return comps @ sub.normal
-
-
 def induced_curvature(sub: SubmanifoldPoint, X, Y, Z, W) -> float:
     """R(X,Y,Z,W) of the induced connection for tangent vectors (cached tensor)."""
     x, y = sub.tangent_coords(X), sub.tangent_coords(Y)
     z, w = sub.tangent_coords(Z), sub.tangent_coords(W)
     return float(np.einsum("abcd,a,b,c,d->", sub.riem, x, y, z, w))
-
-
-def induced_curvature_direct(sub: SubmanifoldPoint, X, Y, Z, W) -> float:
-    """Reference evaluation bypassing the cached tensor.
-
-    Ambient curvature of the connection plus the Gauss-equation corrections,
-    all computed on the raw vectors.  Used to validate the tensor assembly.
-    """
-    x, y = sub.tangent_coords(X), sub.tangent_coords(Y)
-    z, w = sub.tangent_coords(Z), sub.tangent_coords(W)
-    val = ambient_curvature(sub.model, sub.spec, X, Y, Z, W)
-    hxw, hyz = _h_vector(sub, x, w), _h_vector(sub, y, z)
-    hyw, hxz = _h_vector(sub, y, w), _h_vector(sub, x, z)
-    val += float(hxw @ hyz - hyw @ hxz)
-    coeff = (
-        sub.spec.lambda1 - sub.spec.lambda2
-        if sub.spec.kind == KIND_FIRST
-        else sub.spec.b
-    )
-    val -= coeff * (
-        float(sub.spec.P @ hyz) * float(np.dot(X, W))
-        - float(sub.spec.P @ hxz) * float(np.dot(Y, W))
-    )
-    return val
 
 
 def _sectional_from_coords(sub: SubmanifoldPoint, v1: np.ndarray, v2: np.ndarray) -> float:
@@ -331,29 +299,19 @@ def scalar_tau(sub: SubmanifoldPoint) -> float:
     return scalar_tau_pair(sub)[0]
 
 
-def ricci(sub: SubmanifoldPoint, X, symmetrized: bool = False, completion=None) -> float:
-    """Ricci curvature of a unit tangent vector.
+def ricci(sub: SubmanifoldPoint, X) -> float:
+    """Raw Ricci curvature of a unit tangent vector: the sum of
+    R(X, e_j, e_j, X) over the tangent frame.
 
-    Raw variant: sum of R(X, e_j, e_j, X) over an orthonormal completion of X.
-    Symmetrized variant: sum of sectional curvatures K(X ^ e_j).  Both are
-    independent of the completion (the X-term of a full-frame trace vanishes
-    by the antisymmetry of R in its first two slots); an explicit
-    ``completion`` (rows orthonormal, orthogonal to X) can be supplied to
-    exercise that.
+    The X-term of the full-frame trace vanishes by the antisymmetry of R in
+    its first two slots, so this is the sum over any orthonormal completion
+    of X.  The symmetrized Ricci curvature is ``ricci_form``'s quadratic form.
     """
     x = sub.tangent_coords(X)
     if abs(np.linalg.norm(x) - 1.0) > 1e-10:
         raise ValueError("ricci requires a unit vector")
-    R = sub.riem
-    if completion is None:
-        basis = np.eye(sub.n)  # full-frame trace; X-term contributes zero
-    else:
-        basis = np.array([sub.tangent_coords(v) for v in completion])
-    raw = float(np.einsum("abcd,a,kb,kc,d->", R, x, basis, basis, x))
-    if not symmetrized:
-        return raw
-    flipped = float(np.einsum("abcd,a,kb,c,kd->", R, x, basis, x, basis))
-    return (raw - flipped) / 2.0
+    basis = np.eye(sub.n)
+    return float(np.einsum("abcd,a,kb,kc,d->", sub.riem, x, basis, basis, x))
 
 
 def ricci_form(sub: SubmanifoldPoint) -> np.ndarray:

@@ -62,10 +62,6 @@ __all__ = [
     "plane_invariants",
     "VerdictReport",
     "verify",
-    "BoundsCheck",
-    "algebraic_bounds_check",
-    "chen_bound_batch",
-    "ricci_bound_batch",
     "CrossCheckReport",
     "cross_check",
     "equality_instance",
@@ -313,7 +309,7 @@ def verify(
     if theorem_id in TAKES_X:
         if X is None:
             raise MissingArgument(f"{theorem_id} needs a unit tangent direction X")
-        lhs = ricci(sub, X, symmetrized=False)  # rejects a non-unit X
+        lhs = ricci(sub, X)  # rejects a non-unit X
         x = sub.tangent_coords(X)
         frame = complete_frame(x[None, :])
         ric_ng = float(np.sum(_pair_nongauss(sub, np.broadcast_to(x, frame.shape), frame)))
@@ -420,69 +416,6 @@ def _quasi_umbilical_match(sub: SubmanifoldPoint, theorem_id: str) -> bool:
             if abs(lone - target) < _SHAPE_TOL * (1 + np.abs(w).max()):
                 return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# standalone algebraic bounds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundsCheck:
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def algebraic_bounds_check(h_matrices, which: str) -> BoundsCheck:
-    """The two quadratic shape-operator bounds used by the inequality proofs.
-
-    'chen':  sum_r [ sum_{i<j} h_ii h_jj - h_11 h_22 - sum_{i<j} h_ij^2 + h_12^2 ]
-             <= n^2 (n-2) / (2(n-1)) ||H||^2          (n >= 3)
-    'ricci': sum_r sum_{j>=2} h_11 h_jj <= n^2/4 ||H||^2   (n >= 2)
-
-    with ||H||^2 = (1/n^2) sum_r (tr h^r)^2.  ``holds`` lets lhs exceed rhs
-    by 1e-9 (1 + |lhs| + |rhs|).
-    """
-    h = np.asarray(h_matrices, dtype=float)
-    if h.ndim == 2:
-        h = h[None, :, :]
-    if np.abs(h - np.transpose(h, (0, 2, 1))).max() > 1e-12:
-        raise ValueError("algebraic bounds need symmetric matrices")
-    least_n = {"chen": 3, "ricci": 2}.get(which)
-    if least_n is None:
-        raise ValueError(f"unknown bound {which!r}")
-    if h.shape[1] < least_n:
-        raise ValueError(f"the {which} bound needs n >= {least_n}")
-    lhs, rhs = (float(side[0]) for side in _bound_sides(h[None], which))
-    return BoundsCheck(lhs, rhs, bool(lhs <= rhs + 1e-9 * (1.0 + abs(lhs) + abs(rhs))))
-
-
-def _bound_sides(h: np.ndarray, which: str) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) of the 'chen' or 'ricci' bound for a batch (B, p, n, n)."""
-    n = h.shape[-1]
-    traces = np.einsum("brii->br", h)
-    H_sq = np.einsum("br,br->b", traces, traces) / n ** 2
-    h11 = h[:, :, 0, 0]
-    if which == "ricci":
-        return np.sum(h11 * (traces - h11), axis=1), n ** 2 / 4.0 * H_sq
-    diag = np.einsum("brii->bri", h)
-    diag_sq = np.einsum("bri,bri->br", diag, diag)
-    pair_sum = (traces ** 2 - diag_sq) / 2.0
-    off_sum = (np.einsum("brij,brij->br", h, h) - diag_sq) / 2.0
-    lhs = np.sum(pair_sum - h11 * h[:, :, 1, 1] - off_sum + h[:, :, 0, 1] ** 2, axis=1)
-    return lhs, n ** 2 * (n - 2) / (2.0 * (n - 1)) * H_sq
-
-
-def chen_bound_batch(h: np.ndarray) -> np.ndarray:
-    """Vectorized rhs - lhs of the 'chen' bound for a batch (B, p, n, n)."""
-    lhs, rhs = _bound_sides(h, "chen")
-    return rhs - lhs
-
-
-def ricci_bound_batch(h: np.ndarray) -> np.ndarray:
-    """Vectorized rhs - lhs of the 'ricci' bound for a batch (B, p, n, n)."""
-    lhs, rhs = _bound_sides(h, "ricci")
-    return rhs - lhs
 
 
 # ---------------------------------------------------------------------------

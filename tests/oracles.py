@@ -1,0 +1,134 @@
+"""Reference evaluations that only the tests use.
+
+Each one recomputes a quantity along a path independent of the one ``ckv``
+takes, so a test can compare the two: Chen's algebraic lemma on shape
+operators (the bounds each proof applies to the Gauss part), the induced
+curvature from the ambient connection plus the Gauss-equation corrections on
+raw vectors, in-plane changes of a plane's basis, and a structure residual
+looked up by name.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ckv.connections import KIND_FIRST, ambient_curvature
+from ckv.contact import ValidationReport
+from ckv.frames import Plane
+from ckv.submanifold import SubmanifoldPoint
+
+
+# --- Chen's algebraic lemma ---------------------------------------------------
+
+@dataclass(frozen=True)
+class BoundsCheck:
+    lhs: float
+    rhs: float
+    holds: bool
+
+
+def algebraic_bounds_check(h_matrices, which: str) -> BoundsCheck:
+    """The two quadratic shape-operator bounds used by the inequality proofs.
+
+    'chen':  sum_r [ sum_{i<j} h_ii h_jj - h_11 h_22 - sum_{i<j} h_ij^2 + h_12^2 ]
+             <= n^2 (n-2) / (2(n-1)) ||H||^2          (n >= 3)
+    'ricci': sum_r sum_{j>=2} h_11 h_jj <= n^2/4 ||H||^2   (n >= 2)
+
+    with ||H||^2 = (1/n^2) sum_r (tr h^r)^2.  ``holds`` lets lhs exceed rhs
+    by 1e-9 (1 + |lhs| + |rhs|).
+    """
+    h = np.asarray(h_matrices, dtype=float)
+    if h.ndim == 2:
+        h = h[None, :, :]
+    if np.abs(h - np.transpose(h, (0, 2, 1))).max() > 1e-12:
+        raise ValueError("algebraic bounds need symmetric matrices")
+    least_n = {"chen": 3, "ricci": 2}.get(which)
+    if least_n is None:
+        raise ValueError(f"unknown bound {which!r}")
+    if h.shape[1] < least_n:
+        raise ValueError(f"the {which} bound needs n >= {least_n}")
+    lhs, rhs = (float(side[0]) for side in _bound_sides(h[None], which))
+    return BoundsCheck(lhs, rhs, bool(lhs <= rhs + 1e-9 * (1.0 + abs(lhs) + abs(rhs))))
+
+
+def _bound_sides(h: np.ndarray, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of the 'chen' or 'ricci' bound for a batch (B, p, n, n)."""
+    n = h.shape[-1]
+    traces = np.einsum("brii->br", h)
+    H_sq = np.einsum("br,br->b", traces, traces) / n ** 2
+    h11 = h[:, :, 0, 0]
+    if which == "ricci":
+        return np.sum(h11 * (traces - h11), axis=1), n ** 2 / 4.0 * H_sq
+    diag = np.einsum("brii->bri", h)
+    diag_sq = np.einsum("bri,bri->br", diag, diag)
+    pair_sum = (traces ** 2 - diag_sq) / 2.0
+    off_sum = (np.einsum("brij,brij->br", h, h) - diag_sq) / 2.0
+    lhs = np.sum(pair_sum - h11 * h[:, :, 1, 1] - off_sum + h[:, :, 0, 1] ** 2, axis=1)
+    return lhs, n ** 2 * (n - 2) / (2.0 * (n - 1)) * H_sq
+
+
+def chen_bound_batch(h: np.ndarray) -> np.ndarray:
+    """Vectorized rhs - lhs of the 'chen' bound for a batch (B, p, n, n)."""
+    lhs, rhs = _bound_sides(h, "chen")
+    return rhs - lhs
+
+
+def ricci_bound_batch(h: np.ndarray) -> np.ndarray:
+    """Vectorized rhs - lhs of the 'ricci' bound for a batch (B, p, n, n)."""
+    lhs, rhs = _bound_sides(h, "ricci")
+    return rhs - lhs
+
+
+# --- induced curvature on raw vectors -----------------------------------------
+
+def _h_vector(sub: SubmanifoldPoint, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """h(X, Y) as an ambient (normal) vector, from tangent coordinates."""
+    comps = np.einsum("rij,i,j->r", sub.h, x, y)
+    return comps @ sub.normal
+
+
+def induced_curvature_direct(sub: SubmanifoldPoint, X, Y, Z, W) -> float:
+    """Reference evaluation bypassing the cached tensor.
+
+    Ambient curvature of the connection plus the Gauss-equation corrections,
+    all computed on the raw vectors.  Used to validate the tensor assembly.
+    """
+    x, y = sub.tangent_coords(X), sub.tangent_coords(Y)
+    z, w = sub.tangent_coords(Z), sub.tangent_coords(W)
+    val = ambient_curvature(sub.model, sub.spec, X, Y, Z, W)
+    hxw, hyz = _h_vector(sub, x, w), _h_vector(sub, y, z)
+    hyw, hxz = _h_vector(sub, y, w), _h_vector(sub, x, z)
+    val += float(hxw @ hyz - hyw @ hxz)
+    coeff = (
+        sub.spec.lambda1 - sub.spec.lambda2
+        if sub.spec.kind == KIND_FIRST
+        else sub.spec.b
+    )
+    val -= coeff * (
+        float(sub.spec.P @ hyz) * float(np.dot(X, W))
+        - float(sub.spec.P @ hxz) * float(np.dot(Y, W))
+    )
+    return val
+
+
+# --- plane bases and structure reports ----------------------------------------
+
+def rotated(plane: Plane, angle: float) -> Plane:
+    """Same plane, basis rotated in-plane by ``angle``."""
+    c, s = np.cos(angle), np.sin(angle)
+    return Plane(c * plane.e1 + s * plane.e2, -s * plane.e1 + c * plane.e2)
+
+
+def reflected(plane: Plane) -> Plane:
+    """Same plane with the second basis vector flipped."""
+    return Plane(plane.e1, -plane.e2)
+
+
+def residual(report: ValidationReport, name: str) -> float:
+    """The residual of the structure check called ``name``."""
+    for c in report.checks:
+        if c.name == name:
+            return c.max_residual
+    raise KeyError(name)

@@ -11,6 +11,7 @@ from ckv.contact import (
     standard_point,
     validate_structure,
 )
+from oracles import residual
 
 
 def _model_with_hprime(c=2.4, kappa=0.3, mu=-1.7, s=0.7):
@@ -38,7 +39,7 @@ def test_validation_flags_broken_phi():
     broken = dataclasses.replace(model, phi=-np.eye(5))
     report = validate_structure(broken)
     assert not report.passed
-    assert report.residual("phi_squared") > 1e-6
+    assert residual(report, "phi_squared") > 1e-6
 
 
 def test_hprime_model_is_valid():

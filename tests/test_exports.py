@@ -1,4 +1,5 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and has a caller outside the tests, so test-only surface stays in the tests."""
 
 import ast
 import importlib
@@ -29,3 +30,40 @@ def test_package_imports_resolve():
         for alias in node.names:
             assert hasattr(module, alias.name), f"ckv.{node.module}.{alias.name}"
             assert getattr(ckv, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_FILES = sorted(
+    [*Path(ckv.__file__).parent.glob("*.py"), *(ROOT / "bench").glob("*.py"),
+     *(ROOT / "demos").glob("*.py")]
+)
+
+
+def _code_references(path):
+    """Names a file uses as code (``ast.Name`` ids and ``ast.Attribute``
+    attributes), leaving out uses inside the def or class of that name."""
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and node.id not in inside:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return used
+
+
+USED = set().union(*(_code_references(path) for path in CALLER_FILES))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_has_callers_outside_tests(name):
+    # an export whose only callers are tests belongs in the tests
+    assert {path.parent.name for path in CALLER_FILES} >= {"ckv", "bench", "demos"}
+    exported = getattr(importlib.import_module(f"ckv.{name}"), "__all__", [])
+    assert [attr for attr in exported if attr not in USED] == []

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -30,13 +31,13 @@ def _equality_scenario(checks=None):
 def test_parse_roundtrip_identical():
     data = _equality_scenario({"theorems": ["3.1"], "plane": [0, 1], "tol": 1e-8})
     first = parse_scenario(data)
-    data2 = scenario_from_parts(first.model, first.spec, first.sub.tangent, first.sub.hhat,
-                                data["checks"])
+    sub = first.sub
+    data2 = scenario_from_parts(sub.model, sub.spec, sub.tangent, sub.hhat, data["checks"])
     second = parse_scenario(data2)
-    assert np.array_equal(first.model.phi, second.model.phi)
+    assert np.array_equal(first.sub.model.phi, second.sub.model.phi)
     assert np.array_equal(first.sub.tangent, second.sub.tangent)
     assert np.array_equal(first.sub.h, second.sub.h)
-    assert first.spec.lambda1 == second.spec.lambda1
+    assert first.sub.spec.lambda1 == second.sub.spec.lambda1
     assert first.checks.plane == second.checks.plane
     assert json.dumps(data, sort_keys=True) == json.dumps(data2, sort_keys=True)
 
@@ -48,14 +49,14 @@ def test_parse_generator_ambient():
         "generator": {"seed": 11, "hprime_scale": 0.5, "strict_kmu": False},
     }
     parsed = parse_scenario(data)
-    assert validate_structure(parsed.model).passed
+    assert validate_structure(parsed.sub.model).passed
     again = parse_scenario(data)
-    assert np.array_equal(parsed.model.phi, again.model.phi)
+    assert np.array_equal(parsed.sub.model.phi, again.sub.model.phi)
 
     data["ambient"]["generator"]["strict_kmu"] = True
     strict = parse_scenario(data)
-    target = (strict.model.kappa - 1.0) * (strict.model.phi @ strict.model.phi)
-    assert np.abs(strict.model.hprime @ strict.model.hprime - target).max() < 1e-10
+    target = (strict.sub.model.kappa - 1.0) * (strict.sub.model.phi @ strict.sub.model.phi)
+    assert np.abs(strict.sub.model.hprime @ strict.sub.model.hprime - target).max() < 1e-10
 
     data["ambient"]["kappa"] = 2.0  # no real solution of the quadratic identity
     with pytest.raises(ScenarioError) as err:
@@ -194,7 +195,13 @@ def test_cli_scenario_tol_nan_is_an_input_error(tmp_path, capsys):
     assert "checks.tol" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _main_without_warnings(argv):
+    """main(argv) with any numpy floating-point warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
 @pytest.mark.parametrize("section,key", [("submanifold", "hhat"), ("ambient", "c")])
 def test_cli_verify_overflow_is_an_input_error(tmp_path, capsys, section, key):
     # these used to print NaN slacks (exit 1) or infinite slacks that "held" (exit 0)
@@ -204,20 +211,35 @@ def test_cli_verify_overflow_is_an_input_error(tmp_path, capsys, section, key):
     else:
         data[section][key] = 1e308
     path = _write(tmp_path, data)
-    assert main(["verify", path]) == 2
+    assert _main_without_warnings(["verify", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-finite" in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("theorems,overflow,line", [
+    ("4.1", False, "error: 4.1 needs a kind-2 connection"),
+    ("3.1", True, "error: 3.1: non-finite side (lhs nan, rhs inf)"),
+], ids=["wrong-kind", "overflow"])
+def test_cli_verify_error_names_the_theorem_once(tmp_path, capsys, theorems, overflow, line):
+    data = _equality_scenario()
+    if overflow:
+        data["submanifold"]["hhat"][0][0][0] = 1e200
+    assert main(["verify", _write(tmp_path, data), "--theorems", theorems]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
 def test_cli_verify_theta_overflow_is_an_input_error(tmp_path, capsys):
     data = _equality_scenario()
     data["ambient"]["c"] = 1e308
-    assert main(["verify", _write(tmp_path, data), "--theorems", "3.4"]) == 2
+    assert _main_without_warnings(["verify", _write(tmp_path, data), "--theorems", "3.4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "overflows" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_cli_case_commands(tmp_path, capsys):
@@ -234,16 +256,15 @@ def test_cli_case_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case,params", [
     ("cor32", "h11=nan"), ("cor32", "h11=1e200"), ("thm35_i", "a=inf"),
 ])
 def test_cli_case_non_finite_params_are_an_input_error(capsys, case, params):
     # these used to end in a traceback and exit 1
-    assert main(["case", "--id", case, "--params", params]) == 2
+    assert _main_without_warnings(["case", "--id", case, "--params", params]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_cli_case_unknown_id():
@@ -263,6 +284,26 @@ def test_cli_fuzz_rejects_negative_count(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "--count" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--count", "1", "--seed", "-1"],
+    ["case", "--id", "cor32", "--seed", "-1"],
+])
+def test_cli_rejects_negative_seed(capsys, argv):
+    # a negative fuzz seed used to end in numpy's traceback and exit 1
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "--seed" in captured.err
+
+
+def test_cli_fuzz_rejects_negative_env_seed(monkeypatch, capsys):
+    monkeypatch.setenv("CKV_SEED", "-3")
+    assert main(["fuzz", "--count", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: CKV_SEED: must be >= 0, got '-3'\n"
 
 
 def test_cli_fuzz_out_onto_a_file_is_an_input_error(tmp_path, capsys):
