@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .contact import validate_structure
-from .errors import GeometryError, MissingArgument, ScenarioError, WrongConnectionKind
+from .errors import GeometryError, ScenarioError
 from .frames import Plane
 from .fuzz import DEFAULT_SEED, FuzzConfig, run_fuzz
 from .scenario import load_scenario, parse_scenario, save_scenario, scenario_from_parts
@@ -119,7 +119,7 @@ def cmd_verify(args) -> int:
     for tid in ids:
         try:
             verdicts.append(verify(sub, tid, plane=plane, X=X, k=checks.k, tol=tol))
-        except (WrongConnectionKind, MissingArgument, GeometryError, ValueError) as exc:
+        except (GeometryError, ValueError) as exc:
             message = str(exc)
             return _fail(message if message.startswith(tid) else f"{tid}: {message}")
     elapsed = time.perf_counter() - t0

@@ -74,7 +74,6 @@ class StructureCheck:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple[StructureCheck, ...]
-    tolerance: float
 
     @property
     def passed(self) -> bool:
@@ -105,7 +104,7 @@ def validate_structure(model: ContactPointModel, tol: float = 1e-10) -> Validati
         StructureCheck(name, res, res < tol)
         for name, res in _structure_residuals(model).items()
     )
-    return ValidationReport(checks, tol)
+    return ValidationReport(checks)
 
 
 def standard_point(m: int, c: float = 1.0) -> ContactPointModel:

@@ -12,7 +12,8 @@ identical flags and seed produce byte-identical output.
 A finding (an inequality violated beyond tolerance, a cross-check residual
 above 1e-9, or a negative hyperplane polynomial) is shrunk by greedy
 parameter zeroing before being reported: each zeroable parameter group is
-zeroed in turn and the zeroing is kept whenever the failure survives.
+zeroed in turn and the zeroing is kept whenever the failure survives.  An
+inequality finding carries its failing check, so ``ckv verify`` replays it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import validate_structure
-from .frames import Plane
+from .connections import first_connection, second_connection
+from .contact import random_point, validate_structure
+from .frames import Plane, orthonormalize
 from .scenario import parse_scenario, scenario_from_parts
 from .spheresearch import LAYOUT_VERSION
 from .submanifold import SubmanifoldPoint
@@ -108,10 +110,6 @@ def random_scenario(index: int, cfg: FuzzConfig) -> dict:
     n = cfg.n if cfg.n is not None else int(rng.choice([3, 4]))
     d = 2 * m + 1
     kappa, mu_contact, c = rng.uniform(-3.0, 3.0, 3)
-
-    from .contact import random_point  # local import to avoid cycle at module load
-    from .connections import first_connection, second_connection
-    from .frames import orthonormalize
 
     model = random_point(
         m, float(kappa), float(mu_contact), float(c),
@@ -225,12 +223,16 @@ def _still_fails(data: dict, check: dict, tol: float) -> bool:
 
 
 def minimize_finding(data: dict, check: dict, kind: int, tol: float) -> dict:
-    """Greedy parameter zeroing that preserves the failure."""
+    """Greedy parameter zeroing that preserves the failure; an inequality
+    finding gets the failing check as its ``checks`` block."""
     current = data
     for path in _zeroing_candidates(kind):
         candidate = _zeroed(current, path)
         if _still_fails(candidate, check, tol):
             current = candidate
+    if "theorem" in check:
+        replay = {key: value for key, value in check.items() if key != "theorem"}
+        current = dict(current, checks={"theorems": [check["theorem"]], "tol": tol, **replay})
     return current
 
 

@@ -2,29 +2,31 @@
 
 The hyperplane Casorati extrema and the k-Ricci infimum are optimization
 problems over low-dimensional spheres (degree-4 polynomials or eigenvalue
-sums).  Desk scale suffices: a dense deterministic layout locates the basin,
-then a local method polishes it far below the 1e-6 target.  The Casorati
-search evaluates its quartic on the layout through the layout's quadratic
-monomials and polishes with Riemannian Newton (``ckv.submanifold``).  The
-k-Ricci search is needed only for k < n on n >= 4 (on n = 3, Theta_2 is an
-eigenvalue): its caller evaluates, once per point, the spectra of S_x on
-x^perp in a Householder basis (``complements``; cached for the layout by
+sums).  Desk scale suffices: a dense deterministic layout of ``LAYOUT_SIZE``
+directions locates the basin, then a local method polishes it far below the
+1e-6 target.  The layout and the arrays derived from it are cached once per
+dimension and read-only.  The Casorati search evaluates its quartic on the
+layout through the layout's quadratic monomials (``layout_monomials``) and
+polishes with Riemannian Newton (``ckv.submanifold``).  The k-Ricci search is
+needed only for k < n on n >= 4 (on n = 3, Theta_2 is an eigenvalue): its
+caller evaluates, once per point, the spectra of S_x on x^perp in a
+Householder basis (``complements``; cached for the layout by
 ``layout_complements``) at every layout direction x, every k sums its own
-share of them, and ``extremize_on_sphere`` polishes the least value with
-the projected coordinate descent of ``refine_on_sphere``.  Both searches are
-deterministic for a fixed layout, and the layout and search together are
-versioned so reports can record their provenance.
+share of them, and ``extremize_on_sphere`` polishes the least value with the
+projected coordinate descent of ``refine_on_sphere``.  Both searches are
+deterministic, and the layout and search together are versioned
+(``LAYOUT_VERSION``) so reports can record their provenance.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 LAYOUT_VERSION = "sphere-layout-v2"
+LAYOUT_SIZE = 10_000   # directions in every layout, for both searches
 _LAYOUT_SEED = 0x5EED_1AE0
-_LAYOUT_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_MONOMIAL_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_COMPLEMENT_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -36,25 +38,24 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
-def sphere_samples(dim: int, count: int) -> np.ndarray:
-    """Deterministic unit-vector layout in R^dim, shape (count, dim).
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@functools.cache
+def sphere_samples(dim: int) -> np.ndarray:
+    """Deterministic unit-vector layout in R^dim, shape (LAYOUT_SIZE, dim).
 
     dim = 3 uses the Fibonacci spiral; other dimensions use a fixed-seed
     Gaussian layout (normalized), which is reproducible across runs.  Layouts
-    are cached (they are read-only and reused heavily by fuzz campaigns).
+    are cached per dimension (they are read-only and reused heavily by fuzz
+    campaigns).
     """
-    key = (dim, count)
-    cached = _LAYOUT_CACHE.get(key)
-    if cached is None:
-        if dim == 3:
-            cached = fibonacci_sphere(count)
-        else:
-            rng = np.random.default_rng(_LAYOUT_SEED + dim)
-            pts = rng.standard_normal((count, dim))
-            cached = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        cached.setflags(write=False)
-        _LAYOUT_CACHE[key] = cached
-    return cached
+    if dim == 3:
+        return _frozen(fibonacci_sphere(LAYOUT_SIZE))
+    pts = np.random.default_rng(_LAYOUT_SEED + dim).standard_normal((LAYOUT_SIZE, dim))
+    return _frozen(pts / np.linalg.norm(pts, axis=1, keepdims=True))
 
 
 def quadratic_monomials(U: np.ndarray) -> np.ndarray:
@@ -71,15 +72,10 @@ def quadratic_monomials(U: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def layout_monomials(dim: int, count: int) -> np.ndarray:
-    """``quadratic_monomials`` of ``sphere_samples(dim, count)``, cached."""
-    key = (dim, count)
-    cached = _MONOMIAL_CACHE.get(key)
-    if cached is None:
-        cached = quadratic_monomials(sphere_samples(dim, count))
-        cached.setflags(write=False)
-        _MONOMIAL_CACHE[key] = cached
-    return cached
+@functools.cache
+def layout_monomials(dim: int) -> np.ndarray:
+    """``quadratic_monomials`` of ``sphere_samples(dim)``, cached and read-only."""
+    return _frozen(quadratic_monomials(sphere_samples(dim)))
 
 
 def complements(U: np.ndarray) -> np.ndarray:
@@ -95,15 +91,10 @@ def complements(U: np.ndarray) -> np.ndarray:
     return C
 
 
-def layout_complements(dim: int, count: int) -> np.ndarray:
-    """``complements`` of ``sphere_samples(dim, count)``, cached."""
-    key = (dim, count)
-    cached = _COMPLEMENT_CACHE.get(key)
-    if cached is None:
-        cached = complements(sphere_samples(dim, count))
-        cached.setflags(write=False)
-        _COMPLEMENT_CACHE[key] = cached
-    return cached
+@functools.cache
+def layout_complements(dim: int) -> np.ndarray:
+    """``complements`` of ``sphere_samples(dim)``, cached and read-only."""
+    return _frozen(complements(sphere_samples(dim)))
 
 
 def refine_on_sphere(f_batch, u0: np.ndarray) -> tuple[np.ndarray, float]:
@@ -138,8 +129,8 @@ def refine_on_sphere(f_batch, u0: np.ndarray) -> tuple[np.ndarray, float]:
 def extremize_on_sphere(f_batch, dim: int, values: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum over the dense layout, refined; returns (arg, value).
 
-    ``values`` are ``f_batch`` on ``sphere_samples(dim, len(values))``, passed
-    in so that a caller can share one layout evaluation between searches.
+    ``values`` are ``f_batch`` on ``sphere_samples(dim)``, passed in so that a
+    caller can share one layout evaluation between searches.
     """
-    U = sphere_samples(dim, len(values))
+    U = sphere_samples(dim)
     return refine_on_sphere(f_batch, U[int(np.argmin(values))])

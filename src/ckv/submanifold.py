@@ -31,6 +31,7 @@ from .contact import ContactPointModel
 from .errors import DimensionMismatch, NonSymmetricH
 from .frames import Plane, as_vector, complete_frame, orthonormalize
 from .spheresearch import (
+    LAYOUT_SIZE,
     complements,
     extremize_on_sphere,
     layout_complements,
@@ -213,7 +214,7 @@ def attach(
     hhat = np.array(hhat, dtype=float)
     if hhat.shape != (p, n, n):
         raise DimensionMismatch(f"hhat must have shape {(p, n, n)}, got {hhat.shape}")
-    asym = np.abs(hhat - np.transpose(hhat, (0, 2, 1))).max() if hhat.size else 0.0
+    asym = np.abs(hhat - np.transpose(hhat, (0, 2, 1))).max()
     if asym > 1e-12:
         raise NonSymmetricH(f"hhat slices must be symmetric (max asymmetry {asym:.3e})")
 
@@ -336,20 +337,16 @@ class ThetaEstimate:
     on n = 3 every bivector is decomposable, so Theta_2 is the least
     eigenvalue of the sectional-curvature form on 2-vectors (``samples`` 0).
     'multistart' (k < n, n >= 4) comes from a sphere search over the
-    direction x; its values are sampled upper bounds on the true infimum and
-    are labeled as estimates.
+    direction x of the ``LAYOUT_SIZE`` layout; its values are sampled upper
+    bounds on the true infimum.  Every mode is an upper bound on Theta_k, and
+    so is Theta_n, which is what ``verify`` relies on.
     """
 
     value: float
     mode: str
     samples: int
 
-    @property
-    def exact(self) -> bool:
-        return self.mode in ("exact_eigen", "grid")
 
-
-THETA_SAMPLES = 10_000
 _THETA_CHUNK = 1024   # rows per stacked eigvalsh; bounds the batch's memory
 
 
@@ -402,14 +399,13 @@ def _partial_ricci_min(sub: SubmanifoldPoint, X: np.ndarray, k: int) -> np.ndarr
 
 
 def _layout_spectra(sub: SubmanifoldPoint) -> np.ndarray:
-    """``_direction_spectra`` on the ``THETA_SAMPLES`` layout with its cached
-    complements, shape (THETA_SAMPLES, n - 1).  It does not depend on k, so
-    every k < n shares it; memoized and read-only."""
+    """``_direction_spectra`` on the layout with its cached complements, shape
+    (LAYOUT_SIZE, n - 1).  It does not depend on k, so every k < n shares it;
+    memoized and read-only."""
     spectra = sub.cache.get("theta_spectra")
     if spectra is None:
         n = sub.n
-        spectra = _direction_spectra(sub, sphere_samples(n, THETA_SAMPLES),
-                                     layout_complements(n, THETA_SAMPLES))
+        spectra = _direction_spectra(sub, sphere_samples(n), layout_complements(n))
         spectra.setflags(write=False)
         sub.cache["theta_spectra"] = spectra
     return spectra
@@ -434,7 +430,7 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     k < n on n >= 4 the plane infimum at each direction x is exact
     (``_partial_ricci_min``: the k-1 least eigenvalues of S_x on x^perp in
     a Householder basis) and ``extremize_on_sphere`` minimizes it over the
-    ``THETA_SAMPLES`` layout directions, refining from the least layout
+    ``LAYOUT_SIZE`` layout directions, refining from the least layout
     value; the layout spectra are computed once per point and shared by
     every k.  Raises ValueError when the curvature data overflows.
     """
@@ -449,7 +445,7 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
         return ThetaEstimate(float(w[0]), "grid", 0)
     values = np.sum(_layout_spectra(sub)[:, : k - 1], axis=1)
     _, val = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, k), n, values)
-    return ThetaEstimate(val / (k - 1), "multistart", THETA_SAMPLES)
+    return ThetaEstimate(val / (k - 1), "multistart", LAYOUT_SIZE)
 
 
 @dataclass(frozen=True)
@@ -460,8 +456,7 @@ class CasoratiCurvatures:
     Frobenius norm of the h-slices compressed by the projector off u; as a
     function of u it is a degree-4 polynomial on the sphere (see
     ``casorati``).  ``argmin_u``/``argmax_u`` are unit normals attaining
-    ``inf_CL``/``sup_CL``; ``samples`` is the number of layout directions
-    evaluated (0 on the closed-form path).
+    ``inf_CL``/``sup_CL``.
     """
 
     C: float
@@ -471,7 +466,6 @@ class CasoratiCurvatures:
     delta_c_hat: float
     argmin_u: np.ndarray
     argmax_u: np.ndarray
-    samples: int
 
     def as_dict(self) -> dict:
         return {
@@ -483,7 +477,6 @@ class CasoratiCurvatures:
         }
 
 
-CASORATI_SAMPLES = 10_000
 # Newton starts per extremum; a single start misses separated basins.
 CASORATI_STARTS = 8
 _NEWTON_MAX_ITER = 60
@@ -617,7 +610,7 @@ def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
     C(L) = F(u) / (n - 1) with F(u) = ||h||^2 - 2 u^T S u + sum_r (u^T h_r u)^2
     and S = sum_r h_r^2.  With at most one nonzero slice of h the extrema are
     closed forms (``_one_slice_extrema``).  Otherwise F is evaluated on the
-    deterministic sphere layout of ``CASORATI_SAMPLES`` directions, and batched
+    deterministic sphere layout of ``LAYOUT_SIZE`` directions, and batched
     Riemannian Newton (``_newton_on_sphere``) polishes the
     ``CASORATI_STARTS`` lowest and highest layout points; each extremum is
     the best polished value, which is never worse than the layout's.
@@ -634,19 +627,16 @@ def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
     if len(quartic.h) <= 1:
         h1 = quartic.h[0] if len(quartic.h) else np.zeros((n, n))
         inf_f, umin, sup_f, umax = _one_slice_extrema(h1)
-        evaluated = 0
     else:
-        samples = CASORATI_SAMPLES
-        U0 = sphere_samples(n, samples)
-        vals = quartic.values(layout_monomials(n, samples))
+        U0 = sphere_samples(n)
+        vals = quartic.values(layout_monomials(n))
         K = CASORATI_STARTS
         lows = np.argpartition(vals, K - 1)[:K]
-        highs = np.argpartition(vals, samples - K)[samples - K:]
+        highs = np.argpartition(vals, -K)[-K:]
         starts = np.concatenate([U0[lows], U0[highs]])
         U, F = _newton_on_sphere(quartic, starts, np.repeat([1.0, -1.0], K))
         lo, hi = int(np.argmin(F[:K])), K + int(np.argmax(F[K:]))
         inf_f, umin, sup_f, umax = float(F[lo]), U[lo], float(F[hi]), U[hi]
-        evaluated = samples
     umin.setflags(write=False)
     umax.setflags(write=False)
     inf_val, sup_val = inf_f / (n - 1), sup_f / (n - 1)
@@ -655,7 +645,7 @@ def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
     result = CasoratiCurvatures(
         C=C, inf_CL=inf_val, sup_CL=sup_val,
         delta_c=float(delta_c), delta_c_hat=float(delta_hat),
-        argmin_u=umin, argmax_u=umax, samples=evaluated,
+        argmin_u=umin, argmax_u=umax,
     )
     sub.cache["casorati"] = result
     return result

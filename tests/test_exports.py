@@ -1,5 +1,7 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and has a caller outside the tests, so test-only surface stays in the tests."""
+and has a caller outside the tests, so test-only surface stays in the tests;
+the number of options (function parameters with a default) cannot grow
+unnoticed."""
 
 import ast
 import importlib
@@ -67,3 +69,18 @@ def test_module_all_has_callers_outside_tests(name):
     assert {path.parent.name for path in CALLER_FILES} >= {"ckv", "bench", "demos"}
     exported = getattr(importlib.import_module(f"ckv.{name}"), "__all__", [])
     assert [attr for attr in exported if attr not in USED] == []
+
+
+# Function parameters with a default in src/ckv.  Raise this only for an
+# option with a second caller, named in CHANGES.md.
+OPTION_LIMIT = 17
+
+
+def test_options_stay_within_the_ratchet():
+    count = 0
+    for path in sorted(Path(ckv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    assert count <= OPTION_LIMIT

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import warnings
@@ -5,17 +6,20 @@ import warnings
 import numpy as np
 import pytest
 
+import ckv.cli
+import ckv.fuzz
 from ckv.cli import main
 from ckv.contact import standard_point, validate_structure
 from ckv.connections import first_connection
 from ckv.errors import ScenarioError
-from ckv.fuzz import FuzzConfig, run_fuzz
+from ckv.fuzz import FuzzConfig, _zeroing_candidates, run_fuzz
 from ckv.scenario import (
     load_scenario,
     parse_scenario,
     save_scenario,
     scenario_from_parts,
 )
+from ckv.verifier import DEFAULT_TOL
 
 E5 = np.eye(5)
 
@@ -164,6 +168,23 @@ def test_cli_verify_unknown_theorem(tmp_path, capsys):
     assert main(["verify", path, "--theorems", "9.9"]) == 2
 
 
+def test_cli_verify_reads_checks_k(tmp_path, capsys):
+    path = _write(tmp_path, _equality_scenario({"k": 2}))
+    assert main(["verify", path, "--theorems", "3.4", "--json"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    diagnostics = json.loads(line)["diagnostics"]
+    assert diagnostics["k"] == 2 and diagnostics["theta_mode"] == "grid"
+
+
+@pytest.mark.parametrize("k", [1, 4, 2.5, True])
+def test_cli_verify_rejects_bad_checks_k(tmp_path, capsys, k):
+    path = _write(tmp_path, _equality_scenario({"k": k}))
+    assert main(["verify", path, "--theorems", "3.4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "checks.k" in captured.err
+
+
 def test_cli_verify_json_lines(tmp_path, capsys):
     path = _write(tmp_path, _equality_scenario())
     assert main(["verify", path, "--json", "--theorems", "3.1,3.5i"]) == 0
@@ -262,6 +283,17 @@ def test_cli_case_commands(tmp_path, capsys):
 def test_cli_case_non_finite_params_are_an_input_error(capsys, case, params):
     # these used to end in a traceback and exit 1
     assert _main_without_warnings(["case", "--id", case, "--params", params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", ["cor32", "thm35_i", "thm35_ii"])
+@pytest.mark.parametrize("n", [-3, 0, 1, 2])
+def test_cli_case_small_n_is_an_input_error(capsys, case, n):
+    # n = 0 and 1 used to end in an IndexError traceback and exit 1, and a
+    # negative n in numpy's "negative dimensions" error
+    assert _main_without_warnings(["case", "--id", case, "--n", str(n)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
@@ -368,3 +400,28 @@ def test_fuzz_minimizer_shrinks_a_planted_failure():
     out = _zeroed(data, ("submanifold", "hhat"))
     assert np.abs(np.asarray(out["submanifold"]["hhat"])).max() == 0.0
     assert np.abs(np.asarray(data["submanifold"]["hhat"])).max() > 0.0
+
+
+def test_fuzz_finding_replays_its_failing_check(tmp_path, monkeypatch, capsys):
+    # a verify that fails only 3.1 on the frame plane (1, 2): the saved finding
+    # must carry that check, so that ckv verify on it fails the same way
+    real = ckv.fuzz.verify
+
+    def planted(sub, theorem_id, plane=None, **kwargs):
+        verdict = real(sub, theorem_id, plane=plane, **kwargs)
+        if theorem_id == "3.1" and np.allclose([plane.e1, plane.e2], sub.tangent[1:3]):
+            return dataclasses.replace(verdict, holds=False)
+        return verdict
+
+    monkeypatch.setattr(ckv.fuzz, "verify", planted)
+    monkeypatch.setattr(ckv.cli, "verify", planted)
+    out = tmp_path / "out"
+    assert main(["fuzz", "--count", "1", "--kind", "1", "--seed", "3", "--out", str(out)]) == 1
+    (finding,) = out.glob("finding_*.json")
+    data = load_scenario(finding)
+    assert data["checks"] == {"theorems": ["3.1"], "plane": [1, 2], "tol": DEFAULT_TOL}
+    # the planted failure ignores every parameter, so the shrinker zeroes them all
+    for section, key in _zeroing_candidates(1):
+        assert not np.any(data[section][key]), (section, key)
+    assert main(["verify", str(finding)]) == 1
+    capsys.readouterr()

@@ -10,6 +10,7 @@ from ckv.frames import Plane, complete_frame, orthonormalize
 from ckv.fuzz import FuzzConfig, random_scenario
 from ckv.scenario import parse_scenario
 from ckv.spheresearch import (
+    LAYOUT_SIZE,
     complements,
     layout_complements,
     quadratic_monomials,
@@ -17,8 +18,6 @@ from ckv.spheresearch import (
     sphere_samples,
 )
 from ckv.submanifold import (
-    CASORATI_SAMPLES,
-    THETA_SAMPLES,
     _partial_ricci_min,
     attach,
     casorati,
@@ -115,7 +114,6 @@ def test_attach_and_casorati_arrays_are_read_only(two_slices):
     with pytest.raises(ValueError):
         sub.pi_nor[0] = 1.0
     cas = casorati(sub)
-    assert cas.samples == (CASORATI_SAMPLES if two_slices else 0)
     with pytest.raises(ValueError):
         cas.argmin_u[0] = 1.0
     with pytest.raises(ValueError):
@@ -289,7 +287,7 @@ def test_theta_eigen_vs_sampling():
 def _theta_search(sub, k):
     """The layout-plus-refine search for Theta_k, recomputed with no memo."""
     f = lambda X: _partial_ricci_min(sub, X, k)
-    U = sphere_samples(sub.n, THETA_SAMPLES)
+    U = sphere_samples(sub.n)
     _, val = refine_on_sphere(f, U[int(np.argmin(f(U)))])
     return val / (k - 1)
 
@@ -300,7 +298,7 @@ def test_theta_multistart_upper_bound():
     # the k < n search, run on the k = n infimum, never goes below the eigenvalue
     assert exact.value <= _theta_search(sub, 4) + 1e-9
     mid = theta_k(sub, 3)
-    assert mid.mode == "multistart" and mid.samples == THETA_SAMPLES
+    assert mid.mode == "multistart" and mid.samples == LAYOUT_SIZE
 
 
 @pytest.mark.parametrize("kind", [1, 2])
@@ -309,7 +307,7 @@ def test_theta_exact_n3_matches_search(kind):
     for i in range(100):
         sub = parse_scenario(random_scenario(i, cfg)).sub
         est = theta_k(sub, 2)
-        assert est.mode == "grid" and est.exact and est.samples == 0
+        assert est.mode == "grid" and est.samples == 0
         searched = _theta_search(sub, 2)
         bound = 1e-12 * (1.0 + abs(searched))
         # the eigenvalue is the infimum, so no sampled direction may beat it
@@ -342,7 +340,7 @@ def test_theta_layout_spectrum_is_shared(kind):
             with pytest.raises(ValueError):
                 forward.cache[key][0, 0] = 0.0
     with pytest.raises(ValueError):
-        layout_complements(4, THETA_SAMPLES)[0, 0, 0] = 0.0
+        layout_complements(4)[0, 0, 0] = 0.0
 
 
 @settings(max_examples=60, deadline=None)
