@@ -13,9 +13,12 @@ caller evaluates, once per point, the spectra of S_x on x^perp in a
 Householder basis (``complements``; cached for the layout by
 ``layout_complements``) at every layout direction x, every k sums its own
 share of them, and ``extremize_on_sphere`` polishes the least value with the
-projected coordinate descent of ``refine_on_sphere``.  Both searches are
-deterministic, and the layout and search together are versioned
-(``LAYOUT_VERSION``) so reports can record their provenance.
+projected coordinate descent of ``refine_on_sphere``.  The layout values
+serve only that choice of start, so on n = 4 the caller screens them with
+closed-form 3x3 spectra and evaluates exactly only the directions that can
+hold the least value; the start, and so the result, is that of exact
+values.  Both searches are deterministic, and the layout and search together
+are versioned (``LAYOUT_VERSION``) so reports can record their provenance.
 """
 
 from __future__ import annotations

@@ -18,6 +18,9 @@ from ckv.spheresearch import (
     sphere_samples,
 )
 from ckv.submanifold import (
+    _SCREEN_MARGIN,
+    _direction_matrices,
+    _eigvalsh3,
     _partial_ricci_min,
     attach,
     casorati,
@@ -341,6 +344,83 @@ def test_theta_layout_spectrum_is_shared(kind):
                 forward.cache[key][0, 0] = 0.0
     with pytest.raises(ValueError):
         layout_complements(4)[0, 0, 0] = 0.0
+
+
+def _spectra_with_gaps(rng, count, gap, pattern):
+    """Ascending spectra, one row per matrix, with a relative gap ``gap``
+    between a double ('low' or 'high') or a triple eigenvalue."""
+    base = rng.uniform(-1.0, 1.0, count)
+    span = rng.uniform(0.1, 2.0, count)
+    if pattern == "low":
+        return np.stack([base, base + gap * span, base + span], axis=1)
+    if pattern == "high":
+        return np.stack([base, base + span, base + span * (1.0 + gap)], axis=1)
+    return np.stack([base, base + gap * span, base + 2.0 * gap * span], axis=1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 500, 2.0 ** -500])
+def test_eigvalsh3_is_within_its_bound(scale):
+    # the closed form must stay at least 50 times inside the screen's margin
+    rng = np.random.default_rng(47)
+    stacks = [np.zeros((1, 3, 3)), np.eye(3)[None] * rng.uniform(-2.0, 2.0, (8, 1, 1))]
+    for gap in [0.0, 1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2]:
+        for pattern in ("low", "high", "triple"):
+            w = _spectra_with_gaps(rng, 200, gap, pattern)
+            Q, _ = np.linalg.qr(rng.standard_normal((200, 3, 3)))
+            A = np.einsum("kij,kj,klj->kil", Q, w, Q)
+            stacks.append((A + A.transpose(0, 2, 1)) / 2.0)
+    A = np.concatenate(stacks) * scale
+    w, bound = _eigvalsh3(A)
+    norm = np.sqrt(np.sum((A / scale) ** 2, axis=(1, 2))) * scale
+    assert np.all(np.abs(w - np.linalg.eigvalsh(A)) <= _SCREEN_MARGIN / 50 * norm[:, None])
+    assert np.all(np.abs(bound - _SCREEN_MARGIN * norm) <= 1e-15 * bound)
+    assert np.all(w[0] == 0.0) and bound[0] == 0.0
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_theta_screen_matches_the_unscreened_search(kind):
+    # only rows that can hold the layout minimum are evaluated exactly on
+    # n = 4; the start of the refine, and so every value, must not move
+    cfg = FuzzConfig(seed=63, kind=kind, n=4)
+    for i in range(100):
+        sub = parse_scenario(random_scenario(i, cfg)).sub
+        for k in (2, 3):
+            assert theta_k(sub, k).value == _theta_search(sub, k), (i, k)
+    # the screen is in use: most layout rows keep their closed-form spectra
+    exact = np.linalg.eigvalsh(_direction_matrices(sub, sphere_samples(4), layout_complements(4)))
+    assert np.mean(np.all(sub.cache["theta_spectra"] == exact, axis=1)) < 0.5
+
+
+def test_theta_screen_on_constant_curvature_is_exact_throughout():
+    # S_x = I on every x^perp: every layout row ties, so every row is exact
+    sub = attach(standard_point(3), _zero_spec(7), np.eye(7)[:4], np.zeros((3, 4, 4)))
+    for k in (2, 3):
+        est = theta_k(sub, k)
+        assert abs(est.value - 1.0) < 1e-9
+        assert est.value == _theta_search(sub, k)
+    exact = np.linalg.eigvalsh(_direction_matrices(sub, sphere_samples(4), layout_complements(4)))
+    assert np.array_equal(sub.cache["theta_spectra"], exact)
+
+
+def test_theta_n5_is_unscreened():
+    sub = _random_sub(45, 1, n=5, m=3)
+    for k in (2, 3, 4):
+        assert theta_k(sub, k).value == _theta_search(sub, k), k
+    exact = np.linalg.eigvalsh(_direction_matrices(sub, sphere_samples(5), layout_complements(5)))
+    assert np.array_equal(sub.cache["theta_spectra"], exact)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e80, 1e100, 1e140, 1e-160])
+def test_theta_screen_on_huge_and_tiny_curvature(scale):
+    # riem up to about 1e280 is finite; squares of its entries are not
+    for i in range(4):
+        data = random_scenario(i, FuzzConfig(seed=64, kind=1 + i % 2, n=4))
+        data["submanifold"]["hhat"] = (np.asarray(data["submanifold"]["hhat"]) * scale).tolist()
+        sub = parse_scenario(data).sub
+        for k in (2, 3):
+            est = theta_k(sub, k)
+            assert np.isfinite(est.value) and est.value == _theta_search(sub, k), (i, k)
 
 
 @settings(max_examples=60, deadline=None)
