@@ -70,7 +70,13 @@ def _need(data: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:   # an integer beyond the float range
+        number = float("inf")
+    if not np.isfinite(number):
+        raise ScenarioError(path, f"must be finite, got {number}")
+    return number
 
 
 def _integer(value, path: str) -> int:
@@ -79,11 +85,17 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _vector(value, length: int, path: str) -> np.ndarray:
+def _array(value, path: str, expected: str) -> np.ndarray:
     try:
-        arr = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
+    except OverflowError:   # an integer beyond the float range
+        raise ScenarioError(path, "entries must be finite") from None
     except (TypeError, ValueError):
-        raise ScenarioError(path, "expected a list of numbers") from None
+        raise ScenarioError(path, f"expected {expected}") from None
+
+
+def _vector(value, length: int, path: str) -> np.ndarray:
+    arr = _array(value, path, "a list of numbers")
     if arr.ndim != 1 or arr.shape[0] != length:
         raise ScenarioError(path, f"expected a vector of length {length}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -92,10 +104,7 @@ def _vector(value, length: int, path: str) -> np.ndarray:
 
 
 def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ScenarioError(path, "expected a nested list of numbers") from None
+    arr = _array(value, path, "a nested list of numbers")
     if arr.shape != (rows, cols):
         raise ScenarioError(path, f"expected a {rows}x{cols} matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -218,8 +227,8 @@ def parse_scenario(data: dict) -> ParsedScenario:
             checks.k = kk
         if "tol" in ch:
             checks.tol = _number(ch["tol"], "checks.tol")
-            if not (np.isfinite(checks.tol) and checks.tol >= 0.0):
-                raise ScenarioError("checks.tol", "must be a finite number >= 0")
+            if checks.tol < 0.0:
+                raise ScenarioError("checks.tol", "must be >= 0")
 
     return ParsedScenario(sub=sub, checks=checks)
 

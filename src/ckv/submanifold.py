@@ -11,9 +11,11 @@ the hyperplane extrema of the Casorati curvature: closed forms when h has at
 most one nonzero normal slice, a sphere layout polished by batched Riemannian
 Newton otherwise (see ``casorati``).
 
-The tensor is assembled from outer products of the restricted structure data;
-the tests compare it with an independent evaluation on raw vectors, the
-ambient curvature of the connection plus the Gauss-equation corrections.
+The tensor is one wedge sum (``_wedge``) over a list of pairs of restricted
+bilinear forms, one pair per bracket g(Y,Z)g(X,W) - g(X,Z)g(Y,W) of the
+paper's curvature formulas, plus two outer products; the tests compare it
+with an independent evaluation on raw vectors, the ambient curvature of the
+connection plus the Gauss-equation corrections.
 
 Since the connections are not metric, R(X,Y,Z,W) != -R(X,Y,W,Z) in general
 and the sectional curvature is the symmetrized combination
@@ -125,59 +127,57 @@ class SubmanifoldPoint:
         return self.tangent_coords(plane.e1), self.tangent_coords(plane.e2)
 
 
-def _lc_tensor(I, u, Phi, A, B, c, kappa, mu):
-    """Tangent-frame restriction of the Levi-Civita curvature, by term group."""
-    es = np.einsum
-    t = (c + 3.0) / 4.0 * (es("bc,ad->abcd", I, I) - es("ac,bd->abcd", I, I))
-    t += (c + 3.0 - 4.0 * kappa) / 4.0 * (
-        es("a,c,bd->abcd", u, u, I) - es("b,c,ad->abcd", u, u, I)
-        + es("ac,b,d->abcd", I, u, u) - es("bc,a,d->abcd", I, u, u)
-    )
-    t += (c - 1.0) / 4.0 * (
-        2.0 * es("ab,dc->abcd", Phi, Phi)
-        + es("ac,db->abcd", Phi, Phi)
-        - es("bc,da->abcd", Phi, Phi)
-    )
-    t += 0.5 * (
-        es("bc,ad->abcd", A, A) - es("ac,bd->abcd", A, A)
-        + es("ac,bd->abcd", B, B) - es("bc,ad->abcd", B, B)
-    )
-    t += (
-        -es("ac,bd->abcd", I, A) + es("bc,ad->abcd", I, A)
-        + es("a,c,bd->abcd", u, u, A) - es("b,c,ad->abcd", u, u, A)
-        - es("ac,bd->abcd", A, I) + es("bc,ad->abcd", A, I)
-        - es("bc,a,d->abcd", A, u, u) + es("ac,b,d->abcd", A, u, u)
-    )
-    t += mu * (
-        es("b,c,ad->abcd", u, u, A) - es("a,c,bd->abcd", u, u, A)
-        + es("bc,a,d->abcd", A, u, u) - es("ac,b,d->abcd", A, u, u)
-    )
-    return t
+def _wedge(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """sum_k (P_k[a,c] Q_k[b,d] - P_k[b,c] Q_k[a,d]) over stacks (K, n, n): in
+    the slots (X, Y, Z, W) of ``riem``, minus the paper's bracket
+    P(Y,Z) Q(X,W) - P(X,Z) Q(Y,W) of each pair."""
+    t = np.einsum("kac,kbd->abcd", P, Q)
+    return t - t.transpose(1, 0, 2, 3)
 
 
 def _induced_tensor(model, spec, I, u, Phi, A, B, alpha_t, beta_t, ap_t, pi_t, pi_nor, h):
-    """Full induced curvature tensor: ambient restriction + Gauss corrections."""
-    es = np.einsum
-    t = _lc_tensor(I, u, Phi, A, B, model.c, model.kappa, model.mu_contact)
+    """Full induced curvature tensor: the ambient curvature of the connection
+    on the tangent frame plus the Gauss-equation corrections, as ``_wedge``
+    of one pair (P, Q) per bracket of the paper and two outer products.
+
+    With g = I, U = eta (x) eta, A = h', B = phi h' and V = (1 - mu) U - g:
+    - space form (T. Koufogiorgos, Tokyo J. Math. 20, 1997; the groups of
+      ``contact._curvature_lc_groups``): (-(c+3)/4 g, g); (e U, g), (e g, U)
+      with e = (c+3-4 kappa)/4; ((c-1)/4 Phi, Phi^T) and the outer product
+      (c-1)/2 Phi_ab Phi_dc; (-A/2, A), (B/2, B); (V, A), (A, V);
+    - kind 1: (lambda1 alpha, g), (lambda2 g, alpha),
+      (lambda2 (lambda1 - lambda2) g, beta);
+    - kind 2: (b alpha', g), (-b^2 pi (x) pi, g) and the outer product
+      a (alpha' - alpha'^T)_ab g_cd;
+    - Gauss: (-h_r, h_r) for each normal slice r and (gamma h_P, g), with
+      h_P = sum_r pi_r h_r and gamma = lambda1 - lambda2 (kind 1) or b (kind 2).
+    """
+    c, kappa, mu = model.c, model.kappa, model.mu_contact
+    e = (c + 3.0 - 4.0 * kappa) / 4.0
+    U = u[:, None] * u
+    V = (1.0 - mu) * U - I
+    terms = [
+        (-(c + 3.0) / 4.0 * I, I),
+        (e * U, I), (e * I, U),
+        ((c - 1.0) / 4.0 * Phi, Phi.T),
+        (-0.5 * A, A), (0.5 * B, B),
+        (V, A), (A, V),
+    ]
     if spec.kind == KIND_FIRST:
         l1, l2 = spec.lambda1, spec.lambda2
-        t += l1 * (es("ac,bd->abcd", alpha_t, I) - es("bc,ad->abcd", alpha_t, I))
-        t += l2 * (es("ac,bd->abcd", I, alpha_t) - es("bc,ad->abcd", I, alpha_t))
-        t += l2 * (l1 - l2) * (es("ac,bd->abcd", I, beta_t) - es("bc,ad->abcd", I, beta_t))
+        terms += [(l1 * alpha_t, I), (l2 * I, alpha_t), (l2 * (l1 - l2) * I, beta_t)]
         gauss_coeff = l1 - l2
     else:
         a, b = spec.a, spec.b
-        t += a * es("ab,cd->abcd", ap_t - ap_t.T, I)
-        t += b * (es("ac,bd->abcd", ap_t, I) - es("bc,ad->abcd", ap_t, I))
-        t += b * b * (
-            es("b,c,ad->abcd", pi_t, pi_t, I) - es("a,c,bd->abcd", pi_t, pi_t, I)
-        )
+        terms += [(b * ap_t, I), (-b * b * pi_t[:, None] * pi_t, I)]
         gauss_coeff = b
-    # Gauss equation solved for the induced curvature.
-    t += es("rad,rbc->abcd", h, h) - es("rbd,rac->abcd", h, h)
-    t -= gauss_coeff * (
-        es("rbc,r,ad->abcd", h, pi_nor, I) - es("rac,r,bd->abcd", h, pi_nor, I)
-    )
+    terms += [(-h_r, h_r) for h_r in h]
+    terms.append((gauss_coeff * np.einsum("r,rab->ab", pi_nor, h), I))
+    pairs = np.array(terms)
+    t = _wedge(pairs[:, 0], pairs[:, 1])
+    t += (c - 1.0) / 2.0 * np.einsum("ab,dc->abcd", Phi, Phi)
+    if spec.kind != KIND_FIRST:
+        t += a * np.einsum("ab,cd->abcd", ap_t - ap_t.T, I)
     return t
 
 
@@ -260,16 +260,10 @@ def induced_curvature(sub: SubmanifoldPoint, X, Y, Z, W) -> float:
     return float(np.einsum("abcd,a,b,c,d->", sub.riem, x, y, z, w))
 
 
-def _sectional_from_coords(sub: SubmanifoldPoint, v1: np.ndarray, v2: np.ndarray) -> float:
-    r1221 = np.einsum("abcd,a,b,c,d->", sub.riem, v1, v2, v2, v1)
-    r1212 = np.einsum("abcd,a,b,c,d->", sub.riem, v1, v2, v1, v2)
-    return float(r1221 - r1212) / 2.0
-
-
 def sectional(sub: SubmanifoldPoint, plane: Plane) -> float:
     """Symmetrized sectional curvature K of a tangent 2-plane."""
     v1, v2 = sub.plane_coords(plane)
-    return _sectional_from_coords(sub, v1, v2)
+    return float(_sectional_batch(sub, v1[None], v2[None])[0])
 
 
 def _sectional_batch(sub: SubmanifoldPoint, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
@@ -505,21 +499,28 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     3x3 eigenvalues with a certified error bound rule out every row whose
     sum cannot be the least, and only the rest go through ``eigvalsh``, so
     the least layout value, its first index and every value returned are
-    those of exact spectra.  Raises ValueError when the curvature data
-    overflows.
+    those of exact spectra.  Memoized per k on the point (``ThetaEstimate``
+    is frozen, so callers share it).  Raises ValueError when the curvature
+    data overflows.
     """
     n = sub.n
     if not 2 <= k <= n:
         raise ValueError(f"k must satisfy 2 <= k <= n = {n}, got {k}")
+    est = sub.cache.get(("theta_k", k))
+    if est is not None:
+        return est
     if k == n:
         w = np.linalg.eigvalsh(_finite(ricci_form(sub)))
-        return ThetaEstimate(float(w[0]) / (n - 1), "exact_eigen", 0)
-    if n == 3:
+        est = ThetaEstimate(float(w[0]) / (n - 1), "exact_eigen", 0)
+    elif n == 3:
         w = np.linalg.eigvalsh(_finite(_bivector_form(sub)))
-        return ThetaEstimate(float(w[0]), "grid", 0)
-    values = np.sum(_layout_spectra(sub)[:, : k - 1], axis=1)
-    _, val = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, k), n, values)
-    return ThetaEstimate(val / (k - 1), "multistart", LAYOUT_SIZE)
+        est = ThetaEstimate(float(w[0]), "grid", 0)
+    else:
+        values = np.sum(_layout_spectra(sub)[:, : k - 1], axis=1)
+        _, val = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, k), n, values)
+        est = ThetaEstimate(val / (k - 1), "multistart", LAYOUT_SIZE)
+    sub.cache[("theta_k", k)] = est
+    return est
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export,
-and has a caller outside the tests, so test-only surface stays in the tests;
-the number of options (function parameters with a default) cannot grow
-unnoticed."""
+"""Every exported name resolves, so a deletion cannot leave a stale export;
+every exported or module-level name of ``ckv`` has a caller outside the
+tests, so test-only surface stays in the tests; the number of options
+(function parameters with a default) cannot grow unnoticed."""
 
 import ast
 import importlib
@@ -42,14 +42,15 @@ CALLER_FILES = sorted(
 
 
 def _code_references(path):
-    """Names a file uses as code (``ast.Name`` ids and ``ast.Attribute``
+    """Names a file uses as code (``ast.Name`` ids read and ``ast.Attribute``
     attributes), leaving out uses inside the def or class of that name."""
     used = set()
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
-        if isinstance(node, ast.Name) and node.id not in inside:
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store) \
+                and node.id not in inside:
             used.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr not in inside:
             used.add(node.attr)
@@ -69,6 +70,27 @@ def test_module_all_has_callers_outside_tests(name):
     assert {path.parent.name for path in CALLER_FILES} >= {"ckv", "bench", "demos"}
     exported = getattr(importlib.import_module(f"ckv.{name}"), "__all__", [])
     assert [attr for attr in exported if attr not in USED] == []
+
+
+def _module_level_names(path):
+    """Names a module defines at its top level (def, class or assignment),
+    dunders left out."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_level_names_have_callers_outside_tests(name):
+    # a private helper whose only callers are tests belongs in the tests too
+    path = Path(ckv.__file__).parent / f"{name}.py"
+    assert [attr for attr in _module_level_names(path) if attr not in USED] == []
 
 
 # Function parameters with a default in src/ckv.  Raise this only for an

@@ -110,6 +110,44 @@ def test_parse_accepts_zero_tol():
     assert parse_scenario(_equality_scenario({"tol": 0.0})).checks.tol == 0.0
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", [
+    "ambient.c", "ambient.kappa", "ambient.mu_contact",
+    "connection.lambda1", "connection.lambda2", "connection.a", "connection.b",
+])
+def test_non_finite_numbers_are_rejected(tmp_path, capsys, field, value):
+    # json reads NaN and Infinity; they used to pass `ckv validate` with exit 0
+    data = _equality_scenario()
+    if field in ("connection.a", "connection.b"):
+        con = data["connection"]
+        del con["lambda1"], con["lambda2"]
+        con.update(kind=2, a=0.0, b=0.0)
+    section, key = field.split(".")
+    data[section][key] = value
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert err.value.path == field
+    assert main(["validate", _write(tmp_path, data)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["ambient.c", "connection.P", "submanifold.hhat[0]"])
+def test_integers_beyond_the_float_range_are_rejected(tmp_path, capsys, field):
+    # a JSON integer float() cannot hold used to escape as an OverflowError
+    data = _equality_scenario()
+    if field == "ambient.c":
+        data["ambient"]["c"] = 10 ** 400
+    elif field == "connection.P":
+        data["connection"]["P"][0] = 10 ** 400
+    else:
+        data["submanifold"]["hhat"][0][0][0] = -10 ** 400
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert err.value.path == field
+    assert main(["validate", _write(tmp_path, data)]) == 2
+    assert field in capsys.readouterr().err
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def _write(tmp_path, data, name="scn.json"):

@@ -164,8 +164,12 @@ def test_rejects_non_tangent_vectors():
 @pytest.mark.parametrize("kind", [1, 2])
 def test_tensor_matches_direct_evaluation(kind):
     rng = np.random.default_rng(33 + kind)
-    for seed in range(8):
-        sub = _random_sub(100 + seed, kind, n=int(rng.choice([3, 4])), m=int(rng.choice([2, 3])))
+    for seed in range(12):
+        if seed < 8:
+            n, m = int(rng.choice([3, 4])), int(rng.choice([2, 3]))
+        else:
+            n, m = [(5, 3), (5, 4), (6, 3), (6, 4)][seed - 8]
+        sub = _random_sub(100 + seed, kind, n=n, m=m)
         for _ in range(6):
             args = [rng.standard_normal(sub.n) @ sub.tangent for _ in range(4)]
             a = induced_curvature(sub, *args)
