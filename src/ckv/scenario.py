@@ -87,19 +87,20 @@ def _integer(value, path: str) -> int:
 
 def _array(value, path: str, expected: str) -> np.ndarray:
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except OverflowError:   # an integer beyond the float range
         raise ScenarioError(path, "entries must be finite") from None
     except (TypeError, ValueError):
         raise ScenarioError(path, f"expected {expected}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ScenarioError(path, "entries must be finite")
+    return arr
 
 
 def _vector(value, length: int, path: str) -> np.ndarray:
     arr = _array(value, path, "a list of numbers")
     if arr.ndim != 1 or arr.shape[0] != length:
         raise ScenarioError(path, f"expected a vector of length {length}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ScenarioError(path, "entries must be finite")
     return arr
 
 
@@ -107,8 +108,6 @@ def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
     arr = _array(value, path, "a nested list of numbers")
     if arr.shape != (rows, cols):
         raise ScenarioError(path, f"expected a {rows}x{cols} matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ScenarioError(path, "entries must be finite")
     return arr
 
 

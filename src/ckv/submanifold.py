@@ -163,6 +163,7 @@ def _induced_tensor(model, spec, I, u, Phi, A, B, alpha_t, beta_t, ap_t, pi_t, p
         (-0.5 * A, A), (0.5 * B, B),
         (V, A), (A, V),
     ]
+    outer = [(c - 1.0) / 2.0 * np.einsum("ab,dc->abcd", Phi, Phi)]
     if spec.kind == KIND_FIRST:
         l1, l2 = spec.lambda1, spec.lambda2
         terms += [(l1 * alpha_t, I), (l2 * I, alpha_t), (l2 * (l1 - l2) * I, beta_t)]
@@ -170,15 +171,12 @@ def _induced_tensor(model, spec, I, u, Phi, A, B, alpha_t, beta_t, ap_t, pi_t, p
     else:
         a, b = spec.a, spec.b
         terms += [(b * ap_t, I), (-b * b * pi_t[:, None] * pi_t, I)]
+        outer.append(a * np.einsum("ab,cd->abcd", ap_t - ap_t.T, I))
         gauss_coeff = b
     terms += [(-h_r, h_r) for h_r in h]
     terms.append((gauss_coeff * np.einsum("r,rab->ab", pi_nor, h), I))
     pairs = np.array(terms)
-    t = _wedge(pairs[:, 0], pairs[:, 1])
-    t += (c - 1.0) / 2.0 * np.einsum("ab,dc->abcd", Phi, Phi)
-    if spec.kind != KIND_FIRST:
-        t += a * np.einsum("ab,cd->abcd", ap_t - ap_t.T, I)
-    return t
+    return _wedge(pairs[:, 0], pairs[:, 1]) + sum(outer)
 
 
 def attach(
@@ -499,28 +497,21 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     3x3 eigenvalues with a certified error bound rule out every row whose
     sum cannot be the least, and only the rest go through ``eigvalsh``, so
     the least layout value, its first index and every value returned are
-    those of exact spectra.  Memoized per k on the point (``ThetaEstimate``
-    is frozen, so callers share it).  Raises ValueError when the curvature
-    data overflows.
+    those of exact spectra.  Raises ValueError when the curvature data
+    overflows.
     """
     n = sub.n
     if not 2 <= k <= n:
         raise ValueError(f"k must satisfy 2 <= k <= n = {n}, got {k}")
-    est = sub.cache.get(("theta_k", k))
-    if est is not None:
-        return est
     if k == n:
         w = np.linalg.eigvalsh(_finite(ricci_form(sub)))
-        est = ThetaEstimate(float(w[0]) / (n - 1), "exact_eigen", 0)
-    elif n == 3:
+        return ThetaEstimate(float(w[0]) / (n - 1), "exact_eigen", 0)
+    if n == 3:
         w = np.linalg.eigvalsh(_finite(_bivector_form(sub)))
-        est = ThetaEstimate(float(w[0]), "grid", 0)
-    else:
-        values = np.sum(_layout_spectra(sub)[:, : k - 1], axis=1)
-        _, val = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, k), n, values)
-        est = ThetaEstimate(val / (k - 1), "multistart", LAYOUT_SIZE)
-    sub.cache[("theta_k", k)] = est
-    return est
+        return ThetaEstimate(float(w[0]), "grid", 0)
+    values = np.sum(_layout_spectra(sub)[:, : k - 1], axis=1)
+    _, val = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, k), n, values)
+    return ThetaEstimate(val / (k - 1), "multistart", LAYOUT_SIZE)
 
 
 @dataclass(frozen=True)

@@ -64,14 +64,6 @@ def _code_references(path):
 USED = set().union(*(_code_references(path) for path in CALLER_FILES))
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_module_all_has_callers_outside_tests(name):
-    # an export whose only callers are tests belongs in the tests
-    assert {path.parent.name for path in CALLER_FILES} >= {"ckv", "bench", "demos"}
-    exported = getattr(importlib.import_module(f"ckv.{name}"), "__all__", [])
-    assert [attr for attr in exported if attr not in USED] == []
-
-
 def _module_level_names(path):
     """Names a module defines at its top level (def, class or assignment),
     dunders left out."""
@@ -87,10 +79,12 @@ def _module_level_names(path):
 
 
 @pytest.mark.parametrize("name", MODULES)
-def test_module_level_names_have_callers_outside_tests(name):
-    # a private helper whose only callers are tests belongs in the tests too
-    path = Path(ckv.__file__).parent / f"{name}.py"
-    assert [attr for attr in _module_level_names(path) if attr not in USED] == []
+def test_module_all_has_callers_outside_tests(name):
+    # an export or private helper whose only callers are tests belongs in the tests
+    assert {path.parent.name for path in CALLER_FILES} >= {"ckv", "bench", "demos"}
+    module = importlib.import_module(f"ckv.{name}")
+    names = set(_module_level_names(Path(module.__file__))) | set(getattr(module, "__all__", []))
+    assert sorted(attr for attr in names if attr not in USED) == []
 
 
 # Function parameters with a default in src/ckv.  Raise this only for an

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import ckv.submanifold
 from ckv.connections import first_connection, second_connection
 from ckv.contact import random_point, standard_point
 from ckv.errors import MissingArgument, WrongConnectionKind
@@ -228,24 +227,6 @@ def test_verify_34_estimate_mode_runs_proof_chain():
     assert diag["cauchy_schwarz_slack"] > -1e-10
     assert "theta_advisory" in diag and "theta_exact_k_n" in diag
     assert verdict.holds
-
-
-def test_theta_k_is_memoized_per_point(monkeypatch):
-    # a second verify of 3.4 at the same k used to rerun the whole refine
-    calls = []
-    search = ckv.submanifold.extremize_on_sphere
-
-    def counted(*args):
-        calls.append(1)
-        return search(*args)
-
-    monkeypatch.setattr(ckv.submanifold, "extremize_on_sphere", counted)
-    sub = _random_sub(53, 1, n=4, m=3)
-    first = verify(sub, "3.4", k=2)
-    second = verify(sub, "3.4", k=2)
-    assert len(calls) == 1
-    assert first.to_dict() == second.to_dict()
-    assert first.diagnostics["theta_mode"] == "multistart"
 
 
 # --- algebraic bounds -----------------------------------------------------------
