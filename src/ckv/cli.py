@@ -99,8 +99,10 @@ def cmd_verify(args) -> int:
         failing = [c.name for c in struct.checks if not c.passed]
         return _fail(f"ambient structure axioms fail: {', '.join(failing)}")
 
-    if args.theorems:
+    if args.theorems is not None:
         ids = [t.strip() for t in args.theorems.split(",") if t.strip()]
+        if not ids:
+            return _fail(f"--theorems names no theorem: {args.theorems!r}")
     elif checks.theorems:
         ids = checks.theorems
     else:
@@ -196,11 +198,13 @@ def _parse_params(text: str | None) -> dict:
             continue
         if "=" not in item:
             raise ValueError(f"bad parameter {item!r}, expected key=value")
-        key, value = item.split("=", 1)
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key in params:
+            raise ValueError(f"parameter {key!r} is given twice")
         number = float(value)
         if not math.isfinite(number):
-            raise ValueError(f"parameter {key.strip()!r} must be finite, got {value.strip()!r}")
-        params[key.strip()] = number
+            raise ValueError(f"parameter {key!r} must be finite, got {value!r}")
+        params[key] = number
     return params
 
 

@@ -203,8 +203,8 @@ def parse_scenario(data: dict) -> ParsedScenario:
             raise ScenarioError("checks", "expected an object")
         if "theorems" in ch:
             ids = ch["theorems"]
-            if not isinstance(ids, list):
-                raise ScenarioError("checks.theorems", "expected a list of ids")
+            if not isinstance(ids, list) or not ids:
+                raise ScenarioError("checks.theorems", "expected a non-empty list of ids")
             for t in ids:
                 if t not in THEOREMS_FIRST + THEOREMS_SECOND:
                     raise ScenarioError("checks.theorems", f"unknown theorem id {t!r}")

@@ -329,10 +329,10 @@ class ThetaEstimate:
     on n = 3 every bivector is decomposable, so Theta_2 is the least
     eigenvalue of the sectional-curvature form on 2-vectors (``samples`` 0).
     'multistart' (k < n, n >= 4) comes from a sphere search over the
-    direction x of the ``LAYOUT_SIZE`` layout (``samples``, the directions
-    screened; on n = 4 most of them by closed-form 3x3 spectra, which pick
-    the refine's start that exact spectra pick); its values are sampled
-    upper bounds on the true infimum.  Every mode is an upper bound on
+    direction x: the least value on the ``LAYOUT_SIZE`` layout directions
+    (``samples``; closed-form 3x3 spectra on n = 4) picks the start, and an
+    exact refine returns a value attained at a concrete direction, a sampled
+    upper bound on the true infimum.  Every mode is an upper bound on
     Theta_k, and so is Theta_n, which is what ``verify`` relies on.
     """
 
@@ -341,12 +341,7 @@ class ThetaEstimate:
     samples: int
 
 
-_THETA_CHUNK = 1024   # rows per stacked matrix build or screen; bounds the batch's memory
-# Error bound of ``_eigvalsh3`` on each eigenvalue, relative to ||M||_F.  The
-# trigonometric formula loses about sqrt(eps) * ||M|| at near-double
-# eigenvalues (about 1e-8 * ||M||_F at worst); the tests pin a factor of 50
-# between that error and this bound.
-_SCREEN_MARGIN = 1e-6
+_THETA_CHUNK = 1024   # layout rows per stacked matrix build; bounds the batch's memory
 
 
 def _finite(form: np.ndarray) -> np.ndarray:
@@ -374,18 +369,12 @@ def _direction_matrices(sub: SubmanifoldPoint, X: np.ndarray, C: np.ndarray) -> 
 
     S_x(v, v) = (R(x,v,v,x) - R(x,v,x,v)) / 2 is one matmul of x (x) x with
     ``_theta_form``; ``C`` holds the bases of x^perp (``complements`` of X),
-    and the matrix is the symmetrized C^T S_x C, built in ``_THETA_CHUNK``
-    row chunks.
+    and the matrix is the symmetrized C^T S_x C.
     """
     n = sub.n
-    form = _theta_form(sub)
-    out = np.empty((len(X), n - 1, n - 1))
-    for lo in range(0, len(X), _THETA_CHUNK):
-        x, c = X[lo:lo + _THETA_CHUNK], C[lo:lo + _THETA_CHUNK]
-        S = ((x[:, :, None] * x[:, None, :]).reshape(len(x), n * n) @ form).reshape(len(x), n, n)
-        M = c.transpose(0, 2, 1) @ S @ c
-        out[lo:lo + len(x)] = (M + M.transpose(0, 2, 1)) / 2.0
-    return _finite(out)
+    xx = (X[:, :, None] * X[:, None, :]).reshape(len(X), n * n)
+    M = C.transpose(0, 2, 1) @ (xx @ _theta_form(sub)).reshape(len(X), n, n) @ C
+    return _finite((M + M.transpose(0, 2, 1)) / 2.0)
 
 
 def _partial_ricci_min(sub: SubmanifoldPoint, X: np.ndarray, k: int) -> np.ndarray:
@@ -399,24 +388,24 @@ def _partial_ricci_min(sub: SubmanifoldPoint, X: np.ndarray, k: int) -> np.ndarr
     return np.sum(spectra[:, : k - 1], axis=1)
 
 
-def _eigvalsh3(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigvalsh3(M: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a stack of symmetric 3x3 matrices in closed
-    form, and a bound on the error of each, ``_SCREEN_MARGIN * ||M||_F``.
+    form.
 
     The trigonometric formula (O. K. Smith, Comm. ACM 4, 1961; J. Kopp,
     arXiv:physics/0610206): with q = tr M / 3, B = M - q I and
     p^2 = tr B^2 / 6, the eigenvalues are q + 2p cos(phi + 2 pi j / 3),
     phi = arccos(det(B / p) / 2) / 3.  Each matrix is first scaled by the
     power of two of its largest entry, exactly, so that squares and cubes
-    neither overflow nor underflow on any finite input.
+    neither overflow nor underflow on any finite input.  The error is about
+    sqrt(eps) * ||M||_F at worst, at near-double eigenvalues.
     """
     u = M.reshape(len(M), 9).T[[0, 4, 8, 1, 2, 5]]   # rows m00 m11 m22 m01 m02 m12
     _, e = np.frexp(np.max(np.abs(u), axis=0))
     m00, m11, m22, m01, m02, m12 = np.ldexp(u, -e)
     q = (m00 + m11 + m22) / 3.0
     d0, d1, d2 = m00 - q, m11 - q, m22 - q
-    off = m01 * m01 + m02 * m02 + m12 * m12
-    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * off) / 6.0)
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12)) / 6.0)
     scale = np.where(p > 0.0, p, 1.0)
     b0, b1, b2, b01, b02, b12 = (v / scale for v in (d0, d1, d2, m01, m02, m12))
     r = (b0 * (b1 * b2 - b12 * b12) - b01 * (b01 * b2 - b12 * b02)
@@ -424,49 +413,26 @@ def _eigvalsh3(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
     hi = q + 2.0 * p * np.cos(phi)
     lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    norm = np.sqrt(m00 * m00 + m11 * m11 + m22 * m22 + 2.0 * off)
-    w = np.stack([np.ldexp(v, e) for v in (lo, 3.0 * q - lo - hi, hi)], axis=1)
-    return w, np.ldexp(_SCREEN_MARGIN * norm, e)
-
-
-def _screened_spectra(M: np.ndarray) -> np.ndarray:
-    """Ascending spectra of a stack of symmetric 3x3 matrices that are
-    ``eigvalsh``'s, bit for bit, on every row that can hold the least sum of
-    its k - 1 smallest values for k = 2 or 3, and ``_eigvalsh3``'s elsewhere.
-
-    A row's screened sum s carries an error of at most m = (k - 1) times the
-    row's bound, so U = min(s + m) bounds the exact minimum from above.  A
-    row with s - m > U has an exact sum above U, strictly above the minimum;
-    every other row is recomputed exactly.  ``argmin`` of the sums therefore
-    picks the row that it picks on exact spectra, ties to the first index
-    included.  A row with a non-finite screened sum is exact, and a NaN
-    anywhere makes every row exact.
-    """
-    spectra, bound = np.empty((len(M), 3)), np.empty(len(M))
-    for lo in range(0, len(M), _THETA_CHUNK):
-        rows = slice(lo, lo + _THETA_CHUNK)
-        spectra[rows], bound[rows] = _eigvalsh3(M[rows])
-    exact = np.zeros(len(M), dtype=bool)
-    for j in (1, 2):
-        s, m = np.sum(spectra[:, :j], axis=1), j * bound
-        exact |= ~(s - m > np.min(s + m)) | ~np.isfinite(s)
-    spectra[exact] = np.linalg.eigvalsh(M[exact])
-    return spectra
+    return np.stack([np.ldexp(v, e) for v in (lo, 3.0 * q - lo - hi, hi)], axis=1)
 
 
 def _layout_spectra(sub: SubmanifoldPoint) -> np.ndarray:
     """Spectra of S_x on x^perp at every layout direction, shape
-    (LAYOUT_SIZE, n - 1), for ``theta_k``'s choice of the refine's start.
-    They do not depend on k, so every k < n shares them; memoized and
-    read-only.  On n = 4 they are screened (``_screened_spectra``): exact
-    wherever the least k-sum can lie, closed-form elsewhere; on n >= 5
-    exact throughout.
+    (LAYOUT_SIZE, n - 1), from which ``theta_k`` picks the start of its
+    refine.  Closed-form on n = 4 (``_eigvalsh3``), ``eigvalsh`` on n >= 5;
+    each ``_THETA_CHUNK``-row chunk's matrices are built and reduced to
+    spectra together.  They do not depend on k, so every k < n shares them;
+    memoized and read-only.
     """
     spectra = sub.cache.get("theta_spectra")
     if spectra is None:
         n = sub.n
-        M = _direction_matrices(sub, sphere_samples(n), layout_complements(n))
-        spectra = _screened_spectra(M) if n == 4 else np.linalg.eigvalsh(M)
+        X, C = sphere_samples(n), layout_complements(n)
+        eig = _eigvalsh3 if n == 4 else np.linalg.eigvalsh
+        spectra = np.concatenate([
+            eig(_direction_matrices(sub, X[lo:lo + _THETA_CHUNK], C[lo:lo + _THETA_CHUNK]))
+            for lo in range(0, LAYOUT_SIZE, _THETA_CHUNK)
+        ])
         spectra.setflags(write=False)
         sub.cache["theta_spectra"] = spectra
     return spectra
@@ -492,13 +458,12 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     (``_partial_ricci_min``: the k-1 least eigenvalues of S_x on x^perp in
     a Householder basis) and ``extremize_on_sphere`` minimizes it over the
     ``LAYOUT_SIZE`` layout directions, refining from the least layout
-    value; the layout spectra are computed once per point and shared by
-    every k.  On n = 4 they are screened (``_layout_spectra``): closed-form
-    3x3 eigenvalues with a certified error bound rule out every row whose
-    sum cannot be the least, and only the rest go through ``eigvalsh``, so
-    the least layout value, its first index and every value returned are
-    those of exact spectra.  Raises ValueError when the curvature data
-    overflows.
+    value; the layout spectra (``_layout_spectra``, closed-form 3x3
+    eigenvalues on n = 4) are computed once per point and shared by every
+    k.  They only pick the start: the refine evaluates the start and every
+    step it accepts with the exact ``_partial_ricci_min``, so the value
+    returned is attained at a concrete direction.  Raises ValueError when
+    the curvature data overflows.
     """
     n = sub.n
     if not 2 <= k <= n:

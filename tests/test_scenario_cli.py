@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import sys
@@ -5,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ckv.cli
 import ckv.fuzz
@@ -148,6 +151,81 @@ def test_integers_beyond_the_float_range_are_rejected(tmp_path, capsys, field):
     assert field in capsys.readouterr().err
 
 
+def test_empty_checks_theorems_is_rejected(tmp_path, capsys):
+    # "theorems": [] used to run every theorem of the connection's kind
+    data = _equality_scenario({"theorems": []})
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert err.value.path == "checks.theorems"
+    assert main(["verify", _write(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "checks.theorems" in captured.err
+
+
+def _generator_scenario():
+    """A valid kind-2 scenario with a generated ambient."""
+    data = _equality_scenario({"theorems": ["4.1", "4.4i"], "plane": [1, 2], "X": E5[2].tolist(),
+                               "k": 3, "tol": 1e-8})
+    data["ambient"] = {"m": 2, "kappa": 0.5, "mu_contact": 1.0, "c": -2.0,
+                       "generator": {"seed": 11, "hprime_scale": 0.5, "strict_kmu": False}}
+    data["connection"] = {"kind": 2, "a": 0.5, "b": -0.25, "P": E5[4].tolist(),
+                          "D": np.eye(5).tolist()}
+    return data
+
+
+_VALID = [
+    _equality_scenario({"theorems": ["3.1"], "plane": [0, 1], "X": E5[0].tolist(),
+                        "k": 2, "tol": 1e-8}),
+    _generator_scenario(),
+]
+
+
+def _field_paths(node, path=()):
+    """Every field of a scenario, list entries through their first one."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = [(0, node[0])]
+    else:
+        return []
+    return [path + (key,) for key, _ in items] + [
+        p for key, child in items for p in _field_paths(child, path + (key,))]
+
+
+_FIELDS = sorted({p for data in _VALID for p in _field_paths(data)}, key=repr)
+_SCALARS = (st.none() | st.booleans() | st.floats() | st.text(max_size=6) | st.integers()
+            | st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8,
+)
+# the generator allocates O(m^2), so m stays small
+_M_VALUES = st.integers(max_value=8) | _JSON.filter(lambda v: not isinstance(v, int) or v <= 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(_VALID), data=st.data())
+def test_any_json_in_one_or_two_fields_parses_or_raises_scenario_error(base, data):
+    scenario = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(_FIELDS))
+        value = data.draw(_M_VALUES if path == ("ambient", "m") else _JSON)
+        node = scenario
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):   # an earlier edit removed the field
+            continue
+    try:
+        parse_scenario(scenario)
+    except ScenarioError:
+        pass
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def _write(tmp_path, data, name="scn.json"):
@@ -204,6 +282,16 @@ def test_cli_verify_wrong_kind(tmp_path, capsys):
 def test_cli_verify_unknown_theorem(tmp_path, capsys):
     path = _write(tmp_path, _equality_scenario())
     assert main(["verify", path, "--theorems", "9.9"]) == 2
+
+
+@pytest.mark.parametrize("theorems", [",", "", " , "])
+def test_cli_verify_empty_theorem_list_is_an_input_error(tmp_path, capsys, theorems):
+    # an explicitly empty --theorems used to run no check and exit 0
+    path = _write(tmp_path, _equality_scenario())
+    assert main(["verify", path, "--theorems", theorems]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_cli_verify_reads_checks_k(tmp_path, capsys):
@@ -313,6 +401,15 @@ def test_cli_case_commands(tmp_path, capsys):
     assert main(["case", "--id", "thm35_i", "--params", "a=1"]) == 0
     assert main(["case", "--id", "thm35_i", "--params", "a=0"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("params", ["h11=1,h11=2", "h11=1, h11 =1"])
+def test_cli_case_repeated_param_is_an_input_error(capsys, params):
+    # a repeated key used to keep its last value and exit 0
+    assert main(["case", "--id", "cor32", "--params", params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "'h11'" in captured.err
 
 
 @pytest.mark.parametrize("case,params", [
