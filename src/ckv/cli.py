@@ -107,9 +107,11 @@ def cmd_verify(args) -> int:
         ids = checks.theorems
     else:
         ids = list(applicable_theorems(sub.spec.kind))
-    for tid in ids:
+    for pos, tid in enumerate(ids):
         if tid not in THEOREMS_FIRST + THEOREMS_SECOND:
             return _fail(f"unknown theorem id {tid!r}")
+        if tid in ids[:pos]:
+            return _fail(f"theorem {tid!r} is named twice")
 
     # verify ignores the arguments a theorem does not take
     i, j = checks.plane if checks.plane is not None else (0, 1)

@@ -205,9 +205,11 @@ def parse_scenario(data: dict) -> ParsedScenario:
             ids = ch["theorems"]
             if not isinstance(ids, list) or not ids:
                 raise ScenarioError("checks.theorems", "expected a non-empty list of ids")
-            for t in ids:
+            for pos, t in enumerate(ids):
                 if t not in THEOREMS_FIRST + THEOREMS_SECOND:
                     raise ScenarioError("checks.theorems", f"unknown theorem id {t!r}")
+                if t in ids[:pos]:
+                    raise ScenarioError("checks.theorems", f"theorem {t!r} is named twice")
             checks.theorems = list(ids)
         if "plane" in ch:
             pl = ch["plane"]

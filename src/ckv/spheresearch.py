@@ -12,11 +12,12 @@ needed only for k < n on n >= 4 (on n = 3, Theta_2 is an eigenvalue): its
 caller evaluates, once per point, the spectra of S_x on x^perp in a
 Householder basis (``complements``; cached for the layout by
 ``layout_complements``) at every layout direction x, every k sums its own
-share of them, and ``extremize_on_sphere`` polishes the least value with the
-projected coordinate descent of ``refine_on_sphere``.  The layout values
-serve only that choice of start, so on n = 4 the caller takes them from
-closed-form 3x3 spectra; the refine evaluates its start and every step
-exactly, so each value it returns is attained at a concrete direction.
+share of them, and ``extremize_on_sphere`` polishes the least value with
+the Riemannian Newton of ``refine_on_sphere``, which takes its derivatives
+from finite differences of the values alone, so it serves any caller.  The
+layout values serve only that choice of start, so on n = 4 the caller takes
+them from closed-form 3x3 spectra; the refine evaluates its start and every
+step exactly, so each value it returns is attained at a concrete direction.
 Both searches are deterministic, and the layout and search together are
 versioned (``LAYOUT_VERSION``) so reports can record their provenance.
 """
@@ -27,7 +28,7 @@ import functools
 
 import numpy as np
 
-LAYOUT_VERSION = "sphere-layout-v2"
+LAYOUT_VERSION = "sphere-layout-v3"
 LAYOUT_SIZE = 10_000   # directions in every layout, for both searches
 _LAYOUT_SEED = 0x5EED_1AE0
 
@@ -100,33 +101,80 @@ def layout_complements(dim: int) -> np.ndarray:
     return _frozen(complements(sphere_samples(dim)))
 
 
-def refine_on_sphere(f_batch, u0: np.ndarray) -> tuple[np.ndarray, float]:
-    """Projected coordinate descent minimizing ``f_batch`` from ``u0``.
+_STENCIL_H = 1e-4    # finite-difference spacing in the chart
+_HALVINGS = 8        # step lengths tried per line-search batch
+_EIG_FLOOR = 1e-8    # |Hessian eigenvalues| floored at this share of the largest
+_MAX_ITER = 50
 
-    ``f_batch`` maps an array of unit vectors (k, dim) to values (k,).  At each
-    iteration all +/- coordinate moves of the current step size (0.1 at the
-    start) are evaluated in one batch; the best improving move is taken,
-    otherwise the step halves, until 200 iterations or a step below 1e-13.
-    Deterministic, and convergent to ~machine precision inside a smooth basin.
+
+def _chart(u: np.ndarray, C: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The unit vectors normalize(u + C y) for the rows y of Y."""
+    X = u + Y @ C.T
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def refine_on_sphere(f_batch, u0: np.ndarray) -> tuple[np.ndarray, float]:
+    """Riemannian Newton minimizing ``f_batch`` from ``u0``; returns (arg, value).
+
+    ``f_batch`` maps an array of unit vectors (k, dim) to values (k,); it is
+    only evaluated, never differentiated.  Each iteration works in the chart
+    y -> normalize(u + C y), C = ``complements`` of u, and makes one call on
+    u and the stencil +/- h e_i, h (e_i + e_j) (i < j, h = 1e-4), which gives
+    the central-difference gradient and the full Hessian.  As in the Casorati
+    Newton of ``ckv.submanifold``, the Hessian's eigenvalues have their
+    magnitudes floored, so the step descends; its length is capped at 1.  One
+    more call tries the step and its next seven halvings, and the least value
+    is taken only if it strictly lowers f; if none does, the eight halvings
+    after those follow, for as long as the decrease the gradient predicts for
+    them is at least 1e-15 (1 + |f|).  The refine stops when the full step's
+    predicted decrease (the Newton decrement, if the step is not capped)
+    falls below that, when no halving lowers f, when the step it takes lowers
+    f by less, when the stencil is not finite, or after 50 iterations.
+
+    Every value it returns is ``f_batch`` at the direction it returns and is
+    never above f(u0).  Gradient noise of about eps |f| / h moves the point it
+    stops at, but costs only about its square in the value.  Deterministic.
     """
     u = np.asarray(u0, dtype=float)
     u = u / np.linalg.norm(u)
-    best = float(f_batch(u[None, :])[0])
-    eye = np.eye(u.shape[0])
-    step = 0.1
-    for _ in range(200):
-        if step < 1e-13:
+    d = u.shape[0] - 1
+    eye = np.eye(d)
+    i, j = np.triu_indices(d, 1)
+    stencil = _STENCIL_H * np.concatenate([np.zeros((1, d)), eye, -eye, eye[i] + eye[j]])
+    halvings = 0.5 ** np.arange(_HALVINGS)
+    f = None
+    for _ in range(_MAX_ITER):
+        C = complements(u[None, :])[0]
+        vals = np.asarray(f_batch(_chart(u, C, stencil)), dtype=float)
+        center, plus, minus, mixed = vals[0], vals[1:d + 1], vals[d + 1:2 * d + 1], vals[2 * d + 1:]
+        f = float(center) if f is None else f
+        if not np.all(np.isfinite(vals)):
             break
-        cand = np.concatenate([u + step * eye, u - step * eye])
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        vals = np.asarray(f_batch(cand))
-        k = int(np.argmin(vals))
-        if vals[k] < best - 1e-17 * (1.0 + abs(best)):
-            best = float(vals[k])
-            u = cand[k]
+        hess = np.diag(plus + minus - 2.0 * center)
+        hess[i, j] = hess[j, i] = mixed - plus[i] - plus[j] + center
+        w, Q = np.linalg.eigh(hess / _STENCIL_H ** 2)
+        w = np.abs(w)
+        w = np.maximum(w, max(_EIG_FLOOR * w.max(), np.finfo(float).tiny))
+        c = Q.T @ ((plus - minus) / (2.0 * _STENCIL_H)) / w
+        floor = 1e-15 * (1.0 + abs(f))
+        step = -(Q @ c)
+        scale = 1.0 / max(1.0, float(np.linalg.norm(step)))
+        t = halvings
+        # to first order, the step t * scale * step lowers f by t * drop
+        drop = scale * float(c @ (c * w))
+        while t[0] * drop >= floor:
+            cand = _chart(u, C, (t * scale)[:, None] * step)
+            fc = np.asarray(f_batch(cand), dtype=float)
+            best = int(np.argmin(np.where(np.isnan(fc), np.inf, fc)))
+            if fc[best] < f:
+                break
+            t = t * 0.5 ** _HALVINGS
         else:
-            step *= 0.5
-    return u, best
+            break
+        u, f, gain = cand[best], float(fc[best]), f - float(fc[best])
+        if gain < floor:
+            break
+    return u, f
 
 
 def extremize_on_sphere(f_batch, dim: int, values: np.ndarray) -> tuple[np.ndarray, float]:

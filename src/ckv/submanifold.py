@@ -330,9 +330,9 @@ class ThetaEstimate:
     eigenvalue of the sectional-curvature form on 2-vectors (``samples`` 0).
     'multistart' (k < n, n >= 4) comes from a sphere search over the
     direction x: the least value on the ``LAYOUT_SIZE`` layout directions
-    (``samples``; closed-form 3x3 spectra on n = 4) picks the start, and an
-    exact refine returns a value attained at a concrete direction, a sampled
-    upper bound on the true infimum.  Every mode is an upper bound on
+    (``samples``; closed-form 3x3 spectra on n = 4) picks the start, and a
+    Riemannian Newton refine on the exact function returns a value attained
+    at a concrete direction, an upper bound on the true infimum.  Every mode is an upper bound on
     Theta_k, and so is Theta_n, which is what ``verify`` relies on.
     """
 
@@ -458,12 +458,12 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     (``_partial_ricci_min``: the k-1 least eigenvalues of S_x on x^perp in
     a Householder basis) and ``extremize_on_sphere`` minimizes it over the
     ``LAYOUT_SIZE`` layout directions, refining from the least layout
-    value; the layout spectra (``_layout_spectra``, closed-form 3x3
-    eigenvalues on n = 4) are computed once per point and shared by every
-    k.  They only pick the start: the refine evaluates the start and every
-    step it accepts with the exact ``_partial_ricci_min``, so the value
-    returned is attained at a concrete direction.  Raises ValueError when
-    the curvature data overflows.
+    value by Riemannian Newton (``refine_on_sphere``); the layout spectra
+    (``_layout_spectra``, closed-form 3x3 eigenvalues on n = 4) are computed
+    once per point and shared by every k.  They only pick the start: the
+    refine evaluates the start and every step it takes with the exact
+    ``_partial_ricci_min``, so the value returned is attained at a concrete
+    direction.  Raises ValueError when the curvature data overflows.
     """
     n = sub.n
     if not 2 <= k <= n:

@@ -4,8 +4,9 @@ Each one recomputes a quantity along a path independent of the one ``ckv``
 takes, so a test can compare the two: Chen's algebraic lemma on shape
 operators (the bounds each proof applies to the Gauss part), the induced
 curvature from the ambient connection plus the Gauss-equation corrections on
-raw vectors, in-plane changes of a plane's basis, and a structure residual
-looked up by name.
+raw vectors, in-plane changes of a plane's basis, a structure residual
+looked up by name, and Thorpe's lower bound on the least sectional curvature
+at n = 4.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from ckv.connections import KIND_FIRST, ambient_curvature
 from ckv.contact import ValidationReport
 from ckv.frames import Plane
-from ckv.submanifold import SubmanifoldPoint
+from ckv.submanifold import SubmanifoldPoint, _bivector_form
 
 
 # --- Chen's algebraic lemma ---------------------------------------------------
@@ -132,3 +133,48 @@ def residual(report: ValidationReport, name: str) -> float:
         if c.name == name:
             return c.max_residual
     raise KeyError(name)
+
+
+# --- Thorpe's bound on the least sectional curvature at n = 4 -----------------
+
+# The Pluecker form on Lambda^2 R^4, in the pair order a < b of
+# ``np.triu_indices(4, 1)``: W(w) = w01 w23 - w02 w13 + w03 w12, which
+# vanishes exactly on the decomposable 2-vectors.
+PLUECKER = np.zeros((6, 6))
+PLUECKER[[0, 5], [5, 0]] = PLUECKER[[2, 3], [3, 2]] = 0.5
+PLUECKER[[1, 4], [4, 1]] = -0.5
+
+
+def thorpe_lower_bound(sub: SubmanifoldPoint) -> float:
+    """max_t lambda_min(B + t W) for ``_bivector_form`` B on n = 4.
+
+    Every unit decomposable w has W(w) = 0, so each lambda_min(B + t W) is a
+    lower bound on the least sectional curvature, and in dimension 4 the
+    maximum over t equals it (Thorpe, J. Differential Geom. 6, 1972).  The
+    function of t is concave and below lambda_max(B) - |t| / 2, so its
+    maximum lies in |t| <= 2 (lambda_max(B) - lambda_min(B)); golden-section
+    search finds it, and the largest value seen is returned.
+    """
+    if sub.n != 4:
+        raise ValueError("Thorpe's bound is for n = 4")
+    B = _bivector_form(sub)
+    g = lambda t: float(np.linalg.eigvalsh(B + t * PLUECKER)[0])
+    spread = np.linalg.eigvalsh(B)
+    lo, hi = -2.0 * (spread[-1] - spread[0]), 2.0 * (spread[-1] - spread[0])
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    ga, gb = g(a), g(b)
+    best = max(g(0.0), ga, gb)
+    for _ in range(200):
+        if ga >= gb:
+            hi, b, gb = b, a, ga
+            a = hi - ratio * (hi - lo)
+            ga = g(a)
+        else:
+            lo, a, ga = a, b, gb
+            b = lo + ratio * (hi - lo)
+            gb = g(b)
+        best = max(best, ga, gb)
+        if hi - lo <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
+            break
+    return best

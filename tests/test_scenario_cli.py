@@ -294,6 +294,27 @@ def test_cli_verify_empty_theorem_list_is_an_input_error(tmp_path, capsys, theor
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("theorems", ["3.1,3.1", "3.1, 3.3,3.1"])
+def test_cli_verify_repeated_theorem_is_an_input_error(tmp_path, capsys, theorems):
+    # a repeated id used to run its check twice and exit 0
+    path = _write(tmp_path, _equality_scenario())
+    assert main(["verify", path, "--theorems", theorems]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_repeated_checks_theorem_is_rejected(tmp_path, capsys):
+    data = _equality_scenario({"theorems": ["3.1", "3.1"]})
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert err.value.path == "checks.theorems"
+    assert main(["verify", _write(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "checks.theorems" in captured.err
+
+
 def test_cli_verify_reads_checks_k(tmp_path, capsys):
     path = _write(tmp_path, _equality_scenario({"k": 2}))
     assert main(["verify", path, "--theorems", "3.4", "--json"]) == 0

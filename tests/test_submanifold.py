@@ -32,7 +32,7 @@ from ckv.submanifold import (
     sectional,
     theta_k,
 )
-from oracles import induced_curvature_direct, reflected, rotated
+from oracles import induced_curvature_direct, reflected, rotated, thorpe_lower_bound
 
 E5 = np.eye(5)
 
@@ -421,6 +421,21 @@ def test_theta_n5_is_unscreened():
         np.linalg.eigvalsh(_direction_matrices(sub, X[c], C[c])) for c in _LAYOUT_CHUNKS
     ])
     assert np.array_equal(sub.cache["theta_spectra"], exact)
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_theta2_n4_reaches_thorpes_bound(kind):
+    # seed 31, kind 1, instance 104 is where coordinate descent stopped
+    # 3.45e-6 relative above the bound
+    points = [(i, FuzzConfig(seed=31, kind=kind, n=4)) for i in range(20)]
+    if kind == 1:
+        points.append((104, FuzzConfig(seed=31, kind=1, n=4)))
+    for i, cfg in points:
+        sub = parse_scenario(random_scenario(i, cfg)).sub
+        lower, theta = thorpe_lower_bound(sub), theta_k(sub, 2).value
+        scale = 1.0 + abs(theta)
+        # both are rounded, so the bound may pass the attained value by 1e-15
+        assert lower - 1e-14 * scale <= theta <= lower + 1e-12 * scale, i
 
 
 @pytest.mark.filterwarnings("error")
