@@ -155,15 +155,14 @@ def refine_on_sphere(f_batch, u0: np.ndarray) -> tuple[np.ndarray, float]:
         w, Q = np.linalg.eigh(hess / _STENCIL_H ** 2)
         w = np.abs(w)
         w = np.maximum(w, max(_EIG_FLOOR * w.max(), np.finfo(float).tiny))
-        c = Q.T @ ((plus - minus) / (2.0 * _STENCIL_H)) / w
+        grad = (plus - minus) / (2.0 * _STENCIL_H)
+        step = -(Q @ (Q.T @ grad / w))
+        step /= max(1.0, float(np.linalg.norm(step)))
+        drop = -float(grad @ step)   # to first order, t * step lowers f by t * drop
         floor = 1e-15 * (1.0 + abs(f))
-        step = -(Q @ c)
-        scale = 1.0 / max(1.0, float(np.linalg.norm(step)))
         t = halvings
-        # to first order, the step t * scale * step lowers f by t * drop
-        drop = scale * float(c @ (c * w))
         while t[0] * drop >= floor:
-            cand = _chart(u, C, (t * scale)[:, None] * step)
+            cand = _chart(u, C, t[:, None] * step)
             fc = np.asarray(f_batch(cand), dtype=float)
             best = int(np.argmin(np.where(np.isnan(fc), np.inf, fc)))
             if fc[best] < f:
