@@ -39,8 +39,8 @@ def _test_functions():
         yield f"theta{k}", lambda U, sub=sub, k=k: _partial_ricci_min(sub, U, k), sphere_samples(4)[0]
 
 
-@pytest.mark.parametrize("name, f, u0", list(_test_functions()), ids=lambda v: v if isinstance(v, str) else "")
-def test_refine_returns_an_attained_value_below_the_start(name, f, u0):
+@pytest.mark.parametrize("f, u0", [pytest.param(f, u0, id=name) for name, f, u0 in _test_functions()])
+def test_refine_returns_an_attained_value_below_the_start(f, u0):
     u, value = refine_on_sphere(f, u0)
     assert abs(np.linalg.norm(u) - 1.0) < 1e-15
     attained = float(f(u[None, :])[0])
@@ -62,7 +62,11 @@ def test_refine_reaches_the_least_eigenvalue_in_few_calls(n):
         assert f.calls <= 20
 
 
-def test_refine_keeps_a_minimizer():
-    Q = np.diag([-1.0, 0.5, 2.0, 3.0])
-    u, value = refine_on_sphere(_rayleigh(Q), np.array([1.0, 0.0, 0.0, 0.0]))
-    assert value == -1.0 and abs(u[0]) == 1.0
+@pytest.mark.parametrize("f, u0, least", [
+    (_rayleigh(np.diag([-1.0, 0.5, 2.0, 3.0])), np.array([1.0, 0.0, 0.0, 0.0]), -1.0),
+    # a kink: the stencil sees a slope, but no step lowers the value
+    (lambda U: np.max(U, axis=1), -np.ones(4), -0.5),
+], ids=["rayleigh", "kink"])
+def test_refine_keeps_a_minimizer(f, u0, least):
+    u, value = refine_on_sphere(f, u0)
+    assert value == least and np.array_equal(u, u0 / np.linalg.norm(u0))
