@@ -35,10 +35,9 @@ from .verifier import (
     DEFAULT_TOL,
     EQUALITY_THEOREM,
     TAKES_PLANE,
-    THEOREMS_FIRST,
-    THEOREMS_SECOND,
     applicable_theorems,
     equality_instance,
+    theorem_ids_problem,
     verify,
 )
 
@@ -107,11 +106,9 @@ def cmd_verify(args) -> int:
         ids = checks.theorems
     else:
         ids = list(applicable_theorems(sub.spec.kind))
-    for pos, tid in enumerate(ids):
-        if tid not in THEOREMS_FIRST + THEOREMS_SECOND:
-            return _fail(f"unknown theorem id {tid!r}")
-        if tid in ids[:pos]:
-            return _fail(f"theorem {tid!r} is named twice")
+    problem = theorem_ids_problem(ids)
+    if problem is not None:
+        return _fail(problem)
 
     # verify ignores the arguments a theorem does not take
     i, j = checks.plane if checks.plane is not None else (0, 1)

@@ -35,7 +35,7 @@ from .contact import ContactPointModel, random_point
 from .connections import ConnectionSpec, first_connection, second_connection
 from .errors import GeometryError, ScenarioError
 from .submanifold import SubmanifoldPoint, attach
-from .verifier import DEFAULT_TOL, THEOREMS_FIRST, THEOREMS_SECOND
+from .verifier import DEFAULT_TOL, theorem_ids_problem
 
 __all__ = [
     "Checks",
@@ -205,11 +205,9 @@ def parse_scenario(data: dict) -> ParsedScenario:
             ids = ch["theorems"]
             if not isinstance(ids, list) or not ids:
                 raise ScenarioError("checks.theorems", "expected a non-empty list of ids")
-            for pos, t in enumerate(ids):
-                if t not in THEOREMS_FIRST + THEOREMS_SECOND:
-                    raise ScenarioError("checks.theorems", f"unknown theorem id {t!r}")
-                if t in ids[:pos]:
-                    raise ScenarioError("checks.theorems", f"theorem {t!r} is named twice")
+            problem = theorem_ids_problem(ids)
+            if problem is not None:
+                raise ScenarioError("checks.theorems", problem)
             checks.theorems = list(ids)
         if "plane" in ch:
             pl = ch["plane"]

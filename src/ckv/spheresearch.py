@@ -5,21 +5,18 @@ problems over low-dimensional spheres (degree-4 polynomials or eigenvalue
 sums).  Desk scale suffices: a dense deterministic layout of ``LAYOUT_SIZE``
 directions locates the basin, then a local method polishes it far below the
 1e-6 target.  The layout and the arrays derived from it are cached once per
-dimension and read-only.  The Casorati search evaluates its quartic on the
-layout through the layout's quadratic monomials (``layout_monomials``) and
-polishes with Riemannian Newton (``ckv.submanifold``).  The k-Ricci search is
-needed only for k < n on n >= 4 (on n = 3, Theta_2 is an eigenvalue): its
-caller evaluates, once per point, the spectra of S_x on x^perp in a
-Householder basis (``complements``; cached for the layout by
-``layout_complements``) at every layout direction x, every k sums its own
-share of them, and ``extremize_on_sphere`` polishes the least value with
-the Riemannian Newton of ``refine_on_sphere``, which takes its derivatives
-from finite differences of the values alone, so it serves any caller.  The
-layout values serve only that choice of start, so on n = 4 the caller takes
-them from closed-form 3x3 spectra; the refine evaluates its start and every
-step exactly, so each value it returns is attained at a concrete direction.
-Both searches are deterministic, and the layout and search together are
-versioned (``LAYOUT_VERSION``) so reports can record their provenance.
+dimension and read-only.  Both searches polish with one batched Riemannian
+Newton loop, ``newton_on_sphere``; a caller supplies only values and
+derivatives.  The Casorati search (``ckv.submanifold``) evaluates its
+quartic on the layout through ``layout_monomials`` and has closed-form
+derivatives.  The k-Ricci search (k < n on n >= 4) picks the least layout
+value of the exact plane infimum, which its caller computes from the
+spectra of S_x in the Householder bases of ``layout_complements``, and
+``extremize_on_sphere`` polishes it with ``refine_on_sphere``, which takes
+derivatives from finite differences of the values alone.  The refine
+evaluates its start and every step exactly, so each value it returns is
+attained at a concrete direction.  Both searches are deterministic, and the
+layout and search together are versioned (``LAYOUT_VERSION``).
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import functools
 
 import numpy as np
 
-LAYOUT_VERSION = "sphere-layout-v3"
+LAYOUT_VERSION = "sphere-layout-v4"
 LAYOUT_SIZE = 10_000   # directions in every layout, for both searches
 _LAYOUT_SEED = 0x5EED_1AE0
 
@@ -101,79 +98,112 @@ def layout_complements(dim: int) -> np.ndarray:
     return _frozen(complements(sphere_samples(dim)))
 
 
-_STENCIL_H = 1e-4    # finite-difference spacing in the chart
-_HALVINGS = 8        # step lengths tried per line-search batch
-_EIG_FLOOR = 1e-8    # |Hessian eigenvalues| floored at this share of the largest
-_MAX_ITER = 50
+_HALVINGS = 8        # step lengths tried per row in each value call
+_EIG_FLOOR = 1e-12   # |Hessian eigenvalues| floored at this share of the largest
+_MAX_ITER = 50       # passes of the Newton loop
+_STENCIL_H = 1e-4    # finite-difference spacing in the chart of refine_on_sphere
+_TINY = np.finfo(float).tiny
 
 
-def _chart(u: np.ndarray, C: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The unit vectors normalize(u + C y) for the rows y of Y."""
-    X = u + Y @ C.T
-    return X / np.linalg.norm(X, axis=1, keepdims=True)
+def newton_on_sphere(value, derivatives, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Riemannian Newton (P.-A. Absil, R. Mahony and R. Sepulchre,
+    Optimization Algorithms on Matrix Manifolds, 2008) minimizing from each
+    row of U; returns the final rows and their values.
+
+    ``value(rows, X)`` gives values at the unit rows of X, and
+    ``derivatives(rows, X, C)`` the values, Riemannian gradients and
+    Hessians there in the tangent bases C = ``complements`` of X; ``rows``
+    are the indices of the starts.  A row moves in the chart
+    y -> normalize(u + C y).  The Hessian's eigenvalues have their
+    magnitudes floored at ``_EIG_FLOOR`` of the largest, and the step's
+    length is capped at 1.  Each pass takes the derivatives of the rows
+    still descending, and one ``value`` call tries their steps times 1, 1/2,
+    ..., 1/128; the least is taken only if it strictly lowers the row's
+    value.  A row stops when -grad . step (the Newton decrement, if the step
+    is not capped) falls below 1e-15 (1 + |f|), when no trial lowers f by as
+    much, or when its derivatives are not finite, which leaves a row whose
+    start value is not finite as it is; the loop ends after 50 passes.
+    Every value returned is attained at the row returned and never above
+    the start's.
+    """
+    U = np.array(U, dtype=float)
+    k, n = U.shape
+    f = np.empty(k)
+    live, u = np.arange(k), U.copy()   # the rows still descending
+    halvings = 0.5 ** np.arange(_HALVINGS)
+    for it in range(_MAX_ITER):
+        C = complements(u)
+        fr, grad, hess = derivatives(live, u, C)
+        if it == 0:
+            fu = np.array(fr, dtype=float)
+        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+            bad = ~(np.isfinite(grad).all(axis=1) & np.isfinite(hess).all(axis=(1, 2)))
+            grad[bad], hess[bad] = 0.0, 0.0   # a zero step, which stops the row
+        w, Q = np.linalg.eigh(hess)
+        w = np.abs(w)
+        w = np.maximum(w, np.maximum(_EIG_FLOOR * w.max(axis=1, keepdims=True), _TINY))
+        step = -(Q @ (Q.transpose(0, 2, 1) @ grad[:, :, None] / w[:, :, None]))[:, :, 0]
+        step /= np.maximum(1.0, np.sqrt((step * step).sum(axis=1, keepdims=True)))
+        basis, floor = C.transpose(0, 2, 1), 1e-15 * (1.0 + np.abs(fu))
+        go_on = -(grad * step).sum(axis=1) >= floor
+        if not go_on.all():
+            live, u, fu, step, basis, floor = _retire(go_on, U, f, live, u, fu, step, basis, floor)
+            if live.size == 0:
+                return U, f
+        cand = u[:, None, :] + (halvings[:, None] * step[:, None, :]) @ basis
+        cand /= np.sqrt((cand * cand).sum(axis=2, keepdims=True))
+        fc = np.asarray(value(np.repeat(live, _HALVINGS), cand.reshape(-1, n)), dtype=float)
+        fc = fc.reshape(len(live), _HALVINGS)
+        fc[np.isnan(fc)] = np.inf
+        best, fb = fc.argmin(axis=1), fc.min(axis=1)
+        go_on = fu - fb >= floor
+        better = fb < fu
+        u[better], fu[better] = cand[better, best[better]], fb[better]
+        if not go_on.all():
+            live, u, fu = _retire(go_on, U, f, live, u, fu)
+            if live.size == 0:
+                return U, f
+    U[live], f[live] = u, fu
+    return U, f
+
+
+def _retire(keep, U, f, live, u, fu, *state):
+    """Write the rows that stop back into U and f; return the others' state."""
+    U[live[~keep]], f[live[~keep]] = u[~keep], fu[~keep]
+    return tuple(a[keep] for a in (live, u, fu, *state))
 
 
 def refine_on_sphere(f_batch, u0: np.ndarray) -> tuple[np.ndarray, float]:
     """Riemannian Newton minimizing ``f_batch`` from ``u0``; returns (arg, value).
 
-    ``f_batch`` maps an array of unit vectors (k, dim) to values (k,); it is
-    only evaluated, never differentiated.  Each iteration works in the chart
-    y -> normalize(u + C y), C = ``complements`` of u, and makes one call on
-    u and the stencil +/- h e_i, h (e_i + e_j) (i < j, h = 1e-4), which gives
-    the central-difference gradient and the full Hessian.  As in the Casorati
-    Newton of ``ckv.submanifold``, the Hessian's eigenvalues have their
-    magnitudes floored, so the step descends; its length is capped at 1.  One
-    more call tries the step and its next seven halvings, and the least value
-    is taken only if it strictly lowers f; if none does, the eight halvings
-    after those follow, for as long as the decrease the gradient predicts for
-    them is at least 1e-15 (1 + |f|).  The refine stops when the full step's
-    predicted decrease (the Newton decrement, if the step is not capped)
-    falls below that, when no halving lowers f, when the step it takes lowers
-    f by less, when the stencil is not finite, or after 50 iterations.
-
-    Every value it returns is ``f_batch`` at the direction it returns and is
-    never above f(u0).  Gradient noise of about eps |f| / h moves the point it
-    stops at, but costs only about its square in the value.  Deterministic.
+    ``f_batch`` maps unit vectors (k, dim) to values (k,) and is only
+    evaluated.  ``newton_on_sphere`` gets the gradient and full Hessian in
+    its chart from central differences, one call on u and the stencil
+    +/- h e_i, h (e_i + e_j) (i < j, h = 1e-4).  Every value returned is
+    ``f_batch`` at the direction returned and is never above f(u0); gradient
+    noise of about eps |f| / h costs only about its square in the value.
     """
-    u = np.asarray(u0, dtype=float)
-    u = u / np.linalg.norm(u)
-    d = u.shape[0] - 1
+    u0 = np.asarray(u0, dtype=float)
+    d = u0.shape[0] - 1
     eye = np.eye(d)
     i, j = np.triu_indices(d, 1)
     stencil = _STENCIL_H * np.concatenate([np.zeros((1, d)), eye, -eye, eye[i] + eye[j]])
-    halvings = 0.5 ** np.arange(_HALVINGS)
-    f = None
-    for _ in range(_MAX_ITER):
-        C = complements(u[None, :])[0]
-        vals = np.asarray(f_batch(_chart(u, C, stencil)), dtype=float)
-        center, plus, minus, mixed = vals[0], vals[1:d + 1], vals[d + 1:2 * d + 1], vals[2 * d + 1:]
-        f = float(center) if f is None else f
-        if not np.all(np.isfinite(vals)):
-            break
-        hess = np.diag(plus + minus - 2.0 * center)
-        hess[i, j] = hess[j, i] = mixed - plus[i] - plus[j] + center
-        w, Q = np.linalg.eigh(hess / _STENCIL_H ** 2)
-        w = np.abs(w)
-        w = np.maximum(w, max(_EIG_FLOOR * w.max(), np.finfo(float).tiny))
-        grad = (plus - minus) / (2.0 * _STENCIL_H)
-        step = -(Q @ (Q.T @ grad / w))
-        step /= max(1.0, float(np.linalg.norm(step)))
-        drop = -float(grad @ step)   # to first order, t * step lowers f by t * drop
-        floor = 1e-15 * (1.0 + abs(f))
-        t = halvings
-        while t[0] * drop >= floor:
-            cand = _chart(u, C, t[:, None] * step)
-            fc = np.asarray(f_batch(cand), dtype=float)
-            best = int(np.argmin(np.where(np.isnan(fc), np.inf, fc)))
-            if fc[best] < f:
-                break
-            t = t * 0.5 ** _HALVINGS
-        else:
-            break
-        u, f, gain = cand[best], float(fc[best]), f - float(fc[best])
-        if gain < floor:
-            break
-    return u, f
+    entry = np.diag(np.arange(d))   # the column of [diagonal | pairs] holding each entry
+    entry[i, j] = entry[j, i] = d + np.arange(len(i))
+
+    def derivatives(rows, X, C):
+        pts = X[:, None, :] + stencil @ C.transpose(0, 2, 1)
+        pts /= np.sqrt((pts * pts).sum(axis=2, keepdims=True))
+        vals = np.asarray(f_batch(pts.reshape(-1, d + 1)), dtype=float).reshape(len(X), -1)
+        center, plus = vals[:, :1], vals[:, 1:d + 1]
+        minus, mixed = vals[:, d + 1:2 * d + 1], vals[:, 2 * d + 1:]
+        entries = np.concatenate([plus + minus - 2.0 * center,
+                                  mixed - plus[:, i] - plus[:, j] + center], axis=1)
+        hess = entries[:, entry.ravel()].reshape(-1, d, d) / _STENCIL_H ** 2
+        return center[:, 0], (plus - minus) / (2.0 * _STENCIL_H), hess
+
+    U, f = newton_on_sphere(lambda rows, X: f_batch(X), derivatives, u0[None] / np.linalg.norm(u0))
+    return U[0], float(f[0])
 
 
 def extremize_on_sphere(f_batch, dim: int, values: np.ndarray) -> tuple[np.ndarray, float]:

@@ -38,6 +38,7 @@ from .spheresearch import (
     extremize_on_sphere,
     layout_complements,
     layout_monomials,
+    newton_on_sphere,
     quadratic_monomials,
     sphere_samples,
 )
@@ -510,9 +511,6 @@ class CasoratiCurvatures:
 
 # Newton starts per extremum; a single start misses separated basins.
 CASORATI_STARTS = 8
-_NEWTON_MAX_ITER = 60
-_NEWTON_STEP_FLOOR = 2.0 ** -30   # a row stops after 30 failed halvings in a row
-_NEWTON_EIG_FLOOR = 1e-8          # |Hessian eigenvalues| floored at this share of the largest
 
 
 @dataclass(frozen=True)
@@ -520,7 +518,7 @@ class _Quartic:
     """F(u) = ||h||^2 - 2 u^T S u + sum_r (u^T h_r u)^2 with S = sum_r h_r^2,
     over the nonzero slices h_r; C(L) = F(u) / (n - 1) for the hyperplane
     with unit normal u.  ``coeffs`` turns the quadratic monomials of u into
-    the forms (u^T S u, u^T h_1 u, ...)."""
+    the forms (u^T S u, u^T h_1 u, ...), one form per row."""
 
     h: np.ndarray
     S: np.ndarray
@@ -533,18 +531,34 @@ class _Quartic:
         S = np.einsum("rab,rbc->ac", h, h)
         forms = np.concatenate([S[None], h])
         iu, ju = np.triu_indices(S.shape[0])
-        coeffs = forms[:, iu, ju].T * np.where(iu == ju, 1.0, 2.0)[:, None]
+        coeffs = forms[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)
         return cls(h=h, S=S, h_sq=float(np.sum(h * h)), coeffs=coeffs)
 
     def values(self, monomials: np.ndarray) -> np.ndarray:
-        """F at the rows whose quadratic monomials are given (see
-        ``quadratic_monomials``)."""
-        forms = monomials @ self.coeffs
-        q = forms[:, 1:]
-        return self.h_sq - 2.0 * forms[:, 0] + np.einsum("kr,kr->k", q, q)
+        """F at the rows whose ``quadratic_monomials`` are given."""
+        forms = self.coeffs @ monomials.T
+        q = forms[1:]
+        return self.h_sq - 2.0 * forms[0] + np.einsum("rk,rk->k", q, q)
 
     def at(self, U: np.ndarray) -> np.ndarray:
         return self.values(quadratic_monomials(U))
+
+    def derivatives(self, U: np.ndarray, C: np.ndarray, sign: np.ndarray):
+        """sign * F at the unit rows u of U with its Riemannian gradient and
+        Hessian in the bases C: with q_r = u^T h_r u and A = sum_r q_r h_r - S,
+        F = ||h||^2 - |q|^2 + 2 u^T A u, grad F = 4 A u and the Hessian is
+        C^T (4 (A + 2 sum_r h_r u (h_r u)^T) - <u, grad F> I) C."""
+        k, n = U.shape
+        hu = (U @ self.h.transpose(1, 0, 2).reshape(n, -1)).reshape(k, -1, n)
+        q = np.einsum("kra,ka->kr", hu, U)
+        A = (q @ self.h.reshape(len(self.h), n * n)).reshape(-1, n, n) - self.S
+        Au = np.einsum("kab,kb->ka", A, U)
+        uAu = np.einsum("ka,ka->k", U, Au)
+        F = self.h_sq - np.einsum("kr,kr->k", q, q) + 2.0 * uAu
+        A += 2.0 * (hu.transpose(0, 2, 1) @ hu) - uAu[:, None, None] * np.eye(n)
+        s = 4.0 * sign
+        return (sign * F, s[:, None] * np.einsum("kab,ka->kb", C, Au),
+                s[:, None, None] * (C.transpose(0, 2, 1) @ A @ C))
 
 
 def _hyperplane_values(sub: SubmanifoldPoint, U: np.ndarray) -> np.ndarray:
@@ -579,60 +593,6 @@ def _one_slice_extrema(h1: np.ndarray):
     return float(edge[i, j]), umin, total - float(sq[k]), V[:, k].copy()
 
 
-def _newton_on_sphere(quartic: _Quartic, U: np.ndarray, sign: np.ndarray):
-    """Batched Riemannian Newton on sign * F from the rows of U.
-
-    Closed-form derivatives: gradient 4 A u and Hessian 4 (A + 2 sum_r h_r u
-    (h_r u)^T) with A = sum_r q_r h_r - S and q_r = u^T h_r u.  The
-    Riemannian Hessian P (Hess - <u, grad> I) P (P = I - u u^T) has its
-    eigenvalues' magnitudes floored, so every step descends; the step is
-    retracted by normalising and kept only if it strictly lowers sign * F,
-    otherwise that row's step halves.  A row stops when its Newton decrement
-    falls below 1e-15 (1 + |F|) or its step below ``_NEWTON_STEP_FLOOR``;
-    rows where F is not finite are left as they are.  Returns the final rows
-    and their values of F.
-    """
-    h, S = quartic.h, quartic.S
-    n = U.shape[1]
-    h_flat = h.reshape(len(h), n * n)
-    eye = np.eye(n)
-    U = U.copy()
-    f = sign * quartic.at(U)
-    step = np.ones(len(U))
-    active = np.flatnonzero(np.isfinite(f))
-    for _ in range(_NEWTON_MAX_ITER):
-        if active.size == 0:
-            break
-        u, s = U[active], 4.0 * sign[active]
-        hu = np.einsum("rab,kb->kra", h, u)
-        q = np.einsum("kra,ka->kr", hu, u)
-        A = (q @ h_flat).reshape(-1, n, n) - S
-        grad = s[:, None] * np.einsum("kab,kb->ka", A, u)
-        radial = np.einsum("ka,ka->k", u, grad)
-        grad -= radial[:, None] * u
-        hess = s[:, None, None] * (A + 2.0 * (hu.transpose(0, 2, 1) @ hu))
-        proj = eye - u[:, :, None] * u[:, None, :]
-        w, Q = np.linalg.eigh(proj @ (hess - radial[:, None, None] * eye) @ proj)
-        w = np.abs(w)
-        w = np.maximum(w, np.maximum(_NEWTON_EIG_FLOOR * w.max(axis=1, keepdims=True),
-                                     np.finfo(float).tiny))
-        c = np.einsum("kab,ka->kb", Q, grad) / w
-        decrement = np.einsum("kb,kb->k", c, c * w)
-        live = decrement >= 1e-15 * (1.0 + np.abs(f[active]))
-        d = -np.einsum("kab,kb->ka", Q, c)
-        d -= np.einsum("ka,ka->k", d, u)[:, None] * u
-        length = np.sqrt(np.einsum("ka,ka->k", d, d))
-        cand = u + (step[active] / np.maximum(length, 1.0))[:, None] * d
-        cand /= np.sqrt(np.einsum("ka,ka->k", cand, cand))[:, None]
-        fc = sign[active] * quartic.at(cand)
-        better = live & (fc < f[active])
-        rows = active[better]
-        U[rows], f[rows], step[rows] = cand[better], fc[better], 1.0
-        step[active[live & ~better]] *= 0.5
-        active = active[live & (step[active] >= _NEWTON_STEP_FLOOR)]
-    return U, sign * f
-
-
 def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
     """Casorati curvature C, hyperplane inf/sup of C(L), and the normalized
     delta invariants delta_c(n-1) = C/2 + (n+1)/(2n) inf C(L) and
@@ -641,10 +601,10 @@ def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
     C(L) = F(u) / (n - 1) with F(u) = ||h||^2 - 2 u^T S u + sum_r (u^T h_r u)^2
     and S = sum_r h_r^2.  With at most one nonzero slice of h the extrema are
     closed forms (``_one_slice_extrema``).  Otherwise F is evaluated on the
-    deterministic sphere layout of ``LAYOUT_SIZE`` directions, and batched
-    Riemannian Newton (``_newton_on_sphere``) polishes the
-    ``CASORATI_STARTS`` lowest and highest layout points; each extremum is
-    the best polished value, which is never worse than the layout's.
+    deterministic sphere layout of ``LAYOUT_SIZE`` directions, and
+    ``newton_on_sphere`` polishes the ``CASORATI_STARTS`` lowest and highest
+    layout points (the highest on -F) with ``_Quartic.derivatives``; each
+    extremum is the best polished value, never worse than the layout's.
 
     Deterministic; memoized on the point (the search is the dominant cost and
     several inequality checks share it).  The argument arrays are read-only.
@@ -665,7 +625,10 @@ def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
         lows = np.argpartition(vals, K - 1)[:K]
         highs = np.argpartition(vals, -K)[-K:]
         starts = np.concatenate([U0[lows], U0[highs]])
-        U, F = _newton_on_sphere(quartic, starts, np.repeat([1.0, -1.0], K))
+        sign = np.repeat([1.0, -1.0], K)   # the highs descend on -F
+        U, F = newton_on_sphere(lambda rows, X: sign[rows] * quartic.at(X),
+                                lambda rows, X, C: quartic.derivatives(X, C, sign[rows]), starts)
+        F *= sign
         lo, hi = int(np.argmin(F[:K])), K + int(np.argmax(F[K:]))
         inf_f, umin, sup_f, umax = float(F[lo]), U[lo], float(F[hi]), U[hi]
     umin.setflags(write=False)

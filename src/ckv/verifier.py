@@ -58,6 +58,7 @@ __all__ = [
     "CROSS_TOL",
     "EQUALITY_THEOREM",
     "applicable_theorems",
+    "theorem_ids_problem",
     "PlaneInvariants",
     "plane_invariants",
     "VerdictReport",
@@ -81,6 +82,16 @@ _SHAPE_TOL = 1e-8    # equality-pattern diagnostics
 
 def applicable_theorems(kind: int) -> tuple[str, ...]:
     return THEOREMS_FIRST if kind == KIND_FIRST else THEOREMS_SECOND
+
+
+def theorem_ids_problem(ids) -> str | None:
+    """Why a list of theorem ids is unusable (an unknown or repeated id), or None."""
+    for pos, tid in enumerate(ids):
+        if tid not in THEOREMS_FIRST + THEOREMS_SECOND:
+            return f"unknown theorem id {tid!r}"
+        if tid in ids[:pos]:
+            return f"theorem {tid!r} is named twice"
+    return None
 
 
 def _require_kind(sub: SubmanifoldPoint, theorem_id: str):

@@ -1,12 +1,13 @@
-"""The Riemannian Newton refine of ``ckv.spheresearch`` on functions whose
-minimum is known, smooth and not."""
+"""The Riemannian Newton loop of ``ckv.spheresearch`` and its
+finite-difference refine, on functions whose minimum is known, smooth and
+not."""
 
 import numpy as np
 import pytest
 
 from ckv.fuzz import FuzzConfig, random_scenario
 from ckv.scenario import parse_scenario
-from ckv.spheresearch import refine_on_sphere, sphere_samples
+from ckv.spheresearch import newton_on_sphere, refine_on_sphere, sphere_samples
 from ckv.submanifold import _partial_ricci_min
 
 
@@ -70,3 +71,53 @@ def test_refine_reaches_the_least_eigenvalue_in_few_calls(n):
 def test_refine_keeps_a_minimizer(f, u0, least):
     u, value = refine_on_sphere(f, u0)
     assert value == least and np.array_equal(u, u0 / np.linalg.norm(u0))
+
+
+def _rayleigh_batch(Qs, sign):
+    """value and derivatives of sign_i u^T Q_i u, one symmetric Q_i per row:
+    the Riemannian gradient 2 s C^T Q u and Hessian 2 s C^T Q C - 2 f I."""
+    def value(rows, X):
+        return sign[rows] * np.einsum("ka,kab,kb->k", X, Qs[rows], X)
+
+    def derivatives(rows, X, C):
+        s, QX = sign[rows], np.einsum("kab,kb->ka", Qs[rows], X)
+        f = s * np.einsum("ka,ka->k", X, QX)
+        grad = 2.0 * s[:, None] * np.einsum("kai,ka->ki", C, QX)
+        hess = 2.0 * s[:, None, None] * (C.transpose(0, 2, 1) @ Qs[rows] @ C)
+        return f, grad, hess - 2.0 * f[:, None, None] * np.eye(X.shape[1] - 1)
+    return value, derivatives
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_newton_reaches_each_rows_extreme_eigenvalue(n):
+    rng = np.random.default_rng(97 + n)
+    A = rng.standard_normal((6, n, n)) * rng.uniform(0.1, 10.0, (6, 1, 1))
+    Qs = (A + A.transpose(0, 2, 1)) / 2.0
+    sign = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])   # the last row climbs to lambda_max
+    U0 = rng.standard_normal((6, n))
+    U0 /= np.linalg.norm(U0, axis=1, keepdims=True)
+    U, f = newton_on_sphere(*_rayleigh_batch(Qs, sign), U0)
+    lam = np.linalg.eigvalsh(Qs)
+    target = np.where(sign > 0, lam[:, 0], -lam[:, -1])
+    assert np.all(np.abs(f - target) <= 1e-12 * (1.0 + np.abs(target)))
+    assert np.allclose(np.linalg.norm(U, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert np.array_equal(f, _rayleigh_batch(Qs, sign)[0](np.arange(6), U))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_newton_leaves_a_non_finite_row_and_converges_the_others(bad):
+    rng = np.random.default_rng(101)
+    A = rng.standard_normal((3, 4, 4))
+    Qs = (A + A.transpose(0, 2, 1)) / 2.0
+    Qs[1, 0, 0] = bad
+    U0 = rng.standard_normal((3, 4))
+    U0 /= np.linalg.norm(U0, axis=1, keepdims=True)
+    value, derivatives = _rayleigh_batch(Qs, np.ones(3))
+
+    def quiet(rows, X, C):
+        with np.errstate(invalid="ignore"):
+            return derivatives(rows, X, C)
+    U, f = newton_on_sphere(value, quiet, U0)
+    assert np.array_equal(U[1], U0[1]) and not np.isfinite(f[1])
+    lam = np.linalg.eigvalsh(Qs[[0, 2]])[:, 0]
+    assert np.all(np.abs(f[[0, 2]] - lam) <= 1e-12 * (1.0 + np.abs(lam)))

@@ -621,6 +621,27 @@ def test_casorati_extrema_bound_every_hyperplane(seed, scale):
         assert cas.inf_CL - slack <= value <= cas.sup_CL + slack
 
 
+@pytest.mark.parametrize("kind", [1, 2])
+def test_casorati_extrema_are_stationary(kind):
+    # the Riemannian gradient of F(u) = ||h||^2 - 2 u^T S u + sum_r (u^T h_r u)^2,
+    # written out here, vanishes at both returned normals; a Newton loop that
+    # stops early leaves it far above the bound
+    checked = 0
+    for n, m in ((3, 2), (3, 3), (4, 3), (5, 3), (6, 4)):
+        for i in range(30):
+            sub = parse_scenario(random_scenario(i, FuzzConfig(seed=61, kind=kind, n=n, m=m))).sub
+            if np.count_nonzero(np.any(sub.h != 0.0, axis=(1, 2))) < 2:
+                continue
+            cas = casorati(sub)
+            S = np.einsum("rab,rbc->ac", sub.h, sub.h)
+            for u in (cas.argmin_u, cas.argmax_u):
+                q = np.einsum("a,rab,b->r", u, sub.h, u)
+                grad = 4.0 * (np.einsum("r,rab,b->a", q, sub.h, u) - S @ u)
+                assert np.linalg.norm(grad - (u @ grad) * u) <= 1e-6 * (1.0 + sub.h_norm_sq)
+                checked += 1
+    assert checked >= 250
+
+
 def test_casorati_overflowing_h_does_not_raise():
     hhat = _random_two_slice_hhat(np.random.default_rng(5))
     hhat[0, 0, 0] = 1e200
