@@ -272,10 +272,14 @@ def load_scenario(path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError("$", f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError("$", f"not UTF-8 text: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError("$", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ScenarioError("$", "invalid JSON: nested too deeply") from None
 
 
 def save_scenario(path, data: dict):

@@ -10,8 +10,9 @@ Newton loop, ``newton_on_sphere``; a caller supplies only values and
 derivatives.  The Casorati search (``ckv.submanifold``) evaluates its
 quartic on the layout through ``layout_monomials`` and has closed-form
 derivatives.  The k-Ricci search (k < n on n >= 4) picks the least layout
-value of the exact plane infimum, which its caller computes from the
-spectra of S_x in the Householder bases of ``layout_complements``, and
+value of the plane infimum, which its caller computes from the spectra of
+S_x on the complements of the layout directions, with ``layout_monomials``
+and the reflections of ``layout_householder``, and
 ``extremize_on_sphere`` polishes it with ``refine_on_sphere``, which takes
 derivatives from finite differences of the values alone.  The refine
 evaluates its start and every step exactly, so each value it returns is
@@ -79,23 +80,33 @@ def layout_monomials(dim: int) -> np.ndarray:
     return _frozen(quadratic_monomials(sphere_samples(dim)))
 
 
-def complements(U: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of the complements of the unit rows u of U, shape
-    (k, dim, dim - 1): the last dim - 1 columns of the Householder reflection
-    H = I - v v^T / (1 + |u_0|), v = u + s e_0 with s = copysign(1, u_0),
-    which maps e_0 to -s u."""
+def householder(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Householder reflections H = I - v v^T / w of the unit rows u of U,
+    as (v, w) of shapes (k, dim) and (k,): v = u + s e_0 with
+    s = copysign(1, u_0) and w = 1 + |u_0| = |v|^2 / 2, so that H maps e_0
+    to -s u.  The one owner of the sign convention of ``complements``."""
     w = 1.0 + np.abs(U[:, 0])
     v = U.copy()
     v[:, 0] = np.copysign(w, U[:, 0])
+    return v, w
+
+
+def complements(U: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the complements of the unit rows u of U, shape
+    (k, dim, dim - 1): the last dim - 1 columns of the reflection H of
+    ``householder``."""
+    v, w = householder(U)
     C = (v / -w[:, None])[:, :, None] * U[:, None, 1:]
     C[:, 1:] += np.eye(U.shape[1] - 1)
     return C
 
 
 @functools.cache
-def layout_complements(dim: int) -> np.ndarray:
-    """``complements`` of ``sphere_samples(dim)``, cached and read-only."""
-    return _frozen(complements(sphere_samples(dim)))
+def layout_householder(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``householder`` of ``sphere_samples(dim)`` with v transposed to shape
+    (dim, LAYOUT_SIZE), one row per coordinate; cached and read-only."""
+    v, w = householder(sphere_samples(dim))
+    return _frozen(np.ascontiguousarray(v.T)), _frozen(w)
 
 
 _HALVINGS = 8        # step lengths tried per row in each value call

@@ -36,7 +36,7 @@ from .spheresearch import (
     LAYOUT_SIZE,
     complements,
     extremize_on_sphere,
-    layout_complements,
+    layout_householder,
     layout_monomials,
     newton_on_sphere,
     quadratic_monomials,
@@ -342,7 +342,10 @@ class ThetaEstimate:
     samples: int
 
 
-_THETA_CHUNK = 1024   # layout rows per stacked matrix build; bounds the batch's memory
+# Layout rows per pass of ``_layout_entries``: bounds the memory of its
+# temporaries and keeps them small enough to reuse freed pages, where the
+# whole layout at once costs page faults on every point.
+_THETA_CHUNK = 1024
 
 
 def _finite(form: np.ndarray) -> np.ndarray:
@@ -389,9 +392,10 @@ def _partial_ricci_min(sub: SubmanifoldPoint, X: np.ndarray, k: int) -> np.ndarr
     return np.sum(spectra[:, : k - 1], axis=1)
 
 
-def _eigvalsh3(M: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a stack of symmetric 3x3 matrices in closed
-    form.
+def _eigvalsh3(u: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of symmetric 3x3 matrices in closed form, one
+    matrix per column of the entry rows u = (m00, m11, m22, m01, m02, m12),
+    shape (6, k); returns shape (k, 3).
 
     The trigonometric formula (O. K. Smith, Comm. ACM 4, 1961; J. Kopp,
     arXiv:physics/0610206): with q = tr M / 3, B = M - q I and
@@ -401,7 +405,6 @@ def _eigvalsh3(M: np.ndarray) -> np.ndarray:
     neither overflow nor underflow on any finite input.  The error is about
     sqrt(eps) * ||M||_F at worst, at near-double eigenvalues.
     """
-    u = M.reshape(len(M), 9).T[[0, 4, 8, 1, 2, 5]]   # rows m00 m11 m22 m01 m02 m12
     _, e = np.frexp(np.max(np.abs(u), axis=0))
     m00, m11, m22, m01, m02, m12 = np.ldexp(u, -e)
     q = (m00 + m11 + m22) / 3.0
@@ -417,22 +420,69 @@ def _eigvalsh3(M: np.ndarray) -> np.ndarray:
     return np.stack([np.ldexp(v, e) for v in (lo, 3.0 * q - lo - hi, hi)], axis=1)
 
 
+def _entry_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each entry row of a symmetric dim x dim matrix in
+    the order of ``_layout_entries``: the diagonal, then the strict upper
+    triangle in ``np.triu_indices`` order (m00 m11 m22 m01 m02 m12 on dim 3)."""
+    i, j = np.triu_indices(dim, 1)
+    diag = np.arange(dim)
+    return np.concatenate([diag, i]), np.concatenate([diag, j])
+
+
+def _entry_stack(E: np.ndarray, dim: int) -> np.ndarray:
+    """The symmetric (k, dim, dim) stack whose entry rows are E."""
+    I, J = _entry_indices(dim)
+    M = np.empty((E.shape[1], dim, dim))
+    M[:, I, J] = M[:, J, I] = E.T
+    return M
+
+
+def _layout_entries(sub: SubmanifoldPoint):
+    """Yield the matrices of ``_direction_matrices`` at the layout
+    directions, as entry rows (``_entry_indices``) of shape
+    (n (n - 1) / 2, rows), one ``_THETA_CHUNK`` of rows at a time.
+
+    S_x is quadratic in x: its upper entries are one GEMM of a coefficient
+    table (``_theta_form`` symmetrized in both index pairs, over the
+    quadratic monomials) with ``layout_monomials``.  With H = I - v v^T / w
+    from ``layout_householder``, s = S_x v and beta = v^T s, the matrix on
+    x^perp is C^T S_x C = (S_x - (v s^T + s v^T) / w + beta v v^T / w^2)
+    restricted to the last n - 1 rows and columns, symmetric by construction.
+    It is computed as S_x - (v z^T + z v^T) with z = (s - beta v / (2 w)) / w.
+    """
+    n = sub.n
+    T = _theta_form(sub).reshape(n, n, n, n)   # [a, d, b, c]; S_x[b, c] sums x_a x_d
+    T = T + T.transpose(1, 0, 2, 3)
+    T = (T + T.transpose(0, 1, 3, 2)) / 4.0
+    iu, ju = np.triu_indices(n)
+    table = (T[iu, ju] * np.where(iu == ju, 1.0, 2.0)[:, None, None])[:, iu, ju].T
+    pack = np.empty((n, n), dtype=np.intp)   # the entry of S_x holding [b, c]
+    pack[iu, ju] = pack[ju, iu] = np.arange(len(iu))
+    I, J = _entry_indices(n - 1)
+    I, J = I + 1, J + 1
+    mono, (V, W) = layout_monomials(n), layout_householder(n)
+    for lo in range(0, LAYOUT_SIZE, _THETA_CHUNK):
+        rows = slice(lo, lo + _THETA_CHUNK)
+        S = table @ mono[rows].T
+        v, r = V[:, rows], 1.0 / W[rows]
+        s = np.einsum("ijk,jk->ik", S[pack], v)
+        z = r * s - (0.5 * r * r * np.einsum("ik,ik->k", v, s)) * v
+        yield _finite(S[pack[I, J]] - (v[I] * z[J] + z[I] * v[J]))
+
+
 def _layout_spectra(sub: SubmanifoldPoint) -> np.ndarray:
     """Spectra of S_x on x^perp at every layout direction, shape
     (LAYOUT_SIZE, n - 1), from which ``theta_k`` picks the start of its
-    refine.  Closed-form on n = 4 (``_eigvalsh3``), ``eigvalsh`` on n >= 5;
-    each ``_THETA_CHUNK``-row chunk's matrices are built and reduced to
-    spectra together.  They do not depend on k, so every k < n shares them;
-    memoized and read-only.
+    refine.  Each chunk of ``_layout_entries`` goes to ``_eigvalsh3`` on
+    n = 4 and to ``eigvalsh`` of its ``_entry_stack`` on n >= 5.  They do
+    not depend on k, so every k < n shares them; memoized and read-only.
     """
     spectra = sub.cache.get("theta_spectra")
     if spectra is None:
-        n = sub.n
-        X, C = sphere_samples(n), layout_complements(n)
-        eig = _eigvalsh3 if n == 4 else np.linalg.eigvalsh
+        d = sub.n - 1
         spectra = np.concatenate([
-            eig(_direction_matrices(sub, X[lo:lo + _THETA_CHUNK], C[lo:lo + _THETA_CHUNK]))
-            for lo in range(0, LAYOUT_SIZE, _THETA_CHUNK)
+            _eigvalsh3(E) if d == 3 else np.linalg.eigvalsh(_entry_stack(E, d))
+            for E in _layout_entries(sub)
         ])
         spectra.setflags(write=False)
         sub.cache["theta_spectra"] = spectra
@@ -460,9 +510,10 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     a Householder basis) and ``extremize_on_sphere`` minimizes it over the
     ``LAYOUT_SIZE`` layout directions, refining from the least layout
     value by Riemannian Newton (``refine_on_sphere``); the layout spectra
-    (``_layout_spectra``, closed-form 3x3 eigenvalues on n = 4) are computed
-    once per point and shared by every k.  They only pick the start: the
-    refine evaluates the start and every step it takes with the exact
+    (``_layout_spectra``: matrices from cached monomials and a Householder
+    rank-2 update, closed-form 3x3 eigenvalues on n = 4) are computed once
+    per point and shared by every k.  They only pick the start: the refine
+    evaluates the start and every step it takes with the exact
     ``_partial_ricci_min``, so the value returned is attained at a concrete
     direction.  Raises ValueError when the curvature data overflows.
     """

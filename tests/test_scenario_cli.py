@@ -258,6 +258,18 @@ def test_cli_validate_malformed(tmp_path, capsys):
     assert "ambient.phi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "verify"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "deeply-nested"])
+def test_cli_unreadable_json_is_an_input_error(tmp_path, capsys, command, content):
+    path = tmp_path / "scn.json"
+    path.write_bytes(content)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: $: ") and len(captured.err.splitlines()) == 1
+
+
 def test_cli_verify_table_and_exit(tmp_path, capsys):
     path = _write(tmp_path, _equality_scenario())
     assert main(["verify", path, "--theorems", "3.1,3.3,3.5i"]) == 0

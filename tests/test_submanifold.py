@@ -12,7 +12,7 @@ from ckv.scenario import parse_scenario
 from ckv.spheresearch import (
     LAYOUT_SIZE,
     complements,
-    layout_complements,
+    layout_householder,
     quadratic_monomials,
     refine_on_sphere,
     sphere_samples,
@@ -21,6 +21,8 @@ from ckv.submanifold import (
     _THETA_CHUNK,
     _direction_matrices,
     _eigvalsh3,
+    _entry_stack,
+    _layout_entries,
     _partial_ricci_min,
     attach,
     casorati,
@@ -353,8 +355,9 @@ def test_theta_layout_spectrum_is_shared(kind):
         for key in ("theta_form", "theta_spectra"):
             with pytest.raises(ValueError):
                 forward.cache[key][0, 0] = 0.0
-    with pytest.raises(ValueError):
-        layout_complements(4)[0, 0, 0] = 0.0
+    for arr in layout_householder(4):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def _spectra_with_gaps(rng, count, gap, pattern):
@@ -381,7 +384,7 @@ def test_eigvalsh3_is_within_its_bound(scale):
             A = np.einsum("kij,kj,klj->kil", Q, w, Q)
             stacks.append((A + A.transpose(0, 2, 1)) / 2.0)
     A = np.concatenate(stacks) * scale
-    w = _eigvalsh3(A)
+    w = _eigvalsh3(A.reshape(len(A), 9).T[[0, 4, 8, 1, 2, 5]])   # m00 m11 m22 m01 m02 m12
     norm = np.sqrt(np.sum((A / scale) ** 2, axis=(1, 2))) * scale
     assert np.all(np.abs(w - np.linalg.eigvalsh(A)) <= 2e-8 * norm[:, None])
     assert np.all(w[0] == 0.0)
@@ -396,10 +399,6 @@ def test_theta_closed_form_start_matches_the_exact_start(kind):
         sub = parse_scenario(random_scenario(i, cfg)).sub
         for k in (2, 3):
             assert theta_k(sub, k).value == _theta_search(sub, k), (i, k)
-    # the layout spectra are the closed form's, within its accuracy
-    M = _direction_matrices(sub, sphere_samples(4), layout_complements(4))
-    error = np.abs(sub.cache["theta_spectra"] - np.linalg.eigvalsh(M))
-    assert np.all(error <= 2e-8 * np.sqrt(np.sum(M * M, axis=(1, 2)))[:, None])
 
 
 def test_theta_on_constant_curvature():
@@ -416,11 +415,35 @@ def test_theta_n5_is_unscreened():
     sub = _random_sub(45, 1, n=5, m=3)
     for k in (2, 3, 4):
         assert theta_k(sub, k).value == _theta_search(sub, k), k
-    X, C = sphere_samples(5), layout_complements(5)
-    exact = np.concatenate([
-        np.linalg.eigvalsh(_direction_matrices(sub, X[c], C[c])) for c in _LAYOUT_CHUNKS
-    ])
+    exact = np.concatenate([np.linalg.eigvalsh(_entry_stack(E, 4)) for E in _layout_entries(sub)])
     assert np.array_equal(sub.cache["theta_spectra"], exact)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_layout_spectra_match_the_exact_evaluator(n, kind):
+    # the layout matrices come from monomials and a rank-2 update, not from
+    # ``_direction_matrices``; their spectra agree with its LAPACK spectra
+    # within the closed form's accuracy on n = 4 and within rounding on n >= 5
+    X = sphere_samples(n)
+    C = complements(X)
+    for i in range(3):
+        sub = parse_scenario(random_scenario(i, FuzzConfig(seed=66, kind=kind, n=n, m=n - 1))).sub
+        theta_k(sub, 2)
+        M = _direction_matrices(sub, X, C)
+        norm = np.sqrt(np.sum(M * M, axis=(1, 2)))[:, None]
+        error = np.abs(sub.cache["theta_spectra"] - np.linalg.eigvalsh(M))
+        assert np.all(error <= (2e-8 * norm if n == 4 else 1e-13 * (1.0 + norm))), i
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_theta_n6_matches_the_search(kind):
+    cfg = FuzzConfig(seed=67, kind=kind, n=6, m=3)
+    for i in range(2):
+        sub = parse_scenario(random_scenario(i, cfg)).sub
+        for k in (2, 3, 5):
+            est = theta_k(sub, k)
+            assert est.mode == "multistart" and est.value == _theta_search(sub, k), (i, k)
 
 
 @pytest.mark.parametrize("kind", [1, 2])
