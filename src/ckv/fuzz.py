@@ -65,7 +65,6 @@ class FuzzReport:
     max_cross_residual: float = 0.0
     min_q: float = float("inf")
     min_cauchy_schwarz: float = float("inf")
-    theta_advisory: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -87,7 +86,6 @@ class FuzzReport:
                 "min_q": self.min_q if self.instances else None,
                 "min_cauchy_schwarz": self.min_cauchy_schwarz if self.instances else None,
             },
-            "theta_advisory": self.theta_advisory,
             "findings": self.findings,
         }
 
@@ -261,12 +259,6 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
             prev = report.min_slack.get(tid)
             if prev is None or verdict.slack < prev:
                 report.min_slack[tid] = verdict.slack
-            if "theta_advisory" in verdict.diagnostics:
-                report.theta_advisory.append({
-                    "instance": index,
-                    "advisory_theta": verdict.diagnostics["theta_advisory"],
-                    "exact_theta": verdict.diagnostics["theta_exact_k_n"],
-                })
             if not verdict.holds:
                 minimized = minimize_finding(data, check, cfg.kind, cfg.tol)
                 report.findings.append({

@@ -126,27 +126,8 @@ def parse_scenario(data: dict) -> ParsedScenario:
     kappa = _number(_need(amb, "kappa", "ambient"), "ambient.kappa")
     mu_contact = _number(_need(amb, "mu_contact", "ambient"), "ambient.mu_contact")
     c = _number(_need(amb, "c", "ambient"), "ambient.c")
-    if "generator" in amb:
-        gen = amb["generator"]
-        if not isinstance(gen, dict):
-            raise ScenarioError("ambient.generator", "expected an object")
-        seed = _integer(_need(gen, "seed", "ambient.generator"), "ambient.generator.seed")
-        scale = _number(gen.get("hprime_scale", 1.0), "ambient.generator.hprime_scale")
-        strict = gen.get("strict_kmu", False)
-        if not isinstance(strict, bool):
-            raise ScenarioError("ambient.generator.strict_kmu",
-                                f"expected true or false, got {json.dumps(strict)}")
-        try:
-            model = random_point(m, kappa, mu_contact, c, seed, scale, strict)
-        except ValueError as exc:
-            raise ScenarioError("ambient.generator", str(exc)) from None
-    else:
-        phi = _matrix(_need(amb, "phi", "ambient"), d, d, "ambient.phi")
-        xi = _vector(_need(amb, "xi", "ambient"), d, "ambient.xi")
-        hprime = _matrix(_need(amb, "hprime", "ambient"), d, d, "ambient.hprime")
-        model = ContactPointModel(m=m, phi=phi, xi=xi, hprime=hprime,
-                                  kappa=kappa, mu_contact=mu_contact, c=c)
-
+    # the connection's explicit P and D bound d by the file's own size, so
+    # they are checked before a generator allocates O(d^2)
     con = _need(data, "connection", "$")
     if not isinstance(con, dict):
         raise ScenarioError("connection", "expected an object")
@@ -170,6 +151,27 @@ def parse_scenario(data: dict) -> ParsedScenario:
             raise ScenarioError("connection.kind", "must be 1 or 2")
     except ValueError as exc:
         raise ScenarioError("connection", str(exc)) from None
+
+    if "generator" in amb:
+        gen = amb["generator"]
+        if not isinstance(gen, dict):
+            raise ScenarioError("ambient.generator", "expected an object")
+        seed = _integer(_need(gen, "seed", "ambient.generator"), "ambient.generator.seed")
+        scale = _number(gen.get("hprime_scale", 1.0), "ambient.generator.hprime_scale")
+        strict = gen.get("strict_kmu", False)
+        if not isinstance(strict, bool):
+            raise ScenarioError("ambient.generator.strict_kmu",
+                                f"expected true or false, got {json.dumps(strict)}")
+        try:
+            model = random_point(m, kappa, mu_contact, c, seed, scale, strict)
+        except ValueError as exc:
+            raise ScenarioError("ambient.generator", str(exc)) from None
+    else:
+        phi = _matrix(_need(amb, "phi", "ambient"), d, d, "ambient.phi")
+        xi = _vector(_need(amb, "xi", "ambient"), d, "ambient.xi")
+        hprime = _matrix(_need(amb, "hprime", "ambient"), d, d, "ambient.hprime")
+        model = ContactPointModel(m=m, phi=phi, xi=xi, hprime=hprime,
+                                  kappa=kappa, mu_contact=mu_contact, c=c)
 
     subm = _need(data, "submanifold", "$")
     if not isinstance(subm, dict):

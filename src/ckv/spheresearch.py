@@ -4,9 +4,10 @@ The hyperplane Casorati extrema and the k-Ricci infimum are optimization
 problems over low-dimensional spheres (degree-4 polynomials or eigenvalue
 sums).  Desk scale suffices: a dense deterministic layout of ``LAYOUT_SIZE``
 directions locates the basin, then a local method polishes it far below the
-1e-6 target.  The layout and the arrays derived from it are cached once per
-dimension and read-only.  Both searches polish with one batched Riemannian
-Newton loop, ``newton_on_sphere``; a caller supplies only values and
+1e-6 target.  The layout is one rule at every dimension (``sphere_samples``,
+seeded Gaussian directions); it and the arrays derived from it are cached
+once per dimension and read-only.  Both searches polish with one batched
+Riemannian Newton loop, ``newton_on_sphere``; a caller supplies only values and
 derivatives.  The Casorati search (``ckv.submanifold``) evaluates its
 quartic on the layout through ``layout_monomials`` and has closed-form
 derivatives.  The k-Ricci search (k < n on n >= 4) picks the least layout
@@ -26,18 +27,9 @@ import functools
 
 import numpy as np
 
-LAYOUT_VERSION = "sphere-layout-v4"
+LAYOUT_VERSION = "sphere-layout-v5"
 LAYOUT_SIZE = 10_000   # directions in every layout, for both searches
 _LAYOUT_SEED = 0x5EED_1AE0
-
-
-def fibonacci_sphere(count: int) -> np.ndarray:
-    """Golden-angle spiral layout on S^2, shape (count, 3)."""
-    i = np.arange(count, dtype=float)
-    z = 1.0 - (2.0 * i + 1.0) / count
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    theta = np.pi * (1.0 + np.sqrt(5.0)) * i
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -49,13 +41,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def sphere_samples(dim: int) -> np.ndarray:
     """Deterministic unit-vector layout in R^dim, shape (LAYOUT_SIZE, dim).
 
-    dim = 3 uses the Fibonacci spiral; other dimensions use a fixed-seed
-    Gaussian layout (normalized), which is reproducible across runs.  Layouts
-    are cached per dimension (they are read-only and reused heavily by fuzz
-    campaigns).
+    The same rule at every dimension: fixed-seed Gaussian directions
+    (normalized), reproducible across runs.  Layouts are cached per dimension
+    (they are read-only and reused heavily by fuzz campaigns).
     """
-    if dim == 3:
-        return _frozen(fibonacci_sphere(LAYOUT_SIZE))
     pts = np.random.default_rng(_LAYOUT_SEED + dim).standard_normal((LAYOUT_SIZE, dim))
     return _frozen(pts / np.linalg.norm(pts, axis=1, keepdims=True))
 

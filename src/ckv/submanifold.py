@@ -56,6 +56,7 @@ __all__ = [
     "ThetaEstimate",
     "casorati",
     "CasoratiCurvatures",
+    "delta_casorati",
 ]
 
 _TANGENCY_TOL = 1e-10
@@ -612,12 +613,6 @@ class _Quartic:
                 s[:, None, None] * (C.transpose(0, 2, 1) @ A @ C))
 
 
-def _hyperplane_values(sub: SubmanifoldPoint, U: np.ndarray) -> np.ndarray:
-    """C(L) for hyperplanes with unit normals U (batch), via
-    ||Q h Q||_F^2 = ||h||_F^2 - 2 u^T h^2 u + (u^T h u)^2 per slice."""
-    return _Quartic.of(sub.h).at(U) / (sub.n - 1)
-
-
 def _one_slice_extrema(h1: np.ndarray):
     """Exact (inf F, argmin, sup F, argmax) for a single slice h1.
 
@@ -644,15 +639,23 @@ def _one_slice_extrema(h1: np.ndarray):
     return float(edge[i, j]), umin, total - float(sq[k]), V[:, k].copy()
 
 
+def delta_casorati(n: int, r: float, C, inf_CL, sup_CL):
+    """delta_C(r; n-1) = r C + a(r) C(L), a(r) = (n-1)(n+r)(n^2-n-r)/(r n),
+    with C(L) = ``inf_CL`` for r < n(n-1) and ``sup_CL`` above (Decu, Haesen
+    and Verstraelen, 2008); elementwise on arrays of C(L)."""
+    CL = inf_CL if r < n * (n - 1) else sup_CL
+    return r * C + (n - 1) * (n + r) * (n * n - n - r) / (r * n) * CL
+
+
 def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
     """Casorati curvature C, hyperplane inf/sup of C(L), and the normalized
     delta invariants delta_c(n-1) = C/2 + (n+1)/(2n) inf C(L) and
-    delta_c_hat(n-1) = 2C - (2n-1)/(2n) sup C(L).
+    delta_c_hat(n-1) = 2C - (2n-1)/(2n) sup C(L): ``delta_casorati`` / n(n-1).
 
     C(L) = F(u) / (n - 1) with F(u) = ||h||^2 - 2 u^T S u + sum_r (u^T h_r u)^2
     and S = sum_r h_r^2.  With at most one nonzero slice of h the extrema are
     closed forms (``_one_slice_extrema``).  Otherwise F is evaluated on the
-    deterministic sphere layout of ``LAYOUT_SIZE`` directions, and
+    seeded sphere layout (``sphere_samples``, one rule at every n), and
     ``newton_on_sphere`` polishes the ``CASORATI_STARTS`` lowest and highest
     layout points (the highest on -F) with ``_Quartic.derivatives``; each
     extremum is the best polished value, never worse than the layout's.
@@ -685,11 +688,11 @@ def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
     umin.setflags(write=False)
     umax.setflags(write=False)
     inf_val, sup_val = inf_f / (n - 1), sup_f / (n - 1)
-    delta_c = 0.5 * C + (n + 1) / (2.0 * n) * inf_val
-    delta_hat = 2.0 * C - (2.0 * n - 1) / (2.0 * n) * sup_val
+    nn = n * (n - 1)
     result = CasoratiCurvatures(
         C=C, inf_CL=inf_val, sup_CL=sup_val,
-        delta_c=float(delta_c), delta_c_hat=float(delta_hat),
+        delta_c=float(delta_casorati(n, 0.5 * nn, C, inf_val, sup_val) / nn),
+        delta_c_hat=float(delta_casorati(n, 2.0 * nn, C, inf_val, sup_val) / nn),
         argmin_u=umin, argmax_u=umax,
     )
     sub.cache["casorati"] = result

@@ -6,15 +6,16 @@ connection, 4.x the second):
   3.1 / 4.1   tau - K(plane) bounded by plane and global invariants
   3.3 / 4.2   Ricci of a unit direction bounded with the n^2/4 mean term
   3.4 / 4.3   mean-curvature lower bound through the k-Ricci invariant
-  3.5i / 4.4i, 3.5ii / 4.4ii   Casorati delta-invariant bounds on 2 tau
+  3.5i / 4.4i, 3.5ii / 4.4ii   2 tau <= delta_C(r; n-1) + E (``delta_casorati``)
+              at r = n(n-1)/2 resp. 2n(n-1) (``_CASORATI_R``)
 
 Every proof puts the Gauss equation into a scalar, sectional or Ricci
 curvature, so every right-hand side is a trace of one closed form, the
 non-Gauss part of R(x, y, y, x) on orthonormal tangent pairs
 (``_pair_nongauss``), plus the algebraic bound on h that the proof applies to
 the Gauss part.  ``cross_check`` compares that form (pairwise curvature,
-scalar curvature, plane curvatures, the trace identity, and the quasi-convex
-hyperplane polynomial Q) against the raw tensor pipeline, reporting the worst
+scalar curvature, plane curvatures, the trace identity, and the 3.5i bound
+on sampled hyperplanes, Q) against the raw tensor pipeline, reporting the worst
 residual: any disagreement beyond rounding is a transcription bug by
 definition.
 
@@ -40,12 +41,13 @@ from .submanifold import (
     SubmanifoldPoint,
     attach,
     casorati,
+    delta_casorati,
     ricci,
     scalar_tau,
     scalar_tau_pair,
     sectional,
     theta_k,
-    _hyperplane_values,
+    _Quartic,
 )
 
 __all__ = [
@@ -74,6 +76,8 @@ THEOREMS_SECOND = ("4.1", "4.2", "4.3", "4.4i", "4.4ii")
 TAKES_PLANE = frozenset({"3.1", "4.1"})
 TAKES_X = frozenset({"3.3", "4.2"})
 TAKES_K = frozenset({"3.4", "4.3"})
+# r / (n (n - 1)) of each Casorati bound 2 tau <= delta_C(r; n - 1) + E
+_CASORATI_R = {"3.5i": 0.5, "4.4i": 0.5, "3.5ii": 2.0, "4.4ii": 2.0}
 DEFAULT_TOL = 1e-8   # relative verdict tolerance, scaled by 1 + |lhs| + |rhs|
 CROSS_TOL = 1e-9     # largest accepted cross-check residual
 _Q_TOL = 1e-8        # how far below zero the Q polynomial and Cauchy-Schwarz may dip
@@ -354,11 +358,11 @@ def verify(
         return _verdict(theorem_id, lhs, rhs, tol, diag)
 
     cas = casorati(sub)
-    delta = cas.delta_c_hat if theorem_id.endswith("ii") else cas.delta_c
+    r = _CASORATI_R[theorem_id] * n * (n - 1)
     lhs = 2.0 * scalar_tau(sub)
-    rhs = n * (n - 1) * delta + E
+    rhs = delta_casorati(n, r, cas.C, cas.inf_CL, cas.sup_CL) + E
     diag = cas.as_dict()
-    diag["shape_match"] = _quasi_umbilical_match(sub, theorem_id)
+    diag["shape_match"] = _quasi_umbilical_match(sub, r)
     return _verdict(theorem_id, lhs, rhs, tol, diag)
 
 
@@ -398,11 +402,17 @@ def _adapted_block_match(sub: SubmanifoldPoint, plane: Plane) -> bool:
     return True
 
 
-def _quasi_umbilical_match(sub: SubmanifoldPoint, theorem_id: str) -> bool:
-    """Diagnostic: do the shape operators match the printed equality pattern?
+def _casorati_equality(n: int, r: float, a: float) -> np.ndarray:
+    """Diagonal diag(a, ..., a, n(n-1)/r a) of the one-slice equality shape
+    of delta_C(r; n-1): the last entry is 2a for 'i' and a/2 for 'ii'."""
+    return np.append(np.full(n - 1, a), n * (n - 1) / r * a)
 
-    Checked in the eigenbasis of the first shape operator: diag(a,...,a,2a)
-    for the 'i' bounds, diag(2a,...,2a,a) for 'ii', remaining operators zero.
+
+def _quasi_umbilical_match(sub: SubmanifoldPoint, r: float) -> bool:
+    """Diagnostic: do the shape operators match the equality pattern at r?
+
+    Checked in the eigenbasis of the first shape operator: the eigenvalues
+    are ``_casorati_equality`` up to order, the remaining operators zero.
     Heuristic (a suitable frame may exist elsewhere); used for reporting only.
     """
     h = sub.h
@@ -412,12 +422,11 @@ def _quasi_umbilical_match(sub: SubmanifoldPoint, theorem_id: str) -> bool:
     w = np.sort(np.linalg.eigvalsh(h[0]))
     if np.abs(w).max() < _SHAPE_TOL:
         return True
-    double = theorem_id.endswith("ii")
     for pos in range(len(w)):
         a = np.delete(w, pos)
         lone = w[pos]
         if np.abs(a - a[0]).max() < _SHAPE_TOL * (1 + np.abs(w).max()):
-            target = a[0] / 2.0 if double else 2.0 * a[0]
+            target = _casorati_equality(len(w), r, a[0])[-1]
             if abs(lone - target) < _SHAPE_TOL * (1 + np.abs(w).max()):
                 return True
     return False
@@ -452,8 +461,9 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     defining formulas and the closed form), the three plane expansions on the
     coordinate plane plus two seeded random tangent planes, the trace identity
     2 tau - E = n^2 ||H||^2 - ||h||^2, and the hyperplane polynomial
-    Q(L) = n(n-1)/2 C + (n-1)(n+1)/2 C(L) - 2 tau + E, whose minimum over the
-    sampled hyperplanes must be nonnegative.
+    Q(L) = delta_C(n(n-1)/2; n-1) - 2 tau + E with C(L) in place of its
+    infimum (the 3.5i/4.4i bound at L), whose minimum over the sampled
+    hyperplanes must be nonnegative.
     """
     n = sub.n
     R = sub.riem
@@ -487,11 +497,11 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     # seeded batch; must stay nonnegative for every hyperplane.
     U = np.concatenate([np.eye(n), rng.standard_normal((64, n))])
     U /= np.linalg.norm(U, axis=1, keepdims=True)
-    CL = _hyperplane_values(sub, U)
+    CL = _Quartic.of(sub.h).at(U) / (n - 1)
     cas = casorati(sub)
     CL = np.append(CL, cas.inf_CL)
-    C = h_sq / n
-    q_vals = n * (n - 1) / 2.0 * C + (n - 1) * (n + 1) / 2.0 * CL - 2.0 * tau_k + E
+    r = _CASORATI_R["3.5i"] * n * (n - 1)
+    q_vals = delta_casorati(n, r, cas.C, CL, CL) - 2.0 * tau_k + E
     return CrossCheckReport(
         residuals=res,
         q_min=float(q_vals.min()),
@@ -517,6 +527,7 @@ def equality_instance(
                      frame vectors.
     case 'thm35_i':  diag(a, ..., a, 2a); equality in 3.5i.
     case 'thm35_ii': diag(2a, ..., 2a, a); equality in 3.5ii.
+    (``_casorati_equality`` at the theorem's r, a the lesser entry if a > 0.)
 
     The ambient is the c = 1, kappa = 1, h' = 0 reduction of dimension
     2m + 1 with m = max(2, (n + 2) // 2), which leaves at least two normal
@@ -545,10 +556,9 @@ def equality_instance(
             hhat[1, 0, 0], hhat[1, 1, 1] = b1, -b1
             hhat[1, 0, 1] = hhat[1, 1, 0] = b2
     else:
-        a = float(params.pop("a", 1.0))
-        diag = np.full(n, a if case == "thm35_i" else 2.0 * a)
-        diag[-1] = 2.0 * a if case == "thm35_i" else a
-        hhat[0] = np.diag(diag)
+        r = _CASORATI_R[EQUALITY_THEOREM[case]] * n * (n - 1)
+        a = float(params.pop("a", 1.0)) * max(1.0, r / (n * (n - 1)))
+        hhat[0] = np.diag(_casorati_equality(n, r, a))
     if params:
         raise ValueError(f"unknown parameters for {case}: {sorted(params)}")
 

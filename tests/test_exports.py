@@ -100,3 +100,22 @@ def test_options_stay_within_the_ratchet():
                 args = node.args
                 count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
     assert count <= OPTION_LIMIT
+
+
+def _tracer_targets():
+    """The ``TARGETS`` literal of ``bench/tracing.py``, read without importing it."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py has no TARGETS literal")
+
+
+def test_tracer_targets_resolve():
+    # the tracer patches each target by getattr, so a renamed or deleted
+    # function would only fail under --trace 1
+    targets = _tracer_targets()
+    assert targets
+    for home, attr, _ in targets:
+        assert home == "ckv" or home.startswith("ckv."), home
+        assert callable(getattr(importlib.import_module(home), attr, None)), f"{home}.{attr}"

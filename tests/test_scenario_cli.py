@@ -202,8 +202,6 @@ _JSON = st.recursive(
                    | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
     max_leaves=8,
 )
-# the generator allocates O(m^2), so m stays small
-_M_VALUES = st.integers(max_value=8) | _JSON.filter(lambda v: not isinstance(v, int) or v <= 8)
 
 
 @settings(max_examples=300, deadline=None)
@@ -212,7 +210,7 @@ def test_any_json_in_one_or_two_fields_parses_or_raises_scenario_error(base, dat
     scenario = copy.deepcopy(base)
     for _ in range(data.draw(st.integers(1, 2))):
         path = data.draw(st.sampled_from(_FIELDS))
-        value = data.draw(_M_VALUES if path == ("ambient", "m") else _JSON)
+        value = data.draw(_JSON)
         node = scenario
         try:
             for key in path[:-1]:
@@ -227,6 +225,18 @@ def test_any_json_in_one_or_two_fields_parses_or_raises_scenario_error(base, dat
 
 
 # --- CLI ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_cli_huge_generator_m_is_an_input_error(tmp_path, capsys, command):
+    # a generated ambient of m = 10^7 would need petabytes; the length-5 P
+    # must be rejected before the generator allocates anything
+    data = _generator_scenario()
+    data["ambient"]["m"] = 10_000_000
+    assert main([command, _write(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: connection.P")
 
 def _write(tmp_path, data, name="scn.json"):
     path = tmp_path / name

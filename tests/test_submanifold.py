@@ -26,6 +26,7 @@ from ckv.submanifold import (
     _partial_ricci_min,
     attach,
     casorati,
+    delta_casorati,
     induced_curvature,
     ricci,
     ricci_form,
@@ -34,6 +35,7 @@ from ckv.submanifold import (
     sectional,
     theta_k,
 )
+from ckv.verifier import _casorati_equality
 from oracles import induced_curvature_direct, reflected, rotated, thorpe_lower_bound
 
 E5 = np.eye(5)
@@ -663,6 +665,45 @@ def test_casorati_extrema_are_stationary(kind):
                 assert np.linalg.norm(grad - (u @ grad) * u) <= 1e-6 * (1.0 + sub.h_norm_sq)
                 checked += 1
     assert checked >= 250
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_delta_fields_match_the_printed_formulas(n, kind):
+    # the paper's delta_c = C/2 + (n+1)/(2n) inf C(L) and
+    # delta_c_hat = 2C - (2n-1)/(2n) sup C(L), written out here
+    cfg = FuzzConfig(seed=71, kind=kind, n=n, m=max(3, (n + 2) // 2))
+    for i in range(20):
+        cas = casorati(parse_scenario(random_scenario(i, cfg)).sub)
+        printed = (cas.C / 2.0 + (n + 1) / (2.0 * n) * cas.inf_CL,
+                   2.0 * cas.C - (2.0 * n - 1) / (2.0 * n) * cas.sup_CL)
+        for value, expected in zip((cas.delta_c, cas.delta_c_hat), printed):
+            assert abs(value - expected) <= 1e-15 * abs(expected), (i, value, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 6),
+       factor=st.sampled_from([0.1, 0.3, 0.5, 0.9, 1.2, 2.0, 5.0]), a=st.floats(-10.0, 10.0))
+def test_delta_casorati_bounds_the_gauss_part_and_its_witness_attains_it(seed, n, factor, a):
+    # Decu-Haesen-Verstraelen: n^2 ||H||^2 - ||h||^2 <= delta_C(r; n-1) at every
+    # r, with equality for one slice diag(a, ..., a, n(n-1)/r a)
+    r = factor * n * (n - 1)
+    m = max(2, (n + 2) // 2)
+    d = 2 * m + 1
+    rng = np.random.default_rng(seed)
+    hhat = rng.standard_normal((d - n, n, n))
+    rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    witness = np.zeros_like(hhat)
+    witness[0] = rot @ np.diag(_casorati_equality(n, r, a)) @ rot.T
+    for h, equal in (((hhat + np.transpose(hhat, (0, 2, 1))) / 2.0, False), (witness, True)):
+        sub = attach(standard_point(m), _zero_spec(d), np.eye(d)[:n], h)
+        cas = casorati(sub)
+        lhs = n ** 2 * sub.mean_curvature_sq - sub.h_norm_sq
+        rhs = delta_casorati(n, r, cas.C, cas.inf_CL, cas.sup_CL)
+        tol = 1e-12 * (1.0 + abs(lhs) + abs(rhs))
+        assert lhs <= rhs + tol
+        if equal:
+            assert abs(rhs - lhs) <= tol, (rhs, lhs)
 
 
 def test_casorati_overflowing_h_does_not_raise():

@@ -186,7 +186,7 @@ def test_theta_overflow_is_named(n, k):
     ("thm35_i", "3.5i", {"a": 0.0}),
     ("thm35_ii", "3.5ii", {"a": 1.3}),
 ])
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_equality_witness_slack_zero(case, tid, params, n):
     sub = equality_instance(case, n, dict(params), seed=n)
     plane = Plane(sub.tangent[0], sub.tangent[1]) if tid == "3.1" else None
@@ -194,6 +194,32 @@ def test_equality_witness_slack_zero(case, tid, params, n):
     assert abs(verdict.slack) < 1e-8, (case, n, verdict.slack)
     if case.startswith("thm35"):
         assert verdict.diagnostics["shape_match"]
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_q_min_is_the_casorati_i_slack(kind):
+    # Q is the 3.5i/4.4i bound with each sampled C(L) in place of the inf,
+    # and the search's inf is among the samples
+    tid = "3.5i" if kind == 1 else "4.4i"
+    checked = 0
+    for i in range(60):
+        sub = parse_scenario(random_scenario(i, FuzzConfig(seed=83, kind=kind))).sub
+        n = sub.n
+        # cross_check's sample: coordinate normals, then 64 seeded normals
+        # after the two random planes
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            rng.standard_normal((2, n))
+        U = np.concatenate([np.eye(n), rng.standard_normal((64, n))])
+        Q = np.eye(n) - np.einsum("ka,kb->kab", U, U) / np.sum(U * U, axis=1)[:, None, None]
+        sampled = np.sum((Q[:, None] @ sub.h[None] @ Q[:, None]) ** 2, axis=(1, 2, 3)) / (n - 1)
+        verdict = verify(sub, tid)
+        if sampled.min() < verdict.diagnostics["inf_CL"]:
+            continue
+        q_min = cross_check(sub).q_min
+        assert abs(q_min - verdict.slack) <= 1e-14 * (1.0 + abs(verdict.lhs) + abs(verdict.rhs))
+        checked += 1
+    assert checked >= 50
 
 
 def test_equality_witness_rejects_junk_params():
