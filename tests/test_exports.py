@@ -106,7 +106,8 @@ def _tracer_targets():
     """The ``TARGETS`` literal of ``bench/tracing.py``, read without importing it."""
     tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
     for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+        names = [getattr(t, "id", None) for t in getattr(node, "targets", [])]
+        if isinstance(node, ast.Assign) and names == ["TARGETS"]:
             return ast.literal_eval(node.value)
     raise AssertionError("bench/tracing.py has no TARGETS literal")
 
