@@ -46,12 +46,10 @@ from .submanifold import (
 )
 from .verifier import (
     CrossCheckReport,
-    PlaneInvariants,
     VerdictReport,
     applicable_theorems,
     cross_check,
     equality_instance,
-    plane_invariants,
     verify,
 )
 

@@ -63,8 +63,8 @@ class FuzzReport:
     findings: list = field(default_factory=list)
     min_slack: dict = field(default_factory=dict)
     max_cross_residual: float = 0.0
-    min_q: float = float("inf")
-    min_cauchy_schwarz: float = float("inf")
+    min_q: float | None = None   # None until a cross check runs
+    min_cauchy_schwarz: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -83,8 +83,8 @@ class FuzzReport:
                 "findings": len(self.findings),
                 "min_slack": dict(sorted(self.min_slack.items())),
                 "max_cross_residual": self.max_cross_residual,
-                "min_q": self.min_q if self.instances else None,
-                "min_cauchy_schwarz": self.min_cauchy_schwarz if self.instances else None,
+                "min_q": self.min_q,
+                "min_cauchy_schwarz": self.min_cauchy_schwarz,
             },
             "findings": self.findings,
         }
@@ -234,6 +234,10 @@ def minimize_finding(data: dict, check: dict, kind: int, tol: float) -> dict:
     return current
 
 
+def _least(current: float | None, value: float) -> float:
+    return value if current is None else min(current, value)
+
+
 def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
     """Run a deterministic campaign; see the module docstring."""
     report = FuzzReport(config=cfg)
@@ -256,9 +260,7 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
             verdict = _run_check(sub, check, cfg.tol)
             report.checks_run += 1
             tid = check["theorem"]
-            prev = report.min_slack.get(tid)
-            if prev is None or verdict.slack < prev:
-                report.min_slack[tid] = verdict.slack
+            report.min_slack[tid] = _least(report.min_slack.get(tid), verdict.slack)
             if not verdict.holds:
                 minimized = minimize_finding(data, check, cfg.kind, cfg.tol)
                 report.findings.append({
@@ -271,8 +273,8 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
         cc = cross_check(sub)
         report.checks_run += 1
         report.max_cross_residual = max(report.max_cross_residual, cc.max_residual)
-        report.min_q = min(report.min_q, cc.q_min)
-        report.min_cauchy_schwarz = min(report.min_cauchy_schwarz, cc.cauchy_schwarz_slack)
+        report.min_q = _least(report.min_q, cc.q_min)
+        report.min_cauchy_schwarz = _least(report.min_cauchy_schwarz, cc.cauchy_schwarz_slack)
         if not cc.ok():
             check = {"cross_check": {k: v for k, v in cc.residuals.items() if v > CROSS_TOL},
                      "q_min": cc.q_min}

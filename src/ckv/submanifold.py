@@ -41,6 +41,7 @@ from .spheresearch import (
     newton_on_sphere,
     quadratic_monomials,
     sphere_samples,
+    _frozen,
 )
 
 __all__ = [
@@ -70,7 +71,7 @@ class SubmanifoldPoint:
     (p, n, n) component arrays of the Levi-Civita and induced second
     fundamental forms.  The ``*_top`` matrices are tangent-frame restrictions
     (e.g. phat[a,b] = <e_a, phi e_b>).  Every array is read-only; ``cache``
-    holds values memoized from them.
+    holds the values computed from them once per point (``memo``).
     """
 
     model: ContactPointModel
@@ -107,12 +108,21 @@ class SubmanifoldPoint:
 
     @property
     def mean_curvature_sq(self) -> float:
-        traces = np.einsum("rii->r", self.h) / self.n
-        return float(traces @ traces)
+        if "H_sq" not in self.cache:
+            traces = np.einsum("rii->r", self.h) / self.n
+            self.cache["H_sq"] = float(traces @ traces)
+        return self.cache["H_sq"]
 
     @property
     def h_norm_sq(self) -> float:
-        return float(np.sum(self.h * self.h))
+        return self.memo("h_sq", lambda: float(np.sum(self.h * self.h)))
+
+    def memo(self, key: str, make):
+        """``make()``, computed on the first call for this point and kept in
+        ``cache`` under ``key``."""
+        if key not in self.cache:
+            self.cache[key] = make()
+        return self.cache[key]
 
     def tangent_coords(self, X) -> np.ndarray:
         """Coordinates of a tangent vector in the tangent frame (checked)."""
@@ -278,15 +288,16 @@ def scalar_tau_pair(sub: SubmanifoldPoint) -> tuple[float, float]:
 
     First value: sum of K over coordinate 2-planes of the tangent frame.
     Second: half the double sum of R(e_i, e_j, e_j, e_i).  They must agree.
+    Memoized on the point.
     """
-    R = sub.riem
-    n = sub.n
-    k_sum = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            k_sum += (R[i, j, j, i] - R[i, j, i, j]) / 2.0
-    double = float(np.einsum("ijji->", R)) / 2.0
-    return float(k_sum), double
+    if "tau_pair" not in sub.cache:
+        R = sub.riem
+        k_sum = 0.0
+        for i in range(sub.n):
+            for j in range(i + 1, sub.n):
+                k_sum += (R[i, j, j, i] - R[i, j, i, j]) / 2.0
+        sub.cache["tau_pair"] = (float(k_sum), float(np.einsum("ijji->", R)) / 2.0)
+    return sub.cache["tau_pair"]
 
 
 def scalar_tau(sub: SubmanifoldPoint) -> float:
@@ -302,7 +313,11 @@ def ricci(sub: SubmanifoldPoint, X) -> float:
     its first two slots, so this is the sum over any orthonormal completion
     of X.  The symmetrized Ricci curvature is ``ricci_form``'s quadratic form.
     """
-    x = sub.tangent_coords(X)
+    return _ricci_at(sub, sub.tangent_coords(X))
+
+
+def _ricci_at(sub: SubmanifoldPoint, x: np.ndarray) -> float:
+    """``ricci`` of the direction with tangent-frame coordinates x."""
     if abs(np.linalg.norm(x) - 1.0) > 1e-10:
         raise ValueError("ricci requires a unit vector")
     basis = np.eye(sub.n)
@@ -358,14 +373,11 @@ def _finite(form: np.ndarray) -> np.ndarray:
 def _theta_form(sub: SubmanifoldPoint) -> np.ndarray:
     """riem antisymmetrized in its last pair, as the (n*n, n*n) matrix
     form[(a, d), (b, c)] = anti[a, b, c, d]; memoized and read-only."""
-    form = sub.cache.get("theta_form")
-    if form is None:
+    if "theta_form" not in sub.cache:
         n = sub.n
         anti = (sub.riem - sub.riem.transpose(0, 1, 3, 2)) / 2.0
-        form = anti.transpose(0, 3, 1, 2).reshape(n * n, n * n)
-        form.setflags(write=False)
-        sub.cache["theta_form"] = form
-    return form
+        sub.cache["theta_form"] = _frozen(anti.transpose(0, 3, 1, 2).reshape(n * n, n * n))
+    return sub.cache["theta_form"]
 
 
 def _direction_matrices(sub: SubmanifoldPoint, X: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -478,16 +490,13 @@ def _layout_spectra(sub: SubmanifoldPoint) -> np.ndarray:
     n = 4 and to ``eigvalsh`` of its ``_entry_stack`` on n >= 5.  They do
     not depend on k, so every k < n shares them; memoized and read-only.
     """
-    spectra = sub.cache.get("theta_spectra")
-    if spectra is None:
+    if "theta_spectra" not in sub.cache:
         d = sub.n - 1
-        spectra = np.concatenate([
+        sub.cache["theta_spectra"] = _frozen(np.concatenate([
             _eigvalsh3(E) if d == 3 else np.linalg.eigvalsh(_entry_stack(E, d))
             for E in _layout_entries(sub)
-        ])
-        spectra.setflags(write=False)
-        sub.cache["theta_spectra"] = spectra
-    return spectra
+        ]))
+    return sub.cache["theta_spectra"]
 
 
 def _bivector_form(sub: SubmanifoldPoint) -> np.ndarray:
@@ -578,13 +587,17 @@ class _Quartic:
     coeffs: np.ndarray
 
     @classmethod
-    def of(cls, h: np.ndarray) -> "_Quartic":
-        h = h[np.any(h != 0.0, axis=(1, 2))]
-        S = np.einsum("rab,rbc->ac", h, h)
-        forms = np.concatenate([S[None], h])
-        iu, ju = np.triu_indices(S.shape[0])
-        coeffs = forms[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)
-        return cls(h=h, S=S, h_sq=float(np.sum(h * h)), coeffs=coeffs)
+    def of(cls, sub: SubmanifoldPoint) -> "_Quartic":
+        """The quartic of ``sub.h``; memoized on the point, arrays read-only."""
+        if "quartic" not in sub.cache:
+            h = sub.h[np.any(sub.h != 0.0, axis=(1, 2))]
+            S = np.einsum("rab,rbc->ac", h, h)
+            forms = np.concatenate([S[None], h])
+            iu, ju = np.triu_indices(S.shape[0])
+            coeffs = forms[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)
+            sub.cache["quartic"] = cls(h=_frozen(h), S=_frozen(S), h_sq=float(np.sum(h * h)),
+                                       coeffs=_frozen(coeffs))
+        return sub.cache["quartic"]
 
     def values(self, monomials: np.ndarray) -> np.ndarray:
         """F at the rows whose ``quadratic_monomials`` are given."""
@@ -668,7 +681,7 @@ def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
         return hit
     n = sub.n
     C = sub.h_norm_sq / n
-    quartic = _Quartic.of(sub.h)
+    quartic = _Quartic.of(sub)
     if len(quartic.h) <= 1:
         h1 = quartic.h[0] if len(quartic.h) else np.zeros((n, n))
         inf_f, umin, sup_f, umax = _one_slice_extrema(h1)
@@ -685,15 +698,13 @@ def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
         F *= sign
         lo, hi = int(np.argmin(F[:K])), K + int(np.argmax(F[K:]))
         inf_f, umin, sup_f, umax = float(F[lo]), U[lo], float(F[hi]), U[hi]
-    umin.setflags(write=False)
-    umax.setflags(write=False)
     inf_val, sup_val = inf_f / (n - 1), sup_f / (n - 1)
     nn = n * (n - 1)
     result = CasoratiCurvatures(
         C=C, inf_CL=inf_val, sup_CL=sup_val,
         delta_c=float(delta_casorati(n, 0.5 * nn, C, inf_val, sup_val) / nn),
         delta_c_hat=float(delta_casorati(n, 2.0 * nn, C, inf_val, sup_val) / nn),
-        argmin_u=umin, argmax_u=umax,
+        argmin_u=_frozen(umin), argmax_u=_frozen(umax),
     )
     sub.cache["casorati"] = result
     return result

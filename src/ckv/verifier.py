@@ -28,6 +28,7 @@ uses the symmetrized sectional curvature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,17 +38,18 @@ from .connections import KIND_FIRST, KIND_SECOND, first_connection
 from .contact import standard_point
 from .errors import MissingArgument, WrongConnectionKind
 from .frames import Plane, complete_frame, orthonormalize
+from .spheresearch import _frozen, quadratic_monomials
 from .submanifold import (
     SubmanifoldPoint,
     attach,
     casorati,
     delta_casorati,
-    ricci,
     scalar_tau,
     scalar_tau_pair,
-    sectional,
     theta_k,
     _Quartic,
+    _ricci_at,
+    _sectional_batch,
 )
 
 __all__ = [
@@ -61,8 +63,6 @@ __all__ = [
     "EQUALITY_THEOREM",
     "applicable_theorems",
     "theorem_ids_problem",
-    "PlaneInvariants",
-    "plane_invariants",
     "VerdictReport",
     "verify",
     "CrossCheckReport",
@@ -112,9 +112,9 @@ def _require_kind(sub: SubmanifoldPoint, theorem_id: str):
 # plane invariants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlaneInvariants:
-    """Scalar invariants of a tangent 2-plane entering the right-hand sides.
+def _plane_invariants(sub: SubmanifoldPoint, v1: np.ndarray, v2: np.ndarray) -> dict:
+    """Scalar invariants of the tangent 2-plane with orthonormal frame
+    coordinates v1, v2 (e1, e2) entering the right-hand sides:
 
     gamma = eta(e1)^2 + eta(e2)^2
     theta = eta(e1)^2 h'_22 + eta(e2)^2 h'_11 - 2 eta(e1) eta(e2) h'_12
@@ -123,22 +123,6 @@ class PlaneInvariants:
     P_plane_sq = pi(e1)^2 + pi(e2)^2
     g_tr_h_P = <P, h(e1,e1) + h(e2,e2)> for the active h
     """
-
-    gamma: float
-    theta: float
-    phi_plane: float
-    det_hprime: float
-    det_phi_hprime: float
-    tr_hprime: float
-    tr_alpha: float
-    tr_beta: float
-    tr_alpha_prime: float
-    P_plane_sq: float
-    g_tr_h_P: float
-
-
-def plane_invariants(sub: SubmanifoldPoint, plane: Plane) -> PlaneInvariants:
-    v1, v2 = sub.plane_coords(plane)
     V = np.stack([v1, v2])
     eta1, eta2 = float(sub.eta_t @ v1), float(sub.eta_t @ v2)
     A2 = V @ sub.hprime_top @ V.T
@@ -150,19 +134,19 @@ def plane_invariants(sub: SubmanifoldPoint, plane: Plane) -> PlaneInvariants:
     h_res = np.einsum("ia,rab,jb->rij", V, sub.h, V)
     tr_h_vec = np.einsum("rii->r", h_res) @ sub.normal
     g_tr_h_P = float(sub.spec.P @ tr_h_vec)
-    return PlaneInvariants(
-        gamma=eta1 ** 2 + eta2 ** 2,
-        theta=eta1 ** 2 * A2[1, 1] + eta2 ** 2 * A2[0, 0] - 2.0 * eta1 * eta2 * A2[0, 1],
-        phi_plane=phi12 ** 2,
-        det_hprime=float(np.linalg.det(A2)),
-        det_phi_hprime=float(np.linalg.det(B2)),
-        tr_hprime=float(np.trace(A2)),
-        tr_alpha=float(np.trace(al2)),
-        tr_beta=float(np.trace(be2)),
-        tr_alpha_prime=float(np.trace(ap2)),
-        P_plane_sq=float((sub.pi_t @ v1) ** 2 + (sub.pi_t @ v2) ** 2),
-        g_tr_h_P=g_tr_h_P,
-    )
+    return {
+        "gamma": eta1 ** 2 + eta2 ** 2,
+        "theta": eta1 ** 2 * A2[1, 1] + eta2 ** 2 * A2[0, 0] - 2.0 * eta1 * eta2 * A2[0, 1],
+        "phi_plane": phi12 ** 2,
+        "det_hprime": float(np.linalg.det(A2)),
+        "det_phi_hprime": float(np.linalg.det(B2)),
+        "tr_hprime": float(np.trace(A2)),
+        "tr_alpha": float(np.trace(al2)),
+        "tr_beta": float(np.trace(be2)),
+        "tr_alpha_prime": float(np.trace(ap2)),
+        "P_plane_sq": float((sub.pi_t @ v1) ** 2 + (sub.pi_t @ v2) ** 2),
+        "g_tr_h_P": g_tr_h_P,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +171,9 @@ def _pair_nongauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.nd
     with h' = A, phi h' = B and eta = u on the frame; the connection terms are
     folded into the quadratic forms A - C_x (in x) and A - C_y (in y).
     """
-    model, spec = sub.model, sub.spec
-    c, mu, u, A = model.c, model.mu_contact, sub.eta_t, sub.hprime_top
-    h_P = np.einsum("r,rab->ab", sub.pi_nor, sub.h)  # <h(., .), P>
-    if spec.kind == KIND_FIRST:
-        l1, l2 = spec.lambda1, spec.lambda2
-        c_x = l2 * sub.alpha_t + l2 * (l1 - l2) * sub.beta_t
-        c_y = l1 * sub.alpha_t + (l1 - l2) * h_P
-    else:
-        b = spec.b
-        c_x = np.zeros_like(A)
-        c_y = b * sub.alpha_prime_t - b ** 2 * np.outer(sub.pi_t, sub.pi_t) + b * h_P
-    forms = np.stack([sub.phat, A, sub.phi_hprime_top, A - c_x, A - c_y])
-    xy, xx, yy = _on_pairs(forms, X, Y)
+    model = sub.model
+    c, mu, u = model.c, model.mu_contact, sub.eta_t
+    xy, xx, yy = _on_pairs(sub.memo("pair_forms", lambda: _pair_forms(sub)), X, Y)
     ux, uy = X @ u, Y @ u
     return (
         (c + 3.0) / 4.0
@@ -211,16 +185,40 @@ def _pair_nongauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.nd
     )
 
 
+def _pair_forms(sub: SubmanifoldPoint) -> np.ndarray:
+    """The forms of ``_pair_nongauss``, stacked (5, n, n), read-only:
+    phat, A, B, A - C_x and A - C_y."""
+    spec, A = sub.spec, sub.hprime_top
+    h_P = np.einsum("r,rab->ab", sub.pi_nor, sub.h)  # <h(., .), P>
+    if spec.kind == KIND_FIRST:
+        l1, l2 = spec.lambda1, spec.lambda2
+        c_x = l2 * sub.alpha_t + l2 * (l1 - l2) * sub.beta_t
+        c_y = l1 * sub.alpha_t + (l1 - l2) * h_P
+    else:
+        b = spec.b
+        c_x = np.zeros_like(A)
+        c_y = b * sub.alpha_prime_t - b ** 2 * np.outer(sub.pi_t, sub.pi_t) + b * h_P
+    return _frozen(np.stack([sub.phat, A, sub.phi_hprime_top, A - c_x, A - c_y]))
+
+
 def _pair_gauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Gauss part of R(x, y, y, x): sum_r h_r(x,x) h_r(y,y) - h_r(x,y)^2."""
     xy, xx, yy = _on_pairs(sub.h, X, Y)
     return np.sum(xx * yy - xy ** 2, axis=0)
 
 
+@functools.cache
 def _frame_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays I, J of the ordered frame pairs i != j and their coordinate rows."""
+    """Index arrays I, J of the ordered frame pairs i != j and their coordinate
+    rows; cached per dimension and read-only."""
     I, J = np.nonzero(~np.eye(n, dtype=bool))
-    return I, J, np.eye(n)[I], np.eye(n)[J]
+    return tuple(_frozen(arr) for arr in (I, J, np.eye(n)[I], np.eye(n)[J]))
+
+
+def _frame_nongauss(sub: SubmanifoldPoint) -> np.ndarray:
+    """``_pair_nongauss`` on the rows of ``_frame_pairs``; memoized, read-only."""
+    _, _, X, Y = _frame_pairs(sub.n)
+    return sub.memo("frame_nongauss", lambda: _frozen(_pair_nongauss(sub, X, Y)))
 
 
 def _tau_nongauss(sub: SubmanifoldPoint) -> float:
@@ -229,10 +227,7 @@ def _tau_nongauss(sub: SubmanifoldPoint) -> float:
     Memoized on ``sub.cache``; E = 2 tau_ng is the invariant aggregate with
     2 tau - E = n^2 ||H||^2 - ||h||^2.
     """
-    if "tau_nongauss" not in sub.cache:
-        _, _, X, Y = _frame_pairs(sub.n)
-        sub.cache["tau_nongauss"] = 0.5 * float(np.sum(_pair_nongauss(sub, X, Y)))
-    return sub.cache["tau_nongauss"]
+    return sub.memo("tau_nongauss", lambda: 0.5 * float(np.sum(_frame_nongauss(sub))))
 
 
 def _gauss_sum(sub: SubmanifoldPoint) -> float:
@@ -314,19 +309,19 @@ def verify(
             raise MissingArgument(f"{theorem_id} needs a plane")
         v1, v2 = sub.plane_coords(plane)
         k_ng = 0.5 * float(np.sum(_pair_nongauss(sub, np.stack([v1, v2]), np.stack([v2, v1]))))
-        lhs = scalar_tau(sub) - sectional(sub, plane)
+        lhs = scalar_tau(sub) - float(_sectional_batch(sub, v1[None], v2[None])[0])
         rhs = _tau_nongauss(sub) - k_ng + n ** 2 * (n - 2) / (2.0 * (n - 1)) * H_sq
         diag = {
-            "plane_invariants": plane_invariants(sub, plane).__dict__.copy(),
-            "shape_match": _adapted_block_match(sub, plane),
+            "plane_invariants": _plane_invariants(sub, v1, v2),
+            "shape_match": _adapted_block_match(sub, v1, v2),
         }
         return _verdict(theorem_id, lhs, rhs, tol, diag)
 
     if theorem_id in TAKES_X:
         if X is None:
             raise MissingArgument(f"{theorem_id} needs a unit tangent direction X")
-        lhs = ricci(sub, X)  # rejects a non-unit X
         x = sub.tangent_coords(X)
+        lhs = _ricci_at(sub, x)  # rejects a non-unit X
         frame = complete_frame(x[None, :])
         ric_ng = float(np.sum(_pair_nongauss(sub, np.broadcast_to(x, frame.shape), frame)))
         rhs = ric_ng + n ** 2 / 4.0 * H_sq
@@ -372,16 +367,15 @@ def _kernel_residual(sub: SubmanifoldPoint, x: np.ndarray) -> float:
     return float(np.linalg.norm(vals, axis=0).max())
 
 
-def _adapted_block_match(sub: SubmanifoldPoint, plane: Plane) -> bool:
-    """Diagnostic: shape operators in the plane-adapted frame match the
-    equality pattern of the tau - K bound.
+def _adapted_block_match(sub: SubmanifoldPoint, v1: np.ndarray, v2: np.ndarray) -> bool:
+    """Diagnostic: shape operators in the frame adapted to the plane with
+    frame coordinates v1, v2 match the equality pattern of the tau - K bound.
 
     In a frame starting with the plane basis: the first operator is
     diag(h11, h22, s, ..., s) with s = h11 + h22, the remaining ones are
     trace-free 2x2 blocks in the plane and zero elsewhere.  Heuristic (a
     suitable frame might exist elsewhere); used for reporting only.
     """
-    v1, v2 = sub.plane_coords(plane)
     basis = np.vstack([v1, v2, complete_frame(np.vstack([v1, v2]))])
     h_adapted = np.einsum("ia,rab,jb->rij", basis, sub.h, basis)
     tol = _SHAPE_TOL * (1.0 + np.abs(h_adapted).max())
@@ -454,6 +448,20 @@ class CrossCheckReport:
                 and self.cauchy_schwarz_slack > -_Q_TOL)
 
 
+@functools.cache
+def _cross_sample(n: int) -> tuple[np.ndarray, ...]:
+    """``cross_check``'s planes (rows of V1, V2: the coordinate plane and two
+    seeded ones), their pair rows (V1; V2) and (V2; V1), and the quadratic
+    monomials of its n + 64 unit hyperplane normals; cached and read-only."""
+    rng = np.random.default_rng(0)
+    bases = [np.eye(n)[:2]] + [orthonormalize(rng.standard_normal((2, n))) for _ in range(2)]
+    V1, V2 = np.array([b[0] for b in bases]), np.array([b[1] for b in bases])
+    U = np.concatenate([np.eye(n), rng.standard_normal((64, n))])
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    return tuple(_frozen(arr) for arr in (V1, V2, np.concatenate([V1, V2]),
+                                          np.concatenate([V2, V1]), quadratic_monomials(U)))
+
+
 def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     """Recompute every expansion two ways and report the worst residuals.
 
@@ -463,14 +471,16 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     2 tau - E = n^2 ||H||^2 - ||h||^2, and the hyperplane polynomial
     Q(L) = delta_C(n(n-1)/2; n-1) - 2 tau + E with C(L) in place of its
     infimum (the 3.5i/4.4i bound at L), whose minimum over the sampled
-    hyperplanes must be nonnegative.
+    hyperplanes must be nonnegative.  The random planes and hyperplanes
+    (``_cross_sample``) are fixed per dimension: every point of a given n
+    is checked on the same ones.
     """
     n = sub.n
     R = sub.riem
     res: dict[str, float] = {}
 
     I, J, X, Y = _frame_pairs(n)
-    closed = _pair_nongauss(sub, X, Y) + _pair_gauss(sub, X, Y)
+    closed = _frame_nongauss(sub) + _pair_gauss(sub, X, Y)
     res["R_pair"] = float(np.abs(closed - R[I, J, J, I]).max())
 
     tau_k, tau_double = scalar_tau_pair(sub)
@@ -479,10 +489,7 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     res["tau_closed"] = abs(tau_k - (0.5 * E + _gauss_sum(sub)))
 
     # the coordinate plane and two seeded random planes, in frame coordinates
-    rng = np.random.default_rng(0)
-    bases = [np.eye(n)[:2]] + [orthonormalize(rng.standard_normal((2, n))) for _ in range(2)]
-    V1, V2 = np.array([b[0] for b in bases]), np.array([b[1] for b in bases])
-    Xp, Yp = np.concatenate([V1, V2]), np.concatenate([V2, V1])
+    V1, V2, Xp, Yp, monomials = _cross_sample(n)
     r12, r21 = np.split(_pair_nongauss(sub, Xp, Yp) + _pair_gauss(sub, Xp, Yp), 2)
     t1221 = np.einsum("abcd,ka,kb,kc,kd->k", R, V1, V2, V2, V1)
     t1212 = np.einsum("abcd,ka,kb,kc,kd->k", R, V1, V2, V1, V2)
@@ -495,9 +502,7 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
 
     # Q over a deterministic hyperplane sample: coordinate normals plus a
     # seeded batch; must stay nonnegative for every hyperplane.
-    U = np.concatenate([np.eye(n), rng.standard_normal((64, n))])
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    CL = _Quartic.of(sub.h).at(U) / (n - 1)
+    CL = _Quartic.of(sub).values(monomials) / (n - 1)
     cas = casorati(sub)
     CL = np.append(CL, cas.inf_CL)
     r = _CASORATI_R["3.5i"] * n * (n - 1)

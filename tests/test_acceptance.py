@@ -31,7 +31,7 @@ from ckv.submanifold import (
     theta_k,
     _sectional_batch,
 )
-from ckv.verifier import applicable_theorems, equality_instance, plane_invariants, verify
+from ckv.verifier import applicable_theorems, equality_instance, verify
 from oracles import algebraic_bounds_check, chen_bound_batch, ricci_bound_batch, rotated
 
 FUZZ_COUNT = 1000
@@ -149,13 +149,13 @@ def test_criterion_6_structural_invariants():
     sub = parsed.sub
     plane = Plane(sub.tangent[0], sub.tangent[1])
     base_K = sectional(sub, plane)
-    base_pi = plane_invariants(sub, plane)
+    base_pi = verify(sub, "3.1", plane=plane).diagnostics["plane_invariants"]
     for _ in range(100):
         rot = rotated(plane, rng.uniform(0, 2 * np.pi))
         assert abs(sectional(sub, rot) - base_K) < 1e-10 * (1 + abs(base_K))
-        other = plane_invariants(sub, rot)
-        for name in base_pi.__dataclass_fields__:
-            x, y = getattr(base_pi, name), getattr(other, name)
+        other = verify(sub, "3.1", plane=rot).diagnostics["plane_invariants"]
+        for name in base_pi:
+            x, y = base_pi[name], other[name]
             assert abs(x - y) < 1e-10 * (1 + abs(x)), name
 
     # second-connection theorem values invariant in a

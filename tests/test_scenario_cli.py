@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ckv.cli
 import ckv.fuzz
 from ckv.cli import main
-from ckv.contact import standard_point, validate_structure
+from ckv.contact import StructureCheck, ValidationReport, standard_point, validate_structure
 from ckv.connections import first_connection
 from ckv.errors import ScenarioError
 from ckv.fuzz import FuzzConfig, _zeroing_candidates, run_fuzz
@@ -568,6 +568,25 @@ def test_fuzz_report_contents():
     assert data["provenance"]["layout_version"]
     assert not data["findings"]
     assert set(data["summary"]["min_slack"]) == {"4.1", "4.2", "4.3", "4.4i", "4.4ii"}
+
+
+def test_fuzz_report_without_cross_checks_is_strict_json(monkeypatch, capsys):
+    # an instance that fails structure validation is counted but never cross
+    # checked; with no cross check at all, min_q and min_cauchy_schwarz are
+    # null (they used to be the non-JSON Infinity)
+    failed = ValidationReport((StructureCheck("planted", 1.0, False),))
+    monkeypatch.setattr(ckv.fuzz, "validate_structure", lambda model: failed)
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    summary = json.loads(run_fuzz(FuzzConfig(count=2, seed=13, kind=1)).to_json(),
+                         parse_constant=reject)["summary"]
+    assert (summary["instances"], summary["findings"]) == (2, 2)
+    assert summary["min_q"] is None and summary["min_cauchy_schwarz"] is None
+    assert main(["fuzz", "--count", "2", "--kind", "2"]) == 1
+    (report,) = json.loads(capsys.readouterr().out, parse_constant=reject)["reports"]
+    assert report["summary"]["min_q"] is None and report["summary"]["min_cauchy_schwarz"] is None
 
 
 def test_fuzz_minimizer_shrinks_a_planted_failure():

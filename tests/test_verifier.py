@@ -16,8 +16,9 @@ from ckv.verifier import (
     applicable_theorems,
     cross_check,
     equality_instance,
-    plane_invariants,
     verify,
+    _cross_sample,
+    _frame_pairs,
 )
 from oracles import algebraic_bounds_check, chen_bound_batch, ricci_bound_batch, rotated
 
@@ -52,31 +53,36 @@ def _random_sub(seed, kind, n=None, m=None):
 
 # --- plane invariants ---------------------------------------------------------
 
+def _plane_invariants(sub, plane):
+    """The plane invariants 3.1 reports for a kind-1 point."""
+    return verify(sub, "3.1", plane=plane).diagnostics["plane_invariants"]
+
+
 def test_plane_invariants_xi_normal():
     # tangent frame orthogonal to xi: gamma and theta vanish for every plane
     sub = attach(standard_point(2), _zero_spec(), E5[:3], np.zeros((2, 3, 3)))
     rng = np.random.default_rng(50)
     for _ in range(5):
         basis = orthonormalize(rng.standard_normal((2, 3))) @ sub.tangent
-        pi = plane_invariants(sub, Plane(basis[0], basis[1]))
-        assert abs(pi.gamma) < 1e-13 and abs(pi.theta) < 1e-13
+        pi = _plane_invariants(sub, Plane(basis[0], basis[1]))
+        assert abs(pi["gamma"]) < 1e-13 and abs(pi["theta"]) < 1e-13
 
 
 def test_plane_invariants_xi_in_plane():
     sub = attach(standard_point(2), _zero_spec(), E5[[0, 1, 4]], np.zeros((2, 3, 3)))
-    pi = plane_invariants(sub, Plane(E5[0], E5[4]))
-    assert abs(pi.gamma - 1.0) < 1e-13
+    pi = _plane_invariants(sub, Plane(E5[0], E5[4]))
+    assert abs(pi["gamma"] - 1.0) < 1e-13
 
 
 def test_plane_invariants_rotation_invariance():
     sub = _random_sub(51, 1, n=4, m=3)
     plane = Plane(sub.tangent[0], sub.tangent[2])
-    base = plane_invariants(sub, plane)
+    base = _plane_invariants(sub, plane)
     rng = np.random.default_rng(52)
     for _ in range(50):
-        other = plane_invariants(sub, rotated(plane, rng.uniform(0, 2 * np.pi)))
-        for name in base.__dataclass_fields__:
-            a, b = getattr(base, name), getattr(other, name)
+        other = _plane_invariants(sub, rotated(plane, rng.uniform(0, 2 * np.pi)))
+        for name in base:
+            a, b = base[name], other[name]
             assert abs(a - b) < 1e-10 * (1 + abs(a)), name
 
 
@@ -347,6 +353,78 @@ def test_cross_check_fuzzed(kind):
         assert report.max_residual < 1e-9, (seed, report.residuals)
         assert report.q_min > -1e-8, seed
         assert report.cauchy_schwarz_slack > -1e-8
+
+
+# --- per-point memos and per-dimension caches ----------------------------------
+
+def _memo_point(kind, n, one_slice):
+    """A fresh, deterministic point with m = 3, so that h has one nonzero
+    slice or p = 7 - n of them; lambda2 = 0 keeps a one-slice h one-slice on
+    kind 1."""
+    rng = np.random.default_rng([70, kind, n])
+    model = random_point(3, *map(float, rng.uniform(-3, 3, 3)), seed=71, hprime_scale=0.5)
+    P, D = rng.standard_normal(7), rng.standard_normal((7, 7)) * 0.4
+    second = 0.0 if one_slice and kind == 1 else float(rng.uniform(-3, 3))
+    make = first_connection if kind == 1 else second_connection
+    hhat = rng.standard_normal((7 - n, n, n))
+    hhat = hhat + np.transpose(hhat, (0, 2, 1))
+    if one_slice:
+        hhat[1:] = 0.0
+    return attach(model, make(float(rng.uniform(-3, 3)), second, P, D),
+                  rng.standard_normal((n, 7)), hhat)
+
+
+def _memo_checks(kind, n):
+    """(theorem or 'cross', plane rows, X coefficients, k) of every check."""
+    checks = [("cross", None, None, None)]
+    for tid in applicable_theorems(kind):
+        if tid in TAKES_PLANE:
+            checks += [(tid, (0, 1), None, None), (tid, (2, 1), None, None)]
+        elif tid in TAKES_X:
+            checks += [(tid, None, np.eye(n)[0], None), (tid, None, np.full(n, n ** -0.5), None)]
+        elif tid in TAKES_K:
+            checks += [(tid, None, None, k) for k in range(2, n + 1)]
+        else:
+            checks.append((tid, None, None, None))
+    return checks
+
+
+def _memo_run(sub, check):
+    tid, rows, coeffs, k = check
+    if tid == "cross":
+        report = cross_check(sub)
+        return report.residuals, report.q_min, report.cauchy_schwarz_slack
+    plane = None if rows is None else Plane(sub.tangent[rows[0]], sub.tangent[rows[1]])
+    X = None if coeffs is None else coeffs @ sub.tangent
+    return verify(sub, tid, plane=plane, X=X, k=k).to_dict()
+
+
+@pytest.mark.parametrize("one_slice", [True, False])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_memos_do_not_depend_on_the_order_of_checks(kind, n, one_slice):
+    # every check on a fresh point, then all of them on one point in order and
+    # on another in reverse: a memo keyed or filled wrongly changes a result
+    h = _memo_point(kind, n, one_slice).h
+    assert np.sum(np.any(h != 0.0, axis=(1, 2))) == (1 if one_slice else 7 - n)
+    checks = _memo_checks(kind, n)
+    fresh = [_memo_run(_memo_point(kind, n, one_slice), check) for check in checks]
+    forward = _memo_point(kind, n, one_slice)
+    assert [_memo_run(forward, check) for check in checks] == fresh
+    backward = _memo_point(kind, n, one_slice)
+    assert [_memo_run(backward, check) for check in checks[::-1]] == fresh[::-1]
+
+
+def test_cached_arrays_are_read_only():
+    sub = _memo_point(1, 4, False)
+    cross_check(sub)
+    verify(sub, "3.1", plane=Plane(sub.tangent[0], sub.tangent[1]))
+    quartic = sub.cache["quartic"]
+    arrays = [*_frame_pairs(4), *_cross_sample(4), sub.cache["pair_forms"],
+              sub.cache["frame_nongauss"], quartic.h, quartic.S, quartic.coeffs]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 # --- full verdict sweep -----------------------------------------------------------
