@@ -178,9 +178,10 @@ def cmd_fuzz(args) -> int:
     else:
         sys.stdout.write(blob)
     for r in reports:
+        residual = "n/a" if r.max_cross_residual is None else f"{r.max_cross_residual:.3e}"
         print(
             f"kind {r.config.kind}: {r.instances} instances, {r.checks_run} checks, "
-            f"{len(r.findings)} findings, max cross residual {r.max_cross_residual:.3e}",
+            f"{len(r.findings)} findings, max cross residual {residual}",
             file=sys.stderr,
         )
     print(f"fuzz completed in {elapsed:.2f}s", file=sys.stderr)

@@ -26,7 +26,7 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
         raise DimensionMismatch(f"{name}: expected a 1-d array, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatch(f"{name}: expected length {dim}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite")
     return arr
 
@@ -38,7 +38,7 @@ def as_matrix(a, dim: int | None = None, name: str = "matrix") -> np.ndarray:
         raise DimensionMismatch(f"{name}: expected a square matrix, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatch(f"{name}: expected size {dim}x{dim}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite")
     return arr
 
@@ -55,7 +55,7 @@ def orthonormalize(vectors) -> np.ndarray:
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     if V.size == 0:
         return V.reshape(0, 0)
-    if not np.all(np.isfinite(V)):
+    if not np.isfinite(V).all():
         raise ValueError("orthonormalize: entries must be finite")
     k, d = V.shape
     if k > d:
@@ -70,7 +70,7 @@ def orthonormalize(vectors) -> np.ndarray:
         for _ in range(2):  # second pass kills rounding residue
             for j in range(i):
                 out[i] -= np.dot(out[i], out[j]) * out[j]
-        out[i] /= np.linalg.norm(out[i])
+        out[i] /= np.sqrt(out[i] @ out[i])
     return out
 
 
@@ -91,7 +91,7 @@ def complete_frame(frame: np.ndarray) -> np.ndarray:
         for _ in range(2):
             for b in basis:
                 cand -= np.dot(cand, b) * b
-        norm = np.linalg.norm(cand)
+        norm = np.sqrt(cand @ cand)
         if norm > 1e-6:
             cand /= norm
             basis.append(cand)
@@ -113,7 +113,7 @@ class Plane:
     def __post_init__(self):
         e1 = as_vector(self.e1, name="plane.e1")
         e2 = as_vector(self.e2, e1.shape[0], name="plane.e2")
-        if abs(np.linalg.norm(e1) - 1.0) > 1e-12 or abs(np.linalg.norm(e2) - 1.0) > 1e-12:
+        if abs(np.sqrt(e1 @ e1) - 1.0) > 1e-12 or abs(np.sqrt(e2 @ e2) - 1.0) > 1e-12:
             raise ValueError("plane basis vectors must be unit to 1e-12")
         if abs(np.dot(e1, e2)) > 1e-12:
             raise ValueError("plane basis vectors must be orthogonal to 1e-12")

@@ -62,8 +62,8 @@ class FuzzReport:
     checks_run: int = 0
     findings: list = field(default_factory=list)
     min_slack: dict = field(default_factory=dict)
-    max_cross_residual: float = 0.0
-    min_q: float | None = None   # None until a cross check runs
+    max_cross_residual: float | None = None   # None until a cross check runs
+    min_q: float | None = None
     min_cauchy_schwarz: float | None = None
 
     def to_dict(self) -> dict:
@@ -95,7 +95,7 @@ class FuzzReport:
 
 def _scaled_norm(rng, shape, cap: float) -> np.ndarray:
     arr = rng.standard_normal(shape)
-    norm = np.linalg.norm(arr)
+    norm = np.sqrt(arr.ravel() @ arr.ravel())
     if norm < 1e-12:
         return np.zeros(shape)
     return arr * (rng.uniform(0.0, cap) / norm)
@@ -130,12 +130,12 @@ def random_scenario(index: int, cfg: FuzzConfig) -> dict:
     p = d - n
     hhat = rng.standard_normal((p, n, n))
     hhat = (hhat + np.transpose(hhat, (0, 2, 1))) / 2.0
-    norm = np.linalg.norm(hhat)
+    norm = np.sqrt(hhat.ravel() @ hhat.ravel())
     if norm > 1e-12:
         hhat *= rng.uniform(0.0, 2.0) / norm
 
     x_rand = rng.standard_normal(n)
-    x_rand /= np.linalg.norm(x_rand)
+    x_rand /= np.sqrt(x_rand @ x_rand)
 
     if cfg.kind == 1:
         spec = first_connection(
@@ -234,8 +234,8 @@ def minimize_finding(data: dict, check: dict, kind: int, tol: float) -> dict:
     return current
 
 
-def _least(current: float | None, value: float) -> float:
-    return value if current is None else min(current, value)
+def _fold(pick, current: float | None, value: float) -> float:
+    return value if current is None else pick(current, value)
 
 
 def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
@@ -260,7 +260,7 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
             verdict = _run_check(sub, check, cfg.tol)
             report.checks_run += 1
             tid = check["theorem"]
-            report.min_slack[tid] = _least(report.min_slack.get(tid), verdict.slack)
+            report.min_slack[tid] = _fold(min, report.min_slack.get(tid), verdict.slack)
             if not verdict.holds:
                 minimized = minimize_finding(data, check, cfg.kind, cfg.tol)
                 report.findings.append({
@@ -272,9 +272,9 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
 
         cc = cross_check(sub)
         report.checks_run += 1
-        report.max_cross_residual = max(report.max_cross_residual, cc.max_residual)
-        report.min_q = _least(report.min_q, cc.q_min)
-        report.min_cauchy_schwarz = _least(report.min_cauchy_schwarz, cc.cauchy_schwarz_slack)
+        report.max_cross_residual = _fold(max, report.max_cross_residual, cc.max_residual)
+        report.min_q = _fold(min, report.min_q, cc.q_min)
+        report.min_cauchy_schwarz = _fold(min, report.min_cauchy_schwarz, cc.cauchy_schwarz_slack)
         if not cc.ok():
             check = {"cross_check": {k: v for k, v in cc.residuals.items() if v > CROSS_TOL},
                      "q_min": cc.q_min}

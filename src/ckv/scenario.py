@@ -92,7 +92,7 @@ def _array(value, path: str, expected: str) -> np.ndarray:
         raise ScenarioError(path, "entries must be finite") from None
     except (TypeError, ValueError):
         raise ScenarioError(path, f"expected {expected}") from None
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ScenarioError(path, "entries must be finite")
     return arr
 

@@ -115,7 +115,7 @@ class SubmanifoldPoint:
 
     @property
     def h_norm_sq(self) -> float:
-        return self.memo("h_sq", lambda: float(np.sum(self.h * self.h)))
+        return self.memo("h_sq", lambda: float((self.h * self.h).sum()))
 
     def memo(self, key: str, make):
         """``make()``, computed on the first call for this point and kept in
@@ -128,8 +128,9 @@ class SubmanifoldPoint:
         """Coordinates of a tangent vector in the tangent frame (checked)."""
         X = as_vector(X, self.dim, "tangent vector")
         x = self.tangent @ X
-        residual = np.linalg.norm(X - x @ self.tangent)
-        if residual > _TANGENCY_TOL * max(1.0, np.linalg.norm(X)):
+        r = X - x @ self.tangent
+        residual = np.sqrt(r @ r)
+        if residual > _TANGENCY_TOL * max(1.0, np.sqrt(X @ X)):
             raise DimensionMismatch(
                 f"vector is not tangent (normal residual {residual:.3e})"
             )
@@ -318,7 +319,7 @@ def ricci(sub: SubmanifoldPoint, X) -> float:
 
 def _ricci_at(sub: SubmanifoldPoint, x: np.ndarray) -> float:
     """``ricci`` of the direction with tangent-frame coordinates x."""
-    if abs(np.linalg.norm(x) - 1.0) > 1e-10:
+    if abs(np.sqrt(x @ x) - 1.0) > 1e-10:
         raise ValueError("ricci requires a unit vector")
     basis = np.eye(sub.n)
     return float(np.einsum("abcd,a,kb,kc,d->", sub.riem, x, basis, basis, x))
@@ -365,7 +366,7 @@ _THETA_CHUNK = 1024
 
 
 def _finite(form: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(form)):
+    if not np.isfinite(form).all():
         raise ValueError("Theta_k: the curvature data overflows (non-finite curvature form)")
     return form
 
@@ -590,12 +591,12 @@ class _Quartic:
     def of(cls, sub: SubmanifoldPoint) -> "_Quartic":
         """The quartic of ``sub.h``; memoized on the point, arrays read-only."""
         if "quartic" not in sub.cache:
-            h = sub.h[np.any(sub.h != 0.0, axis=(1, 2))]
+            h = sub.h[(sub.h != 0.0).any(axis=(1, 2))]
             S = np.einsum("rab,rbc->ac", h, h)
             forms = np.concatenate([S[None], h])
             iu, ju = np.triu_indices(S.shape[0])
             coeffs = forms[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)
-            sub.cache["quartic"] = cls(h=_frozen(h), S=_frozen(S), h_sq=float(np.sum(h * h)),
+            sub.cache["quartic"] = cls(h=_frozen(h), S=_frozen(S), h_sq=float((h * h).sum()),
                                        coeffs=_frozen(coeffs))
         return sub.cache["quartic"]
 

@@ -37,7 +37,7 @@ import numpy as np
 from .connections import KIND_FIRST, KIND_SECOND, first_connection
 from .contact import standard_point
 from .errors import MissingArgument, WrongConnectionKind
-from .frames import Plane, complete_frame, orthonormalize
+from .frames import Plane, orthonormalize
 from .spheresearch import _frozen, quadratic_monomials
 from .submanifold import (
     SubmanifoldPoint,
@@ -121,31 +121,32 @@ def _plane_invariants(sub: SubmanifoldPoint, v1: np.ndarray, v2: np.ndarray) -> 
     phi_plane = <phat e1, e2>^2 (the squared phi-angle of the plane)
     the det/tr fields are restrictions of h', phi h', alpha, beta, alpha'
     P_plane_sq = pi(e1)^2 + pi(e2)^2
-    g_tr_h_P = <P, h(e1,e1) + h(e2,e2)> for the active h
+    g_tr_h_P = <P, h(e1,e1) + h(e2,e2)> = sum_r tr(h_r on the plane) pi_r for
+    the active h, with pi_r = <P, normal r>
+
+    Every field is a Python float read off one restriction to the plane rows
+    V = (v1; v2) of the point's memo ``plane_forms``: the forms (h', phi h',
+    alpha, beta, alpha', phat, h_1, ..., h_p) and the covectors (eta; pi).
     """
+    forms, covectors = sub.memo("plane_forms", lambda: (
+        _frozen(np.concatenate([np.stack([sub.hprime_top, sub.phi_hprime_top, sub.alpha_t,
+                                          sub.beta_t, sub.alpha_prime_t, sub.phat]), sub.h])),
+        _frozen(np.stack([sub.eta_t, sub.pi_t]))))
     V = np.stack([v1, v2])
-    eta1, eta2 = float(sub.eta_t @ v1), float(sub.eta_t @ v2)
-    A2 = V @ sub.hprime_top @ V.T
-    B2 = V @ sub.phi_hprime_top @ V.T
-    phi12 = float(v2 @ sub.phat @ v1)  # <e2, phi e1> = <phat e1, e2>
-    al2 = V @ sub.alpha_t @ V.T
-    be2 = V @ sub.beta_t @ V.T
-    ap2 = V @ sub.alpha_prime_t @ V.T
-    h_res = np.einsum("ia,rab,jb->rij", V, sub.h, V)
-    tr_h_vec = np.einsum("rii->r", h_res) @ sub.normal
-    g_tr_h_P = float(sub.spec.P @ tr_h_vec)
+    A, B, al, be, ap, ph, *h_plane = (V @ forms @ V.T).tolist()
+    (eta1, eta2), (pi1, pi2) = (covectors @ V.T).tolist()
     return {
         "gamma": eta1 ** 2 + eta2 ** 2,
-        "theta": eta1 ** 2 * A2[1, 1] + eta2 ** 2 * A2[0, 0] - 2.0 * eta1 * eta2 * A2[0, 1],
-        "phi_plane": phi12 ** 2,
-        "det_hprime": float(np.linalg.det(A2)),
-        "det_phi_hprime": float(np.linalg.det(B2)),
-        "tr_hprime": float(np.trace(A2)),
-        "tr_alpha": float(np.trace(al2)),
-        "tr_beta": float(np.trace(be2)),
-        "tr_alpha_prime": float(np.trace(ap2)),
-        "P_plane_sq": float((sub.pi_t @ v1) ** 2 + (sub.pi_t @ v2) ** 2),
-        "g_tr_h_P": g_tr_h_P,
+        "theta": eta1 ** 2 * A[1][1] + eta2 ** 2 * A[0][0] - 2.0 * eta1 * eta2 * A[0][1],
+        "phi_plane": ph[1][0] ** 2,   # <e2, phi e1> = <phat e1, e2>
+        "det_hprime": A[0][0] * A[1][1] - A[0][1] * A[1][0],
+        "det_phi_hprime": B[0][0] * B[1][1] - B[0][1] * B[1][0],
+        "tr_hprime": A[0][0] + A[1][1],
+        "tr_alpha": al[0][0] + al[1][1],
+        "tr_beta": be[0][0] + be[1][1],
+        "tr_alpha_prime": ap[0][0] + ap[1][1],
+        "P_plane_sq": pi1 ** 2 + pi2 ** 2,
+        "g_tr_h_P": sum((hr[0][0] + hr[1][1]) * pr for hr, pr in zip(h_plane, sub.pi_nor.tolist())),
     }
 
 
@@ -159,15 +160,15 @@ def _on_pairs(M: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Returns shape (3, f, k): the values on (x, y), on (x, x) and on (y, y).
     """
     left, right = np.stack([X, X, Y])[:, None], np.stack([Y, X, Y])[:, None]
-    return np.sum((left @ M) * right, axis=-1)
+    return ((left @ M) * right).sum(axis=-1)
 
 
 def _pair_nongauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Non-Gauss part of R(x, y, y, x) for rows of orthonormal tangent pairs.
 
     X and Y hold tangent-frame coordinates, shape (k, n), with each (x, y)
-    orthonormal.  The full value adds sum_r h_r(x,x) h_r(y,y) - h_r(x,y)^2
-    (``_pair_gauss``).  The ambient terms are those of the contact space form
+    orthonormal (3.3/4.2 also use it as a quadratic form in y, see ``verify``).
+    The full value adds sum_r h_r(x,x) h_r(y,y) - h_r(x,y)^2 (``_pair_gauss``).  The ambient terms are those of the contact space form
     with h' = A, phi h' = B and eta = u on the frame; the connection terms are
     folded into the quadratic forms A - C_x (in x) and A - C_y (in y).
     """
@@ -204,7 +205,7 @@ def _pair_forms(sub: SubmanifoldPoint) -> np.ndarray:
 def _pair_gauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Gauss part of R(x, y, y, x): sum_r h_r(x,x) h_r(y,y) - h_r(x,y)^2."""
     xy, xx, yy = _on_pairs(sub.h, X, Y)
-    return np.sum(xx * yy - xy ** 2, axis=0)
+    return (xx * yy - xy ** 2).sum(axis=0)
 
 
 @functools.cache
@@ -227,7 +228,7 @@ def _tau_nongauss(sub: SubmanifoldPoint) -> float:
     Memoized on ``sub.cache``; E = 2 tau_ng is the invariant aggregate with
     2 tau - E = n^2 ||H||^2 - ||h||^2.
     """
-    return sub.memo("tau_nongauss", lambda: 0.5 * float(np.sum(_frame_nongauss(sub))))
+    return sub.memo("tau_nongauss", lambda: 0.5 * float(_frame_nongauss(sub).sum()))
 
 
 def _gauss_sum(sub: SubmanifoldPoint) -> float:
@@ -290,7 +291,10 @@ def verify(
     """Evaluate one inequality of the catalog and report its verdict.
 
     3.1/4.1 need ``plane``; 3.3/4.2 need a unit tangent ``X``; 3.4/4.3 take
-    ``k`` (default n).  Arguments a theorem does not take are ignored.  For
+    ``k`` (default n).  Arguments a theorem does not take are ignored.  The
+    3.3/4.2 rhs sums the pair form over an orthonormal basis of x^perp: for
+    fixed x it is a quadratic form in y (its y-free terms count once per unit
+    y), so that sum is its trace over e_1..e_n minus its value at y = x.  For
     3.4/4.3 the k-Ricci invariant enters as min(Theta_k estimate, Theta_n):
     Theta_k <= Theta_{k+1}, so both are upper bounds on Theta_k in every mode
     and the smaller one is the sharpest sound value; a sampled ('multistart')
@@ -308,7 +312,7 @@ def verify(
         if plane is None:
             raise MissingArgument(f"{theorem_id} needs a plane")
         v1, v2 = sub.plane_coords(plane)
-        k_ng = 0.5 * float(np.sum(_pair_nongauss(sub, np.stack([v1, v2]), np.stack([v2, v1]))))
+        k_ng = 0.5 * float(_pair_nongauss(sub, np.stack([v1, v2]), np.stack([v2, v1])).sum())
         lhs = scalar_tau(sub) - float(_sectional_batch(sub, v1[None], v2[None])[0])
         rhs = _tau_nongauss(sub) - k_ng + n ** 2 * (n - 2) / (2.0 * (n - 1)) * H_sq
         diag = {
@@ -322,9 +326,9 @@ def verify(
             raise MissingArgument(f"{theorem_id} needs a unit tangent direction X")
         x = sub.tangent_coords(X)
         lhs = _ricci_at(sub, x)  # rejects a non-unit X
-        frame = complete_frame(x[None, :])
-        ric_ng = float(np.sum(_pair_nongauss(sub, np.broadcast_to(x, frame.shape), frame)))
-        rhs = ric_ng + n ** 2 / 4.0 * H_sq
+        # the trace identity of the docstring: no basis of x^perp is built
+        vals = _pair_nongauss(sub, np.broadcast_to(x, (n + 1, n)), np.vstack([np.eye(n), x]))
+        rhs = float(vals[:n].sum() - vals[n]) + n ** 2 / 4.0 * H_sq
         diag = {
             "H_zero": bool(H_sq < 1e-20),
             "X_in_kernel": bool(_kernel_residual(sub, x) < 1e-10),
@@ -368,32 +372,26 @@ def _kernel_residual(sub: SubmanifoldPoint, x: np.ndarray) -> float:
 
 
 def _adapted_block_match(sub: SubmanifoldPoint, v1: np.ndarray, v2: np.ndarray) -> bool:
-    """Diagnostic: shape operators in the frame adapted to the plane with
-    frame coordinates v1, v2 match the equality pattern of the tau - K bound.
+    """Diagnostic: do the shape operators match the equality pattern of the
+    tau - K bound on the plane with frame coordinates v1, v2?
 
-    In a frame starting with the plane basis: the first operator is
-    diag(h11, h22, s, ..., s) with s = h11 + h22, the remaining ones are
-    trace-free 2x2 blocks in the plane and zero elsewhere.  Heuristic (a
-    suitable frame might exist elsewhere); used for reporting only.
+    In a frame starting with the plane basis the pattern is: the first
+    operator is diag(h11, h22, s, ..., s) with s = h11 + h22, the remaining
+    ones are trace-free 2x2 blocks in the plane and zero elsewhere.  With
+    P = v1 v1^T + v2 v2^T that reads, basis-free, h_1 = h11 v1 v1^T +
+    h22 v2 v2^T + s (I - P) = s I - h22 v1 v1^T - h11 v2 v2^T and, for r > 1,
+    h_r = P h_r P with h_r(v1, v1) + h_r(v2, v2) = 0; both are compared
+    entrywise in frame coordinates, to a tolerance scaled by max |h|.
+    Heuristic (a suitable frame might exist elsewhere); used for reporting only.
     """
-    basis = np.vstack([v1, v2, complete_frame(np.vstack([v1, v2]))])
-    h_adapted = np.einsum("ia,rab,jb->rij", basis, sub.h, basis)
-    tol = _SHAPE_TOL * (1.0 + np.abs(h_adapted).max())
-    first = h_adapted[0]
-    off = first - np.diag(np.diag(first))
-    if np.abs(off).max() > tol:
-        return False
-    s = first[0, 0] + first[1, 1]
-    if np.abs(np.diag(first)[2:] - s).max() > tol:
-        return False
-    for other in h_adapted[1:]:
-        if abs(other[0, 0] + other[1, 1]) > tol:
-            return False
-        masked = other.copy()
-        masked[:2, :2] = 0.0
-        if np.abs(masked).max() > tol:
-            return False
-    return True
+    h, V = sub.h, np.stack([v1, v2])
+    h_plane = V @ h @ V.T
+    pattern = V.T @ h_plane @ V
+    (h11, _), (_, h22) = h_plane[0].tolist()
+    pattern[0] = (h11 + h22) * np.eye(sub.n) - (V.T * [h22, h11]) @ V
+    tol = _SHAPE_TOL * (1.0 + np.abs(h).max())
+    traces = h_plane[1:, 0, 0] + h_plane[1:, 1, 1]
+    return bool(np.abs(h - pattern).max() <= tol and np.abs(traces).max(initial=0.0) <= tol)
 
 
 def _casorati_equality(n: int, r: float, a: float) -> np.ndarray:

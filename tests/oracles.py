@@ -4,7 +4,8 @@ Each one recomputes a quantity along a path independent of the one ``ckv``
 takes, so a test can compare the two: Chen's algebraic lemma on shape
 operators (the bounds each proof applies to the Gauss part), the induced
 curvature from the ambient connection plus the Gauss-equation corrections on
-raw vectors, in-plane changes of a plane's basis, a structure residual
+raw vectors, the Ricci bound and the equality pattern of the tau - K bound in
+a completed frame, in-plane changes of a plane's basis, a structure residual
 looked up by name, and Thorpe's lower bound on the least sectional curvature
 at n = 4.
 """
@@ -17,8 +18,9 @@ import numpy as np
 
 from ckv.connections import KIND_FIRST, ambient_curvature
 from ckv.contact import ValidationReport
-from ckv.frames import Plane
+from ckv.frames import Plane, complete_frame
 from ckv.submanifold import SubmanifoldPoint, _bivector_form
+from ckv.verifier import _SHAPE_TOL, _pair_nongauss
 
 
 # --- Chen's algebraic lemma ---------------------------------------------------
@@ -112,6 +114,38 @@ def induced_curvature_direct(sub: SubmanifoldPoint, X, Y, Z, W) -> float:
         - float(sub.spec.P @ hxz) * float(np.dot(Y, W))
     )
     return val
+
+
+# --- the 3.1/4.1 and 3.3/4.2 checks in a completed frame ------------------------
+
+def ricci_nongauss_by_frame(sub: SubmanifoldPoint, x: np.ndarray) -> float:
+    """Non-Gauss part of the Ricci sum at the unit frame coordinates x: the
+    pair form summed over a ``complete_frame`` basis of x^perp."""
+    frame = complete_frame(x[None, :])
+    return float(np.sum(_pair_nongauss(sub, np.broadcast_to(x, frame.shape), frame)))
+
+
+def adapted_block_match_by_frame(sub: SubmanifoldPoint, v1: np.ndarray, v2: np.ndarray) -> bool:
+    """The tau - K equality pattern read in the frame (v1, v2, completion):
+    the first operator diag(h11, h22, s, ..., s) with s = h11 + h22, the
+    others trace-free 2x2 blocks in the plane and zero elsewhere, to a
+    tolerance scaled by the largest adapted entry."""
+    basis = np.vstack([v1, v2, complete_frame(np.vstack([v1, v2]))])
+    h_adapted = np.einsum("ia,rab,jb->rij", basis, sub.h, basis)
+    tol = _SHAPE_TOL * (1.0 + np.abs(h_adapted).max())
+    first = h_adapted[0]
+    if np.abs(first - np.diag(np.diag(first))).max() > tol:
+        return False
+    if np.abs(np.diag(first)[2:] - (first[0, 0] + first[1, 1])).max() > tol:
+        return False
+    for other in h_adapted[1:]:
+        if abs(other[0, 0] + other[1, 1]) > tol:
+            return False
+        masked = other.copy()
+        masked[:2, :2] = 0.0
+        if np.abs(masked).max() > tol:
+            return False
+    return True
 
 
 # --- plane bases and structure reports ----------------------------------------

@@ -572,8 +572,9 @@ def test_fuzz_report_contents():
 
 def test_fuzz_report_without_cross_checks_is_strict_json(monkeypatch, capsys):
     # an instance that fails structure validation is counted but never cross
-    # checked; with no cross check at all, min_q and min_cauchy_schwarz are
-    # null (they used to be the non-JSON Infinity)
+    # checked; with no cross check at all, max_cross_residual, min_q and
+    # min_cauchy_schwarz are null (the minima used to be the non-JSON
+    # Infinity, the maximum a perfect 0.0)
     failed = ValidationReport((StructureCheck("planted", 1.0, False),))
     monkeypatch.setattr(ckv.fuzz, "validate_structure", lambda model: failed)
 
@@ -584,9 +585,13 @@ def test_fuzz_report_without_cross_checks_is_strict_json(monkeypatch, capsys):
                          parse_constant=reject)["summary"]
     assert (summary["instances"], summary["findings"]) == (2, 2)
     assert summary["min_q"] is None and summary["min_cauchy_schwarz"] is None
+    assert summary["max_cross_residual"] is None
     assert main(["fuzz", "--count", "2", "--kind", "2"]) == 1
-    (report,) = json.loads(capsys.readouterr().out, parse_constant=reject)["reports"]
+    captured = capsys.readouterr()
+    (report,) = json.loads(captured.out, parse_constant=reject)["reports"]
     assert report["summary"]["min_q"] is None and report["summary"]["min_cauchy_schwarz"] is None
+    assert report["summary"]["max_cross_residual"] is None
+    assert "max cross residual n/a" in captured.err
 
 
 def test_fuzz_minimizer_shrinks_a_planted_failure():

@@ -8,6 +8,7 @@ from ckv.frames import Plane, complete_frame, orthonormalize
 from ckv.fuzz import FuzzConfig, random_scenario
 from ckv.scenario import parse_scenario
 from ckv.submanifold import attach, casorati
+from ckv import verifier
 from ckv.verifier import (
     TAKES_K,
     TAKES_PLANE,
@@ -20,7 +21,14 @@ from ckv.verifier import (
     _cross_sample,
     _frame_pairs,
 )
-from oracles import algebraic_bounds_check, chen_bound_batch, ricci_bound_batch, rotated
+from oracles import (
+    adapted_block_match_by_frame,
+    algebraic_bounds_check,
+    chen_bound_batch,
+    ricci_bound_batch,
+    ricci_nongauss_by_frame,
+    rotated,
+)
 
 E5 = np.eye(5)
 
@@ -235,6 +243,70 @@ def test_equality_witness_rejects_junk_params():
         equality_instance("nope")
 
 
+@pytest.mark.parametrize("b_block", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_cor32_shape_match_on_its_witness_plane(n, seed, b_block):
+    # the 3.1 equality pattern holds on the witness plane (e1, e2) only
+    params = {"h11": 0.6, "h22": 1.7, **({"b1": 0.8, "b2": -0.3} if b_block else {})}
+    sub = equality_instance("cor32", n, params, seed=seed)
+    on = verify(sub, "3.1", plane=Plane(sub.tangent[0], sub.tangent[1]))
+    off = verify(sub, "3.1", plane=Plane(sub.tangent[1], sub.tangent[2]))
+    assert on.diagnostics["shape_match"] is True
+    assert off.diagnostics["shape_match"] is False
+
+
+def _oracle_points():
+    """Seeded points of both kinds at n = 3..6."""
+    return [_random_sub(900 + 10 * n + kind, kind, n=n, m=n // 2 + 1)
+            for kind in (1, 2) for n in (3, 4, 5, 6)]
+
+
+def test_ricci_bound_is_the_trace_form():
+    # the 3.3/4.2 rhs traces the pair form over e_1..e_n minus its value at
+    # y = x; the oracle sums it over a completed basis of x^perp
+    rng = np.random.default_rng(91)
+    for sub in _oracle_points():
+        n = sub.n
+        tid = "3.3" if sub.spec.kind == 1 else "4.2"
+        directions = [orthonormalize(rng.standard_normal((1, n)))[0] for _ in range(4)]
+        directions += [sign * e for e in np.eye(n) for sign in (1.0, -1.0)]
+        for x in directions:
+            verdict = verify(sub, tid, X=x @ sub.tangent)
+            expected = ricci_nongauss_by_frame(sub, x) + n ** 2 / 4.0 * sub.mean_curvature_sq
+            assert abs(verdict.rhs - expected) <= 1e-12 * (1.0 + abs(verdict.rhs)), (n, x)
+
+
+def _perturbed(sub, eps, rng):
+    noise = rng.standard_normal(sub.hhat.shape)
+    noise = (noise + np.transpose(noise, (0, 2, 1))) / 2.0
+    return attach(sub.model, sub.spec, sub.tangent, sub.hhat + eps * noise / np.linalg.norm(noise))
+
+
+def test_shape_match_agrees_with_the_adapted_frame():
+    # the basis-free pattern against the one read in a completed frame, on
+    # cases away from the 1e-8 tolerance edge
+    rng = np.random.default_rng(92)
+    cases = []
+    for n in (3, 4, 5, 6):
+        for params in ({"h11": 1.0, "h22": 1.0}, {"h11": 0.4, "h22": -1.1, "b1": 0.8, "b2": -0.3}):
+            witness = equality_instance("cor32", n, params, seed=n)
+            traced = witness.hhat.copy()
+            traced[1, 0, 0] += 0.5   # a second slice in the plane, but not trace-free
+            cases += [(witness, True), (_perturbed(witness, 1e-13, rng), True),
+                      (_perturbed(witness, 1e-4, rng), False),
+                      (attach(witness.model, witness.spec, witness.tangent, traced), False)]
+    cases += [(sub, False) for sub in _oracle_points()]
+    for sub, expected in cases:
+        v1, v2 = np.eye(sub.n)[:2]
+        plane = Plane(v1 @ sub.tangent, v2 @ sub.tangent)
+        assert verify(sub, "3.1" if sub.spec.kind == 1 else "4.1", plane=plane).diagnostics[
+            "shape_match"] is expected
+        assert adapted_block_match_by_frame(sub, v1, v2) is expected
+        w1, w2 = orthonormalize(rng.standard_normal((2, sub.n)))
+        assert verifier._adapted_block_match(sub, w1, w2) == adapted_block_match_by_frame(sub, w1, w2)
+
+
 def test_shape_match_rejects_generic_data():
     sub = _random_sub(60, 1, n=3, m=2)
     verdict = verify(sub, "3.1", plane=Plane(sub.tangent[0], sub.tangent[1]))
@@ -420,7 +492,7 @@ def test_cached_arrays_are_read_only():
     cross_check(sub)
     verify(sub, "3.1", plane=Plane(sub.tangent[0], sub.tangent[1]))
     quartic = sub.cache["quartic"]
-    arrays = [*_frame_pairs(4), *_cross_sample(4), sub.cache["pair_forms"],
+    arrays = [*_frame_pairs(4), *_cross_sample(4), *sub.cache["plane_forms"], sub.cache["pair_forms"],
               sub.cache["frame_nongauss"], quartic.h, quartic.S, quartic.coeffs]
     for arr in arrays:
         with pytest.raises(ValueError):
