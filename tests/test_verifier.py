@@ -8,7 +8,6 @@ from ckv.frames import Plane, complete_frame, orthonormalize
 from ckv.fuzz import FuzzConfig, random_scenario
 from ckv.scenario import parse_scenario
 from ckv.submanifold import attach, casorati
-from ckv import verifier
 from ckv.verifier import (
     TAKES_K,
     TAKES_PLANE,
@@ -18,6 +17,7 @@ from ckv.verifier import (
     cross_check,
     equality_instance,
     verify,
+    _adapted_block_match,
     _cross_sample,
     _frame_pairs,
 )
@@ -304,7 +304,7 @@ def test_shape_match_agrees_with_the_adapted_frame():
             "shape_match"] is expected
         assert adapted_block_match_by_frame(sub, v1, v2) is expected
         w1, w2 = orthonormalize(rng.standard_normal((2, sub.n)))
-        assert verifier._adapted_block_match(sub, w1, w2) == adapted_block_match_by_frame(sub, w1, w2)
+        assert _adapted_block_match(sub, w1, w2) == adapted_block_match_by_frame(sub, w1, w2)
 
 
 def test_shape_match_rejects_generic_data():
