@@ -287,9 +287,13 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors, matching the input-error contract
         return int(exc.code or 0)
     # overflowing input data ends in one "error:" line from the finite
-    # guards, without numpy's floating-point warnings ahead of it
+    # guards, without numpy's floating-point warnings ahead of it; so does
+    # input too large to allocate (the n^4 curvature tensor of a large n)
     with np.errstate(all="ignore"):
-        return args.func(args)
+        try:
+            return args.func(args)
+        except MemoryError as exc:
+            return _fail(f"out of memory: {str(exc) or 'allocation failed'}")
 
 
 def entry():

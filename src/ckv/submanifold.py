@@ -17,8 +17,9 @@ paper's curvature formulas, plus two outer products; the tests compare it
 with an independent evaluation on raw vectors, the ambient curvature of the
 connection plus the Gauss-equation corrections.
 
-Since the connections are not metric, R(X,Y,Z,W) != -R(X,Y,W,Z) in general
-and the sectional curvature is the symmetrized combination
+Since the connections are not metric, R(X,Y,Z,W) != -R(X,Y,W,Z) in general,
+and every symmetrized invariant (K, tau, the symmetrized Ricci form, Theta_k)
+reads one form, R antisymmetrized in its last pair (``_theta_form``): e.g.
 K = (R(e1,e2,e2,e1) - R(e1,e2,e1,e2)) / 2, which is basis-independent.
 """
 
@@ -108,10 +109,10 @@ class SubmanifoldPoint:
 
     @property
     def mean_curvature_sq(self) -> float:
-        if "H_sq" not in self.cache:
+        def make():
             traces = np.einsum("rii->r", self.h) / self.n
-            self.cache["H_sq"] = float(traces @ traces)
-        return self.cache["H_sq"]
+            return float(traces @ traces)
+        return self.memo("H_sq", make)
 
     @property
     def h_norm_sq(self) -> float:
@@ -278,27 +279,22 @@ def sectional(sub: SubmanifoldPoint, plane: Plane) -> float:
 
 
 def _sectional_batch(sub: SubmanifoldPoint, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
-    """K for a batch of orthonormal coordinate pairs, shapes (k, n)."""
-    r1221 = np.einsum("abcd,ka,kb,kc,kd->k", sub.riem, V1, V2, V2, V1)
-    r1212 = np.einsum("abcd,ka,kb,kc,kd->k", sub.riem, V1, V2, V1, V2)
-    return (r1221 - r1212) / 2.0
+    """K = ``_anti``(v1, v2, v2, v1) for orthonormal coordinate pairs, shapes (k, n)."""
+    return np.einsum("abcd,ka,kb,kc,kd->k", _anti(sub), V1, V2, V2, V1)
 
 
 def scalar_tau_pair(sub: SubmanifoldPoint) -> tuple[float, float]:
     """Scalar curvature through both defining formulas.
 
-    First value: sum of K over coordinate 2-planes of the tangent frame.
-    Second: half the double sum of R(e_i, e_j, e_j, e_i).  They must agree.
-    Memoized on the point.
+    First value: sum of K over coordinate 2-planes of the tangent frame,
+    anti[i, j, j, i] (``_anti``) summed over i < j.  Second: half the double
+    sum of R(e_i, e_j, e_j, e_i), einsum("ijji") on raw ``riem``.  They must
+    agree.  Memoized on the point.
     """
-    if "tau_pair" not in sub.cache:
-        R = sub.riem
-        k_sum = 0.0
-        for i in range(sub.n):
-            for j in range(i + 1, sub.n):
-                k_sum += (R[i, j, j, i] - R[i, j, i, j]) / 2.0
-        sub.cache["tau_pair"] = (float(k_sum), float(np.einsum("ijji->", R)) / 2.0)
-    return sub.cache["tau_pair"]
+    def make():
+        i, j = np.triu_indices(sub.n, 1)
+        return float(_anti(sub)[i, j, j, i].sum()), float(np.einsum("ijji->", sub.riem)) / 2.0
+    return sub.memo("tau_pair", make)
 
 
 def scalar_tau(sub: SubmanifoldPoint) -> float:
@@ -308,7 +304,8 @@ def scalar_tau(sub: SubmanifoldPoint) -> float:
 
 def ricci(sub: SubmanifoldPoint, X) -> float:
     """Raw Ricci curvature of a unit tangent vector: the sum of
-    R(X, e_j, e_j, X) over the tangent frame.
+    R(X, e_j, e_j, X) over the tangent frame, x^T M x with the trace
+    M[a, d] = sum_b R[a, b, b, d], einsum("abbd->ad") on raw ``riem``.
 
     The X-term of the full-frame trace vanishes by the antisymmetry of R in
     its first two slots, so this is the sum over any orthonormal completion
@@ -321,21 +318,17 @@ def _ricci_at(sub: SubmanifoldPoint, x: np.ndarray) -> float:
     """``ricci`` of the direction with tangent-frame coordinates x."""
     if abs(np.sqrt(x @ x) - 1.0) > 1e-10:
         raise ValueError("ricci requires a unit vector")
-    basis = np.eye(sub.n)
-    return float(np.einsum("abcd,a,kb,kc,d->", sub.riem, x, basis, basis, x))
+    return float(x @ np.einsum("abbd->ad", sub.riem) @ x)
 
 
 def ricci_form(sub: SubmanifoldPoint) -> np.ndarray:
     """Symmetric matrix Q with x^T Q x = symmetrized Ricci of the direction x.
 
-    Built from the bilinear traces M1[a,d] = sum_b R[a,b,b,d] and
-    M2[a,c] = sum_b R[a,b,c,b]; only the symmetric part matters for the
-    quadratic form.  Its smallest eigenvalue over unit vectors is the exact
-    k = n Ricci infimum, and tr Q = 2 tau.
+    The symmetrized trace einsum("abbd->ad") of ``_anti``, the symmetric
+    part of sum_b (R[a,b,b,d] - R[a,b,d,b]) / 2.  Its smallest eigenvalue over
+    unit vectors is the exact k = n Ricci infimum, and tr Q = 2 tau.
     """
-    M1 = np.einsum("abbd->ad", sub.riem)
-    M2 = np.einsum("abcb->ac", sub.riem)
-    Q = (M1 - M2) / 2.0
+    Q = np.einsum("abbd->ad", _anti(sub))
     return (Q + Q.T) / 2.0
 
 
@@ -372,13 +365,21 @@ def _finite(form: np.ndarray) -> np.ndarray:
 
 
 def _theta_form(sub: SubmanifoldPoint) -> np.ndarray:
-    """riem antisymmetrized in its last pair, as the (n*n, n*n) matrix
-    form[(a, d), (b, c)] = anti[a, b, c, d]; memoized and read-only."""
-    if "theta_form" not in sub.cache:
+    """anti = (R[a,b,c,d] - R[a,b,d,c]) / 2 as the (n*n, n*n) matrix
+    form[(a, d), (b, c)] = anti[a, b, c, d]; memoized and read-only.  The one
+    place ``riem`` is antisymmetrized: every symmetrized invariant reads this
+    form, S_x as a GEMM and the rest through its view ``_anti``."""
+    def make():
         n = sub.n
         anti = (sub.riem - sub.riem.transpose(0, 1, 3, 2)) / 2.0
-        sub.cache["theta_form"] = _frozen(anti.transpose(0, 3, 1, 2).reshape(n * n, n * n))
-    return sub.cache["theta_form"]
+        return _frozen(anti.transpose(0, 3, 1, 2).reshape(n * n, n * n))
+    return sub.memo("theta_form", make)
+
+
+def _anti(sub: SubmanifoldPoint) -> np.ndarray:
+    """``_theta_form`` as the 4-index array anti[a, b, c, d], a view (no copy)."""
+    n = sub.n
+    return _theta_form(sub).reshape(n, n, n, n).transpose(0, 2, 3, 1)
 
 
 def _direction_matrices(sub: SubmanifoldPoint, X: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -408,8 +409,8 @@ def _partial_ricci_min(sub: SubmanifoldPoint, X: np.ndarray, k: int) -> np.ndarr
 
 def _eigvalsh3(u: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of symmetric 3x3 matrices in closed form, one
-    matrix per column of the entry rows u = (m00, m11, m22, m01, m02, m12),
-    shape (6, k); returns shape (k, 3).
+    matrix per column of the entry rows u = (m00, m01, m02, m11, m12, m22)
+    in ``np.triu_indices`` order, shape (6, k); returns shape (k, 3).
 
     The trigonometric formula (O. K. Smith, Comm. ACM 4, 1961; J. Kopp,
     arXiv:physics/0610206): with q = tr M / 3, B = M - q I and
@@ -420,7 +421,7 @@ def _eigvalsh3(u: np.ndarray) -> np.ndarray:
     sqrt(eps) * ||M||_F at worst, at near-double eigenvalues.
     """
     _, e = np.frexp(np.max(np.abs(u), axis=0))
-    m00, m11, m22, m01, m02, m12 = np.ldexp(u, -e)
+    m00, m01, m02, m11, m12, m22 = np.ldexp(u, -e)
     q = (m00 + m11 + m22) / 3.0
     d0, d1, d2 = m00 - q, m11 - q, m22 - q
     p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12)) / 6.0)
@@ -434,18 +435,10 @@ def _eigvalsh3(u: np.ndarray) -> np.ndarray:
     return np.stack([np.ldexp(v, e) for v in (lo, 3.0 * q - lo - hi, hi)], axis=1)
 
 
-def _entry_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each entry row of a symmetric dim x dim matrix in
-    the order of ``_layout_entries``: the diagonal, then the strict upper
-    triangle in ``np.triu_indices`` order (m00 m11 m22 m01 m02 m12 on dim 3)."""
-    i, j = np.triu_indices(dim, 1)
-    diag = np.arange(dim)
-    return np.concatenate([diag, i]), np.concatenate([diag, j])
-
-
 def _entry_stack(E: np.ndarray, dim: int) -> np.ndarray:
-    """The symmetric (k, dim, dim) stack whose entry rows are E."""
-    I, J = _entry_indices(dim)
+    """The symmetric (k, dim, dim) stack whose entry rows E are the upper
+    triangle in ``np.triu_indices`` order (m00 m01 m02 m11 m12 m22 on dim 3)."""
+    I, J = np.triu_indices(dim)
     M = np.empty((E.shape[1], dim, dim))
     M[:, I, J] = M[:, J, I] = E.T
     return M
@@ -453,7 +446,7 @@ def _entry_stack(E: np.ndarray, dim: int) -> np.ndarray:
 
 def _layout_entries(sub: SubmanifoldPoint):
     """Yield the matrices of ``_direction_matrices`` at the layout
-    directions, as entry rows (``_entry_indices``) of shape
+    directions, as entry rows in ``np.triu_indices`` order, of shape
     (n (n - 1) / 2, rows), one ``_THETA_CHUNK`` of rows at a time.
 
     S_x is quadratic in x: its upper entries are one GEMM of a coefficient
@@ -472,7 +465,7 @@ def _layout_entries(sub: SubmanifoldPoint):
     table = (T[iu, ju] * np.where(iu == ju, 1.0, 2.0)[:, None, None])[:, iu, ju].T
     pack = np.empty((n, n), dtype=np.intp)   # the entry of S_x holding [b, c]
     pack[iu, ju] = pack[ju, iu] = np.arange(len(iu))
-    I, J = _entry_indices(n - 1)
+    I, J = np.triu_indices(n - 1)
     I, J = I + 1, J + 1
     mono, (V, W) = layout_monomials(n), layout_householder(n)
     for lo in range(0, LAYOUT_SIZE, _THETA_CHUNK):
@@ -491,21 +484,19 @@ def _layout_spectra(sub: SubmanifoldPoint) -> np.ndarray:
     n = 4 and to ``eigvalsh`` of its ``_entry_stack`` on n >= 5.  They do
     not depend on k, so every k < n shares them; memoized and read-only.
     """
-    if "theta_spectra" not in sub.cache:
-        d = sub.n - 1
-        sub.cache["theta_spectra"] = _frozen(np.concatenate([
-            _eigvalsh3(E) if d == 3 else np.linalg.eigvalsh(_entry_stack(E, d))
-            for E in _layout_entries(sub)
-        ]))
-    return sub.cache["theta_spectra"]
+    d = sub.n - 1
+    return sub.memo("theta_spectra", lambda: _frozen(np.concatenate([
+        _eigvalsh3(E) if d == 3 else np.linalg.eigvalsh(_entry_stack(E, d))
+        for E in _layout_entries(sub)
+    ])))
 
 
 def _bivector_form(sub: SubmanifoldPoint) -> np.ndarray:
     """Symmetric form B on 2-vectors with K(x ^ y) = B(x ^ y, x ^ y) for
-    orthonormal x, y: B[(a,b),(c,d)] = anti[a,b,d,c] over pairs a < b, c < d."""
-    n = sub.n
-    anti = _theta_form(sub).reshape(n, n, n, n).transpose(0, 2, 3, 1)
-    a, b = np.triu_indices(n, 1)
+    orthonormal x, y: B[(a,b),(c,d)] = anti[a,b,d,c] (``_anti``) over pairs
+    a < b, c < d."""
+    anti = _anti(sub)
+    a, b = np.triu_indices(sub.n, 1)
     B = anti[a[:, None], b[:, None], b[None, :], a[None, :]]
     return (B + B.T) / 2.0
 
@@ -590,15 +581,15 @@ class _Quartic:
     @classmethod
     def of(cls, sub: SubmanifoldPoint) -> "_Quartic":
         """The quartic of ``sub.h``; memoized on the point, arrays read-only."""
-        if "quartic" not in sub.cache:
+        def make():
             h = sub.h[(sub.h != 0.0).any(axis=(1, 2))]
             S = np.einsum("rab,rbc->ac", h, h)
             forms = np.concatenate([S[None], h])
             iu, ju = np.triu_indices(S.shape[0])
             coeffs = forms[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)
-            sub.cache["quartic"] = cls(h=_frozen(h), S=_frozen(S), h_sq=float((h * h).sum()),
-                                       coeffs=_frozen(coeffs))
-        return sub.cache["quartic"]
+            return cls(h=_frozen(h), S=_frozen(S), h_sq=float((h * h).sum()),
+                       coeffs=_frozen(coeffs))
+        return sub.memo("quartic", make)
 
     def values(self, monomials: np.ndarray) -> np.ndarray:
         """F at the rows whose ``quadratic_monomials`` are given."""
@@ -677,9 +668,10 @@ def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
     Deterministic; memoized on the point (the search is the dominant cost and
     several inequality checks share it).  The argument arrays are read-only.
     """
-    hit = sub.cache.get("casorati")
-    if hit is not None:
-        return hit
+    return sub.memo("casorati", lambda: _casorati_search(sub))
+
+
+def _casorati_search(sub: SubmanifoldPoint) -> CasoratiCurvatures:
     n = sub.n
     C = sub.h_norm_sq / n
     quartic = _Quartic.of(sub)
@@ -701,11 +693,9 @@ def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
         inf_f, umin, sup_f, umax = float(F[lo]), U[lo], float(F[hi]), U[hi]
     inf_val, sup_val = inf_f / (n - 1), sup_f / (n - 1)
     nn = n * (n - 1)
-    result = CasoratiCurvatures(
+    return CasoratiCurvatures(
         C=C, inf_CL=inf_val, sup_CL=sup_val,
         delta_c=float(delta_casorati(n, 0.5 * nn, C, inf_val, sup_val) / nn),
         delta_c_hat=float(delta_casorati(n, 2.0 * nn, C, inf_val, sup_val) / nn),
         argmin_u=_frozen(umin), argmax_u=_frozen(umax),
     )
-    sub.cache["casorati"] = result
-    return result

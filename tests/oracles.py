@@ -4,10 +4,11 @@ Each one recomputes a quantity along a path independent of the one ``ckv``
 takes, so a test can compare the two: Chen's algebraic lemma on shape
 operators (the bounds each proof applies to the Gauss part), the induced
 curvature from the ambient connection plus the Gauss-equation corrections on
-raw vectors, the Ricci bound and the equality pattern of the tau - K bound in
-a completed frame, in-plane changes of a plane's basis, a structure residual
-looked up by name, and Thorpe's lower bound on the least sectional curvature
-at n = 4.
+raw vectors, K, tau and the Ricci curvatures read off the raw tensor ``riem``
+instead of its antisymmetrized form, the Ricci bound and the equality pattern
+of the tau - K bound in a completed frame, in-plane changes of a plane's
+basis, a structure residual looked up by name, and Thorpe's lower bound on
+the least sectional curvature at n = 4.
 """
 
 from __future__ import annotations
@@ -114,6 +115,39 @@ def induced_curvature_direct(sub: SubmanifoldPoint, X, Y, Z, W) -> float:
         - float(sub.spec.P @ hxz) * float(np.dot(Y, W))
     )
     return val
+
+
+# --- intrinsic invariants on the raw tensor -----------------------------------
+
+def sectional_by_riem(riem: np.ndarray, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
+    """K = (R(v1,v2,v2,v1) - R(v1,v2,v1,v2)) / 2 for orthonormal coordinate
+    rows of V1 and V2, shapes (k, n)."""
+    r1221 = np.einsum("abcd,ka,kb,kc,kd->k", riem, V1, V2, V2, V1)
+    r1212 = np.einsum("abcd,ka,kb,kc,kd->k", riem, V1, V2, V1, V2)
+    return (r1221 - r1212) / 2.0
+
+
+def tau_by_loop(riem: np.ndarray) -> float:
+    """Scalar curvature: K of the coordinate planes i < j, added one by one."""
+    n = riem.shape[0]
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += (riem[i, j, j, i] - riem[i, j, i, j]) / 2.0
+    return float(total)
+
+
+def ricci_form_by_traces(riem: np.ndarray) -> np.ndarray:
+    """The symmetric part of (M1 - M2) / 2, M1[a,d] = sum_b R[a,b,b,d] and
+    M2[a,c] = sum_b R[a,b,c,b]: the symmetrized Ricci quadratic form."""
+    Q = (np.einsum("abbd->ad", riem) - np.einsum("abcb->ac", riem)) / 2.0
+    return (Q + Q.T) / 2.0
+
+
+def ricci_by_frame(riem: np.ndarray, x: np.ndarray) -> float:
+    """Raw Ricci curvature sum_j R(x, e_j, e_j, x) over the coordinate frame."""
+    basis = np.eye(len(x))
+    return float(np.einsum("abcd,a,kb,kc,d->", riem, x, basis, basis, x))
 
 
 # --- the 3.1/4.1 and 3.3/4.2 checks in a completed frame ------------------------

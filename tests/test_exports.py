@@ -1,7 +1,8 @@
 """Every exported name resolves, so a deletion cannot leave a stale export;
 every exported or module-level name of ``ckv`` has a caller outside the
 tests, so test-only surface stays in the tests; the number of options
-(function parameters with a default) cannot grow unnoticed."""
+(function parameters with a default) cannot grow unnoticed; only
+``SubmanifoldPoint.memo`` touches the per-point cache."""
 
 import ast
 import importlib
@@ -120,3 +121,26 @@ def test_tracer_targets_resolve():
     for home, attr, _ in targets:
         assert home == "ckv" or home.startswith("ckv."), home
         assert callable(getattr(importlib.import_module(home), attr, None)), f"{home}.{attr}"
+
+
+def _cache_uses(path):
+    """``file:line`` of every ``.cache`` attribute of a file outside
+    ``SubmanifoldPoint.memo`` (``functools.cache`` left out), and whether the
+    file defines that memo."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    memo = {id(node) for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "SubmanifoldPoint"
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "memo"
+            for node in ast.walk(fn)}
+    uses = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "cache" and id(node) not in memo
+            and not (isinstance(node.value, ast.Name) and node.value.id == "functools")]
+    return uses, bool(memo)
+
+
+def test_point_cache_is_only_touched_by_memo():
+    # every per-point value goes through SubmanifoldPoint.memo; a hand-rolled
+    # read or store of ``sub.cache`` would be a second memo idiom
+    results = [_cache_uses(path) for path in sorted(Path(ckv.__file__).parent.glob("*.py"))]
+    assert sum(has_memo for _, has_memo in results) == 1
+    assert [use for uses, _ in results for use in uses] == []

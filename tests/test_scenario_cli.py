@@ -545,6 +545,26 @@ def test_cli_case_out_in_a_missing_directory_is_an_input_error(tmp_path, capsys)
     assert not target.exists()
 
 
+@pytest.mark.parametrize("command", ["case", "verify"])
+def test_cli_out_of_memory_is_an_input_error(command, tmp_path, monkeypatch, capsys):
+    # input too large to allocate (``ckv case --id thm35_i --n 100000`` asks
+    # for a 224 GiB curvature tensor) is exit 2 with one line, no traceback
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 224. GiB for an array")
+
+    path = tmp_path / "scenario.json"
+    save_scenario(str(path), _equality_scenario())
+    target, argv = {
+        "case": ("equality_instance", ["case", "--id", "thm35_i", "--n", "100000"]),
+        "verify": ("parse_scenario", ["verify", str(path)]),
+    }[command]
+    monkeypatch.setattr(f"ckv.cli.{target}", too_large)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 224. GiB for an array\n"
+
+
 def test_cli_fuzz_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["fuzz", "--count", "6", "--seed", "5", "--kind", "1", "--out", str(out1)]) == 0

@@ -36,7 +36,16 @@ from ckv.submanifold import (
     theta_k,
 )
 from ckv.verifier import _casorati_equality
-from oracles import induced_curvature_direct, reflected, rotated, thorpe_lower_bound
+from oracles import (
+    induced_curvature_direct,
+    reflected,
+    ricci_by_frame,
+    ricci_form_by_traces,
+    rotated,
+    sectional_by_riem,
+    tau_by_loop,
+    thorpe_lower_bound,
+)
 
 E5 = np.eye(5)
 
@@ -245,8 +254,26 @@ def test_ricci_completion_independence():
 
 
 def test_ricci_form_trace_is_twice_tau():
-    sub = _random_sub(38, 1)
-    assert abs(np.trace(ricci_form(sub)) - 2.0 * scalar_tau(sub)) < 1e-11
+    # and every contraction of the antisymmetrized form matches its formula
+    # on the raw tensor, on both kinds at n = 3..6, on coordinate and random
+    # planes and on coordinate and random unit directions
+    rng = np.random.default_rng(38)
+    gap = lambda a, b: np.max(np.abs(a - b) / (1.0 + np.abs(b)))
+    for kind in (1, 2):
+        for n in (3, 4, 5, 6):
+            sub = _random_sub(38 + 10 * n + kind, kind, n=n, m=n // 2 + 1)
+            Q = ricci_form(sub)
+            assert abs(np.trace(Q) - 2.0 * scalar_tau(sub)) < 1e-11
+            assert gap(Q, ricci_form_by_traces(sub.riem)) <= 1e-13
+            assert gap(scalar_tau(sub), tau_by_loop(sub.riem)) <= 1e-13
+            frames = [np.eye(n)[:2]] + [orthonormalize(rng.standard_normal((2, n)))
+                                        for _ in range(6)]
+            for v1, v2 in frames:
+                K = sectional(sub, Plane(v1 @ sub.tangent, v2 @ sub.tangent))
+                assert gap(K, sectional_by_riem(sub.riem, v1[None], v2[None])[0]) <= 1e-13
+            for x in [*np.eye(n)[:2], *orthonormalize(rng.standard_normal((n, n)))]:
+                X = x @ sub.tangent
+                assert gap(ricci(sub, X), ricci_by_frame(sub.riem, sub.tangent_coords(X))) <= 1e-13
 
 
 def test_ricci_rejects_non_unit():
@@ -272,13 +299,9 @@ def test_theta_grid_matches_random_probe():
     # independent oracle: random planes
     rng = np.random.default_rng(39)
     best = np.inf
-    R = sub.riem
     for _ in range(200):
         q, _ = np.linalg.qr(rng.standard_normal((3, 2)))
-        v1, v2 = q[:, 0], q[:, 1]
-        r1221 = np.einsum("abcd,a,b,c,d->", R, v1, v2, v2, v1)
-        r1212 = np.einsum("abcd,a,b,c,d->", R, v1, v2, v1, v2)
-        best = min(best, (r1221 - r1212) / 2.0)
+        best = min(best, sectional_by_riem(sub.riem, q[None, :, 0], q[None, :, 1])[0])
     assert est.value <= best + 1e-9
 
 
@@ -386,7 +409,7 @@ def test_eigvalsh3_is_within_its_bound(scale):
             A = np.einsum("kij,kj,klj->kil", Q, w, Q)
             stacks.append((A + A.transpose(0, 2, 1)) / 2.0)
     A = np.concatenate(stacks) * scale
-    w = _eigvalsh3(A.reshape(len(A), 9).T[[0, 4, 8, 1, 2, 5]])   # m00 m11 m22 m01 m02 m12
+    w = _eigvalsh3(A.reshape(len(A), 9).T[[0, 1, 2, 4, 5, 8]])   # m00 m01 m02 m11 m12 m22
     norm = np.sqrt(np.sum((A / scale) ** 2, axis=(1, 2))) * scale
     assert np.all(np.abs(w - np.linalg.eigvalsh(A)) <= 2e-8 * norm[:, None])
     assert np.all(w[0] == 0.0)

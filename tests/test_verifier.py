@@ -7,7 +7,7 @@ from ckv.errors import MissingArgument, WrongConnectionKind
 from ckv.frames import Plane, complete_frame, orthonormalize
 from ckv.fuzz import FuzzConfig, random_scenario
 from ckv.scenario import parse_scenario
-from ckv.submanifold import attach, casorati
+from ckv.submanifold import _Quartic, attach, casorati
 from ckv.verifier import (
     TAKES_K,
     TAKES_PLANE,
@@ -497,6 +497,10 @@ def test_cached_arrays_are_read_only():
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0
+    # the memoized objects themselves come back, not recomputed copies
+    cas = casorati(sub)
+    assert cas is sub.cache["casorati"] and casorati(sub) is cas
+    assert _Quartic.of(sub) is quartic
 
 
 # --- full verdict sweep -----------------------------------------------------------
