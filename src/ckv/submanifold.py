@@ -273,7 +273,7 @@ def induced_curvature(sub: SubmanifoldPoint, X, Y, Z, W) -> float:
 
 
 def sectional(sub: SubmanifoldPoint, plane: Plane) -> float:
-    """Symmetrized sectional curvature K of a tangent 2-plane."""
+    """Symmetrized sectional curvature K of a tangent 2-plane: one contraction of ``_anti``."""
     v1, v2 = sub.plane_coords(plane)
     return float(_sectional_batch(sub, v1[None], v2[None])[0])
 
