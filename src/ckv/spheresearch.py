@@ -2,23 +2,22 @@
 
 The hyperplane Casorati extrema and the k-Ricci infimum are optimization
 problems over low-dimensional spheres (degree-4 polynomials or eigenvalue
-sums).  Desk scale suffices: a dense deterministic layout of ``LAYOUT_SIZE``
-directions locates the basin, then a local method polishes it far below the
-1e-6 target.  The layout is one rule at every dimension (``sphere_samples``,
-seeded Gaussian directions); it and the arrays derived from it are cached
-once per dimension and read-only.  Both searches polish with one batched
-Riemannian Newton loop, ``newton_on_sphere``; a caller supplies only values and
-derivatives.  The Casorati search (``ckv.submanifold``) evaluates its
-quartic on the layout through ``layout_monomials`` and has closed-form
-derivatives.  The k-Ricci search (k < n on n >= 4) picks the least layout
-value of the plane infimum, which its caller computes from the spectra of
-S_x on the complements of the layout directions, with ``layout_monomials``
-and the reflections of ``layout_householder``, and
-``extremize_on_sphere`` polishes it with ``refine_on_sphere``, which takes
-derivatives from finite differences of the values alone.  The refine
-evaluates its start and every step exactly, so each value it returns is
-attained at a concrete direction.  Both searches are deterministic, and the
-layout and search together are versioned (``LAYOUT_VERSION``).
+sums).  Desk scale suffices: a deterministic layout (``LAYOUT_SIZE``
+directions, or a prefix of them) locates the basin, then a local method
+polishes it far below the 1e-6 target.  The layout is one rule at every
+dimension (``sphere_samples``, seeded Gaussian directions); it and the
+arrays derived from it are cached once per dimension and read-only.  Both
+searches polish with one batched Riemannian Newton loop,
+``newton_on_sphere``; a caller supplies only values and derivatives.  The
+Casorati search (``ckv.submanifold``) evaluates its quartic on the layout
+through ``layout_monomials`` and has closed-form derivatives.  The k-Ricci
+search (k < n on n >= 4) evaluates the exact plane infimum on a prefix of
+the layout, and ``extremize_on_sphere`` polishes its ``REFINE_STARTS``
+least values in one ``refine_on_sphere`` call, which takes derivatives from
+finite differences of the values alone.  The refine evaluates its starts
+and every step exactly, so each value it returns is attained at a concrete
+direction.  Both searches are deterministic, and the layout and search
+together are versioned (``LAYOUT_VERSION``).
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ import functools
 
 import numpy as np
 
-LAYOUT_VERSION = "sphere-layout-v5"
-LAYOUT_SIZE = 10_000   # directions in every layout, for both searches
+LAYOUT_VERSION = "sphere-layout-v6"
+LAYOUT_SIZE = 10_000   # layout directions; the k-Ricci search reads a prefix
 _LAYOUT_SEED = 0x5EED_1AE0
 
 
@@ -69,33 +68,23 @@ def layout_monomials(dim: int) -> np.ndarray:
     return _frozen(quadratic_monomials(sphere_samples(dim)))
 
 
-def householder(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Householder reflections H = I - v v^T / w of the unit rows u of U,
-    as (v, w) of shapes (k, dim) and (k,): v = u + s e_0 with
-    s = copysign(1, u_0) and w = 1 + |u_0| = |v|^2 / 2, so that H maps e_0
-    to -s u.  The one owner of the sign convention of ``complements``."""
-    w = 1.0 + np.abs(U[:, 0])
-    v = U.copy()
-    v[:, 0] = np.copysign(w, U[:, 0])
-    return v, w
+@functools.cache
+def triu_pairs(dim: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(dim, offset)``, cached per dimension and read-only."""
+    return tuple(_frozen(a) for a in np.triu_indices(dim, offset))
 
 
 def complements(U: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the complements of the unit rows u of U, shape
-    (k, dim, dim - 1): the last dim - 1 columns of the reflection H of
-    ``householder``."""
-    v, w = householder(U)
+    (k, dim, dim - 1): the last dim - 1 columns of the Householder reflection
+    H = I - v v^T / w with v = u + s e_0, s = copysign(1, u_0) and
+    w = 1 + |u_0| = |v|^2 / 2, which maps e_0 to -s u."""
+    w = 1.0 + np.abs(U[:, 0])
+    v = U.copy()
+    v[:, 0] = np.copysign(w, U[:, 0])
     C = (v / -w[:, None])[:, :, None] * U[:, None, 1:]
     C[:, 1:] += np.eye(U.shape[1] - 1)
     return C
-
-
-@functools.cache
-def layout_householder(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``householder`` of ``sphere_samples(dim)`` with v transposed to shape
-    (dim, LAYOUT_SIZE), one row per coordinate; cached and read-only."""
-    v, w = householder(sphere_samples(dim))
-    return _frozen(np.ascontiguousarray(v.T)), _frozen(w)
 
 
 _HALVINGS = 8        # step lengths tried per row in each value call
@@ -174,19 +163,23 @@ def _retire(keep, U, f, live, u, fu, *state):
 
 
 def refine_on_sphere(f_batch, u0: np.ndarray) -> tuple[np.ndarray, float]:
-    """Riemannian Newton minimizing ``f_batch`` from ``u0``; returns (arg, value).
+    """Riemannian Newton minimizing ``f_batch`` from ``u0``, one start of
+    shape (dim,) or a stack (k, dim), all refined in one batch; returns the
+    (arg, value) of the row with the least finite value, so a start whose
+    value is NaN or infinite never wins (the first row if none is finite).
 
     ``f_batch`` maps unit vectors (k, dim) to values (k,) and is only
     evaluated.  ``newton_on_sphere`` gets the gradient and full Hessian in
-    its chart from central differences, one call on u and the stencil
-    +/- h e_i, h (e_i + e_j) (i < j, h = 1e-4).  Every value returned is
-    ``f_batch`` at the direction returned and is never above f(u0); gradient
-    noise of about eps |f| / h costs only about its square in the value.
+    its chart from central differences, one call on every row and its
+    stencil +/- h e_i, h (e_i + e_j) (i < j, h = 1e-4).  Every value returned
+    is ``f_batch`` at the direction returned and is never above the least
+    start value; gradient noise of about eps |f| / h costs only about its
+    square in the value.
     """
-    u0 = np.asarray(u0, dtype=float)
-    d = u0.shape[0] - 1
+    U0 = np.array(u0, dtype=float, ndmin=2)
+    d = U0.shape[1] - 1
     eye = np.eye(d)
-    i, j = np.triu_indices(d, 1)
+    i, j = triu_pairs(d, 1)
     stencil = _STENCIL_H * np.concatenate([np.zeros((1, d)), eye, -eye, eye[i] + eye[j]])
     entry = np.diag(np.arange(d))   # the column of [diagonal | pairs] holding each entry
     entry[i, j] = entry[j, i] = d + np.arange(len(i))
@@ -202,15 +195,22 @@ def refine_on_sphere(f_batch, u0: np.ndarray) -> tuple[np.ndarray, float]:
         hess = entries[:, entry.ravel()].reshape(-1, d, d) / _STENCIL_H ** 2
         return center[:, 0], (plus - minus) / (2.0 * _STENCIL_H), hess
 
-    U, f = newton_on_sphere(lambda rows, X: f_batch(X), derivatives, u0[None] / np.linalg.norm(u0))
-    return U[0], float(f[0])
+    U, f = newton_on_sphere(lambda rows, X: f_batch(X), derivatives,
+                            U0 / np.linalg.norm(U0, axis=1, keepdims=True))
+    best = int(np.argmin(np.where(np.isfinite(f), f, np.inf)))
+    return U[best], float(f[best])
+
+
+REFINE_STARTS = 4   # least layout values refined by extremize_on_sphere
 
 
 def extremize_on_sphere(f_batch, dim: int, values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimum over the dense layout, refined; returns (arg, value).
+    """Minimum over a layout prefix, refined; returns (arg, value).
 
-    ``values`` are ``f_batch`` on ``sphere_samples(dim)``, passed in so that a
-    caller can share one layout evaluation between searches.
+    ``values`` are ``f_batch`` on the first len(values) rows of
+    ``sphere_samples(dim)``, passed in so that a caller can share one layout
+    evaluation between searches.  The ``REFINE_STARTS`` least of them (ties
+    by layout order) start one batched ``refine_on_sphere`` call.
     """
-    U = sphere_samples(dim)
-    return refine_on_sphere(f_batch, U[int(np.argmin(values))])
+    U = sphere_samples(dim)[:len(values)]
+    return refine_on_sphere(f_batch, U[np.argsort(values, kind="stable")[:REFINE_STARTS]])

@@ -34,14 +34,13 @@ from .contact import ContactPointModel
 from .errors import DimensionMismatch, NonSymmetricH
 from .frames import Plane, as_vector, complete_frame, orthonormalize
 from .spheresearch import (
-    LAYOUT_SIZE,
     complements,
     extremize_on_sphere,
-    layout_householder,
     layout_monomials,
     newton_on_sphere,
     quadratic_monomials,
     sphere_samples,
+    triu_pairs,
     _frozen,
 )
 
@@ -273,14 +272,18 @@ def induced_curvature(sub: SubmanifoldPoint, X, Y, Z, W) -> float:
 
 
 def sectional(sub: SubmanifoldPoint, plane: Plane) -> float:
-    """Symmetrized sectional curvature K of a tangent 2-plane: one contraction of ``_anti``."""
+    """Symmetrized sectional curvature K of a tangent 2-plane (``_sectional_batch``)."""
     v1, v2 = sub.plane_coords(plane)
     return float(_sectional_batch(sub, v1[None], v2[None])[0])
 
 
 def _sectional_batch(sub: SubmanifoldPoint, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
-    """K = ``_anti``(v1, v2, v2, v1) for orthonormal coordinate pairs, shapes (k, n)."""
-    return np.einsum("abcd,ka,kb,kc,kd->k", _anti(sub), V1, V2, V2, V1)
+    """K = anti(v1, v2, v2, v1) for orthonormal coordinate pairs, shapes (k, n):
+    (v1 (x) v1) ``_theta_form`` (v2 (x) v2), the GEMM of ``_direction_matrices``."""
+    n = sub.n
+    P1 = (V1[:, :, None] * V1[:, None, :]).reshape(len(V1), n * n)
+    P2 = (V2[:, :, None] * V2[:, None, :]).reshape(len(V2), n * n)
+    return ((P1 @ _theta_form(sub)) * P2).sum(axis=1)
 
 
 def scalar_tau_pair(sub: SubmanifoldPoint) -> tuple[float, float]:
@@ -292,7 +295,7 @@ def scalar_tau_pair(sub: SubmanifoldPoint) -> tuple[float, float]:
     agree.  Memoized on the point.
     """
     def make():
-        i, j = np.triu_indices(sub.n, 1)
+        i, j = triu_pairs(sub.n, 1)
         return float(_anti(sub)[i, j, j, i].sum()), float(np.einsum("ijji->", sub.riem)) / 2.0
     return sub.memo("tau_pair", make)
 
@@ -340,10 +343,10 @@ class ThetaEstimate:
     on n = 3 every bivector is decomposable, so Theta_2 is the least
     eigenvalue of the sectional-curvature form on 2-vectors (``samples`` 0).
     'multistart' (k < n, n >= 4) comes from a sphere search over the
-    direction x: the least value on the ``LAYOUT_SIZE`` layout directions
-    (``samples``; closed-form 3x3 spectra on n = 4) picks the start, and a
-    Riemannian Newton refine on the exact function returns a value attained
-    at a concrete direction, an upper bound on the true infimum.  Every mode is an upper bound on
+    direction x: the least exact values on the first ``THETA_LAYOUT`` layout
+    directions (``samples``) pick the starts, and a Riemannian Newton refine
+    on the exact function returns a value attained at a concrete direction,
+    an upper bound on the true infimum.  Every mode is an upper bound on
     Theta_k, and so is Theta_n, which is what ``verify`` relies on.
     """
 
@@ -352,10 +355,9 @@ class ThetaEstimate:
     samples: int
 
 
-# Layout rows per pass of ``_layout_entries``: bounds the memory of its
-# temporaries and keeps them small enough to reuse freed pages, where the
-# whole layout at once costs page faults on every point.
-_THETA_CHUNK = 1024
+# Layout directions (a prefix of ``sphere_samples``) evaluated exactly to
+# pick the starts of the k-Ricci refine.
+THETA_LAYOUT = 512
 
 
 def _finite(form: np.ndarray) -> np.ndarray:
@@ -382,15 +384,15 @@ def _anti(sub: SubmanifoldPoint) -> np.ndarray:
     return _theta_form(sub).reshape(n, n, n, n).transpose(0, 2, 3, 1)
 
 
-def _direction_matrices(sub: SubmanifoldPoint, X: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _direction_matrices(sub: SubmanifoldPoint, X: np.ndarray) -> np.ndarray:
     """S_x on x^perp in a Householder basis, one symmetric (n-1) x (n-1)
     matrix per unit row x of X, shape (len(X), n - 1, n - 1).
 
     S_x(v, v) = (R(x,v,v,x) - R(x,v,x,v)) / 2 is one matmul of x (x) x with
-    ``_theta_form``; ``C`` holds the bases of x^perp (``complements`` of X),
-    and the matrix is the symmetrized C^T S_x C.
+    ``_theta_form``; with C the bases of x^perp (``complements`` of X), the
+    matrix is the symmetrized C^T S_x C.
     """
-    n = sub.n
+    n, C = sub.n, complements(X)
     xx = (X[:, :, None] * X[:, None, :]).reshape(len(X), n * n)
     M = C.transpose(0, 2, 1) @ (xx @ _theta_form(sub)).reshape(len(X), n, n) @ C
     return _finite((M + M.transpose(0, 2, 1)) / 2.0)
@@ -403,92 +405,20 @@ def _partial_ricci_min(sub: SubmanifoldPoint, X: np.ndarray, k: int) -> np.ndarr
     sum of the k-1 smallest eigenvalues of S_x on the orthogonal complement
     of x (``_direction_matrices``).
     """
-    spectra = np.linalg.eigvalsh(_direction_matrices(sub, X, complements(X)))
+    spectra = np.linalg.eigvalsh(_direction_matrices(sub, X))
     return np.sum(spectra[:, : k - 1], axis=1)
 
 
-def _eigvalsh3(u: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of symmetric 3x3 matrices in closed form, one
-    matrix per column of the entry rows u = (m00, m01, m02, m11, m12, m22)
-    in ``np.triu_indices`` order, shape (6, k); returns shape (k, 3).
-
-    The trigonometric formula (O. K. Smith, Comm. ACM 4, 1961; J. Kopp,
-    arXiv:physics/0610206): with q = tr M / 3, B = M - q I and
-    p^2 = tr B^2 / 6, the eigenvalues are q + 2p cos(phi + 2 pi j / 3),
-    phi = arccos(det(B / p) / 2) / 3.  Each matrix is first scaled by the
-    power of two of its largest entry, exactly, so that squares and cubes
-    neither overflow nor underflow on any finite input.  The error is about
-    sqrt(eps) * ||M||_F at worst, at near-double eigenvalues.
-    """
-    _, e = np.frexp(np.max(np.abs(u), axis=0))
-    m00, m01, m02, m11, m12, m22 = np.ldexp(u, -e)
-    q = (m00 + m11 + m22) / 3.0
-    d0, d1, d2 = m00 - q, m11 - q, m22 - q
-    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12)) / 6.0)
-    scale = np.where(p > 0.0, p, 1.0)
-    b0, b1, b2, b01, b02, b12 = (v / scale for v in (d0, d1, d2, m01, m02, m12))
-    r = (b0 * (b1 * b2 - b12 * b12) - b01 * (b01 * b2 - b12 * b02)
-         + b02 * (b01 * b12 - b1 * b02)) / 2.0
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    hi = q + 2.0 * p * np.cos(phi)
-    lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    return np.stack([np.ldexp(v, e) for v in (lo, 3.0 * q - lo - hi, hi)], axis=1)
-
-
-def _entry_stack(E: np.ndarray, dim: int) -> np.ndarray:
-    """The symmetric (k, dim, dim) stack whose entry rows E are the upper
-    triangle in ``np.triu_indices`` order (m00 m01 m02 m11 m12 m22 on dim 3)."""
-    I, J = np.triu_indices(dim)
-    M = np.empty((E.shape[1], dim, dim))
-    M[:, I, J] = M[:, J, I] = E.T
-    return M
-
-
-def _layout_entries(sub: SubmanifoldPoint):
-    """Yield the matrices of ``_direction_matrices`` at the layout
-    directions, as entry rows in ``np.triu_indices`` order, of shape
-    (n (n - 1) / 2, rows), one ``_THETA_CHUNK`` of rows at a time.
-
-    S_x is quadratic in x: its upper entries are one GEMM of a coefficient
-    table (``_theta_form`` symmetrized in both index pairs, over the
-    quadratic monomials) with ``layout_monomials``.  With H = I - v v^T / w
-    from ``layout_householder``, s = S_x v and beta = v^T s, the matrix on
-    x^perp is C^T S_x C = (S_x - (v s^T + s v^T) / w + beta v v^T / w^2)
-    restricted to the last n - 1 rows and columns, symmetric by construction.
-    It is computed as S_x - (v z^T + z v^T) with z = (s - beta v / (2 w)) / w.
-    """
-    n = sub.n
-    T = _theta_form(sub).reshape(n, n, n, n)   # [a, d, b, c]; S_x[b, c] sums x_a x_d
-    T = T + T.transpose(1, 0, 2, 3)
-    T = (T + T.transpose(0, 1, 3, 2)) / 4.0
-    iu, ju = np.triu_indices(n)
-    table = (T[iu, ju] * np.where(iu == ju, 1.0, 2.0)[:, None, None])[:, iu, ju].T
-    pack = np.empty((n, n), dtype=np.intp)   # the entry of S_x holding [b, c]
-    pack[iu, ju] = pack[ju, iu] = np.arange(len(iu))
-    I, J = np.triu_indices(n - 1)
-    I, J = I + 1, J + 1
-    mono, (V, W) = layout_monomials(n), layout_householder(n)
-    for lo in range(0, LAYOUT_SIZE, _THETA_CHUNK):
-        rows = slice(lo, lo + _THETA_CHUNK)
-        S = table @ mono[rows].T
-        v, r = V[:, rows], 1.0 / W[rows]
-        s = np.einsum("ijk,jk->ik", S[pack], v)
-        z = r * s - (0.5 * r * r * np.einsum("ik,ik->k", v, s)) * v
-        yield _finite(S[pack[I, J]] - (v[I] * z[J] + z[I] * v[J]))
-
-
 def _layout_spectra(sub: SubmanifoldPoint) -> np.ndarray:
-    """Spectra of S_x on x^perp at every layout direction, shape
-    (LAYOUT_SIZE, n - 1), from which ``theta_k`` picks the start of its
-    refine.  Each chunk of ``_layout_entries`` goes to ``_eigvalsh3`` on
-    n = 4 and to ``eigvalsh`` of its ``_entry_stack`` on n >= 5.  They do
-    not depend on k, so every k < n shares them; memoized and read-only.
+    """Spectra of S_x on x^perp at the first ``THETA_LAYOUT`` layout
+    directions, shape (THETA_LAYOUT, n - 1): ``eigvalsh`` of one batch of
+    ``_direction_matrices``, the evaluator of ``_partial_ricci_min``.  They
+    do not depend on k, so every k < n shares them; memoized and read-only.
     """
-    d = sub.n - 1
-    return sub.memo("theta_spectra", lambda: _frozen(np.concatenate([
-        _eigvalsh3(E) if d == 3 else np.linalg.eigvalsh(_entry_stack(E, d))
-        for E in _layout_entries(sub)
-    ])))
+    def make():
+        X = sphere_samples(sub.n)[:THETA_LAYOUT]
+        return _frozen(np.linalg.eigvalsh(_direction_matrices(sub, X)))
+    return sub.memo("theta_spectra", make)
 
 
 def _bivector_form(sub: SubmanifoldPoint) -> np.ndarray:
@@ -496,7 +426,7 @@ def _bivector_form(sub: SubmanifoldPoint) -> np.ndarray:
     orthonormal x, y: B[(a,b),(c,d)] = anti[a,b,d,c] (``_anti``) over pairs
     a < b, c < d."""
     anti = _anti(sub)
-    a, b = np.triu_indices(sub.n, 1)
+    a, b = triu_pairs(sub.n, 1)
     B = anti[a[:, None], b[:, None], b[None, :], a[None, :]]
     return (B + B.T) / 2.0
 
@@ -509,13 +439,11 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     eigenvalue of ``_bivector_form`` (mode 'grid').  Both are exact.  For
     k < n on n >= 4 the plane infimum at each direction x is exact
     (``_partial_ricci_min``: the k-1 least eigenvalues of S_x on x^perp in
-    a Householder basis) and ``extremize_on_sphere`` minimizes it over the
-    ``LAYOUT_SIZE`` layout directions, refining from the least layout
-    value by Riemannian Newton (``refine_on_sphere``); the layout spectra
-    (``_layout_spectra``: matrices from cached monomials and a Householder
-    rank-2 update, closed-form 3x3 eigenvalues on n = 4) are computed once
-    per point and shared by every k.  They only pick the start: the refine
-    evaluates the start and every step it takes with the exact
+    a Householder basis).  Its values on the first ``THETA_LAYOUT`` layout
+    directions (``_layout_spectra``, computed once per point and shared by
+    every k) pick the ``REFINE_STARTS`` least starts, and
+    ``extremize_on_sphere`` refines them by Riemannian Newton in one batch
+    (``refine_on_sphere``), evaluating every step with the same
     ``_partial_ricci_min``, so the value returned is attained at a concrete
     direction.  Raises ValueError when the curvature data overflows.
     """
@@ -530,7 +458,7 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
         return ThetaEstimate(float(w[0]), "grid", 0)
     values = np.sum(_layout_spectra(sub)[:, : k - 1], axis=1)
     _, val = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, k), n, values)
-    return ThetaEstimate(val / (k - 1), "multistart", LAYOUT_SIZE)
+    return ThetaEstimate(val / (k - 1), "multistart", THETA_LAYOUT)
 
 
 @dataclass(frozen=True)
@@ -585,7 +513,7 @@ class _Quartic:
             h = sub.h[(sub.h != 0.0).any(axis=(1, 2))]
             S = np.einsum("rab,rbc->ac", h, h)
             forms = np.concatenate([S[None], h])
-            iu, ju = np.triu_indices(S.shape[0])
+            iu, ju = triu_pairs(S.shape[0], 0)
             coeffs = forms[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)
             return cls(h=_frozen(h), S=_frozen(S), h_sq=float((h * h).sum()),
                        coeffs=_frozen(coeffs))

@@ -2,7 +2,8 @@
 every exported or module-level name of ``ckv`` has a caller outside the
 tests, so test-only surface stays in the tests; the number of options
 (function parameters with a default) cannot grow unnoticed; only
-``SubmanifoldPoint.memo`` touches the per-point cache."""
+``SubmanifoldPoint.memo`` touches the per-point cache; only
+``spheresearch.triu_pairs`` calls ``np.triu_indices``."""
 
 import ast
 import importlib
@@ -144,3 +145,24 @@ def test_point_cache_is_only_touched_by_memo():
     results = [_cache_uses(path) for path in sorted(Path(ckv.__file__).parent.glob("*.py"))]
     assert sum(has_memo for _, has_memo in results) == 1
     assert [use for uses, _ in results for use in uses] == []
+
+
+def _triu_calls(path):
+    """``file:line`` of every ``triu_indices`` call of a file outside
+    ``triu_pairs``, and whether the file defines ``triu_pairs``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    helper = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "triu_pairs"
+              for node in ast.walk(fn)}
+    calls = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and id(node) not in helper
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "triu_indices"]
+    return calls, bool(helper)
+
+
+def test_triu_indices_is_only_called_by_its_cache():
+    # the index pairs depend only on the dimension; ``triu_pairs`` caches them
+    # read-only, and a direct call would rebuild them on every point
+    results = [_triu_calls(path) for path in sorted(Path(ckv.__file__).parent.glob("*.py"))]
+    assert sum(has_helper for _, has_helper in results) == 1
+    assert [call for calls, _ in results for call in calls] == []

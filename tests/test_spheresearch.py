@@ -73,6 +73,41 @@ def test_refine_keeps_a_minimizer(f, u0, least):
     assert value == least and np.array_equal(u, u0 / np.linalg.norm(u0))
 
 
+def _quartic_wells(bad):
+    """-sum_i w_i u_i^4 with w = (1, 2, 3): local minima -w_i at +/- e_i,
+    and ``bad`` wherever u_0 > 0.9."""
+    w = np.array([1.0, 2.0, 3.0])
+
+    def f(U):
+        vals = -(U ** 4) @ w
+        vals[U[:, 0] > 0.9] = bad
+        return vals
+    return f
+
+
+def test_refine_from_several_starts_returns_the_least_row():
+    f = _quartic_wells(-1.0)
+    starts = np.array([[0.3, 0.9, 0.2], [0.2, 0.3, 0.9], [0.8, 0.2, 0.3], [0.1, 0.95, 0.1]])
+    singles = [refine_on_sphere(f, u0) for u0 in starts]
+    u, value = refine_on_sphere(f, starts)
+    least = min(v for _, v in singles)
+    assert abs(least + 3.0) <= 1e-12 and abs(value - least) <= 1e-13
+    assert value == float(f(u[None, :])[0]) and abs(abs(u[2]) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_refine_never_returns_a_non_finite_start(bad):
+    f = _quartic_wells(bad)
+    starts = np.array([[1.0, 0.1, 0.1], [0.3, 0.9, 0.2], [0.95, 0.0, 0.2]])
+    with np.errstate(invalid="ignore"):
+        u, value = refine_on_sphere(f, starts)
+        assert abs(value + 2.0) <= 1e-12 and abs(abs(u[1]) - 1.0) < 1e-6
+        # with no finite start, the first row comes back as it is
+        u, value = refine_on_sphere(f, starts[[0, 2]])
+    assert np.array_equal(u, starts[0] / np.linalg.norm(starts[0]))
+    assert value == float(f(u[None, :])[0]) or np.isnan(value)
+
+
 def _rayleigh_batch(Qs, sign):
     """value and derivatives of sign_i u^T Q_i u, one symmetric Q_i per row:
     the Riemannian gradient 2 s C^T Q u and Hessian 2 s C^T Q C - 2 f I."""
