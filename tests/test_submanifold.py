@@ -422,9 +422,9 @@ def test_theta_n6_matches_the_search(kind):
             assert est.mode == "multistart" and est.value == _theta_search(sub, k), (i, k)
 
 
-# (seed, n, m, j, kind, k, Theta_k): points where one refine start, from the
-# least of 10^4 layout values, stopped in a basin 3.8e-4 to 5.0e-3 relative
-# above the value that the least of several starts reaches
+# (seed, n, m, j, kind, k, Theta_k): points where a refine from the single
+# least layout value stops in a basin 3.8e-4 to 5.0e-3 (1 + |Theta|) above
+# the value that several starts reach
 _WRONG_BASIN = [
     (65, 5, 3, 3, 2, 3, -2.2995124227706114),
     (67, 6, 4, 5, 2, 3, -2.6970217949411843),
