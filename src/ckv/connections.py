@@ -55,7 +55,7 @@ class ConnectionSpec:
     b: float | None = None
 
     def __post_init__(self):
-        P = as_vector(self.P, name="P")
+        P = as_vector(self.P, "P")
         D = as_matrix(self.D, P.shape[0], "D")
         P.setflags(write=False)
         D.setflags(write=False)
@@ -128,10 +128,10 @@ def ambient_curvature(model: ContactPointModel, spec: ConnectionSpec, X, Y, Z, W
     d = model.dim
     if spec.dim != d:
         raise DimensionMismatch(f"connection dimension {spec.dim} != ambient {d}")
-    X = as_vector(X, d, "X")
-    Y = as_vector(Y, d, "Y")
-    Z = as_vector(Z, d, "Z")
-    W = as_vector(W, d, "W")
+    X = as_vector(X, "X", d)
+    Y = as_vector(Y, "Y", d)
+    Z = as_vector(Z, "Z", d)
+    W = as_vector(W, "W", d)
     base = curvature_lc(model, X, Y, Z, W)
 
     if spec.kind == KIND_FIRST:

@@ -51,7 +51,7 @@ class ContactPointModel:
             raise DimensionMismatch(f"m must be >= 1, got {self.m}")
         d = 2 * self.m + 1
         phi = as_matrix(self.phi, d, "phi")
-        xi = as_vector(self.xi, d, "xi")
+        xi = as_vector(self.xi, "xi", d)
         hprime = as_matrix(self.hprime, d, "hprime")
         for arr in (phi, xi, hprime):
             arr.setflags(write=False)
@@ -212,10 +212,10 @@ def _curvature_lc_groups(model: ContactPointModel, X, Y, Z, W) -> tuple[float, .
     block (coefficient 1/2), linear h' block (unit coefficients), mu block.
     """
     d = model.dim
-    X = as_vector(X, d, "X")
-    Y = as_vector(Y, d, "Y")
-    Z = as_vector(Z, d, "Z")
-    W = as_vector(W, d, "W")
+    X = as_vector(X, "X", d)
+    Y = as_vector(Y, "Y", d)
+    Z = as_vector(Z, "Z", d)
+    W = as_vector(W, "W", d)
     phi, xi, hp = model.phi, model.xi, model.hprime
     c, kappa, mu = model.c, model.kappa, model.mu_contact
 

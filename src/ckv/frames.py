@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, RankDeficient
 
 
-def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
+def as_vector(v, name: str, dim: int | None = None) -> np.ndarray:
     """Copy to a finite 1-d float array, optionally checking its length.
 
     Always copies, so freezing the result never touches caller-owned arrays.
@@ -31,12 +31,12 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def as_matrix(a, dim: int | None = None, name: str = "matrix") -> np.ndarray:
-    """Copy to a finite square 2-d float array, optionally checking its size."""
+def as_matrix(a, dim: int, name: str) -> np.ndarray:
+    """Copy to a finite square 2-d float array of size dim x dim."""
     arr = np.array(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"{name}: expected a square matrix, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
+    if arr.shape[0] != dim:
         raise DimensionMismatch(f"{name}: expected size {dim}x{dim}, got {arr.shape[0]}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite")
@@ -111,8 +111,8 @@ class Plane:
     e2: np.ndarray
 
     def __post_init__(self):
-        e1 = as_vector(self.e1, name="plane.e1")
-        e2 = as_vector(self.e2, e1.shape[0], name="plane.e2")
+        e1 = as_vector(self.e1, "plane.e1")
+        e2 = as_vector(self.e2, "plane.e2", e1.shape[0])
         if abs(np.sqrt(e1 @ e1) - 1.0) > 1e-12 or abs(np.sqrt(e2 @ e2) - 1.0) > 1e-12:
             raise ValueError("plane basis vectors must be unit to 1e-12")
         if abs(np.dot(e1, e2)) > 1e-12:

@@ -19,7 +19,7 @@ inequality finding carries its failing check, so ``ckv verify`` replays it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -68,14 +68,7 @@ class FuzzReport:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "count": self.config.count,
-                "seed": self.config.seed,
-                "kind": self.config.kind,
-                "n": self.config.n,
-                "m": self.config.m,
-                "tol": self.config.tol,
-            },
+            "config": asdict(self.config),
             "provenance": {"seed": self.config.seed, "layout_version": LAYOUT_VERSION},
             "summary": {
                 "instances": self.instances,

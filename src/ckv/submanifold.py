@@ -126,7 +126,7 @@ class SubmanifoldPoint:
 
     def tangent_coords(self, X) -> np.ndarray:
         """Coordinates of a tangent vector in the tangent frame (checked)."""
-        X = as_vector(X, self.dim, "tangent vector")
+        X = as_vector(X, "tangent vector", self.dim)
         x = self.tangent @ X
         r = X - x @ self.tangent
         residual = np.sqrt(r @ r)
@@ -266,9 +266,7 @@ def attach(
 
 def induced_curvature(sub: SubmanifoldPoint, X, Y, Z, W) -> float:
     """R(X,Y,Z,W) of the induced connection for tangent vectors (cached tensor)."""
-    x, y = sub.tangent_coords(X), sub.tangent_coords(Y)
-    z, w = sub.tangent_coords(Z), sub.tangent_coords(W)
-    return float(np.einsum("abcd,a,b,c,d->", sub.riem, x, y, z, w))
+    return float(_form_rows(sub.riem, *(sub.tangent_coords(V)[None] for V in (X, Y, Z, W)))[0])
 
 
 def sectional(sub: SubmanifoldPoint, plane: Plane) -> float:
@@ -280,10 +278,16 @@ def sectional(sub: SubmanifoldPoint, plane: Plane) -> float:
 def _sectional_batch(sub: SubmanifoldPoint, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
     """K = anti(v1, v2, v2, v1) for orthonormal coordinate pairs, shapes (k, n):
     (v1 (x) v1) ``_theta_form`` (v2 (x) v2), the GEMM of ``_direction_matrices``."""
-    n = sub.n
-    P1 = (V1[:, :, None] * V1[:, None, :]).reshape(len(V1), n * n)
-    P2 = (V2[:, :, None] * V2[:, None, :]).reshape(len(V2), n * n)
-    return ((P1 @ _theta_form(sub)) * P2).sum(axis=1)
+    return _form_rows(_theta_form(sub), V1, V1, V2, V2)
+
+
+def _form_rows(T: np.ndarray, X, Y, Z, W) -> np.ndarray:
+    """(x (x) y) T (z (x) w) on coordinate rows, shapes (k, n), with the n^4
+    array T read as an (n*n, n*n) matrix: one GEMM of outer-product rows."""
+    k, n = X.shape
+    left = (X[:, :, None] * Y[:, None, :]).reshape(k, n * n)
+    right = (Z[:, :, None] * W[:, None, :]).reshape(k, n * n)
+    return ((left @ T.reshape(n * n, n * n)) * right).sum(axis=1)
 
 
 def scalar_tau_pair(sub: SubmanifoldPoint) -> tuple[float, float]:

@@ -3,7 +3,8 @@ every exported or module-level name of ``ckv`` has a caller outside the
 tests, so test-only surface stays in the tests; the number of options
 (function parameters with a default) cannot grow unnoticed; only
 ``SubmanifoldPoint.memo`` touches the per-point cache; only
-``spheresearch.triu_pairs`` calls ``np.triu_indices``."""
+``spheresearch.triu_pairs`` calls ``np.triu_indices``; no ``einsum`` takes
+more than two array operands."""
 
 import ast
 import importlib
@@ -91,7 +92,7 @@ def test_module_all_has_callers_outside_tests(name):
 
 # Function parameters with a default in src/ckv.  Raise this only for an
 # option with a second caller, named in CHANGES.md.
-OPTION_LIMIT = 17
+OPTION_LIMIT = 14
 
 
 def test_options_stay_within_the_ratchet():
@@ -166,3 +167,20 @@ def test_triu_indices_is_only_called_by_its_cache():
     results = [_triu_calls(path) for path in sorted(Path(ckv.__file__).parent.glob("*.py"))]
     assert sum(has_helper for _, has_helper in results) == 1
     assert [call for calls, _ in results for call in calls] == []
+
+
+def _wide_einsums(path):
+    """``file:line`` of every ``einsum`` call of a file with more than two
+    array operands after its subscripts."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and len(node.args) > 3
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"]
+
+
+def test_einsum_takes_at_most_two_operands():
+    # numpy contracts more operands left to right with no contraction path
+    # unless told otherwise; a chain of vectors against an n^4 tensor is a
+    # GEMM of outer-product rows, about ten times faster
+    assert [call for path in sorted(Path(ckv.__file__).parent.glob("*.py"))
+            for call in _wide_einsums(path)] == []

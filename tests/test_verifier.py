@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ckv import verifier
 from ckv.connections import first_connection, second_connection
 from ckv.contact import random_point, standard_point
 from ckv.errors import MissingArgument, WrongConnectionKind
@@ -9,6 +12,7 @@ from ckv.fuzz import FuzzConfig, random_scenario
 from ckv.scenario import parse_scenario
 from ckv.submanifold import _Quartic, attach, casorati
 from ckv.verifier import (
+    CROSS_TOL,
     TAKES_K,
     TAKES_PLANE,
     TAKES_X,
@@ -425,6 +429,42 @@ def test_cross_check_fuzzed(kind):
         assert report.max_residual < 1e-9, (seed, report.residuals)
         assert report.q_min > -1e-8, seed
         assert report.cauchy_schwarz_slack > -1e-8
+
+
+def _fault_point():
+    return parse_scenario(random_scenario(3, FuzzConfig(seed=11, kind=1, n=4, m=3))).sub
+
+
+def test_cross_check_catches_a_fault_off_the_frame_pairs():
+    # R[0, 1, 2, 0] is read by no frame pair row (e_i, e_j, e_j, e_i), only
+    # by the seeded planes; the fault keeps R antisymmetric in its first pair
+    sub = _fault_point()
+    clean = cross_check(sub)
+    assert sorted(clean.residuals) == ["R_pair", "tau_formulas", "trace_identity"]
+    assert clean.ok()
+    riem = sub.riem.copy()
+    riem[0, 1, 2, 0] += 1e-6
+    riem[1, 0, 2, 0] -= 1e-6
+    report = cross_check(dataclasses.replace(sub, riem=riem, cache={}))
+    assert report.residuals["R_pair"] > CROSS_TOL
+    assert not report.ok()
+
+
+def test_cross_check_catches_a_wrong_coefficient(monkeypatch):
+    # a wrong term in the A - C_y form moves every closed pair value, so the
+    # pair rows and the trace identity both fire
+    forms = verifier._pair_forms
+
+    def wrong(sub):
+        out = forms(sub).copy()
+        out[4] += 1e-6 * np.eye(sub.n)
+        return out
+
+    monkeypatch.setattr(verifier, "_pair_forms", wrong)
+    report = cross_check(_fault_point())
+    assert report.residuals["R_pair"] > CROSS_TOL
+    assert report.residuals["trace_identity"] > CROSS_TOL
+    assert not report.ok()
 
 
 # --- per-point memos and per-dimension caches ----------------------------------
