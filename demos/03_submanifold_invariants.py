@@ -11,6 +11,7 @@ from ckv import (
     Plane,
     attach,
     casorati,
+    casorati_bounds,
     first_connection,
     induced_curvature,
     ricci,
@@ -53,3 +54,5 @@ print(f"  inf C(L)    = {cas.inf_CL:.8f} at normal u = {np.round(cas.argmin_u, 6
 print(f"  sup C(L)    = {cas.sup_CL:.8f} at normal u = {np.round(cas.argmax_u, 6)}")
 print(f"  delta_c     = {cas.delta_c:.8f}   (5/3 = {5/3:.8f})")
 print(f"  delta_c_hat = {cas.delta_c_hat:.8f}   (23/12 = {23/12:.8f})")
+lower, upper = casorati_bounds(sub)
+print(f"  certified   = [{lower:.8f}, {upper:.8f}]   (the exact extrema: one nonzero slice)")

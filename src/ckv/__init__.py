@@ -36,6 +36,7 @@ from .submanifold import (
     ThetaEstimate,
     attach,
     casorati,
+    casorati_bounds,
     induced_curvature,
     ricci,
     ricci_form,
@@ -48,6 +49,7 @@ from .verifier import (
     CrossCheckReport,
     VerdictReport,
     applicable_theorems,
+    casorati_verdict,
     cross_check,
     equality_instance,
     verify,

@@ -14,6 +14,11 @@ above 1e-9, or a negative hyperplane polynomial) is shrunk by greedy
 parameter zeroing before being reported: each zeroable parameter group is
 zeroed in turn and the zeroing is kept whenever the failure survives.  An
 inequality finding carries its failing check, so ``ckv verify`` replays it.
+
+The 3.5/4.4 checks take ``casorati_verdict``: the certified slack decides,
+and the Casorati sphere search runs only when the certificate does not hold
+(then an undecided verdict is a finding too, marked ``undecided``).  So the
+report's ``min_slack`` for 3.5/4.4 and its ``min_q`` are certified slacks.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .verifier import (
     TAKES_PLANE,
     TAKES_X,
     applicable_theorems,
+    casorati_verdict,
     cross_check,
     verify,
 )
@@ -164,6 +170,11 @@ def _checks_for(sub: SubmanifoldPoint, raw: dict, kind: int) -> list[dict]:
 
 
 def _run_check(sub: SubmanifoldPoint, check: dict, tol: float):
+    """``verify`` of one check; the Casorati bounds take ``casorati_verdict``,
+    which runs no search when the certificate holds."""
+    tid = check["theorem"]
+    if tid not in TAKES_PLANE | TAKES_X | TAKES_K:
+        return casorati_verdict(sub, tid, tol)
     plane = None
     if check.get("plane") is not None:
         i, j = check["plane"]
@@ -171,7 +182,7 @@ def _run_check(sub: SubmanifoldPoint, check: dict, tol: float):
     X = None
     if check.get("X") is not None:
         X = np.asarray(check["X"], float)  # ambient vector inside the tangent span
-    return verify(sub, check["theorem"], plane=plane, X=X, k=check.get("k"), tol=tol)
+    return verify(sub, tid, plane=plane, X=X, k=check.get("k"), tol=tol)
 
 
 def _zeroing_candidates(kind: int) -> list[tuple[str, ...]]:
@@ -256,12 +267,11 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
             report.min_slack[tid] = _fold(min, report.min_slack.get(tid), verdict.slack)
             if not verdict.holds:
                 minimized = minimize_finding(data, check, cfg.kind, cfg.tol)
-                report.findings.append({
-                    "instance": index,
-                    "check": check,
-                    "slack": verdict.slack,
-                    "scenario": minimized,
-                })
+                finding = {"instance": index, "check": check, "slack": verdict.slack,
+                           "scenario": minimized}
+                if verdict.diagnostics.get("undecided"):
+                    finding["undecided"] = True
+                report.findings.append(finding)
 
         cc = cross_check(sub)
         report.checks_run += 1

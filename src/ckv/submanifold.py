@@ -9,7 +9,8 @@ quantity (sectional curvature, scalar curvature, Ricci curvatures, the
 k-Ricci invariant, Casorati curvatures) is then a cheap contraction, except
 the hyperplane extrema of the Casorati curvature: closed forms when h has at
 most one nonzero normal slice, a sphere layout polished by batched Riemannian
-Newton otherwise (see ``casorati``).
+Newton otherwise (see ``casorati``), enclosed at every number of slices by the
+certified bounds of ``casorati_bounds``.
 
 The tensor is one wedge sum (``_wedge``) over a list of pairs of restricted
 bilinear forms, one pair per bracket g(Y,Z)g(X,W) - g(X,Z)g(Y,W) of the
@@ -56,6 +57,7 @@ __all__ = [
     "theta_k",
     "ThetaEstimate",
     "casorati",
+    "casorati_bounds",
     "CasoratiCurvatures",
     "delta_casorati",
 ]
@@ -550,30 +552,50 @@ class _Quartic:
                 s[:, None, None] * (C.transpose(0, 2, 1) @ A @ C))
 
 
-def _one_slice_extrema(h1: np.ndarray):
-    """Exact (inf F, argmin, sup F, argmax) for a single slice h1.
+def _slice_edges(lam: np.ndarray):
+    """F_r on the edges of the simplex for each slice h_r = V diag(lam_r) V^T,
+    with lam of shape (p, n): (edge, t), both (p, n, n).
 
-    With h1 = V diag(lam) V^T and w_i = (V^T u)_i^2 on the simplex, F is
-    ||h||^2 - 2 sum lam_i^2 w_i + (sum lam_i w_i)^2, a convex function of w.
-    Its maximum is at a vertex: sup F = ||h||^2 - min lam_i^2 at an
-    eigenvector.  -2 s + t^2 has no stationary point, so the minimum lies on
-    an edge w = t e_i + (1 - t) e_j, where F is a convex quadratic in t that
-    is least at t = lam_i / (lam_i - lam_j), clipped to [0, 1]; the pairs
-    i = j cover the vertices.
+    With w_i = (V^T u)_i^2 on the simplex, F_r is ||h_r||^2 - 2 sum lam_i^2
+    w_i + (sum lam_i w_i)^2, a convex function of w.  -2 s + t^2 has no
+    stationary point, so its minimum lies on an edge w = t e_i + (1 - t) e_j,
+    where F_r is a convex quadratic in t that is least at t = lam_i /
+    (lam_i - lam_j), clipped to [0, 1]; the pairs i = j cover the vertices.
+    ``edge[r, i, j]`` is that least value and ``t[r, i, j]`` its weight.
     """
-    lam, V = np.linalg.eigh(h1)
-    sq = lam * lam
-    total = float(sq.sum())
-    li, lj = lam[:, None], lam[None, :]
+    li, lj = lam[:, :, None], lam[:, None, :]
     diff = li - lj
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.clip(np.where(diff != 0.0, li / diff, 0.0), 0.0, 1.0)
     mean = lj + t * diff
-    edge = total - 2.0 * (lj * lj + t * (li * li - lj * lj)) + mean * mean
-    i, j = np.unravel_index(int(np.argmin(edge)), edge.shape)
-    umin = np.sqrt(t[i, j]) * V[:, i] + np.sqrt(1.0 - t[i, j]) * V[:, j]
-    k = int(np.argmin(sq))
-    return float(edge[i, j]), umin, total - float(sq[k]), V[:, k].copy()
+    total = (lam * lam).sum(axis=1)[:, None, None]
+    return total - 2.0 * (lj * lj + t * (li * li - lj * lj)) + mean * mean, t
+
+
+def casorati_bounds(sub: SubmanifoldPoint) -> tuple[float, float]:
+    """Certified (lower, upper) bounds on (inf C(L), sup C(L)), i.e. on the
+    extrema of F(u) = ||h||^2 - 2 u^T S u + sum_r (u^T h_r u)^2, over n - 1.
+
+    inf F >= ||h||^2 - 2 lambda_max(S), dropping the squares, and inf F >=
+    sum_r inf F_r, since F = sum_r F_r with F_r the quartic of slice h_r
+    alone, whose infimum is exact (``_slice_edges``).  sup F <= ||h||^2 -
+    lambda_min(S), since (u^T h_r u)^2 <= |h_r u|^2.  Any orthonormal normal
+    frame gives valid slices.  On one slice both bounds are the exact
+    extrema, so ``casorati`` reads them there.  One ``eigvalsh`` of S and one
+    of the slice stack; memoized on the point.  Non-finite data gives NaN
+    bounds, not an exception.
+    """
+    def make():
+        quartic = _Quartic.of(sub)
+        if not len(quartic.h):
+            return 0.0, 0.0
+        if not np.isfinite(quartic.S).all():
+            return np.nan, np.nan
+        edge, _ = _slice_edges(np.linalg.eigvalsh(quartic.h))
+        s = np.linalg.eigvalsh(quartic.S)
+        inf_f = max(quartic.h_sq - 2.0 * float(s[-1]), float(edge.min(axis=(1, 2)).sum()))
+        return inf_f / (sub.n - 1), (quartic.h_sq - float(s[0])) / (sub.n - 1)
+    return sub.memo("casorati_bounds", make)
 
 
 def delta_casorati(n: int, r: float, C, inf_CL, sup_CL):
@@ -591,14 +613,17 @@ def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
 
     C(L) = F(u) / (n - 1) with F(u) = ||h||^2 - 2 u^T S u + sum_r (u^T h_r u)^2
     and S = sum_r h_r^2.  With at most one nonzero slice of h the extrema are
-    closed forms (``_one_slice_extrema``).  Otherwise F is evaluated on the
-    seeded sphere layout (``sphere_samples``, one rule at every n), and
+    closed forms (``casorati_bounds``, exact there).  Otherwise F is evaluated
+    on the seeded sphere layout (``sphere_samples``, one rule at every n), and
     ``newton_on_sphere`` polishes the ``CASORATI_STARTS`` lowest and highest
     layout points (the highest on -F) with ``_Quartic.derivatives``; each
     extremum is the best polished value, never worse than the layout's.
+    Every value is attained at its argument, so it is an estimate from the
+    inside: a missed optimum leaves inf_CL too high or sup_CL too low.  The
+    3.5/4.4 verdicts therefore rest on ``casorati_bounds``, and this search
+    only reports beside them and decides a verdict the bounds cannot.
 
-    Deterministic; memoized on the point (the search is the dominant cost and
-    several inequality checks share it).  The argument arrays are read-only.
+    Deterministic; memoized on the point.  The argument arrays are read-only.
     """
     return sub.memo("casorati", lambda: _casorati_search(sub))
 
@@ -608,8 +633,14 @@ def _casorati_search(sub: SubmanifoldPoint) -> CasoratiCurvatures:
     C = sub.h_norm_sq / n
     quartic = _Quartic.of(sub)
     if len(quartic.h) <= 1:
-        h1 = quartic.h[0] if len(quartic.h) else np.zeros((n, n))
-        inf_f, umin, sup_f, umax = _one_slice_extrema(h1)
+        # exact: the values are ``casorati_bounds``, the argmin lies on the
+        # least edge of ``_slice_edges``, the argmax at the least lam^2
+        lam, V = np.linalg.eigh(quartic.h[0] if len(quartic.h) else np.zeros((n, n)))
+        edge, t = _slice_edges(lam[None])
+        i, j = np.unravel_index(int(np.argmin(edge[0])), (n, n))
+        umin = np.sqrt(t[0, i, j]) * V[:, i] + np.sqrt(1.0 - t[0, i, j]) * V[:, j]
+        umax = V[:, int(np.argmin(lam * lam))].copy()
+        inf_val, sup_val = casorati_bounds(sub)
     else:
         U0 = sphere_samples(n)
         vals = quartic.values(layout_monomials(n))
@@ -622,8 +653,7 @@ def _casorati_search(sub: SubmanifoldPoint) -> CasoratiCurvatures:
                                 lambda rows, X, C: quartic.derivatives(X, C, sign[rows]), starts)
         F *= sign
         lo, hi = int(np.argmin(F[:K])), K + int(np.argmax(F[K:]))
-        inf_f, umin, sup_f, umax = float(F[lo]), U[lo], float(F[hi]), U[hi]
-    inf_val, sup_val = inf_f / (n - 1), sup_f / (n - 1)
+        inf_val, sup_val, umin, umax = float(F[lo]) / (n - 1), float(F[hi]) / (n - 1), U[lo], U[hi]
     nn = n * (n - 1)
     return CasoratiCurvatures(
         C=C, inf_CL=inf_val, sup_CL=sup_val,

@@ -18,8 +18,13 @@ pipeline and reports three residuals: ``R_pair`` (R(x, y, y, x) on every
 ordered frame pair and on two seeded random planes in both orders),
 ``tau_formulas`` (the two defining formulas of tau) and ``trace_identity``
 (2 tau - E = n^2 ||H||^2 - ||h||^2), beside the 3.5i bound on sampled
-hyperplanes (Q): any disagreement beyond rounding is a transcription bug by
-definition.
+hyperplanes and at the certified inf (Q): any disagreement beyond rounding is
+a transcription bug by definition.
+
+The Casorati verdicts (``casorati_verdict``) rest on the certified bounds of
+``submanifold.casorati_bounds``, not on the sampled search: they hold when
+the certified slack does, are violated when the search's attained extrema
+already violate them, and are undecided, never a pass, in between.
 
 Convention: all correction-tensor traces entering right-hand sides (lambda =
 tr alpha, tr beta, lambda' = tr alpha') are restrictions to the submanifold
@@ -30,6 +35,7 @@ uses the symmetrized sectional curvature.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -45,6 +51,7 @@ from .submanifold import (
     SubmanifoldPoint,
     attach,
     casorati,
+    casorati_bounds,
     delta_casorati,
     scalar_tau,
     scalar_tau_pair,
@@ -68,6 +75,7 @@ __all__ = [
     "theorem_ids_problem",
     "VerdictReport",
     "verify",
+    "casorati_verdict",
     "CrossCheckReport",
     "cross_check",
     "equality_instance",
@@ -101,7 +109,7 @@ def theorem_ids_problem(ids) -> str | None:
     return None
 
 
-def _require_kind(sub: SubmanifoldPoint, theorem_id: str):
+def _check_request(sub: SubmanifoldPoint, theorem_id: str, tol: float):
     if theorem_id not in THEOREMS_FIRST + THEOREMS_SECOND:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     family_first = theorem_id.startswith("3")
@@ -109,6 +117,8 @@ def _require_kind(sub: SubmanifoldPoint, theorem_id: str):
         raise WrongConnectionKind(f"{theorem_id} needs a kind-1 connection")
     if not family_first and sub.spec.kind != KIND_SECOND:
         raise WrongConnectionKind(f"{theorem_id} needs a kind-2 connection")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +235,16 @@ def _frame_nongauss(sub: SubmanifoldPoint) -> np.ndarray:
     return sub.memo("frame_nongauss", lambda: _frozen(_pair_nongauss(sub, X, Y)))
 
 
+def _frame_gauss(sub: SubmanifoldPoint) -> np.ndarray:
+    """``_pair_gauss`` on the rows of ``_frame_pairs``, sum_r h_r,ii h_r,jj -
+    h_r,ij^2 read off the entries of h; memoized, read-only."""
+    def make():
+        d = np.einsum("rii->ri", sub.h)
+        G = d.T @ d - np.einsum("rij,rij->ij", sub.h, sub.h)
+        return _frozen(G[~np.eye(sub.n, dtype=bool)])
+    return sub.memo("frame_gauss", make)
+
+
 def _tau_nongauss(sub: SubmanifoldPoint) -> float:
     """Scalar curvature minus its Gauss sum: half the pair form over frame pairs.
 
@@ -296,12 +316,16 @@ def verify(
     Theta_k <= Theta_{k+1}, so both are upper bounds on Theta_k in every mode
     and the smaller one is the sharpest sound value; a sampled ('multistart')
     verdict also reports the exact chain (trace identity, Cauchy-Schwarz step,
-    Theta_n) in its diagnostics.  ``tol`` must be finite and >= 0, and a
-    non-finite side raises ``ValueError`` rather than give a verdict.
+    Theta_n) in its diagnostics.  3.5/4.4 return ``casorati_verdict``: lhs,
+    rhs and slack are certified, and the diagnostics add the search's
+    estimate (``inf_CL``, ``sup_CL``, ``delta_c``, ``delta_c_hat`` and
+    ``estimate_slack``, the slack at the searched extrema), a
+    ``certificate`` block (the bounds of ``casorati_bounds``, the certified
+    slack, and each bound's gap to the estimate, >= 0) and ``undecided``.
+    ``tol`` must be finite and >= 0, and a non-finite side raises
+    ``ValueError`` rather than give a verdict.
     """
-    _require_kind(sub, theorem_id)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    _check_request(sub, theorem_id, tol)
     n = sub.n
     H_sq, h_sq = sub.mean_curvature_sq, sub.h_norm_sq
 
@@ -353,13 +377,60 @@ def verify(
         rhs = n * (n - 1) * H_sq
         return _verdict(theorem_id, lhs, rhs, tol, diag)
 
-    cas = casorati(sub)
+    verdict = casorati_verdict(sub, theorem_id, tol)
+    cas, (lo, hi) = casorati(sub), casorati_bounds(sub)
+    diag = {
+        **cas.as_dict(),
+        **verdict.diagnostics,
+        "estimate_slack": _casorati_rhs(sub, theorem_id, cas.inf_CL, cas.sup_CL) - verdict.lhs,
+        "certificate": {"inf_CL": lo, "sup_CL": hi, "slack": verdict.slack,
+                        "inf_gap": cas.inf_CL - lo, "sup_gap": hi - cas.sup_CL},
+        "shape_match": _quasi_umbilical_match(sub, _CASORATI_R[theorem_id] * n * (n - 1)),
+    }
+    return dataclasses.replace(verdict, diagnostics=diag)
+
+
+def _casorati_rhs(sub: SubmanifoldPoint, theorem_id: str, inf_CL: float, sup_CL: float) -> float:
+    """delta_C(r; n-1) + E at the theorem's r, with the given C(L) extrema."""
+    n = sub.n
     r = _CASORATI_R[theorem_id] * n * (n - 1)
+    return delta_casorati(n, r, sub.h_norm_sq / n, inf_CL, sup_CL) + 2.0 * _tau_nongauss(sub)
+
+
+def casorati_verdict(sub: SubmanifoldPoint, theorem_id: str, tol: float) -> VerdictReport:
+    """The 3.5/4.4 verdict 2 tau <= delta_C(r; n-1) + E in three outcomes.
+
+    Its rhs, and so its slack, is certified: it reads the bounds of
+    ``casorati_bounds``, which lie outside the true C(L) extrema, and
+    delta_C(r; n-1) grows with inf C(L) below r = n(n-1) and falls with
+    sup C(L) above, so the certified slack is never above the true one.
+    The search's extrema (``casorati``) are attained, so the slack of its
+    estimate is never below the true one.  Hence:
+
+    - ``holds`` when the certified slack is >= -eff, and no search runs;
+    - otherwise ``casorati`` runs, and the verdict is a violation when the
+      estimate's slack is < -eff;
+    - else it is undecided (``diagnostics["undecided"]``): neither slack
+      decides, and ``holds`` is False, since an undecided verdict is never
+      a pass.  By the proof it can only come from rounding or a bug.
+
+    eff is ``tol`` * (1 + |lhs| + |rhs|) of each side's own rhs.  The
+    diagnostics carry ``undecided`` and, when the search ran,
+    ``estimate_slack``; ``verify`` adds the rest of the report.
+    """
+    _check_request(sub, theorem_id, tol)
+    if theorem_id not in _CASORATI_R:
+        raise ValueError(f"{theorem_id} is not a Casorati bound")
     lhs = 2.0 * scalar_tau(sub)
-    rhs = delta_casorati(n, r, cas.C, cas.inf_CL, cas.sup_CL) + E
-    diag = cas.as_dict()
-    diag["shape_match"] = _quasi_umbilical_match(sub, r)
-    return _verdict(theorem_id, lhs, rhs, tol, diag)
+    certified = _verdict(theorem_id, lhs, _casorati_rhs(sub, theorem_id, *casorati_bounds(sub)),
+                         tol, {"undecided": False})
+    if certified.holds:
+        return certified
+    cas = casorati(sub)
+    estimate = _verdict(theorem_id, lhs, _casorati_rhs(sub, theorem_id, cas.inf_CL, cas.sup_CL),
+                        tol, {})
+    return dataclasses.replace(certified, diagnostics={"undecided": estimate.holds,
+                                                       "estimate_slack": estimate.slack})
 
 
 def _kernel_residual(sub: SubmanifoldPoint, x: np.ndarray) -> float:
@@ -469,15 +540,17 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     ``trace_identity``, 2 tau - E = n^2 ||H||^2 - ||h||^2.  Besides, Q(L) =
     delta_C(n(n-1)/2; n-1) - 2 tau + E with C(L) in place of its infimum
     (the 3.5i/4.4i bound at L) must be nonnegative on the sampled
-    hyperplanes (``q_min``), and so must ||h||^2 - n ||H||^2.  The planes
+    hyperplanes and at the certified inf of ``casorati_bounds`` (``q_min``,
+    the certified 3.5i/4.4i slack; no search runs), and so must
+    ||h||^2 - n ||H||^2.  The planes
     and hyperplanes are fixed per dimension: every point of a given n is
     checked on the same ones.
     """
     n = sub.n
     X, Y, monomials = _cross_sample(n)
     k = n * (n - 1)  # the frame rows come first
-    closed = np.concatenate([_frame_nongauss(sub), _pair_nongauss(sub, X[k:], Y[k:])])
-    closed += _pair_gauss(sub, X, Y)
+    closed = np.concatenate([_frame_nongauss(sub) + _frame_gauss(sub),
+                             _pair_nongauss(sub, X[k:], Y[k:]) + _pair_gauss(sub, X[k:], Y[k:])])
     res = {"R_pair": float(np.abs(closed - _form_rows(sub.riem, X, Y, Y, X)).max())}
 
     tau_k, tau_double = scalar_tau_pair(sub)
@@ -486,11 +559,10 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     res["tau_formulas"] = abs(tau_k - tau_double)
     res["trace_identity"] = abs(2.0 * tau_k - E - (n ** 2 * H_sq - h_sq))
 
-    # Q on the sampled hyperplanes and at the searched inf
-    cas = casorati(sub)
-    CL = np.append(_Quartic.of(sub).values(monomials) / (n - 1), cas.inf_CL)
+    # Q on the sampled hyperplanes and at the certified inf
+    CL = np.append(_Quartic.of(sub).values(monomials) / (n - 1), casorati_bounds(sub)[0])
     r = _CASORATI_R["3.5i"] * n * (n - 1)
-    q_vals = delta_casorati(n, r, cas.C, CL, CL) - 2.0 * tau_k + E
+    q_vals = delta_casorati(n, r, h_sq / n, CL, CL) - 2.0 * tau_k + E
     return CrossCheckReport(
         residuals=res,
         q_min=float(q_vals.min()),

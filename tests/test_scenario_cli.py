@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 import ckv.cli
 import ckv.fuzz
+import ckv.submanifold
+import ckv.verifier
 from ckv.cli import main
 from ckv.contact import StructureCheck, ValidationReport, standard_point, validate_structure
 from ckv.connections import first_connection
 from ckv.errors import ScenarioError
-from ckv.fuzz import FuzzConfig, _zeroing_candidates, run_fuzz
+from ckv.fuzz import FuzzConfig, _zeroing_candidates, random_scenario, run_fuzz
 from ckv.scenario import (
     load_scenario,
     parse_scenario,
@@ -612,6 +614,46 @@ def test_fuzz_report_without_cross_checks_is_strict_json(monkeypatch, capsys):
     assert report["summary"]["min_q"] is None and report["summary"]["min_cauchy_schwarz"] is None
     assert report["summary"]["max_cross_residual"] is None
     assert "max cross residual n/a" in captured.err
+
+
+def _loose_casorati_bounds(monkeypatch):
+    # bounds far outside the true extrema: the certificate no longer holds,
+    # while the search's estimate still does
+    monkeypatch.setattr(ckv.verifier, "casorati_bounds", lambda sub: (-1e3, 1e3))
+
+
+def test_cli_verify_undecided_is_never_a_pass(tmp_path, monkeypatch, capsys):
+    _loose_casorati_bounds(monkeypatch)
+    path = _write(tmp_path, random_scenario(0, FuzzConfig(seed=11, kind=1)))
+    assert main(["verify", path, "--json", "--theorems", "3.1,3.5i,3.5ii"]) == 1
+    chen, *bounds = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert chen["holds"] and "undecided" not in chen["diagnostics"]
+    for obj in bounds:
+        diag = obj["diagnostics"]
+        assert diag["undecided"] is True and obj["holds"] is False
+        assert obj["slack"] == diag["certificate"]["slack"] < 0.0 <= diag["estimate_slack"]
+    assert main(["verify", path, "--theorems", "3.5ii"]) == 1
+    assert capsys.readouterr().out.splitlines()[1].endswith("  undecided")
+
+
+def test_fuzz_reports_an_undecided_verdict_as_a_finding(monkeypatch):
+    _loose_casorati_bounds(monkeypatch)
+    report = run_fuzz(FuzzConfig(count=1, seed=11, kind=2))
+    undecided = [f["check"]["theorem"] for f in report.findings if f.get("undecided")]
+    assert undecided == ["4.4i", "4.4ii"]
+    assert report.min_slack["4.4i"] < 0.0 and report.min_slack["4.4ii"] < 0.0
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_fuzz_runs_no_casorati_search(monkeypatch, kind):
+    # every 3.5/4.4 verdict and Q of a campaign come from the certificate
+    def no_search(sub):
+        raise AssertionError("the Casorati sphere search ran")
+
+    monkeypatch.setattr(ckv.submanifold, "casorati", no_search)
+    monkeypatch.setattr(ckv.verifier, "casorati", no_search)
+    report = run_fuzz(FuzzConfig(count=200, kind=kind))
+    assert report.instances == 200 and report.findings == []
 
 
 def test_fuzz_minimizer_shrinks_a_planted_failure():

@@ -23,6 +23,7 @@ from ckv.submanifold import (
     _partial_ricci_min,
     attach,
     casorati,
+    casorati_bounds,
     delta_casorati,
     induced_curvature,
     ricci,
@@ -32,7 +33,7 @@ from ckv.submanifold import (
     sectional,
     theta_k,
 )
-from ckv.verifier import _casorati_equality
+from ckv.verifier import _casorati_equality, equality_instance, verify
 from oracles import (
     induced_curvature_direct,
     reflected,
@@ -695,6 +696,80 @@ def test_delta_casorati_bounds_the_gauss_part_and_its_witness_attains_it(seed, n
         assert lhs <= rhs + tol
         if equal:
             assert abs(rhs - lhs) <= tol, (rhs, lhs)
+
+
+def _hyperplane_values(h, U):
+    """C(L) = sum_r ||P h_r P||^2 / (n - 1) with P = I - u u^T, per unit row u
+    of U, by compressing the slices directly."""
+    n = h.shape[1]
+    P = np.eye(n) - np.einsum("ka,kb->kab", U, U)
+    return np.sum((P[:, None] @ h[None] @ P[:, None]) ** 2, axis=(1, 2, 3)) / (n - 1)
+
+
+# bench/oracle.py's reference sup C(L) of campaign seed 11, unit 564, which
+# the sphere search misses (it reaches 0.587212)
+_UNIT_564_ORACLE_SUP = 0.5874767349640987
+
+
+def test_casorati_bounds_cover_the_known_search_miss():
+    # campaign seed 11, unit 564 (n = 4, p = 3): the searched sup lies below
+    # the oracle's, so a verdict on it would rest on too large a 3.5ii rhs
+    sub = parse_scenario(random_scenario(0, FuzzConfig(count=1, seed=3004783557911524741,
+                                                       kind=1))).sub
+    assert (sub.n, sub.p) == (4, 3)
+    lower, upper = casorati_bounds(sub)
+    assert upper >= _UNIT_564_ORACLE_SUP
+    assert abs(upper - 0.61986) < 1e-5
+    assert casorati(sub).sup_CL <= _UNIT_564_ORACLE_SUP + 1e-12   # attained, so never above
+    assert lower <= casorati(sub).inf_CL
+    verdict = verify(sub, "3.5ii")
+    cert = verdict.diagnostics["certificate"]
+    assert verdict.holds and not verdict.diagnostics["undecided"]
+    assert cert["sup_CL"] == upper and cert["slack"] == verdict.slack
+    assert verdict.slack >= 0.0 and verdict.slack <= verdict.diagnostics["estimate_slack"]
+
+
+def _multi_slice_sub(seed, n, p, scale):
+    """A point with p >= 2 nonzero random slices on the reduced ambient with a
+    zero kind-1 connection; one zero slice pads an even n + p."""
+    d = n + p + 1 - (n + p) % 2
+    rng = np.random.default_rng(seed)
+    hhat = np.zeros((d - n, n, n))
+    hhat[:p] = rng.standard_normal((p, n, n))
+    hhat = scale * (hhat + np.transpose(hhat, (0, 2, 1))) / 2.0
+    return attach(standard_point((d - 1) // 2), _zero_spec(d), np.eye(d)[:n], hhat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 5), p=st.integers(2, 4),
+       scale=st.floats(1e-2, 1e2))
+def test_casorati_bounds_enclose_every_hyperplane(seed, n, p, scale):
+    sub = _multi_slice_sub(seed, n, p, scale)
+    lower, upper = casorati_bounds(sub)
+    cas = casorati(sub)
+    U = np.random.default_rng(seed).standard_normal((256, n))
+    U = np.concatenate([U / np.linalg.norm(U, axis=1, keepdims=True), [cas.argmin_u, cas.argmax_u]])
+    values = _hyperplane_values(sub.h, U)
+    eps = 1e-12 * (1.0 + sub.h_norm_sq)
+    assert np.all(lower - eps <= values) and np.all(values <= upper + eps)
+    for tid in ("3.5i", "3.5ii"):
+        verdict = verify(sub, tid)
+        assert verdict.slack <= verdict.diagnostics["estimate_slack"] + 1e-12 * (
+            1.0 + abs(verdict.lhs) + abs(verdict.rhs))
+
+
+@pytest.mark.parametrize("case,a", [("thm35_i", 1.0), ("thm35_i", -0.7), ("thm35_ii", 1.3),
+                                    ("thm35_ii", 0.0)])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_casorati_bounds_are_exact_on_the_witnesses(case, a, n):
+    # one slice: both bounds are the extrema, attained at the search's normals
+    sub = equality_instance(case, n, {"a": a}, seed=n)
+    lower, upper = casorati_bounds(sub)
+    cas = casorati(sub)
+    attained = _hyperplane_values(sub.h, np.stack([cas.argmin_u, cas.argmax_u]))
+    for bound, searched, value in zip((lower, upper), (cas.inf_CL, cas.sup_CL), attained):
+        assert abs(bound - searched) <= 1e-12 * (1.0 + abs(searched))
+        assert abs(bound - value) <= 1e-12 * (1.0 + abs(value))
 
 
 def test_casorati_overflowing_h_does_not_raise():

@@ -10,7 +10,7 @@ from ckv.errors import MissingArgument, WrongConnectionKind
 from ckv.frames import Plane, complete_frame, orthonormalize
 from ckv.fuzz import FuzzConfig, random_scenario
 from ckv.scenario import parse_scenario
-from ckv.submanifold import _Quartic, attach, casorati
+from ckv.submanifold import _Quartic, attach, casorati, casorati_bounds
 from ckv.verifier import (
     CROSS_TOL,
     TAKES_K,
@@ -395,9 +395,10 @@ def test_slacks_reduce_to_algebraic_bounds(kind):
             frame = np.vstack([rows, complete_frame(rows)])
             return np.einsum("ia,rab,jb->rij", frame, sub.h, frame)
 
-        def close(verdict, expected):
+        def close(verdict, expected, slack=None):
             bound = 1e-12 * (1 + abs(verdict.lhs) + abs(verdict.rhs))
-            assert abs(verdict.slack - expected) <= bound, (kind, index, verdict.theorem_id)
+            slack = verdict.slack if slack is None else slack
+            assert abs(slack - expected) <= bound, (kind, index, verdict.theorem_id)
 
         basis = orthonormalize(rng.standard_normal((2, n)))
         plane = Plane(basis[0] @ sub.tangent, basis[1] @ sub.tangent)
@@ -408,8 +409,15 @@ def test_slacks_reduce_to_algebraic_bounds(kind):
         close(verify(sub, ricci_id, X=x[0] @ sub.tangent),
               ricci_bound_batch(h_x[None])[0] + np.sum(h_x[:, 0, 1:] ** 2))
 
+        # the verdict's slack is the certified one: the paper's
+        # delta_c = C/2 + (n+1)/(2n) inf C(L) at the certified inf; the
+        # searched delta_c gives the estimate's slack
         gauss = n ** 2 * sub.mean_curvature_sq - sub.h_norm_sq
-        close(verify(sub, casorati_id), n * (n - 1) * casorati(sub).delta_c - gauss)
+        verdict = verify(sub, casorati_id)
+        C, lower = sub.h_norm_sq / n, casorati_bounds(sub)[0]
+        close(verdict, n * (n - 1) * (C / 2 + (n + 1) / (2 * n) * lower) - gauss)
+        close(verdict, n * (n - 1) * casorati(sub).delta_c - gauss,
+              verdict.diagnostics["estimate_slack"])
 
 
 # --- cross checks ----------------------------------------------------------------
