@@ -582,8 +582,8 @@ def casorati_bounds(sub: SubmanifoldPoint) -> tuple[float, float]:
     lambda_min(S), since (u^T h_r u)^2 <= |h_r u|^2.  Any orthonormal normal
     frame gives valid slices.  On one slice both bounds are the exact
     extrema, so ``casorati`` reads them there.  One ``eigvalsh`` of S and one
-    of the slice stack; memoized on the point.  Non-finite data gives NaN
-    bounds, not an exception.
+    of the slice stack, in one call; memoized on the point.  Non-finite data
+    gives NaN bounds, not an exception.
     """
     def make():
         quartic = _Quartic.of(sub)
@@ -591,8 +591,8 @@ def casorati_bounds(sub: SubmanifoldPoint) -> tuple[float, float]:
             return 0.0, 0.0
         if not np.isfinite(quartic.S).all():
             return np.nan, np.nan
-        edge, _ = _slice_edges(np.linalg.eigvalsh(quartic.h))
-        s = np.linalg.eigvalsh(quartic.S)
+        w = np.linalg.eigvalsh(np.concatenate([quartic.S[None], quartic.h]))
+        s, (edge, _) = w[0], _slice_edges(w[1:])
         inf_f = max(quartic.h_sq - 2.0 * float(s[-1]), float(edge.min(axis=(1, 2)).sum()))
         return inf_f / (sub.n - 1), (quartic.h_sq - float(s[0])) / (sub.n - 1)
     return sub.memo("casorati_bounds", make)

@@ -263,7 +263,9 @@ class VerdictReport:
     """Outcome of one inequality check: lhs <= rhs with slack = rhs - lhs.
 
     ``holds`` uses the tolerance scaled by (1 + |lhs| + |rhs|) since the
-    right-hand sides span orders of magnitude under fuzzing.
+    right-hand sides span orders of magnitude under fuzzing.  A 3.5/4.4
+    verdict that neither slack decides has ``holds`` False and
+    ``diagnostics["undecided"]`` True (``casorati_verdict``).
     """
 
     theorem_id: str
