@@ -236,13 +236,9 @@ def _frame_nongauss(sub: SubmanifoldPoint) -> np.ndarray:
 
 
 def _frame_gauss(sub: SubmanifoldPoint) -> np.ndarray:
-    """``_pair_gauss`` on the rows of ``_frame_pairs``, sum_r h_r,ii h_r,jj -
-    h_r,ij^2 read off the entries of h; memoized, read-only."""
-    def make():
-        d = np.einsum("rii->ri", sub.h)
-        G = d.T @ d - np.einsum("rij,rij->ij", sub.h, sub.h)
-        return _frozen(G[~np.eye(sub.n, dtype=bool)])
-    return sub.memo("frame_gauss", make)
+    """``_pair_gauss`` on the rows of ``_frame_pairs``; memoized, read-only."""
+    X, Y = _frame_pairs(sub.n)
+    return sub.memo("frame_gauss", lambda: _frozen(_pair_gauss(sub, X, Y)))
 
 
 def _tau_nongauss(sub: SubmanifoldPoint) -> float:
@@ -544,9 +540,8 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     (the 3.5i/4.4i bound at L) must be nonnegative on the sampled
     hyperplanes and at the certified inf of ``casorati_bounds`` (``q_min``,
     the certified 3.5i/4.4i slack; no search runs), and so must
-    ||h||^2 - n ||H||^2.  The planes
-    and hyperplanes are fixed per dimension: every point of a given n is
-    checked on the same ones.
+    ||h||^2 - n ||H||^2.  The planes and hyperplanes are fixed per
+    dimension: every point of a given n is checked on the same ones.
     """
     n = sub.n
     X, Y, monomials = _cross_sample(n)
