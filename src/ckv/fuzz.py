@@ -10,9 +10,9 @@ the seed and the sampling-layout version.  Timing never enters a report, so
 identical flags and seed produce byte-identical output.
 
 A finding (an inequality violated beyond tolerance, a cross-check residual
-above 1e-9, or a negative hyperplane polynomial) is shrunk by greedy
-parameter zeroing before being reported: each zeroable parameter group is
-zeroed in turn and the zeroing is kept whenever the failure survives.  An
+above 1e-9, or a negative Q, the certified 3.5i/4.4i slack) is shrunk by
+greedy parameter zeroing before being reported: each zeroable parameter group
+is zeroed in turn and the zeroing is kept whenever the failure survives.  An
 inequality finding carries its failing check, so ``ckv verify`` replays it.
 
 The 3.5/4.4 checks take ``casorati_verdict``: the certified slack decides,

@@ -227,6 +227,8 @@ def attach(
     hhat = np.array(hhat, dtype=float)
     if hhat.shape != (p, n, n):
         raise DimensionMismatch(f"hhat must have shape {(p, n, n)}, got {hhat.shape}")
+    if not np.isfinite(hhat).all():
+        raise ValueError("hhat: entries must be finite")
     asym = np.abs(hhat - np.transpose(hhat, (0, 2, 1))).max()
     if asym > 1e-12:
         raise NonSymmetricH(f"hhat slices must be symmetric (max asymmetry {asym:.3e})")
@@ -451,11 +453,12 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     ``extremize_on_sphere`` refines them by Riemannian Newton in one batch
     (``refine_on_sphere``), evaluating every step with the same
     ``_partial_ricci_min``, so the value returned is attained at a concrete
-    direction.  Raises ValueError when the curvature data overflows.
+    direction.  Raises ValueError for a k that is not an integer in [2, n]
+    (bool included) and when the curvature data overflows.
     """
     n = sub.n
-    if not 2 <= k <= n:
-        raise ValueError(f"k must satisfy 2 <= k <= n = {n}, got {k}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 2 <= k <= n:
+        raise ValueError(f"k must be an integer with 2 <= k <= n = {n}, got {k!r}")
     if k == n:
         w = np.linalg.eigvalsh(_finite(ricci_form(sub)))
         return ThetaEstimate(float(w[0]) / (n - 1), "exact_eigen", 0)
@@ -601,7 +604,7 @@ def casorati_bounds(sub: SubmanifoldPoint) -> tuple[float, float]:
 def delta_casorati(n: int, r: float, C, inf_CL, sup_CL):
     """delta_C(r; n-1) = r C + a(r) C(L), a(r) = (n-1)(n+r)(n^2-n-r)/(r n),
     with C(L) = ``inf_CL`` for r < n(n-1) and ``sup_CL`` above (Decu, Haesen
-    and Verstraelen, 2008); elementwise on arrays of C(L)."""
+    and Verstraelen, 2008)."""
     CL = inf_CL if r < n * (n - 1) else sup_CL
     return r * C + (n - 1) * (n + r) * (n * n - n - r) / (r * n) * CL
 

@@ -17,9 +17,9 @@ the Gauss part.  ``cross_check`` compares that form with the raw tensor
 pipeline and reports three residuals: ``R_pair`` (R(x, y, y, x) on every
 ordered frame pair and on two seeded random planes in both orders),
 ``tau_formulas`` (the two defining formulas of tau) and ``trace_identity``
-(2 tau - E = n^2 ||H||^2 - ||h||^2), beside the 3.5i bound on sampled
-hyperplanes and at the certified inf (Q): any disagreement beyond rounding is
-a transcription bug by definition.
+(2 tau - E = n^2 ||H||^2 - ||h||^2): any disagreement beyond rounding is a
+transcription bug by definition.  Beside them it reports Q, the certified
+3.5i/4.4i slack, and the Cauchy-Schwarz slack ||h||^2 - n ||H||^2.
 
 The Casorati verdicts (``casorati_verdict``) rest on the certified bounds of
 ``submanifold.casorati_bounds``, not on the sampled search: they hold when
@@ -46,7 +46,7 @@ from .connections import KIND_FIRST, KIND_SECOND, first_connection
 from .contact import standard_point
 from .errors import MissingArgument, WrongConnectionKind
 from .frames import Plane, orthonormalize
-from .spheresearch import _frozen, quadratic_monomials
+from .spheresearch import _frozen
 from .submanifold import (
     SubmanifoldPoint,
     attach,
@@ -56,7 +56,6 @@ from .submanifold import (
     scalar_tau,
     scalar_tau_pair,
     theta_k,
-    _Quartic,
     _form_rows,
     _ricci_at,
     _sectional_batch,
@@ -91,7 +90,7 @@ TAKES_K = frozenset({"3.4", "4.3"})
 _CASORATI_R = {"3.5i": 0.5, "4.4i": 0.5, "3.5ii": 2.0, "4.4ii": 2.0}
 DEFAULT_TOL = 1e-8   # relative verdict tolerance, scaled by 1 + |lhs| + |rhs|
 CROSS_TOL = 1e-9     # largest accepted cross-check residual
-_Q_TOL = 1e-8        # how far below zero the Q polynomial and Cauchy-Schwarz may dip
+_Q_TOL = 1e-8        # how far below zero q_min and Cauchy-Schwarz may dip
 _SHAPE_TOL = 1e-8    # equality-pattern diagnostics
 
 
@@ -233,12 +232,6 @@ def _frame_nongauss(sub: SubmanifoldPoint) -> np.ndarray:
     """``_pair_nongauss`` on the rows of ``_frame_pairs``; memoized, read-only."""
     X, Y = _frame_pairs(sub.n)
     return sub.memo("frame_nongauss", lambda: _frozen(_pair_nongauss(sub, X, Y)))
-
-
-def _frame_gauss(sub: SubmanifoldPoint) -> np.ndarray:
-    """``_pair_gauss`` on the rows of ``_frame_pairs``; memoized, read-only."""
-    X, Y = _frame_pairs(sub.n)
-    return sub.memo("frame_gauss", lambda: _frozen(_pair_gauss(sub, X, Y)))
 
 
 def _tau_nongauss(sub: SubmanifoldPoint) -> float:
@@ -496,7 +489,9 @@ def _quasi_umbilical_match(sub: SubmanifoldPoint, r: float) -> bool:
 
 @dataclass(frozen=True)
 class CrossCheckReport:
-    """Residuals between the raw pipeline and the closed expansions."""
+    """Residuals between the raw pipeline and the closed expansions, with
+    ``q_min``, the certified 3.5i/4.4i slack, and ``cauchy_schwarz_slack``,
+    ||h||^2 - n ||H||^2."""
 
     residuals: dict
     q_min: float
@@ -513,18 +508,14 @@ class CrossCheckReport:
 
 
 @functools.cache
-def _cross_sample(n: int) -> tuple[np.ndarray, ...]:
+def _cross_sample(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``cross_check``'s ordered pair rows X, Y: the n(n-1) frame pairs, then
-    two seeded random planes (v1, v2) in both orders; and the quadratic
-    monomials of its n + 64 unit hyperplane normals (the coordinate normals
-    and a seeded batch).  Cached per dimension and read-only."""
+    two seeded random planes (v1, v2) in both orders.  Cached per dimension
+    and read-only."""
     rng = np.random.default_rng(0)
     V1, V2 = np.stack([orthonormalize(rng.standard_normal((2, n))) for _ in range(2)], axis=1)
-    U = np.concatenate([np.eye(n), rng.standard_normal((64, n))])
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
     X, Y = _frame_pairs(n)
-    return tuple(_frozen(arr) for arr in (np.concatenate([X, V1, V2]),
-                                          np.concatenate([Y, V2, V1]), quadratic_monomials(U)))
+    return _frozen(np.concatenate([X, V1, V2])), _frozen(np.concatenate([Y, V2, V1]))
 
 
 def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
@@ -535,19 +526,18 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     ``_cross_sample``, read by one GEMM of outer-product rows; both orders
     count, since R(x, y, y, x) != R(y, x, x, y) for a non-metric connection.
     ``tau_formulas``, the two defining formulas of tau (``scalar_tau_pair``).
-    ``trace_identity``, 2 tau - E = n^2 ||H||^2 - ||h||^2.  Besides, Q(L) =
-    delta_C(n(n-1)/2; n-1) - 2 tau + E with C(L) in place of its infimum
-    (the 3.5i/4.4i bound at L) must be nonnegative on the sampled
-    hyperplanes and at the certified inf of ``casorati_bounds`` (``q_min``,
-    the certified 3.5i/4.4i slack; no search runs), and so must
-    ||h||^2 - n ||H||^2.  The planes and hyperplanes are fixed per
-    dimension: every point of a given n is checked on the same ones.
+    ``trace_identity``, 2 tau - E = n^2 ||H||^2 - ||h||^2.  Besides, ``q_min``
+    = delta_C(n(n-1)/2; n-1) + E - 2 tau at the certified inf of
+    ``casorati_bounds`` (bit for bit the certified 3.5i/4.4i slack; no
+    search runs) and ||h||^2 - n ||H||^2 must both be nonnegative.  The
+    planes are fixed per dimension: every point of a given n is checked on
+    the same ones.
     """
     n = sub.n
-    X, Y, monomials = _cross_sample(n)
+    X, Y = _cross_sample(n)
     k = n * (n - 1)  # the frame rows come first
-    closed = np.concatenate([_frame_nongauss(sub) + _frame_gauss(sub),
-                             _pair_nongauss(sub, X[k:], Y[k:]) + _pair_gauss(sub, X[k:], Y[k:])])
+    nongauss = np.concatenate([_frame_nongauss(sub), _pair_nongauss(sub, X[k:], Y[k:])])
+    closed = nongauss + _pair_gauss(sub, X, Y)
     res = {"R_pair": float(np.abs(closed - _form_rows(sub.riem, X, Y, Y, X)).max())}
 
     tau_k, tau_double = scalar_tau_pair(sub)
@@ -556,13 +546,9 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     res["tau_formulas"] = abs(tau_k - tau_double)
     res["trace_identity"] = abs(2.0 * tau_k - E - (n ** 2 * H_sq - h_sq))
 
-    # Q on the sampled hyperplanes and at the certified inf
-    CL = np.append(_Quartic.of(sub).values(monomials) / (n - 1), casorati_bounds(sub)[0])
-    r = _CASORATI_R["3.5i"] * n * (n - 1)
-    q_vals = delta_casorati(n, r, h_sq / n, CL, CL) - 2.0 * tau_k + E
     return CrossCheckReport(
         residuals=res,
-        q_min=float(q_vals.min()),
+        q_min=_casorati_rhs(sub, "3.5i", *casorati_bounds(sub)) - 2.0 * tau_k,
         cauchy_schwarz_slack=h_sq - n * H_sq,
     )
 

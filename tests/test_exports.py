@@ -2,7 +2,8 @@
 every exported or module-level name of ``ckv`` has a caller outside the
 tests, so test-only surface stays in the tests; the number of options
 (function parameters with a default) cannot grow unnoticed; only
-``SubmanifoldPoint.memo`` touches the per-point cache; only
+``SubmanifoldPoint.memo`` touches the per-point cache, and each memo key is
+a string literal with one call site; only
 ``spheresearch.triu_pairs`` calls ``np.triu_indices``; no ``einsum`` takes
 more than two array operands."""
 
@@ -146,6 +147,27 @@ def test_point_cache_is_only_touched_by_memo():
     results = [_cache_uses(path) for path in sorted(Path(ckv.__file__).parent.glob("*.py"))]
     assert sum(has_memo for _, has_memo in results) == 1
     assert [use for uses, _ in results for use in uses] == []
+
+
+def _memo_keys(path):
+    """(key, ``file:line``) of every ``.memo(...)`` call of a file; the key is
+    None unless it is a string literal."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(node.args[0].value if node.args and isinstance(node.args[0], ast.Constant)
+             and isinstance(node.args[0].value, str) else None, f"{path.name}:{node.lineno}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "memo"]
+
+
+def test_memo_keys_are_literals_with_one_call_site():
+    # the keys are stringly typed across modules: a computed key or one key
+    # at two call sites could hand one site's value to the other
+    calls = [call for path in sorted(Path(ckv.__file__).parent.glob("*.py"))
+             for call in _memo_keys(path)]
+    assert calls
+    assert [site for key, site in calls if key is None] == []
+    keys = [key for key, _ in calls]
+    assert sorted(key for key in set(keys) if keys.count(key) > 1) == []
 
 
 def _triu_calls(path):

@@ -115,6 +115,12 @@ def test_attach_errors():
         attach(standard_point(2), _zero_spec(), E5[:3], bad)
     with pytest.raises(DimensionMismatch):
         attach(standard_point(2), _zero_spec(), E5[:3], np.zeros((3, 3, 3)))
+    # NaN compares False with the symmetry tolerance, so it needs its own guard
+    for value in (np.nan, np.inf):
+        bad = np.zeros((2, 3, 3))
+        bad[0, 0, 1] = value
+        with pytest.raises(ValueError, match="hhat: entries must be finite"):
+            attach(standard_point(2), _zero_spec(), E5[:3], bad)
 
 
 @pytest.mark.parametrize("two_slices", [False, True])

@@ -8,16 +8,18 @@ from ckv.connections import first_connection, second_connection
 from ckv.contact import random_point, standard_point
 from ckv.errors import MissingArgument, WrongConnectionKind
 from ckv.frames import Plane, complete_frame, orthonormalize
-from ckv.fuzz import FuzzConfig, random_scenario
+from ckv.fuzz import FuzzConfig, random_scenario, run_fuzz
 from ckv.scenario import parse_scenario
 from ckv.submanifold import _Quartic, attach, casorati, casorati_bounds
 from ckv.verifier import (
     CROSS_TOL,
+    DEFAULT_TOL,
     TAKES_K,
     TAKES_PLANE,
     TAKES_X,
     THEOREMS_FIRST,
     applicable_theorems,
+    casorati_verdict,
     cross_check,
     equality_instance,
     verify,
@@ -216,28 +218,23 @@ def test_equality_witness_slack_zero(case, tid, params, n):
 
 @pytest.mark.parametrize("kind", [1, 2])
 def test_q_min_is_the_casorati_i_slack(kind):
-    # Q is the 3.5i/4.4i bound with each sampled C(L) in place of the inf,
-    # and the search's inf is among the samples
+    # Q is the 3.5i/4.4i bound at the certified inf: the certified slack, bit
+    # for bit, on every point and in the fuzz report's minimum
     tid = "3.5i" if kind == 1 else "4.4i"
-    checked = 0
     for i in range(60):
         sub = parse_scenario(random_scenario(i, FuzzConfig(seed=83, kind=kind))).sub
-        n = sub.n
-        # cross_check's sample: coordinate normals, then 64 seeded normals
-        # after the two random planes
-        rng = np.random.default_rng(0)
-        for _ in range(2):
-            rng.standard_normal((2, n))
-        U = np.concatenate([np.eye(n), rng.standard_normal((64, n))])
-        Q = np.eye(n) - np.einsum("ka,kb->kab", U, U) / np.sum(U * U, axis=1)[:, None, None]
-        sampled = np.sum((Q[:, None] @ sub.h[None] @ Q[:, None]) ** 2, axis=(1, 2, 3)) / (n - 1)
-        verdict = verify(sub, tid)
-        if sampled.min() < verdict.diagnostics["inf_CL"]:
-            continue
-        q_min = cross_check(sub).q_min
-        assert abs(q_min - verdict.slack) <= 1e-14 * (1.0 + abs(verdict.lhs) + abs(verdict.rhs))
-        checked += 1
-    assert checked >= 50
+        assert cross_check(sub).q_min == casorati_verdict(sub, tid, DEFAULT_TOL).slack, i
+    report = run_fuzz(FuzzConfig(count=20, seed=83, kind=kind))
+    assert report.min_q is not None and report.min_q == report.min_slack[tid]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_verify_rejects_a_non_integer_k(n, k):
+    sub = _random_sub(5, 1, n=n)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        verify(sub, "3.4", k=k)
+    assert verify(sub, "3.4", k=np.int64(2)).to_dict() == verify(sub, "3.4", k=2).to_dict()
 
 
 def test_equality_witness_rejects_junk_params():
