@@ -354,7 +354,7 @@ def verify(
             k = n
         est = theta_k(sub, k)
         exact = est if k == n else theta_k(sub, n)
-        diag: dict = {"theta_mode": est.mode, "theta_value": est.value, "k": k,
+        diag: dict = {"theta_mode": est.mode, "theta_value": est.value, "k": int(k),
                       "theta_samples": est.samples}
         if est.mode == "multistart":
             # a sampled value is only an upper bound: report the exact chain
