@@ -454,11 +454,23 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     (``refine_on_sphere``), evaluating every step with the same
     ``_partial_ricci_min``, so the value returned is attained at a concrete
     direction.  Raises ValueError for a k that is not an integer in [2, n]
-    (bool included) and when the curvature data overflows.
+    (bool included) and when the curvature data overflows.  Memoized per
+    point and k: a repeated verdict, and the Theta_n behind every k < n
+    verdict of ``verify``, computes its estimate once.
     """
     n = sub.n
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 2 <= k <= n:
         raise ValueError(f"k must be an integer with 2 <= k <= n = {n}, got {k!r}")
+    k = int(k)
+    estimates = sub.memo("theta_k", dict)
+    if k not in estimates:
+        estimates[k] = _theta_estimate(sub, k)
+    return estimates[k]
+
+
+def _theta_estimate(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
+    """``theta_k`` of a checked k, computed afresh."""
+    n = sub.n
     if k == n:
         w = np.linalg.eigvalsh(_finite(ricci_form(sub)))
         return ThetaEstimate(float(w[0]) / (n - 1), "exact_eigen", 0)

@@ -11,9 +11,12 @@ connection, 4.x the second):
 
 Every proof puts the Gauss equation into a scalar, sectional or Ricci
 curvature, so every right-hand side is a trace of one closed form, the
-non-Gauss part of R(x, y, y, x) on orthonormal tangent pairs
-(``_pair_nongauss``), plus the algebraic bound on h that the proof applies to
-the Gauss part.  ``cross_check`` compares that form with the raw tensor
+non-Gauss part of R(x, y, y, x) on orthonormal tangent pairs, plus the
+algebraic bound on h that the proof applies to the Gauss part.  That form is
+one memoized (n^2, n^2) tensor per point (``_pair_tensor``), the one owner of
+the ambient and connection terms: a plane, a direction or a cross-check row
+reads it by one GEMM (``_pair_nongauss``), and E = 2 tau_ng reads its
+frame entries.  ``cross_check`` compares that form with the raw tensor
 pipeline and reports three residuals: ``R_pair`` (R(x, y, y, x) on every
 ordered frame pair and on two seeded random planes in both orders),
 ``tau_formulas`` (the two defining formulas of tau) and ``trace_identity``
@@ -166,41 +169,60 @@ def _plane_invariants(sub: SubmanifoldPoint, v1: np.ndarray, v2: np.ndarray) -> 
 # the non-Gauss curvature form
 # ---------------------------------------------------------------------------
 
-def _on_pairs(M: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Stacked bilinear forms M (f, n, n) on the rows of X and Y (k, n).
-
-    Returns shape (3, f, k): the values on (x, y), on (x, x) and on (y, y).
-    """
-    left, right = np.stack([X, X, Y])[:, None], np.stack([Y, X, Y])[:, None]
-    return ((left @ M) * right).sum(axis=-1)
-
-
 def _pair_nongauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Non-Gauss part of R(x, y, y, x) for rows of orthonormal tangent pairs.
+    """Non-Gauss part of R(x, y, y, x) for rows of unit tangent pairs.
 
-    X and Y hold tangent-frame coordinates, shape (k, n), with each (x, y)
-    orthonormal (3.3/4.2 also use it as a quadratic form in y, see ``verify``).
-    The full value adds sum_r h_r(x,x) h_r(y,y) - h_r(x,y)^2 (``_pair_gauss``).  The ambient terms are those of the contact space form
-    with h' = A, phi h' = B and eta = u on the frame; the connection terms are
-    folded into the quadratic forms A - C_x (in x) and A - C_y (in y).
+    X and Y hold tangent-frame coordinates, shape (k, n), each row a unit
+    vector (3.3/4.2 also read it on the non-orthogonal rows of their trace
+    identity, see ``verify``).  One ``_form_rows`` GEMM of (x (x) y) and
+    (y (x) x) with the tensor of ``_pair_tensor``, the one owner of the
+    ambient and connection terms.  The full value adds sum_r h_r(x,x)
+    h_r(y,y) - h_r(x,y)^2 (``_pair_gauss``).
     """
-    model = sub.model
-    c, mu, u = model.c, model.mu_contact, sub.eta_t
-    xy, xx, yy = _on_pairs(sub.memo("pair_forms", lambda: _pair_forms(sub)), X, Y)
-    ux, uy = X @ u, Y @ u
-    return (
-        (c + 3.0) / 4.0
-        - (c + 3.0 - 4.0 * model.kappa) / 4.0 * (ux ** 2 + uy ** 2)
-        + 3.0 * (c - 1.0) / 4.0 * xy[0] ** 2
-        + 0.5 * (xy[2] ** 2 - xy[1] ** 2 + xx[1] * yy[1] - xx[2] * yy[2])
-        + xx[3] + yy[4]
-        + (1.0 - mu) * (2.0 * ux * uy * xy[1] - xx[1] * uy ** 2 - yy[1] * ux ** 2)
-    )
+    return _form_rows(_pair_tensor(sub), X, Y, Y, X)
+
+
+def _pair_tensor(sub: SubmanifoldPoint) -> np.ndarray:
+    """The (n*n, n*n) matrix T with sum T[a,b,c,d] x_a y_b y_c x_d the
+    non-Gauss part of R(x, y, y, x) on unit x, y; memoized and read-only.
+
+    With the forms of ``_pair_forms`` (phat, A = h', B = phi h', A - C_x,
+    A - C_y), u = eta on the frame, U = u (x) u, e = (c + 3 - 4 kappa) / 4
+    and M(x, y) = x^T M y, that part is
+
+      (c+3)/4 - e (u_x^2 + u_y^2) + 3(c-1)/4 phat(x,y)^2
+      + (B(x,y)^2 - A(x,y)^2 + A(x,x) A(y,y) - B(x,x) B(y,y)) / 2
+      + (A - C_x)(x,x) + (A - C_y)(y,y)
+      + (1 - mu) (2 u_x u_y A(x,y) - A(x,x) u_y^2 - A(y,y) u_x^2):
+
+    the terms of the contact space form, the connection's folded into
+    A - C_x and A - C_y.  Each term is one pair (P, Q): P(x,x) Q(y,y) of the
+    stack read as P[a,d] Q[b,c], P(x,y) Q(x,y) of the one read as
+    P[a,b] Q[d,c], with Q = I for a y-free term and P = I for an x-free
+    one (|x| = |y| = 1).  T is built from the model and the restricted
+    forms, never from ``riem``, so ``cross_check`` compares two independent
+    transcriptions.
+    """
+    def make():
+        model, n = sub.model, sub.n
+        c, f = model.c, 1.0 - model.mu_contact
+        e = (c + 3.0 - 4.0 * model.kappa) / 4.0
+        phat, A, B, A_x, A_y = _pair_forms(sub)
+        I, U = np.eye(n), np.outer(sub.eta_t, sub.eta_t)
+        ad_bc = np.array([((c + 3.0) / 4.0 * I, I), (-e * U, I), (-e * I, U),
+                          (0.5 * A, A), (-0.5 * B, B), (A_x, I), (I, A_y),
+                          (-f * A, U), (-f * U, A)])
+        ab_dc = np.array([(3.0 * (c - 1.0) / 4.0 * phat, phat), (0.5 * B, B),
+                          (-0.5 * A, A), (2.0 * f * A, U)])
+        T = (np.einsum("kad,kbc->abcd", ad_bc[:, 0], ad_bc[:, 1])
+             + np.einsum("kab,kdc->abcd", ab_dc[:, 0], ab_dc[:, 1]))
+        return _frozen(T.reshape(n * n, n * n))
+    return sub.memo("pair_tensor", make)
 
 
 def _pair_forms(sub: SubmanifoldPoint) -> np.ndarray:
-    """The forms of ``_pair_nongauss``, stacked (5, n, n), read-only:
-    phat, A, B, A - C_x and A - C_y."""
+    """The forms of ``_pair_tensor``, stacked (5, n, n): phat, A, B,
+    A - C_x and A - C_y."""
     spec, A = sub.spec, sub.hprime_top
     h_P = np.einsum("r,rab->ab", sub.pi_nor, sub.h)  # <h(., .), P>
     if spec.kind == KIND_FIRST:
@@ -211,36 +233,29 @@ def _pair_forms(sub: SubmanifoldPoint) -> np.ndarray:
         b = spec.b
         c_x = np.zeros_like(A)
         c_y = b * sub.alpha_prime_t - b ** 2 * np.outer(sub.pi_t, sub.pi_t) + b * h_P
-    return _frozen(np.stack([sub.phat, A, sub.phi_hprime_top, A - c_x, A - c_y]))
+    return np.stack([sub.phat, A, sub.phi_hprime_top, A - c_x, A - c_y])
 
 
 def _pair_gauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Gauss part of R(x, y, y, x): sum_r h_r(x,x) h_r(y,y) - h_r(x,y)^2."""
-    xy, xx, yy = _on_pairs(sub.h, X, Y)
+    left, right = np.stack([X, X, Y])[:, None], np.stack([Y, X, Y])[:, None]
+    xy, xx, yy = ((left @ sub.h) * right).sum(axis=-1)
     return (xx * yy - xy ** 2).sum(axis=0)
 
 
-@functools.cache
-def _frame_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate rows X, Y of the n(n-1) ordered frame pairs (e_i, e_j),
-    i != j; cached per dimension and read-only."""
-    I, J = np.nonzero(~np.eye(n, dtype=bool))
-    return _frozen(np.eye(n)[I]), _frozen(np.eye(n)[J])
-
-
-def _frame_nongauss(sub: SubmanifoldPoint) -> np.ndarray:
-    """``_pair_nongauss`` on the rows of ``_frame_pairs``; memoized, read-only."""
-    X, Y = _frame_pairs(sub.n)
-    return sub.memo("frame_nongauss", lambda: _frozen(_pair_nongauss(sub, X, Y)))
-
-
 def _tau_nongauss(sub: SubmanifoldPoint) -> float:
-    """Scalar curvature minus its Gauss sum: half the pair form over frame pairs.
+    """Scalar curvature minus its Gauss sum: half the pair form over the
+    ordered frame pairs (e_i, e_j), i != j, read as the entries
+    T[i, j, j, i] of ``_pair_tensor`` (no GEMM).
 
-    Memoized on ``sub.cache``; E = 2 tau_ng is the invariant aggregate with
+    Memoized on the point; E = 2 tau_ng is the invariant aggregate with
     2 tau - E = n^2 ||H||^2 - ||h||^2.
     """
-    return sub.memo("tau_nongauss", lambda: 0.5 * float(_frame_nongauss(sub).sum()))
+    def make():
+        n = sub.n
+        frame = np.einsum("ijji->ij", _pair_tensor(sub).reshape(n, n, n, n))
+        return 0.5 * float(frame.sum() - np.trace(frame))
+    return sub.memo("tau_nongauss", make)
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +524,14 @@ class CrossCheckReport:
 
 @functools.cache
 def _cross_sample(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``cross_check``'s ordered pair rows X, Y: the n(n-1) frame pairs, then
-    two seeded random planes (v1, v2) in both orders.  Cached per dimension
-    and read-only."""
+    """``cross_check``'s ordered pair rows X, Y: the n(n-1) ordered frame
+    pairs (e_i, e_j), i != j, then two seeded random planes (v1, v2) in both
+    orders.  Cached per dimension and read-only."""
     rng = np.random.default_rng(0)
     V1, V2 = np.stack([orthonormalize(rng.standard_normal((2, n))) for _ in range(2)], axis=1)
-    X, Y = _frame_pairs(n)
-    return _frozen(np.concatenate([X, V1, V2])), _frozen(np.concatenate([Y, V2, V1]))
+    I, J = np.nonzero(~np.eye(n, dtype=bool))
+    return (_frozen(np.concatenate([np.eye(n)[I], V1, V2])),
+            _frozen(np.concatenate([np.eye(n)[J], V2, V1])))
 
 
 def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
@@ -535,9 +551,7 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     """
     n = sub.n
     X, Y = _cross_sample(n)
-    k = n * (n - 1)  # the frame rows come first
-    nongauss = np.concatenate([_frame_nongauss(sub), _pair_nongauss(sub, X[k:], Y[k:])])
-    closed = nongauss + _pair_gauss(sub, X, Y)
+    closed = _pair_nongauss(sub, X, Y) + _pair_gauss(sub, X, Y)
     res = {"R_pair": float(np.abs(closed - _form_rows(sub.riem, X, Y, Y, X)).max())}
 
     tau_k, tau_double = scalar_tau_pair(sub)

@@ -4,11 +4,12 @@ Each one recomputes a quantity along a path independent of the one ``ckv``
 takes, so a test can compare the two: Chen's algebraic lemma on shape
 operators (the bounds each proof applies to the Gauss part), the induced
 curvature from the ambient connection plus the Gauss-equation corrections on
-raw vectors, K, tau and the Ricci curvatures read off the raw tensor ``riem``
-instead of its antisymmetrized form, the Ricci bound and the equality pattern
-of the tau - K bound in a completed frame, in-plane changes of a plane's
-basis, a structure residual looked up by name, and Thorpe's lower bound on
-the least sectional curvature at n = 4.
+raw vectors, the non-Gauss pair curvature term by term on each pair instead
+of through its tensor, K, tau and the Ricci curvatures read off the raw
+tensor ``riem`` instead of its antisymmetrized form, the Ricci bound and the
+equality pattern of the tau - K bound in a completed frame, in-plane changes
+of a plane's basis, a structure residual looked up by name, and Thorpe's
+lower bound on the least sectional curvature at n = 4.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ckv.connections import KIND_FIRST, ambient_curvature
 from ckv.contact import ValidationReport
 from ckv.frames import Plane, complete_frame
 from ckv.submanifold import SubmanifoldPoint, _bivector_form
-from ckv.verifier import _SHAPE_TOL, _pair_nongauss
+from ckv.verifier import _SHAPE_TOL, _pair_forms, _pair_nongauss
 
 
 # --- Chen's algebraic lemma ---------------------------------------------------
@@ -115,6 +116,29 @@ def induced_curvature_direct(sub: SubmanifoldPoint, X, Y, Z, W) -> float:
         - float(sub.spec.P @ hxz) * float(np.dot(Y, W))
     )
     return val
+
+
+# --- the non-Gauss pair curvature, term by term --------------------------------
+
+def pair_nongauss_elementwise(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Non-Gauss part of R(x, y, y, x) on rows of unit tangent pairs (k, n),
+    evaluated term by term on the values of the forms of ``_pair_forms`` at
+    each pair, with the ambient terms of the contact space form (h' = A,
+    phi h' = B, eta = u on the frame) and the connection terms folded into
+    A - C_x (in x) and A - C_y (in y)."""
+    model = sub.model
+    c, mu, u = model.c, model.mu_contact, sub.eta_t
+    left, right = np.stack([X, X, Y])[:, None], np.stack([Y, X, Y])[:, None]
+    xy, xx, yy = ((left @ _pair_forms(sub)) * right).sum(axis=-1)
+    ux, uy = X @ u, Y @ u
+    return (
+        (c + 3.0) / 4.0
+        - (c + 3.0 - 4.0 * model.kappa) / 4.0 * (ux ** 2 + uy ** 2)
+        + 3.0 * (c - 1.0) / 4.0 * xy[0] ** 2
+        + 0.5 * (xy[2] ** 2 - xy[1] ** 2 + xx[1] * yy[1] - xx[2] * yy[2])
+        + xx[3] + yy[4]
+        + (1.0 - mu) * (2.0 * ux * uy * xy[1] - xx[1] * uy ** 2 - yy[1] * ux ** 2)
+    )
 
 
 # --- intrinsic invariants on the raw tensor -----------------------------------

@@ -2,14 +2,15 @@
 every exported or module-level name of ``ckv`` has a caller outside the
 tests, so test-only surface stays in the tests; the number of options
 (function parameters with a default) cannot grow unnoticed; only
-``SubmanifoldPoint.memo`` touches the per-point cache, and each memo key is
-a string literal with one call site; only
+``SubmanifoldPoint.memo`` touches the per-point cache, each memo key is
+a string literal with one call site, and README lists every key; only
 ``spheresearch.triu_pairs`` calls ``np.triu_indices``; no ``einsum`` takes
 more than two array operands."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,25 @@ def test_memo_keys_are_literals_with_one_call_site():
     assert [site for key, site in calls if key is None] == []
     keys = [key for key, _ in calls]
     assert sorted(key for key in set(keys) if keys.count(key) > 1) == []
+
+
+def _readme_memo_keys():
+    """The keys of README's per-point memo list: the backticked name that
+    opens each ``  - `` item under the ``SubmanifoldPoint.cache`` bullet."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("* the per-point memo `SubmanifoldPoint.cache`")
+    end = text.index("\n* ", start)
+    return re.findall(r"^  - `(\w+)`", text[start:end], flags=re.MULTILINE)
+
+
+def test_readme_lists_every_memo_key():
+    # README's memo list is the one place a reader finds what a point caches:
+    # a key added, renamed or deleted in src/ckv must be changed there too
+    listed = _readme_memo_keys()
+    assert len(set(listed)) == len(listed)
+    used = {key for path in sorted(Path(ckv.__file__).parent.glob("*.py"))
+            for key, _ in _memo_keys(path)}
+    assert sorted(set(listed)) == sorted(used)
 
 
 def _triu_calls(path):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ckv import verifier
+from ckv import spheresearch, verifier
 from ckv.connections import first_connection, second_connection
 from ckv.contact import random_point, standard_point
 from ckv.errors import MissingArgument, WrongConnectionKind
@@ -26,12 +26,13 @@ from ckv.verifier import (
     verify,
     _adapted_block_match,
     _cross_sample,
-    _frame_pairs,
+    _pair_nongauss,
 )
 from oracles import (
     adapted_block_match_by_frame,
     algebraic_bounds_check,
     chen_bound_batch,
+    pair_nongauss_elementwise,
     ricci_bound_batch,
     ricci_nongauss_by_frame,
     rotated,
@@ -540,8 +541,8 @@ def test_cached_arrays_are_read_only():
     cross_check(sub)
     verify(sub, "3.1", plane=Plane(sub.tangent[0], sub.tangent[1]))
     quartic = sub.cache["quartic"]
-    arrays = [*_frame_pairs(4), *_cross_sample(4), *sub.cache["plane_forms"], sub.cache["pair_forms"],
-              sub.cache["frame_nongauss"], quartic.h, quartic.S, quartic.coeffs]
+    arrays = [*_cross_sample(4), *sub.cache["plane_forms"], sub.cache["pair_tensor"],
+              quartic.h, quartic.S, quartic.coeffs]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -549,6 +550,42 @@ def test_cached_arrays_are_read_only():
     cas = casorati(sub)
     assert cas is sub.cache["casorati"] and casorati(sub) is cas
     assert _Quartic.of(sub) is quartic
+
+
+def test_theta_k_runs_once_per_point_and_k(monkeypatch):
+    # a repeated 3.4 verdict reads both Theta_2 and Theta_n from the memo
+    calls = []
+    refine = spheresearch.refine_on_sphere
+
+    def counted(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(spheresearch, "refine_on_sphere", counted)
+    sub = _memo_point(1, 4, False)
+    first, again = (verify(sub, "3.4", k=2) for _ in range(2))
+    assert first.diagnostics["theta_mode"] == "multistart"
+    assert len(calls) == 1
+    assert json.dumps(first.to_dict()) == json.dumps(again.to_dict())
+
+
+# --- the pair tensor against the term-by-term form --------------------------------
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_pair_tensor_matches_the_term_by_term_form(kind, n):
+    # random orthonormal pairs, then the unit, non-orthogonal rows (x, e_j)
+    # and (x, x) of the 3.3/4.2 trace identity
+    rng = np.random.default_rng([93, kind, n])
+    for one_slice in (True, False):
+        sub = _memo_point(kind, n, one_slice)
+        X, Y = np.stack([orthonormalize(rng.standard_normal((2, n))) for _ in range(40)], axis=1)
+        x = orthonormalize(rng.standard_normal((1, n)))[0]
+        rows = [(X, Y), (np.broadcast_to(x, (n + 1, n)), np.vstack([np.eye(n), x]))]
+        for X, Y in rows:
+            expected = pair_nongauss_elementwise(sub, X, Y)
+            got = _pair_nongauss(sub, X, Y)
+            assert np.all(np.abs(got - expected) <= 1e-13 * (1.0 + np.abs(expected)))
 
 
 # --- full verdict sweep -----------------------------------------------------------
