@@ -139,7 +139,7 @@ def random_point(
     mu_contact: float,
     c: float,
     seed: int,
-    hprime_scale: float = 1.0,
+    hprime_scale: float,
     strict_kmu: bool = False,
 ) -> ContactPointModel:
     """Seeded random structure satisfying all the pointwise axioms.

@@ -9,8 +9,9 @@ dimension (``sphere_samples``, seeded Gaussian directions); it and the
 arrays derived from it are cached once per dimension and read-only.  Both
 searches polish with one batched Riemannian Newton loop,
 ``newton_on_sphere``; a caller supplies only values and derivatives.  The
-Casorati search (``ckv.submanifold``) evaluates its quartic on the layout
-through ``layout_monomials`` and has closed-form derivatives.  The k-Ricci
+Casorati search (``ckv.submanifold``) evaluates its quartic through
+``quadratic_monomials``, one gather over ``triu_pairs``, on the layout
+through their cached ``layout_monomials``, and has closed-form derivatives.  The k-Ricci
 search (k < n on n >= 4) evaluates the exact plane infimum on a prefix of
 the layout, and ``extremize_on_sphere`` polishes its ``REFINE_STARTS``
 least values in one ``refine_on_sphere`` call, which takes derivatives from
@@ -48,30 +49,25 @@ def sphere_samples(dim: int) -> np.ndarray:
     return _frozen(pts / np.linalg.norm(pts, axis=1, keepdims=True))
 
 
+@functools.cache
+def triu_pairs(dim: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(dim, offset)``, cached per dimension and read-only."""
+    return tuple(_frozen(a) for a in np.triu_indices(dim, offset))
+
+
 def quadratic_monomials(U: np.ndarray) -> np.ndarray:
-    """Products u_a u_b, a <= b, in the order of ``np.triu_indices``, for each
-    row of U, shape (k, dim (dim + 1) / 2).  A quadratic form u^T A u is
-    their dot product with the upper triangle of A, off-diagonal entries
-    doubled."""
-    k, dim = U.shape
-    out = np.empty((dim * (dim + 1) // 2, k))   # filled row by row, returned transposed
-    col = 0
-    for a in range(dim):
-        np.multiply(U.T[a], U.T[a:], out=out[col:col + dim - a])
-        col += dim - a
-    return out.T
+    """Products u_a u_b, a <= b, in the order of ``triu_pairs(dim, 0)``, for
+    each row of U, shape (k, dim (dim + 1) / 2): one gather of the columns.
+    A quadratic form u^T A u is their dot product with the upper triangle of
+    A, off-diagonal entries doubled."""
+    iu, ju = triu_pairs(U.shape[1], 0)
+    return U[:, iu] * U[:, ju]
 
 
 @functools.cache
 def layout_monomials(dim: int) -> np.ndarray:
     """``quadratic_monomials`` of ``sphere_samples(dim)``, cached and read-only."""
     return _frozen(quadratic_monomials(sphere_samples(dim)))
-
-
-@functools.cache
-def triu_pairs(dim: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(dim, offset)``, cached per dimension and read-only."""
-    return tuple(_frozen(a) for a in np.triu_indices(dim, offset))
 
 
 def complements(U: np.ndarray) -> np.ndarray:

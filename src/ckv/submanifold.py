@@ -454,23 +454,13 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     (``refine_on_sphere``), evaluating every step with the same
     ``_partial_ricci_min``, so the value returned is attained at a concrete
     direction.  Raises ValueError for a k that is not an integer in [2, n]
-    (bool included) and when the curvature data overflows.  Memoized per
-    point and k: a repeated verdict, and the Theta_n behind every k < n
-    verdict of ``verify``, computes its estimate once.
+    (bool included) and when the curvature data overflows.  Not memoized:
+    it reads the memoized ``_theta_form`` and layout spectra, and a repeated
+    call redoes only its eigenvalue problem or refine.
     """
     n = sub.n
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 2 <= k <= n:
         raise ValueError(f"k must be an integer with 2 <= k <= n = {n}, got {k!r}")
-    k = int(k)
-    estimates = sub.memo("theta_k", dict)
-    if k not in estimates:
-        estimates[k] = _theta_estimate(sub, k)
-    return estimates[k]
-
-
-def _theta_estimate(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
-    """``theta_k`` of a checked k, computed afresh."""
-    n = sub.n
     if k == n:
         w = np.linalg.eigvalsh(_finite(ricci_form(sub)))
         return ThetaEstimate(float(w[0]) / (n - 1), "exact_eigen", 0)
@@ -545,9 +535,6 @@ class _Quartic:
         forms = self.coeffs @ monomials.T
         q = forms[1:]
         return self.h_sq - 2.0 * forms[0] + np.einsum("rk,rk->k", q, q)
-
-    def at(self, U: np.ndarray) -> np.ndarray:
-        return self.values(quadratic_monomials(U))
 
     def derivatives(self, U: np.ndarray, C: np.ndarray, sign: np.ndarray):
         """sign * F at the unit rows u of U with its Riemannian gradient and
@@ -664,7 +651,7 @@ def _casorati_search(sub: SubmanifoldPoint) -> CasoratiCurvatures:
         highs = np.argpartition(vals, -K)[-K:]
         starts = np.concatenate([U0[lows], U0[highs]])
         sign = np.repeat([1.0, -1.0], K)   # the highs descend on -F
-        U, F = newton_on_sphere(lambda rows, X: sign[rows] * quartic.at(X),
+        U, F = newton_on_sphere(lambda rows, X: sign[rows] * quartic.values(quadratic_monomials(X)),
                                 lambda rows, X, C: quartic.derivatives(X, C, sign[rows]), starts)
         F *= sign
         lo, hi = int(np.argmin(F[:K])), K + int(np.argmax(F[K:]))

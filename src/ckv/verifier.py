@@ -41,7 +41,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,7 +278,7 @@ class VerdictReport:
     slack: float
     holds: bool
     tol: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     def to_dict(self) -> dict:
         return {
@@ -573,8 +573,8 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
 
 def equality_instance(
     case: str,
-    n: int = 3,
-    params: dict | None = None,
+    n: int,
+    params: dict,
     seed: int = 0,
 ) -> SubmanifoldPoint:
     """Construct a submanifold point attaining equality in one inequality.
@@ -593,7 +593,7 @@ def equality_instance(
     ``seed`` != 0 rotates the submanifold placement inside the ambient by a
     random orthogonal map, which must not change any verdict.
     """
-    params = dict(params or {})
+    params = dict(params)
     if case not in ("cor32", "thm35_i", "thm35_ii"):
         raise ValueError(f"unknown equality case {case!r}")
     if n < 3:

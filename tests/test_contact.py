@@ -75,21 +75,21 @@ def test_random_point_zero_scale():
 
 def test_random_point_anticommutation():
     for seed in range(20):
-        model = random_point(3, -1.0, 0.5, 2.0, seed=seed)
+        model = random_point(3, -1.0, 0.5, 2.0, seed=seed, hprime_scale=1.0)
         resid = np.abs(model.hprime @ model.phi + model.phi @ model.hprime).max()
         assert resid < 1e-12
 
 
 def test_strict_kmu_identity():
     for kappa in (0.5, -1.0, 0.0):
-        model = random_point(2, kappa, 0.3, 1.5, seed=9, strict_kmu=True)
+        model = random_point(2, kappa, 0.3, 1.5, seed=9, hprime_scale=1.0, strict_kmu=True)
         target = (kappa - 1.0) * (model.phi @ model.phi)
         assert np.abs(model.hprime @ model.hprime - target).max() < 1e-10
         assert validate_structure(model).passed
-    model = random_point(2, 1.0, 0.3, 1.5, seed=9, strict_kmu=True)
+    model = random_point(2, 1.0, 0.3, 1.5, seed=9, hprime_scale=1.0, strict_kmu=True)
     assert np.abs(model.hprime).max() == 0.0
     with pytest.raises(ValueError):
-        random_point(2, 1.5, 0.3, 1.5, seed=9, strict_kmu=True)
+        random_point(2, 1.5, 0.3, 1.5, seed=9, hprime_scale=1.0, strict_kmu=True)
 
 
 # --- the closed-form curvature, term group by term group -------------------

@@ -1,7 +1,8 @@
 """Every exported name resolves, so a deletion cannot leave a stale export;
 every exported or module-level name of ``ckv`` has a caller outside the
 tests, so test-only surface stays in the tests; the number of options
-(function parameters with a default) cannot grow unnoticed; only
+(function parameters with a default) cannot grow unnoticed, and each
+default is relied on by a call outside the tests; only
 ``SubmanifoldPoint.memo`` touches the per-point cache, each memo key is
 a string literal with one call site, and README lists every key; only
 ``spheresearch.triu_pairs`` calls ``np.triu_indices``; no ``einsum`` takes
@@ -94,7 +95,7 @@ def test_module_all_has_callers_outside_tests(name):
 
 # Function parameters with a default in src/ckv.  Raise this only for an
 # option with a second caller, named in CHANGES.md.
-OPTION_LIMIT = 14
+OPTION_LIMIT = 11
 
 
 def test_options_stay_within_the_ratchet():
@@ -105,6 +106,54 @@ def test_options_stay_within_the_ratchet():
                 args = node.args
                 count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
     assert count <= OPTION_LIMIT
+
+
+def _defaults(path):
+    """(function, parameter, position) of every parameter with a default of
+    a file's named functions: its index among the positional arguments a
+    call passes (``self`` or ``cls`` of a method left out), None for a
+    keyword-only one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)
+               and "staticmethod" not in {getattr(d, "id", None) for d in fn.decorator_list}}
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = fn.args
+            positional = [*args.posonlyargs, *args.args][1 if id(fn) in methods else 0:]
+            first = len(positional) - len(args.defaults)
+            found += [(fn.name, arg.arg, first + i) for i, arg in enumerate(positional[first:])]
+            found += [(fn.name, arg.arg, None)
+                      for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+    return found
+
+
+def _calls(path):
+    """(called name, positional count, keyword names) of every call of a
+    file; a call with ``*args`` or ``**kwargs`` counts as passing nothing."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            unpacked = any(isinstance(arg, ast.Starred) for arg in node.args) \
+                or any(kw.arg is None for kw in node.keywords)
+            calls.append((name, 0, set()) if unpacked
+                         else (name, len(node.args), {kw.arg for kw in node.keywords}))
+    return calls
+
+
+def test_every_default_has_a_caller_outside_tests():
+    # a default that no call in src/ckv, bench or demos leaves to the function
+    # serves only the tests; the parameter should be required
+    calls = [call for path in CALLER_FILES for call in _calls(path)]
+    unused = [f"{fn}({param})" for path in sorted(Path(ckv.__file__).parent.glob("*.py"))
+              for fn, param, position in _defaults(path)
+              if not any(name == fn and param not in keywords
+                         and (position is None or passed <= position)
+                         for name, passed, keywords in calls)]
+    assert unused == []
 
 
 def _tracer_targets():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ckv import spheresearch, verifier
+from ckv import verifier
 from ckv.connections import first_connection, second_connection
 from ckv.contact import random_point, standard_point
 from ckv.errors import MissingArgument, WrongConnectionKind
@@ -102,6 +102,31 @@ def test_plane_invariants_rotation_invariance():
             assert abs(a - b) < 1e-10 * (1 + abs(a)), name
 
 
+@pytest.mark.parametrize("kind", [1, 2])
+def test_plane_invariants_give_the_nongauss_plane_term(kind):
+    # the paper's plane term of 3.1/4.1, written with the reported invariants,
+    # equals the non-Gauss K the verdict reads off the pair tensor
+    rng = np.random.default_rng([7, kind])
+    for index in range(40):
+        sub = parse_scenario(random_scenario(index, FuzzConfig(seed=7, kind=kind))).sub
+        v = orthonormalize(rng.standard_normal((2, sub.n)))
+        pi = verify(sub, f"{kind + 2}.1", plane=Plane(*(v @ sub.tangent))).diagnostics["plane_invariants"]
+        k_ng = 0.5 * float(_pair_nongauss(sub, v, v[::-1]).sum())
+        model, spec = sub.model, sub.spec
+        c, e = model.c, (model.c + 3.0 - 4.0 * model.kappa) / 4.0
+        if kind == 1:
+            l1, l2 = spec.lambda1, spec.lambda2
+            conn = ((l1 + l2) * pi["tr_alpha"] + l2 * (l1 - l2) * pi["tr_beta"]
+                    + (l1 - l2) * pi["g_tr_h_P"])
+        else:
+            b = spec.b
+            conn = b * pi["tr_alpha_prime"] - b * b * pi["P_plane_sq"] + b * pi["g_tr_h_P"]
+        closed = ((c + 3.0) / 4.0 - e * pi["gamma"] + 3.0 * (c - 1.0) / 4.0 * pi["phi_plane"]
+                  + (pi["det_hprime"] - pi["det_phi_hprime"]) / 2.0 + pi["tr_hprime"]
+                  - conn / 2.0 - (1.0 - model.mu_contact) * pi["theta"])
+        assert abs(closed - k_ng) <= 1e-13 * (1.0 + abs(k_ng)), index
+
+
 # --- verify: worked equality instance -----------------------------------------
 
 def test_verify_31_equality_example():
@@ -129,7 +154,7 @@ def test_verify_33_strict_example():
 
 
 def test_verify_requires_arguments():
-    sub = equality_instance("cor32")
+    sub = equality_instance("cor32", 3, {})
     with pytest.raises(MissingArgument):
         verify(sub, "3.1")
     with pytest.raises(MissingArgument):
@@ -137,7 +162,7 @@ def test_verify_requires_arguments():
 
 
 def test_verify_wrong_kind():
-    sub = equality_instance("cor32")
+    sub = equality_instance("cor32", 3, {})
     with pytest.raises(WrongConnectionKind):
         verify(sub, "4.1", plane=Plane(sub.tangent[0], sub.tangent[1]))
 
@@ -154,7 +179,7 @@ def test_verify_ignores_arguments_a_theorem_does_not_take(kind):
 
 
 def test_verify_unknown_id():
-    sub = equality_instance("cor32")
+    sub = equality_instance("cor32", 3, {})
     with pytest.raises(ValueError):
         verify(sub, "5.1")
 
@@ -245,7 +270,7 @@ def test_equality_witness_rejects_junk_params():
     with pytest.raises(ValueError):
         equality_instance("thm35_i", 3, {"a": 1.0, "zzz": 2.0})
     with pytest.raises(ValueError):
-        equality_instance("nope")
+        equality_instance("nope", 3, {})
 
 
 @pytest.mark.parametrize("b_block", [False, True])
@@ -552,21 +577,41 @@ def test_cached_arrays_are_read_only():
     assert _Quartic.of(sub) is quartic
 
 
-def test_theta_k_runs_once_per_point_and_k(monkeypatch):
-    # a repeated 3.4 verdict reads both Theta_2 and Theta_n from the memo
-    calls = []
-    refine = spheresearch.refine_on_sphere
-
-    def counted(*args):
-        calls.append(1)
-        return refine(*args)
-
-    monkeypatch.setattr(spheresearch, "refine_on_sphere", counted)
+def test_repeated_theta_verdict_is_byte_identical():
+    # Theta_k is not memoized: a repeated 3.4 verdict recomputes Theta_2 and
+    # Theta_n from the memoized forms and spectra, and reports the same bytes
     sub = _memo_point(1, 4, False)
     first, again = (verify(sub, "3.4", k=2) for _ in range(2))
     assert first.diagnostics["theta_mode"] == "multistart"
-    assert len(calls) == 1
     assert json.dumps(first.to_dict()) == json.dumps(again.to_dict())
+
+
+def _read_only(value):
+    """Whether a memo value is a float, a read-only array, or a tuple or a
+    frozen dataclass of those."""
+    if isinstance(value, float):
+        return True
+    if isinstance(value, np.ndarray):
+        return not value.flags.writeable
+    if isinstance(value, tuple):
+        return all(map(_read_only, value))
+    if dataclasses.is_dataclass(value) and type(value).__dataclass_params__.frozen:
+        return all(_read_only(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return False
+
+
+@pytest.mark.parametrize("one_slice", [True, False])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_every_cached_value_is_read_only(kind, n, one_slice):
+    # after every check a point takes, nothing in its memo can be changed in
+    # place, so no caller can alter what a later check reads
+    sub = _memo_point(kind, n, one_slice)
+    for check in _memo_checks(kind, n):
+        _memo_run(sub, check)
+    casorati(sub)
+    assert {"pair_tensor", "casorati", "theta_form", "quartic"} <= set(sub.cache)
+    assert sorted(key for key, value in sub.cache.items() if not _read_only(value)) == []
 
 
 # --- the pair tensor against the term-by-term form --------------------------------
