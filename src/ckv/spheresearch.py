@@ -11,14 +11,14 @@ searches polish with one batched Riemannian Newton loop,
 ``newton_on_sphere``; a caller supplies only values and derivatives.  The
 Casorati search (``ckv.submanifold``) evaluates its quartic through
 ``quadratic_monomials``, one gather over ``triu_pairs``, on the layout
-through their cached ``layout_monomials``, and has closed-form derivatives.  The k-Ricci
-search (k < n on n >= 4) evaluates the exact plane infimum on a prefix of
-the layout, and ``extremize_on_sphere`` polishes its ``REFINE_STARTS``
-least values in one ``refine_on_sphere`` call, which takes derivatives from
-finite differences of the values alone.  The refine evaluates its starts
-and every step exactly, so each value it returns is attained at a concrete
-direction.  Both searches are deterministic, and the layout and search
-together are versioned (``LAYOUT_VERSION``).
+through their cached ``layout_monomials``, and has closed-form derivatives.
+The k-Ricci search (k < n on n >= 4) evaluates the exact plane infimum on a
+prefix of the layout, and ``extremize_on_sphere`` polishes its
+``REFINE_STARTS`` least values in one ``refine_on_sphere`` call, which takes
+derivatives from finite differences of the values alone.  The refine
+evaluates its starts and every step exactly, so each value it returns is
+attained at a concrete direction.  Both searches are deterministic, and the
+layout and search together are versioned (``LAYOUT_VERSION``).
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ def sphere_samples(dim: int) -> np.ndarray:
     return _frozen(pts / np.linalg.norm(pts, axis=1, keepdims=True))
 
 
-@functools.cache
-def triu_pairs(dim: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(dim, offset)``, cached per dimension and read-only."""
-    return tuple(_frozen(a) for a in np.triu_indices(dim, offset))
-
-
 def quadratic_monomials(U: np.ndarray) -> np.ndarray:
     """Products u_a u_b, a <= b, in the order of ``triu_pairs(dim, 0)``, for
     each row of U, shape (k, dim (dim + 1) / 2): one gather of the columns.
@@ -68,6 +62,12 @@ def quadratic_monomials(U: np.ndarray) -> np.ndarray:
 def layout_monomials(dim: int) -> np.ndarray:
     """``quadratic_monomials`` of ``sphere_samples(dim)``, cached and read-only."""
     return _frozen(quadratic_monomials(sphere_samples(dim)))
+
+
+@functools.cache
+def triu_pairs(dim: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(dim, offset)``, cached per dimension and read-only."""
+    return tuple(_frozen(a) for a in np.triu_indices(dim, offset))
 
 
 def complements(U: np.ndarray) -> np.ndarray:

@@ -110,7 +110,8 @@ def test_plane_invariants_give_the_nongauss_plane_term(kind):
     for index in range(40):
         sub = parse_scenario(random_scenario(index, FuzzConfig(seed=7, kind=kind))).sub
         v = orthonormalize(rng.standard_normal((2, sub.n)))
-        pi = verify(sub, f"{kind + 2}.1", plane=Plane(*(v @ sub.tangent))).diagnostics["plane_invariants"]
+        plane = Plane(*(v @ sub.tangent))
+        pi = verify(sub, f"{kind + 2}.1", plane=plane).diagnostics["plane_invariants"]
         k_ng = 0.5 * float(_pair_nongauss(sub, v, v[::-1]).sum())
         model, spec = sub.model, sub.spec
         c, e = model.c, (model.c + 3.0 - 4.0 * model.kappa) / 4.0
