@@ -12,13 +12,15 @@ searches polish with one batched Riemannian Newton loop,
 Casorati search (``ckv.submanifold``) evaluates its quartic through
 ``quadratic_monomials``, one gather over ``triu_pairs``, on the layout
 through their cached ``layout_monomials``, and has closed-form derivatives.
-The k-Ricci search (k < n on n >= 4) evaluates the exact plane infimum on a
-prefix of the layout, and ``extremize_on_sphere`` polishes its
-``REFINE_STARTS`` least values in one ``refine_on_sphere`` call, which takes
-derivatives from finite differences of the values alone.  The refine
-evaluates its starts and every step exactly, so each value it returns is
-attained at a concrete direction.  Both searches are deterministic, and the
-layout and search together are versioned (``LAYOUT_VERSION``).
+The k-Ricci search (k < n on n >= 4) evaluates the exact plane infima of
+every k < n on a prefix of the layout, one column of values per k, and
+``extremize_on_sphere`` polishes the ``REFINE_STARTS`` least values of each
+column in one ``refine_on_sphere`` call, which takes derivatives from finite
+differences of the values alone and evaluates each column's rows in a call
+of their own.  The refine evaluates its starts and every step exactly, so
+each value it returns is attained at a concrete direction.  Both searches
+are deterministic, and the layout and search together are versioned
+(``LAYOUT_VERSION``).
 """
 
 from __future__ import annotations
@@ -51,11 +53,14 @@ def sphere_samples(dim: int) -> np.ndarray:
 
 def quadratic_monomials(U: np.ndarray) -> np.ndarray:
     """Products u_a u_b, a <= b, in the order of ``triu_pairs(dim, 0)``, for
-    each row of U, shape (k, dim (dim + 1) / 2): one gather of the columns.
-    A quadratic form u^T A u is their dot product with the upper triangle of
+    each row of U, shape (k, dim (dim + 1) / 2): one gather of the columns,
+    multiplied in place by the other, so no second temporary is made.  A
+    quadratic form u^T A u is their dot product with the upper triangle of
     A, off-diagonal entries doubled."""
     iu, ju = triu_pairs(U.shape[1], 0)
-    return U[:, iu] * U[:, ju]
+    out = U[:, iu]
+    out *= U[:, ju]
+    return out
 
 
 @functools.cache
@@ -158,32 +163,51 @@ def _retire(keep, U, f, live, u, fu, *state):
     return tuple(a[keep] for a in (live, u, fu, *state))
 
 
-def refine_on_sphere(f_batch, u0: np.ndarray) -> tuple[np.ndarray, float]:
+def refine_on_sphere(f_batch, u0: np.ndarray):
     """Riemannian Newton minimizing ``f_batch`` from ``u0``, one start of
-    shape (dim,) or a stack (k, dim), all refined in one batch; returns the
+    shape (dim,) or a stack (s, dim), all refined in one batch; returns the
     (arg, value) of the row with the least finite value, so a start whose
     value is NaN or infinite never wins (the first row if none is finite).
 
-    ``f_batch`` maps unit vectors (k, dim) to values (k,) and is only
-    evaluated.  ``newton_on_sphere`` gets the gradient and full Hessian in
-    its chart from central differences, one call on every row and its
-    stencil +/- h e_i, h (e_i + e_j) (i < j, h = 1e-4).  Every value returned
-    is ``f_batch`` at the direction returned and is never above the least
-    start value; gradient noise of about eps |f| / h costs only about its
-    square in the value.
+    ``f_batch`` maps unit vectors (N, dim) to values (N,) and is only
+    evaluated.  K objectives refine in the same loop: ``u0`` of shape
+    (K, s, dim) holds the starts of each, and ``f_batch`` returns values
+    (N, K), column j the objective of the starts u0[j].  Each row then reads
+    its own column, each column's rows are evaluated in one ``f_batch`` call
+    of their own, exactly as a refine of that column alone would evaluate
+    them, and the result is every column's (arg, value), arrays of shape
+    (K, dim) and (K,).  ``newton_on_sphere`` gets the gradient and full
+    Hessian in its chart from central differences, one evaluation of every
+    row and its stencil +/- h e_i, h (e_i + e_j) (i < j, h = 1e-4).  Every
+    value returned is ``f_batch`` at the direction returned and is never
+    above the least start value of its column; gradient noise of about
+    eps |f| / h costs only about its square in the value.
     """
     U0 = np.array(u0, dtype=float, ndmin=2)
-    d = U0.shape[1] - 1
+    s, dim = U0.shape[-2:]
+    d = dim - 1
     eye = np.eye(d)
     i, j = triu_pairs(d, 1)
     stencil = _STENCIL_H * np.concatenate([np.zeros((1, d)), eye, -eye, eye[i] + eye[j]])
     entry = np.diag(np.arange(d))   # the column of [diagonal | pairs] holding each entry
     entry[i, j] = entry[j, i] = d + np.arange(len(i))
+    column = np.arange(U0.size // dim) // s   # the objective of each start
+
+    def value(rows, X):
+        if U0.ndim == 2:
+            return f_batch(X)
+        # rows arrive in start order, so each column's rows are one run
+        cols, vals = column[rows], np.empty(len(X))
+        edges = [0, *(np.flatnonzero(cols[1:] != cols[:-1]) + 1), len(X)]
+        for a, b in zip(edges[:-1], edges[1:]):
+            vals[a:b] = np.asarray(f_batch(X[a:b]), dtype=float)[:, cols[a]]
+        return vals
 
     def derivatives(rows, X, C):
         pts = X[:, None, :] + stencil @ C.transpose(0, 2, 1)
         pts /= np.sqrt((pts * pts).sum(axis=2, keepdims=True))
-        vals = np.asarray(f_batch(pts.reshape(-1, d + 1)), dtype=float).reshape(len(X), -1)
+        vals = np.asarray(value(np.repeat(rows, len(stencil)), pts.reshape(-1, dim)),
+                          dtype=float).reshape(len(X), -1)
         center, plus = vals[:, :1], vals[:, 1:d + 1]
         minus, mixed = vals[:, d + 1:2 * d + 1], vals[:, 2 * d + 1:]
         entries = np.concatenate([plus + minus - 2.0 * center,
@@ -191,22 +215,28 @@ def refine_on_sphere(f_batch, u0: np.ndarray) -> tuple[np.ndarray, float]:
         hess = entries[:, entry.ravel()].reshape(-1, d, d) / _STENCIL_H ** 2
         return center[:, 0], (plus - minus) / (2.0 * _STENCIL_H), hess
 
-    U, f = newton_on_sphere(lambda rows, X: f_batch(X), derivatives,
-                            U0 / np.linalg.norm(U0, axis=1, keepdims=True))
-    best = int(np.argmin(np.where(np.isfinite(f), f, np.inf)))
-    return U[best], float(f[best])
+    U, f = newton_on_sphere(value, derivatives,
+                            (U0 / np.linalg.norm(U0, axis=-1, keepdims=True)).reshape(-1, dim))
+    finite = np.where(np.isfinite(f), f, np.inf).reshape(-1, s)
+    best = np.argmin(finite, axis=1) + s * np.arange(len(finite))
+    if U0.ndim == 2:
+        return U[best[0]], float(f[best[0]])
+    return U[best], f[best]
 
 
 REFINE_STARTS = 4   # least layout values refined by extremize_on_sphere
 
 
-def extremize_on_sphere(f_batch, dim: int, values: np.ndarray) -> tuple[np.ndarray, float]:
+def extremize_on_sphere(f_batch, dim: int, values: np.ndarray):
     """Minimum over a layout prefix, refined; returns (arg, value).
 
     ``values`` are ``f_batch`` on the first len(values) rows of
     ``sphere_samples(dim)``, passed in so that a caller can share one layout
     evaluation between searches.  The ``REFINE_STARTS`` least of them (ties
-    by layout order) start one batched ``refine_on_sphere`` call.
+    by layout order) start one batched ``refine_on_sphere`` call.  Values of
+    shape (L, K) are K objectives, with ``f_batch`` giving (N, K): each
+    column picks its own starts, one refine runs them all, and the result
+    is each column's (arg, value), of shapes (K, dim) and (K,).
     """
     U = sphere_samples(dim)[:len(values)]
-    return refine_on_sphere(f_batch, U[np.argsort(values, kind="stable")[:REFINE_STARTS]])
+    return refine_on_sphere(f_batch, U[np.argsort(values, axis=0, kind="stable")[:REFINE_STARTS].T])

@@ -406,27 +406,26 @@ def _direction_matrices(sub: SubmanifoldPoint, X: np.ndarray) -> np.ndarray:
     return _finite((M + M.transpose(0, 2, 1)) / 2.0)
 
 
-def _partial_ricci_min(sub: SubmanifoldPoint, X: np.ndarray, k: int) -> np.ndarray:
+def _partial_ricci_min(sub: SubmanifoldPoint, X: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     """inf over k-planes containing x of the k-Ricci sum at x, per unit row x of X.
 
     For fixed x the infimum over the remaining k-1 directions is exact: the
     sum of the k-1 smallest eigenvalues of S_x on the orthogonal complement
-    of x (``_direction_matrices``).
+    of x (``_direction_matrices``), read from their cumulative sums.  An
+    integer k gives shape (len(X),); an integer array of ks gives one column
+    per k, shape (len(X), len(k)), from one eigenvalue problem per row.
     """
     spectra = np.linalg.eigvalsh(_direction_matrices(sub, X))
-    return np.sum(spectra[:, : k - 1], axis=1)
+    return np.cumsum(spectra, axis=1)[:, np.asarray(k) - 2]
 
 
 def _layout_spectra(sub: SubmanifoldPoint) -> np.ndarray:
     """Spectra of S_x on x^perp at the first ``THETA_LAYOUT`` layout
     directions, shape (THETA_LAYOUT, n - 1): ``eigvalsh`` of one batch of
-    ``_direction_matrices``, the evaluator of ``_partial_ricci_min``.  They
-    do not depend on k, so every k < n shares them; memoized and read-only.
+    ``_direction_matrices``, the evaluator of ``_partial_ricci_min``.  Their
+    cumulative sums are the start values of every k < n at once.
     """
-    def make():
-        X = sphere_samples(sub.n)[:THETA_LAYOUT]
-        return _frozen(np.linalg.eigvalsh(_direction_matrices(sub, X)))
-    return sub.memo("theta_spectra", make)
+    return np.linalg.eigvalsh(_direction_matrices(sub, sphere_samples(sub.n)[:THETA_LAYOUT]))
 
 
 def _bivector_form(sub: SubmanifoldPoint) -> np.ndarray:
@@ -447,16 +446,18 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     eigenvalue of ``_bivector_form`` (mode 'grid').  Both are exact.  For
     k < n on n >= 4 the plane infimum at each direction x is exact
     (``_partial_ricci_min``: the k-1 least eigenvalues of S_x on x^perp in
-    a Householder basis).  Its values on the first ``THETA_LAYOUT`` layout
-    directions (``_layout_spectra``, computed once per point and shared by
-    every k) pick the ``REFINE_STARTS`` least starts, and
-    ``extremize_on_sphere`` refines them by Riemannian Newton in one batch
-    (``refine_on_sphere``), evaluating every step with the same
-    ``_partial_ricci_min``, so the value returned is attained at a concrete
+    a Householder basis), and one search serves every k < n at once: the
+    cumulative sums of the spectra on the first ``THETA_LAYOUT`` layout
+    directions (``_layout_spectra``) are n - 2 columns of start values, one
+    per k, each column picks its ``REFINE_STARTS`` least, and
+    ``extremize_on_sphere`` refines all of them by Riemannian Newton in one
+    ``refine_on_sphere`` loop, each row evaluating its own k with the same
+    ``_partial_ricci_min``, so every value is attained at a concrete
     direction.  Raises ValueError for a k that is not an integer in [2, n]
-    (bool included) and when the curvature data overflows.  Not memoized:
-    it reads the memoized ``_theta_form`` and layout spectra, and a repeated
-    call redoes only its eigenvalue problem or refine.
+    (bool included) and when the curvature data overflows.  The n - 2
+    searched values are memoized on the point together, so a second k < n
+    at the same point is a memo read; k = n and the n = 3 grid rerun their
+    eigenvalue problem.
     """
     n = sub.n
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 2 <= k <= n:
@@ -467,9 +468,14 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     if n == 3:
         w = np.linalg.eigvalsh(_finite(_bivector_form(sub)))
         return ThetaEstimate(float(w[0]), "grid", 0)
-    values = np.sum(_layout_spectra(sub)[:, : k - 1], axis=1)
-    _, val = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, k), n, values)
-    return ThetaEstimate(val / (k - 1), "multistart", THETA_LAYOUT)
+
+    def search():
+        ks = np.arange(2, n)
+        values = np.cumsum(_layout_spectra(sub), axis=1)[:, ks - 2]
+        _, vals = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, ks), n, values)
+        return _frozen(vals / (ks - 1))
+    value = sub.memo("theta_multistart", search)[k - 2]
+    return ThetaEstimate(float(value), "multistart", THETA_LAYOUT)
 
 
 @dataclass(frozen=True)
@@ -586,6 +592,19 @@ def casorati_bounds(sub: SubmanifoldPoint) -> tuple[float, float]:
     extrema, so ``casorati`` reads them there.  One ``eigvalsh`` of S and one
     of the slice stack, in one call; memoized on the point.  Non-finite data
     gives NaN bounds, not an exception.
+
+    The bounds are complete for the 3.5/4.4 verdicts: at every r != n(n-1)
+    the certified slack delta_C(r; n-1) - 2G (E cancels) is at least the sum
+    of the one-slice slacks, each >= 0.  C and G are sums over the slices,
+    and delta_C (``delta_casorati``) is linear in C(L), rising with inf C(L)
+    below r = n(n-1) and falling with sup C(L) above it.  The certified inf
+    F is >= sum_r inf F_r, and by Weyl's inequality lambda_min(S) >=
+    sum_r lambda_min(h_r^2), so the certified sup F = ||h||^2 -
+    lambda_min(S) is <= sum_r (||h_r||^2 - lambda_min(h_r^2)) = sum_r sup F_r.
+    Both bounds are exact on one slice, so each one-slice term is that
+    slice's true slack, which the theorem for h_r alone makes >= 0.  A
+    negative certified slack can come only from rounding or from a fault
+    in these bounds.
     """
     def make():
         quartic = _Quartic.of(sub)

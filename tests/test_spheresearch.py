@@ -108,6 +108,30 @@ def test_refine_never_returns_a_non_finite_start(bad):
     assert value == float(f(u[None, :])[0]) or np.isnan(value)
 
 
+def test_columns_refine_as_their_one_column_calls():
+    # K quadratic forms u^T A_g u as the columns of one refine: each column
+    # returns, bit for bit, what a refine of that column alone returns, and
+    # a column with no finite start returns its first start as it is
+    rng = np.random.default_rng(103)
+    A = rng.standard_normal((3, 4, 4))
+    A = (A + A.transpose(0, 2, 1)) / 2.0
+
+    def forms(U):   # row by row: no row's value depends on the others
+        vals = (U[:, None, :, None] * A[None] * U[:, None, None, :]).sum(axis=(2, 3))
+        vals[U[:, 0] > 0.9, 2] = np.inf
+        return vals
+    starts = rng.standard_normal((3, 4, 4))
+    starts[2, :, 0] = 10.0   # every start of column 2 has u_0 > 0.9
+    with np.errstate(invalid="ignore"):
+        U, F = refine_on_sphere(forms, starts)
+        singles = [refine_on_sphere(lambda X, g=g: forms(X)[:, g], starts[g]) for g in range(3)]
+    assert U.shape == (3, 4) and F.shape == (3,)
+    for g, (u, value) in enumerate(singles):
+        assert np.array_equal(U[g], u) and F[g] == value, g
+    assert np.isfinite(F[:2]).all() and F[2] == np.inf
+    assert np.array_equal(U[2], starts[2, 0] / np.linalg.norm(starts[2, 0]))
+
+
 def _rayleigh_batch(Qs, sign):
     """value and derivatives of sign_i u^T Q_i u, one symmetric Q_i per row:
     the Riemannian gradient 2 s C^T Q u and Hessian 2 s C^T Q C - 2 f I."""

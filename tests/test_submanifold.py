@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ckv import spheresearch
 from ckv.connections import first_connection, second_connection
 from ckv.contact import random_point, standard_point
 from ckv.errors import DimensionMismatch, NonSymmetricH, RankDeficient
@@ -20,6 +21,7 @@ from ckv.spheresearch import (
 from ckv.submanifold import (
     THETA_LAYOUT,
     _direction_matrices,
+    _layout_spectra,
     _partial_ricci_min,
     attach,
     casorati,
@@ -378,12 +380,36 @@ def test_theta_layout_spectrum_is_shared(kind):
         assert first == second
         for k, est in zip((2, 3), first):
             assert est.value == _theta_search(parse_scenario(data).sub, k)
-        for key in ("theta_form", "theta_spectra"):
+        for key in ("theta_form", "theta_multistart"):
             with pytest.raises(ValueError):
-                forward.cache[key][0, 0] = 0.0
+                forward.cache[key].flat[0] = 0.0
     for arr in triu_pairs(4, 1):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_every_k_below_n_is_one_refine(n, kind, monkeypatch):
+    # the first k < n at a point refines every k < n in one call; the others
+    # read the memo, in either order, and each value is the one-k search's
+    calls = []
+    refine = spheresearch.refine_on_sphere
+
+    def counted(f_batch, u0):
+        calls.append(np.shape(u0))
+        return refine(f_batch, u0)
+    monkeypatch.setattr(spheresearch, "refine_on_sphere", counted)
+    cfg = FuzzConfig(seed=69, kind=kind, n=n, m=3)
+    for i in range(2):
+        data = random_scenario(i, cfg)
+        for ks in (range(2, n), range(n - 1, 1, -1)):
+            sub = parse_scenario(data).sub
+            calls.clear()
+            values = {k: theta_k(sub, k).value for k in ks}
+            assert calls == [(n - 2, REFINE_STARTS, n)], (i, list(ks))
+            for k, value in values.items():
+                assert value == _theta_search(sub, k), (i, k)
 
 
 def test_theta_on_constant_curvature():
@@ -401,7 +427,7 @@ def test_theta_n5_is_unscreened():
     for k in (2, 3, 4):
         assert theta_k(sub, k).value == _theta_search(sub, k), k
     exact = np.linalg.eigvalsh(_direction_matrices(sub, sphere_samples(5)[:THETA_LAYOUT]))
-    assert np.array_equal(sub.cache["theta_spectra"], exact)
+    assert np.array_equal(_layout_spectra(sub), exact)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -412,8 +438,7 @@ def test_layout_spectra_match_the_exact_evaluator(n, kind):
     X = sphere_samples(n)[:THETA_LAYOUT:16]
     for i in range(3):
         sub = parse_scenario(random_scenario(i, FuzzConfig(seed=66, kind=kind, n=n, m=n - 1))).sub
-        theta_k(sub, 2)
-        sums = np.cumsum(sub.cache["theta_spectra"][::16], axis=1)
+        sums = np.cumsum(_layout_spectra(sub)[::16], axis=1)
         for k in range(2, n + 1):
             ref = np.array([_partial_ricci_reference(sub, x, k) for x in X])
             assert np.all(np.abs(sums[:, k - 2] - ref) <= 1e-12 * (1.0 + np.abs(ref))), (i, k)
