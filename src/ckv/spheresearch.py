@@ -16,10 +16,10 @@ The k-Ricci search (k < n on n >= 4) evaluates the exact plane infima of
 every k < n on a prefix of the layout, one column of values per k, and
 ``extremize_on_sphere`` polishes the ``REFINE_STARTS`` least values of each
 column in one ``refine_on_sphere`` call, which takes derivatives from finite
-differences of the values alone and evaluates each column's rows in a call
-of their own.  The refine evaluates its starts and every step exactly, so
-each value it returns is attained at a concrete direction.  Both searches
-are deterministic, and the layout and search together are versioned
+differences of the values alone, in one row-wise call per stage for every
+column.  The refine evaluates its starts and every step exactly, so each
+value it returns is attained at a concrete direction.  Both searches are
+deterministic, and the layout and search together are versioned
 (``LAYOUT_VERSION``).
 """
 
@@ -170,13 +170,14 @@ def refine_on_sphere(f_batch, u0: np.ndarray):
     value is NaN or infinite never wins (the first row if none is finite).
 
     ``f_batch`` maps unit vectors (N, dim) to values (N,) and is only
-    evaluated.  K objectives refine in the same loop: ``u0`` of shape
+    evaluated; it must be row-wise, no row's value depending on the other
+    rows in the call.  K objectives refine in the same loop: ``u0`` of shape
     (K, s, dim) holds the starts of each, and ``f_batch`` returns values
-    (N, K), column j the objective of the starts u0[j].  Each row then reads
-    its own column, each column's rows are evaluated in one ``f_batch`` call
-    of their own, exactly as a refine of that column alone would evaluate
-    them, and the result is every column's (arg, value), arrays of shape
-    (K, dim) and (K,).  ``newton_on_sphere`` gets the gradient and full
+    (N, K), column j the objective of the starts u0[j].  Each stage makes
+    one ``f_batch`` call on every column's rows, each row reading its own
+    column, so a column returns, bit for bit, what a refine of it alone
+    returns; the result is every column's (arg, value), of shapes (K, dim)
+    and (K,).  ``newton_on_sphere`` gets the gradient and full
     Hessian in its chart from central differences, one evaluation of every
     row and its stencil +/- h e_i, h (e_i + e_j) (i < j, h = 1e-4).  Every
     value returned is ``f_batch`` at the direction returned and is never
@@ -196,12 +197,7 @@ def refine_on_sphere(f_batch, u0: np.ndarray):
     def value(rows, X):
         if U0.ndim == 2:
             return f_batch(X)
-        # rows arrive in start order, so each column's rows are one run
-        cols, vals = column[rows], np.empty(len(X))
-        edges = [0, *(np.flatnonzero(cols[1:] != cols[:-1]) + 1), len(X)]
-        for a, b in zip(edges[:-1], edges[1:]):
-            vals[a:b] = np.asarray(f_batch(X[a:b]), dtype=float)[:, cols[a]]
-        return vals
+        return np.asarray(f_batch(X), dtype=float)[np.arange(len(X)), column[rows]]
 
     def derivatives(rows, X, C):
         pts = X[:, None, :] + stencil @ C.transpose(0, 2, 1)

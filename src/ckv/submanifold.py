@@ -281,7 +281,7 @@ def sectional(sub: SubmanifoldPoint, plane: Plane) -> float:
 
 def _sectional_batch(sub: SubmanifoldPoint, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
     """K = anti(v1, v2, v2, v1) for orthonormal coordinate pairs, shapes (k, n):
-    (v1 (x) v1) ``_theta_form`` (v2 (x) v2), the GEMM of ``_direction_matrices``."""
+    (v1 (x) v1) ``_theta_form`` (v2 (x) v2), one GEMM (``_form_rows``)."""
     return _form_rows(_theta_form(sub), V1, V1, V2, V2)
 
 
@@ -378,7 +378,7 @@ def _theta_form(sub: SubmanifoldPoint) -> np.ndarray:
     """anti = (R[a,b,c,d] - R[a,b,d,c]) / 2 as the (n*n, n*n) matrix
     form[(a, d), (b, c)] = anti[a, b, c, d]; memoized and read-only.  The one
     place ``riem`` is antisymmetrized: every symmetrized invariant reads this
-    form, S_x as a GEMM and the rest through its view ``_anti``."""
+    form, S_x and K as products and the rest through its view ``_anti``."""
     def make():
         n = sub.n
         anti = (sub.riem - sub.riem.transpose(0, 1, 3, 2)) / 2.0
@@ -396,13 +396,15 @@ def _direction_matrices(sub: SubmanifoldPoint, X: np.ndarray) -> np.ndarray:
     """S_x on x^perp in a Householder basis, one symmetric (n-1) x (n-1)
     matrix per unit row x of X, shape (len(X), n - 1, n - 1).
 
-    S_x(v, v) = (R(x,v,v,x) - R(x,v,x,v)) / 2 is one matmul of x (x) x with
+    S_x(v, v) = (R(x,v,v,x) - R(x,v,x,v)) / 2 is x (x) x times
     ``_theta_form``; with C the bases of x^perp (``complements`` of X), the
-    matrix is the symmetrized C^T S_x C.
+    matrix is the symmetrized C^T S_x C.  Every product is stacked, one per
+    x: a GEMM over the batch would round a row by how many rows share it,
+    and ``refine_on_sphere`` needs each row's bits to be its own.
     """
     n, C = sub.n, complements(X)
     xx = (X[:, :, None] * X[:, None, :]).reshape(len(X), n * n)
-    M = C.transpose(0, 2, 1) @ (xx @ _theta_form(sub)).reshape(len(X), n, n) @ C
+    M = C.transpose(0, 2, 1) @ (xx[:, None, :] @ _theta_form(sub)).reshape(len(X), n, n) @ C
     return _finite((M + M.transpose(0, 2, 1)) / 2.0)
 
 
@@ -451,13 +453,13 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     directions (``_layout_spectra``) are n - 2 columns of start values, one
     per k, each column picks its ``REFINE_STARTS`` least, and
     ``extremize_on_sphere`` refines all of them by Riemannian Newton in one
-    ``refine_on_sphere`` loop, each row evaluating its own k with the same
-    ``_partial_ricci_min``, so every value is attained at a concrete
-    direction.  Raises ValueError for a k that is not an integer in [2, n]
-    (bool included) and when the curvature data overflows.  The n - 2
-    searched values are memoized on the point together, so a second k < n
-    at the same point is a memo read; k = n and the n = 3 grid rerun their
-    eigenvalue problem.
+    ``refine_on_sphere`` loop, one ``_partial_ricci_min`` call per stage on
+    every k's rows; the evaluator is batch-invariant, so each value is the
+    one-k search's, attained at a concrete direction.  Raises ValueError for
+    a k that is not an integer in [2, n] (bool included) and when the
+    curvature data overflows.  The n - 2 searched values are memoized on the
+    point together, so a second k < n at the same point is a memo read;
+    k = n and the n = 3 grid rerun their eigenvalue problem.
     """
     n = sub.n
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 2 <= k <= n:

@@ -110,8 +110,9 @@ def test_refine_never_returns_a_non_finite_start(bad):
 
 def test_columns_refine_as_their_one_column_calls():
     # K quadratic forms u^T A_g u as the columns of one refine: each column
-    # returns, bit for bit, what a refine of that column alone returns, and
-    # a column with no finite start returns its first start as it is
+    # returns, bit for bit, what a refine of that column alone returns, a
+    # column with no finite start returns its first start as it is, and each
+    # stage evaluates every column's rows in one call
     rng = np.random.default_rng(103)
     A = rng.standard_normal((3, 4, 4))
     A = (A + A.transpose(0, 2, 1)) / 2.0
@@ -122,9 +123,12 @@ def test_columns_refine_as_their_one_column_calls():
         return vals
     starts = rng.standard_normal((3, 4, 4))
     starts[2, :, 0] = 10.0   # every start of column 2 has u_0 > 0.9
+    merged = Counted(forms)
+    columns = [Counted(lambda X, g=g: forms(X)[:, g]) for g in range(3)]
     with np.errstate(invalid="ignore"):
-        U, F = refine_on_sphere(forms, starts)
-        singles = [refine_on_sphere(lambda X, g=g: forms(X)[:, g], starts[g]) for g in range(3)]
+        U, F = refine_on_sphere(merged, starts)
+        singles = [refine_on_sphere(columns[g], starts[g]) for g in range(3)]
+    assert merged.calls == max(f.calls for f in columns)
     assert U.shape == (3, 4) and F.shape == (3,)
     for g, (u, value) in enumerate(singles):
         assert np.array_equal(U[g], u) and F[g] == value, g

@@ -326,10 +326,8 @@ def test_theta_eigen_vs_sampling():
 
 def _theta_search(sub, k):
     """The layout-plus-refine search for Theta_k, recomputed with no memo:
-    ``_partial_ricci_min`` on the first ``THETA_LAYOUT`` layout rows in one
-    batch, as in ``_layout_spectra`` (BLAS rounding depends on the batch
-    size), then one refine from the ``REFINE_STARTS`` least values, the
-    least first."""
+    ``_partial_ricci_min`` on the first ``THETA_LAYOUT`` layout rows, then
+    one refine from the ``REFINE_STARTS`` least values, the least first."""
     f = lambda X: _partial_ricci_min(sub, X, k)
     U = sphere_samples(sub.n)[:THETA_LAYOUT]
     _, val = refine_on_sphere(f, U[np.argsort(f(U), kind="stable")[:REFINE_STARTS]])
@@ -540,6 +538,25 @@ def test_partial_ricci_min_matches_per_direction_reference(n, kind):
     # at k = n the k - 1 = n - 1 eigenvalues sum to the Ricci quadratic form
     quad = np.einsum("ki,ij,kj->k", X, ricci_form(sub), X)
     assert np.all(np.abs(batched - quad) <= 1e-12 * (1 + np.abs(quad)))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_partial_ricci_min_is_batch_invariant(n, kind):
+    # a row's value never depends on which rows share its call, or how many
+    sub = parse_scenario(random_scenario(0, FuzzConfig(seed=79, kind=kind, n=n, m=3 + n % 2))).sub
+    extra = np.random.default_rng(80 + n).standard_normal((88, n))
+    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+    X = np.concatenate([sphere_samples(n)[:THETA_LAYOUT], extra])
+    ks = np.arange(2, n + 1)
+    whole = _partial_ricci_min(sub, X, ks)
+    alone = np.concatenate([_partial_ricci_min(sub, X[i:i + 1], ks) for i in range(len(X))])
+    assert np.array_equal(alone, whole)
+    for size in (1, 2, 7, 40, 300):
+        assert np.array_equal(_partial_ricci_min(sub, X[:size], ks), whole[:size]), size
+    assert np.array_equal(_partial_ricci_min(sub, X[::-1], ks), whole[::-1])
+    order = np.random.default_rng(81).permutation(len(X))
+    assert np.array_equal(_partial_ricci_min(sub, X[order], ks), whole[order])
 
 
 def test_theta_invalid_k():

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import ckv.cli  # noqa: F401  (the tracer patches ``ckv.cli.main`` too)
-from ckv import fuzz, scenario, verifier
+from ckv import fuzz, scenario, submanifold, verifier
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,7 +20,14 @@ def _load_tracing():
     return module
 
 
-def test_tracer_records_the_theta_and_fuzz_spans():
+def test_tracer_records_the_theta_and_fuzz_spans(monkeypatch):
+    rows = []
+    partial_ricci_min = submanifold._partial_ricci_min
+
+    def counted(sub, X, k):
+        rows.append(len(X))
+        return partial_ricci_min(sub, X, k)
+    monkeypatch.setattr(submanifold, "_partial_ricci_min", counted)
     tracing = _load_tracing()
     originals = {(home, attr): getattr(sys.modules[home], attr)
                  for home, attr, _ in tracing.TARGETS}
@@ -36,6 +43,7 @@ def test_tracer_records_the_theta_and_fuzz_spans():
             sub = scenario.parse_scenario(data).sub
             return [verifier.verify(sub, "3.4", k=k) for k in (2, 3)]
         verdicts = tracer.run_unit(0, theta_unit)
+        theta_rows = sum(rows)
         report = tracer.run_unit(1, fuzz.run_fuzz, fuzz.FuzzConfig(count=1, seed=11, kind=2))
     finally:
         tracer.remove()
@@ -46,9 +54,10 @@ def test_tracer_records_the_theta_and_fuzz_spans():
     for name in ("spheresearch.refine", "spheresearch.extremize",
                  "submanifold.theta_k.multistart", "verifier.verify.3.4"):
         assert name in theta, name
-    # both k < n come from one refine, whose rows the tracer counts
+    # both k < n come from one refine, whose rows the tracer counts: every
+    # row the refine's objective evaluates, and no other
     assert theta["spheresearch.refine"]["calls"] == 1
-    assert theta["spheresearch.refine"]["points"] > 0
+    assert theta["spheresearch.refine"]["points"] == theta_rows > 0
     assert theta["submanifold.theta_k.multistart"]["calls"] == 2
     assert "fuzz.run_fuzz" in tracer.totals({1})
     assert all(tracing.known_span(span[tracing.NAME]) or span[tracing.NAME] == "unit"
