@@ -7,8 +7,8 @@ Subcommands::
     ckv fuzz [--count N] [--seed S] [--n N] [--m M] [--kind 1|2] [--out DIR]
     ckv case --id ID [--params K=V,...] [--out FILE]
 
-Exit codes: 0 everything holds, 1 a violation, an undecided Casorati verdict
-(``verifier.casorati_verdict``) or a finding, 2 input error.
+Exit codes: 0 everything holds, 1 a violation (for 3.5/4.4, a negative
+certified slack, ``verifier.casorati_verdict``) or a finding, 2 input error.
 The CKV_SEED environment variable overrides the built-in default fuzz seed
 (an explicit --seed beats both).  Machine-readable output (--json lines,
 fuzz report files) never contains timing, so identical flags and seed give
@@ -132,8 +132,7 @@ def cmd_verify(args) -> int:
     else:
         print(f"{'theorem':<8}{'lhs':>16}{'rhs':>16}{'slack':>14}  holds")
         for v in verdicts:
-            status = "undecided" if v.diagnostics.get("undecided") else v.holds
-            print(f"{v.theorem_id:<8}{v.lhs:>16.8g}{v.rhs:>16.8g}{v.slack:>14.3e}  {status}")
+            print(f"{v.theorem_id:<8}{v.lhs:>16.8g}{v.rhs:>16.8g}{v.slack:>14.3e}  {v.holds}")
     print(f"verified {len(verdicts)} checks in {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK if all(v.holds for v in verdicts) else EXIT_VIOLATION
 

@@ -10,15 +10,15 @@ the seed and the sampling-layout version.  Timing never enters a report, so
 identical flags and seed produce byte-identical output.
 
 A finding (an inequality violated beyond tolerance, a cross-check residual
-above 1e-9, or a negative Q, the certified 3.5i/4.4i slack) is shrunk by
-greedy parameter zeroing before being reported: each zeroable parameter group
-is zeroed in turn and the zeroing is kept whenever the failure survives.  An
-inequality finding carries its failing check, so ``ckv verify`` replays it.
+above 1e-9, the Casorati certificate's two included, or a negative Q, the
+certified 3.5i/4.4i slack) is shrunk by greedy parameter zeroing before being
+reported: each zeroable parameter group is zeroed in turn and the zeroing is
+kept whenever the failure survives.  An inequality finding carries its
+failing check, so ``ckv verify`` replays it.
 
-The 3.5/4.4 checks take ``casorati_verdict``: the certified slack decides,
-and the Casorati sphere search runs only when the certificate does not hold
-(then an undecided verdict is a finding too, marked ``undecided``).  So the
-report's ``min_slack`` for 3.5/4.4 and its ``min_q`` are certified slacks.
+The 3.5/4.4 checks take ``casorati_verdict``: the certified slack alone
+decides, and no Casorati sphere search runs in a campaign.  So the report's
+``min_slack`` for 3.5/4.4 and its ``min_q`` are certified slacks.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def _checks_for(sub: SubmanifoldPoint, raw: dict, kind: int) -> list[dict]:
 
 def _run_check(sub: SubmanifoldPoint, check: dict, tol: float):
     """``verify`` of one check; the Casorati bounds take ``casorati_verdict``,
-    which runs no search when the certificate holds."""
+    which runs no search."""
     tid = check["theorem"]
     if tid not in TAKES_PLANE | TAKES_X | TAKES_K:
         return casorati_verdict(sub, tid, tol)
@@ -267,11 +267,8 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
             report.min_slack[tid] = _fold(min, report.min_slack.get(tid), verdict.slack)
             if not verdict.holds:
                 minimized = minimize_finding(data, check, cfg.kind, cfg.tol)
-                finding = {"instance": index, "check": check, "slack": verdict.slack,
-                           "scenario": minimized}
-                if verdict.diagnostics.get("undecided"):
-                    finding["undecided"] = True
-                report.findings.append(finding)
+                report.findings.append({"instance": index, "check": check,
+                                        "slack": verdict.slack, "scenario": minimized})
 
         cc = cross_check(sub)
         report.checks_run += 1

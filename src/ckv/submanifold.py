@@ -573,13 +573,28 @@ def _slice_edges(lam: np.ndarray):
     (lam_i - lam_j), clipped to [0, 1]; the pairs i = j cover the vertices.
     ``edge[r, i, j]`` is that least value and ``t[r, i, j]`` its weight.
     """
-    li, lj = lam[:, :, None], lam[:, None, :]
+    sq = lam * lam
+    li, lj, si, sj = lam[:, :, None], lam[:, None, :], sq[:, :, None], sq[:, None, :]
     diff = li - lj
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.clip(np.where(diff != 0.0, li / diff, 0.0), 0.0, 1.0)
+    t = np.divide(li, diff, out=np.zeros_like(diff), where=diff != 0.0)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
     mean = lj + t * diff
-    total = (lam * lam).sum(axis=1)[:, None, None]
-    return total - 2.0 * (lj * lj + t * (li * li - lj * lj)) + mean * mean, t
+    return sq.sum(axis=1)[:, None, None] - 2.0 * (sj + t * (si - sj)) + mean * mean, t
+
+
+def _slice_directions(forms: np.ndarray):
+    """One ``eigh`` of k symmetric forms, each a slice h_r = V_r diag(lam_r)
+    V_r^T: lam (k, n), inf F_r (k,) from ``_slice_edges``, and unit rows U
+    (k n + k, n), every eigenvector, then per form the edge minimizer
+    sqrt(t) v_i + sqrt(1 - t) v_j attaining inf F_r on its least edge."""
+    lam, V = np.linalg.eigh(forms)
+    k, n = lam.shape
+    edge, t = _slice_edges(lam)
+    r = np.arange(k)
+    i, j = np.divmod(edge.reshape(k, n * n).argmin(axis=1), n)
+    t = t[r, i, j][:, None]
+    mins = np.sqrt(t) * V[r, :, i] + np.sqrt(1.0 - t) * V[r, :, j]
+    return lam, edge[r, i, j], np.concatenate([V.transpose(0, 2, 1).reshape(k * n, n), mins])
 
 
 def casorati_bounds(sub: SubmanifoldPoint) -> tuple[float, float]:
@@ -644,7 +659,7 @@ def casorati(sub: SubmanifoldPoint) -> CasoratiCurvatures:
     Every value is attained at its argument, so it is an estimate from the
     inside: a missed optimum leaves inf_CL too high or sup_CL too low.  The
     3.5/4.4 verdicts therefore rest on ``casorati_bounds``, and this search
-    only reports beside them and decides a verdict the bounds cannot.
+    only reports beside them.
 
     Deterministic; memoized on the point.  The argument arrays are read-only.
     """
@@ -656,13 +671,10 @@ def _casorati_search(sub: SubmanifoldPoint) -> CasoratiCurvatures:
     C = sub.h_norm_sq / n
     quartic = _Quartic.of(sub)
     if len(quartic.h) <= 1:
-        # exact: the values are ``casorati_bounds``, the argmin lies on the
-        # least edge of ``_slice_edges``, the argmax at the least lam^2
-        lam, V = np.linalg.eigh(quartic.h[0] if len(quartic.h) else np.zeros((n, n)))
-        edge, t = _slice_edges(lam[None])
-        i, j = np.unravel_index(int(np.argmin(edge[0])), (n, n))
-        umin = np.sqrt(t[0, i, j]) * V[:, i] + np.sqrt(1.0 - t[0, i, j]) * V[:, j]
-        umax = V[:, int(np.argmin(lam * lam))].copy()
+        # exact: the values are ``casorati_bounds``, the argmin is the edge
+        # minimizer of ``_slice_directions``, the argmax at the least lam^2
+        (lam,), _, U = _slice_directions(quartic.h if len(quartic.h) else np.zeros((1, n, n)))
+        umin, umax = U[-1], U[int(np.argmin(lam * lam))]
         inf_val, sup_val = casorati_bounds(sub)
     else:
         U0 = sphere_samples(n)

@@ -17,17 +17,14 @@ one memoized (n^2, n^2) tensor per point (``_pair_tensor``), the one owner of
 the ambient and connection terms: a plane, a direction or a cross-check row
 reads it by one GEMM (``_pair_nongauss``), and E = 2 tau_ng reads its
 frame entries.  ``cross_check`` compares that form with the raw tensor
-pipeline and reports three residuals: ``R_pair`` (R(x, y, y, x) on every
-ordered frame pair and on two seeded random planes in both orders),
-``tau_formulas`` (the two defining formulas of tau) and ``trace_identity``
-(2 tau - E = n^2 ||H||^2 - ||h||^2): any disagreement beyond rounding is a
-transcription bug by definition.  Beside them it reports Q, the certified
+pipeline (``R_pair``, ``tau_formulas``, ``trace_identity``) and checks the
+Casorati certificate (``casorati_floor``, ``casorati_bracket``): a residual
+beyond rounding is a bug.  Beside them it reports Q, the certified
 3.5i/4.4i slack, and the Cauchy-Schwarz slack ||h||^2 - n ||H||^2.
 
 The Casorati verdicts (``casorati_verdict``) rest on the certified bounds of
-``submanifold.casorati_bounds``, not on the sampled search: they hold when
-the certified slack does, are violated when the search's attained extrema
-already violate them, and are undecided, never a pass, in between.
+``submanifold.casorati_bounds`` alone, not on the sampled search: they hold
+when the certified slack does and are violations otherwise.
 
 Convention: all correction-tensor traces entering right-hand sides (lambda =
 tr alpha, tr beta, lambda' = tr alpha') are restrictions to the submanifold
@@ -49,7 +46,7 @@ from .connections import KIND_FIRST, KIND_SECOND, first_connection
 from .contact import standard_point
 from .errors import MissingArgument, WrongConnectionKind
 from .frames import Plane, orthonormalize
-from .spheresearch import _frozen
+from .spheresearch import _frozen, quadratic_monomials
 from .submanifold import (
     SubmanifoldPoint,
     attach,
@@ -59,9 +56,11 @@ from .submanifold import (
     scalar_tau,
     scalar_tau_pair,
     theta_k,
+    _Quartic,
     _form_rows,
     _ricci_at,
     _sectional_batch,
+    _slice_directions,
 )
 
 __all__ = [
@@ -267,9 +266,7 @@ class VerdictReport:
     """Outcome of one inequality check: lhs <= rhs with slack = rhs - lhs.
 
     ``holds`` uses the tolerance scaled by (1 + |lhs| + |rhs|) since the
-    right-hand sides span orders of magnitude under fuzzing.  A 3.5/4.4
-    verdict that neither slack decides has ``holds`` False and
-    ``diagnostics["undecided"]`` True (``casorati_verdict``).
+    right-hand sides span orders of magnitude under fuzzing.
     """
 
     theorem_id: str
@@ -325,11 +322,10 @@ def verify(
     Theta_n) in its diagnostics.  3.5/4.4 return ``casorati_verdict``: lhs,
     rhs and slack are certified, and the diagnostics add the search's
     estimate (``inf_CL``, ``sup_CL``, ``delta_c``, ``delta_c_hat`` and
-    ``estimate_slack``, the slack at the searched extrema), a
-    ``certificate`` block (the bounds of ``casorati_bounds``, the certified
-    slack, and each bound's gap to the estimate, >= 0) and ``undecided``.
-    ``tol`` must be finite and >= 0, and a non-finite side raises
-    ``ValueError`` rather than give a verdict.
+    ``estimate_slack``, the slack at the searched extrema) and a
+    ``certificate`` block (the bounds of ``casorati_bounds`` and each
+    bound's gap to the estimate, >= 0).  ``tol`` must be finite and >= 0,
+    and a non-finite side raises ``ValueError`` rather than give a verdict.
     """
     _check_request(sub, theorem_id, tol)
     n = sub.n
@@ -387,9 +383,8 @@ def verify(
     cas, (lo, hi) = casorati(sub), casorati_bounds(sub)
     diag = {
         **cas.as_dict(),
-        **verdict.diagnostics,
         "estimate_slack": _casorati_rhs(sub, theorem_id, cas.inf_CL, cas.sup_CL) - verdict.lhs,
-        "certificate": {"inf_CL": lo, "sup_CL": hi, "slack": verdict.slack,
+        "certificate": {"inf_CL": lo, "sup_CL": hi,
                         "inf_gap": cas.inf_CL - lo, "sup_gap": hi - cas.sup_CL},
         "shape_match": _quasi_umbilical_match(sub, _CASORATI_R[theorem_id] * n * (n - 1)),
     }
@@ -404,39 +399,22 @@ def _casorati_rhs(sub: SubmanifoldPoint, theorem_id: str, inf_CL: float, sup_CL:
 
 
 def casorati_verdict(sub: SubmanifoldPoint, theorem_id: str, tol: float) -> VerdictReport:
-    """The 3.5/4.4 verdict 2 tau <= delta_C(r; n-1) + E in three outcomes.
+    """The 3.5/4.4 verdict 2 tau <= delta_C(r; n-1) + E on the certificate.
 
     Its rhs, and so its slack, is certified: it reads the bounds of
     ``casorati_bounds``, which lie outside the true C(L) extrema, and
     delta_C(r; n-1) grows with inf C(L) below r = n(n-1) and falls with
     sup C(L) above, so the certified slack is never above the true one.
-    The search's extrema (``casorati``) are attained, so the slack of its
-    estimate is never below the true one.  Hence:
-
-    - ``holds`` when the certified slack is >= -eff, and no search runs;
-    - otherwise ``casorati`` runs, and the verdict is a violation when the
-      estimate's slack is < -eff;
-    - else it is undecided (``diagnostics["undecided"]``): neither slack
-      decides, and ``holds`` is False, since an undecided verdict is never
-      a pass.  By the proof it can only come from rounding or a bug.
-
-    eff is ``tol`` * (1 + |lhs| + |rhs|) of each side's own rhs.  The
-    diagnostics carry ``undecided`` and, when the search ran,
-    ``estimate_slack``; ``verify`` adds the rest of the report.
+    It ``holds`` when that slack is >= -``tol`` (1 + |lhs| + |rhs|) and is
+    a violation otherwise, which by the proof in ``casorati_bounds`` only
+    rounding or a fault in the bounds can cause (``cross_check`` checks
+    them).  No search runs, and the diagnostics are empty.
     """
     _check_request(sub, theorem_id, tol)
     if theorem_id not in _CASORATI_R:
         raise ValueError(f"{theorem_id} is not a Casorati bound")
-    lhs = 2.0 * scalar_tau(sub)
-    certified = _verdict(theorem_id, lhs, _casorati_rhs(sub, theorem_id, *casorati_bounds(sub)),
-                         tol, {"undecided": False})
-    if certified.holds:
-        return certified
-    cas = casorati(sub)
-    estimate = _verdict(theorem_id, lhs, _casorati_rhs(sub, theorem_id, cas.inf_CL, cas.sup_CL),
-                        tol, {})
-    return dataclasses.replace(certified, diagnostics={"undecided": estimate.holds,
-                                                       "estimate_slack": estimate.slack})
+    rhs = _casorati_rhs(sub, theorem_id, *casorati_bounds(sub))
+    return _verdict(theorem_id, 2.0 * scalar_tau(sub), rhs, tol, {})
 
 
 def _kernel_residual(sub: SubmanifoldPoint, x: np.ndarray) -> float:
@@ -504,9 +482,9 @@ def _quasi_umbilical_match(sub: SubmanifoldPoint, r: float) -> bool:
 
 @dataclass(frozen=True)
 class CrossCheckReport:
-    """Residuals between the raw pipeline and the closed expansions, with
-    ``q_min``, the certified 3.5i/4.4i slack, and ``cauchy_schwarz_slack``,
-    ||h||^2 - n ||H||^2."""
+    """Residuals between the raw pipeline and the closed expansions and of
+    the Casorati certificate, with ``q_min``, the certified 3.5i/4.4i
+    slack, and ``cauchy_schwarz_slack``, ||h||^2 - n ||H||^2."""
 
     residuals: dict
     q_min: float
@@ -514,7 +492,7 @@ class CrossCheckReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return float(np.max(list(self.residuals.values())))   # a NaN comes out
 
     def ok(self) -> bool:
         """Every residual below ``CROSS_TOL``, Q and Cauchy-Schwarz above -1e-8."""
@@ -535,19 +513,23 @@ def _cross_sample(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
-    """Compare the closed forms with the raw tensor pipeline.
+    """Compare the closed forms with the raw tensor pipeline, and check the
+    Casorati certificate.
 
     Residuals: ``R_pair``, the closed R(x, y, y, x) (``_pair_nongauss`` plus
     ``_pair_gauss``) against raw ``riem`` on every pair row of
     ``_cross_sample``, read by one GEMM of outer-product rows; both orders
     count, since R(x, y, y, x) != R(y, x, x, y) for a non-metric connection.
     ``tau_formulas``, the two defining formulas of tau (``scalar_tau_pair``).
-    ``trace_identity``, 2 tau - E = n^2 ||H||^2 - ||h||^2.  Besides, ``q_min``
-    = delta_C(n(n-1)/2; n-1) + E - 2 tau at the certified inf of
-    ``casorati_bounds`` (bit for bit the certified 3.5i/4.4i slack; no
-    search runs) and ||h||^2 - n ||H||^2 must both be nonnegative.  The
-    planes are fixed per dimension: every point of a given n is checked on
-    the same ones.
+    ``trace_identity``, 2 tau - E = n^2 ||H||^2 - ||h||^2.  In F = (n-1) C(L)
+    over 1 + ||h||^2, from one ``_slice_directions`` of [S; h_1 ... h_p]:
+    ``casorati_floor``, how far the certified inf F (``casorati_bounds``)
+    lies below sum_r inf F_r or its sup F above sum_r ||h_r||^2 - min
+    lam_r^2, F_r the quartic of h_r alone; ``casorati_bracket``, how far
+    they lie inside [min F(U), max F(U)] over that call's directions U.
+    ``q_min`` (the certified 3.5i/4.4i slack, bit for bit) and ||h||^2 -
+    n ||H||^2 must both be nonnegative.  The planes are fixed per
+    dimension: every point of a given n is checked on the same ones.
     """
     n = sub.n
     X, Y = _cross_sample(n)
@@ -559,6 +541,15 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     H_sq, h_sq = sub.mean_curvature_sq, sub.h_norm_sq
     res["tau_formulas"] = abs(tau_k - tau_double)
     res["trace_identity"] = abs(2.0 * tau_k - E - (n ** 2 * H_sq - h_sq))
+
+    quartic, (lo, hi) = _Quartic.of(sub), casorati_bounds(sub)
+    lo, hi = (n - 1) * lo, (n - 1) * hi   # the certified inf F and sup F
+    lam, inf_r, U = _slice_directions(np.concatenate([quartic.S[None], quartic.h]))
+    F = quartic.values(quadratic_monomials(U))
+    sup_sum = quartic.h_sq - float((lam[1:] ** 2).min(axis=1).sum())
+    # each max starts with a term in a bound, so that a NaN bound comes out
+    res["casorati_floor"] = max(float(inf_r[1:].sum()) - lo, hi - sup_sum, 0.0) / (1.0 + h_sq)
+    res["casorati_bracket"] = max(lo - float(F.min()), float(F.max()) - hi, 0.0) / (1.0 + h_sq)
 
     return CrossCheckReport(
         residuals=res,

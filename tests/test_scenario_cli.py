@@ -617,36 +617,44 @@ def test_fuzz_report_without_cross_checks_is_strict_json(monkeypatch, capsys):
 
 
 def _loose_casorati_bounds(monkeypatch):
-    # bounds far outside the true extrema: the certificate no longer holds,
-    # while the search's estimate still does
+    # bounds far outside the true extrema: the certified slack is negative,
+    # while the search's estimate still holds
     monkeypatch.setattr(ckv.verifier, "casorati_bounds", lambda sub: (-1e3, 1e3))
 
 
-def test_cli_verify_undecided_is_never_a_pass(tmp_path, monkeypatch, capsys):
+def test_cli_verify_a_failed_certificate_is_a_violation(tmp_path, monkeypatch, capsys):
+    # the certificate alone decides: a negative certified slack is a plain
+    # violation, whatever the search's estimate says
     _loose_casorati_bounds(monkeypatch)
     path = _write(tmp_path, random_scenario(0, FuzzConfig(seed=11, kind=1)))
     assert main(["verify", path, "--json", "--theorems", "3.1,3.5i,3.5ii"]) == 1
     chen, *bounds = (json.loads(line) for line in capsys.readouterr().out.splitlines())
-    assert chen["holds"] and "undecided" not in chen["diagnostics"]
+    assert chen["holds"]
     for obj in bounds:
         diag = obj["diagnostics"]
-        assert diag["undecided"] is True and obj["holds"] is False
-        assert obj["slack"] == diag["certificate"]["slack"] < 0.0 <= diag["estimate_slack"]
+        assert obj["holds"] is False and "undecided" not in diag
+        assert "slack" not in diag["certificate"]
+        assert obj["slack"] < 0.0 <= diag["estimate_slack"]
     assert main(["verify", path, "--theorems", "3.5ii"]) == 1
-    assert capsys.readouterr().out.splitlines()[1].endswith("  undecided")
+    assert capsys.readouterr().out.splitlines()[1].endswith("  False")
 
 
-def test_fuzz_reports_an_undecided_verdict_as_a_finding(monkeypatch):
+def test_fuzz_reports_a_failed_certificate_as_findings(monkeypatch):
+    # each violated bound is a plain finding, and the cross check's floor
+    # residual names the loose bounds as a finding of its own
     _loose_casorati_bounds(monkeypatch)
     report = run_fuzz(FuzzConfig(count=1, seed=11, kind=2))
-    undecided = [f["check"]["theorem"] for f in report.findings if f.get("undecided")]
-    assert undecided == ["4.4i", "4.4ii"]
+    theorems = [f["check"].get("theorem") for f in report.findings]
+    assert theorems == ["4.4i", "4.4ii", None]
+    assert all("undecided" not in f for f in report.findings)
+    assert "casorati_floor" in report.findings[-1]["check"]["cross_check"]
     assert report.min_slack["4.4i"] < 0.0 and report.min_slack["4.4ii"] < 0.0
 
 
 @pytest.mark.parametrize("kind", [1, 2])
 def test_fuzz_runs_no_casorati_search(monkeypatch, kind):
-    # every 3.5/4.4 verdict and Q of a campaign come from the certificate
+    # every 3.5/4.4 verdict and Q of a campaign come from the certificate,
+    # also when it fails and the findings are shrunk
     def no_search(sub):
         raise AssertionError("the Casorati sphere search ran")
 
@@ -654,6 +662,9 @@ def test_fuzz_runs_no_casorati_search(monkeypatch, kind):
     monkeypatch.setattr(ckv.verifier, "casorati", no_search)
     report = run_fuzz(FuzzConfig(count=200, kind=kind))
     assert report.instances == 200 and report.findings == []
+    _loose_casorati_bounds(monkeypatch)
+    report = run_fuzz(FuzzConfig(count=4, kind=kind))
+    assert len(report.findings) == 3 * 4
 
 
 def test_fuzz_minimizer_shrinks_a_planted_failure():

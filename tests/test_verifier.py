@@ -475,7 +475,8 @@ def test_cross_check_catches_a_fault_off_the_frame_pairs():
     # by the seeded planes; the fault keeps R antisymmetric in its first pair
     sub = _fault_point()
     clean = cross_check(sub)
-    assert sorted(clean.residuals) == ["R_pair", "tau_formulas", "trace_identity"]
+    assert sorted(clean.residuals) == ["R_pair", "casorati_bracket", "casorati_floor",
+                                       "tau_formulas", "trace_identity"]
     assert clean.ok()
     riem = sub.riem.copy()
     riem[0, 1, 2, 0] += 1e-6
@@ -499,6 +500,46 @@ def test_cross_check_catches_a_wrong_coefficient(monkeypatch):
     report = cross_check(_fault_point())
     assert report.residuals["R_pair"] > CROSS_TOL
     assert report.residuals["trace_identity"] > CROSS_TOL
+    assert not report.ok()
+
+
+def test_cross_check_a_nan_residual_is_no_pass():
+    # Python's max drops a NaN that is not its first argument
+    report = cross_check(_fault_point())
+    residuals = {**report.residuals, "casorati_bracket": float("nan")}
+    broken = dataclasses.replace(report, residuals=residuals)
+    assert np.isnan(broken.max_residual) and not broken.ok()
+
+
+def _bounds_without_slice_sum(sub):
+    # casorati_bounds' inf without its slice-sum term: ||h||^2 - 2 lambda_max(S)
+    quartic = _Quartic.of(sub)
+    lower = (quartic.h_sq - 2.0 * np.linalg.eigvalsh(quartic.S)[-1]) / (sub.n - 1)
+    return lower, casorati_bounds(sub)[1]
+
+
+def test_cross_check_catches_a_casorati_bound_without_its_slice_sum(monkeypatch):
+    # the weaker inf still encloses every hyperplane, so only the comparison
+    # with the one-slice infima sees that it is looser than certified
+    sub = _fault_point()
+    assert len(_Quartic.of(sub).h) > 1 and cross_check(sub).ok()
+    monkeypatch.setattr(verifier, "casorati_bounds", _bounds_without_slice_sum)
+    report = cross_check(sub)
+    assert report.residuals["casorati_floor"] > CROSS_TOL
+    assert report.residuals["casorati_bracket"] < CROSS_TOL
+    assert not report.ok()
+
+
+def test_cross_check_catches_an_inf_bound_above_an_attained_value(monkeypatch):
+    # one slice: the certified inf is attained at the edge minimizer, so an
+    # inf 1e-6 above it is no bound, while it is no looser than the slice's
+    sub = equality_instance("thm35_i", 4, {"a": 1.0}, seed=4)
+    lower, upper = casorati_bounds(sub)
+    assert cross_check(sub).ok()
+    monkeypatch.setattr(verifier, "casorati_bounds", lambda point: (lower + 1e-6, upper))
+    report = cross_check(sub)
+    assert report.residuals["casorati_bracket"] > CROSS_TOL
+    assert report.residuals["casorati_floor"] < CROSS_TOL
     assert not report.ok()
 
 
