@@ -239,7 +239,8 @@ def minimize_finding(data: dict, check: dict, kind: int, tol: float) -> dict:
 
 
 def _fold(pick, current: float | None, value: float) -> float:
-    return value if current is None else pick(current, value)
+    # a NaN wins: Python's max and min keep one only as their first argument
+    return value if current is None or np.isnan(value) else pick(current, value)
 
 
 def run_fuzz(cfg: FuzzConfig) -> FuzzReport:

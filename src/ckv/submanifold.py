@@ -518,12 +518,16 @@ class _Quartic:
     """F(u) = ||h||^2 - 2 u^T S u + sum_r (u^T h_r u)^2 with S = sum_r h_r^2,
     over the nonzero slices h_r; C(L) = F(u) / (n - 1) for the hyperplane
     with unit normal u.  ``coeffs`` turns the quadratic monomials of u into
-    the forms (u^T S u, u^T h_1 u, ...), one form per row."""
+    the forms (u^T S u, u^T h_1 u, ...), one form per row.  ``lam``,
+    ``inf_r`` and ``U``: the point's one ``_slice_directions``."""
 
     h: np.ndarray
     S: np.ndarray
     h_sq: float
     coeffs: np.ndarray
+    lam: np.ndarray
+    inf_r: np.ndarray
+    U: np.ndarray
 
     @classmethod
     def of(cls, sub: SubmanifoldPoint) -> "_Quartic":
@@ -531,11 +535,11 @@ class _Quartic:
         def make():
             h = sub.h[(sub.h != 0.0).any(axis=(1, 2))]
             S = np.einsum("rab,rbc->ac", h, h)
-            forms = np.concatenate([S[None], h])
             iu, ju = triu_pairs(S.shape[0], 0)
-            coeffs = forms[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)
+            coeffs = np.concatenate([S[None], h])[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)
+            lam, inf_r, U = map(_frozen, _slice_directions(S, h))
             return cls(h=_frozen(h), S=_frozen(S), h_sq=float((h * h).sum()),
-                       coeffs=_frozen(coeffs))
+                       coeffs=_frozen(coeffs), lam=lam, inf_r=inf_r, U=U)
         return sub.memo("quartic", make)
 
     def values(self, monomials: np.ndarray) -> np.ndarray:
@@ -582,19 +586,21 @@ def _slice_edges(lam: np.ndarray):
     return sq.sum(axis=1)[:, None, None] - 2.0 * (sj + t * (si - sj)) + mean * mean, t
 
 
-def _slice_directions(forms: np.ndarray):
-    """One ``eigh`` of k symmetric forms, each a slice h_r = V_r diag(lam_r)
-    V_r^T: lam (k, n), inf F_r (k,) from ``_slice_edges``, and unit rows U
-    (k n + k, n), every eigenvector, then per form the edge minimizer
-    sqrt(t) v_i + sqrt(1 - t) v_j attaining inf F_r on its least edge."""
-    lam, V = np.linalg.eigh(forms)
-    k, n = lam.shape
-    edge, t = _slice_edges(lam)
-    r = np.arange(k)
-    i, j = np.divmod(edge.reshape(k, n * n).argmin(axis=1), n)
+def _slice_directions(S: np.ndarray, h: np.ndarray):
+    """One ``eigh`` of the stack [S; h_1 ... h_p], each form V diag(lam) V^T:
+    lam (p + 1, n), inf F_r (p,) from one ``_slice_edges``, and unit rows U,
+    every eigenvector, then per slice the edge minimizer sqrt(t) v_i +
+    sqrt(1 - t) v_j attaining inf F_r.  Non-finite S gives NaN, not an error."""
+    forms = np.concatenate([S[None], h])
+    lam, V = (np.linalg.eigh(forms) if np.isfinite(S).all()
+              else (np.full(forms.shape[:2], np.nan), np.full(forms.shape, np.nan)))
+    p, n = len(h), len(S)
+    edge, t = _slice_edges(lam[1:])
+    r = np.arange(p)
+    i, j = np.divmod(edge.reshape(p, n * n).argmin(axis=1), n)
     t = t[r, i, j][:, None]
-    mins = np.sqrt(t) * V[r, :, i] + np.sqrt(1.0 - t) * V[r, :, j]
-    return lam, edge[r, i, j], np.concatenate([V.transpose(0, 2, 1).reshape(k * n, n), mins])
+    mins = np.sqrt(t) * V[r + 1, :, i] + np.sqrt(1.0 - t) * V[r + 1, :, j]
+    return lam, edge[r, i, j], np.concatenate([V.transpose(0, 2, 1).reshape(-1, n), mins])
 
 
 def casorati_bounds(sub: SubmanifoldPoint) -> tuple[float, float]:
@@ -606,9 +612,9 @@ def casorati_bounds(sub: SubmanifoldPoint) -> tuple[float, float]:
     alone, whose infimum is exact (``_slice_edges``).  sup F <= ||h||^2 -
     lambda_min(S), since (u^T h_r u)^2 <= |h_r u|^2.  Any orthonormal normal
     frame gives valid slices.  On one slice both bounds are the exact
-    extrema, so ``casorati`` reads them there.  One ``eigvalsh`` of S and one
-    of the slice stack, in one call; memoized on the point.  Non-finite data
-    gives NaN bounds, not an exception.
+    extrema, so ``casorati`` reads them there.  They read the point's one
+    ``eigh`` of [S; h_1 ... h_p] (``_Quartic``).  Non-finite data gives NaN
+    bounds, not an exception.
 
     The bounds are complete for the 3.5/4.4 verdicts: at every r != n(n-1)
     the certified slack delta_C(r; n-1) - 2G (E cancels) is at least the sum
@@ -623,17 +629,9 @@ def casorati_bounds(sub: SubmanifoldPoint) -> tuple[float, float]:
     negative certified slack can come only from rounding or from a fault
     in these bounds.
     """
-    def make():
-        quartic = _Quartic.of(sub)
-        if not len(quartic.h):
-            return 0.0, 0.0
-        if not np.isfinite(quartic.S).all():
-            return np.nan, np.nan
-        w = np.linalg.eigvalsh(np.concatenate([quartic.S[None], quartic.h]))
-        s, (edge, _) = w[0], _slice_edges(w[1:])
-        inf_f = max(quartic.h_sq - 2.0 * float(s[-1]), float(edge.min(axis=(1, 2)).sum()))
-        return inf_f / (sub.n - 1), (quartic.h_sq - float(s[0])) / (sub.n - 1)
-    return sub.memo("casorati_bounds", make)
+    quartic = _Quartic.of(sub)
+    inf_f = max(quartic.h_sq - 2.0 * float(quartic.lam[0, -1]), float(quartic.inf_r.sum()))
+    return inf_f / (sub.n - 1), (quartic.h_sq - float(quartic.lam[0, 0])) / (sub.n - 1)
 
 
 def delta_casorati(n: int, r: float, C, inf_CL, sup_CL):
@@ -671,10 +669,10 @@ def _casorati_search(sub: SubmanifoldPoint) -> CasoratiCurvatures:
     C = sub.h_norm_sq / n
     quartic = _Quartic.of(sub)
     if len(quartic.h) <= 1:
-        # exact: the values are ``casorati_bounds``, the argmin is the edge
-        # minimizer of ``_slice_directions``, the argmax at the least lam^2
-        (lam,), _, U = _slice_directions(quartic.h if len(quartic.h) else np.zeros((1, n, n)))
-        umin, umax = U[-1], U[int(np.argmin(lam * lam))]
+        # exact: the values are ``casorati_bounds``, the argmin h_1's edge
+        # minimizer (U's last row), the argmax its eigenvector at least lam^2
+        p = len(quartic.h)
+        umin, umax = quartic.U[-1], quartic.U[p * n + int(np.argmin(quartic.lam[-1] ** 2))]
         inf_val, sup_val = casorati_bounds(sub)
     else:
         U0 = sphere_samples(n)

@@ -60,7 +60,6 @@ from .submanifold import (
     _form_rows,
     _ricci_at,
     _sectional_batch,
-    _slice_directions,
 )
 
 __all__ = [
@@ -522,11 +521,12 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     count, since R(x, y, y, x) != R(y, x, x, y) for a non-metric connection.
     ``tau_formulas``, the two defining formulas of tau (``scalar_tau_pair``).
     ``trace_identity``, 2 tau - E = n^2 ||H||^2 - ||h||^2.  In F = (n-1) C(L)
-    over 1 + ||h||^2, from one ``_slice_directions`` of [S; h_1 ... h_p]:
-    ``casorati_floor``, how far the certified inf F (``casorati_bounds``)
-    lies below sum_r inf F_r or its sup F above sum_r ||h_r||^2 - min
-    lam_r^2, F_r the quartic of h_r alone; ``casorati_bracket``, how far
-    they lie inside [min F(U), max F(U)] over that call's directions U.
+    over 1 + ||h||^2, from the point's one ``eigh`` of [S; h_1 ... h_p]
+    (``_Quartic``): ``casorati_floor``, how far the certified inf F
+    (``casorati_bounds``) lies below sum_r inf F_r or its sup F above sum_r
+    ||h_r||^2 - min lam_r^2, F_r the quartic of h_r alone;
+    ``casorati_bracket``, how far they lie inside [min F(U), max F(U)] over
+    that decomposition's directions U.
     ``q_min`` (the certified 3.5i/4.4i slack, bit for bit) and ||h||^2 -
     n ||H||^2 must both be nonnegative.  The planes are fixed per
     dimension: every point of a given n is checked on the same ones.
@@ -544,11 +544,10 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
 
     quartic, (lo, hi) = _Quartic.of(sub), casorati_bounds(sub)
     lo, hi = (n - 1) * lo, (n - 1) * hi   # the certified inf F and sup F
-    lam, inf_r, U = _slice_directions(np.concatenate([quartic.S[None], quartic.h]))
-    F = quartic.values(quadratic_monomials(U))
-    sup_sum = quartic.h_sq - float((lam[1:] ** 2).min(axis=1).sum())
+    F = quartic.values(quadratic_monomials(quartic.U))
+    sup_sum = quartic.h_sq - float((quartic.lam[1:] ** 2).min(axis=1).sum())
     # each max starts with a term in a bound, so that a NaN bound comes out
-    res["casorati_floor"] = max(float(inf_r[1:].sum()) - lo, hi - sup_sum, 0.0) / (1.0 + h_sq)
+    res["casorati_floor"] = max(float(quartic.inf_r.sum()) - lo, hi - sup_sum, 0.0) / (1.0 + h_sq)
     res["casorati_bracket"] = max(lo - float(F.min()), float(F.max()) - hi, 0.0) / (1.0 + h_sq)
 
     return CrossCheckReport(

@@ -96,6 +96,8 @@ def test_module_all_has_callers_outside_tests(name):
 # Function parameters with a default in src/ckv.  Raise this only for an
 # option with a second caller, named in CHANGES.md.
 OPTION_LIMIT = 11
+# distinct ``SubmanifoldPoint.memo`` keys in src/ckv; may only fall
+MEMO_LIMIT = 10
 
 
 def test_options_stay_within_the_ratchet():
@@ -218,6 +220,12 @@ def test_memo_keys_are_literals_with_one_call_site():
     assert [site for key, site in calls if key is None] == []
     keys = [key for key, _ in calls]
     assert sorted(key for key in set(keys) if keys.count(key) > 1) == []
+
+
+def test_memo_keys_stay_within_the_ratchet():
+    keys = {key for path in sorted(Path(ckv.__file__).parent.glob("*.py"))
+            for key, _ in _memo_keys(path)}
+    assert len(keys) <= MEMO_LIMIT
 
 
 def _readme_memo_keys():

@@ -667,6 +667,23 @@ def test_fuzz_runs_no_casorati_search(monkeypatch, kind):
     assert len(report.findings) == 3 * 4
 
 
+def test_fuzz_summary_keeps_a_nan_cross_residual(monkeypatch):
+    # Python's max drops a NaN that is not its first argument: a NaN residual
+    # after a finite one must still reach the campaign's summary
+    calls = []
+
+    def nan_on_second(sub):
+        report = ckv.verifier.cross_check(sub)
+        calls.append(sub)
+        if len(calls) == 2:
+            report = dataclasses.replace(report, residuals={**report.residuals, "R_pair": np.nan})
+        return report
+
+    monkeypatch.setattr(ckv.fuzz, "cross_check", nan_on_second)
+    report = run_fuzz(FuzzConfig(count=3, seed=11, kind=1))
+    assert len(calls) >= 3 and np.isnan(report.max_cross_residual)
+
+
 def test_fuzz_minimizer_shrinks_a_planted_failure():
     # plant an impossible check by flipping a verdict through absurd tolerance:
     # instead, exercise the zeroing machinery directly on a scenario dict

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ckv import verifier
+from ckv import submanifold, verifier
 from ckv.connections import first_connection, second_connection
 from ckv.contact import random_point, standard_point
 from ckv.errors import MissingArgument, WrongConnectionKind
@@ -603,13 +603,39 @@ def test_memos_do_not_depend_on_the_order_of_checks(kind, n, one_slice):
     assert [_memo_run(backward, check) for check in checks[::-1]] == fresh[::-1]
 
 
+@pytest.mark.parametrize("one_slice", [True, False])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_one_decomposition_of_the_casorati_stack_per_point(monkeypatch, kind, n, one_slice):
+    # the certificate, the search's one-slice extrema and the cross check's
+    # Casorati residuals all read the quartic's one eigh of [S; h_1 ... h_p],
+    # so the slices' edge table is built once per point
+    calls = []
+    edges = submanifold._slice_edges
+    monkeypatch.setattr(submanifold, "_slice_edges", lambda lam: calls.append(lam) or edges(lam))
+    sub = _memo_point(kind, n, one_slice)
+    for tid in ("3.5i", "3.5ii") if kind == 1 else ("4.4i", "4.4ii"):
+        verify(sub, tid)
+    cross_check(sub)
+    assert "casorati" in sub.cache and len(calls) == 1
+    assert len(calls[0]) == (1 if one_slice else 7 - n)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_casorati_stack_gives_nan_not_an_exception():
+    sub = _overflowing_sub("hhat")
+    assert np.isnan(casorati_bounds(sub)).all()
+    residuals = cross_check(sub).residuals
+    assert np.isnan(residuals["casorati_floor"]) and np.isnan(residuals["casorati_bracket"])
+
+
 def test_cached_arrays_are_read_only():
     sub = _memo_point(1, 4, False)
     cross_check(sub)
     verify(sub, "3.1", plane=Plane(sub.tangent[0], sub.tangent[1]))
     quartic = sub.cache["quartic"]
     arrays = [*_cross_sample(4), *sub.cache["plane_forms"], sub.cache["pair_tensor"],
-              quartic.h, quartic.S, quartic.coeffs]
+              quartic.h, quartic.S, quartic.coeffs, quartic.lam, quartic.inf_r, quartic.U]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0
