@@ -622,8 +622,12 @@ def test_one_decomposition_of_the_casorati_stack_per_point(monkeypatch, kind, n,
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_casorati_stack_gives_nan_not_an_exception():
-    sub = _overflowing_sub("hhat")
+@pytest.mark.parametrize("block", [[[1e200, 0.0], [0.0, 1.0]], [[1e200, 1e200], [1e200, -1e200]]])
+def test_non_finite_casorati_stack_gives_nan_not_an_exception(block):
+    # S = sum_r h_r^2 overflows to inf, or to inf - inf = NaN off the diagonal
+    hhat = np.zeros((2, 3, 3))
+    hhat[0, :2, :2], hhat[0, 2, 2] = block, 1.0
+    sub = attach(standard_point(2), _zero_spec(), E5[:3], hhat)
     assert np.isnan(casorati_bounds(sub)).all()
     residuals = cross_check(sub).residuals
     assert np.isnan(residuals["casorati_floor"]) and np.isnan(residuals["casorati_bracket"])
