@@ -12,15 +12,15 @@ searches polish with one batched Riemannian Newton loop,
 Casorati search (``ckv.submanifold``) evaluates its quartic through
 ``quadratic_monomials``, one gather over ``triu_pairs``, on the layout
 through their cached ``layout_monomials``, and has closed-form derivatives.
-The k-Ricci search (k < n on n >= 4) evaluates the exact plane infima of
-every k < n on a prefix of the layout, one column of values per k, and
-``extremize_on_sphere`` polishes the ``REFINE_STARTS`` least values of each
-column in one ``refine_on_sphere`` call, which takes derivatives from finite
-differences of the values alone, in one row-wise call per stage for every
-column.  The refine evaluates its starts and every step exactly, so each
-value it returns is attained at a concrete direction.  Both searches are
-deterministic, and the layout and search together are versioned
-(``LAYOUT_VERSION``).
+The k-Ricci search (k < n on n >= 4) hands ``extremize_on_sphere`` one
+evaluator of the exact plane infima of every k < n, one column per k; it
+evaluates them on a prefix of the layout and polishes the ``REFINE_STARTS``
+least values of each column in one ``refine_on_sphere`` call, which takes
+derivatives from finite differences of the same evaluator, in one row-wise
+call per stage for every column.  The refine evaluates its starts and every
+step exactly, so each value it returns is attained at a concrete direction.
+Both searches are deterministic, and the layout and search together are
+versioned (``LAYOUT_VERSION``).
 """
 
 from __future__ import annotations
@@ -164,27 +164,25 @@ def _retire(keep, U, f, live, u, fu, *state):
 
 
 def refine_on_sphere(f_batch, u0: np.ndarray):
-    """Riemannian Newton minimizing ``f_batch`` from ``u0``, one start of
-    shape (dim,) or a stack (s, dim), all refined in one batch; returns the
-    (arg, value) of the row with the least finite value, so a start whose
-    value is NaN or infinite never wins (the first row if none is finite).
+    """Riemannian Newton minimizing K objectives at once, from starts ``u0``
+    of shape (K, s, dim), u0[j] the s starts of objective j, all refined in
+    one batch; returns each objective's (arg, value) of the row with the
+    least finite value, of shapes (K, dim) and (K,), so a start whose value
+    is NaN or infinite never wins (the first row if none is finite).
 
-    ``f_batch`` maps unit vectors (N, dim) to values (N,) and is only
-    evaluated; it must be row-wise, no row's value depending on the other
-    rows in the call.  K objectives refine in the same loop: ``u0`` of shape
-    (K, s, dim) holds the starts of each, and ``f_batch`` returns values
-    (N, K), column j the objective of the starts u0[j].  Each stage makes
-    one ``f_batch`` call on every column's rows, each row reading its own
+    ``f_batch`` maps unit vectors (N, dim) to values (N, K), column j the
+    objective j, and is only evaluated; it must be row-wise, no row's value
+    depending on the other rows in the call.  Each stage makes one
+    ``f_batch`` call on every objective's rows, each row reading its own
     column, so a column returns, bit for bit, what a refine of it alone
-    returns; the result is every column's (arg, value), of shapes (K, dim)
-    and (K,).  ``newton_on_sphere`` gets the gradient and full
-    Hessian in its chart from central differences, one evaluation of every
-    row and its stencil +/- h e_i, h (e_i + e_j) (i < j, h = 1e-4).  Every
-    value returned is ``f_batch`` at the direction returned and is never
-    above the least start value of its column; gradient noise of about
-    eps |f| / h costs only about its square in the value.
+    returns.  ``newton_on_sphere`` gets the gradient and full Hessian in its
+    chart from central differences, one evaluation of every row and its
+    stencil +/- h e_i, h (e_i + e_j) (i < j, h = 1e-4).  Every value
+    returned is ``f_batch`` at the direction returned and is never above the
+    least start value of its column; gradient noise of about eps |f| / h
+    costs only about its square in the value.
     """
-    U0 = np.array(u0, dtype=float, ndmin=2)
+    U0 = np.array(u0, dtype=float)
     s, dim = U0.shape[-2:]
     d = dim - 1
     eye = np.eye(d)
@@ -195,15 +193,12 @@ def refine_on_sphere(f_batch, u0: np.ndarray):
     column = np.arange(U0.size // dim) // s   # the objective of each start
 
     def value(rows, X):
-        if U0.ndim == 2:
-            return f_batch(X)
         return np.asarray(f_batch(X), dtype=float)[np.arange(len(X)), column[rows]]
 
     def derivatives(rows, X, C):
         pts = X[:, None, :] + stencil @ C.transpose(0, 2, 1)
         pts /= np.sqrt((pts * pts).sum(axis=2, keepdims=True))
-        vals = np.asarray(value(np.repeat(rows, len(stencil)), pts.reshape(-1, dim)),
-                          dtype=float).reshape(len(X), -1)
+        vals = value(np.repeat(rows, len(stencil)), pts.reshape(-1, dim)).reshape(len(X), -1)
         center, plus = vals[:, :1], vals[:, 1:d + 1]
         minus, mixed = vals[:, d + 1:2 * d + 1], vals[:, 2 * d + 1:]
         entries = np.concatenate([plus + minus - 2.0 * center,
@@ -215,24 +210,23 @@ def refine_on_sphere(f_batch, u0: np.ndarray):
                             (U0 / np.linalg.norm(U0, axis=-1, keepdims=True)).reshape(-1, dim))
     finite = np.where(np.isfinite(f), f, np.inf).reshape(-1, s)
     best = np.argmin(finite, axis=1) + s * np.arange(len(finite))
-    if U0.ndim == 2:
-        return U[best[0]], float(f[best[0]])
     return U[best], f[best]
 
 
 REFINE_STARTS = 4   # least layout values refined by extremize_on_sphere
 
 
-def extremize_on_sphere(f_batch, dim: int, values: np.ndarray):
-    """Minimum over a layout prefix, refined; returns (arg, value).
+def extremize_on_sphere(f_batch, dim: int, count: int):
+    """Minima of K objectives over the first ``count`` rows of
+    ``sphere_samples(dim)``, refined; returns each objective's (arg, value),
+    of shapes (K, dim) and (K,).
 
-    ``values`` are ``f_batch`` on the first len(values) rows of
-    ``sphere_samples(dim)``, passed in so that a caller can share one layout
-    evaluation between searches.  The ``REFINE_STARTS`` least of them (ties
-    by layout order) start one batched ``refine_on_sphere`` call.  Values of
-    shape (L, K) are K objectives, with ``f_batch`` giving (N, K): each
-    column picks its own starts, one refine runs them all, and the result
-    is each column's (arg, value), of shapes (K, dim) and (K,).
+    ``f_batch`` maps unit vectors (N, dim) to values (N, K), one column per
+    objective, as in ``refine_on_sphere``.  One call evaluates it on the
+    layout prefix; each column's ``REFINE_STARTS`` least values (ties by
+    layout order) pick its starts, and one ``refine_on_sphere`` call
+    refines them all.
     """
-    U = sphere_samples(dim)[:len(values)]
-    return refine_on_sphere(f_batch, U[np.argsort(values, axis=0, kind="stable")[:REFINE_STARTS].T])
+    U = sphere_samples(dim)[:count]
+    starts = np.argsort(f_batch(U), axis=0, kind="stable")[:REFINE_STARTS].T
+    return refine_on_sphere(f_batch, U[starts])

@@ -398,9 +398,11 @@ def _direction_matrices(sub: SubmanifoldPoint, X: np.ndarray) -> np.ndarray:
 
     S_x(v, v) = (R(x,v,v,x) - R(x,v,x,v)) / 2 is x (x) x times
     ``_theta_form``; with C the bases of x^perp (``complements`` of X), the
-    matrix is the symmetrized C^T S_x C.  Every product is stacked, one per
-    x: a GEMM over the batch would round a row by how many rows share it,
-    and ``refine_on_sphere`` needs each row's bits to be its own.
+    matrix is the symmetrized C^T S_x C.  Its one caller is
+    ``_partial_ricci_min``, so the layout rows and every refine stage of the
+    Theta_k search build their matrices here.  Every product is stacked, one
+    per x: a GEMM over the batch would round a row by how many rows share
+    it, and the search needs each row's bits to be its own.
     """
     n, C = sub.n, complements(X)
     xx = (X[:, :, None] * X[:, None, :]).reshape(len(X), n * n)
@@ -421,15 +423,6 @@ def _partial_ricci_min(sub: SubmanifoldPoint, X: np.ndarray, k: int | np.ndarray
     return np.cumsum(spectra, axis=1)[:, np.asarray(k) - 2]
 
 
-def _layout_spectra(sub: SubmanifoldPoint) -> np.ndarray:
-    """Spectra of S_x on x^perp at the first ``THETA_LAYOUT`` layout
-    directions, shape (THETA_LAYOUT, n - 1): ``eigvalsh`` of one batch of
-    ``_direction_matrices``, the evaluator of ``_partial_ricci_min``.  Their
-    cumulative sums are the start values of every k < n at once.
-    """
-    return np.linalg.eigvalsh(_direction_matrices(sub, sphere_samples(sub.n)[:THETA_LAYOUT]))
-
-
 def _bivector_form(sub: SubmanifoldPoint) -> np.ndarray:
     """Symmetric form B on 2-vectors with K(x ^ y) = B(x ^ y, x ^ y) for
     orthonormal x, y: B[(a,b),(c,d)] = anti[a,b,d,c] (``_anti``) over pairs
@@ -448,18 +441,18 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     eigenvalue of ``_bivector_form`` (mode 'grid').  Both are exact.  For
     k < n on n >= 4 the plane infimum at each direction x is exact
     (``_partial_ricci_min``: the k-1 least eigenvalues of S_x on x^perp in
-    a Householder basis), and one search serves every k < n at once: the
-    cumulative sums of the spectra on the first ``THETA_LAYOUT`` layout
-    directions (``_layout_spectra``) are n - 2 columns of start values, one
-    per k, each column picks its ``REFINE_STARTS`` least, and
-    ``extremize_on_sphere`` refines all of them by Riemannian Newton in one
-    ``refine_on_sphere`` loop, one ``_partial_ricci_min`` call per stage on
-    every k's rows; the evaluator is batch-invariant, so each value is the
-    one-k search's, attained at a concrete direction.  Raises ValueError for
-    a k that is not an integer in [2, n] (bool included) and when the
-    curvature data overflows.  The n - 2 searched values are memoized on the
-    point together, so a second k < n at the same point is a memo read;
-    k = n and the n = 3 grid rerun their eigenvalue problem.
+    a Householder basis), and one search serves every k < n at once:
+    ``extremize_on_sphere`` evaluates ``_partial_ricci_min`` of every k < n,
+    one column per k, on the first ``THETA_LAYOUT`` layout directions, each
+    column picks its ``REFINE_STARTS`` least, and one ``refine_on_sphere``
+    loop refines all of them by Riemannian Newton, one ``_partial_ricci_min``
+    call per stage on every k's rows; the evaluator is batch-invariant, so
+    each value is the one-k search's, attained at a concrete direction.
+    Raises ValueError for a k that is not an integer in [2, n] (bool
+    included) and when the curvature data overflows.  The n - 2 searched
+    values are memoized on the point together, so a second k < n at the
+    same point is a memo read; k = n and the n = 3 grid rerun their
+    eigenvalue problem.
     """
     n = sub.n
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 2 <= k <= n:
@@ -473,8 +466,7 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
 
     def search():
         ks = np.arange(2, n)
-        values = np.cumsum(_layout_spectra(sub), axis=1)[:, ks - 2]
-        _, vals = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, ks), n, values)
+        _, vals = extremize_on_sphere(lambda X: _partial_ricci_min(sub, X, ks), n, THETA_LAYOUT)
         return _frozen(vals / (ks - 1))
     value = sub.memo("theta_multistart", search)[k - 2]
     return ThetaEstimate(float(value), "multistart", THETA_LAYOUT)

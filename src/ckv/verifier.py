@@ -454,15 +454,16 @@ def _casorati_equality(n: int, r: float, a: float) -> np.ndarray:
 def _quasi_umbilical_match(sub: SubmanifoldPoint, r: float) -> bool:
     """Diagnostic: do the shape operators match the equality pattern at r?
 
-    Checked in the eigenbasis of the first shape operator: the eigenvalues
-    are ``_casorati_equality`` up to order, the remaining operators zero.
+    Checked in the eigenbasis of the shape operator of largest Frobenius
+    norm, whichever normal direction carries it: the eigenvalues are
+    ``_casorati_equality`` up to order, the remaining operators zero.
     Heuristic (a suitable frame may exist elsewhere); used for reporting only.
     """
     h = sub.h
-    rest = float(np.abs(h[1:]).max()) if h.shape[0] > 1 else 0.0
-    if rest > _SHAPE_TOL:
+    shape = int(np.argmax((h * h).sum(axis=(1, 2))))
+    if np.abs(np.delete(h, shape, axis=0)).max(initial=0.0) > _SHAPE_TOL:
         return False
-    w = np.sort(np.linalg.eigvalsh(h[0]))
+    w = np.sort(np.linalg.eigvalsh(h[shape]))
     if np.abs(w).max() < _SHAPE_TOL:
         return True
     for pos in range(len(w)):

@@ -9,7 +9,8 @@ of through its tensor, K, tau and the Ricci curvatures read off the raw
 tensor ``riem`` instead of its antisymmetrized form, the Ricci bound and the
 equality pattern of the tau - K bound in a completed frame, in-plane changes
 of a plane's basis, a structure residual looked up by name, and Thorpe's
-lower bound on the least sectional curvature at n = 4.
+lower bound on the least sectional curvature at n = 4.  ``refine_one`` runs
+one objective through the batched sphere refine.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from ckv.connections import KIND_FIRST, ambient_curvature
 from ckv.contact import ValidationReport
 from ckv.frames import Plane, complete_frame
+from ckv.spheresearch import refine_on_sphere
 from ckv.submanifold import SubmanifoldPoint, _bivector_form
 from ckv.verifier import _SHAPE_TOL, _pair_forms, _pair_nongauss
 
@@ -270,3 +272,13 @@ def thorpe_lower_bound(sub: SubmanifoldPoint) -> float:
         if hi - lo <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
             break
     return best
+
+
+# --- one objective through the batched refine ----------------------------------
+
+def refine_one(f, u0):
+    """``refine_on_sphere`` on the one objective ``f`` (N, dim) -> (N,) from
+    one start (dim,) or a stack (s, dim), as a one-column call; returns
+    (arg, value) of shapes (dim,) and ()."""
+    U, F = refine_on_sphere(lambda X: f(X)[:, None], np.array(u0, dtype=float, ndmin=2)[None])
+    return U[0], float(F[0])

@@ -21,7 +21,6 @@ from ckv.contact import random_point, curvature_lc
 from ckv.frames import Plane
 from ckv.fuzz import FuzzConfig, run_fuzz
 from ckv.scenario import parse_scenario
-from ckv.spheresearch import refine_on_sphere
 from ckv.submanifold import (
     attach,
     casorati,
@@ -32,7 +31,7 @@ from ckv.submanifold import (
     _sectional_batch,
 )
 from ckv.verifier import applicable_theorems, equality_instance, verify
-from oracles import algebraic_bounds_check, chen_bound_batch, ricci_bound_batch, rotated
+from oracles import algebraic_bounds_check, chen_bound_batch, refine_one, ricci_bound_batch, rotated
 
 FUZZ_COUNT = 1000
 
@@ -206,7 +205,7 @@ def test_criterion_7_theta_oracles(fuzz_campaign):
 
         normal0 = np.cross(v1[best], w[best])
         normal0 /= np.linalg.norm(normal0)
-        _, probe_refined = refine_on_sphere(k_of_normal, normal0)
+        _, probe_refined = refine_one(k_of_normal, normal0)
         probe = min(float(probe_vals.min()), probe_refined)
         worst_grid = max(worst_grid, abs(grid.value - probe))
         assert abs(grid.value - probe) < 1e-5
@@ -218,7 +217,7 @@ def test_criterion_7_theta_oracles(fuzz_campaign):
         xs = rng.standard_normal((10_000, sub.n))
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
         vals = f(xs)
-        _, sampled = refine_on_sphere(f, xs[int(np.argmin(vals))])
+        _, sampled = refine_one(f, xs[int(np.argmin(vals))])
         sampled /= (sub.n - 1)
         worst_eigen = max(worst_eigen, abs(exact.value - sampled))
         assert abs(exact.value - sampled) < 1e-6

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckv import spheresearch
+from ckv import spheresearch, submanifold
 from ckv.connections import first_connection, second_connection
 from ckv.contact import random_point, standard_point
 from ckv.errors import DimensionMismatch, NonSymmetricH, RankDeficient
@@ -14,14 +14,12 @@ from ckv.spheresearch import (
     REFINE_STARTS,
     complements,
     quadratic_monomials,
-    refine_on_sphere,
     sphere_samples,
     triu_pairs,
 )
 from ckv.submanifold import (
     THETA_LAYOUT,
     _direction_matrices,
-    _layout_spectra,
     _partial_ricci_min,
     attach,
     casorati,
@@ -38,6 +36,7 @@ from ckv.submanifold import (
 from ckv.verifier import CROSS_TOL, _casorati_equality, cross_check, equality_instance, verify
 from oracles import (
     induced_curvature_direct,
+    refine_one,
     reflected,
     ricci_by_frame,
     ricci_form_by_traces,
@@ -330,7 +329,7 @@ def _theta_search(sub, k):
     one refine from the ``REFINE_STARTS`` least values, the least first."""
     f = lambda X: _partial_ricci_min(sub, X, k)
     U = sphere_samples(sub.n)[:THETA_LAYOUT]
-    _, val = refine_on_sphere(f, U[np.argsort(f(U), kind="stable")[:REFINE_STARTS]])
+    _, val = refine_one(f, U[np.argsort(f(U), kind="stable")[:REFINE_STARTS]])
     return val / (k - 1)
 
 
@@ -410,6 +409,32 @@ def test_every_k_below_n_is_one_refine(n, kind, monkeypatch):
                 assert value == _theta_search(sub, k), (i, k)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_every_direction_matrix_row_goes_through_the_evaluator(n, kind, monkeypatch):
+    # one evaluator route: the layout prefix and every refine stage of the
+    # search build their S_x matrices inside ``_partial_ricci_min``
+    built, evaluated = [], []
+    direction_matrices = submanifold._direction_matrices
+    partial_ricci_min = submanifold._partial_ricci_min
+
+    def counted_matrices(sub, X):
+        built.append(len(X))
+        return direction_matrices(sub, X)
+
+    def counted_min(sub, X, k):
+        evaluated.append(len(X))
+        return partial_ricci_min(sub, X, k)
+    monkeypatch.setattr(submanifold, "_direction_matrices", counted_matrices)
+    monkeypatch.setattr(submanifold, "_partial_ricci_min", counted_min)
+    for i in range(2):
+        sub = parse_scenario(random_scenario(i, FuzzConfig(seed=11, kind=kind, n=n, m=3))).sub
+        built.clear()
+        evaluated.clear()
+        theta_k(sub, 2)
+        assert sum(built) == sum(evaluated) >= THETA_LAYOUT, i
+
+
 def test_theta_on_constant_curvature():
     # S_x = I on every x^perp: every layout row ties up to rounding, and the
     # starts picked among the ties are those of the exact evaluator
@@ -424,19 +449,22 @@ def test_theta_n5_is_unscreened():
     sub = _random_sub(45, 1, n=5, m=3)
     for k in (2, 3, 4):
         assert theta_k(sub, k).value == _theta_search(sub, k), k
-    exact = np.linalg.eigvalsh(_direction_matrices(sub, sphere_samples(5)[:THETA_LAYOUT]))
-    assert np.array_equal(_layout_spectra(sub), exact)
+    X, ks = sphere_samples(5)[:THETA_LAYOUT], np.arange(2, 6)
+    exact = np.cumsum(np.linalg.eigvalsh(_direction_matrices(sub, X)), axis=1)
+    assert np.array_equal(_partial_ricci_min(sub, X, ks), exact)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 @pytest.mark.parametrize("kind", [1, 2])
 def test_layout_spectra_match_the_exact_evaluator(n, kind):
-    # the memoized start spectra are those of S_x on x^perp, checked in a
-    # basis of x^perp from ``complete_frame`` instead of a Householder one
-    X = sphere_samples(n)[:THETA_LAYOUT:16]
+    # the start values on the layout prefix are the plane infima of S_x on
+    # x^perp, checked in a basis of x^perp from ``complete_frame`` instead
+    # of a Householder one
+    layout, ks = sphere_samples(n)[:THETA_LAYOUT], np.arange(2, n + 1)
+    X = layout[::16]
     for i in range(3):
         sub = parse_scenario(random_scenario(i, FuzzConfig(seed=66, kind=kind, n=n, m=n - 1))).sub
-        sums = np.cumsum(_layout_spectra(sub)[::16], axis=1)
+        sums = _partial_ricci_min(sub, layout, ks)[::16]
         for k in range(2, n + 1):
             ref = np.array([_partial_ricci_reference(sub, x, k) for x in X])
             assert np.all(np.abs(sums[:, k - 2] - ref) <= 1e-12 * (1.0 + np.abs(ref))), (i, k)

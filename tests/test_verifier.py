@@ -346,6 +346,16 @@ def test_shape_match_rejects_generic_data():
     assert verdict.diagnostics["shape_match"] is False
 
 
+@pytest.mark.parametrize("slot", [0, 1])
+def test_shape_match_reads_whichever_normal_carries_the_shape(slot):
+    # the 3.5i equality shape diag(a, a, 2a) in either normal direction: the
+    # slack does not depend on which one, and neither does the diagnostic
+    hhat = np.zeros((2, 3, 3))
+    hhat[slot] = np.diag([1.0, 1.0, 2.0])
+    verdict = verify(attach(standard_point(2), _zero_spec(), E5[:3], hhat), "3.5i")
+    assert verdict.slack == 0.0 and verdict.diagnostics["shape_match"] is True
+
+
 def test_verify_34_exact_mode_on_witness():
     sub = equality_instance("cor32", 3, {"h11": 1.0, "h22": 1.0})
     verdict = verify(sub, "3.4")

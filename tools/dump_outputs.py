@@ -1,0 +1,53 @@
+"""Print the deterministic outputs of every benchmark pool, one line per unit.
+
+    PYTHONPATH=src python3 tools/dump_outputs.py > outputs.txt
+
+The ``ckv`` on ``PYTHONPATH`` is the one measured, so two source trees are
+compared by running this once with each and comparing the two files with
+``cmp``.  Each line is a unit's ``fingerprint(traced(unit))`` from
+``bench/workloads.py``: every unit of each workload's pool at seed 11, and
+of the theta_sweep pools at seeds 31 and 5 too.  The last two lines are
+``FuzzReport.to_json()`` of the two 1000-instance acceptance campaigns
+(seed 20240817, kinds 1 and 2).  Nothing under ``bench/`` is changed; the
+cli_verify scenario files are written to a temporary directory.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
+from ckv.fuzz import FuzzConfig, run_fuzz  # noqa: E402
+
+POOLS = [(name, 11) for name in workloads.WORKLOADS] + [("theta_sweep", 31), ("theta_sweep", 5)]
+
+
+def main() -> int:
+    print(f"ckv from {workloads.fuzz.__file__}", file=sys.stderr)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        # a relative workdir keeps the scenario paths, and so the cli_verify
+        # outputs, the same from run to run
+        os.chdir(workdir)
+        try:
+            for name, seed in POOLS:
+                kind = workloads.WORKLOADS[name]
+                wl = kind(seed, kind.pool, Path("."))
+                for i, unit in enumerate(wl.units):
+                    print(name, seed, i, json.dumps(wl.fingerprint(wl.traced(unit))))
+        finally:
+            os.chdir(home)
+    for kind in (1, 2):
+        report = run_fuzz(FuzzConfig(count=1000, seed=20240817, kind=kind))
+        print("acceptance", kind, json.dumps(report.to_json()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
