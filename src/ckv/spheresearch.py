@@ -183,7 +183,7 @@ def refine_on_sphere(f_batch, u0: np.ndarray):
     costs only about its square in the value.
     """
     U0 = np.array(u0, dtype=float)
-    s, dim = U0.shape[-2:]
+    _, s, dim = U0.shape
     d = dim - 1
     eye = np.eye(d)
     i, j = triu_pairs(d, 1)

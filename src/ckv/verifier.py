@@ -460,8 +460,10 @@ def _quasi_umbilical_match(sub: SubmanifoldPoint, r: float) -> bool:
     Heuristic (a suitable frame may exist elsewhere); used for reporting only.
     """
     h = sub.h
-    shape = int(np.argmax((h * h).sum(axis=(1, 2))))
-    if np.abs(np.delete(h, shape, axis=0)).max(initial=0.0) > _SHAPE_TOL:
+    shape = int(np.einsum("rab,rab->r", h, h).argmax())   # squared Frobenius norms
+    rest = np.abs(h).max(axis=(1, 2))
+    rest[shape] = 0.0   # only the other slices must vanish
+    if rest.max() > _SHAPE_TOL:
         return False
     w = np.sort(np.linalg.eigvalsh(h[shape]))
     if np.abs(w).max() < _SHAPE_TOL:
