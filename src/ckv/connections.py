@@ -9,6 +9,8 @@ by P's value, and every verified inequality treats it as given tensor data.
 Kind 1 deforms by lambda1 * pi(Y) X - lambda2 * g(X,Y) P; lambda1 = lambda2 = 1
 recovers the semi-symmetric metric connection, lambda1 = 1, lambda2 = 0 the
 semi-symmetric non-metric one.  Kind 2 deforms by a * pi(X) Y + b * pi(Y) X.
+Both are one difference tensor (``difference_tensor``); the paper's printed
+curvature is ``correction_tensors`` and ``ambient_curvature``.
 
 Naming note: both the contact parameter mu and the trace of the correction
 tensor beta are conventionally called mu; here the former is ``mu_contact``
@@ -31,6 +33,7 @@ __all__ = [
     "second_connection",
     "CorrectionTensors",
     "correction_tensors",
+    "difference_tensor",
     "ambient_curvature",
 ]
 
@@ -110,12 +113,27 @@ class CorrectionTensors:
 def correction_tensors(spec: ConnectionSpec) -> CorrectionTensors:
     d = spec.dim
     P, D = spec.P, spec.D
-    pi_P = float(P @ P)
+    pi_P, PP, I = float(P @ P), np.outer(P, P), np.eye(d)
     l1 = spec.lambda1 if spec.kind == KIND_FIRST else 0.0
     l2 = spec.lambda2 if spec.kind == KIND_FIRST else 0.0
-    alpha = D - l1 * np.outer(P, P) + (l2 / 2.0) * pi_P * np.eye(d)
-    beta = (pi_P / 2.0) * np.eye(d) + np.outer(P, P)
+    alpha = D - l1 * PP + (l2 / 2.0) * pi_P * I
+    beta = (pi_P / 2.0) * I + PP
     return CorrectionTensors(alpha=alpha, beta=beta)
+
+
+def difference_tensor(spec: ConnectionSpec, v: np.ndarray) -> np.ndarray:
+    """<Delta(f_i, f_j), f_k>, Delta = nabla~ - (Levi-Civita), in an
+    orthonormal frame f with v[i] = pi(f_i), shape (..., m) -> (..., m, m, m).
+
+    Delta(X, Y) = s pi(Y) X + t pi(X) Y - u g(X, Y) P with (s, t, u) =
+    (lambda1, 0, lambda2) for kind 1 and (b, a, 0) for kind 2.  As nabla_X pi
+    = D(X, .), rows v[a] = D(f_a, f_i) give <(nabla_{f_a} Delta)(f_i, f_j), f_k>.
+    """
+    s, t, u = ((spec.lambda1, 0.0, spec.lambda2) if spec.kind == KIND_FIRST
+               else (spec.b, spec.a, 0.0))
+    I = np.eye(v.shape[-1])
+    return (s * v[..., None, :, None] * I[:, None, :] + t * v[..., :, None, None] * I
+            - u * I[:, :, None] * v[..., None, None, :])
 
 
 def ambient_curvature(model: ContactPointModel, spec: ConnectionSpec, X, Y, Z, W) -> float:

@@ -12,11 +12,13 @@ most one nonzero normal slice, a sphere layout polished by batched Riemannian
 Newton otherwise (see ``casorati``), enclosed at every number of slices by the
 certified bounds of ``casorati_bounds``.
 
-The tensor is one wedge sum (``_wedge``) over a list of pairs of restricted
-bilinear forms, one pair per bracket g(Y,Z)g(X,W) - g(X,Z)g(Y,W) of the
-paper's curvature formulas, plus two outer products; the tests compare it
-with an independent evaluation on raw vectors, the ambient curvature of the
-connection plus the Gauss-equation corrections.
+The tensor is built from first principles: the connection enters only as
+its difference tensor Delta (``connections.difference_tensor``), and R is
+the Gauss equation of hhat plus the curvature terms of Delta (S. Kobayashi
+and K. Nomizu, Foundations of Differential Geometry I, 1963; see
+``_induced_tensor``).  The tests compare it with the paper's printed route,
+the ambient curvature of the connection plus the Gauss-equation corrections
+on raw vectors.
 
 Since the connections are not metric, R(X,Y,Z,W) != -R(X,Y,W,Z) in general,
 and every symmetrized invariant (K, tau, the symmetrized Ricci form, Theta_k)
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connections import KIND_FIRST, ConnectionSpec, correction_tensors
+from .connections import ConnectionSpec, difference_tensor
 from .contact import ContactPointModel
 from .errors import DimensionMismatch, NonSymmetricH
 from .frames import Plane, as_vector, complete_frame, orthonormalize
@@ -88,13 +90,8 @@ class SubmanifoldPoint:
     phat: np.ndarray          # tangential phi, n x n
     hprime_top: np.ndarray    # tangential h', n x n
     phi_hprime_top: np.ndarray  # tangential phi h', n x n
-    # restricted auxiliary data
     eta_t: np.ndarray         # eta on the tangent frame, length n
-    pi_t: np.ndarray          # pi on the tangent frame, length n
     pi_nor: np.ndarray        # pi on the normal frame, length p
-    alpha_t: np.ndarray       # alpha restricted, n x n
-    beta_t: np.ndarray        # beta restricted, n x n
-    alpha_prime_t: np.ndarray  # alpha' restricted, n x n
     riem: np.ndarray          # induced curvature tensor, n^4
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -142,56 +139,43 @@ class SubmanifoldPoint:
         return self.tangent_coords(plane.e1), self.tangent_coords(plane.e2)
 
 
-def _wedge(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """sum_k (P_k[a,c] Q_k[b,d] - P_k[b,c] Q_k[a,d]) over stacks (K, n, n): in
-    the slots (X, Y, Z, W) of ``riem``, minus the paper's bracket
-    P(Y,Z) Q(X,W) - P(X,Z) Q(Y,W) of each pair."""
-    t = np.einsum("kac,kbd->abcd", P, Q)
-    return t - t.transpose(1, 0, 2, 3)
+def _stack_products(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """sum_k P_k[i,j] Q_k[l,m] over stacks (K, n, n), as [i,j,l,m]: one GEMM."""
+    K, n = P.shape[:2]
+    return (P.reshape(K, n * n).T @ Q.reshape(K, n * n)).reshape(n, n, n, n)
 
 
-def _induced_tensor(model, spec, I, u, Phi, A, B, alpha_t, beta_t, ap_t, pi_t, pi_nor, h):
-    """Full induced curvature tensor: the ambient curvature of the connection
-    on the tangent frame plus the Gauss-equation corrections, as ``_wedge``
-    of one pair (P, Q) per bracket of the paper and two outer products.
+def _induced_tensor(model, u, Phi, A, B, sigma, h, delta, nabla_delta):
+    """R[a,b,c,d] = <R(e_a,e_b)e_c, e_d> from first principles: T - T^(ab).
 
-    With g = I, U = eta (x) eta, A = h', B = phi h' and V = (1 - mu) U - g:
-    - space form (T. Koufogiorgos, Tokyo J. Math. 20, 1997; the groups of
-      ``contact._curvature_lc_groups``): (-(c+3)/4 g, g); (e U, g), (e g, U)
-      with e = (c+3-4 kappa)/4; ((c-1)/4 Phi, Phi^T) and the outer product
-      (c-1)/2 Phi_ab Phi_dc; (-A/2, A), (B/2, B); (V, A), (A, V);
-    - kind 1: (lambda1 alpha, g), (lambda2 g, alpha),
-      (lambda2 (lambda1 - lambda2) g, beta);
-    - kind 2: (b alpha', g), (-b^2 pi (x) pi, g) and the outer product
-      a (alpha' - alpha'^T)_ab g_cd;
-    - Gauss: (-h_r, h_r) for each normal slice r and (gamma h_P, g), with
-      h_P = sum_r pi_r h_r and gamma = lambda1 - lambda2 (kind 1) or b (kind 2).
+    The induced connection is nabla' + Delta_T, nabla' the induced
+    Levi-Civita one and Delta_T the tangential part of Delta (``delta`` on
+    [tangent; normal], ``nabla_delta`` its derivative on the tangent frame).
+    By Kobayashi-Nomizu and the Gauss-Weingarten formulas, with sigma = hhat
+    and h = sigma + nor Delta, T(X,Y,Z,W) = Rbar(X,Y,Z,W) - h(X,Z).sigma(Y,W)
+    + [(nabla_X Delta)(Y,Z) + Delta(Y, sigma(X,Z)) + Delta_T(X, Delta_T(Y,Z))].W,
+    where h.sigma holds the Gauss pairs of sigma and <sigma(X,W), nor
+    Delta(Y,Z)>.  Rbar, the (kappa,mu)-space form (T. Koufogiorgos, Tokyo J.
+    Math. 20, 1997; ``contact._curvature_lc_groups``), is with g = I,
+    U = eta (x) eta, A = h', B = phi h', V = (1 - mu) U - g and
+    e = (c+3-4 kappa)/4 the pairs P_k[a,c] Q_k[b,d] (-(c+3)/4 g, g); (e U, g),
+    (e g, U); ((c-1)/4 Phi, Phi^T); (-A/2, A), (B/2, B); (V, A), (A, V), plus
+    (c-1)/4 Phi_ab Phi_dc.
     """
+    n = len(u)
     c, kappa, mu = model.c, model.kappa, model.mu_contact
     e = (c + 3.0 - 4.0 * kappa) / 4.0
-    U = u[:, None] * u
+    I, U = np.eye(n), u[:, None] * u
     V = (1.0 - mu) * U - I
-    terms = [
-        (-(c + 3.0) / 4.0 * I, I),
-        (e * U, I), (e * I, U),
-        ((c - 1.0) / 4.0 * Phi, Phi.T),
-        (-0.5 * A, A), (0.5 * B, B),
-        (V, A), (A, V),
-    ]
-    outer = [(c - 1.0) / 2.0 * np.einsum("ab,dc->abcd", Phi, Phi)]
-    if spec.kind == KIND_FIRST:
-        l1, l2 = spec.lambda1, spec.lambda2
-        terms += [(l1 * alpha_t, I), (l2 * I, alpha_t), (l2 * (l1 - l2) * I, beta_t)]
-        gauss_coeff = l1 - l2
-    else:
-        a, b = spec.a, spec.b
-        terms += [(b * ap_t, I), (-b * b * pi_t[:, None] * pi_t, I)]
-        outer.append(a * np.einsum("ab,cd->abcd", ap_t - ap_t.T, I))
-        gauss_coeff = b
-    terms += [(-h_r, h_r) for h_r in h]
-    terms.append((gauss_coeff * np.einsum("r,rab->ab", pi_nor, h), I))
-    pairs = np.array(terms)
-    return _wedge(pairs[:, 0], pairs[:, 1]) + sum(outer)
+    P = np.concatenate([[-(c + 3.0) / 4.0 * I, e * U, e * I, (c - 1.0) / 4.0 * Phi,
+                         -0.5 * A, 0.5 * B, V, A], -h, sigma])
+    Q = np.concatenate([[I, I, U, Phi.T, A, B, A, V], sigma,
+                        delta[:n, n:, :n].transpose(1, 0, 2)])
+    delta_T = delta[:n, :n, :n]
+    T = (_stack_products(P, Q).transpose(0, 2, 1, 3) + nabla_delta
+         + _stack_products(delta_T.transpose(2, 0, 1), delta_T.transpose(1, 0, 2)).transpose(2, 0, 1, 3)
+         + (c - 1.0) / 4.0 * np.multiply.outer(Phi, Phi.T))
+    return T - T.transpose(1, 0, 2, 3)
 
 
 def attach(
@@ -207,10 +191,9 @@ def attach(
     completion by standard basis vectors, so coordinate-aligned tangent frames
     get the remaining coordinate vectors, in index order, as normals.
 
-    Induced second fundamental form: kind 1 subtracts lambda2 <P, e_r> off the
-    diagonal of every slice (h = hhat - lambda2 g(.,.) P^perp, with P^perp the
-    normal part of P); kind 2 leaves
-    it unchanged.
+    The connection enters only as its difference tensor Delta
+    (``connections.difference_tensor``): h = hhat + nor Delta, and ``riem``
+    is ``_induced_tensor``.
     """
     d = model.dim
     if spec.dim != d:
@@ -233,34 +216,23 @@ def attach(
     if asym > 1e-12:
         raise NonSymmetricH(f"hhat slices must be symmetric (max asymmetry {asym:.3e})")
 
-    pi_nor = N @ spec.P
-    h = hhat.copy()
-    if spec.kind == KIND_FIRST:
-        h -= spec.lambda2 * pi_nor[:, None, None] * np.eye(n)[None, :, :]
+    pi = np.concatenate([E, N]) @ spec.P
+    delta = difference_tensor(spec, pi)
+    h = hhat + delta[:n, :n, n:].transpose(2, 0, 1)
 
     phat = E @ model.phi @ E.T
     hp_top = E @ model.hprime @ E.T
     php_top = E @ (model.phi @ model.hprime) @ E.T
-
-    ct = correction_tensors(spec)
-    alpha_t = E @ ct.alpha @ E.T
-    beta_t = E @ ct.beta @ E.T
-    ap_t = E @ spec.D @ E.T
     eta_t = E @ model.xi
-    pi_t = E @ spec.P
 
-    riem = _induced_tensor(
-        model, spec, np.eye(n), eta_t, phat, hp_top, php_top,
-        alpha_t, beta_t, ap_t, pi_t, pi_nor, h,
-    )
+    riem = _induced_tensor(model, eta_t, phat, hp_top, php_top, hhat, h, delta,
+                           difference_tensor(spec, E @ spec.D @ E.T))
 
     sub = SubmanifoldPoint(
         model=model, spec=spec, n=n, p=p, tangent=E, normal=N,
         hhat=hhat, h=h,
         phat=phat, hprime_top=hp_top, phi_hprime_top=php_top,
-        eta_t=eta_t, pi_t=pi_t, pi_nor=pi_nor,
-        alpha_t=alpha_t, beta_t=beta_t, alpha_prime_t=ap_t,
-        riem=riem,
+        eta_t=eta_t, pi_nor=pi[n:], riem=riem,
     )
     for value in vars(sub).values():
         if isinstance(value, np.ndarray):

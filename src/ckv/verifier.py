@@ -14,12 +14,13 @@ curvature, so every right-hand side is a trace of one closed form, the
 non-Gauss part of R(x, y, y, x) on orthonormal tangent pairs, plus the
 algebraic bound on h that the proof applies to the Gauss part.  That form is
 one memoized (n^2, n^2) tensor per point (``_pair_tensor``), the one owner of
-the ambient and connection terms: a plane, a direction or a cross-check row
-reads it by one GEMM (``_pair_nongauss``), and E = 2 tau_ng reads its
-frame entries.  ``cross_check`` compares that form with the raw tensor
-pipeline (``R_pair``, ``tau_formulas``, ``trace_identity``) and checks the
-Casorati certificate (``casorati_floor``, ``casorati_bracket``): a residual
-beyond rounding is a bug.  Beside them it reports Q, the certified
+the paper's ambient and connection terms: a plane, a direction or a
+cross-check row reads it by one GEMM (``_pair_nongauss``), and E = 2 tau_ng
+reads its frame entries.  ``cross_check`` compares the paper against
+geometry, that form against the tensor built from the connection's
+definition (``R_pair``, ``tau_formulas``, ``trace_identity``), and checks
+the Casorati certificate (``casorati_floor``, ``casorati_bracket``): a
+residual beyond rounding is a bug.  Beside them it reports Q, the certified
 3.5i/4.4i slack, and the Cauchy-Schwarz slack ||h||^2 - n ||H||^2.
 
 The Casorati verdicts (``casorati_verdict``) rest on the certified bounds of
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import KIND_FIRST, KIND_SECOND, first_connection
+from .connections import KIND_FIRST, KIND_SECOND, correction_tensors, first_connection
 from .contact import standard_point
 from .errors import MissingArgument, WrongConnectionKind
 from .frames import Plane, orthonormalize
@@ -60,6 +61,7 @@ from .submanifold import (
     _form_rows,
     _ricci_at,
     _sectional_batch,
+    _stack_products,
 )
 
 __all__ = [
@@ -138,13 +140,9 @@ def _plane_invariants(sub: SubmanifoldPoint, v1: np.ndarray, v2: np.ndarray) -> 
     the active h, with pi_r = <P, normal r>
 
     Every field is a Python float read off one restriction to the plane rows
-    V = (v1; v2) of the point's memo ``plane_forms``: the forms (h', phi h',
-    alpha, beta, alpha', phat, h_1, ..., h_p) and the covectors (eta; pi).
+    V = (v1; v2) of ``_plane_forms``.
     """
-    forms, covectors = sub.memo("plane_forms", lambda: (
-        _frozen(np.concatenate([np.stack([sub.hprime_top, sub.phi_hprime_top, sub.alpha_t,
-                                          sub.beta_t, sub.alpha_prime_t, sub.phat]), sub.h])),
-        _frozen(np.stack([sub.eta_t, sub.pi_t]))))
+    forms, covectors = _plane_forms(sub)
     V = np.stack([v1, v2])
     A, B, al, be, ap, ph, *h_plane = (V @ forms @ V.T).tolist()
     (eta1, eta2), (pi1, pi2) = (covectors @ V.T).tolist()
@@ -161,6 +159,20 @@ def _plane_invariants(sub: SubmanifoldPoint, v1: np.ndarray, v2: np.ndarray) -> 
         "P_plane_sq": pi1 ** 2 + pi2 ** 2,
         "g_tr_h_P": sum((hr[0][0] + hr[1][1]) * pr for hr, pr in zip(h_plane, sub.pi_nor.tolist())),
     }
+
+
+def _plane_forms(sub: SubmanifoldPoint) -> tuple[np.ndarray, np.ndarray]:
+    """The tangent-frame forms (h', phi h', alpha, beta, alpha', phat, h_1,
+    ..., h_p) and covectors (eta; pi), memoized and read-only: the one
+    place the paper's correction tensors are restricted to the frame."""
+    def make():
+        E, spec = sub.tangent, sub.spec
+        ct = correction_tensors(spec)
+        restricted = E @ np.stack([ct.alpha, ct.beta, spec.D]) @ E.T
+        return (_frozen(np.concatenate([[sub.hprime_top, sub.phi_hprime_top], restricted,
+                                        [sub.phat], sub.h])),
+                _frozen(np.stack([sub.eta_t, E @ spec.P])))
+    return sub.memo("plane_forms", make)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +209,9 @@ def _pair_tensor(sub: SubmanifoldPoint) -> np.ndarray:
     A - C_x and A - C_y.  Each term is one pair (P, Q): P(x,x) Q(y,y) of the
     stack read as P[a,d] Q[b,c], P(x,y) Q(x,y) of the one read as
     P[a,b] Q[d,c], with Q = I for a y-free term and P = I for an x-free
-    one (|x| = |y| = 1).  T is built from the model and the restricted
-    forms, never from ``riem``, so ``cross_check`` compares two independent
-    transcriptions.
+    one (|x| = |y| = 1); each stack is one GEMM.  T is the paper's printed
+    curvature, never read from ``riem``, which ``attach`` builds from the
+    connection's definition: ``cross_check`` checks the paper against geometry.
     """
     def make():
         model, n = sub.model, sub.n
@@ -212,26 +224,27 @@ def _pair_tensor(sub: SubmanifoldPoint) -> np.ndarray:
                           (-f * A, U), (-f * U, A)])
         ab_dc = np.array([(3.0 * (c - 1.0) / 4.0 * phat, phat), (0.5 * B, B),
                           (-0.5 * A, A), (2.0 * f * A, U)])
-        T = (np.einsum("kad,kbc->abcd", ad_bc[:, 0], ad_bc[:, 1])
-             + np.einsum("kab,kdc->abcd", ab_dc[:, 0], ab_dc[:, 1]))
+        T = (_stack_products(ad_bc[:, 0], ad_bc[:, 1]).transpose(0, 2, 3, 1)
+             + _stack_products(ab_dc[:, 0], ab_dc[:, 1]).transpose(0, 1, 3, 2))
         return _frozen(T.reshape(n * n, n * n))
     return sub.memo("pair_tensor", make)
 
 
 def _pair_forms(sub: SubmanifoldPoint) -> np.ndarray:
     """The forms of ``_pair_tensor``, stacked (5, n, n): phat, A, B,
-    A - C_x and A - C_y."""
-    spec, A = sub.spec, sub.hprime_top
+    A - C_x and A - C_y, from ``_plane_forms``."""
+    spec, (forms, (_, pi_t)) = sub.spec, _plane_forms(sub)
+    A, B, alpha, beta, alpha_prime, phat = forms[:6]
     h_P = np.einsum("r,rab->ab", sub.pi_nor, sub.h)  # <h(., .), P>
     if spec.kind == KIND_FIRST:
         l1, l2 = spec.lambda1, spec.lambda2
-        c_x = l2 * sub.alpha_t + l2 * (l1 - l2) * sub.beta_t
-        c_y = l1 * sub.alpha_t + (l1 - l2) * h_P
+        c_x = l2 * alpha + l2 * (l1 - l2) * beta
+        c_y = l1 * alpha + (l1 - l2) * h_P
     else:
         b = spec.b
         c_x = np.zeros_like(A)
-        c_y = b * sub.alpha_prime_t - b ** 2 * np.outer(sub.pi_t, sub.pi_t) + b * h_P
-    return np.stack([sub.phat, A, sub.phi_hprime_top, A - c_x, A - c_y])
+        c_y = b * alpha_prime - b ** 2 * np.outer(pi_t, pi_t) + b * h_P
+    return np.stack([phat, A, B, A - c_x, A - c_y])
 
 
 def _pair_gauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -468,14 +481,11 @@ def _quasi_umbilical_match(sub: SubmanifoldPoint, r: float) -> bool:
     w = np.sort(np.linalg.eigvalsh(h[shape]))
     if np.abs(w).max() < _SHAPE_TOL:
         return True
-    for pos in range(len(w)):
-        a = np.delete(w, pos)
-        lone = w[pos]
-        if np.abs(a - a[0]).max() < _SHAPE_TOL * (1 + np.abs(w).max()):
-            target = _casorati_equality(len(w), r, a[0])[-1]
-            if abs(lone - target) < _SHAPE_TOL * (1 + np.abs(w).max()):
-                return True
-    return False
+    tol = _SHAPE_TOL * (1 + np.abs(w).max())
+    # when the other n - 1 agree, the lone one is first or last in sorted order
+    return any(np.abs(a - a[0]).max() < tol
+               and abs(lone - _casorati_equality(len(w), r, a[0])[-1]) < tol
+               for a, lone in ((w[1:], w[0]), (w[:-1], w[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +525,11 @@ def _cross_sample(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
-    """Compare the closed forms with the raw tensor pipeline, and check the
-    Casorati certificate.
+    """Compare the paper's closed forms with the raw tensor pipeline, and
+    check the Casorati certificate.
 
-    Residuals: ``R_pair``, the closed R(x, y, y, x) (``_pair_nongauss`` plus
-    ``_pair_gauss``) against raw ``riem`` on every pair row of
+    Residuals: ``R_pair``, the paper's R(x, y, y, x) (``_pair_nongauss``
+    plus ``_pair_gauss``) against raw ``riem`` on every pair row of
     ``_cross_sample``, read by one GEMM of outer-product rows; both orders
     count, since R(x, y, y, x) != R(y, x, x, y) for a non-metric connection.
     ``tau_formulas``, the two defining formulas of tau (``scalar_tau_pair``).

@@ -97,10 +97,11 @@ def _h_vector(sub: SubmanifoldPoint, x: np.ndarray, y: np.ndarray) -> np.ndarray
 
 
 def induced_curvature_direct(sub: SubmanifoldPoint, X, Y, Z, W) -> float:
-    """Reference evaluation bypassing the cached tensor.
-
-    Ambient curvature of the connection plus the Gauss-equation corrections,
-    all computed on the raw vectors.  Used to validate the tensor assembly.
+    """Reference evaluation bypassing the cached tensor: the paper's printed
+    route, the ambient curvature of the connection plus the Gauss-equation
+    corrections, all computed on the raw vectors.  ``attach`` builds ``riem``
+    from the connection's difference tensor instead, so the two routes are
+    independent.
     """
     x, y = sub.tangent_coords(X), sub.tangent_coords(Y)
     z, w = sub.tangent_coords(Z), sub.tangent_coords(W)

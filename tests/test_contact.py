@@ -131,6 +131,42 @@ def test_curvature_degenerate_xy():
     assert abs(curvature_lc(model, X, X, Z, W)) < 1e-13
 
 
+def _kmu_models(count):
+    # kappa, mu, c in [-3, 1]; h' of random scale, not tied to kappa
+    rng = np.random.default_rng(41)
+    for seed in range(count):
+        kappa, mu, c = rng.uniform(-3.0, 1.0, 3)
+        yield rng, random_point(int(rng.choice([2, 3])), float(kappa), float(mu), float(c),
+                                seed=seed, hprime_scale=float(rng.uniform(0, 2)))
+
+
+def test_curvature_pair_symmetry_and_first_bianchi():
+    # with antisymmetry in (X, Y) and the phi-sectional value c these
+    # identities make curvature_lc a curvature tensor of the space form
+    for rng, model in _kmu_models(40):
+        for _ in range(5):
+            X, Y, Z, W = rng.standard_normal((4, model.dim))
+            xyzw, zwxy = curvature_lc(model, X, Y, Z, W), curvature_lc(model, Z, W, X, Y)
+            yzxw, zxyw = curvature_lc(model, Y, Z, X, W), curvature_lc(model, Z, X, Y, W)
+            scale = 1.0 + max(abs(xyzw), abs(zwxy), abs(yzxw), abs(zxyw))
+            assert abs(xyzw - zwxy) < 1e-12 * scale
+            assert abs(xyzw + yzxw + zxyw) < 1e-12 * scale
+
+
+def test_curvature_kmu_nullity():
+    # R(X,Y)xi = kappa (eta(Y) X - eta(X) Y) + mu (eta(Y) h'X - eta(X) h'Y)
+    # (Blair, Koufogiorgos and Papantoniou, Israel J. Math. 91, 1995)
+    for rng, model in _kmu_models(40):
+        xi, hp = model.xi, model.hprime
+        for _ in range(5):
+            X, Y, W = rng.standard_normal((3, model.dim))
+            ex, ey = xi @ X, xi @ Y
+            nullity = (model.kappa * (ey * (X @ W) - ex * (Y @ W))
+                       + model.mu_contact * (ey * (hp @ X @ W) - ex * (hp @ Y @ W)))
+            value = curvature_lc(model, X, Y, xi, W)
+            assert abs(value - nullity) < 1e-12 * (1.0 + abs(value) + abs(nullity))
+
+
 def test_sasakian_reduction_unit_curvature():
     # h' = 0, kappa = 1, c = 1: constant curvature one
     model = standard_point(2)

@@ -6,7 +6,8 @@ default is relied on by a call outside the tests; only
 ``SubmanifoldPoint.memo`` touches the per-point cache, each memo key is
 a string literal with one call site, and README lists every key; only
 ``spheresearch.triu_pairs`` calls ``np.triu_indices``; no ``einsum`` takes
-more than two array operands."""
+more than two array operands; ``submanifold`` names no connection kind,
+no kind parameter and no printed correction tensor."""
 
 import ast
 import importlib
@@ -283,3 +284,12 @@ def test_einsum_takes_at_most_two_operands():
     # GEMM of outer-product rows, about ten times faster
     assert [call for path in sorted(Path(ckv.__file__).parent.glob("*.py"))
             for call in _wide_einsums(path)] == []
+
+
+def test_submanifold_reads_no_connection_kind():
+    # the connection reaches the induced curvature only through its
+    # difference tensor (``connections.difference_tensor``); a kind branch,
+    # a kind parameter or the paper's correction tensors in ``submanifold``
+    # would be a second definition of the connection
+    text = (Path(ckv.__file__).parent / "submanifold.py").read_text(encoding="utf-8")
+    assert re.findall(r"kind|lambda[12]|correction_tensors", text, flags=re.IGNORECASE) == []

@@ -188,11 +188,33 @@ def test_tensor_matches_direct_evaluation(kind):
         else:
             n, m = [(5, 3), (5, 4), (6, 3), (6, 4)][seed - 8]
         sub = _random_sub(100 + seed, kind, n=n, m=m)
-        for _ in range(6):
-            args = [rng.standard_normal(sub.n) @ sub.tangent for _ in range(4)]
-            a = induced_curvature(sub, *args)
-            b = induced_curvature_direct(sub, *args)
-            assert abs(a - b) < 1e-9 * (1 + abs(a))
+        assert _direct_deviation(sub, rng) < 1e-9
+
+
+def _direct_deviation(sub, rng):
+    """The largest |R - R_direct| / (1 + |R|) of ``induced_curvature``, built
+    from the connection's difference tensor, against the paper's route
+    ``induced_curvature_direct`` on six random tangent quadruples."""
+    worst = 0.0
+    for _ in range(6):
+        args = [rng.standard_normal(sub.n) @ sub.tangent for _ in range(4)]
+        a = induced_curvature(sub, *args)
+        worst = max(worst, abs(a - induced_curvature_direct(sub, *args)) / (1 + abs(a)))
+    return worst
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_direct_comparison_catches_a_transposed_derivative(kind, monkeypatch):
+    # nabla Delta read with D^T instead of D: cross_check's R_pair cannot see
+    # it, since R(x, y, y, x) on orthonormal pairs reads only the symmetric
+    # part of D, but the full tensor differs from the paper's route
+    delta = submanifold.difference_tensor
+    monkeypatch.setattr(submanifold, "difference_tensor",
+                        lambda spec, v: delta(spec, v.T if v.ndim == 2 else v))
+    rng = np.random.default_rng(5)
+    for index in range(50):
+        sub = parse_scenario(random_scenario(index, FuzzConfig(seed=777, kind=kind))).sub
+        assert _direct_deviation(sub, rng) > 1e-9
 
 
 # --- sectional / tau / ricci ------------------------------------------------

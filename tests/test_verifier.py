@@ -513,6 +513,24 @@ def test_cross_check_catches_a_wrong_coefficient(monkeypatch):
     assert not report.ok()
 
 
+@pytest.mark.parametrize("kind", [1, 2])
+def test_cross_check_catches_a_negated_difference_tensor(kind, monkeypatch):
+    # Delta negated, its derivative kept: Delta_T(X, Delta_T(Y, Z)) is even
+    # in Delta and a tangent P gives Delta no normal component on tangent
+    # vectors, so riem moves exactly on the points whose P has a normal
+    # part, and there R_pair must fire
+    delta = submanifold.difference_tensor
+    monkeypatch.setattr(submanifold, "difference_tensor",
+                        lambda spec, v: -delta(spec, v) if v.ndim == 1 else delta(spec, v))
+    normals = []
+    for index in range(50):
+        sub = parse_scenario(random_scenario(index, FuzzConfig(seed=777, kind=kind))).sub
+        normal = bool(np.abs(sub.pi_nor).max() > 1e-12)
+        assert (cross_check(sub).residuals["R_pair"] > CROSS_TOL) == normal
+        normals.append(normal)
+    assert 0 < sum(normals) < len(normals)
+
+
 def test_cross_check_a_nan_residual_is_no_pass():
     # Python's max drops a NaN that is not its first argument
     report = cross_check(_fault_point())
