@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,13 +196,20 @@ def test_tensor_matches_direct_evaluation(kind):
 def _direct_deviation(sub, rng):
     """The largest |R - R_direct| / (1 + |R|) of ``induced_curvature``, built
     from the connection's difference tensor, against the paper's route
-    ``induced_curvature_direct`` on six random tangent quadruples."""
-    worst = 0.0
+    ``induced_curvature_direct`` on six random tangent quadruples; NaN when
+    either route gives a NaN (``np.max`` keeps it, Python's ``max`` drops it)."""
+    deviations = []
     for _ in range(6):
         args = [rng.standard_normal(sub.n) @ sub.tangent for _ in range(4)]
         a = induced_curvature(sub, *args)
-        worst = max(worst, abs(a - induced_curvature_direct(sub, *args)) / (1 + abs(a)))
-    return worst
+        deviations.append(abs(a - induced_curvature_direct(sub, *args)) / (1 + abs(a)))
+    return float(np.max(deviations))
+
+
+def test_direct_deviation_keeps_a_nan():
+    sub = _random_sub(100, 1)
+    broken = dataclasses.replace(sub, riem=np.full_like(sub.riem, np.nan), cache={})
+    assert np.isnan(_direct_deviation(broken, np.random.default_rng(0)))
 
 
 @pytest.mark.parametrize("kind", [1, 2])
