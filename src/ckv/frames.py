@@ -4,7 +4,9 @@ Everything in this package stores tensors as component arrays in a fixed
 orthonormal frame, so the metric is the identity and inner products are plain
 dot products.  This module provides the frame-level primitives: Gram-Schmidt
 orthonormalization with a rank guard, completion of a frame to a full basis,
-and ordered orthonormal 2-plane bases.
+and ordered orthonormal 2-plane bases.  The completion projects every
+standard basis vector off the frame F in one product, (I - F^T F), and
+orthogonalizes only those that survive against each other, then off F again.
 """
 
 from __future__ import annotations
@@ -62,45 +64,41 @@ def orthonormalize(vectors) -> np.ndarray:
         raise RankDeficient(f"{k} vectors cannot be independent in dimension {d}")
     sv = np.linalg.svd(V, compute_uv=False)
     if sv[-1] < 1e-10 * sv[0]:
-        raise RankDeficient(
-            f"numerical rank below {k} (smallest/largest singular value {sv[-1] / sv[0]:.3e})"
-        )
+        raise RankDeficient(f"numerical rank below {k} "
+                            f"(smallest/largest singular value {sv[-1] / sv[0]:.3e})")
     out = V.copy()
-    for i in range(k):
+    rows = list(out)  # views: updating a row updates out
+    for i, v in enumerate(rows):
         for _ in range(2):  # second pass kills rounding residue
-            for j in range(i):
-                out[i] -= np.dot(out[i], out[j]) * out[j]
-        out[i] /= np.sqrt(out[i] @ out[i])
+            for b in rows[:i]:
+                v -= np.dot(v, b) * b
+        v /= np.sqrt(v @ v)
     return out
 
 
 def complete_frame(frame: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of ``frame`` rows.
-
-    Candidates are the standard basis vectors in index order, so coordinate
-    frames complete to the remaining coordinate vectors (sign included), which
-    keeps scenario files readable.
-    """
+    """Orthonormal basis, shape (d - k, d), of the complement of k orthonormal
+    ``frame`` rows.  In index order, each standard basis vector projected off
+    the frame is taken if it keeps a norm above 1e-6 once orthogonalized
+    against those taken before; so coordinate frames complete to the exact
+    remaining coordinate vectors, which keeps scenario files readable."""
     frame = np.atleast_2d(np.asarray(frame, dtype=float))
     k, d = frame.shape
-    basis = [frame[i] for i in range(k)]
+    cands = np.eye(d) - frame.T @ frame
     extra = []
-    for idx in range(d):
-        cand = np.zeros(d)
-        cand[idx] = 1.0
+    for cand in cands:
+        if len(extra) == d - k:
+            break
         for _ in range(2):
-            for b in basis:
+            for b in extra:
                 cand -= np.dot(cand, b) * b
         norm = np.sqrt(cand @ cand)
         if norm > 1e-6:
-            cand /= norm
-            basis.append(cand)
-            extra.append(cand)
-        if len(basis) == d:
-            break
-    if len(basis) != d:
+            extra.append(cand / norm)
+    if len(extra) != d - k:
         raise RankDeficient("could not complete frame to a full basis")
-    return np.array(extra)
+    extra = np.array(extra).reshape(d - k, d)
+    return extra - (extra @ frame.T) @ frame  # second pass kills rounding residue
 
 
 @dataclass(frozen=True)

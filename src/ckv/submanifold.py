@@ -220,9 +220,7 @@ def attach(
     delta = difference_tensor(spec, pi)
     h = hhat + delta[:n, :n, n:].transpose(2, 0, 1)
 
-    phat = E @ model.phi @ E.T
-    hp_top = E @ model.hprime @ E.T
-    php_top = E @ (model.phi @ model.hprime) @ E.T
+    phat, hp_top, php_top = E @ np.array([model.phi, model.hprime, model.phi @ model.hprime]) @ E.T
     eta_t = E @ model.xi
 
     riem = _induced_tensor(model, eta_t, phat, hp_top, php_top, hhat, h, delta,

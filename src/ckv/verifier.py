@@ -13,10 +13,11 @@ Every proof puts the Gauss equation into a scalar, sectional or Ricci
 curvature, so every right-hand side is a trace of one closed form, the
 non-Gauss part of R(x, y, y, x) on orthonormal tangent pairs, plus the
 algebraic bound on h that the proof applies to the Gauss part.  That form is
-one memoized (n^2, n^2) tensor per point (``_pair_tensor``), the one owner of
-the paper's ambient and connection terms: a plane, a direction or a
-cross-check row reads it by one GEMM (``_pair_nongauss``), and E = 2 tau_ng
-reads its frame entries.  ``cross_check`` compares the paper against
+one list of products of forms (``_pair_terms``), the one owner of the
+paper's ambient and connection terms, read two ways: as a memoized (n^2,
+n^2) tensor that a plane, a direction or a cross-check row reads by one GEMM
+(``_pair_tensor``, ``_pair_nongauss``), and on the frame pairs alone for
+E = 2 tau_ng (``_tau_nongauss``).  ``cross_check`` compares the paper against
 geometry, that form against the tensor built from the connection's
 definition (``R_pair``, ``tau_formulas``, ``trace_identity``), and checks
 the Casorati certificate (``casorati_floor``, ``casorati_bracket``): a
@@ -168,10 +169,10 @@ def _plane_forms(sub: SubmanifoldPoint) -> tuple[np.ndarray, np.ndarray]:
     def make():
         E, spec = sub.tangent, sub.spec
         ct = correction_tensors(spec)
-        restricted = E @ np.stack([ct.alpha, ct.beta, spec.D]) @ E.T
+        restricted = E @ np.array([ct.alpha, ct.beta, spec.D]) @ E.T
         return (_frozen(np.concatenate([[sub.hprime_top, sub.phi_hprime_top], restricted,
                                         [sub.phat], sub.h])),
-                _frozen(np.stack([sub.eta_t, E @ spec.P])))
+                _frozen(np.array([sub.eta_t, E @ spec.P])))
     return sub.memo("plane_forms", make)
 
 
@@ -185,53 +186,59 @@ def _pair_nongauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.nd
     X and Y hold tangent-frame coordinates, shape (k, n), each row a unit
     vector (3.3/4.2 also read it on the non-orthogonal rows of their trace
     identity, see ``verify``).  One ``_form_rows`` GEMM of (x (x) y) and
-    (y (x) x) with the tensor of ``_pair_tensor``, the one owner of the
-    ambient and connection terms.  The full value adds sum_r h_r(x,x)
-    h_r(y,y) - h_r(x,y)^2 (``_pair_gauss``).
+    (y (x) x) with the tensor of ``_pair_tensor``.  The full value adds
+    sum_r h_r(x,x) h_r(y,y) - h_r(x,y)^2 (``_pair_gauss``).
     """
     return _form_rows(_pair_tensor(sub), X, Y, Y, X)
 
 
 def _pair_tensor(sub: SubmanifoldPoint) -> np.ndarray:
     """The (n*n, n*n) matrix T with sum T[a,b,c,d] x_a y_b y_c x_d the
-    non-Gauss part of R(x, y, y, x) on unit x, y; memoized and read-only.
+    non-Gauss part of R(x, y, y, x) on unit x, y; memoized and read-only:
+    ``_pair_terms`` as two GEMMs, P[a,d] Q[b,c] and R[a,b] S[d,c].  T is the
+    paper's printed curvature, never ``riem``, which ``attach`` builds from
+    the connection: ``cross_check`` checks the paper against geometry."""
+    def make():
+        (P, Q), (R, S) = _pair_terms(sub)
+        T = (_stack_products(P, Q).transpose(0, 2, 3, 1)
+             + _stack_products(R, S).transpose(0, 1, 3, 2))
+        return _frozen(T.reshape(sub.n ** 2, sub.n ** 2))
+    return sub.memo("pair_tensor", make)
 
-    With the forms of ``_pair_forms`` (phat, A = h', B = phi h', A - C_x,
-    A - C_y), u = eta on the frame, U = u (x) u, e = (c + 3 - 4 kappa) / 4
-    and M(x, y) = x^T M y, that part is
+
+# each term of ``_pair_terms`` as the indices of its (P, Q) into its stack F
+_TERM_P, _TERM_Q = np.array([(0, 0), (1, 0), (0, 1), (3, 3), (4, 4), (5, 0), (0, 6), (3, 1),
+                             (1, 3), (2, 2), (4, 4), (3, 3), (3, 1)]).T
+
+
+def _pair_terms(sub: SubmanifoldPoint) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The non-Gauss part of R(x, y, y, x) on unit x, y, written once as
+    stacks ((P, Q), (R, S)) of forms: sum_k P_k(x,x) Q_k(y,y) + R_k(x,y)
+    S_k(x,y), each term a coefficient (in P and R) and two forms of
+    F = (I, U, phat, A = h', B = phi h', A - C_x, A - C_y), the last five
+    from ``_pair_forms``.  With u = eta on the frame, U = u (x) u,
+    e = (c + 3 - 4 kappa) / 4 and M(x, y) = x^T M y, that part is
 
       (c+3)/4 - e (u_x^2 + u_y^2) + 3(c-1)/4 phat(x,y)^2
       + (B(x,y)^2 - A(x,y)^2 + A(x,x) A(y,y) - B(x,x) B(y,y)) / 2
       + (A - C_x)(x,x) + (A - C_y)(y,y)
       + (1 - mu) (2 u_x u_y A(x,y) - A(x,x) u_y^2 - A(y,y) u_x^2):
 
-    the terms of the contact space form, the connection's folded into
-    A - C_x and A - C_y.  Each term is one pair (P, Q): P(x,x) Q(y,y) of the
-    stack read as P[a,d] Q[b,c], P(x,y) Q(x,y) of the one read as
-    P[a,b] Q[d,c], with Q = I for a y-free term and P = I for an x-free
-    one (|x| = |y| = 1); each stack is one GEMM.  T is the paper's printed
-    curvature, never read from ``riem``, which ``attach`` builds from the
-    connection's definition: ``cross_check`` checks the paper against geometry.
+    the contact space form's terms, the connection's folded into A - C_x and
+    A - C_y, with Q = I for a y-free term and P = I for an x-free one.
     """
-    def make():
-        model, n = sub.model, sub.n
-        c, f = model.c, 1.0 - model.mu_contact
-        e = (c + 3.0 - 4.0 * model.kappa) / 4.0
-        phat, A, B, A_x, A_y = _pair_forms(sub)
-        I, U = np.eye(n), np.outer(sub.eta_t, sub.eta_t)
-        ad_bc = np.array([((c + 3.0) / 4.0 * I, I), (-e * U, I), (-e * I, U),
-                          (0.5 * A, A), (-0.5 * B, B), (A_x, I), (I, A_y),
-                          (-f * A, U), (-f * U, A)])
-        ab_dc = np.array([(3.0 * (c - 1.0) / 4.0 * phat, phat), (0.5 * B, B),
-                          (-0.5 * A, A), (2.0 * f * A, U)])
-        T = (_stack_products(ad_bc[:, 0], ad_bc[:, 1]).transpose(0, 2, 3, 1)
-             + _stack_products(ab_dc[:, 0], ab_dc[:, 1]).transpose(0, 1, 3, 2))
-        return _frozen(T.reshape(n * n, n * n))
-    return sub.memo("pair_tensor", make)
+    model, n = sub.model, sub.n
+    c, f = model.c, 1.0 - model.mu_contact
+    e = (c + 3.0 - 4.0 * model.kappa) / 4.0
+    F = np.array([np.eye(n), np.outer(sub.eta_t, sub.eta_t), *_pair_forms(sub)])
+    coef = np.array([(c + 3.0) / 4.0, -e, -e, 0.5, -0.5, 1.0, 1.0, -f, -f,
+                     3.0 * (c - 1.0) / 4.0, 0.5, -0.5, 2.0 * f])
+    P, Q = coef[:, None, None] * F[_TERM_P], F[_TERM_Q]
+    return (P[:9], Q[:9]), (P[9:], Q[9:])
 
 
 def _pair_forms(sub: SubmanifoldPoint) -> np.ndarray:
-    """The forms of ``_pair_tensor``, stacked (5, n, n): phat, A, B,
+    """The forms of ``_pair_terms``, stacked (5, n, n): phat, A, B,
     A - C_x and A - C_y, from ``_plane_forms``."""
     spec, (forms, (_, pi_t)) = sub.spec, _plane_forms(sub)
     A, B, alpha, beta, alpha_prime, phat = forms[:6]
@@ -241,10 +248,9 @@ def _pair_forms(sub: SubmanifoldPoint) -> np.ndarray:
         c_x = l2 * alpha + l2 * (l1 - l2) * beta
         c_y = l1 * alpha + (l1 - l2) * h_P
     else:
-        b = spec.b
-        c_x = np.zeros_like(A)
+        b, c_x = spec.b, 0.0
         c_y = b * alpha_prime - b ** 2 * np.outer(pi_t, pi_t) + b * h_P
-    return np.stack([phat, A, B, A - c_x, A - c_y])
+    return np.array([phat, A, B, A - c_x, A - c_y])
 
 
 def _pair_gauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -255,16 +261,14 @@ def _pair_gauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.ndarr
 
 
 def _tau_nongauss(sub: SubmanifoldPoint) -> float:
-    """Scalar curvature minus its Gauss sum: half the pair form over the
-    ordered frame pairs (e_i, e_j), i != j, read as the entries
-    T[i, j, j, i] of ``_pair_tensor`` (no GEMM).
-
-    Memoized on the point; E = 2 tau_ng is the invariant aggregate with
-    2 tau - E = n^2 ||H||^2 - ||h||^2.
-    """
+    """Scalar curvature minus its Gauss sum, memoized: half the pair form over
+    the ordered frame pairs (e_i, e_j), i != j, T[i, j, j, i] = sum_k P_k,ii
+    Q_k,jj + R_k,ij S_k,ij from ``_pair_terms`` (no tensor built).  E = 2 tau_ng
+    is the invariant aggregate with 2 tau - E = n^2 ||H||^2 - ||h||^2."""
     def make():
-        n = sub.n
-        frame = np.einsum("ijji->ij", _pair_tensor(sub).reshape(n, n, n, n))
+        (P, Q), (R, S) = _pair_terms(sub)
+        frame = (P.diagonal(axis1=1, axis2=2).T @ Q.diagonal(axis1=1, axis2=2)
+                 + (R * S).sum(axis=0))
         return 0.5 * float(frame.sum() - np.trace(frame))
     return sub.memo("tau_nongauss", make)
 

@@ -47,4 +47,62 @@ def test_plane_rejects_bad_basis():
 def test_complete_frame_coordinate_order():
     frame = np.eye(5)[[0, 1, 4]]
     extra = complete_frame(frame)
-    assert np.allclose(extra, np.eye(5)[[2, 3]])
+    assert np.array_equal(extra, np.eye(5)[[2, 3]])
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_complete_frame_shape_at_full_and_one_short(d):
+    assert complete_frame(np.eye(d)).shape == (0, d)
+    frame = orthonormalize(np.random.default_rng(d).standard_normal((d, d)))
+    assert complete_frame(frame).shape == (0, d)
+    extra = complete_frame(frame[:-1])
+    assert extra.shape == (1, d)
+    assert abs(abs(extra[0] @ frame[-1]) - 1.0) < 1e-15
+
+
+def _greedy_completion(frame):
+    """The completion one candidate at a time: each standard basis vector in
+    index order, projected twice against the frame and every vector taken
+    so far, is taken when its remainder is longer than 1e-6.  Returns the
+    vectors taken and their indices."""
+    d = frame.shape[1]
+    basis, taken = list(frame), []
+    for idx, cand in enumerate(np.eye(d)):
+        for _ in range(2):
+            for b in basis:
+                cand = cand - (cand @ b) * b
+        norm = np.sqrt(cand @ cand)
+        if norm > 1e-6 and len(basis) < d:
+            basis.append(cand / norm)
+            taken.append(idx)
+    return np.array(basis[frame.shape[0]:]), taken
+
+
+def test_complete_frame_skips_a_candidate_inside_the_span():
+    # e2 lies in span(frame) exactly but is no row of it: the rows are
+    # (e2, two rows free of e2) rotated together; the completion skips e2
+    # just as the one-at-a-time order does
+    rng = np.random.default_rng(8)
+    rows = orthonormalize(rng.standard_normal((2, 6)) * [1, 1, 0, 1, 1, 1])
+    rot = orthonormalize(rng.standard_normal((3, 3)))
+    frame = rot @ np.vstack([np.eye(6)[2], rows])
+    e2 = np.eye(6)[2]
+    assert np.abs(e2 - frame.T @ (frame @ e2)).max() < 1e-15
+    assert np.abs(frame[:, 2]).min() > 0.1
+    extra = complete_frame(frame)
+    expected, taken = _greedy_completion(frame)
+    assert taken == [0, 1, 3]
+    assert extra.shape == expected.shape == (3, 6)
+    assert np.abs(extra - expected).max() < 1e-14
+    assert np.abs(extra[:, 2]).max() < 1e-15
+
+
+def test_frames_are_orthonormal_to_rounding():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        d = int(rng.integers(2, 10))
+        k = int(rng.integers(1, d + 1))
+        frame = orthonormalize(rng.standard_normal((k, d)))
+        assert np.abs(frame @ frame.T - np.eye(k)).max() <= 1e-15
+        full = np.vstack([frame, complete_frame(frame)])
+        assert np.abs(full @ full.T - np.eye(d)).max() <= 1e-15

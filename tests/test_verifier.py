@@ -733,6 +733,45 @@ def test_pair_tensor_matches_the_term_by_term_form(kind, n):
             assert np.all(np.abs(got - expected) <= 1e-13 * (1.0 + np.abs(expected)))
 
 
+
+def _tau_from_pair_tensor(sub):
+    """Half the entries T[i, j, j, i], i != j, of the (n^2, n^2) pair tensor."""
+    n = sub.n
+    frame = np.einsum("ijji->ij", verifier._pair_tensor(sub).reshape(n, n, n, n))
+    return 0.5 * float(frame.sum() - np.trace(frame))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_tau_nongauss_reads_the_frame_entries_of_the_pair_tensor(kind, n):
+    # E = 2 tau_ng is read off the term list without building the tensor;
+    # it must be the tensor's frame entries
+    for one_slice in (True, False):
+        sub = _memo_point(kind, n, one_slice)
+        tau = verifier._tau_nongauss(sub)
+        assert "pair_tensor" not in sub.cache
+        assert abs(tau - _tau_from_pair_tensor(sub)) <= 1e-13 * (1.0 + abs(2.0 * tau))
+
+
+def test_one_wrong_term_moves_both_readings(monkeypatch):
+    # the pair tensor and tau_ng read one term list: a wrong coefficient on
+    # one term moves both
+    sub = _memo_point(1, 4, False)
+    tau, T = verifier._tau_nongauss(sub), verifier._pair_tensor(sub)
+    terms = verifier._pair_terms
+
+    def wrong(sub):
+        (P, Q), xy = terms(sub)
+        P = P.copy()
+        P[3] *= 1.0 + 1e-6   # (A(x,x) A(y,y)) / 2
+        return (P, Q), xy
+
+    monkeypatch.setattr(verifier, "_pair_terms", wrong)
+    moved = dataclasses.replace(sub, cache={})
+    assert abs(verifier._tau_nongauss(moved) - tau) > 1e-9
+    assert np.abs(verifier._pair_tensor(moved) - T).max() > 1e-9
+    assert abs(verifier._tau_nongauss(moved) - _tau_from_pair_tensor(moved)) <= 1e-12
+
 # --- full verdict sweep -----------------------------------------------------------
 
 @pytest.mark.parametrize("kind", [1, 2])
