@@ -25,9 +25,10 @@ import numpy as np
 
 from .contact import ContactPointModel, curvature_lc
 from .errors import DimensionMismatch
-from .frames import as_matrix, as_vector
+from .frames import as_array
 
 __all__ = [
+    "PARAMETERS",
     "ConnectionSpec",
     "first_connection",
     "second_connection",
@@ -39,14 +40,17 @@ __all__ = [
 
 KIND_FIRST = 1
 KIND_SECOND = 2
+# the parameter names of each connection kind, as fields of ``ConnectionSpec``
+# and keys of a scenario's connection block
+PARAMETERS = {KIND_FIRST: ("lambda1", "lambda2"), KIND_SECOND: ("a", "b")}
 
 
 @dataclass(frozen=True)
 class ConnectionSpec:
     """Connection parameters plus the pointwise data P and D = grad(pi).
 
-    For kind 1 the pair (lambda1, lambda2) is set and (a, b) is None; for
-    kind 2 the other way around.
+    The parameters ``PARAMETERS[kind]`` are set, those of the other kind are
+    None: (lambda1, lambda2) for kind 1, (a, b) for kind 2.
     """
 
     kind: int
@@ -58,24 +62,29 @@ class ConnectionSpec:
     b: float | None = None
 
     def __post_init__(self):
-        P = as_vector(self.P, "P")
-        D = as_matrix(self.D, P.shape[0], "D")
+        P = as_array(self.P, "P", (None,))
+        D = as_array(self.D, "D", P.shape * 2)
         P.setflags(write=False)
         D.setflags(write=False)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "D", D)
-        if self.kind == KIND_FIRST:
-            if self.lambda1 is None or self.lambda2 is None:
-                raise ValueError("kind-1 connection needs lambda1 and lambda2")
-            if self.a is not None or self.b is not None:
-                raise ValueError("kind-1 connection must not carry (a, b)")
-        elif self.kind == KIND_SECOND:
-            if self.a is None or self.b is None:
-                raise ValueError("kind-2 connection needs a and b")
-            if self.lambda1 is not None or self.lambda2 is not None:
-                raise ValueError("kind-2 connection must not carry (lambda1, lambda2)")
-        else:
-            raise ValueError(f"connection kind must be 1 or 2, got {self.kind}")
+        try:
+            names = PARAMETERS[self.kind]
+        except (KeyError, TypeError):   # TypeError: an unhashable kind
+            raise ValueError(f"connection kind must be 1 or 2, got {self.kind}") from None
+        for name in names:
+            if getattr(self, name) is None:
+                raise ValueError(f"kind-{self.kind} connection needs {' and '.join(names)}")
+        for other in PARAMETERS.values():
+            for name in other:
+                if other is not names and getattr(self, name) is not None:
+                    raise ValueError(f"kind-{self.kind} connection must not carry "
+                                     f"({', '.join(other)})")
+
+    @property
+    def parameters(self) -> dict[str, float]:
+        """The kind's parameters by name, in ``PARAMETERS`` order."""
+        return {name: getattr(self, name) for name in PARAMETERS[self.kind]}
 
     @property
     def dim(self) -> int:
@@ -146,10 +155,7 @@ def ambient_curvature(model: ContactPointModel, spec: ConnectionSpec, X, Y, Z, W
     d = model.dim
     if spec.dim != d:
         raise DimensionMismatch(f"connection dimension {spec.dim} != ambient {d}")
-    X = as_vector(X, "X", d)
-    Y = as_vector(Y, "Y", d)
-    Z = as_vector(Z, "Z", d)
-    W = as_vector(W, "W", d)
+    X, Y, Z, W = (as_array(V, name, (d,)) for V, name in zip((X, Y, Z, W), "XYZW"))
     base = curvature_lc(model, X, Y, Z, W)
 
     if spec.kind == KIND_FIRST:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .frames import as_matrix, as_vector
+from .frames import as_array
 
 __all__ = [
     "ContactPointModel",
@@ -50,14 +50,10 @@ class ContactPointModel:
         if self.m < 1:
             raise DimensionMismatch(f"m must be >= 1, got {self.m}")
         d = 2 * self.m + 1
-        phi = as_matrix(self.phi, d, "phi")
-        xi = as_vector(self.xi, "xi", d)
-        hprime = as_matrix(self.hprime, d, "hprime")
-        for arr in (phi, xi, hprime):
+        for name, shape in (("phi", (d, d)), ("xi", (d,)), ("hprime", (d, d))):
+            arr = as_array(getattr(self, name), name, shape)
             arr.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "hprime", hprime)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -212,10 +208,7 @@ def _curvature_lc_groups(model: ContactPointModel, X, Y, Z, W) -> tuple[float, .
     block (coefficient 1/2), linear h' block (unit coefficients), mu block.
     """
     d = model.dim
-    X = as_vector(X, "X", d)
-    Y = as_vector(Y, "Y", d)
-    Z = as_vector(Z, "Z", d)
-    W = as_vector(W, "W", d)
+    X, Y, Z, W = (as_array(V, name, (d,)) for V, name in zip((X, Y, Z, W), "XYZW"))
     phi, xi, hp = model.phi, model.xi, model.hprime
     c, kappa, mu = model.c, model.kappa, model.mu_contact
 

@@ -18,28 +18,24 @@ import numpy as np
 from .errors import DimensionMismatch, RankDeficient
 
 
-def as_vector(v, name: str, dim: int | None = None) -> np.ndarray:
-    """Copy to a finite 1-d float array, optionally checking its length.
+def as_array(value, name: str, shape: tuple) -> np.ndarray:
+    """Copy to a finite float array of ``shape``, where a None entry takes any
+    length.  A wrong shape raises DimensionMismatch; an entry that is not a
+    finite number (a string, a ragged list, an integer beyond the float
+    range, NaN) raises ValueError; both messages open with ``name``.
 
     Always copies, so freezing the result never touches caller-owned arrays.
     """
-    arr = np.array(v, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"{name}: expected a 1-d array, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise DimensionMismatch(f"{name}: expected length {dim}, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name}: entries must be finite")
-    return arr
-
-
-def as_matrix(a, dim: int, name: str) -> np.ndarray:
-    """Copy to a finite square 2-d float array of size dim x dim."""
-    arr = np.array(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"{name}: expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] != dim:
-        raise DimensionMismatch(f"{name}: expected size {dim}x{dim}, got {arr.shape[0]}")
+    try:
+        arr = np.array(value, dtype=float)
+    except OverflowError:   # an integer beyond the float range
+        raise ValueError(f"{name}: entries must be finite") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected an array of numbers") from None
+    if arr.shape != shape and (arr.ndim != len(shape) or any(
+            want is not None and got != want for got, want in zip(arr.shape, shape))):
+        raise DimensionMismatch(
+            f"{name}: expected shape {str(shape).replace('None', 'any')}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite")
     return arr
@@ -54,11 +50,9 @@ def orthonormalize(vectors) -> np.ndarray:
     Raises RankDeficient when the numerical rank (singular values relative to
     the largest, cut at 1e-10) falls below the family size.
     """
-    V = np.atleast_2d(np.asarray(vectors, dtype=float))
+    V = as_array(np.atleast_2d(vectors), "orthonormalize", (None, None))
     if V.size == 0:
         return V.reshape(0, 0)
-    if not np.isfinite(V).all():
-        raise ValueError("orthonormalize: entries must be finite")
     k, d = V.shape
     if k > d:
         raise RankDeficient(f"{k} vectors cannot be independent in dimension {d}")
@@ -109,8 +103,8 @@ class Plane:
     e2: np.ndarray
 
     def __post_init__(self):
-        e1 = as_vector(self.e1, "plane.e1")
-        e2 = as_vector(self.e2, "plane.e2", e1.shape[0])
+        e1 = as_array(self.e1, "plane.e1", (None,))
+        e2 = as_array(self.e2, "plane.e2", e1.shape)
         if abs(np.sqrt(e1 @ e1) - 1.0) > 1e-12 or abs(np.sqrt(e2 @ e2) - 1.0) > 1e-12:
             raise ValueError("plane basis vectors must be unit to 1e-12")
         if abs(np.dot(e1, e2)) > 1e-12:

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .connections import first_connection, second_connection
+from .connections import PARAMETERS, ConnectionSpec
 from .contact import random_point, validate_structure
 from .frames import Plane, orthonormalize
 from .scenario import parse_scenario, scenario_from_parts
@@ -136,12 +136,8 @@ def random_scenario(index: int, cfg: FuzzConfig) -> dict:
     x_rand = rng.standard_normal(n)
     x_rand /= np.sqrt(x_rand @ x_rand)
 
-    if cfg.kind == 1:
-        spec = first_connection(
-            float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0)), P, D)
-    else:
-        spec = second_connection(
-            float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0)), P, D)
+    spec = ConnectionSpec(cfg.kind, P, D, **{
+        name: float(rng.uniform(-3.0, 3.0)) for name in PARAMETERS[cfg.kind]})
 
     data = scenario_from_parts(model, spec, tangent, hhat)
     data["checks"] = {"tol": cfg.tol, "X": (x_rand @ frame).tolist()}
@@ -186,10 +182,8 @@ def _run_check(sub: SubmanifoldPoint, check: dict, tol: float):
 
 
 def _zeroing_candidates(kind: int) -> list[tuple[str, ...]]:
-    conn = ("lambda1", "lambda2") if kind == 1 else ("a", "b")
     return [
-        ("connection", conn[0]),
-        ("connection", conn[1]),
+        *(("connection", name) for name in PARAMETERS[kind]),
         ("connection", "P"),
         ("connection", "D"),
         ("ambient", "hprime"),
@@ -245,6 +239,8 @@ def _fold(pick, current: float | None, value: float) -> float:
 
 def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
     """Run a deterministic campaign; see the module docstring."""
+    if cfg.kind not in PARAMETERS:
+        raise ValueError(f"connection kind must be 1 or 2, got {cfg.kind}")
     report = FuzzReport(config=cfg)
     for index in range(cfg.count):
         data = random_scenario(index, cfg)

@@ -3,7 +3,9 @@
 A scenario nails down the ambient structure (explicit matrices or a seeded
 generator), the connection, the submanifold germ, and optionally which checks
 to run.  Matrices are row-major nested arrays of decimal reals, so files are
-diff-friendly and language-neutral.  Parsing either produces the attached
+diff-friendly and language-neutral.  The connection's parameter fields are
+those of its kind in ``connections.PARAMETERS``, and every array field goes
+through ``frames.as_array``.  Parsing either produces the attached
 submanifold point or fails with the path of the offending field.
 
 Layout::
@@ -32,8 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from .contact import ContactPointModel, random_point
-from .connections import ConnectionSpec, first_connection, second_connection
-from .errors import GeometryError, ScenarioError
+from .connections import PARAMETERS, ConnectionSpec
+from .errors import DimensionMismatch, GeometryError, ScenarioError
+from .frames import as_array
 from .submanifold import SubmanifoldPoint, attach
 from .verifier import DEFAULT_TOL, theorem_ids_problem
 
@@ -85,30 +88,18 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _array(value, path: str, expected: str) -> np.ndarray:
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(path, "expected an object")
+    return value
+
+
+def _array(value, path: str, *shape) -> np.ndarray:
+    """``frames.as_array`` of a field, its error raised at the field's path."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except OverflowError:   # an integer beyond the float range
-        raise ScenarioError(path, "entries must be finite") from None
-    except (TypeError, ValueError):
-        raise ScenarioError(path, f"expected {expected}") from None
-    if not np.isfinite(arr).all():
-        raise ScenarioError(path, "entries must be finite")
-    return arr
-
-
-def _vector(value, length: int, path: str) -> np.ndarray:
-    arr = _array(value, path, "a list of numbers")
-    if arr.ndim != 1 or arr.shape[0] != length:
-        raise ScenarioError(path, f"expected a vector of length {length}, got shape {arr.shape}")
-    return arr
-
-
-def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
-    arr = _array(value, path, "a nested list of numbers")
-    if arr.shape != (rows, cols):
-        raise ScenarioError(path, f"expected a {rows}x{cols} matrix, got shape {arr.shape}")
-    return arr
+        return as_array(value, path, shape)
+    except (ValueError, DimensionMismatch) as exc:
+        raise ScenarioError(path, str(exc).removeprefix(f"{path}: ")) from None
 
 
 def parse_scenario(data: dict) -> ParsedScenario:
@@ -116,46 +107,27 @@ def parse_scenario(data: dict) -> ParsedScenario:
     if not isinstance(data, dict):
         raise ScenarioError("$", "scenario must be a JSON object")
 
-    amb = _need(data, "ambient", "$")
-    if not isinstance(amb, dict):
-        raise ScenarioError("ambient", "expected an object")
+    amb = _object(_need(data, "ambient", "$"), "ambient")
     m = _integer(_need(amb, "m", "ambient"), "ambient.m")
     if m < 1:
         raise ScenarioError("ambient.m", "must be >= 1")
     d = 2 * m + 1
-    kappa = _number(_need(amb, "kappa", "ambient"), "ambient.kappa")
-    mu_contact = _number(_need(amb, "mu_contact", "ambient"), "ambient.mu_contact")
-    c = _number(_need(amb, "c", "ambient"), "ambient.c")
+    kappa, mu_contact, c = (_number(_need(amb, key, "ambient"), f"ambient.{key}")
+                            for key in ("kappa", "mu_contact", "c"))
     # the connection's explicit P and D bound d by the file's own size, so
     # they are checked before a generator allocates O(d^2)
-    con = _need(data, "connection", "$")
-    if not isinstance(con, dict):
-        raise ScenarioError("connection", "expected an object")
+    con = _object(_need(data, "connection", "$"), "connection")
     kind = _integer(_need(con, "kind", "connection"), "connection.kind")
-    P = _vector(_need(con, "P", "connection"), d, "connection.P")
-    D = _matrix(_need(con, "D", "connection"), d, d, "connection.D")
-    try:
-        if kind == 1:
-            spec = first_connection(
-                _number(_need(con, "lambda1", "connection"), "connection.lambda1"),
-                _number(_need(con, "lambda2", "connection"), "connection.lambda2"),
-                P, D,
-            )
-        elif kind == 2:
-            spec = second_connection(
-                _number(_need(con, "a", "connection"), "connection.a"),
-                _number(_need(con, "b", "connection"), "connection.b"),
-                P, D,
-            )
-        else:
-            raise ScenarioError("connection.kind", "must be 1 or 2")
-    except ValueError as exc:
-        raise ScenarioError("connection", str(exc)) from None
+    P = _array(_need(con, "P", "connection"), "connection.P", d)
+    D = _array(_need(con, "D", "connection"), "connection.D", d, d)
+    if kind not in PARAMETERS:
+        raise ScenarioError("connection.kind", "must be 1 or 2")
+    spec = ConnectionSpec(kind, P, D, **{
+        name: _number(_need(con, name, "connection"), f"connection.{name}")
+        for name in PARAMETERS[kind]})
 
     if "generator" in amb:
-        gen = amb["generator"]
-        if not isinstance(gen, dict):
-            raise ScenarioError("ambient.generator", "expected an object")
+        gen = _object(amb["generator"], "ambient.generator")
         seed = _integer(_need(gen, "seed", "ambient.generator"), "ambient.generator.seed")
         scale = _number(gen.get("hprime_scale", 1.0), "ambient.generator.hprime_scale")
         strict = gen.get("strict_kmu", False)
@@ -167,21 +139,18 @@ def parse_scenario(data: dict) -> ParsedScenario:
         except ValueError as exc:
             raise ScenarioError("ambient.generator", str(exc)) from None
     else:
-        phi = _matrix(_need(amb, "phi", "ambient"), d, d, "ambient.phi")
-        xi = _vector(_need(amb, "xi", "ambient"), d, "ambient.xi")
-        hprime = _matrix(_need(amb, "hprime", "ambient"), d, d, "ambient.hprime")
+        phi, xi, hprime = (_array(_need(amb, key, "ambient"), f"ambient.{key}", *shape)
+                           for key, shape in (("phi", (d, d)), ("xi", (d,)), ("hprime", (d, d))))
         model = ContactPointModel(m=m, phi=phi, xi=xi, hprime=hprime,
                                   kappa=kappa, mu_contact=mu_contact, c=c)
 
-    subm = _need(data, "submanifold", "$")
-    if not isinstance(subm, dict):
-        raise ScenarioError("submanifold", "expected an object")
+    subm = _object(_need(data, "submanifold", "$"), "submanifold")
     tangent_raw = _need(subm, "tangent", "submanifold")
     if not isinstance(tangent_raw, list) or not tangent_raw:
         raise ScenarioError("submanifold.tangent", "expected a non-empty list of vectors")
     n = len(tangent_raw)
     tangent = np.stack([
-        _vector(v, d, f"submanifold.tangent[{i}]") for i, v in enumerate(tangent_raw)
+        _array(v, f"submanifold.tangent[{i}]", d) for i, v in enumerate(tangent_raw)
     ])
     if not 3 <= n < d:
         raise ScenarioError("submanifold.tangent", f"need 3 <= n < {d}, got n = {n}")
@@ -190,7 +159,7 @@ def parse_scenario(data: dict) -> ParsedScenario:
     if not isinstance(hhat_raw, list) or len(hhat_raw) != p:
         raise ScenarioError("submanifold.hhat", f"expected {p} matrices (one per normal direction)")
     hhat = np.stack([
-        _matrix(h, n, n, f"submanifold.hhat[{r}]") for r, h in enumerate(hhat_raw)
+        _array(h, f"submanifold.hhat[{r}]", n, n) for r, h in enumerate(hhat_raw)
     ])
 
     try:
@@ -199,37 +168,34 @@ def parse_scenario(data: dict) -> ParsedScenario:
         raise ScenarioError("submanifold", str(exc)) from None
 
     checks = Checks()
-    if "checks" in data:
-        ch = data["checks"]
-        if not isinstance(ch, dict):
-            raise ScenarioError("checks", "expected an object")
-        if "theorems" in ch:
-            ids = ch["theorems"]
-            if not isinstance(ids, list) or not ids:
-                raise ScenarioError("checks.theorems", "expected a non-empty list of ids")
-            problem = theorem_ids_problem(ids)
-            if problem is not None:
-                raise ScenarioError("checks.theorems", problem)
-            checks.theorems = list(ids)
-        if "plane" in ch:
-            pl = ch["plane"]
-            if (not isinstance(pl, list)) or len(pl) != 2:
-                raise ScenarioError("checks.plane", "expected a pair of frame indices")
-            i, j = (_integer(v, f"checks.plane[{k}]") for k, v in enumerate(pl))
-            if not (0 <= i < n and 0 <= j < n and i != j):
-                raise ScenarioError("checks.plane", f"indices must be distinct and < {n}")
-            checks.plane = (i, j)
-        if "X" in ch:
-            checks.X = _vector(ch["X"], d, "checks.X")
-        if "k" in ch:
-            kk = _integer(ch["k"], "checks.k")
-            if not 2 <= kk <= n:
-                raise ScenarioError("checks.k", f"need 2 <= k <= {n}")
-            checks.k = kk
-        if "tol" in ch:
-            checks.tol = _number(ch["tol"], "checks.tol")
-            if checks.tol < 0.0:
-                raise ScenarioError("checks.tol", "must be >= 0")
+    ch = _object(data.get("checks", {}), "checks")
+    if "theorems" in ch:
+        ids = ch["theorems"]
+        if not isinstance(ids, list) or not ids:
+            raise ScenarioError("checks.theorems", "expected a non-empty list of ids")
+        problem = theorem_ids_problem(ids)
+        if problem is not None:
+            raise ScenarioError("checks.theorems", problem)
+        checks.theorems = list(ids)
+    if "plane" in ch:
+        pl = ch["plane"]
+        if (not isinstance(pl, list)) or len(pl) != 2:
+            raise ScenarioError("checks.plane", "expected a pair of frame indices")
+        i, j = (_integer(v, f"checks.plane[{k}]") for k, v in enumerate(pl))
+        if not (0 <= i < n and 0 <= j < n and i != j):
+            raise ScenarioError("checks.plane", f"indices must be distinct and < {n}")
+        checks.plane = (i, j)
+    if "X" in ch:
+        checks.X = _array(ch["X"], "checks.X", d)
+    if "k" in ch:
+        kk = _integer(ch["k"], "checks.k")
+        if not 2 <= kk <= n:
+            raise ScenarioError("checks.k", f"need 2 <= k <= {n}")
+        checks.k = kk
+    if "tol" in ch:
+        checks.tol = _number(ch["tol"], "checks.tol")
+        if checks.tol < 0.0:
+            raise ScenarioError("checks.tol", "must be >= 0")
 
     return ParsedScenario(sub=sub, checks=checks)
 
@@ -242,11 +208,7 @@ def scenario_from_parts(
     checks: dict | None = None,
 ) -> dict:
     """Scenario dict with fully explicit matrices (self-contained on disk)."""
-    con: dict = {"kind": spec.kind, "P": spec.P.tolist(), "D": spec.D.tolist()}
-    if spec.kind == 1:
-        con["lambda1"], con["lambda2"] = spec.lambda1, spec.lambda2
-    else:
-        con["a"], con["b"] = spec.a, spec.b
+    con = {"kind": spec.kind, "P": spec.P.tolist(), "D": spec.D.tolist(), **spec.parameters}
     data = {
         "ambient": {
             "m": model.m,

@@ -35,7 +35,7 @@ import numpy as np
 from .connections import ConnectionSpec, difference_tensor
 from .contact import ContactPointModel
 from .errors import DimensionMismatch, NonSymmetricH
-from .frames import Plane, as_vector, complete_frame, orthonormalize
+from .frames import Plane, as_array, complete_frame, orthonormalize
 from .spheresearch import (
     complements,
     extremize_on_sphere,
@@ -125,7 +125,7 @@ class SubmanifoldPoint:
 
     def tangent_coords(self, X) -> np.ndarray:
         """Coordinates of a tangent vector in the tangent frame (checked)."""
-        X = as_vector(X, "tangent vector", self.dim)
+        X = as_array(X, "tangent vector", (self.dim,))
         x = self.tangent @ X
         r = X - x @ self.tangent
         residual = np.sqrt(r @ r)
@@ -207,11 +207,7 @@ def attach(
     N = complete_frame(E)
     p = d - n
 
-    hhat = np.array(hhat, dtype=float)
-    if hhat.shape != (p, n, n):
-        raise DimensionMismatch(f"hhat must have shape {(p, n, n)}, got {hhat.shape}")
-    if not np.isfinite(hhat).all():
-        raise ValueError("hhat: entries must be finite")
+    hhat = as_array(hhat, "hhat", (p, n, n))
     asym = np.abs(hhat - np.transpose(hhat, (0, 2, 1))).max()
     if asym > 1e-12:
         raise NonSymmetricH(f"hhat slices must be symmetric (max asymmetry {asym:.3e})")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ckv.connections import (
+    ConnectionSpec,
     ambient_curvature,
     correction_tensors,
     first_connection,
@@ -16,6 +17,20 @@ def test_spec_validation():
         first_connection(None, 1.0, P, D)
     spec = second_connection(1.0, 2.0, P, D)
     assert spec.lambda1 is None and spec.lambda2 is None
+
+
+@pytest.mark.parametrize("kind,params,message", [
+    (3, {"a": 1.0, "b": 2.0}, "connection kind must be 1 or 2, got 3"),
+    ([1], {"lambda1": 1.0, "lambda2": 2.0}, r"connection kind must be 1 or 2, got \[1\]"),
+    (1, {"lambda1": 1.0}, "kind-1 connection needs lambda1 and lambda2"),
+    (2, {"b": 2.0}, "kind-2 connection needs a and b"),
+    (1, {"lambda1": 1.0, "lambda2": 2.0, "b": 0.0}, r"kind-1 connection must not carry \(a, b\)"),
+    (2, {"a": 1.0, "b": 2.0, "lambda1": 0.0},
+     r"kind-2 connection must not carry \(lambda1, lambda2\)"),
+], ids=["kind-3", "kind-list", "missing-1", "missing-2", "foreign-1", "foreign-2"])
+def test_spec_validation_reads_the_parameter_table(kind, params, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ConnectionSpec(kind, np.zeros(5), np.zeros((5, 5)), **params)
 
 
 def test_corrections_zero_data():

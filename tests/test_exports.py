@@ -7,7 +7,8 @@ default is relied on by a call outside the tests; only
 a string literal with one call site, and README lists every key; only
 ``spheresearch.triu_pairs`` calls ``np.triu_indices``; no ``einsum`` takes
 more than two array operands; ``submanifold`` names no connection kind,
-no kind parameter and no printed correction tensor."""
+no kind parameter and no printed correction tensor; only ``connections``
+spells out the kind-1 parameter names as string literals."""
 
 import ast
 import importlib
@@ -96,7 +97,7 @@ def test_module_all_has_callers_outside_tests(name):
 
 # Function parameters with a default in src/ckv.  Raise this only for an
 # option with a second caller, named in CHANGES.md.
-OPTION_LIMIT = 11
+OPTION_LIMIT = 10
 # distinct ``SubmanifoldPoint.memo`` keys in src/ckv; may only fall
 MEMO_LIMIT = 10
 
@@ -293,3 +294,22 @@ def test_submanifold_reads_no_connection_kind():
     # would be a second definition of the connection
     text = (Path(ckv.__file__).parent / "submanifold.py").read_text(encoding="utf-8")
     assert re.findall(r"kind|lambda[12]|correction_tensors", text, flags=re.IGNORECASE) == []
+
+
+def _string_literals(path):
+    """The string constants of a file, docstrings left out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    return {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and id(node) not in docstrings}
+
+
+def test_kind_parameter_names_live_in_the_connection_table():
+    # ``connections.PARAMETERS`` is the one list of each kind's parameter
+    # names; a literal "lambda1" elsewhere would be a second, kind-branched copy
+    holders = [path.name for path in sorted(Path(ckv.__file__).parent.glob("*.py"))
+               if _string_literals(path) & {"lambda1", "lambda2"}]
+    assert holders == ["connections.py"]

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from ckv.errors import RankDeficient
-from ckv.frames import Plane, complete_frame, orthonormalize
+from ckv.connections import ambient_curvature, first_connection
+from ckv.contact import ContactPointModel, curvature_lc, standard_point
+from ckv.errors import DimensionMismatch, RankDeficient
+from ckv.frames import Plane, as_array, complete_frame, orthonormalize
+from ckv.submanifold import attach
+from ckv.verifier import verify
 
 
 def test_orthonormalize_already_orthogonal():
@@ -106,3 +110,65 @@ def test_frames_are_orthonormal_to_rounding():
         assert np.abs(frame @ frame.T - np.eye(k)).max() <= 1e-15
         full = np.vstack([frame, complete_frame(frame)])
         assert np.abs(full @ full.T - np.eye(d)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("value,shape", [
+    ([1, 2, 3], (3,)), ([[1, 2], [3, 4]], (2, 2)), ([[1, 2]], (None, 2)), ([[1, 2]], (1, None)),
+    (np.zeros((2, 3, 3)), (2, 3, 3)),
+])
+def test_as_array_copies_arrays_of_the_shape(value, shape):
+    arr = as_array(value, "v", shape)
+    assert arr.dtype == float and np.array_equal(arr, value)
+    assert not np.shares_memory(arr, np.asarray(value))
+
+
+@pytest.mark.parametrize("value,shape,error,message", [
+    ([1, 2], (3,), DimensionMismatch, r"v: expected shape \(3,\), got \(2,\)"),
+    ([[1, 2]], (2,), DimensionMismatch, r"v: expected shape \(2,\), got \(1, 2\)"),
+    ([[1, 2]], (None, 3), DimensionMismatch, r"v: expected shape \(any, 3\), got \(1, 2\)"),
+    ([1, [2]], (2,), ValueError, "v: expected an array of numbers"),
+    (["x", 2], (2,), ValueError, "v: expected an array of numbers"),
+    ([{}, 2], (2,), ValueError, "v: expected an array of numbers"),
+    ([10 ** 400, 2], (2,), ValueError, "v: entries must be finite"),
+    ([np.nan, 2], (2,), ValueError, "v: entries must be finite"),
+    ([None, 2], (2,), ValueError, "v: entries must be finite"),
+])
+def test_as_array_names_each_fault(value, shape, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        as_array(value, "v", shape)
+
+
+def _huge(n):
+    """A length-n list whose first entry is an integer beyond the float range."""
+    return [10 ** 400] + [0] * (n - 1)
+
+
+E5 = np.eye(5)
+_MODEL = standard_point(2)
+_SPEC = first_connection(0.0, 0.0, np.zeros(5), np.zeros((5, 5)))
+_SUB = attach(_MODEL, _SPEC, E5[:3], np.zeros((2, 3, 3)))
+_PHI = _MODEL.phi
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: first_connection(0.0, 0.0, _huge(5), np.zeros((5, 5))), "P"),
+    (lambda: first_connection(0.0, 0.0, np.zeros(5), [_huge(5)] + E5[1:].tolist()), "D"),
+    (lambda: ContactPointModel(m=2, phi=[_huge(5)] + _PHI[1:].tolist(), xi=E5[4],
+                               hprime=np.zeros((5, 5)), kappa=1.0, mu_contact=0.0, c=1.0),
+     "phi"),
+    (lambda: ContactPointModel(m=2, phi=_PHI, xi=_huge(5), hprime=np.zeros((5, 5)),
+                               kappa=1.0, mu_contact=0.0, c=1.0), "xi"),
+    (lambda: Plane(_huge(3), [0.0, 1.0, 0.0]), "plane.e1"),
+    (lambda: attach(_MODEL, _SPEC, [_huge(5), E5[1], E5[2]], np.zeros((2, 3, 3))),
+     "orthonormalize"),
+    (lambda: attach(_MODEL, _SPEC, E5[:3], [[_huge(3)] * 3, np.zeros((3, 3))]), "hhat"),
+    (lambda: verify(_SUB, "3.3", X=_huge(5)), "tangent vector"),
+    (lambda: curvature_lc(_MODEL, _huge(5), E5[1], E5[1], E5[0]), "X"),
+    (lambda: ambient_curvature(_MODEL, _SPEC, E5[0], E5[1], E5[1], _huge(5)), "W"),
+], ids=["P", "D", "phi", "xi", "plane", "tangent", "hhat", "verify-X", "curvature_lc",
+        "ambient_curvature"])
+def test_integers_beyond_the_float_range_raise_value_error(call, name):
+    # float() of such an integer raises OverflowError, which used to escape
+    # the constructors and the curvature evaluators
+    with pytest.raises(ValueError, match=f"^{name}: entries must be finite$"):
+        call()

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import re
 import sys
 import warnings
 
@@ -15,7 +16,7 @@ import ckv.submanifold
 import ckv.verifier
 from ckv.cli import main
 from ckv.contact import StructureCheck, ValidationReport, standard_point, validate_structure
-from ckv.connections import first_connection
+from ckv.connections import PARAMETERS, ConnectionSpec, first_connection
 from ckv.errors import ScenarioError
 from ckv.fuzz import FuzzConfig, _zeroing_candidates, random_scenario, run_fuzz
 from ckv.scenario import (
@@ -49,6 +50,23 @@ def test_parse_roundtrip_identical():
     assert first.sub.spec.lambda1 == second.sub.spec.lambda1
     assert first.checks.plane == second.checks.plane
     assert json.dumps(data, sort_keys=True) == json.dumps(data2, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMETERS))
+def test_connection_parameters_survive_a_scenario_roundtrip(kind):
+    values = dict(zip(PARAMETERS[kind], (0.75, -1.5)))
+    spec = ConnectionSpec(kind, E5[4], np.eye(5), **values)
+    data = scenario_from_parts(standard_point(2), spec, E5[:3], np.zeros((2, 3, 3)))
+    assert {key: data["connection"][key] for key in PARAMETERS[kind]} == values
+    assert parse_scenario(data).sub.spec.parameters == spec.parameters == values
+
+
+@pytest.mark.parametrize("kind", [0, 3])
+def test_fuzz_rejects_a_kind_outside_the_parameter_table(kind):
+    # any kind other than 1 used to run a kind-2 campaign under a report
+    # that named the requested kind
+    with pytest.raises(ValueError, match=f"connection kind must be 1 or 2, got {kind}"):
+        run_fuzz(FuzzConfig(count=1, seed=13, kind=kind))
 
 
 def test_parse_generator_ambient():
@@ -136,21 +154,47 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["ambient.c", "connection.P", "submanifold.hhat[0]"])
-def test_integers_beyond_the_float_range_are_rejected(tmp_path, capsys, field):
-    # a JSON integer float() cannot hold used to escape as an OverflowError
-    data = _equality_scenario()
+def _spoil(arr, fault):
+    """Put one fault into a scenario array field, in place."""
+    first = arr
+    while isinstance(first[0], list):
+        first = first[0]   # the innermost list holding the first number
+    if fault == "huge":
+        first[0] = -10 ** 400
+    elif fault == "string":
+        first[0] = "x"
+    elif fault == "ragged":
+        arr[0] = arr[0][:-1] if isinstance(arr[0], list) else [arr[0], 0.0]
+    else:   # "length"
+        arr.append(copy.deepcopy(arr[0]))
+
+
+_ARRAY_FIELDS = ["connection.P", "connection.D", "ambient.phi", "ambient.xi", "ambient.hprime",
+                 "submanifold.tangent[0]", "submanifold.hhat[0]", "checks.X"]
+_BAD_FIELDS = [("ambient.c", "huge")] + [(field, fault) for field in _ARRAY_FIELDS
+                                         for fault in ("huge", "ragged", "string", "length")]
+
+
+@pytest.mark.parametrize("field,fault", _BAD_FIELDS, ids=[
+    field if fault == "huge" else f"{field}-{fault}" for field, fault in _BAD_FIELDS])
+def test_integers_beyond_the_float_range_are_rejected(tmp_path, capsys, field, fault):
+    # a JSON integer float() cannot hold used to escape as an OverflowError;
+    # every array field also rejects a ragged or string entry and a wrong
+    # length, each at that field's path
+    data = _equality_scenario({"X": E5[0].tolist()})
+    *parents, key = [int(k) if k.isdigit() else k for k in re.split(r"[.\[\]]+", field) if k]
+    node = data
+    for parent in parents:
+        node = node[parent]
     if field == "ambient.c":
-        data["ambient"]["c"] = 10 ** 400
-    elif field == "connection.P":
-        data["connection"]["P"][0] = 10 ** 400
+        node[key] = 10 ** 400
     else:
-        data["submanifold"]["hhat"][0][0][0] = -10 ** 400
+        _spoil(node[key], fault)
     with pytest.raises(ScenarioError) as err:
         parse_scenario(data)
     assert err.value.path == field
     assert main(["validate", _write(tmp_path, data)]) == 2
-    assert field in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 def test_empty_checks_theorems_is_rejected(tmp_path, capsys):
