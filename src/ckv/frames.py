@@ -2,7 +2,8 @@
 
 Everything in this package stores tensors as component arrays in a fixed
 orthonormal frame, so the metric is the identity and inner products are plain
-dot products.  This module provides the frame-level primitives: Gram-Schmidt
+dot products.  This module provides the one array validator every input goes
+through (``as_array``) and the frame-level primitives: Gram-Schmidt
 orthonormalization with a rank guard, completion of a frame to a full basis,
 and ordered orthonormal 2-plane bases.  The completion projects every
 standard basis vector off the frame F in one product, (I - F^T F), and
