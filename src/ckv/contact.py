@@ -17,6 +17,7 @@ enforced, since none of the verified inequalities depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -47,6 +48,8 @@ class ContactPointModel:
     c: float
 
     def __post_init__(self):
+        if isinstance(self.m, bool) or not isinstance(self.m, Integral):
+            raise DimensionMismatch(f"m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise DimensionMismatch(f"m must be >= 1, got {self.m}")
         d = 2 * self.m + 1
@@ -103,9 +106,9 @@ def validate_structure(model: ContactPointModel, tol: float = 1e-10) -> Validati
     return ValidationReport(checks)
 
 
-def standard_point(m: int, c: float = 1.0) -> ContactPointModel:
-    """Canonical structure: xi is the last basis vector, phi the block rotation
-    e_i -> e_{m+i}, e_{m+i} -> -e_i, h' = 0, kappa = 1, mu = 0."""
+def _standard_phi_xi(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical phi and xi in dimension 2m + 1: xi is the last basis
+    vector, phi the block rotation e_i -> e_{m+i}, e_{m+i} -> -e_i."""
     d = 2 * m + 1
     phi = np.zeros((d, d))
     for i in range(m):
@@ -113,6 +116,14 @@ def standard_point(m: int, c: float = 1.0) -> ContactPointModel:
         phi[i, m + i] = -1.0
     xi = np.zeros(d)
     xi[-1] = 1.0
+    return phi, xi
+
+
+def standard_point(m: int, c: float = 1.0) -> ContactPointModel:
+    """Canonical structure: the phi and xi of ``_standard_phi_xi``, h' = 0,
+    kappa = 1, mu = 0."""
+    d = 2 * m + 1
+    phi, xi = _standard_phi_xi(m)
     return ContactPointModel(
         m=m, phi=phi, xi=xi, hprime=np.zeros((d, d)),
         kappa=1.0, mu_contact=0.0, c=c,
@@ -156,14 +167,13 @@ def random_point(
         raise ValueError("strict_kmu requires kappa <= 1")
     d = 2 * m + 1
     rng = np.random.default_rng(seed)
-    base = standard_point(m, c)
+    phi, xi = _standard_phi_xi(m)
 
     # Orthogonal map on the 2m-dimensional complement of xi; determinant free.
     block = np.linalg.qr(rng.standard_normal((2 * m, 2 * m)))[0]
     Q = np.eye(d)
     Q[: 2 * m, : 2 * m] = block
-    phi = Q @ base.phi @ Q.T
-    xi = base.xi.copy()
+    phi = Q @ phi @ Q.T
 
     T = rng.standard_normal((d, d))
     T = (T + T.T) / 2.0

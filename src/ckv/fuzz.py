@@ -5,9 +5,15 @@ Each instance draws the curvature parameters and connection parameters from
 n from {3, 4} and m from {2, 3}, attaches a random tangent frame, and runs
 every applicable inequality plus the expansion cross-checks.  Campaigns are
 deterministic: instance i of a campaign is derived from the seed pair
-(seed, i), scenarios are serialized with explicit matrices, and reports carry
-the seed and the sampling-layout version.  Timing never enters a report, so
-identical flags and seed produce byte-identical output.
+(seed, i), and reports carry the seed and the sampling-layout version.
+Timing never enters a report, so identical flags and seed produce
+byte-identical output.
+
+An instance is attached from the arrays it was generated with
+(``_random_parts``), frame included, with no scenario dict in between.  Its
+scenario (``random_scenario``, explicit matrices) is serialized only for a
+finding, and parses back to bit-identical arrays, so ``ckv verify`` replays
+the instance the campaign checked.
 
 A finding (an inequality violated beyond tolerance, a cross-check residual
 above 1e-9, the Casorati certificate's two included, or a negative Q, the
@@ -33,7 +39,7 @@ from .contact import random_point, validate_structure
 from .frames import Plane, orthonormalize
 from .scenario import parse_scenario, scenario_from_parts
 from .spheresearch import LAYOUT_VERSION
-from .submanifold import SubmanifoldPoint
+from .submanifold import SubmanifoldPoint, _attach_frame
 from .verifier import (
     CROSS_TOL,
     DEFAULT_TOL,
@@ -100,8 +106,11 @@ def _scaled_norm(rng, shape, cap: float) -> np.ndarray:
     return arr * (rng.uniform(0.0, cap) / norm)
 
 
-def random_scenario(index: int, cfg: FuzzConfig) -> dict:
-    """Deterministic scenario dict for instance ``index`` of a campaign."""
+def _random_parts(index: int, cfg: FuzzConfig):
+    """The arrays of instance ``index`` of a campaign, drawn from the seed
+    pair (seed, index): (model, spec, raw tangent, hhat, X, frame), where
+    frame is the ``orthonormalize`` of the raw tangent and X a unit vector
+    in its span."""
     rng = np.random.default_rng([cfg.seed, index])
     m = cfg.m if cfg.m is not None else int(rng.choice([2, 3]))
     n = cfg.n if cfg.n is not None else int(rng.choice([3, 4]))
@@ -138,19 +147,23 @@ def random_scenario(index: int, cfg: FuzzConfig) -> dict:
 
     spec = ConnectionSpec(cfg.kind, P, D, **{
         name: float(rng.uniform(-3.0, 3.0)) for name in PARAMETERS[cfg.kind]})
-
-    data = scenario_from_parts(model, spec, tangent, hhat)
-    data["checks"] = {"tol": cfg.tol, "X": (x_rand @ frame).tolist()}
-    return data
+    return model, spec, tangent, hhat, x_rand @ frame, frame
 
 
-def _checks_for(sub: SubmanifoldPoint, raw: dict, kind: int) -> list[dict]:
+def random_scenario(index: int, cfg: FuzzConfig) -> dict:
+    """Deterministic scenario dict for instance ``index`` of a campaign: the
+    arrays of ``_random_parts`` as explicit matrices, X and tol as checks."""
+    model, spec, tangent, hhat, X, _ = _random_parts(index, cfg)
+    return scenario_from_parts(model, spec, tangent, hhat, {"tol": cfg.tol, "X": X.tolist()})
+
+
+def _checks_for(sub: SubmanifoldPoint, X: np.ndarray, kind: int) -> list[dict]:
     """The concrete check list run on each instance."""
     n = sub.n
     checks: list[dict] = []
     fam = applicable_theorems(kind)
     planes = [(0, 1), (1, 2)]
-    xs = [sub.tangent[0].tolist(), raw["checks"]["X"]]
+    xs = [sub.tangent[0].tolist(), X.tolist()]
     for tid in fam:
         if tid in TAKES_PLANE:
             for pair in planes:
@@ -237,15 +250,32 @@ def _fold(pick, current: float | None, value: float) -> float:
     return value if current is None or np.isnan(value) else pick(current, value)
 
 
-def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
-    """Run a deterministic campaign; see the module docstring."""
+def _check_config(cfg: FuzzConfig):
+    """A ValueError naming the first field of ``cfg`` that no campaign runs
+    with: an unknown kind, a tol that is not a finite number >= 0, an m below
+    2 or an n outside 3 <= n <= 2m (every drawn m included)."""
     if cfg.kind not in PARAMETERS:
         raise ValueError(f"connection kind must be 1 or 2, got {cfg.kind}")
+    tol = cfg.tol
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    for name, value in (("m", cfg.m), ("n", cfg.n)):
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{name} must be None or an integer, got {value!r}")
+    if cfg.m is not None and cfg.m < 2:
+        raise ValueError(f"m must be >= 2, got {cfg.m}")
+    m_low = 2 if cfg.m is None else cfg.m
+    if cfg.n is not None and not 3 <= cfg.n <= 2 * m_low:
+        raise ValueError(f"n must satisfy 3 <= n <= 2m = {2 * m_low}, got {cfg.n}")
+
+
+def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
+    """Run a deterministic campaign; see the module docstring."""
+    _check_config(cfg)
     report = FuzzReport(config=cfg)
     for index in range(cfg.count):
-        data = random_scenario(index, cfg)
-        parsed = parse_scenario(data)
-        sub = parsed.sub
+        model, spec, _, hhat, X, frame = _random_parts(index, cfg)
+        sub = _attach_frame(model, spec, frame, hhat)
         report.instances += 1
 
         vrep = validate_structure(sub.model)
@@ -253,17 +283,18 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
             report.findings.append({
                 "instance": index,
                 "check": {"validation": [c.name for c in vrep.checks if not c.passed]},
-                "scenario": data,
+                "scenario": random_scenario(index, cfg),
             })
             continue
 
-        for check in _checks_for(sub, data, cfg.kind):
+        for check in _checks_for(sub, X, cfg.kind):
             verdict = _run_check(sub, check, cfg.tol)
             report.checks_run += 1
             tid = check["theorem"]
             report.min_slack[tid] = _fold(min, report.min_slack.get(tid), verdict.slack)
             if not verdict.holds:
-                minimized = minimize_finding(data, check, cfg.kind, cfg.tol)
+                minimized = minimize_finding(random_scenario(index, cfg), check, cfg.kind,
+                                             cfg.tol)
                 report.findings.append({"instance": index, "check": check,
                                         "slack": verdict.slack, "scenario": minimized})
 
@@ -275,7 +306,8 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
         if not cc.ok():
             check = {"cross_check": {k: v for k, v in cc.residuals.items() if v > CROSS_TOL},
                      "q_min": cc.q_min}
-            minimized = minimize_finding(data, {"cross_check": True}, cfg.kind, cfg.tol)
+            minimized = minimize_finding(random_scenario(index, cfg), {"cross_check": True},
+                                         cfg.kind, cfg.tol)
             report.findings.append({
                 "instance": index,
                 "check": check,

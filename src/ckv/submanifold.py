@@ -199,6 +199,15 @@ def attach(
     if spec.dim != d:
         raise DimensionMismatch(f"connection dimension {spec.dim} != ambient {d}")
     E = orthonormalize(tangent_basis)  # may raise RankDeficient
+    return _attach_frame(model, spec, E, hhat)
+
+
+def _attach_frame(model: ContactPointModel, spec: ConnectionSpec, E: np.ndarray,
+                  hhat) -> SubmanifoldPoint:
+    """``attach`` after its ``orthonormalize``: E, the orthonormal frame of
+    the tangent basis, becomes ``tangent`` and is frozen in place.  A fuzz
+    campaign passes the frame it generated its instance with."""
+    d = model.dim
     n = E.shape[0]
     if E.shape[1] != d:
         raise DimensionMismatch(f"tangent vectors have length {E.shape[1]}, ambient is {d}")

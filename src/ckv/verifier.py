@@ -13,15 +13,16 @@ Every proof puts the Gauss equation into a scalar, sectional or Ricci
 curvature, so every right-hand side is a trace of one closed form, the
 non-Gauss part of R(x, y, y, x) on orthonormal tangent pairs, plus the
 algebraic bound on h that the proof applies to the Gauss part.  That form is
-one list of products of forms (``_pair_terms``), the one owner of the
-paper's ambient and connection terms, read two ways: as a memoized (n^2,
-n^2) tensor that a plane, a direction or a cross-check row reads by one GEMM
-(``_pair_tensor``, ``_pair_nongauss``), and on the frame pairs alone for
-E = 2 tau_ng (``_tau_nongauss``).  ``cross_check`` compares the paper against
-geometry, that form against the tensor built from the connection's
-definition (``R_pair``, ``tau_formulas``, ``trace_identity``), and checks
-the Casorati certificate (``casorati_floor``, ``casorati_bracket``): a
-residual beyond rounding is a bug.  Beside them it reports Q, the certified
+one list of products of forms (``_pair_terms``, built once per point by
+``_pair_entry``), the one owner of the paper's ambient and connection terms,
+read two ways: as a memoized (n^2, n^2) tensor that a plane, a direction or
+a cross-check row reads by one GEMM (``_pair_tensor``, ``_pair_nongauss``),
+and on the frame pairs alone for E = 2 tau_ng (``_tau_nongauss``).
+``cross_check`` compares the paper against geometry, that form against the
+tensor built from the connection's definition (``R_pair``, ``tau_formulas``,
+``trace_identity``), and checks the Casorati certificate
+(``casorati_floor``, ``casorati_bracket``): a residual beyond rounding is a
+bug.  Beside them it reports Q, the certified
 3.5i/4.4i slack, and the Cauchy-Schwarz slack ||h||^2 - n ||H||^2.
 
 The Casorati verdicts (``casorati_verdict``) rest on the certified bounds of
@@ -199,7 +200,7 @@ def _pair_tensor(sub: SubmanifoldPoint) -> np.ndarray:
     paper's printed curvature, never ``riem``, which ``attach`` builds from
     the connection: ``cross_check`` checks the paper against geometry."""
     def make():
-        (P, Q), (R, S) = _pair_terms(sub)
+        (P, Q), (R, S) = _pair_entry(sub)[0]
         T = (_stack_products(P, Q).transpose(0, 2, 3, 1)
              + _stack_products(R, S).transpose(0, 1, 3, 2))
         return _frozen(T.reshape(sub.n ** 2, sub.n ** 2))
@@ -260,17 +261,25 @@ def _pair_gauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.ndarr
     return (xx * yy - xy ** 2).sum(axis=0)
 
 
-def _tau_nongauss(sub: SubmanifoldPoint) -> float:
-    """Scalar curvature minus its Gauss sum, memoized: half the pair form over
-    the ordered frame pairs (e_i, e_j), i != j, T[i, j, j, i] = sum_k P_k,ii
-    Q_k,jj + R_k,ij S_k,ij from ``_pair_terms`` (no tensor built).  E = 2 tau_ng
-    is the invariant aggregate with 2 tau - E = n^2 ||H||^2 - ||h||^2."""
+def _pair_entry(sub: SubmanifoldPoint):
+    """(terms, tau_ng), memoized: the term list of ``_pair_terms``, frozen,
+    built once per point for both of its readings, and the scalar curvature
+    minus its Gauss sum read off it.  tau_ng is half the pair form over the
+    ordered frame pairs (e_i, e_j), i != j, T[i, j, j, i] = sum_k P_k,ii
+    Q_k,jj + R_k,ij S_k,ij (no tensor built)."""
     def make():
-        (P, Q), (R, S) = _pair_terms(sub)
+        terms = tuple((_frozen(left), _frozen(right)) for left, right in _pair_terms(sub))
+        (P, Q), (R, S) = terms
         frame = (P.diagonal(axis1=1, axis2=2).T @ Q.diagonal(axis1=1, axis2=2)
                  + (R * S).sum(axis=0))
-        return 0.5 * float(frame.sum() - np.trace(frame))
-    return sub.memo("tau_nongauss", make)
+        return terms, 0.5 * float(frame.sum() - np.trace(frame))
+    return sub.memo("pair_terms", make)
+
+
+def _tau_nongauss(sub: SubmanifoldPoint) -> float:
+    """Scalar curvature minus its Gauss sum (``_pair_entry``).  E = 2 tau_ng
+    is the invariant aggregate with 2 tau - E = n^2 ||H||^2 - ||h||^2."""
+    return _pair_entry(sub)[1]
 
 
 # ---------------------------------------------------------------------------

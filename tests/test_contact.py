@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import ckv.contact
 from ckv.contact import (
     ContactPointModel,
     _curvature_lc_groups,
@@ -11,6 +12,7 @@ from ckv.contact import (
     standard_point,
     validate_structure,
 )
+from ckv.errors import DimensionMismatch
 from oracles import residual
 
 
@@ -66,6 +68,30 @@ def test_random_point_determinism():
     b = random_point(2, 0.5, 1.0, 2.0, seed=42, hprime_scale=0.7)
     assert np.array_equal(a.phi, b.phi)
     assert np.array_equal(a.hprime, b.hprime)
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, True, "2"])
+def test_model_rejects_a_non_integer_m(m):
+    # m = 2.5 used to build, with d = 6.0 matching the (6, 6) arrays, and
+    # validate_structure then escaped with a TypeError; True built an m = 1 model
+    base = standard_point(2)
+    with pytest.raises(DimensionMismatch, match="m must be an integer"):
+        ContactPointModel(m=m, phi=base.phi, xi=base.xi, hprime=base.hprime,
+                          kappa=1.0, mu_contact=0.0, c=1.0)
+
+
+def test_random_point_builds_no_standard_point(monkeypatch):
+    # the canonical phi and xi come from one small builder, not from a
+    # throwaway validated model
+    expected = random_point(3, 0.5, 1.0, 2.0, seed=42, hprime_scale=0.7)
+
+    def no_model(*args):
+        raise AssertionError("random_point built a standard_point")
+
+    monkeypatch.setattr(ckv.contact, "standard_point", no_model)
+    model = random_point(3, 0.5, 1.0, 2.0, seed=42, hprime_scale=0.7)
+    for name in ("phi", "xi", "hprime"):
+        assert getattr(model, name).tobytes() == getattr(expected, name).tobytes()
 
 
 def test_random_point_zero_scale():

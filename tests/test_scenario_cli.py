@@ -69,6 +69,43 @@ def test_fuzz_rejects_a_kind_outside_the_parameter_table(kind):
         run_fuzz(FuzzConfig(count=1, seed=13, kind=kind))
 
 
+def _no_generation(monkeypatch):
+    def no_parts(index, cfg):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(ckv.fuzz, "_random_parts", no_parts)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12, True, "1e-8", None])
+def test_fuzz_rejects_a_bad_tol_before_generating(monkeypatch, tol):
+    # the campaign no longer passes tol through parse_scenario's checks.tol
+    _no_generation(monkeypatch)
+    with pytest.raises(ValueError, match="^tol must be a finite number >= 0"):
+        run_fuzz(FuzzConfig(count=1, seed=13, kind=1, tol=tol))
+
+
+@pytest.mark.parametrize("m", [1, 0, -2, 2.5, True])
+def test_fuzz_rejects_a_bad_m_before_generating(monkeypatch, m):
+    # n >= 3 needs 2m + 1 > 3
+    _no_generation(monkeypatch)
+    with pytest.raises(ValueError, match="^m must be"):
+        run_fuzz(FuzzConfig(count=1, seed=13, kind=1, m=m))
+
+
+@pytest.mark.parametrize("n, m", [(2, None), (5, None), (7, 3), (5, 2), (3.0, 2), (True, 3)])
+def test_fuzz_rejects_a_bad_n_before_generating(monkeypatch, n, m):
+    # n must fit every m the campaign may draw: n <= 4 when m is drawn
+    _no_generation(monkeypatch)
+    with pytest.raises(ValueError, match="^n must"):
+        run_fuzz(FuzzConfig(count=1, seed=13, kind=1, n=n, m=m))
+
+
+@pytest.mark.parametrize("n, m", [(None, None), (4, None), (None, 3), (3, 2), (6, 3)])
+def test_fuzz_accepts_every_n_that_fits(n, m):
+    report = run_fuzz(FuzzConfig(count=2, seed=13, kind=2, n=n, m=m))
+    assert report.instances == 2 and report.findings == []
+
+
 def test_parse_generator_ambient():
     data = _equality_scenario()
     data["ambient"] = {
@@ -709,6 +746,54 @@ def test_fuzz_runs_no_casorati_search(monkeypatch, kind):
     _loose_casorati_bounds(monkeypatch)
     report = run_fuzz(FuzzConfig(count=4, kind=kind))
     assert len(report.findings) == 3 * 4
+
+
+REPLAY_ARRAYS = ("tangent", "normal", "h", "hhat", "riem")
+
+
+@pytest.mark.parametrize("n, m", [(None, None), (4, 3), (3, 2)])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_fuzz_instance_is_the_parse_of_its_scenario(monkeypatch, kind, n, m):
+    # the campaign attaches its generated arrays directly; the scenario it
+    # saves for a finding must parse back to the very point it checked
+    checked = []
+
+    def record(sub):
+        checked.append(sub)
+        return ckv.verifier.cross_check(sub)
+
+    monkeypatch.setattr(ckv.fuzz, "cross_check", record)
+    cfg = FuzzConfig(count=50, seed=20240817, kind=kind, n=n, m=m)
+    assert run_fuzz(cfg).findings == []
+    assert len(checked) == 50
+    for i, direct in enumerate(checked):
+        parsed = parse_scenario(random_scenario(i, cfg)).sub
+        for name in REPLAY_ARRAYS:
+            a, b = getattr(direct, name), getattr(parsed, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (i, name)
+
+
+@pytest.mark.parametrize("n, m", [(None, None), (4, 3)])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_fuzz_validation_finding_carries_its_scenario(monkeypatch, kind, n, m):
+    failed = ValidationReport((StructureCheck("planted", 1.0, False),))
+    monkeypatch.setattr(ckv.fuzz, "validate_structure", lambda model: failed)
+    cfg = FuzzConfig(count=50, seed=20240817, kind=kind, n=n, m=m)
+    findings = run_fuzz(cfg).findings
+    assert [f["instance"] for f in findings] == list(range(50))
+    for i, finding in enumerate(findings):
+        assert json.dumps(finding["scenario"]) == json.dumps(random_scenario(i, cfg))
+
+
+def test_clean_fuzz_campaign_serializes_no_scenario(monkeypatch):
+    # a scenario dict is built only for a finding
+    def no_scenario(*args):
+        raise AssertionError("a scenario was serialized")
+
+    monkeypatch.setattr(ckv.fuzz, "scenario_from_parts", no_scenario)
+    monkeypatch.setattr(ckv.fuzz, "parse_scenario", no_scenario)
+    for kind in (1, 2):
+        assert run_fuzz(FuzzConfig(count=20, seed=13, kind=kind)).findings == []
 
 
 def test_fuzz_summary_keeps_a_nan_cross_residual(monkeypatch):

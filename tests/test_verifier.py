@@ -753,6 +753,18 @@ def test_tau_nongauss_reads_the_frame_entries_of_the_pair_tensor(kind, n):
         assert abs(tau - _tau_from_pair_tensor(sub)) <= 1e-13 * (1.0 + abs(2.0 * tau))
 
 
+@pytest.mark.parametrize("kind", [1, 2])
+def test_a_plane_verdict_builds_the_term_list_once(monkeypatch, kind):
+    # 3.1/4.1 read the pair tensor and tau_ng, both off one memoized list
+    calls = []
+    terms = verifier._pair_terms
+    monkeypatch.setattr(verifier, "_pair_terms", lambda sub: calls.append(sub) or terms(sub))
+    sub = _memo_point(kind, 4, False)
+    verify(sub, "3.1" if kind == 1 else "4.1", plane=Plane(sub.tangent[0], sub.tangent[1]))
+    cross_check(sub)
+    assert len(calls) == 1 and {"pair_terms", "pair_tensor"} <= set(sub.cache)
+
+
 def test_one_wrong_term_moves_both_readings(monkeypatch):
     # the pair tensor and tau_ng read one term list: a wrong coefficient on
     # one term moves both

@@ -6,10 +6,12 @@ The ``ckv`` on ``PYTHONPATH`` is the one measured, so two source trees are
 compared by running this once with each and comparing the two files with
 ``cmp``.  Each line is a unit's ``fingerprint(traced(unit))`` from
 ``bench/workloads.py``: every unit of each workload's pool at seed 11, and
-of the theta_sweep pools at seeds 31 and 5 too.  The last two lines are
-``FuzzReport.to_json()`` of the two 1000-instance acceptance campaigns
-(seed 20240817, kinds 1 and 2).  Nothing under ``bench/`` is changed; the
-cli_verify scenario files are written to a temporary directory.
+of the theta_sweep pools at seeds 31 and 5 too.  Then come the generator's
+scenarios, ``random_scenario(i, FuzzConfig(seed=20240817, kind=kind))`` for
+i < 64 and both kinds, and last ``FuzzReport.to_json()`` of the two
+1000-instance acceptance campaigns (seed 20240817, kinds 1 and 2).  Nothing
+under ``bench/`` is changed; the cli_verify scenario files are written to a
+temporary directory.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import workloads  # noqa: E402
-from ckv.fuzz import FuzzConfig, run_fuzz  # noqa: E402
+from ckv.fuzz import FuzzConfig, random_scenario, run_fuzz  # noqa: E402
 
 POOLS = [(name, 11) for name in workloads.WORKLOADS] + [("theta_sweep", 31), ("theta_sweep", 5)]
+ACCEPTANCE_SEED = 20240817
+SCENARIOS = 64   # generated scenarios printed per kind
 
 
 def main() -> int:
@@ -44,7 +48,11 @@ def main() -> int:
         finally:
             os.chdir(home)
     for kind in (1, 2):
-        report = run_fuzz(FuzzConfig(count=1000, seed=20240817, kind=kind))
+        cfg = FuzzConfig(seed=ACCEPTANCE_SEED, kind=kind)
+        for i in range(SCENARIOS):
+            print("scenario", kind, i, json.dumps(random_scenario(i, cfg), sort_keys=True))
+    for kind in (1, 2):
+        report = run_fuzz(FuzzConfig(count=1000, seed=ACCEPTANCE_SEED, kind=kind))
         print("acceptance", kind, json.dumps(report.to_json()))
     return 0
 
