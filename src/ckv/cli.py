@@ -35,7 +35,7 @@ from .scenario import load_scenario, parse_scenario, save_scenario, scenario_fro
 from .verifier import (
     DEFAULT_TOL,
     EQUALITY_THEOREM,
-    TAKES_PLANE,
+    THEOREMS,
     applicable_theorems,
     equality_instance,
     theorem_ids_problem,
@@ -227,7 +227,7 @@ def cmd_case(args) -> int:
           f"(lhs = {verdict.lhs:.8g}, rhs = {verdict.rhs:.8g})")
     if args.out:
         checks = {"theorems": [tid], "tol": DEFAULT_TOL}
-        if tid in TAKES_PLANE:
+        if THEOREMS[tid][1] == "plane":
             checks["plane"] = [0, 1]
         data = scenario_from_parts(sub.model, sub.spec, sub.tangent, sub.hhat, checks)
         try:

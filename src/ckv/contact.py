@@ -48,11 +48,7 @@ class ContactPointModel:
     c: float
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, Integral):
-            raise DimensionMismatch(f"m must be an integer, got {self.m!r}")
-        if self.m < 1:
-            raise DimensionMismatch(f"m must be >= 1, got {self.m}")
-        d = 2 * self.m + 1
+        d = _dimension(self.m)
         for name, shape in (("phi", (d, d)), ("xi", (d,)), ("hprime", (d, d))):
             arr = as_array(getattr(self, name), name, shape)
             arr.setflags(write=False)
@@ -61,6 +57,13 @@ class ContactPointModel:
     @property
     def dim(self) -> int:
         return 2 * self.m + 1
+
+
+def _dimension(m) -> int:
+    """2m + 1 for an integer m >= 1; DimensionMismatch for any other m."""
+    if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
+        raise DimensionMismatch(f"m must be an integer >= 1, got {m!r}")
+    return 2 * m + 1
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ def validate_structure(model: ContactPointModel, tol: float = 1e-10) -> Validati
 def _standard_phi_xi(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The canonical phi and xi in dimension 2m + 1: xi is the last basis
     vector, phi the block rotation e_i -> e_{m+i}, e_{m+i} -> -e_i."""
-    d = 2 * m + 1
+    d = _dimension(m)
     phi = np.zeros((d, d))
     for i in range(m):
         phi[m + i, i] = 1.0
@@ -122,10 +125,9 @@ def _standard_phi_xi(m: int) -> tuple[np.ndarray, np.ndarray]:
 def standard_point(m: int, c: float = 1.0) -> ContactPointModel:
     """Canonical structure: the phi and xi of ``_standard_phi_xi``, h' = 0,
     kappa = 1, mu = 0."""
-    d = 2 * m + 1
     phi, xi = _standard_phi_xi(m)
     return ContactPointModel(
-        m=m, phi=phi, xi=xi, hprime=np.zeros((d, d)),
+        m=m, phi=phi, xi=xi, hprime=np.zeros_like(phi),
         kappa=1.0, mu_contact=0.0, c=c,
     )
 
@@ -165,9 +167,9 @@ def random_point(
     """
     if strict_kmu and kappa > 1.0:
         raise ValueError("strict_kmu requires kappa <= 1")
+    phi, xi = _standard_phi_xi(m)
     d = 2 * m + 1
     rng = np.random.default_rng(seed)
-    phi, xi = _standard_phi_xi(m)
 
     # Orthogonal map on the 2m-dimensional complement of xi; determinant free.
     block = np.linalg.qr(rng.standard_normal((2 * m, 2 * m)))[0]

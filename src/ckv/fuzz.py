@@ -43,9 +43,7 @@ from .submanifold import SubmanifoldPoint, _attach_frame
 from .verifier import (
     CROSS_TOL,
     DEFAULT_TOL,
-    TAKES_K,
-    TAKES_PLANE,
-    TAKES_X,
+    THEOREMS,
     applicable_theorems,
     casorati_verdict,
     cross_check,
@@ -158,40 +156,30 @@ def random_scenario(index: int, cfg: FuzzConfig) -> dict:
 
 
 def _checks_for(sub: SubmanifoldPoint, X: np.ndarray, kind: int) -> list[dict]:
-    """The concrete check list run on each instance."""
-    n = sub.n
+    """The check list run on each instance: one per value of a theorem's argument."""
+    values = {"plane": ([0, 1], [1, 2]), "X": (sub.tangent[0].tolist(), X.tolist()),
+              "k": (sub.n,)}
     checks: list[dict] = []
-    fam = applicable_theorems(kind)
-    planes = [(0, 1), (1, 2)]
-    xs = [sub.tangent[0].tolist(), X.tolist()]
-    for tid in fam:
-        if tid in TAKES_PLANE:
-            for pair in planes:
-                checks.append({"theorem": tid, "plane": list(pair)})
-        elif tid in TAKES_X:
-            for x in xs:
-                checks.append({"theorem": tid, "X": list(x)})
-        elif tid in TAKES_K:
-            checks.append({"theorem": tid, "k": n})
-        else:
+    for tid in applicable_theorems(kind):
+        takes = THEOREMS[tid][1]
+        if takes is None:
             checks.append({"theorem": tid})
+        else:
+            checks += [{"theorem": tid, takes: value} for value in values[takes]]
     return checks
 
 
 def _run_check(sub: SubmanifoldPoint, check: dict, tol: float):
-    """``verify`` of one check; the Casorati bounds take ``casorati_verdict``,
-    which runs no search."""
+    """``verify`` of one check, its plane given as frame rows; the Casorati
+    bounds take ``casorati_verdict``, which runs no search."""
     tid = check["theorem"]
-    if tid not in TAKES_PLANE | TAKES_X | TAKES_K:
+    takes = THEOREMS[tid][1]
+    if takes is None:
         return casorati_verdict(sub, tid, tol)
-    plane = None
-    if check.get("plane") is not None:
-        i, j = check["plane"]
-        plane = Plane(sub.tangent[i], sub.tangent[j])
-    X = None
-    if check.get("X") is not None:
-        X = np.asarray(check["X"], float)  # ambient vector inside the tangent span
-    return verify(sub, tid, plane=plane, X=X, k=check.get("k"), tol=tol)
+    value = check[takes]
+    if takes == "plane":
+        value = Plane(sub.tangent[value[0]], sub.tangent[value[1]])
+    return verify(sub, tid, tol=tol, **{takes: value})
 
 
 def _zeroing_candidates(kind: int) -> list[tuple[str, ...]]:
@@ -252,8 +240,11 @@ def _fold(pick, current: float | None, value: float) -> float:
 
 def _check_config(cfg: FuzzConfig):
     """A ValueError naming the first field of ``cfg`` that no campaign runs
-    with: an unknown kind, a tol that is not a finite number >= 0, an m below
-    2 or an n outside 3 <= n <= 2m (every drawn m included)."""
+    with: a count or seed not an integer >= 0, an unknown kind, a tol not a
+    finite number >= 0, an m below 2 or an n outside 3 <= n <= 2m (any drawn m)."""
+    for name, value in (("count", cfg.count), ("seed", cfg.seed)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
     if cfg.kind not in PARAMETERS:
         raise ValueError(f"connection kind must be 1 or 2, got {cfg.kind}")
     tol = cfg.tol

@@ -7,7 +7,7 @@ connection, 4.x the second):
   3.3 / 4.2   Ricci of a unit direction bounded with the n^2/4 mean term
   3.4 / 4.3   mean-curvature lower bound through the k-Ricci invariant
   3.5i / 4.4i, 3.5ii / 4.4ii   2 tau <= delta_C(r; n-1) + E (``delta_casorati``)
-              at r = n(n-1)/2 resp. 2n(n-1) (``_CASORATI_R``)
+              at r = n(n-1)/2 resp. 2n(n-1) (each id's row of ``THEOREMS``)
 
 Every proof puts the Gauss equation into a scalar, sectional or Ricci
 curvature, so every right-hand side is a trace of one closed form, the
@@ -67,11 +67,8 @@ from .submanifold import (
 )
 
 __all__ = [
+    "THEOREMS",
     "THEOREMS_FIRST",
-    "THEOREMS_SECOND",
-    "TAKES_PLANE",
-    "TAKES_X",
-    "TAKES_K",
     "DEFAULT_TOL",
     "CROSS_TOL",
     "EQUALITY_THEOREM",
@@ -85,14 +82,19 @@ __all__ = [
     "equality_instance",
 ]
 
-THEOREMS_FIRST = ("3.1", "3.3", "3.4", "3.5i", "3.5ii")
-THEOREMS_SECOND = ("4.1", "4.2", "4.3", "4.4i", "4.4ii")
-# the theorems that take a plane, a direction X, or k; the rest take none
-TAKES_PLANE = frozenset({"3.1", "4.1"})
-TAKES_X = frozenset({"3.3", "4.2"})
-TAKES_K = frozenset({"3.4", "4.3"})
-# r / (n (n - 1)) of each Casorati bound 2 tau <= delta_C(r; n - 1) + E
-_CASORATI_R = {"3.5i": 0.5, "4.4i": 0.5, "3.5ii": 2.0, "4.4ii": 2.0}
+# id: (connection kind, the ``verify`` argument it takes, r / (n (n - 1)) if a Casorati bound)
+THEOREMS = {
+    "3.1": (KIND_FIRST, "plane", None),
+    "3.3": (KIND_FIRST, "X", None),
+    "3.4": (KIND_FIRST, "k", None),
+    "3.5i": (KIND_FIRST, None, 0.5),
+    "3.5ii": (KIND_FIRST, None, 2.0),
+    "4.1": (KIND_SECOND, "plane", None),
+    "4.2": (KIND_SECOND, "X", None),
+    "4.3": (KIND_SECOND, "k", None),
+    "4.4i": (KIND_SECOND, None, 0.5),
+    "4.4ii": (KIND_SECOND, None, 2.0),
+}
 DEFAULT_TOL = 1e-8   # relative verdict tolerance, scaled by 1 + |lhs| + |rhs|
 CROSS_TOL = 1e-9     # largest accepted cross-check residual
 _Q_TOL = 1e-8        # how far below zero q_min and Cauchy-Schwarz may dip
@@ -100,29 +102,32 @@ _SHAPE_TOL = 1e-8    # equality-pattern diagnostics
 
 
 def applicable_theorems(kind: int) -> tuple[str, ...]:
-    return THEOREMS_FIRST if kind == KIND_FIRST else THEOREMS_SECOND
+    return tuple(tid for tid, row in THEOREMS.items() if row[0] == kind)
+
+
+THEOREMS_FIRST = applicable_theorems(KIND_FIRST)
 
 
 def theorem_ids_problem(ids) -> str | None:
     """Why a list of theorem ids is unusable (an unknown or repeated id), or None."""
     for pos, tid in enumerate(ids):
-        if tid not in THEOREMS_FIRST + THEOREMS_SECOND:
+        if not (isinstance(tid, str) and tid in THEOREMS):
             return f"unknown theorem id {tid!r}"
         if tid in ids[:pos]:
             return f"theorem {tid!r} is named twice"
     return None
 
 
-def _check_request(sub: SubmanifoldPoint, theorem_id: str, tol: float):
-    if theorem_id not in THEOREMS_FIRST + THEOREMS_SECOND:
+def _check_request(sub: SubmanifoldPoint, theorem_id: str, tol: float) -> tuple:
+    """The row of ``THEOREMS`` of a request whose id, kind and tol pass."""
+    row = THEOREMS.get(theorem_id) if isinstance(theorem_id, str) else None
+    if row is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    family_first = theorem_id.startswith("3")
-    if family_first and sub.spec.kind != KIND_FIRST:
-        raise WrongConnectionKind(f"{theorem_id} needs a kind-1 connection")
-    if not family_first and sub.spec.kind != KIND_SECOND:
-        raise WrongConnectionKind(f"{theorem_id} needs a kind-2 connection")
+    if sub.spec.kind != row[0]:
+        raise WrongConnectionKind(f"{theorem_id} needs a kind-{row[0]} connection")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +357,11 @@ def verify(
     bound's gap to the estimate, >= 0).  ``tol`` must be finite and >= 0,
     and a non-finite side raises ``ValueError`` rather than give a verdict.
     """
-    _check_request(sub, theorem_id, tol)
+    _, takes, r = _check_request(sub, theorem_id, tol)
     n = sub.n
     H_sq, h_sq = sub.mean_curvature_sq, sub.h_norm_sq
 
-    if theorem_id in TAKES_PLANE:
+    if takes == "plane":
         if plane is None:
             raise MissingArgument(f"{theorem_id} needs a plane")
         v1, v2 = sub.plane_coords(plane)
@@ -369,7 +374,7 @@ def verify(
         }
         return _verdict(theorem_id, lhs, rhs, tol, diag)
 
-    if theorem_id in TAKES_X:
+    if takes == "X":
         if X is None:
             raise MissingArgument(f"{theorem_id} needs a unit tangent direction X")
         x = sub.tangent_coords(X)
@@ -385,7 +390,7 @@ def verify(
         return _verdict(theorem_id, lhs, rhs, tol, diag)
 
     E = 2.0 * _tau_nongauss(sub)
-    if theorem_id in TAKES_K:
+    if takes == "k":
         if k is None:
             k = n
         est = theta_k(sub, k)
@@ -408,19 +413,18 @@ def verify(
     cas, (lo, hi) = casorati(sub), casorati_bounds(sub)
     diag = {
         **cas.as_dict(),
-        "estimate_slack": _casorati_rhs(sub, theorem_id, cas.inf_CL, cas.sup_CL) - verdict.lhs,
+        "estimate_slack": _casorati_rhs(sub, r, cas.inf_CL, cas.sup_CL) - verdict.lhs,
         "certificate": {"inf_CL": lo, "sup_CL": hi,
                         "inf_gap": cas.inf_CL - lo, "sup_gap": hi - cas.sup_CL},
-        "shape_match": _quasi_umbilical_match(sub, _CASORATI_R[theorem_id] * n * (n - 1)),
+        "shape_match": _quasi_umbilical_match(sub, r * n * (n - 1)),
     }
     return dataclasses.replace(verdict, diagnostics=diag)
 
 
-def _casorati_rhs(sub: SubmanifoldPoint, theorem_id: str, inf_CL: float, sup_CL: float) -> float:
-    """delta_C(r; n-1) + E at the theorem's r, with the given C(L) extrema."""
-    n = sub.n
-    r = _CASORATI_R[theorem_id] * n * (n - 1)
-    return delta_casorati(n, r, sub.h_norm_sq / n, inf_CL, sup_CL) + 2.0 * _tau_nongauss(sub)
+def _casorati_rhs(sub: SubmanifoldPoint, r: float, inf_CL: float, sup_CL: float) -> float:
+    """delta_C(r n(n-1); n-1) + E, r a row's ratio, with the given C(L) extrema."""
+    n, E = sub.n, 2.0 * _tau_nongauss(sub)
+    return delta_casorati(n, r * n * (n - 1), sub.h_norm_sq / n, inf_CL, sup_CL) + E
 
 
 def casorati_verdict(sub: SubmanifoldPoint, theorem_id: str, tol: float) -> VerdictReport:
@@ -435,10 +439,10 @@ def casorati_verdict(sub: SubmanifoldPoint, theorem_id: str, tol: float) -> Verd
     rounding or a fault in the bounds can cause (``cross_check`` checks
     them).  No search runs, and the diagnostics are empty.
     """
-    _check_request(sub, theorem_id, tol)
-    if theorem_id not in _CASORATI_R:
+    r = _check_request(sub, theorem_id, tol)[2]
+    if r is None:
         raise ValueError(f"{theorem_id} is not a Casorati bound")
-    rhs = _casorati_rhs(sub, theorem_id, *casorati_bounds(sub))
+    rhs = _casorati_rhs(sub, r, *casorati_bounds(sub))
     return _verdict(theorem_id, 2.0 * scalar_tau(sub), rhs, tol, {})
 
 
@@ -576,9 +580,10 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     res["casorati_floor"] = max(float(quartic.inf_r.sum()) - lo, hi - sup_sum, 0.0) / (1.0 + h_sq)
     res["casorati_bracket"] = max(lo - float(F.min()), float(F.max()) - hi, 0.0) / (1.0 + h_sq)
 
+    r = next(r for _, _, r in THEOREMS.values() if r is not None)   # the first Casorati row, 3.5i
     return CrossCheckReport(
         residuals=res,
-        q_min=_casorati_rhs(sub, "3.5i", *casorati_bounds(sub)) - 2.0 * tau_k,
+        q_min=_casorati_rhs(sub, r, *casorati_bounds(sub)) - 2.0 * tau_k,
         cauchy_schwarz_slack=h_sq - n * H_sq,
     )
 
@@ -610,7 +615,7 @@ def equality_instance(
     random orthogonal map, which must not change any verdict.
     """
     params = dict(params)
-    if case not in ("cor32", "thm35_i", "thm35_ii"):
+    if case not in EQUALITY_THEOREM:
         raise ValueError(f"unknown equality case {case!r}")
     if n < 3:
         raise ValueError(f"{case} needs n >= 3, got n = {n}")
@@ -630,7 +635,7 @@ def equality_instance(
             hhat[1, 0, 0], hhat[1, 1, 1] = b1, -b1
             hhat[1, 0, 1] = hhat[1, 1, 0] = b2
     else:
-        r = _CASORATI_R[EQUALITY_THEOREM[case]] * n * (n - 1)
+        r = THEOREMS[EQUALITY_THEOREM[case]][2] * n * (n - 1)
         a = float(params.pop("a", 1.0)) * max(1.0, r / (n * (n - 1)))
         hhat[0] = np.diag(_casorati_equality(n, r, a))
     if params:

@@ -80,6 +80,18 @@ def test_model_rejects_a_non_integer_m(m):
                           kappa=1.0, mu_contact=0.0, c=1.0)
 
 
+@pytest.mark.parametrize("m", [2.5, 2.0, True, "2", 0])
+@pytest.mark.parametrize("build", [
+    lambda m: standard_point(m),
+    lambda m: random_point(m, 0.5, 1.0, 2.0, seed=4, hprime_scale=0.7),
+], ids=["standard_point", "random_point"])
+def test_point_builders_reject_a_bad_m(build, m):
+    # standard_point(2.5) and random_point(2.5, ...) used to escape from
+    # np.zeros with a TypeError; their phi builder now runs the model's check
+    with pytest.raises(DimensionMismatch, match="^m must be an integer >= 1, got"):
+        build(m)
+
+
 def test_random_point_builds_no_standard_point(monkeypatch):
     # the canonical phi and xi come from one small builder, not from a
     # throwaway validated model

@@ -8,7 +8,9 @@ a string literal with one call site, and README lists every key; only
 ``spheresearch.triu_pairs`` calls ``np.triu_indices``; no ``einsum`` takes
 more than two array operands; ``submanifold`` names no connection kind,
 no kind parameter and no printed correction tensor; only ``connections``
-spells out the kind-1 parameter names as string literals."""
+spells out the kind-1 parameter names as string literals; only the
+``THEOREMS`` and ``EQUALITY_THEOREM`` literals of ``verifier`` spell out a
+theorem id, and no other module-level set or dict is keyed by ids."""
 
 import ast
 import importlib
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import ckv
+from ckv import verifier
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ckv.__path__))
 
@@ -296,15 +299,19 @@ def test_submanifold_reads_no_connection_kind():
     assert re.findall(r"kind|lambda[12]|correction_tensors", text, flags=re.IGNORECASE) == []
 
 
-def _string_literals(path):
-    """The string constants of a file, docstrings left out."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _string_constants(tree):
+    """The string constant nodes of a parsed file, docstrings left out."""
     docstrings = {id(node.body[0].value) for node in ast.walk(tree)
                   if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                                        ast.AsyncFunctionDef))
                   and node.body and isinstance(node.body[0], ast.Expr)}
-    return {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
-            and isinstance(node.value, str) and id(node) not in docstrings}
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and id(node) not in docstrings]
+
+
+def _string_literals(path):
+    """The string constants of a file, docstrings left out."""
+    return {node.value for node in _string_constants(ast.parse(path.read_text(encoding="utf-8")))}
 
 
 def test_kind_parameter_names_live_in_the_connection_table():
@@ -313,3 +320,27 @@ def test_kind_parameter_names_live_in_the_connection_table():
     holders = [path.name for path in sorted(Path(ckv.__file__).parent.glob("*.py"))
                if _string_literals(path) & {"lambda1", "lambda2"}]
     assert holders == ["connections.py"]
+
+
+def test_theorem_ids_live_in_the_theorem_table():
+    # ``verifier.THEOREMS`` holds one row per theorem id; an id spelled out
+    # anywhere else, or another set or dict keyed by ids, would be a second
+    # table that a new row could miss
+    ids = set(verifier.THEOREMS)
+    stray, held = [], 0
+    for path in sorted(Path(ckv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tables = {id(node) for stmt in tree.body if path.name == "verifier.py"
+                  and isinstance(stmt, ast.Assign)
+                  and [getattr(t, "id", None) for t in stmt.targets]
+                  in (["THEOREMS"], ["EQUALITY_THEOREM"])
+                  for node in ast.walk(stmt.value)}
+        held += len(tables)
+        stray += [f"{path.name}:{node.lineno}" for node in _string_constants(tree)
+                  if node.value in ids and id(node) not in tables]
+    assert held and stray == []
+    keyed = [f"{name}.{attr}" for name in MODULES
+             for attr, value in vars(importlib.import_module(f"ckv.{name}")).items()
+             if isinstance(value, (dict, set, frozenset)) and value is not verifier.THEOREMS
+             and ids & set(value)]
+    assert keyed == []

@@ -84,6 +84,18 @@ def test_fuzz_rejects_a_bad_tol_before_generating(monkeypatch, tol):
         run_fuzz(FuzzConfig(count=1, seed=13, kind=1, tol=tol))
 
 
+@pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("seed", True),
+                                          ("seed", "13"), ("count", -3), ("count", 2.0),
+                                          ("count", False), ("count", None)])
+def test_fuzz_rejects_a_bad_count_or_seed_before_generating(monkeypatch, field, value):
+    # seed -1 and 1.5 used to fail inside numpy at the first instance, seed
+    # True ran as seed 1 and count -3 returned an empty report
+    _no_generation(monkeypatch)
+    cfg = dataclasses.replace(FuzzConfig(count=1, seed=13, kind=1), **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0, got {value!r}$"):
+        run_fuzz(cfg)
+
+
 @pytest.mark.parametrize("m", [1, 0, -2, 2.5, True])
 def test_fuzz_rejects_a_bad_m_before_generating(monkeypatch, m):
     # n >= 3 needs 2m + 1 > 3

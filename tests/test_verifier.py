@@ -11,13 +11,11 @@ from ckv.errors import MissingArgument, WrongConnectionKind
 from ckv.frames import Plane, complete_frame, orthonormalize
 from ckv.fuzz import FuzzConfig, random_scenario, run_fuzz
 from ckv.scenario import parse_scenario
-from ckv.submanifold import _Quartic, attach, casorati, casorati_bounds
+from ckv.submanifold import _Quartic, attach, casorati, casorati_bounds, scalar_tau, theta_k
 from ckv.verifier import (
     CROSS_TOL,
     DEFAULT_TOL,
-    TAKES_K,
-    TAKES_PLANE,
-    TAKES_X,
+    THEOREMS,
     THEOREMS_FIRST,
     applicable_theorems,
     casorati_verdict,
@@ -173,9 +171,8 @@ def test_verify_ignores_arguments_a_theorem_does_not_take(kind):
     # ckv verify passes its plane, X and k to every theorem
     sub = _random_sub(31, kind, n=4, m=3)
     given = {"plane": Plane(sub.tangent[1], sub.tangent[2]), "X": sub.tangent[0], "k": 3}
-    takes = {"plane": TAKES_PLANE, "X": TAKES_X, "k": TAKES_K}
     for tid in applicable_theorems(kind):
-        own = {key: value for key, value in given.items() if tid in takes[key]}
+        own = {key: value for key, value in given.items() if key == THEOREMS[tid][1]}
         assert verify(sub, tid, **given).to_dict() == verify(sub, tid, **own).to_dict()
 
 
@@ -242,6 +239,42 @@ def test_equality_witness_slack_zero(case, tid, params, n):
     assert abs(verdict.slack) < 1e-8, (case, n, verdict.slack)
     if case.startswith("thm35"):
         assert verdict.diagnostics["shape_match"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_casorati_ii_witness_typed_out(kind, n):
+    # diag(2a, ..., 2a, a) in one normal direction attains 3.5ii/4.4ii at
+    # r = 2n(n-1); the shape is typed here rather than read from the theorem
+    # table, so that a wrong r cannot carry its witness along with it
+    m = max(2, (n + 2) // 2)
+    d = 2 * m + 1
+    hhat = np.zeros((d - n, n, n))
+    hhat[0] = np.diag([1.4] * (n - 1) + [0.7])
+    make = first_connection if kind == 1 else second_connection
+    sub = attach(standard_point(m), make(0.0, 0.0, np.zeros(d), np.zeros((d, d))),
+                 np.eye(d)[:n], hhat)
+    verdict = verify(sub, "3.5ii" if kind == 1 else "4.4ii")
+    assert abs(verdict.slack) <= 1e-12 * (1 + abs(verdict.lhs) + abs(verdict.rhs))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", [1, 2])
+def test_k_ricci_slack_is_the_sum_of_its_two_terms(kind, seed):
+    # 2 tau - E = n^2 ||H||^2 - ||h||^2 makes the 3.4/4.3 slack
+    # (||h||^2 - n ||H||^2) + (2 tau - n (n - 1) Theta), Theta =
+    # min(Theta_k estimate, Theta_n): this pins its rhs, its Theta coefficient
+    # and its E, each read here off h and the curvature, not off verify
+    sub = _random_sub(400 + seed, kind, n=3 + seed % 3, m=3)
+    n, h = sub.n, sub.h
+    h_sq = float((h * h).sum())
+    H_sq = float((np.trace(h, axis1=1, axis2=2) ** 2).sum()) / n ** 2
+    theta_n = theta_k(sub, n).value
+    for k in range(2, n + 1):
+        theta = min(theta_k(sub, k).value, theta_n)
+        expected = (h_sq - n * H_sq) + (2.0 * scalar_tau(sub) - n * (n - 1) * theta)
+        verdict = verify(sub, "3.4" if kind == 1 else "4.3", k=k)
+        assert abs(verdict.slack - expected) <= 1e-12 * (1 + abs(verdict.lhs) + abs(verdict.rhs))
 
 
 @pytest.mark.parametrize("kind", [1, 2])
@@ -592,17 +625,12 @@ def _memo_point(kind, n, one_slice):
 
 def _memo_checks(kind, n):
     """(theorem or 'cross', plane rows, X coefficients, k) of every check."""
-    checks = [("cross", None, None, None)]
-    for tid in applicable_theorems(kind):
-        if tid in TAKES_PLANE:
-            checks += [(tid, (0, 1), None, None), (tid, (2, 1), None, None)]
-        elif tid in TAKES_X:
-            checks += [(tid, None, np.eye(n)[0], None), (tid, None, np.full(n, n ** -0.5), None)]
-        elif tid in TAKES_K:
-            checks += [(tid, None, None, k) for k in range(2, n + 1)]
-        else:
-            checks.append((tid, None, None, None))
-    return checks
+    values = {"plane": [((0, 1), None, None), ((2, 1), None, None)],
+              "X": [(None, np.eye(n)[0], None), (None, np.full(n, n ** -0.5), None)],
+              "k": [(None, None, k) for k in range(2, n + 1)],
+              None: [(None, None, None)]}
+    return [("cross", None, None, None)] + [(tid, *value) for tid in applicable_theorems(kind)
+                                            for value in values[THEOREMS[tid][1]]]
 
 
 def _memo_run(sub, check):
