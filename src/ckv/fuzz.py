@@ -23,7 +23,8 @@ kept whenever the failure survives.  An inequality finding carries its
 failing check, so ``ckv verify`` replays it.
 
 The 3.5/4.4 checks take ``casorati_verdict``: the certified slack alone
-decides, and no Casorati sphere search runs in a campaign.  So the report's
+decides, and ``submanifold.casorati``'s attained values, an inner estimate
+of the C(L) extrema, are not computed in a campaign.  So the report's
 ``min_slack`` for 3.5/4.4 and its ``min_q`` are certified slacks.
 """
 
@@ -171,7 +172,7 @@ def _checks_for(sub: SubmanifoldPoint, X: np.ndarray, kind: int) -> list[dict]:
 
 def _run_check(sub: SubmanifoldPoint, check: dict, tol: float):
     """``verify`` of one check, its plane given as frame rows; the Casorati
-    bounds take ``casorati_verdict``, which runs no search."""
+    bounds take ``casorati_verdict``, the certified slack alone."""
     tid = check["theorem"]
     takes = THEOREMS[tid][1]
     if takes is None:

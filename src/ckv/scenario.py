@@ -27,6 +27,7 @@ Layout::
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,11 +96,21 @@ def _object(value, path: str) -> dict:
 
 
 def _array(value, path: str, *shape) -> np.ndarray:
-    """``frames.as_array`` of a field, its error raised at the field's path."""
+    """``frames.as_array`` of a field, its error raised at the field's path.
+    A string or bool entry, which numpy converts, is rejected in
+    ``_number``'s words, as a scalar field is."""
     try:
-        return as_array(value, path, shape)
+        arr = as_array(value, path, shape)
     except (ValueError, DimensionMismatch) as exc:
         raise ScenarioError(path, str(exc).removeprefix(f"{path}: ")) from None
+    entries = value
+    for _ in shape[1:]:
+        entries = itertools.chain.from_iterable(entries)
+    kinds = set(map(type, entries))
+    for kind in (str, bool):
+        if kind in kinds:
+            raise ScenarioError(path, f"expected a number, got {kind.__name__}")
+    return arr
 
 
 def parse_scenario(data: dict) -> ParsedScenario:

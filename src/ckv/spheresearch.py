@@ -1,26 +1,24 @@
 """Deterministic dense sampling and local refinement on unit spheres.
 
-The hyperplane Casorati extrema and the k-Ricci infimum are optimization
-problems over low-dimensional spheres (degree-4 polynomials or eigenvalue
-sums).  Desk scale suffices: a deterministic layout (``LAYOUT_SIZE``
-directions, or a prefix of them) locates the basin, then a local method
-polishes it far below the 1e-6 target.  The layout is one rule at every
-dimension (``sphere_samples``, seeded Gaussian directions); it and the
-arrays derived from it are cached once per dimension and read-only.  Both
-searches polish with one batched Riemannian Newton loop,
-``newton_on_sphere``; a caller supplies only values and derivatives.  The
-Casorati search (``ckv.submanifold``) evaluates its quartic through
-``quadratic_monomials``, one gather over ``triu_pairs``, on the layout
-through their cached ``layout_monomials``, and has closed-form derivatives.
-The k-Ricci search (k < n on n >= 4) hands ``extremize_on_sphere`` one
+The k-Ricci infimum Theta_k (k < n on n >= 4) is an optimization problem
+over a low-dimensional sphere: at each direction x the plane infimum is an
+exact eigenvalue sum, and the infimum over x is searched.  Desk scale
+suffices: a deterministic layout (``LAYOUT_SIZE`` directions) locates the
+basin, then a local method polishes it far below the 1e-6 target.  The
+layout is one rule at every dimension (``sphere_samples``, seeded Gaussian
+directions); it and the index pairs of ``triu_pairs`` are cached once per
+dimension and read-only.  The search hands ``extremize_on_sphere`` one
 evaluator of the exact plane infima of every k < n, one column per k; it
-evaluates them on a prefix of the layout and polishes the ``REFINE_STARTS``
-least values of each column in one ``refine_on_sphere`` call, which takes
+evaluates them on the layout and polishes the ``REFINE_STARTS`` least
+values of each column in one ``refine_on_sphere`` call, which takes
 derivatives from finite differences of the same evaluator, in one row-wise
-call per stage for every column.  The refine evaluates its starts and every
-step exactly, so each value it returns is attained at a concrete direction.
-Both searches are deterministic, and the layout and search together are
-versioned (``LAYOUT_VERSION``).
+call per stage for every column, and steps by batched Riemannian Newton
+(``newton_on_sphere``).  The refine evaluates its starts and every step
+exactly, so each value it returns is attained at a concrete direction.  The
+search is deterministic, and the layout and search together are versioned
+(``LAYOUT_VERSION``).  ``quadratic_monomials`` serves the Casorati quartic
+(``ckv.submanifold``), which is evaluated only at its certificate's own
+directions and runs no search.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import functools
 import numpy as np
 
 LAYOUT_VERSION = "sphere-layout-v6"
-LAYOUT_SIZE = 10_000   # layout directions; the k-Ricci search reads a prefix
+LAYOUT_SIZE = 512   # layout directions, each evaluated exactly by the k-Ricci search
 _LAYOUT_SEED = 0x5EED_1AE0
 
 
@@ -61,12 +59,6 @@ def quadratic_monomials(U: np.ndarray) -> np.ndarray:
     out = U[:, iu]
     out *= U[:, ju]
     return out
-
-
-@functools.cache
-def layout_monomials(dim: int) -> np.ndarray:
-    """``quadratic_monomials`` of ``sphere_samples(dim)``, cached and read-only."""
-    return _frozen(quadratic_monomials(sphere_samples(dim)))
 
 
 @functools.cache
@@ -216,17 +208,17 @@ def refine_on_sphere(f_batch, u0: np.ndarray):
 REFINE_STARTS = 4   # least layout values refined by extremize_on_sphere
 
 
-def extremize_on_sphere(f_batch, dim: int, count: int):
-    """Minima of K objectives over the first ``count`` rows of
-    ``sphere_samples(dim)``, refined; returns each objective's (arg, value),
-    of shapes (K, dim) and (K,).
+def extremize_on_sphere(f_batch, dim: int):
+    """Minima of K objectives over the rows of ``sphere_samples(dim)``,
+    refined; returns each objective's (arg, value), of shapes (K, dim) and
+    (K,).
 
     ``f_batch`` maps unit vectors (N, dim) to values (N, K), one column per
     objective, as in ``refine_on_sphere``.  One call evaluates it on the
-    layout prefix; each column's ``REFINE_STARTS`` least values (ties by
+    layout; each column's ``REFINE_STARTS`` least values (ties by
     layout order) pick its starts, and one ``refine_on_sphere`` call
     refines them all.
     """
-    U = sphere_samples(dim)[:count]
+    U = sphere_samples(dim)
     starts = np.argsort(f_batch(U), axis=0, kind="stable")[:REFINE_STARTS].T
     return refine_on_sphere(f_batch, U[starts])

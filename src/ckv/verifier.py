@@ -26,8 +26,9 @@ bug.  Beside them it reports Q, the certified
 3.5i/4.4i slack, and the Cauchy-Schwarz slack ||h||^2 - n ||H||^2.
 
 The Casorati verdicts (``casorati_verdict``) rest on the certified bounds of
-``submanifold.casorati_bounds`` alone, not on the sampled search: they hold
-when the certified slack does and are violations otherwise.
+``submanifold.casorati_bounds`` alone, not on the attained values of
+``submanifold.casorati``: they hold when the certified slack does and are
+violations otherwise.
 
 Convention: all correction-tensor traces entering right-hand sides (lambda =
 tr alpha, tr beta, lambda' = tr alpha') are restrictions to the submanifold
@@ -49,7 +50,7 @@ from .connections import KIND_FIRST, KIND_SECOND, correction_tensors, first_conn
 from .contact import standard_point
 from .errors import MissingArgument, WrongConnectionKind
 from .frames import Plane, orthonormalize
-from .spheresearch import _frozen, quadratic_monomials
+from .spheresearch import _frozen
 from .submanifold import (
     SubmanifoldPoint,
     attach,
@@ -350,12 +351,13 @@ def verify(
     and the smaller one is the sharpest sound value; a sampled ('multistart')
     verdict also reports the exact chain (trace identity, Cauchy-Schwarz step,
     Theta_n) in its diagnostics.  3.5/4.4 return ``casorati_verdict``: lhs,
-    rhs and slack are certified, and the diagnostics add the search's
-    estimate (``inf_CL``, ``sup_CL``, ``delta_c``, ``delta_c_hat`` and
-    ``estimate_slack``, the slack at the searched extrema) and a
-    ``certificate`` block (the bounds of ``casorati_bounds`` and each
-    bound's gap to the estimate, >= 0).  ``tol`` must be finite and >= 0,
-    and a non-finite side raises ``ValueError`` rather than give a verdict.
+    rhs and slack are certified, and the diagnostics add the inner estimate
+    of ``casorati`` (``inf_CL``, ``sup_CL``, ``delta_c``, ``delta_c_hat``
+    and ``estimate_slack``, the slack at those attained values, never below
+    the certified slack beyond rounding) and a ``certificate`` block (the
+    bounds of ``casorati_bounds`` and each bound's gap to the estimate,
+    >= 0).  ``tol`` must be finite and >= 0, and a non-finite side raises
+    ``ValueError`` rather than give a verdict.
     """
     _, takes, r = _check_request(sub, theorem_id, tol)
     n = sub.n
@@ -437,7 +439,7 @@ def casorati_verdict(sub: SubmanifoldPoint, theorem_id: str, tol: float) -> Verd
     It ``holds`` when that slack is >= -``tol`` (1 + |lhs| + |rhs|) and is
     a violation otherwise, which by the proof in ``casorati_bounds`` only
     rounding or a fault in the bounds can cause (``cross_check`` checks
-    them).  No search runs, and the diagnostics are empty.
+    them).  ``casorati`` is not called, and the diagnostics are empty.
     """
     r = _check_request(sub, theorem_id, tol)[2]
     if r is None:
@@ -574,10 +576,10 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
 
     quartic, (lo, hi) = _Quartic.of(sub), casorati_bounds(sub)
     lo, hi = (n - 1) * lo, (n - 1) * hi   # the certified inf F and sup F
-    F = quartic.values(quadratic_monomials(quartic.U))
     sup_sum = quartic.h_sq - float((quartic.lam[1:] ** 2).min(axis=1).sum())
     # each max starts with a term in a bound, so that a NaN bound comes out
     res["casorati_floor"] = max(float(quartic.inf_r.sum()) - lo, hi - sup_sum, 0.0) / (1.0 + h_sq)
+    F = quartic.F   # F at the decomposition's directions U
     res["casorati_bracket"] = max(lo - float(F.min()), float(F.max()) - hi, 0.0) / (1.0 + h_sq)
 
     r = next(r for _, _, r in THEOREMS.values() if r is not None)   # the first Casorati row, 3.5i

@@ -212,24 +212,30 @@ def _spoil(arr, fault):
         first[0] = -10 ** 400
     elif fault == "string":
         first[0] = "x"
+    elif fault in _NUMBER_LIKE:
+        first[0] = _NUMBER_LIKE[fault]
     elif fault == "ragged":
         arr[0] = arr[0][:-1] if isinstance(arr[0], list) else [arr[0], 0.0]
     else:   # "length"
         arr.append(copy.deepcopy(arr[0]))
 
 
+# entries numpy converts to a float but a scalar field rejects
+_NUMBER_LIKE = {"numeric_string": "1.5", "bool": True}
 _ARRAY_FIELDS = ["connection.P", "connection.D", "ambient.phi", "ambient.xi", "ambient.hprime",
                  "submanifold.tangent[0]", "submanifold.hhat[0]", "checks.X"]
 _BAD_FIELDS = [("ambient.c", "huge")] + [(field, fault) for field in _ARRAY_FIELDS
-                                         for fault in ("huge", "ragged", "string", "length")]
+                                         for fault in ("huge", "ragged", "string", "length",
+                                                       *_NUMBER_LIKE)]
 
 
 @pytest.mark.parametrize("field,fault", _BAD_FIELDS, ids=[
     field if fault == "huge" else f"{field}-{fault}" for field, fault in _BAD_FIELDS])
 def test_integers_beyond_the_float_range_are_rejected(tmp_path, capsys, field, fault):
     # a JSON integer float() cannot hold used to escape as an OverflowError;
-    # every array field also rejects a ragged or string entry and a wrong
-    # length, each at that field's path
+    # every array field also rejects a ragged, string or bool entry and a
+    # wrong length, each at that field's path, a numeric string or a bool in
+    # the words a scalar field uses
     data = _equality_scenario({"X": E5[0].tolist()})
     *parents, key = [int(k) if k.isdigit() else k for k in re.split(r"[.\[\]]+", field) if k]
     node = data
@@ -242,6 +248,8 @@ def test_integers_beyond_the_float_range_are_rejected(tmp_path, capsys, field, f
     with pytest.raises(ScenarioError) as err:
         parse_scenario(data)
     assert err.value.path == field
+    if fault in _NUMBER_LIKE:
+        assert str(err.value).endswith(f"expected a number, got {type(_NUMBER_LIKE[fault]).__name__}")
     assert main(["validate", _write(tmp_path, data)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 

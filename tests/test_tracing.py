@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import ckv.cli  # noqa: F401  (the tracer patches ``ckv.cli.main`` too)
-from ckv import fuzz, scenario, submanifold, verifier
+from ckv import fuzz, scenario, spheresearch, submanifold, verifier
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,10 +55,10 @@ def test_tracer_records_the_theta_and_fuzz_spans(monkeypatch):
                  "submanifold.theta_k.multistart", "verifier.verify.3.4"):
         assert name in theta, name
     # both k < n come from one refine, whose rows the tracer counts: every
-    # row the refine's objective evaluates, and not the layout prefix that
+    # row the refine's objective evaluates, and not the layout that
     # picked its starts
     assert theta["spheresearch.refine"]["calls"] == 1
-    assert theta["spheresearch.refine"]["points"] == theta_rows - submanifold.THETA_LAYOUT > 0
+    assert theta["spheresearch.refine"]["points"] == theta_rows - spheresearch.LAYOUT_SIZE > 0
     assert theta["submanifold.theta_k.multistart"]["calls"] == 2
     assert "fuzz.run_fuzz" in tracer.totals({1})
     assert all(tracing.known_span(span[tracing.NAME]) or span[tracing.NAME] == "unit"

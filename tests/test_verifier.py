@@ -574,8 +574,8 @@ def test_cross_check_a_nan_residual_is_no_pass():
 
 def _bounds_without_slice_sum(sub):
     # casorati_bounds' inf without its slice-sum term: ||h||^2 - 2 lambda_max(S)
-    quartic = _Quartic.of(sub)
-    lower = (quartic.h_sq - 2.0 * np.linalg.eigvalsh(quartic.S)[-1]) / (sub.n - 1)
+    S = np.einsum("rab,rbc->ac", sub.h, sub.h)
+    lower = (_Quartic.of(sub).h_sq - 2.0 * np.linalg.eigvalsh(S)[-1]) / (sub.n - 1)
     return lower, casorati_bounds(sub)[1]
 
 
@@ -583,7 +583,7 @@ def test_cross_check_catches_a_casorati_bound_without_its_slice_sum(monkeypatch)
     # the weaker inf still encloses every hyperplane, so only the comparison
     # with the one-slice infima sees that it is looser than certified
     sub = _fault_point()
-    assert len(_Quartic.of(sub).h) > 1 and cross_check(sub).ok()
+    assert np.count_nonzero(np.any(sub.h != 0.0, axis=(1, 2))) > 1 and cross_check(sub).ok()
     monkeypatch.setattr(verifier, "casorati_bounds", _bounds_without_slice_sum)
     report = cross_check(sub)
     assert report.residuals["casorati_floor"] > CROSS_TOL
@@ -663,7 +663,7 @@ def test_memos_do_not_depend_on_the_order_of_checks(kind, n, one_slice):
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("kind", [1, 2])
 def test_one_decomposition_of_the_casorati_stack_per_point(monkeypatch, kind, n, one_slice):
-    # the certificate, the search's one-slice extrema and the cross check's
+    # the certificate, casorati's attained values and the cross check's
     # Casorati residuals all read the quartic's one eigh of [S; h_1 ... h_p],
     # so the slices' edge table is built once per point
     calls = []
@@ -695,7 +695,7 @@ def test_cached_arrays_are_read_only():
     verify(sub, "3.1", plane=Plane(sub.tangent[0], sub.tangent[1]))
     quartic = sub.cache["quartic"]
     arrays = [*_cross_sample(4), *sub.cache["plane_forms"], sub.cache["pair_tensor"],
-              quartic.h, quartic.S, quartic.coeffs, quartic.lam, quartic.inf_r, quartic.U]
+              quartic.lam, quartic.inf_r, quartic.U, quartic.F]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0
