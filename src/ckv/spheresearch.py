@@ -43,7 +43,7 @@ def sphere_samples(dim: int) -> np.ndarray:
 
     The same rule at every dimension: fixed-seed Gaussian directions
     (normalized), reproducible across runs.  Layouts are cached per dimension
-    (they are read-only and reused heavily by fuzz campaigns).
+    (they are read-only and reused by every Theta_k search of that dimension).
     """
     pts = np.random.default_rng(_LAYOUT_SEED + dim).standard_normal((LAYOUT_SIZE, dim))
     return _frozen(pts / np.linalg.norm(pts, axis=1, keepdims=True))
