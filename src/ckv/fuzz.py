@@ -45,6 +45,7 @@ from .verifier import (
     CROSS_TOL,
     DEFAULT_TOL,
     THEOREMS,
+    _check_tol,
     applicable_theorems,
     casorati_verdict,
     cross_check,
@@ -241,16 +242,15 @@ def _fold(pick, current: float | None, value: float) -> float:
 
 def _check_config(cfg: FuzzConfig):
     """A ValueError naming the first field of ``cfg`` that no campaign runs
-    with: a count or seed not an integer >= 0, an unknown kind, a tol not a
-    finite number >= 0, an m below 2 or an n outside 3 <= n <= 2m (any drawn m)."""
+    with: a count or seed not an integer >= 0, an unknown kind, a tol that
+    ``verify`` rejects (``_check_tol``), an m below 2 or an n outside
+    3 <= n <= 2m (any drawn m)."""
     for name, value in (("count", cfg.count), ("seed", cfg.seed)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
     if cfg.kind not in PARAMETERS:
         raise ValueError(f"connection kind must be 1 or 2, got {cfg.kind}")
-    tol = cfg.tol
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    _check_tol(cfg.tol)
     for name, value in (("m", cfg.m), ("n", cfg.n)):
         if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
             raise ValueError(f"{name} must be None or an integer, got {value!r}")

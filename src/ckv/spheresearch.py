@@ -1,4 +1,5 @@
-"""Deterministic dense sampling and local refinement on unit spheres.
+"""The k-Ricci search: deterministic dense sampling and local refinement
+on unit spheres.
 
 The k-Ricci infimum Theta_k (k < n on n >= 4) is an optimization problem
 over a low-dimensional sphere: at each direction x the plane infimum is an
@@ -10,15 +11,12 @@ directions); it and the index pairs of ``triu_pairs`` are cached once per
 dimension and read-only.  The search hands ``extremize_on_sphere`` one
 evaluator of the exact plane infima of every k < n, one column per k; it
 evaluates them on the layout and polishes the ``REFINE_STARTS`` least
-values of each column in one ``refine_on_sphere`` call, which takes
-derivatives from finite differences of the same evaluator, in one row-wise
-call per stage for every column, and steps by batched Riemannian Newton
-(``newton_on_sphere``).  The refine evaluates its starts and every step
-exactly, so each value it returns is attained at a concrete direction.  The
-search is deterministic, and the layout and search together are versioned
-(``LAYOUT_VERSION``).  ``quadratic_monomials`` serves the Casorati quartic
-(``ckv.submanifold``), which is evaluated only at its certificate's own
-directions and runs no search.
+values of each column in one ``refine_on_sphere`` call, a batched
+Riemannian Newton loop that takes its derivatives from finite differences
+of the same evaluator, in one row-wise call per stage for every column.
+The refine evaluates its starts and every step exactly, so each value it
+returns is attained at a concrete direction.  The search is deterministic,
+and the layout and search together are versioned (``LAYOUT_VERSION``).
 """
 
 from __future__ import annotations
@@ -49,22 +47,10 @@ def sphere_samples(dim: int) -> np.ndarray:
     return _frozen(pts / np.linalg.norm(pts, axis=1, keepdims=True))
 
 
-def quadratic_monomials(U: np.ndarray) -> np.ndarray:
-    """Products u_a u_b, a <= b, in the order of ``triu_pairs(dim, 0)``, for
-    each row of U, shape (k, dim (dim + 1) / 2): one gather of the columns,
-    multiplied in place by the other, so no second temporary is made.  A
-    quadratic form u^T A u is their dot product with the upper triangle of
-    A, off-diagonal entries doubled."""
-    iu, ju = triu_pairs(U.shape[1], 0)
-    out = U[:, iu]
-    out *= U[:, ju]
-    return out
-
-
 @functools.cache
-def triu_pairs(dim: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(dim, offset)``, cached per dimension and read-only."""
-    return tuple(_frozen(a) for a in np.triu_indices(dim, offset))
+def triu_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(dim, 1)``, the pairs i < j, cached per dimension and read-only."""
+    return tuple(_frozen(a) for a in np.triu_indices(dim, 1))
 
 
 def complements(U: np.ndarray) -> np.ndarray:
@@ -80,47 +66,72 @@ def complements(U: np.ndarray) -> np.ndarray:
     return C
 
 
-_HALVINGS = 8        # step lengths tried per row in each value call
+_HALVINGS = 8        # step lengths tried per row in each trial call
 _EIG_FLOOR = 1e-12   # |Hessian eigenvalues| floored at this share of the largest
 _MAX_ITER = 50       # passes of the Newton loop
 _STENCIL_H = 1e-4    # finite-difference spacing in the chart of refine_on_sphere
 _TINY = np.finfo(float).tiny
 
 
-def newton_on_sphere(value, derivatives, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Riemannian Newton (P.-A. Absil, R. Mahony and R. Sepulchre,
-    Optimization Algorithms on Matrix Manifolds, 2008) minimizing from each
-    row of U; returns the final rows and their values.
+def _retire(keep, U, f, live, u, fu, *state):
+    """Write the rows that stop back into U and f; return the others' state."""
+    U[live[~keep]], f[live[~keep]] = u[~keep], fu[~keep]
+    return tuple(a[keep] for a in (live, u, fu, *state))
 
-    ``value(rows, X)`` gives values at the unit rows of X, and
-    ``derivatives(rows, X, C)`` the values, Riemannian gradients and
-    Hessians there in the tangent bases C = ``complements`` of X; ``rows``
-    are the indices of the starts.  A row moves in the chart
-    y -> normalize(u + C y).  The Hessian's eigenvalues have their
-    magnitudes floored at ``_EIG_FLOOR`` of the largest, and the step's
-    length is capped at 1.  Each pass takes the derivatives of the rows
-    still descending, and one ``value`` call tries their steps times 1, 1/2,
-    ..., 1/128; the least is taken only if it strictly lowers the row's
-    value.  A row stops when -grad . step (the Newton decrement, if the step
-    is not capped) falls below 1e-15 (1 + |f|), when no trial lowers f by as
-    much, or when its derivatives are not finite, which leaves a row whose
-    start value is not finite as it is; the loop ends after 50 passes.
-    Every value returned is attained at the row returned and never above
-    the start's.
+
+def refine_on_sphere(f_batch, u0: np.ndarray):
+    """Batched Riemannian Newton (P.-A. Absil, R. Mahony and R. Sepulchre,
+    Optimization Algorithms on Matrix Manifolds, 2008) minimizing K
+    objectives from starts ``u0`` (K, s, dim), u0[j] the s starts of
+    objective j; returns each objective's (arg, value), shapes (K, dim) and
+    (K,), at its row of least finite value (its first row if none is finite).
+
+    ``f_batch`` maps unit vectors (N, dim) to values (N, K), column j the
+    objective j; it must be row-wise, no row's value depending on the others
+    in the call, so a column returns, bit for bit, what a refine of it alone
+    returns.  A row moves in the chart y -> normalize(u + C y), C its
+    tangent basis (``complements``).  Each pass makes one call for the
+    gradient and full Hessian of every descending row, central differences
+    on the stencil 0, +/- h e_i, h (e_i + e_j) (i < j, h = 1e-4); floors the
+    Hessian's |eigenvalues| at ``_EIG_FLOOR`` of the largest and caps the
+    step's length at 1; and makes one more call for the steps times 1, 1/2,
+    ..., 1/128, taking the least only if it strictly lowers the row's value.
+    A row stops when -grad . step (the Newton decrement, if the step is not
+    capped) falls below 1e-15 (1 + |f|), when no trial lowers f by as much,
+    or when its derivatives are not finite (so a non-finite start stays as
+    it is); the loop ends after 50 passes.  Each value returned is
+    ``f_batch`` at the direction returned, never above its column's least
+    start value; gradient noise of about eps |f| / h costs only about its
+    square in the value.
     """
-    U = np.array(U, dtype=float)
-    k, n = U.shape
-    f = np.empty(k)
-    live, u = np.arange(k), U.copy()   # the rows still descending
+    U0 = np.array(u0, dtype=float)
+    _, s, dim = U0.shape
+    d = dim - 1
+    eye = np.eye(d)
+    i, j = triu_pairs(d)
+    stencil = _STENCIL_H * np.concatenate([np.zeros((1, d)), eye, -eye, eye[i] + eye[j]])
+    entry = np.diag(np.arange(d))   # the column of [diagonal | pairs] holding each entry
+    entry[i, j] = entry[j, i] = d + np.arange(len(i))
+    U = (U0 / np.linalg.norm(U0, axis=-1, keepdims=True)).reshape(-1, dim)
+    f = np.empty(len(U))
+    live, u = np.arange(len(U)), U.copy()   # the rows still descending
     halvings = 0.5 ** np.arange(_HALVINGS)
     for it in range(_MAX_ITER):
         C = complements(u)
-        fr, grad, hess = derivatives(live, u, C)
+        pts = u[:, None, :] + stencil @ C.transpose(0, 2, 1)
+        pts /= np.sqrt((pts * pts).sum(axis=2, keepdims=True))
+        vals = np.asarray(f_batch(pts.reshape(-1, dim)), dtype=float)
+        vals = vals[np.arange(len(vals)), np.repeat(live // s, len(stencil))].reshape(len(u), -1)
+        center, plus = vals[:, :1], vals[:, 1:d + 1]
+        minus, mixed = vals[:, d + 1:2 * d + 1], vals[:, 2 * d + 1:]
         if it == 0:
-            fu = np.array(fr, dtype=float)
-        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
-            bad = ~(np.isfinite(grad).all(axis=1) & np.isfinite(hess).all(axis=(1, 2)))
-            grad[bad], hess[bad] = 0.0, 0.0   # a zero step, which stops the row
+            fu = center[:, 0].copy()
+        entries = np.concatenate([plus + minus - 2.0 * center,
+                                  mixed - plus[:, i] - plus[:, j] + center], axis=1)
+        hess = entries[:, entry.ravel()].reshape(-1, d, d) / _STENCIL_H ** 2
+        grad = (plus - minus) / (2.0 * _STENCIL_H)
+        bad = ~(np.isfinite(grad).all(axis=1) & np.isfinite(hess).all(axis=(1, 2)))
+        grad[bad], hess[bad] = 0.0, 0.0   # a zero step, which stops the row
         w, Q = np.linalg.eigh(hess)
         w = np.abs(w)
         w = np.maximum(w, np.maximum(_EIG_FLOOR * w.max(axis=1, keepdims=True), _TINY))
@@ -131,11 +142,11 @@ def newton_on_sphere(value, derivatives, U: np.ndarray) -> tuple[np.ndarray, np.
         if not go_on.all():
             live, u, fu, step, basis, floor = _retire(go_on, U, f, live, u, fu, step, basis, floor)
             if live.size == 0:
-                return U, f
+                break
         cand = u[:, None, :] + (halvings[:, None] * step[:, None, :]) @ basis
         cand /= np.sqrt((cand * cand).sum(axis=2, keepdims=True))
-        fc = np.asarray(value(np.repeat(live, _HALVINGS), cand.reshape(-1, n)), dtype=float)
-        fc = fc.reshape(len(live), _HALVINGS)
+        fc = np.asarray(f_batch(cand.reshape(-1, dim)), dtype=float)
+        fc = fc[np.arange(len(fc)), np.repeat(live // s, _HALVINGS)].reshape(len(live), _HALVINGS)
         fc[np.isnan(fc)] = np.inf
         best, fb = fc.argmin(axis=1), fc.min(axis=1)
         go_on = fu - fb >= floor
@@ -144,62 +155,8 @@ def newton_on_sphere(value, derivatives, U: np.ndarray) -> tuple[np.ndarray, np.
         if not go_on.all():
             live, u, fu = _retire(go_on, U, f, live, u, fu)
             if live.size == 0:
-                return U, f
+                break
     U[live], f[live] = u, fu
-    return U, f
-
-
-def _retire(keep, U, f, live, u, fu, *state):
-    """Write the rows that stop back into U and f; return the others' state."""
-    U[live[~keep]], f[live[~keep]] = u[~keep], fu[~keep]
-    return tuple(a[keep] for a in (live, u, fu, *state))
-
-
-def refine_on_sphere(f_batch, u0: np.ndarray):
-    """Riemannian Newton minimizing K objectives at once, from starts ``u0``
-    of shape (K, s, dim), u0[j] the s starts of objective j, all refined in
-    one batch; returns each objective's (arg, value) of the row with the
-    least finite value, of shapes (K, dim) and (K,), so a start whose value
-    is NaN or infinite never wins (the first row if none is finite).
-
-    ``f_batch`` maps unit vectors (N, dim) to values (N, K), column j the
-    objective j, and is only evaluated; it must be row-wise, no row's value
-    depending on the other rows in the call.  Each stage makes one
-    ``f_batch`` call on every objective's rows, each row reading its own
-    column, so a column returns, bit for bit, what a refine of it alone
-    returns.  ``newton_on_sphere`` gets the gradient and full Hessian in its
-    chart from central differences, one evaluation of every row and its
-    stencil +/- h e_i, h (e_i + e_j) (i < j, h = 1e-4).  Every value
-    returned is ``f_batch`` at the direction returned and is never above the
-    least start value of its column; gradient noise of about eps |f| / h
-    costs only about its square in the value.
-    """
-    U0 = np.array(u0, dtype=float)
-    _, s, dim = U0.shape
-    d = dim - 1
-    eye = np.eye(d)
-    i, j = triu_pairs(d, 1)
-    stencil = _STENCIL_H * np.concatenate([np.zeros((1, d)), eye, -eye, eye[i] + eye[j]])
-    entry = np.diag(np.arange(d))   # the column of [diagonal | pairs] holding each entry
-    entry[i, j] = entry[j, i] = d + np.arange(len(i))
-    column = np.arange(U0.size // dim) // s   # the objective of each start
-
-    def value(rows, X):
-        return np.asarray(f_batch(X), dtype=float)[np.arange(len(X)), column[rows]]
-
-    def derivatives(rows, X, C):
-        pts = X[:, None, :] + stencil @ C.transpose(0, 2, 1)
-        pts /= np.sqrt((pts * pts).sum(axis=2, keepdims=True))
-        vals = value(np.repeat(rows, len(stencil)), pts.reshape(-1, dim)).reshape(len(X), -1)
-        center, plus = vals[:, :1], vals[:, 1:d + 1]
-        minus, mixed = vals[:, d + 1:2 * d + 1], vals[:, 2 * d + 1:]
-        entries = np.concatenate([plus + minus - 2.0 * center,
-                                  mixed - plus[:, i] - plus[:, j] + center], axis=1)
-        hess = entries[:, entry.ravel()].reshape(-1, d, d) / _STENCIL_H ** 2
-        return center[:, 0], (plus - minus) / (2.0 * _STENCIL_H), hess
-
-    U, f = newton_on_sphere(value, derivatives,
-                            (U0 / np.linalg.norm(U0, axis=-1, keepdims=True)).reshape(-1, dim))
     finite = np.where(np.isfinite(f), f, np.inf).reshape(-1, s)
     best = np.argmin(finite, axis=1) + s * np.arange(len(finite))
     return U[best], f[best]

@@ -40,7 +40,6 @@ from .spheresearch import (
     LAYOUT_SIZE,
     complements,
     extremize_on_sphere,
-    quadratic_monomials,
     triu_pairs,
     _frozen,
 )
@@ -276,7 +275,7 @@ def scalar_tau_pair(sub: SubmanifoldPoint) -> tuple[float, float]:
     agree.  Memoized on the point.
     """
     def make():
-        i, j = triu_pairs(sub.n, 1)
+        i, j = triu_pairs(sub.n)
         return float(_anti(sub)[i, j, j, i].sum()), float(np.einsum("ijji->", sub.riem)) / 2.0
     return sub.memo("tau_pair", make)
 
@@ -396,7 +395,7 @@ def _bivector_form(sub: SubmanifoldPoint) -> np.ndarray:
     orthonormal x, y: B[(a,b),(c,d)] = anti[a,b,d,c] (``_anti``) over pairs
     a < b, c < d."""
     anti = _anti(sub)
-    a, b = triu_pairs(sub.n, 1)
+    a, b = triu_pairs(sub.n)
     B = anti[a[:, None], b[:, None], b[None, :], a[None, :]]
     return (B + B.T) / 2.0
 
@@ -476,8 +475,8 @@ class _Quartic:
     """F(u) = ||h||^2 - 2 u^T S u + sum_r (u^T h_r u)^2 with S = sum_r h_r^2,
     over the nonzero slices h_r; C(L) = F(u) / (n - 1) for the hyperplane
     with unit normal u.  ``lam``, ``inf_r`` and ``U``: the point's one
-    ``_slice_directions``; ``F``: F at the rows of U, each quadratic form a
-    dot product of ``quadratic_monomials`` with its upper triangle."""
+    ``_slice_directions``; ``F``: F at the rows of U, read directly as the
+    quadratic forms u^T S u and u^T h_r u of every row."""
 
     h_sq: float
     lam: np.ndarray
@@ -493,11 +492,8 @@ class _Quartic:
             S = np.einsum("rab,rbc->ac", h, h)
             h_sq = float((h * h).sum())
             lam, inf_r, U = map(_frozen, _slice_directions(S, h))
-            iu, ju = triu_pairs(S.shape[0], 0)
-            coeffs = np.concatenate([S[None], h])[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)
-            forms = coeffs @ quadratic_monomials(U).T
-            q = forms[1:]
-            F = h_sq - 2.0 * forms[0] + np.einsum("rk,rk->k", q, q)
+            q = ((U @ h) * U).sum(axis=2)
+            F = h_sq - 2.0 * ((U @ S) * U).sum(axis=1) + (q * q).sum(axis=0)
             return cls(h_sq=h_sq, lam=lam, inf_r=inf_r, U=U, F=_frozen(F))
         return sub.memo("quartic", make)
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,9 +127,19 @@ def _check_request(sub: SubmanifoldPoint, theorem_id: str, tol: float) -> tuple:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if sub.spec.kind != row[0]:
         raise WrongConnectionKind(f"{theorem_id} needs a kind-{row[0]} connection")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    _check_tol(tol)
     return row
+
+
+def _check_tol(tol) -> None:
+    """The one tolerance rule of ``verify`` and ``run_fuzz``: a ValueError
+    unless ``tol`` is a real number, not a bool, whose float is finite and >= 0."""
+    try:
+        ok = isinstance(tol, numbers.Real) and not isinstance(tol, bool) and math.isfinite(tol)
+    except OverflowError:   # an int beyond the float range
+        ok = False
+    if not (ok and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +367,13 @@ def verify(
     and ``estimate_slack``, the slack at those attained values, never below
     the certified slack beyond rounding) and a ``certificate`` block (the
     bounds of ``casorati_bounds`` and each bound's gap to the estimate,
-    >= 0).  ``tol`` must be finite and >= 0, and a non-finite side raises
-    ``ValueError`` rather than give a verdict.
+    >= 0).  ``tol`` must be a real number, not a bool, finite and >= 0
+    (``_check_tol``), and a non-finite side raises ``ValueError`` rather
+    than give a verdict.
     """
     _, takes, r = _check_request(sub, theorem_id, tol)
     n = sub.n
-    H_sq, h_sq = sub.mean_curvature_sq, sub.h_norm_sq
+    H_sq = sub.mean_curvature_sq
 
     if takes == "plane":
         if plane is None:
@@ -402,9 +414,7 @@ def verify(
         if est.mode == "multistart":
             # a sampled value is only an upper bound: report the exact chain
             # (trace identity, Cauchy-Schwarz step, Theta_n) beside it
-            two_tau = 2.0 * scalar_tau(sub)
-            diag["identity_residual"] = abs(two_tau - E - (n ** 2 * H_sq - h_sq))
-            diag["cauchy_schwarz_slack"] = h_sq - n * H_sq
+            diag["identity_residual"], diag["cauchy_schwarz_slack"] = _trace_chain(sub, E)
             diag["theta_exact_k_n"] = exact.value
             diag["theta_advisory"] = est.value
         lhs = n * (n - 1) * min(est.value, exact.value) - E
@@ -569,10 +579,9 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     res = {"R_pair": float(np.abs(closed - _form_rows(sub.riem, X, Y, Y, X)).max())}
 
     tau_k, tau_double = scalar_tau_pair(sub)
-    E = 2.0 * _tau_nongauss(sub)
-    H_sq, h_sq = sub.mean_curvature_sq, sub.h_norm_sq
+    h_sq = sub.h_norm_sq
     res["tau_formulas"] = abs(tau_k - tau_double)
-    res["trace_identity"] = abs(2.0 * tau_k - E - (n ** 2 * H_sq - h_sq))
+    res["trace_identity"], cauchy_schwarz = _trace_chain(sub, 2.0 * _tau_nongauss(sub))
 
     quartic, (lo, hi) = _Quartic.of(sub), casorati_bounds(sub)
     lo, hi = (n - 1) * lo, (n - 1) * hi   # the certified inf F and sup F
@@ -586,8 +595,16 @@ def cross_check(sub: SubmanifoldPoint) -> CrossCheckReport:
     return CrossCheckReport(
         residuals=res,
         q_min=_casorati_rhs(sub, r, *casorati_bounds(sub)) - 2.0 * tau_k,
-        cauchy_schwarz_slack=h_sq - n * H_sq,
+        cauchy_schwarz_slack=cauchy_schwarz,
     )
+
+
+def _trace_chain(sub: SubmanifoldPoint, E: float) -> tuple[float, float]:
+    """|2 tau - E - (n^2 ||H||^2 - ||h||^2)|, the trace identity's residual, and
+    the Cauchy-Schwarz slack ||h||^2 - n ||H||^2: the exact chain that
+    ``verify`` reports beside a sampled Theta_k and ``cross_check`` checks."""
+    n, H_sq, h_sq = sub.n, sub.mean_curvature_sq, sub.h_norm_sq
+    return abs(2.0 * scalar_tau(sub) - E - (n ** 2 * H_sq - h_sq)), h_sq - n * H_sq
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +636,8 @@ def equality_instance(
     params = dict(params)
     if case not in EQUALITY_THEOREM:
         raise ValueError(f"unknown equality case {case!r}")
-    if n < 3:
-        raise ValueError(f"{case} needs n >= 3, got n = {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 3:
+        raise ValueError(f"{case} needs an integer n >= 3, got n = {n!r}")
     m = max(2, (n + 2) // 2)
     d = 2 * m + 1
     p = d - n

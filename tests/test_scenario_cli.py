@@ -76,7 +76,8 @@ def _no_generation(monkeypatch):
     monkeypatch.setattr(ckv.fuzz, "_random_parts", no_parts)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12, True, "1e-8", None])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12, True, "1e-8", None,
+                                 pytest.param(10 ** 400, id="10**400")])
 def test_fuzz_rejects_a_bad_tol_before_generating(monkeypatch, tol):
     # the campaign no longer passes tol through parse_scenario's checks.tol
     _no_generation(monkeypatch)

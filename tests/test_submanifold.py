@@ -16,7 +16,6 @@ from ckv.spheresearch import (
     LAYOUT_SIZE,
     REFINE_STARTS,
     complements,
-    quadratic_monomials,
     sphere_samples,
     triu_pairs,
 )
@@ -411,7 +410,7 @@ def test_theta_layout_spectrum_is_shared(kind):
         for key in ("theta_form", "theta_multistart"):
             with pytest.raises(ValueError):
                 forward.cache[key].flat[0] = 0.0
-    for arr in triu_pairs(4, 1):
+    for arr in triu_pairs(4):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -687,18 +686,6 @@ def _random_two_slice_hhat(rng):
     return (hhat + np.transpose(hhat, (0, 2, 1))) / 2.0
 
 
-def test_quadratic_monomials_give_quadratic_forms():
-    rng = np.random.default_rng(8)
-    U = rng.standard_normal((5, 4))
-    A = rng.standard_normal((4, 4))
-    A = A + A.T
-    iu, ju = np.triu_indices(4)
-    assert np.array_equal(quadratic_monomials(U), U[:, iu] * U[:, ju])
-    coeffs = A[iu, ju] * np.where(iu == ju, 1.0, 2.0)
-    assert np.allclose(quadratic_monomials(U) @ coeffs, np.einsum("ka,ab,kb->k", U, A, U),
-                       rtol=1e-13, atol=1e-13)
-
-
 def test_casorati_one_slice_sup_is_exact():
     # instance 514 of the kind-1 acceptance campaign has a single normal slice
     # (n = 4, p = 1); a sampled search fell short of its sup by 6.9e-4
@@ -835,7 +822,7 @@ def _no_search(*args, **kwargs):
 def test_casorati_reads_the_certificate_directions_and_runs_no_search(n, p, monkeypatch):
     # one rule at every number of slices: inf/sup C(L) are the least and
     # greatest values over the rows of the certificate's decomposition, U
-    for name in ("sphere_samples", "newton_on_sphere"):
+    for name in ("sphere_samples", "refine_on_sphere"):
         monkeypatch.setattr(spheresearch, name, _no_search)
         monkeypatch.setattr(submanifold, name, _no_search, raising=False)
     for seed in range(3):

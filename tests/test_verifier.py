@@ -182,12 +182,39 @@ def test_verify_unknown_id():
         verify(sub, "5.1")
 
 
-@pytest.mark.parametrize("tol", [-1e-3, float("nan"), float("inf"), -float("inf")])
+_BAD_TOLS = {"-0.001": -1e-3, "nan": float("nan"), "inf": float("inf"),
+             "-inf": -float("inf"), "str": "1e-8", "None": None, "True": True,
+             "np.True_": np.True_, "10**400": 10 ** 400, "-10**400": -(10 ** 400)}
+_GOOD_TOLS = {"int 0": 0, "float": 1e-8, "float64": np.float64(1e-8),
+              "float32": np.float32(1e-3), "int64": np.int64(1)}
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS.values(), ids=_BAD_TOLS)
 def test_verify_rejects_bad_tol(tol):
-    # a negative or NaN tol used to turn this exact witness into a violation
+    # a negative or NaN tol used to turn this exact witness into a violation;
+    # a string or None raised TypeError, 10**400 OverflowError, and True
+    # passed as tol 1
     sub = equality_instance("cor32", 3, {"h11": 1.0, "h22": 1.0})
-    with pytest.raises(ValueError, match="tol"):
+    with pytest.raises(ValueError, match="^tol must be a finite number >= 0"):
         verify(sub, "3.1", plane=Plane(sub.tangent[0], sub.tangent[1]), tol=tol)
+
+
+@pytest.mark.parametrize("tol", _GOOD_TOLS.values(), ids=_GOOD_TOLS)
+def test_verify_and_fuzz_accept_the_same_tols(tol):
+    # one rule: run_fuzz's config check used to reject np.float32 and
+    # np.int64 tols that verify accepted (the bad ones are rejected by both,
+    # here and in test_fuzz_rejects_a_bad_tol_before_generating)
+    sub = equality_instance("cor32", 3, {"h11": 1.0, "h22": 1.0})
+    assert verify(sub, "3.1", plane=Plane(sub.tangent[0], sub.tangent[1]), tol=tol).holds
+    assert run_fuzz(FuzzConfig(count=0, seed=13, kind=1, tol=tol)).instances == 0
+
+
+@pytest.mark.parametrize("n", [3.5, 4.0, np.float64(4.0), True, False, "4", None, 2, -1], ids=repr)
+def test_equality_instance_rejects_a_bad_n_before_building(n):
+    # n = 3.5 used to raise TypeError from np.zeros, n = True "got n = True"
+    with pytest.raises(ValueError, match=r"^thm35_i needs an integer n >= 3, got n = "):
+        equality_instance("thm35_i", n, {})
+    assert equality_instance("thm35_i", np.int64(4), {}).n == 4
 
 
 def _overflowing_sub(which):
