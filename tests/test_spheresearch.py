@@ -109,6 +109,12 @@ def test_refine_never_returns_a_non_finite_start(bad):
     assert value == float(f(u[None, :])[0]) or np.isnan(value)
 
 
+def _rayleigh_columns(Qs):
+    """The K quadratic forms u^T Q_g u, one column each, evaluated row by
+    row, so no row's value depends on the others."""
+    return lambda U: (U[:, None, :, None] * Qs[None] * U[:, None, None, :]).sum(axis=(2, 3))
+
+
 def test_columns_refine_as_their_one_column_calls():
     # K quadratic forms u^T A_g u as the columns of one refine: each column
     # returns, bit for bit, what a refine of that column alone returns, a
@@ -118,8 +124,8 @@ def test_columns_refine_as_their_one_column_calls():
     A = rng.standard_normal((3, 4, 4))
     A = (A + A.transpose(0, 2, 1)) / 2.0
 
-    def forms(U):   # row by row: no row's value depends on the others
-        vals = (U[:, None, :, None] * A[None] * U[:, None, None, :]).sum(axis=(2, 3))
+    def forms(U):
+        vals = _rayleigh_columns(A)(U)
         vals[U[:, 0] > 0.9, 2] = np.inf
         return vals
     starts = rng.standard_normal((3, 4, 4))
@@ -135,12 +141,6 @@ def test_columns_refine_as_their_one_column_calls():
         assert np.array_equal(U[g], u) and F[g] == value, g
     assert np.isfinite(F[:2]).all() and F[2] == np.inf
     assert np.array_equal(U[2], starts[2, 0] / np.linalg.norm(starts[2, 0]))
-
-
-def _rayleigh_columns(Qs):
-    """The K quadratic forms u^T Q_g u, one column each, evaluated row by
-    row, so no row's value depends on the others."""
-    return lambda U: (U[:, None, :, None] * Qs[None] * U[:, None, None, :]).sum(axis=(2, 3))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
