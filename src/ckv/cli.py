@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -29,7 +28,7 @@ import numpy as np
 
 from .contact import validate_structure
 from .errors import GeometryError, ScenarioError
-from .frames import Plane
+from .frames import Plane, as_integer, as_real
 from .fuzz import DEFAULT_SEED, FuzzConfig, run_fuzz
 from .scenario import load_scenario, parse_scenario, save_scenario, scenario_from_parts
 from .verifier import (
@@ -47,26 +46,29 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
 
-def _tolerance(text: str) -> float:
-    """argparse type for --tol: a finite number >= 0 (anything else exits 2)."""
+def _parsed(text: str, parse):
+    """``parse(text)``, or the text itself when it does not parse, so that
+    the validator it goes to rejects it in that validator's words."""
     try:
-        value = float(text)
+        return parse(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+        return text
 
 
-def _natural(text: str) -> int:
-    """argparse type for --count and --seed: an integer >= 0 (anything else exits 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
+def _argument(parse, check, low):
+    """An argparse type: the text parsed by ``parse``, then checked by the
+    ``frames`` validator ``check`` against ``low``; a failure exits 2 with
+    one line naming the flag."""
+    def convert(text: str):
+        try:
+            return check(_parsed(text, parse), "value", low)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+_tolerance = _argument(float, as_real, 0.0)   # --tol: a finite number >= 0
+_natural = _argument(int, as_integer, 0)      # --count, --seed and CKV_SEED: an integer >= 0
 
 
 def _fail(message: str) -> int:
@@ -138,15 +140,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    if args.seed is not None:
-        seed = args.seed
-    elif os.environ.get("CKV_SEED"):
+    seed = args.seed
+    if seed is None:
         try:
-            seed = _natural(os.environ["CKV_SEED"])
+            seed = _natural(os.environ.get("CKV_SEED") or str(DEFAULT_SEED))
         except argparse.ArgumentTypeError as exc:
             return _fail(f"CKV_SEED: {exc}")
-    else:
-        seed = DEFAULT_SEED
     kinds = [args.kind] if args.kind else [1, 2]
     out = Path(args.out) if args.out else None
     if out is not None:
@@ -202,10 +201,7 @@ def _parse_params(text: str | None) -> dict:
         key, value = (part.strip() for part in item.split("=", 1))
         if key in params:
             raise ValueError(f"parameter {key!r} is given twice")
-        number = float(value)
-        if not math.isfinite(number):
-            raise ValueError(f"parameter {key!r} must be finite, got {value!r}")
-        params[key] = number
+        params[key] = _parsed(value, float)   # checked by equality_instance
     return params
 
 

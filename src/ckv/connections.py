@@ -19,13 +19,14 @@ on the model, and the latter is only ever taken as a trace of ``beta``.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contact import ContactPointModel, curvature_lc
 from .errors import DimensionMismatch
-from .frames import as_array
+from .frames import as_array, as_integer, as_real
 
 __all__ = [
     "PARAMETERS",
@@ -50,7 +51,9 @@ class ConnectionSpec:
     """Connection parameters plus the pointwise data P and D = grad(pi).
 
     The parameters ``PARAMETERS[kind]`` are set, those of the other kind are
-    None: (lambda1, lambda2) for kind 1, (a, b) for kind 2.
+    None: (lambda1, lambda2) for kind 1, (a, b) for kind 2.  The kind is
+    stored as checked by ``_kind``, and the kind's parameters as the finite
+    Python floats of ``frames.as_real``.
     """
 
     kind: int
@@ -68,13 +71,12 @@ class ConnectionSpec:
         D.setflags(write=False)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "D", D)
-        try:
-            names = PARAMETERS[self.kind]
-        except (KeyError, TypeError):   # TypeError: an unhashable kind
-            raise ValueError(f"connection kind must be 1 or 2, got {self.kind}") from None
+        object.__setattr__(self, "kind", _kind(self.kind))
+        names = PARAMETERS[self.kind]
         for name in names:
             if getattr(self, name) is None:
                 raise ValueError(f"kind-{self.kind} connection needs {' and '.join(names)}")
+            object.__setattr__(self, name, as_real(getattr(self, name), name, -np.inf))
         for other in PARAMETERS.values():
             for name in other:
                 if other is not names and getattr(self, name) is not None:
@@ -93,6 +95,15 @@ class ConnectionSpec:
     def pi(self, X) -> float:
         """pi(X) = <P, X>."""
         return float(np.dot(self.P, X))
+
+
+def _kind(value) -> int:
+    """``value`` as a key of ``PARAMETERS``: an integer (``frames.as_integer``,
+    so not a bool or a float) that is 1 or 2, else ValueError."""
+    with contextlib.suppress(ValueError):
+        if (kind := as_integer(value, "connection kind", KIND_FIRST)) in PARAMETERS:
+            return kind
+    raise ValueError(f"connection kind must be 1 or 2, got {value}")
 
 
 def first_connection(lambda1: float, lambda2: float, P, D) -> ConnectionSpec:

@@ -17,12 +17,11 @@ enforced, since none of the verified inequalities depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .frames import as_array
+from .frames import as_array, as_integer, as_real
 
 __all__ = [
     "ContactPointModel",
@@ -37,7 +36,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ContactPointModel:
-    """Structure data at a point: (phi, xi, h') plus (kappa, mu, c)."""
+    """Structure data at a point: (phi, xi, h') plus (kappa, mu, c).
+
+    Each field is checked at construction and stored as checked: m by
+    ``_dimension`` (a Python int), the arrays by ``frames.as_array`` and
+    kappa, mu_contact and c by ``frames.as_real`` (finite Python floats).
+    """
 
     m: int
     phi: np.ndarray
@@ -49,10 +53,13 @@ class ContactPointModel:
 
     def __post_init__(self):
         d = _dimension(self.m)
+        object.__setattr__(self, "m", d // 2)   # the checked int
         for name, shape in (("phi", (d, d)), ("xi", (d,)), ("hprime", (d, d))):
             arr = as_array(getattr(self, name), name, shape)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        for name in ("kappa", "mu_contact", "c"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name, -np.inf))
 
     @property
     def dim(self) -> int:
@@ -60,10 +67,12 @@ class ContactPointModel:
 
 
 def _dimension(m) -> int:
-    """2m + 1 for an integer m >= 1; DimensionMismatch for any other m."""
-    if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
-        raise DimensionMismatch(f"m must be an integer >= 1, got {m!r}")
-    return 2 * m + 1
+    """2m + 1 for an integer m >= 1 (``frames.as_integer``); DimensionMismatch
+    for any other m."""
+    try:
+        return 2 * as_integer(m, "m", 1) + 1
+    except ValueError as exc:
+        raise DimensionMismatch(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -163,8 +172,11 @@ def random_point(
     enforced: h' is replaced by sqrt(1-kappa) times a symmetric involution of
     the kernel of eta (the polar factor of the random h', falling back to the
     conjugated canonical involution when that is ill-conditioned).  Requires
-    kappa <= 1; kappa = 1 forces h' = 0.
+    kappa <= 1; kappa = 1 forces h' = 0.  ``seed`` must be an integer >= 0
+    and ``hprime_scale`` a finite number (``frames``), else ValueError.
     """
+    seed = as_integer(seed, "seed", 0)
+    hprime_scale = as_real(hprime_scale, "hprime_scale", -np.inf)
     if strict_kmu and kappa > 1.0:
         raise ValueError("strict_kmu requires kappa <= 1")
     phi, xi = _standard_phi_xi(m)

@@ -2,8 +2,9 @@
 
 Everything in this package stores tensors as component arrays in a fixed
 orthonormal frame, so the metric is the identity and inner products are plain
-dot products.  This module provides the one array validator every input goes
-through (``as_array``) and the frame-level primitives: Gram-Schmidt
+dot products.  This module provides the validators every input goes through,
+one for arrays (``as_array``) and one each for integer and real scalars
+(``as_integer``, ``as_real``), and the frame-level primitives: Gram-Schmidt
 orthonormalization with a rank guard, completion of a frame to a full basis,
 and ordered orthonormal 2-plane bases.  The completion projects every
 standard basis vector off the frame F in one product, (I - F^T F), and
@@ -12,6 +13,7 @@ orthogonalizes only those that survive against each other, then off F again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,31 @@ def as_array(value, name: str, shape: tuple) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite")
     return arr
+
+
+def as_integer(value, name: str, low: int) -> int:
+    """``value`` as a Python int: an integer, numpy's included but not a
+    bool, that is >= ``low``.  Anything else raises ValueError opening with
+    ``name``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def as_real(value, name: str, low: float) -> float:
+    """``value`` as a Python float: a real number (Python's or numpy's), not a
+    bool, whose float is finite and >= ``low`` (``-math.inf`` takes any finite number).  Anything
+    else, an integer beyond the float range included, raises ValueError
+    opening with ``name``."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:   # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number) and number >= low:
+            return number
+    bound = "" if low == -math.inf else f" >= {low:g}"
+    raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
 def orthonormalize(vectors) -> np.ndarray:

@@ -35,9 +35,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .connections import PARAMETERS, ConnectionSpec
+from .connections import PARAMETERS, ConnectionSpec, _kind
 from .contact import random_point, validate_structure
-from .frames import Plane, orthonormalize
+from .frames import Plane, as_integer, as_real, orthonormalize
 from .scenario import parse_scenario, scenario_from_parts
 from .spheresearch import LAYOUT_VERSION
 from .submanifold import SubmanifoldPoint, _attach_frame
@@ -45,7 +45,6 @@ from .verifier import (
     CROSS_TOL,
     DEFAULT_TOL,
     THEOREMS,
-    _check_tol,
     applicable_theorems,
     casorati_verdict,
     cross_check,
@@ -240,30 +239,27 @@ def _fold(pick, current: float | None, value: float) -> float:
     return value if current is None or np.isnan(value) else pick(current, value)
 
 
-def _check_config(cfg: FuzzConfig):
-    """A ValueError naming the first field of ``cfg`` that no campaign runs
-    with: a count or seed not an integer >= 0, an unknown kind, a tol that
-    ``verify`` rejects (``_check_tol``), an m below 2 or an n outside
+def _check_config(cfg: FuzzConfig) -> FuzzConfig:
+    """``cfg`` as the campaign runs it, every field checked by the
+    ``frames`` validators and converted to a Python int or float, or a
+    ValueError naming the first field no campaign runs with: a count or
+    seed not an integer >= 0 (numpy's integers pass, a bool does not), a
+    kind other than 1 or 2 (``connections._kind``), a tol not a finite
+    number >= 0, an m not an integer >= 2, or an n not an integer with
     3 <= n <= 2m (any drawn m)."""
-    for name, value in (("count", cfg.count), ("seed", cfg.seed)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-    if cfg.kind not in PARAMETERS:
-        raise ValueError(f"connection kind must be 1 or 2, got {cfg.kind}")
-    _check_tol(cfg.tol)
-    for name, value in (("m", cfg.m), ("n", cfg.n)):
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(f"{name} must be None or an integer, got {value!r}")
-    if cfg.m is not None and cfg.m < 2:
-        raise ValueError(f"m must be >= 2, got {cfg.m}")
-    m_low = 2 if cfg.m is None else cfg.m
-    if cfg.n is not None and not 3 <= cfg.n <= 2 * m_low:
-        raise ValueError(f"n must satisfy 3 <= n <= 2m = {2 * m_low}, got {cfg.n}")
+    count, seed = as_integer(cfg.count, "count", 0), as_integer(cfg.seed, "seed", 0)
+    kind, tol = _kind(cfg.kind), as_real(cfg.tol, "tol", 0.0)
+    m = None if cfg.m is None else as_integer(cfg.m, "m", 2)
+    n = None if cfg.n is None else as_integer(cfg.n, "n", 3)
+    if n is not None and n > 2 * (m or 2):
+        raise ValueError(f"n must satisfy 3 <= n <= 2m = {2 * (m or 2)}, got {n}")
+    return FuzzConfig(count, seed, kind, n, m, tol)
 
 
 def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
-    """Run a deterministic campaign; see the module docstring."""
-    _check_config(cfg)
+    """Run a deterministic campaign; see the module docstring.  The report
+    carries the config as ``_check_config`` returns it."""
+    cfg = _check_config(cfg)
     report = FuzzReport(config=cfg)
     for index in range(cfg.count):
         model, spec, _, hhat, X, frame = _random_parts(index, cfg)

@@ -27,6 +27,7 @@ Layout::
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -35,9 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from .contact import ContactPointModel, random_point
-from .connections import PARAMETERS, ConnectionSpec
+from .connections import PARAMETERS, ConnectionSpec, _kind
 from .errors import DimensionMismatch, GeometryError, ScenarioError
-from .frames import as_array
+from .frames import as_array, as_integer, as_real
 from .submanifold import SubmanifoldPoint, attach
 from .verifier import DEFAULT_TOL, theorem_ids_problem
 
@@ -71,22 +72,18 @@ def _need(data: dict, key: str, path: str):
     return data[key]
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(path, f"expected a number, got {type(value).__name__}")
+def _scalar(check, value, path: str, low):
+    """``check`` (``frames.as_integer`` or ``as_real``) of a field, its error
+    raised at the field's path."""
     try:
-        number = float(value)
-    except OverflowError:   # an integer beyond the float range
-        number = float("inf")
-    if not np.isfinite(number):
-        raise ScenarioError(path, f"must be finite, got {number}")
-    return number
+        return check(value, path, low)
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc).removeprefix(f"{path} ")) from None
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(path, f"expected an integer, got {type(value).__name__}")
-    return value
+# _integer(value, path, low) and _number(value, path, low)
+_integer = functools.partial(_scalar, as_integer)
+_number = functools.partial(_scalar, as_real)
 
 
 def _object(value, path: str) -> dict:
@@ -97,8 +94,7 @@ def _object(value, path: str) -> dict:
 
 def _array(value, path: str, *shape) -> np.ndarray:
     """``frames.as_array`` of a field, its error raised at the field's path.
-    A string or bool entry, which numpy converts, is rejected in
-    ``_number``'s words, as a scalar field is."""
+    A string or bool entry, which numpy would convert, is rejected too."""
     try:
         arr = as_array(value, path, shape)
     except (ValueError, DimensionMismatch) as exc:
@@ -119,28 +115,27 @@ def parse_scenario(data: dict) -> ParsedScenario:
         raise ScenarioError("$", "scenario must be a JSON object")
 
     amb = _object(_need(data, "ambient", "$"), "ambient")
-    m = _integer(_need(amb, "m", "ambient"), "ambient.m")
-    if m < 1:
-        raise ScenarioError("ambient.m", "must be >= 1")
+    m = _integer(_need(amb, "m", "ambient"), "ambient.m", 1)
     d = 2 * m + 1
-    kappa, mu_contact, c = (_number(_need(amb, key, "ambient"), f"ambient.{key}")
+    kappa, mu_contact, c = (_number(_need(amb, key, "ambient"), f"ambient.{key}", -np.inf)
                             for key in ("kappa", "mu_contact", "c"))
     # the connection's explicit P and D bound d by the file's own size, so
     # they are checked before a generator allocates O(d^2)
     con = _object(_need(data, "connection", "$"), "connection")
-    kind = _integer(_need(con, "kind", "connection"), "connection.kind")
+    try:
+        kind = _kind(_need(con, "kind", "connection"))
+    except ValueError:
+        raise ScenarioError("connection.kind", "must be 1 or 2") from None
     P = _array(_need(con, "P", "connection"), "connection.P", d)
     D = _array(_need(con, "D", "connection"), "connection.D", d, d)
-    if kind not in PARAMETERS:
-        raise ScenarioError("connection.kind", "must be 1 or 2")
     spec = ConnectionSpec(kind, P, D, **{
-        name: _number(_need(con, name, "connection"), f"connection.{name}")
+        name: _number(_need(con, name, "connection"), f"connection.{name}", -np.inf)
         for name in PARAMETERS[kind]})
 
     if "generator" in amb:
         gen = _object(amb["generator"], "ambient.generator")
-        seed = _integer(_need(gen, "seed", "ambient.generator"), "ambient.generator.seed")
-        scale = _number(gen.get("hprime_scale", 1.0), "ambient.generator.hprime_scale")
+        seed = _integer(_need(gen, "seed", "ambient.generator"), "ambient.generator.seed", 0)
+        scale = _number(gen.get("hprime_scale", 1.0), "ambient.generator.hprime_scale", -np.inf)
         strict = gen.get("strict_kmu", False)
         if not isinstance(strict, bool):
             raise ScenarioError("ambient.generator.strict_kmu",
@@ -192,21 +187,19 @@ def parse_scenario(data: dict) -> ParsedScenario:
         pl = ch["plane"]
         if (not isinstance(pl, list)) or len(pl) != 2:
             raise ScenarioError("checks.plane", "expected a pair of frame indices")
-        i, j = (_integer(v, f"checks.plane[{k}]") for k, v in enumerate(pl))
-        if not (0 <= i < n and 0 <= j < n and i != j):
+        i, j = (_integer(v, f"checks.plane[{k}]", 0) for k, v in enumerate(pl))
+        if not (i < n and j < n and i != j):
             raise ScenarioError("checks.plane", f"indices must be distinct and < {n}")
         checks.plane = (i, j)
     if "X" in ch:
         checks.X = _array(ch["X"], "checks.X", d)
     if "k" in ch:
-        kk = _integer(ch["k"], "checks.k")
-        if not 2 <= kk <= n:
-            raise ScenarioError("checks.k", f"need 2 <= k <= {n}")
+        kk = _integer(ch["k"], "checks.k", 2)
+        if kk > n:
+            raise ScenarioError("checks.k", f"must be <= n = {n}, got {kk}")
         checks.k = kk
     if "tol" in ch:
-        checks.tol = _number(ch["tol"], "checks.tol")
-        if checks.tol < 0.0:
-            raise ScenarioError("checks.tol", "must be >= 0")
+        checks.tol = _number(ch["tol"], "checks.tol", 0.0)
 
     return ParsedScenario(sub=sub, checks=checks)
 

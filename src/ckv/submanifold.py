@@ -35,7 +35,7 @@ import numpy as np
 from .connections import ConnectionSpec, difference_tensor
 from .contact import ContactPointModel
 from .errors import DimensionMismatch, NonSymmetricH
-from .frames import Plane, as_array, complete_frame, orthonormalize
+from .frames import Plane, as_array, as_integer, complete_frame, orthonormalize
 from .spheresearch import (
     LAYOUT_SIZE,
     complements,
@@ -415,15 +415,16 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     loop refines all of them by Riemannian Newton, one ``_partial_ricci_min``
     call per stage on every k's rows; the evaluator is batch-invariant, so
     each value is the one-k search's, attained at a concrete direction.
-    Raises ValueError for a k that is not an integer in [2, n] (bool
-    included) and when the curvature data overflows.  The n - 2 searched
+    Raises ValueError for a k that is not an integer in [2, n]
+    (``frames.as_integer``: numpy's integers pass, a bool does not) and
+    when the curvature data overflows.  The n - 2 searched
     values are memoized on the point together, so a second k < n at the
     same point is a memo read; k = n and the n = 3 grid rerun their
     eigenvalue problem.
     """
     n = sub.n
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 2 <= k <= n:
-        raise ValueError(f"k must be an integer with 2 <= k <= n = {n}, got {k!r}")
+    if (k := as_integer(k, "k", 2)) > n:
+        raise ValueError(f"k must be <= n = {n}, got {k}")
     if k == n:
         w = np.linalg.eigvalsh(_finite(ricci_form(sub)))
         return ThetaEstimate(float(w[0]) / (n - 1), "exact_eigen", 0)

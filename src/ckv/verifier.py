@@ -42,7 +42,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +49,7 @@ import numpy as np
 from .connections import KIND_FIRST, KIND_SECOND, correction_tensors, first_connection
 from .contact import standard_point
 from .errors import MissingArgument, WrongConnectionKind
-from .frames import Plane, orthonormalize
+from .frames import Plane, as_integer, as_real, orthonormalize
 from .spheresearch import _frozen
 from .submanifold import (
     SubmanifoldPoint,
@@ -120,26 +119,15 @@ def theorem_ids_problem(ids) -> str | None:
     return None
 
 
-def _check_request(sub: SubmanifoldPoint, theorem_id: str, tol: float) -> tuple:
-    """The row of ``THEOREMS`` of a request whose id, kind and tol pass."""
+def _check_request(sub: SubmanifoldPoint, theorem_id: str, tol) -> tuple:
+    """The row of ``THEOREMS`` of a request whose id and kind pass, and its
+    tol as ``frames.as_real`` returns it (a finite number >= 0)."""
     row = THEOREMS.get(theorem_id) if isinstance(theorem_id, str) else None
     if row is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if sub.spec.kind != row[0]:
         raise WrongConnectionKind(f"{theorem_id} needs a kind-{row[0]} connection")
-    _check_tol(tol)
-    return row
-
-
-def _check_tol(tol) -> None:
-    """The one tolerance rule of ``verify`` and ``run_fuzz``: a ValueError
-    unless ``tol`` is a real number, not a bool, whose float is finite and >= 0."""
-    try:
-        ok = isinstance(tol, numbers.Real) and not isinstance(tol, bool) and math.isfinite(tol)
-    except OverflowError:   # an int beyond the float range
-        ok = False
-    if not (ok and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    return row, as_real(tol, "tol", 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +356,10 @@ def verify(
     the certified slack beyond rounding) and a ``certificate`` block (the
     bounds of ``casorati_bounds`` and each bound's gap to the estimate,
     >= 0).  ``tol`` must be a real number, not a bool, finite and >= 0
-    (``_check_tol``), and a non-finite side raises ``ValueError`` rather
-    than give a verdict.
+    (``frames.as_real``), and the report carries it as a Python float; a
+    non-finite side raises ``ValueError`` rather than give a verdict.
     """
-    _, takes, r = _check_request(sub, theorem_id, tol)
+    (_, takes, r), tol = _check_request(sub, theorem_id, tol)
     n = sub.n
     H_sq = sub.mean_curvature_sq
 
@@ -451,7 +439,7 @@ def casorati_verdict(sub: SubmanifoldPoint, theorem_id: str, tol: float) -> Verd
     rounding or a fault in the bounds can cause (``cross_check`` checks
     them).  ``casorati`` is not called, and the diagnostics are empty.
     """
-    r = _check_request(sub, theorem_id, tol)[2]
+    (_, _, r), tol = _check_request(sub, theorem_id, tol)
     if r is None:
         raise ValueError(f"{theorem_id} is not a Casorati bound")
     rhs = _casorati_rhs(sub, r, *casorati_bounds(sub))
@@ -632,21 +620,27 @@ def equality_instance(
     directions, with a zero kind-1 connection (P tangent trivially).
     ``seed`` != 0 rotates the submanifold placement inside the ambient by a
     random orthogonal map, which must not change any verdict.
+
+    ``n`` must be an integer >= 3 and ``seed`` one >= 0 (numpy's included,
+    a bool not), and each parameter a finite real number
+    (``frames.as_integer``, ``as_real``); anything else, an unknown case
+    or parameter included, raises ValueError before any array is built.
     """
     params = dict(params)
     if case not in EQUALITY_THEOREM:
         raise ValueError(f"unknown equality case {case!r}")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 3:
-        raise ValueError(f"{case} needs an integer n >= 3, got n = {n!r}")
+    n, seed = as_integer(n, "n", 3), as_integer(seed, "seed", 0)
+
+    def param(key, default):
+        return as_real(params.pop(key, default), f"parameter {key!r}", -math.inf)
+
     m = max(2, (n + 2) // 2)
     d = 2 * m + 1
     p = d - n
     hhat = np.zeros((p, n, n))
     if case == "cor32":
-        h11 = float(params.pop("h11", 1.0))
-        h22 = float(params.pop("h22", 1.0))
-        b1 = float(params.pop("b1", 0.0))
-        b2 = float(params.pop("b2", 0.0))
+        h11, h22 = param("h11", 1.0), param("h22", 1.0)
+        b1, b2 = param("b1", 0.0), param("b2", 0.0)
         diag = np.full(n, h11 + h22)
         diag[0], diag[1] = h11, h22
         hhat[0] = np.diag(diag)
@@ -655,7 +649,7 @@ def equality_instance(
             hhat[1, 0, 1] = hhat[1, 1, 0] = b2
     else:
         r = THEOREMS[EQUALITY_THEOREM[case]][2] * n * (n - 1)
-        a = float(params.pop("a", 1.0)) * max(1.0, r / (n * (n - 1)))
+        a = param("a", 1.0) * max(1.0, r / (n * (n - 1)))
         hhat[0] = np.diag(_casorati_equality(n, r, a))
     if params:
         raise ValueError(f"unknown parameters for {case}: {sorted(params)}")

@@ -33,6 +33,18 @@ def test_spec_validation_reads_the_parameter_table(kind, params, message):
         ConnectionSpec(kind, np.zeros(5), np.zeros((5, 5)), **params)
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf, True, "1", pytest.param(10 ** 400, id="10**400")],
+                         ids=repr)
+def test_spec_rejects_a_bad_parameter(value):
+    # these used to build, and a NaN failed only later, as a verdict's
+    # "non-finite side"
+    P, D = np.zeros(5), np.zeros((5, 5))
+    with pytest.raises(ValueError, match="^lambda2 must be a finite number, got "):
+        first_connection(1.0, value, P, D)
+    with pytest.raises(ValueError, match="^a must be a finite number, got "):
+        second_connection(value, 1.0, P, D)
+
+
 def test_corrections_zero_data():
     spec = first_connection(1.5, -0.5, np.zeros(5), np.zeros((5, 5)))
     ct = correction_tensors(spec)

@@ -92,6 +92,42 @@ def test_point_builders_reject_a_bad_m(build, m):
         build(m)
 
 
+_BAD_REALS = [np.nan, np.inf, -np.inf, True, "1", None, pytest.param(10 ** 400, id="10**400")]
+
+
+@pytest.mark.parametrize("value", _BAD_REALS, ids=repr)
+@pytest.mark.parametrize("field", ["kappa", "mu_contact", "c"])
+def test_model_rejects_a_bad_scalar(field, value):
+    # these used to build, and a non-finite one failed only later, as a
+    # verdict's "non-finite side"
+    base = standard_point(2)
+    fields = dict(m=2, phi=base.phi, xi=base.xi, hprime=base.hprime,
+                  kappa=1.0, mu_contact=0.0, c=1.0)
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got "):
+        ContactPointModel(**{**fields, field: value})
+
+
+def test_model_stores_its_scalars_as_checked():
+    base = standard_point(2)
+    model = ContactPointModel(m=np.int64(2), phi=base.phi, xi=base.xi, hprime=base.hprime,
+                              kappa=np.float32(0.5), mu_contact=np.int64(1), c=1)
+    assert [type(v) for v in (model.m, model.kappa, model.mu_contact, model.c)] == \
+        [int, float, float, float]
+    with pytest.raises(ValueError, match="^kappa must be a finite number, got nan$"):
+        random_point(2, np.nan, 1.0, 2.0, seed=4, hprime_scale=0.7)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1, None, "4"], ids=repr)
+def test_random_point_rejects_a_bad_seed(seed):
+    # 1.5 and None used to raise numpy's TypeError, -1 its bare "expected
+    # non-negative integer"; True ran as seed 1
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+        random_point(2, 0.5, 1.0, 2.0, seed=seed, hprime_scale=0.7)
+    one, other = (random_point(2, 0.5, 1.0, 2.0, seed=s, hprime_scale=0.7)
+                  for s in (4, np.int64(4)))
+    assert np.array_equal(one.phi, other.phi) and np.array_equal(one.hprime, other.hprime)
+
+
 def test_random_point_builds_no_standard_point(monkeypatch):
     # the canonical phi and xi come from one small builder, not from a
     # throwaway validated model

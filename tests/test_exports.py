@@ -10,7 +10,9 @@ more than two array operands; ``submanifold`` names no connection kind,
 no kind parameter and no printed correction tensor; only ``connections``
 spells out the kind-1 parameter names as string literals; only the
 ``THEOREMS`` and ``EQUALITY_THEOREM`` literals of ``verifier`` spell out a
-theorem id, and no other module-level set or dict is keyed by ids."""
+theorem id, and no other module-level set or dict is keyed by ids; only
+``frames`` tests a value against a scalar type, save the JSON-type checks
+of ``scenario`` named in ``JSON_TYPE_CHECKS``."""
 
 import ast
 import importlib
@@ -344,3 +346,41 @@ def test_theorem_ids_live_in_the_theorem_table():
              if isinstance(value, (dict, set, frozenset)) and value is not verifier.THEOREMS
              and ids & set(value)]
     assert keyed == []
+
+
+# isinstance against these names states an integer or real rule, which
+# ``frames.as_integer`` and ``frames.as_real`` own
+SCALAR_TYPES = {"bool", "bool_", "int", "integer", "float", "floating",
+                "Number", "Integral", "Real"}
+# (file, function, check) of each JSON-type check allowed outside frames
+JSON_TYPE_CHECKS = [("scenario.py", "parse_scenario", "isinstance(strict, bool)")]
+
+
+def _scalar_type_checks(path):
+    """(file, innermost def or class, source) of every ``isinstance`` call of
+    a file whose type argument names one of ``SCALAR_TYPES``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
+                and len(node.args) == 2:
+            types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(t, "id", getattr(t, "attr", None)) in SCALAR_TYPES for t in types):
+                found.append((path.name, where, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_scalar_rules_live_in_frames():
+    # every integer, real and tolerance input is checked by one validator;
+    # a type test elsewhere would be a second rule that could disagree
+    root = Path(ckv.__file__).parent
+    assert _scalar_type_checks(root / "frames.py")
+    stray = [check for path in sorted(root.glob("*.py")) if path.name != "frames.py"
+             for check in _scalar_type_checks(path) if check not in JSON_TYPE_CHECKS]
+    assert stray == []

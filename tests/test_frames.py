@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from ckv.connections import ambient_curvature, first_connection
 from ckv.contact import ContactPointModel, curvature_lc, standard_point
 from ckv.errors import DimensionMismatch, RankDeficient
-from ckv.frames import Plane, as_array, complete_frame, orthonormalize
+from ckv.frames import Plane, as_array, as_integer, as_real, complete_frame, orthonormalize
 from ckv.submanifold import attach
 from ckv.verifier import verify
 
@@ -136,6 +138,45 @@ def test_as_array_copies_arrays_of_the_shape(value, shape):
 def test_as_array_names_each_fault(value, shape, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         as_array(value, "v", shape)
+
+
+@pytest.mark.parametrize("value,low", [(0, 0), (3, 3), (np.int64(4), 1), (np.uint8(2), -5),
+                                       pytest.param(10 ** 400, 1, id="10**400-1")], ids=repr)
+def test_as_integer_returns_a_python_int(value, low):
+    out = as_integer(value, "k", low)
+    assert type(out) is int and out == value
+
+
+@pytest.mark.parametrize("value,low", [(True, 0), (np.True_, 0), (2.0, 0), (np.float64(2.0), 0),
+                                       ("2", 0), (None, 0), ([2], 0), (-1, 0), (2, 3)], ids=repr)
+def test_as_integer_rejects_anything_else(value, low):
+    with pytest.raises(ValueError, match=f"^k must be an integer >= {low}, got "):
+        as_integer(value, "k", low)
+
+
+@pytest.mark.parametrize("value,low", [(0, 0.0), (1e-8, 0.0), (np.float32(0.5), 0.0),
+                                       (np.int64(3), 0.0), (-2.5, -math.inf),
+                                       pytest.param(-(10 ** 300), -math.inf, id="-10**300")],
+                         ids=repr)
+def test_as_real_returns_a_python_float(value, low):
+    out = as_real(value, "tol", low)
+    assert type(out) is float and out == float(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float32(np.nan), True,
+                                   np.True_, "1", None, [1.0], 1j,
+                                   pytest.param(10 ** 400, id="10**400"),
+                                   pytest.param(-(10 ** 400), id="-10**400")], ids=repr)
+@pytest.mark.parametrize("low,bound", [(0.0, " >= 0"), (-math.inf, "")], ids=["low0", "any"])
+def test_as_real_rejects_anything_else(value, low, bound):
+    with pytest.raises(ValueError, match=f"^tol must be a finite number{bound}, got "):
+        as_real(value, "tol", low)
+
+
+def test_as_real_applies_its_lower_bound():
+    with pytest.raises(ValueError, match="^tol must be a finite number >= 0, got -1e-12$"):
+        as_real(-1e-12, "tol", 0.0)
+    assert as_real(-1e-12, "tol", -math.inf) == -1e-12
 
 
 def _huge(n):

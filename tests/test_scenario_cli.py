@@ -69,6 +69,25 @@ def test_fuzz_rejects_a_kind_outside_the_parameter_table(kind):
         run_fuzz(FuzzConfig(count=1, seed=13, kind=kind))
 
 
+@pytest.mark.parametrize("kind", [True, 2.0, np.float64(1.0), "1"], ids=repr)
+def test_a_bool_float_or_string_kind_is_rejected(monkeypatch, kind):
+    # kind=True used to run a kind-1 campaign reported as "kind": true and
+    # 2.0 one reported as 2.0; ConnectionSpec took True as kind 1
+    message = f"^connection kind must be 1 or 2, got {re.escape(str(kind))}$"
+    with pytest.raises(ValueError, match=message):
+        ConnectionSpec(kind, E5[4], np.eye(5), **dict(zip(PARAMETERS[1], (0.5, -1.5))))
+    _no_generation(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run_fuzz(FuzzConfig(count=1, seed=13, kind=kind))
+
+
+def test_a_numpy_integer_kind_is_stored_as_an_int():
+    spec = ConnectionSpec(np.int64(2), E5[4], np.eye(5), a=np.float32(0.5), b=np.int64(-1))
+    assert type(spec.kind) is int and spec.kind == 2
+    assert [type(v) for v in spec.parameters.values()] == [float, float]
+    json.dumps(scenario_from_parts(standard_point(2), spec, E5[:3], np.zeros((2, 3, 3))))
+
+
 def _no_generation(monkeypatch):
     def no_parts(index, cfg):
         raise AssertionError("an instance was generated")
@@ -117,6 +136,18 @@ def test_fuzz_rejects_a_bad_n_before_generating(monkeypatch, n, m):
 def test_fuzz_accepts_every_n_that_fits(n, m):
     report = run_fuzz(FuzzConfig(count=2, seed=13, kind=2, n=n, m=m))
     assert report.instances == 2 and report.findings == []
+
+
+def test_fuzz_runs_the_checked_config_and_serializes_numpy_scalars():
+    # a np.float32 tol used to be stored unconverted, so to_json raised
+    # TypeError, and a np.int64 count, seed, m or n was rejected
+    numpy_cfg = FuzzConfig(count=np.int64(2), seed=np.int64(13), kind=np.int64(1),
+                           n=np.int64(3), m=np.int64(2), tol=np.float32(1e-8))
+    plain_cfg = FuzzConfig(count=2, seed=13, kind=1, n=3, m=2, tol=float(np.float32(1e-8)))
+    report = run_fuzz(numpy_cfg)
+    assert report.config == plain_cfg
+    assert [type(v) for v in dataclasses.astuple(report.config)] == [int] * 5 + [float]
+    assert report.to_json() == run_fuzz(plain_cfg).to_json()
 
 
 def test_parse_generator_ambient():
@@ -617,7 +648,7 @@ def test_cli_fuzz_rejects_negative_env_seed(monkeypatch, capsys):
     assert main(["fuzz", "--count", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: CKV_SEED: must be >= 0, got '-3'\n"
+    assert captured.err == "error: CKV_SEED: value must be an integer >= 0, got -3\n"
 
 
 def test_cli_fuzz_out_onto_a_file_is_an_input_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -209,10 +210,43 @@ def test_verify_and_fuzz_accept_the_same_tols(tol):
     assert run_fuzz(FuzzConfig(count=0, seed=13, kind=1, tol=tol)).instances == 0
 
 
+@pytest.mark.parametrize("theorem", ["3.1", "3.5i"])
+def test_a_numpy_tol_is_reported_as_a_float(theorem):
+    # the unconverted np.float32 tol used to be stored on the report, so
+    # json.dumps of its dict raised TypeError
+    sub = equality_instance("cor32", 3, {"h11": 1.0, "h22": 1.0})
+    plane = Plane(sub.tangent[0], sub.tangent[1])
+    reports = [verify(sub, theorem, plane=plane, tol=tol)
+               for tol in (np.float32(1e-8), float(np.float32(1e-8)))]
+    assert type(reports[0].tol) is float
+    assert json.dumps(reports[0].to_dict()) == json.dumps(reports[1].to_dict())
+    if theorem == "3.5i":
+        verdict = verifier.casorati_verdict(sub, theorem, np.float32(1e-8))
+        assert json.dumps(verdict.to_dict()) == json.dumps(reports[1].to_dict() | {"diagnostics": {}})
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ({"seed": True}, "seed must be an integer >= 0, got True"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"params": {"a": None}}, "parameter 'a' must be a finite number, got None"),
+    ({"params": {"a": "2"}}, "parameter 'a' must be a finite number, got '2'"),
+    ({"params": {"a": float("nan")}}, "parameter 'a' must be a finite number, got nan"),
+], ids=["seed-float", "seed-bool", "seed-negative", "param-None", "param-str", "param-nan"])
+def test_equality_instance_raises_value_error_for_a_bad_seed_or_parameter(kwargs, message):
+    # seed 1.5 and parameter None used to raise TypeError, seed -1 numpy's
+    # bare "expected non-negative integer"; seed True ran as seed 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        equality_instance("thm35_i", **{"n": 3, "params": {}, "seed": 0, **kwargs})
+    one, other = (equality_instance("thm35_i", 3, {"a": a}, seed=seed)
+                  for a, seed in ((2, 5), (np.float32(2.0), np.int64(5))))
+    assert np.array_equal(one.tangent, other.tangent) and np.array_equal(one.h, other.h)
+
+
 @pytest.mark.parametrize("n", [3.5, 4.0, np.float64(4.0), True, False, "4", None, 2, -1], ids=repr)
 def test_equality_instance_rejects_a_bad_n_before_building(n):
     # n = 3.5 used to raise TypeError from np.zeros, n = True "got n = True"
-    with pytest.raises(ValueError, match=r"^thm35_i needs an integer n >= 3, got n = "):
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 3, got "):
         equality_instance("thm35_i", n, {})
     assert equality_instance("thm35_i", np.int64(4), {}).n == 4
 
