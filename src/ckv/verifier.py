@@ -632,7 +632,7 @@ def equality_instance(
     n, seed = as_integer(n, "n", 3), as_integer(seed, "seed", 0)
 
     def param(key, default):
-        return as_real(params.pop(key, default), f"parameter {key!r}", -math.inf)
+        return as_real(params.pop(key, default), f"parameter {key!r}", -np.inf)
 
     m = max(2, (n + 2) // 2)
     d = 2 * m + 1
