@@ -110,7 +110,9 @@ def _structure_residuals(model: ContactPointModel) -> dict[str, float]:
 
 
 def validate_structure(model: ContactPointModel, tol: float = 1e-10) -> ValidationReport:
-    """Check every structure axiom, one report entry per axiom."""
+    """Check every structure axiom, one report entry per axiom.  ``tol`` must
+    be a finite number >= 0 (``frames.as_real``), else ValueError."""
+    tol = as_real(tol, "tol", 0.0)
     checks = tuple(
         StructureCheck(name, res, res < tol)
         for name, res in _structure_residuals(model).items()
@@ -173,9 +175,11 @@ def random_point(
     the kernel of eta (the polar factor of the random h', falling back to the
     conjugated canonical involution when that is ill-conditioned).  Requires
     kappa <= 1; kappa = 1 forces h' = 0.  ``seed`` must be an integer >= 0
-    and ``hprime_scale`` a finite number (``frames``), else ValueError.
+    and ``kappa`` and ``hprime_scale`` finite numbers (``frames``), else
+    ValueError.
     """
     seed = as_integer(seed, "seed", 0)
+    kappa = as_real(kappa, "kappa", -np.inf)
     hprime_scale = as_real(hprime_scale, "hprime_scale", -np.inf)
     if strict_kmu and kappa > 1.0:
         raise ValueError("strict_kmu requires kappa <= 1")

@@ -10,17 +10,19 @@ Timing never enters a report, so identical flags and seed produce
 byte-identical output.
 
 An instance is attached from the arrays it was generated with
-(``_random_parts``), frame included, with no scenario dict in between.  Its
-scenario (``random_scenario``, explicit matrices) is serialized only for a
-finding, and parses back to bit-identical arrays, so ``ckv verify`` replays
-the instance the campaign checked.
+(``_random_parts``), frame included, with no scenario dict in between.
 
 A finding (an inequality violated beyond tolerance, a cross-check residual
-above 1e-9, the Casorati certificate's two included, or a negative Q, the
-certified 3.5i/4.4i slack) is shrunk by greedy parameter zeroing before being
-reported: each zeroable parameter group is zeroed in turn and the zeroing is
-kept whenever the failure survives.  An inequality finding carries its
-failing check, so ``ckv verify`` replays it.
+not below 1e-9, the Casorati certificate's two included, a negative Q, the
+certified 3.5i/4.4i slack, or a negative Cauchy-Schwarz slack) is shrunk on
+those arrays by greedy parameter zeroing: each group of
+``_zeroing_candidates`` is zeroed in turn, the candidate is attached with the
+instance's frame and checked as the campaign checked it, and the zeroing is
+kept whenever the failure survives.  Its scenario (explicit matrices,
+``scenario_from_parts``) is written once, at the end, and parses back to
+bit-identical arrays, so ``ckv verify`` replays the point the shrinker last
+kept.  An inequality finding carries its failing check as the scenario's
+checks block.
 
 The 3.5/4.4 checks take ``casorati_verdict``: the certified slack alone
 decides, and ``submanifold.casorati``'s attained values, an inner estimate
@@ -31,18 +33,18 @@ of the C(L) extrema, are not computed in a campaign.  So the report's
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .connections import PARAMETERS, ConnectionSpec, _kind
 from .contact import random_point, validate_structure
+from .errors import GeometryError
 from .frames import Plane, as_integer, as_real, orthonormalize
-from .scenario import parse_scenario, scenario_from_parts
+from .scenario import scenario_from_parts
 from .spheresearch import LAYOUT_VERSION
 from .submanifold import SubmanifoldPoint, _attach_frame
 from .verifier import (
-    CROSS_TOL,
     DEFAULT_TOL,
     THEOREMS,
     applicable_theorems,
@@ -152,8 +154,18 @@ def _random_parts(index: int, cfg: FuzzConfig):
 def random_scenario(index: int, cfg: FuzzConfig) -> dict:
     """Deterministic scenario dict for instance ``index`` of a campaign: the
     arrays of ``_random_parts`` as explicit matrices, X and tol as checks."""
-    model, spec, tangent, hhat, X, _ = _random_parts(index, cfg)
-    return scenario_from_parts(model, spec, tangent, hhat, {"tol": cfg.tol, "X": X.tolist()})
+    return _scenario(*_random_parts(index, cfg)[:5], {}, cfg.tol)
+
+
+def _scenario(model, spec, tangent, hhat, X: np.ndarray, check: dict, tol: float) -> dict:
+    """The scenario of an instance's arrays: its checks block is tol with the
+    failing ``check`` of an inequality finding, else with X."""
+    if "theorem" in check:
+        replay = {key: value for key, value in check.items() if key != "theorem"}
+        checks = {"theorems": [check["theorem"]], "tol": tol, **replay}
+    else:
+        checks = {"tol": tol, "X": X.tolist()}
+    return scenario_from_parts(model, spec, tangent, hhat, checks)
 
 
 def _checks_for(sub: SubmanifoldPoint, X: np.ndarray, kind: int) -> list[dict]:
@@ -184,6 +196,8 @@ def _run_check(sub: SubmanifoldPoint, check: dict, tol: float):
 
 
 def _zeroing_candidates(kind: int) -> list[tuple[str, ...]]:
+    """The shrinker's parameter groups, in the order it zeroes them, each as
+    its scenario field."""
     return [
         *(("connection", name) for name in PARAMETERS[kind]),
         ("connection", "P"),
@@ -194,44 +208,45 @@ def _zeroing_candidates(kind: int) -> list[tuple[str, ...]]:
     ]
 
 
-def _zeroed(data: dict, path: tuple[str, ...]) -> dict:
-    out = json.loads(json.dumps(data))
+def _zeroed(point: dict, path: tuple[str, str]) -> dict:
+    """``point`` (model, spec and hhat) with the group at scenario field
+    ``path`` zeroed: an array times 0.0, so -0.0 stays -0.0, a scalar 0.0."""
     section, key = path
-    if key not in out.get(section, {}):
-        return out
-    value = out[section][key]
-    if isinstance(value, list):
-        out[section][key] = (np.asarray(value, float) * 0.0).tolist()
-    else:
-        out[section][key] = 0.0
-    return out
+    if section == "submanifold":
+        return {**point, key: point[key] * 0.0}
+    name = "model" if section == "ambient" else "spec"
+    value = getattr(point[name], key)
+    value = value * 0.0 if isinstance(value, np.ndarray) else 0.0
+    return {**point, name: replace(point[name], **{key: value})}
 
 
-def _still_fails(data: dict, check: dict, tol: float) -> bool:
+def _still_fails(point: dict, frame: np.ndarray, check: dict, tol: float) -> bool:
+    """Whether ``check`` fails on ``point`` attached with ``frame``, as the
+    campaign attached its instance; a point rejected as input (ValueError,
+    numpy's LinAlgError included, or GeometryError) does not fail."""
     try:
-        parsed = parse_scenario(data)
-    except Exception:
-        return False
-    try:
+        sub = _attach_frame(point["model"], point["spec"], frame, point["hhat"])
         if "theorem" in check:
-            return not _run_check(parsed.sub, check, tol).holds
-        return not cross_check(parsed.sub).ok()
-    except Exception:
+            return not _run_check(sub, check, tol).holds
+        return not cross_check(sub).ok()
+    except (ValueError, GeometryError):
         return False
 
 
-def minimize_finding(data: dict, check: dict, kind: int, tol: float) -> dict:
-    """Greedy parameter zeroing that preserves the failure; an inequality
-    finding gets the failing check as its ``checks`` block."""
-    current = data
-    for path in _zeroing_candidates(kind):
-        candidate = _zeroed(current, path)
-        if _still_fails(candidate, check, tol):
-            current = candidate
-    if "theorem" in check:
-        replay = {key: value for key, value in check.items() if key != "theorem"}
-        current = dict(current, checks={"theorems": [check["theorem"]], "tol": tol, **replay})
-    return current
+def minimize_finding(model, spec, tangent, hhat, X: np.ndarray, frame: np.ndarray,
+                     check: dict, tol: float) -> dict:
+    """The scenario of a finding on the instance's arrays (``_random_parts``),
+    after greedy zeroing: each group of ``_zeroing_candidates`` is zeroed in
+    turn and kept whenever ``check`` (a ``cross_check`` one when it names no
+    theorem) still fails on the point attached with ``frame``.  Nothing is
+    serialized until the one ``scenario_from_parts`` at the end; an
+    inequality finding gets the failing check as its checks block."""
+    point = {"model": model, "spec": spec, "hhat": hhat}
+    for path in _zeroing_candidates(spec.kind):
+        candidate = _zeroed(point, path)
+        if _still_fails(candidate, frame, check, tol):
+            point = candidate
+    return _scenario(point["model"], point["spec"], tangent, point["hhat"], X, check, tol)
 
 
 def _fold(pick, current: float | None, value: float) -> float:
@@ -262,17 +277,15 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
     cfg = _check_config(cfg)
     report = FuzzReport(config=cfg)
     for index in range(cfg.count):
-        model, spec, _, hhat, X, frame = _random_parts(index, cfg)
+        model, spec, _, hhat, X, frame = parts = _random_parts(index, cfg)
         sub = _attach_frame(model, spec, frame, hhat)
         report.instances += 1
 
         vrep = validate_structure(sub.model)
         if not vrep.passed:
-            report.findings.append({
-                "instance": index,
-                "check": {"validation": [c.name for c in vrep.checks if not c.passed]},
-                "scenario": random_scenario(index, cfg),
-            })
+            check = {"validation": [c.name for c in vrep.checks if not c.passed]}
+            scenario = _scenario(*parts[:5], check, cfg.tol)
+            report.findings.append({"instance": index, "check": check, "scenario": scenario})
             continue
 
         for check in _checks_for(sub, X, cfg.kind):
@@ -281,10 +294,9 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
             tid = check["theorem"]
             report.min_slack[tid] = _fold(min, report.min_slack.get(tid), verdict.slack)
             if not verdict.holds:
-                minimized = minimize_finding(random_scenario(index, cfg), check, cfg.kind,
-                                             cfg.tol)
+                scenario = minimize_finding(*parts, check, cfg.tol)
                 report.findings.append({"instance": index, "check": check,
-                                        "slack": verdict.slack, "scenario": minimized})
+                                        "slack": verdict.slack, "scenario": scenario})
 
         cc = cross_check(sub)
         report.checks_run += 1
@@ -292,13 +304,7 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
         report.min_q = _fold(min, report.min_q, cc.q_min)
         report.min_cauchy_schwarz = _fold(min, report.min_cauchy_schwarz, cc.cauchy_schwarz_slack)
         if not cc.ok():
-            check = {"cross_check": {k: v for k, v in cc.residuals.items() if v > CROSS_TOL},
-                     "q_min": cc.q_min}
-            minimized = minimize_finding(random_scenario(index, cfg), {"cross_check": True},
-                                         cfg.kind, cfg.tol)
-            report.findings.append({
-                "instance": index,
-                "check": check,
-                "scenario": minimized,
-            })
+            check = {"cross_check": cc.failures(), "q_min": cc.q_min}
+            scenario = minimize_finding(*parts, {"cross_check": True}, cfg.tol)
+            report.findings.append({"instance": index, "check": check, "scenario": scenario})
     return report

@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -523,10 +524,17 @@ class CrossCheckReport:
     def max_residual(self) -> float:
         return float(np.max(list(self.residuals.values())))   # a NaN comes out
 
+    def failures(self) -> dict:
+        """Each residual not below ``CROSS_TOL`` (a NaN included) by name,
+        and ``cauchy_schwarz_slack`` when that slack is not above -1e-8."""
+        failed = {name: value for name, value in self.residuals.items() if not value < CROSS_TOL}
+        if not self.cauchy_schwarz_slack > -_Q_TOL:
+            failed["cauchy_schwarz_slack"] = self.cauchy_schwarz_slack
+        return failed
+
     def ok(self) -> bool:
-        """Every residual below ``CROSS_TOL``, Q and Cauchy-Schwarz above -1e-8."""
-        return (self.max_residual < CROSS_TOL and self.q_min > -_Q_TOL
-                and self.cauchy_schwarz_slack > -_Q_TOL)
+        """No ``failures``, and Q above -1e-8."""
+        return not self.failures() and self.q_min > -_Q_TOL
 
 
 @functools.cache
@@ -621,11 +629,13 @@ def equality_instance(
     ``seed`` != 0 rotates the submanifold placement inside the ambient by a
     random orthogonal map, which must not change any verdict.
 
-    ``n`` must be an integer >= 3 and ``seed`` one >= 0 (numpy's included,
-    a bool not), and each parameter a finite real number
-    (``frames.as_integer``, ``as_real``); anything else, an unknown case
-    or parameter included, raises ValueError before any array is built.
+    ``params`` must be a mapping, ``n`` an integer >= 3 and ``seed`` one
+    >= 0 (numpy's included, a bool not), and each parameter a finite real
+    number (``frames.as_integer``, ``as_real``); anything else, an unknown
+    case or parameter included, raises ValueError before any array is built.
     """
+    if not isinstance(params, Mapping):
+        raise ValueError(f"params must be a mapping of parameter names, got {params!r}")
     params = dict(params)
     if case not in EQUALITY_THEOREM:
         raise ValueError(f"unknown equality case {case!r}")

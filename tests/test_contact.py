@@ -117,6 +117,22 @@ def test_model_stores_its_scalars_as_checked():
         random_point(2, np.nan, 1.0, 2.0, seed=4, hprime_scale=0.7)
 
 
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, "x", None], ids=repr)
+def test_random_point_checks_kappa_before_reading_it(kappa):
+    # with strict_kmu, "x" used to raise TypeError from the kappa <= 1 test
+    # and nan "hprime: entries must be finite", naming the derived h'
+    with pytest.raises(ValueError, match="^kappa must be a finite number, got "):
+        random_point(2, kappa, 1.0, 2.0, seed=1, hprime_scale=1.0, strict_kmu=True)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True, "1e-10", None], ids=repr)
+def test_validate_structure_rejects_a_bad_tol(tol):
+    # nan and -1 used to fail every axiom, True to pass as 1.0
+    with pytest.raises(ValueError, match="^tol must be a finite number >= 0, got "):
+        validate_structure(standard_point(2), tol=tol)
+    assert validate_structure(standard_point(2), tol=np.float32(1e-10)).passed
+
+
 @pytest.mark.parametrize("seed", [1.5, True, -1, None, "4"], ids=repr)
 def test_random_point_rejects_a_bad_seed(seed):
     # 1.5 and None used to raise numpy's TypeError, -1 its bare "expected

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import ckv.cli
 import ckv.fuzz
+import ckv.scenario
 import ckv.submanifold
 import ckv.verifier
 from ckv.cli import main
@@ -843,7 +844,7 @@ def test_clean_fuzz_campaign_serializes_no_scenario(monkeypatch):
         raise AssertionError("a scenario was serialized")
 
     monkeypatch.setattr(ckv.fuzz, "scenario_from_parts", no_scenario)
-    monkeypatch.setattr(ckv.fuzz, "parse_scenario", no_scenario)
+    monkeypatch.setattr(ckv.scenario, "parse_scenario", no_scenario)
     for kind in (1, 2):
         assert run_fuzz(FuzzConfig(count=20, seed=13, kind=kind)).findings == []
 
@@ -869,10 +870,99 @@ def test_fuzz_minimizer_shrinks_a_planted_failure():
     # plant an impossible check by flipping a verdict through absurd tolerance:
     # instead, exercise the zeroing machinery directly on a scenario dict
     from ckv.fuzz import _zeroed
-    data = _equality_scenario()
+    sub = parse_scenario(_equality_scenario()).sub
+    data = {"model": sub.model, "spec": sub.spec, "hhat": sub.hhat}
     out = _zeroed(data, ("submanifold", "hhat"))
-    assert np.abs(np.asarray(out["submanifold"]["hhat"])).max() == 0.0
-    assert np.abs(np.asarray(data["submanifold"]["hhat"])).max() > 0.0
+    assert np.abs(np.asarray(out["hhat"])).max() == 0.0
+    assert np.abs(np.asarray(data["hhat"])).max() > 0.0
+
+
+@pytest.mark.parametrize("plant, named", [
+    (lambda cc: {"residuals": {**cc.residuals, "R_pair": np.nan}}, {"R_pair"}),
+    (lambda cc: {"cauchy_schwarz_slack": -1.0}, {"cauchy_schwarz_slack"}),
+], ids=["nan-residual", "negative-cauchy-schwarz"])
+def test_fuzz_cross_check_finding_names_what_failed(monkeypatch, plant, named):
+    # a NaN residual (NaN > tol is false) and a negative Cauchy-Schwarz
+    # slack used to leave the finding's "cross_check" record empty
+    def planted(sub):
+        report = ckv.verifier.cross_check(sub)
+        return dataclasses.replace(report, **plant(report))
+
+    monkeypatch.setattr(ckv.fuzz, "cross_check", planted)
+    report = run_fuzz(FuzzConfig(count=2, seed=11, kind=1))
+    assert [f["instance"] for f in report.findings] == [0, 1]
+    for finding in report.findings:
+        assert set(finding["check"]["cross_check"]) == named
+        assert set(finding["check"]) == {"cross_check", "q_min"}
+
+
+def _pair_tensor_fault(monkeypatch):
+    # the paper's pair tensor off by 0.1%: every cross check fails on R_pair,
+    # and a few near-tight Chen verdicts flip
+    real = ckv.verifier._pair_tensor
+    monkeypatch.setattr(ckv.verifier, "_pair_tensor", lambda sub: real(sub) * 1.001)
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_fuzz_findings_are_built_from_the_instance_in_hand(monkeypatch, kind):
+    # a finding is shrunk on the instance's arrays and its scenario written
+    # once: the campaign neither replays the generator nor parses a scenario
+    calls = []
+
+    def recorded(module, name):
+        real = getattr(module, name, None)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, call, raising=False)
+
+    for module in (ckv.fuzz, ckv.scenario):
+        recorded(module, "parse_scenario")
+    recorded(ckv.fuzz, "random_scenario")
+    recorded(ckv.fuzz, "scenario_from_parts")
+    _loose_casorati_bounds(monkeypatch)
+    report = run_fuzz(FuzzConfig(count=4, seed=11, kind=kind))
+    assert len(report.findings) == 3 * 4
+    assert calls == ["scenario_from_parts"] * len(report.findings)
+
+
+def test_a_shrunk_finding_parses_back_to_the_point_last_kept(tmp_path, monkeypatch, capsys):
+    # the scenario of each finding is the last point the shrinker kept (the
+    # instance itself when it kept none), array for array, and ckv verify
+    # on an inequality finding's file fails again
+    _pair_tensor_fault(monkeypatch)
+    kept, outcomes = [], []
+    real_minimize, real_still_fails = ckv.fuzz.minimize_finding, ckv.fuzz._still_fails
+
+    def minimize(model, spec, tangent, hhat, X, frame, check, tol):
+        kept.append(ckv.submanifold._attach_frame(model, spec, frame, hhat))
+        return real_minimize(model, spec, tangent, hhat, X, frame, check, tol)
+
+    def still_fails(point, frame, check, tol):
+        outcomes.append(real_still_fails(point, frame, check, tol))
+        if outcomes[-1]:
+            kept[-1] = ckv.submanifold._attach_frame(point["model"], point["spec"], frame,
+                                                     point["hhat"])
+        return outcomes[-1]
+
+    monkeypatch.setattr(ckv.fuzz, "minimize_finding", minimize)
+    monkeypatch.setattr(ckv.fuzz, "_still_fails", still_fails)
+    findings = [finding for kind in (1, 2)
+                for finding in run_fuzz(FuzzConfig(count=40, seed=4242, kind=kind)).findings]
+    assert len(findings) == len(kept) and False in outcomes
+    inequalities = 0
+    for finding, point in zip(findings, kept):
+        parsed = parse_scenario(finding["scenario"]).sub
+        for name in REPLAY_ARRAYS:
+            a, b = getattr(point, name), getattr(parsed, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (finding["instance"], name)
+        if "theorem" in finding["check"]:
+            inequalities += 1
+            path = _write(tmp_path, finding["scenario"])
+            assert main(["verify", path]) == 1
+    assert inequalities > 0
+    capsys.readouterr()
 
 
 def test_fuzz_finding_replays_its_failing_check(tmp_path, monkeypatch, capsys):

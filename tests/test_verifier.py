@@ -243,6 +243,13 @@ def test_equality_instance_raises_value_error_for_a_bad_seed_or_parameter(kwargs
     assert np.array_equal(one.tangent, other.tangent) and np.array_equal(one.h, other.h)
 
 
+@pytest.mark.parametrize("params", [None, [("a", 2.0)], "a", 3], ids=repr)
+def test_equality_instance_rejects_params_that_are_not_a_mapping(params):
+    # None used to raise TypeError from dict(None), and a list of pairs passed
+    with pytest.raises(ValueError, match="^params must be a mapping of parameter names, got "):
+        equality_instance("thm35_i", 3, params)
+
+
 @pytest.mark.parametrize("n", [3.5, 4.0, np.float64(4.0), True, False, "4", None, 2, -1], ids=repr)
 def test_equality_instance_rejects_a_bad_n_before_building(n):
     # n = 3.5 used to raise TypeError from np.zeros, n = True "got n = True"
