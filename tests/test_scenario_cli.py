@@ -868,7 +868,7 @@ def test_fuzz_summary_keeps_a_nan_cross_residual(monkeypatch):
 
 def test_fuzz_minimizer_shrinks_a_planted_failure():
     # plant an impossible check by flipping a verdict through absurd tolerance:
-    # instead, exercise the zeroing machinery directly on a scenario dict
+    # instead, exercise the zeroing machinery directly on a scenario's arrays
     from ckv.fuzz import _zeroed
     sub = parse_scenario(_equality_scenario()).sub
     data = {"model": sub.model, "spec": sub.spec, "hhat": sub.hhat}
@@ -894,13 +894,6 @@ def test_fuzz_cross_check_finding_names_what_failed(monkeypatch, plant, named):
     for finding in report.findings:
         assert set(finding["check"]["cross_check"]) == named
         assert set(finding["check"]) == {"cross_check", "q_min"}
-
-
-def _pair_tensor_fault(monkeypatch):
-    # the paper's pair tensor off by 0.1%: every cross check fails on R_pair,
-    # and a few near-tight Chen verdicts flip
-    real = ckv.verifier._pair_tensor
-    monkeypatch.setattr(ckv.verifier, "_pair_tensor", lambda sub: real(sub) * 1.001)
 
 
 @pytest.mark.parametrize("kind", [1, 2])
@@ -930,8 +923,10 @@ def test_fuzz_findings_are_built_from_the_instance_in_hand(monkeypatch, kind):
 def test_a_shrunk_finding_parses_back_to_the_point_last_kept(tmp_path, monkeypatch, capsys):
     # the scenario of each finding is the last point the shrinker kept (the
     # instance itself when it kept none), array for array, and ckv verify
-    # on an inequality finding's file fails again
-    _pair_tensor_fault(monkeypatch)
+    # on an inequality finding's file fails again.  The paper's pair tensor
+    # off by 0.1% fails every cross check and flips a few near-tight verdicts
+    real_pair_tensor = ckv.verifier._pair_tensor
+    monkeypatch.setattr(ckv.verifier, "_pair_tensor", lambda sub: real_pair_tensor(sub) * 1.001)
     kept, outcomes = [], []
     real_minimize, real_still_fails = ckv.fuzz.minimize_finding, ckv.fuzz._still_fails
 
