@@ -11,7 +11,11 @@ h' is treated as free algebraic data constrained only by the pointwise
 identities (symmetry, h'xi = 0, anticommutation with phi, vanishing traces).
 The quadratic identity h'^2 = (kappa-1)phi^2 satisfied by genuine structures
 is available in the generator behind the ``strict_kmu`` flag but is not
-enforced, since none of the verified inequalities depend on it.
+enforced, since none of the verified inequalities depend on it.  A strict h'
+is sqrt(1-kappa) times a symmetric involution of ker(eta) that anticommutes
+with phi; phi swaps its +1 and -1 eigenspaces, so in a basis (u_i, phi u_i)
+every such involution is diag(I_m, -I_m, 0), and the generator draws it as
+that canonical J rotated by the same orthogonal map that rotates phi.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .frames import as_array, as_integer, as_real
+from .frames import as_array, as_bool, as_integer, as_real
 
 __all__ = [
     "ContactPointModel",
@@ -114,43 +118,35 @@ def validate_structure(model: ContactPointModel, tol: float = 1e-10) -> Validati
     be a finite number >= 0 (``frames.as_real``), else ValueError."""
     tol = as_real(tol, "tol", 0.0)
     checks = tuple(
-        StructureCheck(name, res, res < tol)
+        StructureCheck(name, res, res <= tol)
         for name, res in _structure_residuals(model).items()
     )
     return ValidationReport(checks)
 
 
-def _standard_phi_xi(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical phi and xi in dimension 2m + 1: xi is the last basis
-    vector, phi the block rotation e_i -> e_{m+i}, e_{m+i} -> -e_i."""
+def _canonical(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical phi, xi and h'-shape J in dimension 2m + 1: xi is the
+    last basis vector, phi the block rotation e_i -> e_{m+i}, e_{m+i} -> -e_i,
+    and J = diag(I_m, -I_m, 0), a symmetric involution of ker(eta) that
+    anticommutes with phi."""
     d = _dimension(m)
-    phi = np.zeros((d, d))
+    phi, J = np.zeros((d, d)), np.zeros((d, d))
     for i in range(m):
-        phi[m + i, i] = 1.0
-        phi[i, m + i] = -1.0
+        phi[m + i, i], phi[i, m + i] = 1.0, -1.0
+        J[i, i], J[m + i, m + i] = 1.0, -1.0
     xi = np.zeros(d)
     xi[-1] = 1.0
-    return phi, xi
+    return phi, xi, J
 
 
-def standard_point(m: int, c: float = 1.0) -> ContactPointModel:
-    """Canonical structure: the phi and xi of ``_standard_phi_xi``, h' = 0,
-    kappa = 1, mu = 0."""
-    phi, xi = _standard_phi_xi(m)
+def standard_point(m: int) -> ContactPointModel:
+    """Canonical structure: the phi and xi of ``_canonical``, h' = 0,
+    kappa = 1, mu = 0, c = 1."""
+    phi, xi, _ = _canonical(m)
     return ContactPointModel(
         m=m, phi=phi, xi=xi, hprime=np.zeros_like(phi),
-        kappa=1.0, mu_contact=0.0, c=c,
+        kappa=1.0, mu_contact=0.0, c=1.0,
     )
-
-
-def _canonical_involution(m: int) -> np.ndarray:
-    """diag(I_m, -I_m, 0): symmetric, anticommutes with the standard phi,
-    squares to the identity on the kernel of eta."""
-    d = 2 * m + 1
-    J = np.zeros((d, d))
-    J[:m, :m] = np.eye(m)
-    J[m:2 * m, m:2 * m] = -np.eye(m)
-    return J
 
 
 def random_point(
@@ -165,68 +161,51 @@ def random_point(
     """Seeded random structure satisfying all the pointwise axioms.
 
     Starts from the canonical structure and conjugates phi by a random
-    orthogonal map fixing xi.  h' is built as (T + phi T phi)/2 from a random
-    symmetric T with T xi = 0, which is automatically symmetric, kills xi,
-    anticommutes with phi, and is trace-free; it is then scaled by
+    orthogonal map Q fixing xi.  h' is built as (T + phi T phi)/2 from a
+    random symmetric T with T xi = 0, which is automatically symmetric, kills
+    xi, anticommutes with phi, and is trace-free; it is then scaled by
     ``hprime_scale``.
 
     With ``strict_kmu`` the quadratic identity h'^2 = (kappa-1)phi^2 is
-    enforced: h' is replaced by sqrt(1-kappa) times a symmetric involution of
-    the kernel of eta (the polar factor of the random h', falling back to the
-    conjugated canonical involution when that is ill-conditioned).  Requires
-    kappa <= 1; kappa = 1 forces h' = 0.  ``seed`` must be an integer >= 0
-    and ``kappa`` and ``hprime_scale`` finite numbers (``frames``), else
-    ValueError.
+    enforced: h' = sqrt(1-kappa) Q J Q^T, with J of ``_canonical`` and the
+    same Q, and no T is drawn, so ``hprime_scale`` is checked but unused.
+    This is every strict h' up to the choice of Q: a symmetric involution of
+    ker(eta) that anticommutes with phi has +1 and -1 eigenspaces that phi
+    swaps, so in a basis (u_i, phi u_i) it is J.  Requires kappa <= 1;
+    kappa = 1 gives h' = 0.  ``seed`` must be an integer >= 0, ``kappa`` and
+    ``hprime_scale`` finite numbers and ``strict_kmu`` a bool (``frames``),
+    else ValueError.
     """
     seed = as_integer(seed, "seed", 0)
     kappa = as_real(kappa, "kappa", -np.inf)
     hprime_scale = as_real(hprime_scale, "hprime_scale", -np.inf)
+    strict_kmu = as_bool(strict_kmu, "strict_kmu")
     if strict_kmu and kappa > 1.0:
         raise ValueError("strict_kmu requires kappa <= 1")
-    phi, xi = _standard_phi_xi(m)
-    d = 2 * m + 1
+    phi, xi, J = _canonical(m)
+    d = len(xi)
     rng = np.random.default_rng(seed)
 
     # Orthogonal map on the 2m-dimensional complement of xi; determinant free.
-    block = np.linalg.qr(rng.standard_normal((2 * m, 2 * m)))[0]
+    block = np.linalg.qr(rng.standard_normal((d - 1, d - 1)))[0]
     Q = np.eye(d)
-    Q[: 2 * m, : 2 * m] = block
+    Q[: d - 1, : d - 1] = block
     phi = Q @ phi @ Q.T
 
-    T = rng.standard_normal((d, d))
-    T = (T + T.T) / 2.0
-    T[-1, :] = 0.0
-    T[:, -1] = 0.0
-    T = Q @ T @ Q.T  # keeps T xi = 0 since Q fixes xi
-    hp = hprime_scale * (T + phi @ T @ phi) / 2.0
-
     if strict_kmu:
-        if kappa == 1.0:
-            hp = np.zeros((d, d))
-        else:
-            hp = np.sqrt(1.0 - kappa) * _involution_like(hp, Q, m)
+        hp = np.sqrt(1.0 - kappa) * (Q @ J @ Q.T)
+    else:
+        T = rng.standard_normal((d, d))
+        T = (T + T.T) / 2.0
+        T[-1, :] = 0.0
+        T[:, -1] = 0.0
+        T = Q @ T @ Q.T  # keeps T xi = 0 since Q fixes xi
+        hp = hprime_scale * (T + phi @ T @ phi) / 2.0
 
     return ContactPointModel(
         m=m, phi=phi, xi=xi, hprime=hp,
         kappa=kappa, mu_contact=mu_contact, c=c,
     )
-
-
-def _involution_like(hp: np.ndarray, Q: np.ndarray, m: int) -> np.ndarray:
-    """Symmetric involution of ker(eta) aligned with ``hp`` when possible.
-
-    The polar factor hp (hp^2)^(-1/2) inherits symmetry and the phi
-    anticommutation from hp; it degenerates when hp is near-singular on
-    ker(eta), in which case the conjugated canonical involution is used.
-    """
-    d = 2 * m + 1
-    w, V = np.linalg.eigh(hp)
-    # hp annihilates xi, so exactly one eigenvalue is ~0 for generic hp on ker eta.
-    nonzero = np.abs(w) > 1e-6 * max(1.0, np.abs(w).max())
-    if nonzero.sum() == 2 * m:
-        signs = np.where(nonzero, np.sign(w), 0.0)
-        return (V * signs) @ V.T
-    return Q @ _canonical_involution(m) @ Q.T
 
 
 def _curvature_lc_groups(model: ContactPointModel, X, Y, Z, W) -> tuple[float, ...]:

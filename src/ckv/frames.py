@@ -3,16 +3,18 @@
 Everything in this package stores tensors as component arrays in a fixed
 orthonormal frame, so the metric is the identity and inner products are plain
 dot products.  This module provides the validators every input goes through,
-one for arrays (``as_array``) and one each for integer and real scalars
-(``as_integer``, ``as_real``), and the frame-level primitives: Gram-Schmidt
-orthonormalization with a rank guard, completion of a frame to a full basis,
-and ordered orthonormal 2-plane bases.  The completion projects every
-standard basis vector off the frame F in one product, (I - F^T F), and
-orthogonalizes only those that survive against each other, then off F again.
+one for arrays (``as_array``) and one each for integer, real and boolean
+scalars (``as_integer``, ``as_real``, ``as_bool``), and the frame-level
+primitives: Gram-Schmidt orthonormalization with a rank guard, completion of
+a frame to a full basis, and ordered orthonormal 2-plane bases.  The
+completion projects every standard basis vector off the frame F in one
+product, (I - F^T F), and orthogonalizes only those that survive against each
+other, then off F again.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,8 +26,9 @@ from .errors import DimensionMismatch, RankDeficient
 def as_array(value, name: str, shape: tuple) -> np.ndarray:
     """Copy to a finite float array of ``shape``, where a None entry takes any
     length.  A wrong shape raises DimensionMismatch; an entry that is not a
-    finite number (a string, a ragged list, an integer beyond the float
-    range, NaN) raises ValueError; both messages open with ``name``.
+    finite number (a string or a bool, even one numpy would convert, a ragged
+    list, an integer beyond the float range, NaN) raises ValueError; both
+    messages open with ``name``.
 
     Always copies, so freezing the result never touches caller-owned arrays.
     """
@@ -41,6 +44,15 @@ def as_array(value, name: str, shape: tuple) -> np.ndarray:
             f"{name}: expected shape {str(shape).replace('None', 'any')}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite")
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        return arr   # a numeric dtype holds no string or bool
+    entries = value   # nested as regularly as its shape, which it has
+    for _ in shape[1:]:
+        entries = itertools.chain.from_iterable(entries)
+    kinds = set(map(type, entries))
+    for label, types in (("str", (str, bytes)), ("bool", (bool, np.bool_))):
+        if any(issubclass(kind, types) for kind in kinds):
+            raise ValueError(f"{name}: expected a number, got {label}")
     return arr
 
 
@@ -67,6 +79,15 @@ def as_real(value, name: str, low: float) -> float:
             return number
     bound = "" if low == -math.inf else f" >= {low:g}"
     raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+
+
+def as_bool(value, name: str) -> bool:
+    """``value`` as a Python bool: a bool, numpy's included.  Anything else,
+    a truthy string or integer included, raises ValueError opening with
+    ``name``."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"{name} must be True or False, got {value!r}")
 
 
 def orthonormalize(vectors) -> np.ndarray:

@@ -27,8 +27,6 @@ Layout::
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +36,7 @@ import numpy as np
 from .contact import ContactPointModel, random_point
 from .connections import PARAMETERS, ConnectionSpec, _kind
 from .errors import DimensionMismatch, GeometryError, ScenarioError
-from .frames import as_array, as_integer, as_real
+from .frames import as_array, as_bool, as_integer, as_real
 from .submanifold import SubmanifoldPoint, attach
 from .verifier import DEFAULT_TOL, theorem_ids_problem
 
@@ -72,18 +70,13 @@ def _need(data: dict, key: str, path: str):
     return data[key]
 
 
-def _scalar(check, value, path: str, low):
-    """``check`` (``frames.as_integer`` or ``as_real``) of a field, its error
-    raised at the field's path."""
+def _field(check, value, path: str, *args):
+    """``check`` (a ``frames`` validator) of a field, its error raised at the
+    field's path."""
     try:
-        return check(value, path, low)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc).removeprefix(f"{path} ")) from None
-
-
-# _integer(value, path, low) and _number(value, path, low)
-_integer = functools.partial(_scalar, as_integer)
-_number = functools.partial(_scalar, as_real)
+        return check(value, path, *args)
+    except (ValueError, DimensionMismatch) as exc:
+        raise ScenarioError(path, str(exc).removeprefix(path).lstrip(": ")) from None
 
 
 def _object(value, path: str) -> dict:
@@ -92,33 +85,17 @@ def _object(value, path: str) -> dict:
     return value
 
 
-def _array(value, path: str, *shape) -> np.ndarray:
-    """``frames.as_array`` of a field, its error raised at the field's path.
-    A string or bool entry, which numpy would convert, is rejected too."""
-    try:
-        arr = as_array(value, path, shape)
-    except (ValueError, DimensionMismatch) as exc:
-        raise ScenarioError(path, str(exc).removeprefix(f"{path}: ")) from None
-    entries = value
-    for _ in shape[1:]:
-        entries = itertools.chain.from_iterable(entries)
-    kinds = set(map(type, entries))
-    for kind in (str, bool):
-        if kind in kinds:
-            raise ScenarioError(path, f"expected a number, got {kind.__name__}")
-    return arr
-
-
 def parse_scenario(data: dict) -> ParsedScenario:
     """Parse and attach a scenario dict (see the module docstring for layout)."""
     if not isinstance(data, dict):
         raise ScenarioError("$", "scenario must be a JSON object")
 
     amb = _object(_need(data, "ambient", "$"), "ambient")
-    m = _integer(_need(amb, "m", "ambient"), "ambient.m", 1)
+    m = _field(as_integer, _need(amb, "m", "ambient"), "ambient.m", 1)
     d = 2 * m + 1
-    kappa, mu_contact, c = (_number(_need(amb, key, "ambient"), f"ambient.{key}", -np.inf)
-                            for key in ("kappa", "mu_contact", "c"))
+    kappa, mu_contact, c = (
+        _field(as_real, _need(amb, key, "ambient"), f"ambient.{key}", -np.inf)
+        for key in ("kappa", "mu_contact", "c"))
     # the connection's explicit P and D bound d by the file's own size, so
     # they are checked before a generator allocates O(d^2)
     con = _object(_need(data, "connection", "$"), "connection")
@@ -126,26 +103,25 @@ def parse_scenario(data: dict) -> ParsedScenario:
         kind = _kind(_need(con, "kind", "connection"))
     except ValueError:
         raise ScenarioError("connection.kind", "must be 1 or 2") from None
-    P = _array(_need(con, "P", "connection"), "connection.P", d)
-    D = _array(_need(con, "D", "connection"), "connection.D", d, d)
+    P = _field(as_array, _need(con, "P", "connection"), "connection.P", (d,))
+    D = _field(as_array, _need(con, "D", "connection"), "connection.D", (d, d))
     spec = ConnectionSpec(kind, P, D, **{
-        name: _number(_need(con, name, "connection"), f"connection.{name}", -np.inf)
+        name: _field(as_real, _need(con, name, "connection"), f"connection.{name}", -np.inf)
         for name in PARAMETERS[kind]})
 
     if "generator" in amb:
         gen = _object(amb["generator"], "ambient.generator")
-        seed = _integer(_need(gen, "seed", "ambient.generator"), "ambient.generator.seed", 0)
-        scale = _number(gen.get("hprime_scale", 1.0), "ambient.generator.hprime_scale", -np.inf)
-        strict = gen.get("strict_kmu", False)
-        if not isinstance(strict, bool):
-            raise ScenarioError("ambient.generator.strict_kmu",
-                                f"expected true or false, got {json.dumps(strict)}")
+        seed = _field(as_integer, _need(gen, "seed", "ambient.generator"),
+                      "ambient.generator.seed", 0)
+        scale = _field(as_real, gen.get("hprime_scale", 1.0), "ambient.generator.hprime_scale",
+                       -np.inf)
+        strict = _field(as_bool, gen.get("strict_kmu", False), "ambient.generator.strict_kmu")
         try:
             model = random_point(m, kappa, mu_contact, c, seed, scale, strict)
         except ValueError as exc:
             raise ScenarioError("ambient.generator", str(exc)) from None
     else:
-        phi, xi, hprime = (_array(_need(amb, key, "ambient"), f"ambient.{key}", *shape)
+        phi, xi, hprime = (_field(as_array, _need(amb, key, "ambient"), f"ambient.{key}", shape)
                            for key, shape in (("phi", (d, d)), ("xi", (d,)), ("hprime", (d, d))))
         model = ContactPointModel(m=m, phi=phi, xi=xi, hprime=hprime,
                                   kappa=kappa, mu_contact=mu_contact, c=c)
@@ -156,7 +132,8 @@ def parse_scenario(data: dict) -> ParsedScenario:
         raise ScenarioError("submanifold.tangent", "expected a non-empty list of vectors")
     n = len(tangent_raw)
     tangent = np.stack([
-        _array(v, f"submanifold.tangent[{i}]", d) for i, v in enumerate(tangent_raw)
+        _field(as_array, v, f"submanifold.tangent[{i}]", (d,))
+        for i, v in enumerate(tangent_raw)
     ])
     if not 3 <= n < d:
         raise ScenarioError("submanifold.tangent", f"need 3 <= n < {d}, got n = {n}")
@@ -165,7 +142,7 @@ def parse_scenario(data: dict) -> ParsedScenario:
     if not isinstance(hhat_raw, list) or len(hhat_raw) != p:
         raise ScenarioError("submanifold.hhat", f"expected {p} matrices (one per normal direction)")
     hhat = np.stack([
-        _array(h, f"submanifold.hhat[{r}]", n, n) for r, h in enumerate(hhat_raw)
+        _field(as_array, h, f"submanifold.hhat[{r}]", (n, n)) for r, h in enumerate(hhat_raw)
     ])
 
     try:
@@ -187,19 +164,19 @@ def parse_scenario(data: dict) -> ParsedScenario:
         pl = ch["plane"]
         if (not isinstance(pl, list)) or len(pl) != 2:
             raise ScenarioError("checks.plane", "expected a pair of frame indices")
-        i, j = (_integer(v, f"checks.plane[{k}]", 0) for k, v in enumerate(pl))
+        i, j = (_field(as_integer, v, f"checks.plane[{k}]", 0) for k, v in enumerate(pl))
         if not (i < n and j < n and i != j):
             raise ScenarioError("checks.plane", f"indices must be distinct and < {n}")
         checks.plane = (i, j)
     if "X" in ch:
-        checks.X = _array(ch["X"], "checks.X", d)
+        checks.X = _field(as_array, ch["X"], "checks.X", (d,))
     if "k" in ch:
-        kk = _integer(ch["k"], "checks.k", 2)
+        kk = _field(as_integer, ch["k"], "checks.k", 2)
         if kk > n:
             raise ScenarioError("checks.k", f"must be <= n = {n}, got {kk}")
         checks.k = kk
     if "tol" in ch:
-        checks.tol = _number(ch["tol"], "checks.tol", 0.0)
+        checks.tol = _field(as_real, ch["tol"], "checks.tol", 0.0)
 
     return ParsedScenario(sub=sub, checks=checks)
 

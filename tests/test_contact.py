@@ -171,15 +171,41 @@ def test_random_point_anticommutation():
 
 
 def test_strict_kmu_identity():
-    for kappa in (0.5, -1.0, 0.0):
-        model = random_point(2, kappa, 0.3, 1.5, seed=9, hprime_scale=1.0, strict_kmu=True)
-        target = (kappa - 1.0) * (model.phi @ model.phi)
-        assert np.abs(model.hprime @ model.hprime - target).max() < 1e-10
-        assert validate_structure(model).passed
-    model = random_point(2, 1.0, 0.3, 1.5, seed=9, hprime_scale=1.0, strict_kmu=True)
-    assert np.abs(model.hprime).max() == 0.0
+    # a strict h' is sqrt(1 - kappa) Q J Q^T: the identity, every axiom, and
+    # the spectrum of a symmetric involution of ker(eta) on every draw
+    for m in (2, 3):
+        spectrum = [-1.0] * m + [0.0] + [1.0] * m
+        for kappa in (-2.0, 0.0, 0.5, 1.0):
+            for seed in range(20):
+                model = random_point(m, kappa, 0.3, 1.5, seed=seed, hprime_scale=1.0,
+                                     strict_kmu=True)
+                target = (kappa - 1.0) * (model.phi @ model.phi)
+                assert np.abs(model.hprime @ model.hprime - target).max() < 1e-12
+                assert validate_structure(model).passed
+                if kappa == 1.0:
+                    assert np.abs(model.hprime).max() == 0.0
+                else:
+                    w = np.linalg.eigvalsh(model.hprime / np.sqrt(1.0 - kappa))
+                    assert np.abs(w - spectrum).max() < 1e-12
     with pytest.raises(ValueError):
         random_point(2, 1.5, 0.3, 1.5, seed=9, hprime_scale=1.0, strict_kmu=True)
+
+
+@pytest.mark.parametrize("strict", ["no", "", 1, 0, None, np.float64(1.0)], ids=repr)
+def test_random_point_takes_only_a_bool_strict_kmu(strict):
+    # "no" used to draw a strict point, since any truthy object passed
+    with pytest.raises(ValueError, match="^strict_kmu must be True or False, got "):
+        random_point(2, 0.5, 0.0, 1.0, 1, 1.0, strict)
+    flags = [random_point(2, 0.5, 0.0, 1.0, 1, 1.0, flag).hprime for flag in (np.True_, True)]
+    assert flags[0].tobytes() == flags[1].tobytes()
+
+
+def test_validate_structure_passes_exact_residuals_at_tol_zero():
+    # every residual of the standard point is 0.0, which used to fail
+    # tol = 0 because the axiom test was res < tol
+    report = validate_structure(standard_point(2), tol=0.0)
+    assert [check.max_residual for check in report.checks] == [0.0] * len(report.checks)
+    assert report.passed
 
 
 # --- the closed-form curvature, term group by term group -------------------
@@ -286,7 +312,7 @@ def test_phi_sectional_equals_c():
 
 def test_explicit_value_c5():
     # c = 5, kappa = 1, h' = 0: phi-sectional value 5 on a coordinate direction
-    model = standard_point(2, c=5.0)
+    model = dataclasses.replace(standard_point(2), c=5.0)
     e = np.eye(5)
     val = curvature_lc(model, e[0], model.phi @ e[0], model.phi @ e[0], e[0])
     assert abs(val - 5.0) < 1e-12

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ckv.connections import ambient_curvature, first_connection
+from ckv.connections import ConnectionSpec, ambient_curvature, first_connection
 from ckv.contact import ContactPointModel, curvature_lc, standard_point
 from ckv.errors import DimensionMismatch, RankDeficient
-from ckv.frames import Plane, as_array, as_integer, as_real, complete_frame, orthonormalize
+from ckv.frames import (Plane, as_array, as_bool, as_integer, as_real, complete_frame,
+                        orthonormalize)
 from ckv.submanifold import attach
 from ckv.verifier import verify
 
@@ -138,6 +139,37 @@ def test_as_array_copies_arrays_of_the_shape(value, shape):
 def test_as_array_names_each_fault(value, shape, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         as_array(value, "v", shape)
+
+
+@pytest.mark.parametrize("value,shape,label", [
+    ([True, 1], (2,), "bool"), ([[1.0, np.True_]], (1, 2), "bool"),
+    (np.array([True, False]), (2,), "bool"), (["1", 0], (2,), "str"),
+    ([["0.5", "1"], [0, 0]], (2, 2), "str"), (np.array(["1", "2"]), (2,), "str"),
+    (np.array([b"1", b"2"]), (2,), "str"), (np.array(["1", 2.0], dtype=object), (2,), "str"),
+    (["1", True], (2,), "str"),
+], ids=repr)
+def test_as_array_rejects_strings_and_bools_numpy_would_convert(value, shape, label):
+    # these used to convert to 1.0, 0.5, ...: the Python API took a numeric
+    # string or a bool that only the scenario parser rejected
+    with pytest.raises(ValueError, match=f"^v: expected a number, got {label}$"):
+        as_array(value, "v", shape)
+
+
+def test_connection_spec_rejects_a_string_entry():
+    with pytest.raises(ValueError, match="^P: expected a number, got str$"):
+        ConnectionSpec(1, ["1", "0", "0", "0", "0"], np.zeros((5, 5)), lambda1=0.0, lambda2=0.0)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+def test_as_bool_returns_a_python_bool(value):
+    out = as_bool(value, "flag")
+    assert type(out) is bool and out == value
+
+
+@pytest.mark.parametrize("value", ["no", "", 1, 0, 1.0, None, [True], np.int64(1)], ids=repr)
+def test_as_bool_rejects_anything_else(value):
+    with pytest.raises(ValueError, match="^flag must be True or False, got "):
+        as_bool(value, "flag")
 
 
 @pytest.mark.parametrize("value,low", [(0, 0), (3, 3), (np.int64(4), 1), (np.uint8(2), -5),

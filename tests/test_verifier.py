@@ -263,7 +263,7 @@ def _overflowing_sub(which):
     hhat[0] = np.diag([1.0, 1.0, 2.0])
     if which == "hhat":
         hhat[0, 0, 0] = 1e200
-    model = standard_point(2, c=1e308 if which == "c" else 1.0)
+    model = dataclasses.replace(standard_point(2), c=1e308 if which == "c" else 1.0)
     return attach(model, _zero_spec(), E5[:3], hhat)
 
 
@@ -283,7 +283,7 @@ def test_theta_overflow_is_named(n, k):
     # c = 1e308 used to reach eigvalsh and fail with "Eigenvalues did not converge"
     hhat = np.zeros((5 - n, n, n))
     hhat[0] = np.diag(np.arange(1.0, n + 1))
-    sub = attach(standard_point(2, c=1e308), _zero_spec(), E5[:n], hhat)
+    sub = attach(dataclasses.replace(standard_point(2), c=1e308), _zero_spec(), E5[:n], hhat)
     with pytest.raises(ValueError, match="overflows") as info:
         verify(sub, "3.4", k=k)
     assert not isinstance(info.value, np.linalg.LinAlgError)
