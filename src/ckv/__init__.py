@@ -49,8 +49,8 @@ from .verifier import (
     CrossCheckReport,
     VerdictReport,
     applicable_theorems,
-    casorati_verdict,
     cross_check,
+    decide,
     equality_instance,
     verify,
 )

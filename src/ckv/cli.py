@@ -8,7 +8,7 @@ Subcommands::
     ckv case --id ID [--params K=V,...] [--out FILE]
 
 Exit codes: 0 everything holds, 1 a violation (for 3.5/4.4, a negative
-certified slack, ``verifier.casorati_verdict``) or a finding, 2 input error.
+certified slack, ``verifier.decide``) or a finding, 2 input error.
 The CKV_SEED environment variable overrides the built-in default fuzz seed
 (an explicit --seed beats both).  Machine-readable output (--json lines,
 fuzz report files) never contains timing, so identical flags and seed give

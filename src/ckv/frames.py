@@ -26,14 +26,20 @@ from .errors import DimensionMismatch, RankDeficient
 def as_array(value, name: str, shape: tuple) -> np.ndarray:
     """Copy to a finite float array of ``shape``, where a None entry takes any
     length.  A wrong shape raises DimensionMismatch; an entry that is not a
-    finite number (a string or a bool, even one numpy would convert, a ragged
-    list, an integer beyond the float range, NaN) raises ValueError; both
-    messages open with ``name``.
+    finite real number (a string or a bool, even one numpy would convert or
+    one held in a 0-d array, a complex number, a ragged list, an integer
+    beyond the float range, NaN) raises ValueError; both messages open with
+    ``name``.
 
     Always copies, so freezing the result never touches caller-owned arrays.
     """
     try:
-        arr = np.array(value, dtype=float)
+        arr = np.array(value)   # numpy's own dtype, so a complex entry is seen before a cast
+        if arr.dtype.kind == "c":
+            raise TypeError
+        if arr.dtype.kind in "US":   # numbers beside a string became strings: cast each entry
+            arr = np.array(value, dtype=float)
+        arr = arr.astype(float, copy=False)
     except OverflowError:   # an integer beyond the float range
         raise ValueError(f"{name}: entries must be finite") from None
     except (TypeError, ValueError):
@@ -49,7 +55,9 @@ def as_array(value, name: str, shape: tuple) -> np.ndarray:
     entries = value   # nested as regularly as its shape, which it has
     for _ in shape[1:]:
         entries = itertools.chain.from_iterable(entries)
-    kinds = set(map(type, entries))
+    kinds = set(map(type, entries := list(entries)))
+    if np.ndarray in kinds:   # a 0-d array entry: the scalar it holds
+        kinds = {type(entry[()] if isinstance(entry, np.ndarray) else entry) for entry in entries}
     for label, types in (("str", (str, bytes)), ("bool", (bool, np.bool_))):
         if any(issubclass(kind, types) for kind in kinds):
             raise ValueError(f"{name}: expected a number, got {label}")

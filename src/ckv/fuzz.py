@@ -24,10 +24,13 @@ bit-identical arrays, so ``ckv verify`` replays the point the shrinker last
 kept.  An inequality finding carries its failing check as the scenario's
 checks block.
 
-The 3.5/4.4 checks take ``casorati_verdict``: the certified slack alone
-decides, and ``submanifold.casorati``'s attained values, an inner estimate
-of the C(L) extrema, are not computed in a campaign.  So the report's
-``min_slack`` for 3.5/4.4 and its ``min_q`` are certified slacks.
+Every check takes ``verifier.decide``, the verdict without ``verify``'s
+report diagnostics (plane invariants, equality-shape matches, the kernel
+test, the Casorati estimate): a campaign computes lhs, rhs, slack and holds,
+bit for bit those of ``verify``, and nothing it throws away.  For 3.5/4.4
+the certified slack alone decides, and ``submanifold.casorati``'s attained
+values, an inner estimate of the C(L) extrema, are not computed.  So the
+report's ``min_slack`` for 3.5/4.4 and its ``min_q`` are certified slacks.
 """
 
 from __future__ import annotations
@@ -48,9 +51,8 @@ from .verifier import (
     DEFAULT_TOL,
     THEOREMS,
     applicable_theorems,
-    casorati_verdict,
     cross_check,
-    verify,
+    decide,
 )
 
 __all__ = ["FuzzConfig", "FuzzReport", "run_fuzz", "DEFAULT_SEED"]
@@ -183,16 +185,13 @@ def _checks_for(sub: SubmanifoldPoint, X: np.ndarray, kind: int) -> list[dict]:
 
 
 def _run_check(sub: SubmanifoldPoint, check: dict, tol: float):
-    """``verify`` of one check, its plane given as frame rows; the Casorati
-    bounds take ``casorati_verdict``, the certified slack alone."""
+    """``verifier.decide`` of one check, its plane given as frame rows: the
+    verdict alone, with none of ``verify``'s report diagnostics."""
     tid = check["theorem"]
-    takes = THEOREMS[tid][1]
-    if takes is None:
-        return casorati_verdict(sub, tid, tol)
-    value = check[takes]
-    if takes == "plane":
-        value = Plane(sub.tangent[value[0]], sub.tangent[value[1]])
-    return verify(sub, tid, tol=tol, **{takes: value})
+    value = check.get(THEOREMS[tid][1])
+    if "plane" in check:
+        value = Plane(*sub.tangent[value])
+    return decide(sub, tid, value, tol)
 
 
 def _zeroing_candidates(kind: int) -> list[tuple[str, ...]]:

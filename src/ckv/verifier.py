@@ -25,10 +25,12 @@ tensor built from the connection's definition (``R_pair``, ``tau_formulas``,
 bug.  Beside them it reports Q, the certified
 3.5i/4.4i slack, and the Cauchy-Schwarz slack ||h||^2 - n ||H||^2.
 
-The Casorati verdicts (``casorati_verdict``) rest on the certified bounds of
-``submanifold.casorati_bounds`` alone, not on the attained values of
-``submanifold.casorati``: they hold when the certified slack does and are
-violations otherwise.
+Every verdict is ``decide``: lhs, rhs, slack and holds, with no diagnostics,
+which is all a fuzz campaign reads.  ``verify`` is that verdict plus the
+report's diagnostics, built from the values the verdict read.  The Casorati
+verdicts rest on the certified bounds of ``submanifold.casorati_bounds``
+alone, not on the attained values of ``submanifold.casorati``: they hold
+when the certified slack does and are violations otherwise.
 
 Convention: all correction-tensor traces entering right-hand sides (lambda =
 tr alpha, tr beta, lambda' = tr alpha') are restrictions to the submanifold
@@ -39,7 +41,6 @@ uses the symmetrized sectional curvature.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from collections.abc import Mapping
@@ -78,7 +79,7 @@ __all__ = [
     "theorem_ids_problem",
     "VerdictReport",
     "verify",
-    "casorati_verdict",
+    "decide",
     "CrossCheckReport",
     "cross_check",
     "equality_instance",
@@ -121,14 +122,15 @@ def theorem_ids_problem(ids) -> str | None:
 
 
 def _check_request(sub: SubmanifoldPoint, theorem_id: str, tol) -> tuple:
-    """The row of ``THEOREMS`` of a request whose id and kind pass, and its
-    tol as ``frames.as_real`` returns it (a finite number >= 0)."""
+    """(takes, r, tol) of a request whose id and kind pass: the argument and
+    Casorati ratio of its row of ``THEOREMS``, and its tol as
+    ``frames.as_real`` returns it (a finite number >= 0)."""
     row = THEOREMS.get(theorem_id) if isinstance(theorem_id, str) else None
     if row is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if sub.spec.kind != row[0]:
         raise WrongConnectionKind(f"{theorem_id} needs a kind-{row[0]} connection")
-    return row, as_real(tol, "tol", 0.0)
+    return row[1], row[2], as_real(tol, "tol", 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,112 +341,124 @@ def verify(
     k: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> VerdictReport:
-    """Evaluate one inequality of the catalog and report its verdict.
+    """Evaluate one inequality of the catalog and report its verdict with
+    its diagnostics: the sides ``decide`` computes on the argument the
+    theorem takes (3.1/4.1 ``plane``, 3.3/4.2 ``X``, 3.4/4.3 ``k``,
+    default n; the others are ignored), so the same lhs, rhs, slack and
+    holds bit for bit, the same tol rule and the same errors, and
+    diagnostics built from the values those sides read.  They are built
+    eagerly, so an error in them is raised here, never when the report is
+    serialized.
 
-    3.1/4.1 need ``plane``; 3.3/4.2 need a unit tangent ``X``; 3.4/4.3 take
-    ``k`` (default n).  Arguments a theorem does not take are ignored.  The
-    3.3/4.2 rhs sums the pair form over an orthonormal basis of x^perp: for
-    fixed x it is a quadratic form in y (its y-free terms count once per unit
-    y), so that sum is its trace over e_1..e_n minus its value at y = x.  For
-    3.4/4.3 the k-Ricci invariant enters as min(Theta_k estimate, Theta_n):
-    Theta_k <= Theta_{k+1}, so both are upper bounds on Theta_k in every mode
-    and the smaller one is the sharpest sound value; a sampled ('multistart')
-    verdict also reports the exact chain (trace identity, Cauchy-Schwarz step,
-    Theta_n) in its diagnostics.  3.5/4.4 return ``casorati_verdict``: lhs,
-    rhs and slack are certified, and the diagnostics add the inner estimate
-    of ``casorati`` (``inf_CL``, ``sup_CL``, ``delta_c``, ``delta_c_hat``
-    and ``estimate_slack``, the slack at those attained values, never below
-    the certified slack beyond rounding) and a ``certificate`` block (the
-    bounds of ``casorati_bounds`` and each bound's gap to the estimate,
-    >= 0).  ``tol`` must be a real number, not a bool, finite and >= 0
-    (``frames.as_real``), and the report carries it as a Python float; a
-    non-finite side raises ``ValueError`` rather than give a verdict.
+    3.1/4.1 report the plane's invariants and whether h matches the
+    equality pattern on it; 3.3/4.2 whether H, h and h(X, .) vanish; 3.4/4.3
+    the Theta_k estimate, and for a sampled ('multistart') one the exact
+    chain (trace identity, Cauchy-Schwarz step, Theta_n) beside it.
+    3.5/4.4 add the inner estimate of ``casorati`` (``inf_CL``, ``sup_CL``,
+    ``delta_c``, ``delta_c_hat`` and ``estimate_slack``, the slack at those
+    attained values, never below the certified slack beyond rounding), a
+    ``certificate`` block (the bounds of ``casorati_bounds`` and each
+    bound's gap to the estimate, >= 0) and the equality-shape match.
     """
-    (_, takes, r), tol = _check_request(sub, theorem_id, tol)
-    n = sub.n
-    H_sq = sub.mean_curvature_sq
-
+    takes, r, tol = _check_request(sub, theorem_id, tol)
+    lhs, rhs, seen = _sides(sub, theorem_id, takes, r, {"plane": plane, "X": X, "k": k}.get(takes))
     if takes == "plane":
-        if plane is None:
-            raise MissingArgument(f"{theorem_id} needs a plane")
-        v1, v2 = sub.plane_coords(plane)
-        k_ng = 0.5 * float(_pair_nongauss(sub, np.stack([v1, v2]), np.stack([v2, v1])).sum())
-        lhs = scalar_tau(sub) - float(_sectional_batch(sub, v1[None], v2[None])[0])
-        rhs = _tau_nongauss(sub) - k_ng + n ** 2 * (n - 2) / (2.0 * (n - 1)) * H_sq
-        diag = {
-            "plane_invariants": _plane_invariants(sub, v1, v2),
-            "shape_match": _adapted_block_match(sub, v1, v2),
-        }
-        return _verdict(theorem_id, lhs, rhs, tol, diag)
-
-    if takes == "X":
-        if X is None:
-            raise MissingArgument(f"{theorem_id} needs a unit tangent direction X")
-        x = sub.tangent_coords(X)
-        lhs = _ricci_at(sub, x)  # rejects a non-unit X
-        # the trace identity of the docstring: no basis of x^perp is built
-        vals = _pair_nongauss(sub, np.broadcast_to(x, (n + 1, n)), np.vstack([np.eye(n), x]))
-        rhs = float(vals[:n].sum() - vals[n]) + n ** 2 / 4.0 * H_sq
-        diag = {
-            "H_zero": bool(H_sq < 1e-20),
-            "X_in_kernel": bool(_kernel_residual(sub, x) < 1e-10),
-            "h_zero": bool(np.abs(sub.h).max() < 1e-12),
-        }
-        return _verdict(theorem_id, lhs, rhs, tol, diag)
-
-    E = 2.0 * _tau_nongauss(sub)
-    if takes == "k":
-        if k is None:
-            k = n
-        est = theta_k(sub, k)
-        exact = est if k == n else theta_k(sub, n)
-        diag: dict = {"theta_mode": est.mode, "theta_value": est.value, "k": int(k),
-                      "theta_samples": est.samples}
+        diag = {"plane_invariants": _plane_invariants(sub, *seen),
+                "shape_match": _adapted_block_match(sub, *seen)}
+    elif takes == "X":
+        diag = {"H_zero": bool(sub.mean_curvature_sq < 1e-20),
+                "X_in_kernel": bool(_kernel_residual(sub, seen) < 1e-10),
+                "h_zero": bool(np.abs(sub.h).max() < 1e-12)}
+    elif takes == "k":
+        k, est, exact, E = seen
+        diag = {"theta_mode": est.mode, "theta_value": est.value, "k": int(k),
+                "theta_samples": est.samples}
         if est.mode == "multistart":
-            # a sampled value is only an upper bound: report the exact chain
-            # (trace identity, Cauchy-Schwarz step, Theta_n) beside it
             diag["identity_residual"], diag["cauchy_schwarz_slack"] = _trace_chain(sub, E)
             diag["theta_exact_k_n"] = exact.value
             diag["theta_advisory"] = est.value
+    else:
+        n, cas, (lo, hi) = sub.n, casorati(sub), casorati_bounds(sub)
+        diag = {
+            **cas.as_dict(),
+            "estimate_slack": _casorati_rhs(sub, r, cas.inf_CL, cas.sup_CL) - lhs,
+            "certificate": {"inf_CL": lo, "sup_CL": hi,
+                            "inf_gap": cas.inf_CL - lo, "sup_gap": hi - cas.sup_CL},
+            "shape_match": _quasi_umbilical_match(sub, r * n * (n - 1)),
+        }
+    return _verdict(theorem_id, lhs, rhs, tol, diag)
+
+
+def decide(sub: SubmanifoldPoint, theorem_id: str, value, tol: float) -> VerdictReport:
+    """The verdict of one row of ``THEOREMS``, with empty diagnostics.
+
+    ``value`` is the argument the row takes: a ``Plane`` for 3.1/4.1, a
+    unit tangent X for 3.3/4.2 and k for 3.4/4.3 (None: n); the Casorati
+    rows take none and ignore it.  3.1/4.1 bound tau - K(plane); the
+    3.3/4.2 rhs sums the pair form over an orthonormal basis of x^perp: for
+    fixed x it is a quadratic form in y (its y-free terms count once per
+    unit y), so that sum is its trace over e_1..e_n minus its value at
+    y = x.  For 3.4/4.3 the k-Ricci invariant enters as min(Theta_k
+    estimate, Theta_n): Theta_k <= Theta_{k+1}, so both are upper bounds on
+    Theta_k in every mode and the smaller one is the sharpest sound value.
+
+    3.5/4.4 bound 2 tau by delta_C(r; n-1) + E on the certificate: the rhs,
+    and so the slack, reads the bounds of ``casorati_bounds``, which lie
+    outside the true C(L) extrema, and delta_C(r; n-1) grows with inf C(L)
+    below r = n(n-1) and falls with sup C(L) above, so the certified slack
+    is never above the true one.  It is a violation only by rounding or a
+    fault in the bounds (the proof in ``casorati_bounds``; ``cross_check``
+    checks them), and ``casorati`` is not called.
+
+    ``tol`` must be a real number, not a bool, finite and >= 0
+    (``frames.as_real``), and the report carries it as a Python float; a
+    missing plane or X raises ``MissingArgument``, and a non-finite side
+    ``ValueError`` rather than give a verdict.  ``verify`` is this verdict
+    with its diagnostics; a fuzz campaign reads this one alone.
+    """
+    takes, r, tol = _check_request(sub, theorem_id, tol)
+    return _verdict(theorem_id, *_sides(sub, theorem_id, takes, r, value)[:2], tol, {})
+
+
+def _sides(sub: SubmanifoldPoint, theorem_id: str, takes, r, value) -> tuple:
+    """(lhs, rhs, seen) of a checked request (``_check_request``) at its
+    argument ``value`` (see ``decide``), where seen holds the values
+    ``verify``'s diagnostics read: the plane's frame coordinates (v1, v2),
+    the direction's x, (k, Theta_k estimate, Theta_n, E), or None."""
+    n, H_sq = sub.n, sub.mean_curvature_sq
+    if value is None and takes in ("plane", "X"):
+        need = "a plane" if takes == "plane" else "a unit tangent direction X"
+        raise MissingArgument(f"{theorem_id} needs {need}")
+
+    if takes == "plane":
+        v1, v2 = seen = sub.plane_coords(value)
+        k_ng = 0.5 * float(_pair_nongauss(sub, np.stack([v1, v2]), np.stack([v2, v1])).sum())
+        lhs = scalar_tau(sub) - float(_sectional_batch(sub, v1[None], v2[None])[0])
+        rhs = _tau_nongauss(sub) - k_ng + n ** 2 * (n - 2) / (2.0 * (n - 1)) * H_sq
+    elif takes == "X":
+        x = seen = sub.tangent_coords(value)
+        lhs = _ricci_at(sub, x)  # rejects a non-unit X
+        # the trace identity of ``decide``'s docstring: no basis of x^perp is built
+        vals = _pair_nongauss(sub, np.broadcast_to(x, (n + 1, n)), np.vstack([np.eye(n), x]))
+        rhs = float(vals[:n].sum() - vals[n]) + n ** 2 / 4.0 * H_sq
+    elif takes == "k":
+        E = 2.0 * _tau_nongauss(sub)
+        k = n if value is None else value
+        est = theta_k(sub, k)
+        exact = est if k == n else theta_k(sub, n)
+        seen = k, est, exact, E
         lhs = n * (n - 1) * min(est.value, exact.value) - E
         rhs = n * (n - 1) * H_sq
-        return _verdict(theorem_id, lhs, rhs, tol, diag)
-
-    verdict = casorati_verdict(sub, theorem_id, tol)
-    cas, (lo, hi) = casorati(sub), casorati_bounds(sub)
-    diag = {
-        **cas.as_dict(),
-        "estimate_slack": _casorati_rhs(sub, r, cas.inf_CL, cas.sup_CL) - verdict.lhs,
-        "certificate": {"inf_CL": lo, "sup_CL": hi,
-                        "inf_gap": cas.inf_CL - lo, "sup_gap": hi - cas.sup_CL},
-        "shape_match": _quasi_umbilical_match(sub, r * n * (n - 1)),
-    }
-    return dataclasses.replace(verdict, diagnostics=diag)
+    else:
+        seen, lhs = None, 2.0 * scalar_tau(sub)
+        rhs = _casorati_rhs(sub, r, *casorati_bounds(sub))
+    return lhs, rhs, seen
 
 
 def _casorati_rhs(sub: SubmanifoldPoint, r: float, inf_CL: float, sup_CL: float) -> float:
     """delta_C(r n(n-1); n-1) + E, r a row's ratio, with the given C(L) extrema."""
     n, E = sub.n, 2.0 * _tau_nongauss(sub)
     return delta_casorati(n, r * n * (n - 1), sub.h_norm_sq / n, inf_CL, sup_CL) + E
-
-
-def casorati_verdict(sub: SubmanifoldPoint, theorem_id: str, tol: float) -> VerdictReport:
-    """The 3.5/4.4 verdict 2 tau <= delta_C(r; n-1) + E on the certificate.
-
-    Its rhs, and so its slack, is certified: it reads the bounds of
-    ``casorati_bounds``, which lie outside the true C(L) extrema, and
-    delta_C(r; n-1) grows with inf C(L) below r = n(n-1) and falls with
-    sup C(L) above, so the certified slack is never above the true one.
-    It ``holds`` when that slack is >= -``tol`` (1 + |lhs| + |rhs|) and is
-    a violation otherwise, which by the proof in ``casorati_bounds`` only
-    rounding or a fault in the bounds can cause (``cross_check`` checks
-    them).  ``casorati`` is not called, and the diagnostics are empty.
-    """
-    (_, _, r), tol = _check_request(sub, theorem_id, tol)
-    if r is None:
-        raise ValueError(f"{theorem_id} is not a Casorati bound")
-    rhs = _casorati_rhs(sub, r, *casorati_bounds(sub))
-    return _verdict(theorem_id, 2.0 * scalar_tau(sub), rhs, tol, {})
 
 
 def _kernel_residual(sub: SubmanifoldPoint, x: np.ndarray) -> float:

@@ -155,6 +155,31 @@ def test_as_array_rejects_strings_and_bools_numpy_would_convert(value, shape, la
         as_array(value, "v", shape)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value,shape", [
+    (np.array([1 + 2j, 0]), (2,)), (np.array([1 + 0j, 0]), (2,)),
+    ([np.complex128(1 + 2j), 0], (2,)), ([np.array(1 + 2j), 1.0], (2,)),
+    ([np.array([1 + 2j, 0]), [1.0, 2.0]], (2, 2)),
+], ids=repr)
+def test_as_array_rejects_complex_entries(value, shape):
+    # a complex array used to keep its real part, with only numpy's
+    # ComplexWarning, while a list of Python complex numbers was rejected
+    with pytest.raises(ValueError, match="^v: expected an array of numbers$"):
+        as_array(value, "v", shape)
+
+
+@pytest.mark.parametrize("value,shape,label", [
+    ([np.array(True), 1.0], (2,), "bool"), ([[1.0, np.array(False)]], (1, 2), "bool"),
+    (np.array([np.array(True), 1.0], dtype=object), (2,), "bool"),
+    ([np.array("1"), 1.0], (2,), "str"),
+], ids=repr)
+def test_as_array_reads_the_entry_a_0d_array_holds(value, shape, label):
+    # [np.array(True), 1.0] used to return [1, 1]: the entry scan saw the
+    # type ndarray, not the bool it holds
+    with pytest.raises(ValueError, match=f"^v: expected a number, got {label}$"):
+        as_array(value, "v", shape)
+
+
 def test_connection_spec_rejects_a_string_entry():
     with pytest.raises(ValueError, match="^P: expected a number, got str$"):
         ConnectionSpec(1, ["1", "0", "0", "0", "0"], np.zeros((5, 5)), lambda1=0.0, lambda2=0.0)

@@ -961,18 +961,24 @@ def test_a_shrunk_finding_parses_back_to_the_point_last_kept(tmp_path, monkeypat
 
 
 def test_fuzz_finding_replays_its_failing_check(tmp_path, monkeypatch, capsys):
-    # a verify that fails only 3.1 on the frame plane (1, 2): the saved finding
-    # must carry that check, so that ckv verify on it fails the same way
-    real = ckv.fuzz.verify
-
-    def planted(sub, theorem_id, plane=None, **kwargs):
-        verdict = real(sub, theorem_id, plane=plane, **kwargs)
+    # a verdict that fails only 3.1 on the frame plane (1, 2), in the campaign's
+    # decide and in ckv verify's verify: the saved finding must carry that
+    # check, so that ckv verify on it fails the same way
+    def planted(sub, theorem_id, plane, verdict):
         if theorem_id == "3.1" and np.allclose([plane.e1, plane.e2], sub.tangent[1:3]):
             return dataclasses.replace(verdict, holds=False)
         return verdict
 
-    monkeypatch.setattr(ckv.fuzz, "verify", planted)
-    monkeypatch.setattr(ckv.cli, "verify", planted)
+    real_decide, real_verify = ckv.fuzz.decide, ckv.cli.verify
+
+    def planted_decide(sub, theorem_id, value, tol):
+        return planted(sub, theorem_id, value, real_decide(sub, theorem_id, value, tol))
+
+    def planted_verify(sub, theorem_id, plane=None, **kwargs):
+        return planted(sub, theorem_id, plane, real_verify(sub, theorem_id, plane=plane, **kwargs))
+
+    monkeypatch.setattr(ckv.fuzz, "decide", planted_decide)
+    monkeypatch.setattr(ckv.cli, "verify", planted_verify)
     out = tmp_path / "out"
     assert main(["fuzz", "--count", "1", "--kind", "1", "--seed", "3", "--out", str(out)]) == 1
     (finding,) = out.glob("finding_*.json")

@@ -10,17 +10,18 @@ from ckv.connections import first_connection, second_connection
 from ckv.contact import random_point, standard_point
 from ckv.errors import MissingArgument, WrongConnectionKind
 from ckv.frames import Plane, complete_frame, orthonormalize
-from ckv.fuzz import FuzzConfig, random_scenario, run_fuzz
+from ckv.fuzz import FuzzConfig, _checks_for, _random_parts, random_scenario, run_fuzz
 from ckv.scenario import parse_scenario
-from ckv.submanifold import _Quartic, attach, casorati, casorati_bounds, scalar_tau, theta_k
+from ckv.submanifold import (_Quartic, _attach_frame, attach, casorati, casorati_bounds,
+                             scalar_tau, theta_k)
 from ckv.verifier import (
     CROSS_TOL,
     DEFAULT_TOL,
     THEOREMS,
     THEOREMS_FIRST,
     applicable_theorems,
-    casorati_verdict,
     cross_check,
+    decide,
     equality_instance,
     verify,
     _adapted_block_match,
@@ -221,7 +222,7 @@ def test_a_numpy_tol_is_reported_as_a_float(theorem):
     assert type(reports[0].tol) is float
     assert json.dumps(reports[0].to_dict()) == json.dumps(reports[1].to_dict())
     if theorem == "3.5i":
-        verdict = verifier.casorati_verdict(sub, theorem, np.float32(1e-8))
+        verdict = verifier.decide(sub, theorem, None, np.float32(1e-8))
         assert json.dumps(verdict.to_dict()) == json.dumps(reports[1].to_dict() | {"diagnostics": {}})
 
 
@@ -352,7 +353,7 @@ def test_q_min_is_the_casorati_i_slack(kind):
     tid = "3.5i" if kind == 1 else "4.4i"
     for i in range(60):
         sub = parse_scenario(random_scenario(i, FuzzConfig(seed=83, kind=kind))).sub
-        assert cross_check(sub).q_min == casorati_verdict(sub, tid, DEFAULT_TOL).slack, i
+        assert cross_check(sub).q_min == decide(sub, tid, None, DEFAULT_TOL).slack, i
     report = run_fuzz(FuzzConfig(count=20, seed=83, kind=kind))
     assert report.min_q is not None and report.min_q == report.min_slack[tid]
 
@@ -932,3 +933,79 @@ def test_second_kind_verdicts_invariant_in_a():
             assert abs(v0.lhs - v.lhs) < 1e-12 * (1 + abs(v0.lhs))
             assert abs(v0.rhs - v.rhs) < 1e-12 * (1 + abs(v0.rhs))
 
+
+
+def _same_bits(a, b) -> bool:
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_decide_is_verify_without_its_diagnostics(kind):
+    # the campaign's verdict and the report's run the same arithmetic: on
+    # campaign instances, at every row and each plane, X and k a campaign
+    # checks (and every k < n), all but the diagnostics agree bit for bit
+    cfg = FuzzConfig(seed=2718, kind=kind)
+    for i in range(24):
+        model, spec, _, hhat, X, frame = _random_parts(i, cfg)
+        sub = _attach_frame(model, spec, frame, hhat)
+        checks = _checks_for(sub, X, kind)
+        checks += [{"theorem": applicable_theorems(kind)[2], "k": k} for k in range(2, sub.n)]
+        for check in checks:
+            tid = check["theorem"]
+            takes = THEOREMS[tid][1]
+            value = check.get(takes)
+            if takes == "plane":
+                value = Plane(sub.tangent[value[0]], sub.tangent[value[1]])
+            bare = decide(sub, tid, value, DEFAULT_TOL)
+            full = verify(sub, tid, tol=DEFAULT_TOL, **({takes: value} if takes else {}))
+            assert bare.diagnostics == {} and full.diagnostics, (i, check)
+            for name in ("theorem_id", "lhs", "rhs", "slack", "holds", "tol"):
+                assert _same_bits(getattr(bare, name), getattr(full, name)), (i, check, name)
+
+
+def test_decide_requires_the_argument_verify_does():
+    sub = equality_instance("cor32", 3, {})
+    for tid, message in (("3.1", "3.1 needs a plane"),
+                         ("3.3", "3.3 needs a unit tangent direction X")):
+        for call in (lambda: verify(sub, tid), lambda: decide(sub, tid, None, DEFAULT_TOL)):
+            with pytest.raises(MissingArgument, match=f"^{message}$"):
+                call()
+    assert decide(sub, "3.4", None, DEFAULT_TOL) == decide(sub, "3.4", 3, DEFAULT_TOL)
+
+
+REPORT_ONLY = ("_plane_invariants", "_adapted_block_match", "_kernel_residual",
+               "_quasi_umbilical_match")
+
+
+def test_campaigns_build_no_report_diagnostics(monkeypatch):
+    # a campaign and its shrinker read decide alone: with every report-only
+    # diagnostic made to raise, a clean campaign of each kind and the
+    # forced-finding ones (a scaled pair tensor, loosened Casorati bounds)
+    # complete with the same reports
+    pair_tensor = verifier._pair_tensor
+    faults = [("_pair_tensor", lambda sub: pair_tensor(sub) * 1.001, 8, 4242),
+              ("casorati_bounds", lambda sub: (-1e3, 1e3), 3, 7)]
+
+    def campaigns():
+        reports = [run_fuzz(FuzzConfig(count=50, seed=99, kind=kind)) for kind in (1, 2)]
+        for attribute, fault, count, seed in faults:
+            with monkeypatch.context() as patch:
+                patch.setattr(verifier, attribute, fault)
+                reports += [run_fuzz(FuzzConfig(count=count, seed=seed, kind=kind))
+                            for kind in (1, 2)]
+        return reports
+
+    expected = campaigns()
+    assert all(not report.findings for report in expected[:2])
+    assert all(report.findings for report in expected[2:])
+
+    def raises(*args):
+        raise AssertionError("a campaign built a report-only diagnostic")
+
+    for name in REPORT_ONLY:
+        monkeypatch.setattr(verifier, name, raises)
+    sub = equality_instance("cor32", 3, {})
+    with pytest.raises(AssertionError, match="report-only"):
+        verify(sub, "3.1", plane=Plane(sub.tangent[0], sub.tangent[1]))
+    assert [report.to_json() for report in campaigns()] == \
+        [report.to_json() for report in expected]
