@@ -374,6 +374,8 @@ def verify(
         diag = {"theta_mode": est.mode, "theta_value": est.value, "k": int(k),
                 "theta_samples": est.samples}
         if est.mode == "multistart":
+            # a sampled value is only an upper bound: report the exact chain
+            # (trace identity, Cauchy-Schwarz step, Theta_n) beside it
             diag["identity_residual"], diag["cauchy_schwarz_slack"] = _trace_chain(sub, E)
             diag["theta_exact_k_n"] = exact.value
             diag["theta_advisory"] = est.value
@@ -420,7 +422,7 @@ def decide(sub: SubmanifoldPoint, theorem_id: str, value, tol: float) -> Verdict
     return _verdict(theorem_id, *_sides(sub, theorem_id, takes, r, value)[:2], tol, {})
 
 
-def _sides(sub: SubmanifoldPoint, theorem_id: str, takes, r, value) -> tuple:
+def _sides(sub: SubmanifoldPoint, theorem_id: str, takes: str | None, r, value) -> tuple:
     """(lhs, rhs, seen) of a checked request (``_check_request``) at its
     argument ``value`` (see ``decide``), where seen holds the values
     ``verify``'s diagnostics read: the plane's frame coordinates (v1, v2),
