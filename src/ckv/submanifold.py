@@ -133,6 +133,10 @@ class SubmanifoldPoint:
         return x
 
     def plane_coords(self, plane: Plane) -> tuple[np.ndarray, np.ndarray]:
+        """Frame coordinates of a ``frames.Plane``'s basis (checked); any
+        other type raises ValueError."""
+        if not isinstance(plane, Plane):
+            raise ValueError(f"plane must be a frames.Plane, got {type(plane).__name__}")
         return self.tangent_coords(plane.e1), self.tangent_coords(plane.e2)
 
 

@@ -25,12 +25,14 @@ tensor built from the connection's definition (``R_pair``, ``tau_formulas``,
 bug.  Beside them it reports Q, the certified
 3.5i/4.4i slack, and the Cauchy-Schwarz slack ||h||^2 - n ||H||^2.
 
-Every verdict is ``decide``: lhs, rhs, slack and holds, with no diagnostics,
-which is all a fuzz campaign reads.  ``verify`` is that verdict plus the
-report's diagnostics, built from the values the verdict read.  The Casorati
-verdicts rest on the certified bounds of ``submanifold.casorati_bounds``
-alone, not on the attained values of ``submanifold.casorati``: they hold
-when the certified slack does and are violations otherwise.
+Each row of ``THEOREMS`` is written once, as one branch of ``_sides`` on
+the argument it takes: its lhs, its rhs and its report, a builder of the
+diagnostics from the values the sides read.  ``decide`` is the verdict
+alone (lhs, rhs, slack and holds), which is all a fuzz campaign reads;
+``verify`` is that verdict with the report built.  The Casorati verdicts
+rest on the certified bounds of ``submanifold.casorati_bounds`` alone, not
+on the attained values of ``submanifold.casorati``: they hold when the
+certified slack does and are violations otherwise.
 
 Convention: all correction-tensor traces entering right-hand sides (lambda =
 tr alpha, tr beta, lambda' = tr alpha') are restrictions to the submanifold
@@ -125,9 +127,9 @@ def _check_request(sub: SubmanifoldPoint, theorem_id: str, tol) -> tuple:
     """(takes, r, tol) of a request whose id and kind pass: the argument and
     Casorati ratio of its row of ``THEOREMS``, and its tol as
     ``frames.as_real`` returns it (a finite number >= 0)."""
-    row = THEOREMS.get(theorem_id) if isinstance(theorem_id, str) else None
-    if row is None:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
+    if problem := theorem_ids_problem([theorem_id]):
+        raise ValueError(problem)
+    row = THEOREMS[theorem_id]
     if sub.spec.kind != row[0]:
         raise WrongConnectionKind(f"{theorem_id} needs a kind-{row[0]} connection")
     return row[1], row[2], as_real(tol, "tol", 0.0)
@@ -194,7 +196,7 @@ def _pair_nongauss(sub: SubmanifoldPoint, X: np.ndarray, Y: np.ndarray) -> np.nd
 
     X and Y hold tangent-frame coordinates, shape (k, n), each row a unit
     vector (3.3/4.2 also read it on the non-orthogonal rows of their trace
-    identity, see ``verify``).  One ``_form_rows`` GEMM of (x (x) y) and
+    identity, see ``_sides``).  One ``_form_rows`` GEMM of (x (x) y) and
     (y (x) x) with the tensor of ``_pair_tensor``.  The full value adds
     sum_r h_r(x,x) h_r(y,y) - h_r(x,y)^2 (``_pair_gauss``).
     """
@@ -342,53 +344,16 @@ def verify(
     tol: float = DEFAULT_TOL,
 ) -> VerdictReport:
     """Evaluate one inequality of the catalog and report its verdict with
-    its diagnostics: the sides ``decide`` computes on the argument the
-    theorem takes (3.1/4.1 ``plane``, 3.3/4.2 ``X``, 3.4/4.3 ``k``,
-    default n; the others are ignored), so the same lhs, rhs, slack and
-    holds bit for bit, the same tol rule and the same errors, and
-    diagnostics built from the values those sides read.  They are built
-    eagerly, so an error in them is raised here, never when the report is
-    serialized.
-
-    3.1/4.1 report the plane's invariants and whether h matches the
-    equality pattern on it; 3.3/4.2 whether H, h and h(X, .) vanish; 3.4/4.3
-    the Theta_k estimate, and for a sampled ('multistart') one the exact
-    chain (trace identity, Cauchy-Schwarz step, Theta_n) beside it.
-    3.5/4.4 add the inner estimate of ``casorati`` (``inf_CL``, ``sup_CL``,
-    ``delta_c``, ``delta_c_hat`` and ``estimate_slack``, the slack at those
-    attained values, never below the certified slack beyond rounding), a
-    ``certificate`` block (the bounds of ``casorati_bounds`` and each
-    bound's gap to the estimate, >= 0) and the equality-shape match.
+    its diagnostics: ``decide`` on the argument the theorem takes (3.1/4.1
+    ``plane``, 3.3/4.2 ``X``, 3.4/4.3 ``k``, default n; the others are
+    ignored), so the same lhs, rhs, slack and holds bit for bit, the same
+    tol rule and the same errors, plus the row's report (``_sides``).  The
+    report is built eagerly, before the verdict, so an error in it is
+    raised here, never when the report is serialized.
     """
     takes, r, tol = _check_request(sub, theorem_id, tol)
-    lhs, rhs, seen = _sides(sub, theorem_id, takes, r, {"plane": plane, "X": X, "k": k}.get(takes))
-    if takes == "plane":
-        diag = {"plane_invariants": _plane_invariants(sub, *seen),
-                "shape_match": _adapted_block_match(sub, *seen)}
-    elif takes == "X":
-        diag = {"H_zero": bool(sub.mean_curvature_sq < 1e-20),
-                "X_in_kernel": bool(_kernel_residual(sub, seen) < 1e-10),
-                "h_zero": bool(np.abs(sub.h).max() < 1e-12)}
-    elif takes == "k":
-        k, est, exact, E = seen
-        diag = {"theta_mode": est.mode, "theta_value": est.value, "k": int(k),
-                "theta_samples": est.samples}
-        if est.mode == "multistart":
-            # a sampled value is only an upper bound: report the exact chain
-            # (trace identity, Cauchy-Schwarz step, Theta_n) beside it
-            diag["identity_residual"], diag["cauchy_schwarz_slack"] = _trace_chain(sub, E)
-            diag["theta_exact_k_n"] = exact.value
-            diag["theta_advisory"] = est.value
-    else:
-        n, cas, (lo, hi) = sub.n, casorati(sub), casorati_bounds(sub)
-        diag = {
-            **cas.as_dict(),
-            "estimate_slack": _casorati_rhs(sub, r, cas.inf_CL, cas.sup_CL) - lhs,
-            "certificate": {"inf_CL": lo, "sup_CL": hi,
-                            "inf_gap": cas.inf_CL - lo, "sup_gap": hi - cas.sup_CL},
-            "shape_match": _quasi_umbilical_match(sub, r * n * (n - 1)),
-        }
-    return _verdict(theorem_id, lhs, rhs, tol, diag)
+    lhs, rhs, report = _sides(sub, theorem_id, takes, r, {"plane": plane, "X": X, "k": k}.get(takes))
+    return _verdict(theorem_id, lhs, rhs, tol, report())
 
 
 def decide(sub: SubmanifoldPoint, theorem_id: str, value, tol: float) -> VerdictReport:
@@ -396,13 +361,37 @@ def decide(sub: SubmanifoldPoint, theorem_id: str, value, tol: float) -> Verdict
 
     ``value`` is the argument the row takes: a ``Plane`` for 3.1/4.1, a
     unit tangent X for 3.3/4.2 and k for 3.4/4.3 (None: n); the Casorati
-    rows take none and ignore it.  3.1/4.1 bound tau - K(plane); the
-    3.3/4.2 rhs sums the pair form over an orthonormal basis of x^perp: for
-    fixed x it is a quadratic form in y (its y-free terms count once per
-    unit y), so that sum is its trace over e_1..e_n minus its value at
-    y = x.  For 3.4/4.3 the k-Ricci invariant enters as min(Theta_k
-    estimate, Theta_n): Theta_k <= Theta_{k+1}, so both are upper bounds on
-    Theta_k in every mode and the smaller one is the sharpest sound value.
+    rows take none and ignore it.  The sides are ``_sides``'s, and the
+    row's report is never built.
+
+    ``tol`` must be a real number, not a bool, finite and >= 0
+    (``frames.as_real``), and the report carries it as a Python float; a
+    missing plane or X raises ``MissingArgument``, a plane that is not a
+    ``frames.Plane`` and a non-finite side ``ValueError`` rather than give
+    a verdict.  ``verify`` is this verdict with its report; a fuzz campaign
+    reads this one alone.
+    """
+    takes, r, tol = _check_request(sub, theorem_id, tol)
+    return _verdict(theorem_id, *_sides(sub, theorem_id, takes, r, value)[:2], tol, {})
+
+
+def _sides(sub: SubmanifoldPoint, theorem_id: str, takes: str | None, r, value) -> tuple:
+    """(lhs, rhs, report) of a checked request (``_check_request``) at its
+    argument ``value`` (see ``decide``): one branch per argument kind, and
+    report() builds ``verify``'s diagnostics from the values that branch read.
+
+    3.1/4.1 bound tau - K(plane) and report the plane's invariants and
+    whether h matches the equality pattern on it.  The 3.3/4.2 rhs sums the
+    pair form over an orthonormal basis of x^perp: for fixed x it is a
+    quadratic form in y (its y-free terms count once per unit y), so that
+    sum is its trace over e_1..e_n minus its value at y = x, and no basis
+    of x^perp is built; the report says whether H, h and h(X, .) vanish.
+    For 3.4/4.3 the k-Ricci invariant enters as min(Theta_k estimate,
+    Theta_n): Theta_k <= Theta_{k+1}, so both are upper bounds on Theta_k
+    in every mode and the smaller one is the sharpest sound value; the
+    report gives the estimate, and for a sampled ('multistart') one, only
+    an upper bound, the exact chain (trace identity, Cauchy-Schwarz step,
+    Theta_n) beside it.
 
     3.5/4.4 bound 2 tau by delta_C(r; n-1) + E on the certificate: the rhs,
     and so the slack, reads the bounds of ``casorati_bounds``, which lie
@@ -410,51 +399,59 @@ def decide(sub: SubmanifoldPoint, theorem_id: str, value, tol: float) -> Verdict
     below r = n(n-1) and falls with sup C(L) above, so the certified slack
     is never above the true one.  It is a violation only by rounding or a
     fault in the bounds (the proof in ``casorati_bounds``; ``cross_check``
-    checks them), and ``casorati`` is not called.
-
-    ``tol`` must be a real number, not a bool, finite and >= 0
-    (``frames.as_real``), and the report carries it as a Python float; a
-    missing plane or X raises ``MissingArgument``, and a non-finite side
-    ``ValueError`` rather than give a verdict.  ``verify`` is this verdict
-    with its diagnostics; a fuzz campaign reads this one alone.
+    checks them).  Only the report calls ``casorati``: it adds the inner
+    estimate (``inf_CL``, ``sup_CL``, ``delta_c``, ``delta_c_hat`` and
+    ``estimate_slack``, the slack at those attained values, never below the
+    certified slack beyond rounding), a ``certificate`` block (the bounds
+    the rhs read and each bound's gap to the estimate, >= 0) and the
+    equality-shape match.
     """
-    takes, r, tol = _check_request(sub, theorem_id, tol)
-    return _verdict(theorem_id, *_sides(sub, theorem_id, takes, r, value)[:2], tol, {})
-
-
-def _sides(sub: SubmanifoldPoint, theorem_id: str, takes: str | None, r, value) -> tuple:
-    """(lhs, rhs, seen) of a checked request (``_check_request``) at its
-    argument ``value`` (see ``decide``), where seen holds the values
-    ``verify``'s diagnostics read: the plane's frame coordinates (v1, v2),
-    the direction's x, (k, Theta_k estimate, Theta_n, E), or None."""
     n, H_sq = sub.n, sub.mean_curvature_sq
     if value is None and takes in ("plane", "X"):
         need = "a plane" if takes == "plane" else "a unit tangent direction X"
         raise MissingArgument(f"{theorem_id} needs {need}")
 
     if takes == "plane":
-        v1, v2 = seen = sub.plane_coords(value)
+        v1, v2 = sub.plane_coords(value)
         k_ng = 0.5 * float(_pair_nongauss(sub, np.stack([v1, v2]), np.stack([v2, v1])).sum())
         lhs = scalar_tau(sub) - float(_sectional_batch(sub, v1[None], v2[None])[0])
         rhs = _tau_nongauss(sub) - k_ng + n ** 2 * (n - 2) / (2.0 * (n - 1)) * H_sq
-    elif takes == "X":
-        x = seen = sub.tangent_coords(value)
+        return lhs, rhs, lambda: {"plane_invariants": _plane_invariants(sub, v1, v2),
+                                  "shape_match": _adapted_block_match(sub, v1, v2)}
+    if takes == "X":
+        x = sub.tangent_coords(value)
         lhs = _ricci_at(sub, x)  # rejects a non-unit X
-        # the trace identity of ``decide``'s docstring: no basis of x^perp is built
         vals = _pair_nongauss(sub, np.broadcast_to(x, (n + 1, n)), np.vstack([np.eye(n), x]))
         rhs = float(vals[:n].sum() - vals[n]) + n ** 2 / 4.0 * H_sq
-    elif takes == "k":
+        return lhs, rhs, lambda: {"H_zero": bool(H_sq < 1e-20),
+                                  "X_in_kernel": bool(_kernel_residual(sub, x) < 1e-10),
+                                  "h_zero": bool(np.abs(sub.h).max() < 1e-12)}
+    if takes == "k":
         E = 2.0 * _tau_nongauss(sub)
         k = n if value is None else value
         est = theta_k(sub, k)
         exact = est if k == n else theta_k(sub, n)
-        seen = k, est, exact, E
-        lhs = n * (n - 1) * min(est.value, exact.value) - E
-        rhs = n * (n - 1) * H_sq
-    else:
-        seen, lhs = None, 2.0 * scalar_tau(sub)
-        rhs = _casorati_rhs(sub, r, *casorati_bounds(sub))
-    return lhs, rhs, seen
+
+        def report():
+            diag = {"theta_mode": est.mode, "theta_value": est.value, "k": int(k),
+                    "theta_samples": est.samples}
+            if est.mode == "multistart":
+                diag["identity_residual"], diag["cauchy_schwarz_slack"] = _trace_chain(sub, E)
+                diag["theta_exact_k_n"] = exact.value
+                diag["theta_advisory"] = est.value
+            return diag
+        return n * (n - 1) * min(est.value, exact.value) - E, n * (n - 1) * H_sq, report
+
+    lhs, (lo, hi) = 2.0 * scalar_tau(sub), casorati_bounds(sub)
+
+    def report():
+        cas = casorati(sub)
+        return {**cas.as_dict(),
+                "estimate_slack": _casorati_rhs(sub, r, cas.inf_CL, cas.sup_CL) - lhs,
+                "certificate": {"inf_CL": lo, "sup_CL": hi,
+                                "inf_gap": cas.inf_CL - lo, "sup_gap": hi - cas.sup_CL},
+                "shape_match": _quasi_umbilical_match(sub, r * n * (n - 1))}
+    return lhs, _casorati_rhs(sub, r, lo, hi), report
 
 
 def _casorati_rhs(sub: SubmanifoldPoint, r: float, inf_CL: float, sup_CL: float) -> float:

@@ -23,6 +23,7 @@ from ckv.verifier import (
     cross_check,
     decide,
     equality_instance,
+    theorem_ids_problem,
     verify,
     _adapted_block_match,
     _cross_sample,
@@ -971,6 +972,80 @@ def test_decide_requires_the_argument_verify_does():
             with pytest.raises(MissingArgument, match=f"^{message}$"):
                 call()
     assert decide(sub, "3.4", None, DEFAULT_TOL) == decide(sub, "3.4", 3, DEFAULT_TOL)
+
+
+def test_verify_unknown_id_message_is_theorem_ids_problem():
+    # one writer of the id rule: verify and decide raise the message that
+    # the CLI's list check returns, for a non-str or unhashable id too
+    sub = equality_instance("cor32", 3, {})
+    for tid in ("5.1", "", 3.1, None, ["3.1"], b"3.1"):
+        message = theorem_ids_problem([tid])
+        assert message == f"unknown theorem id {tid!r}"
+        for call in (lambda: verify(sub, tid), lambda: decide(sub, tid, None, DEFAULT_TOL)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+
+_NOT_PLANES = {"tuple": tuple, "list": list, "str": lambda rows: "e1,e2", "ndarray": np.stack}
+
+
+@pytest.mark.parametrize("name", _NOT_PLANES)
+def test_a_plane_that_is_no_plane_raises_value_error(name):
+    # it used to raise AttributeError ('tuple' object has no attribute 'e1')
+    sub = equality_instance("cor32", 3, {})
+    plane = _NOT_PLANES[name]((sub.tangent[0], sub.tangent[1]))
+    message = f"^plane must be a frames.Plane, got {type(plane).__name__}$"
+    for call in (lambda: verify(sub, "3.1", plane=plane),
+                 lambda: decide(sub, "3.1", plane, DEFAULT_TOL),
+                 lambda: submanifold.sectional(sub, plane)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def _counted(monkeypatch, owner, name):
+    """Patch ``owner.name`` with a wrapper that counts its calls."""
+    calls, real = [], getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _campaign_point(kind):
+    model, spec, _, hhat, X, frame = _random_parts(3, FuzzConfig(seed=5, kind=kind))
+    return _attach_frame(model, spec, frame, hhat), X
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_a_plane_or_direction_is_read_once(kind, monkeypatch):
+    # verify and decide map a plane's two vectors, or X, to frame
+    # coordinates once each
+    sub, X = _campaign_point(kind)
+    plane_id, x_id = applicable_theorems(kind)[:2]
+    plane = Plane(sub.tangent[0], sub.tangent[1])
+    calls = _counted(monkeypatch, submanifold.SubmanifoldPoint, "tangent_coords")
+    for tid, value, reads in ((plane_id, plane, 2), (x_id, X, 1)):
+        takes = THEOREMS[tid][1]
+        for call in (lambda: verify(sub, tid, **{takes: value}),
+                     lambda: decide(sub, tid, value, DEFAULT_TOL)):
+            calls.clear()
+            call()
+            assert len(calls) == reads, (tid, len(calls))
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_a_casorati_verify_reads_the_bounds_once(kind, monkeypatch):
+    # the report's certificate block is the bounds the rhs read
+    sub, _ = _campaign_point(kind)
+    bounds = _counted(monkeypatch, verifier, "casorati_bounds")
+    for tid in applicable_theorems(kind)[3:]:
+        bounds.clear()
+        verify(sub, tid)
+        assert len(bounds) == 1, (tid, len(bounds))
 
 
 REPORT_ONLY = ("_plane_invariants", "_adapted_block_match", "_kernel_residual",
