@@ -992,7 +992,7 @@ _NOT_PLANES = {"tuple": tuple, "list": list, "str": lambda rows: "e1,e2", "ndarr
 
 @pytest.mark.parametrize("name", _NOT_PLANES)
 def test_a_plane_that_is_no_plane_raises_value_error(name):
-    # it used to raise AttributeError ('tuple' object has no attribute 'e1')
+    # the input contract's ValueError, not an AttributeError from reading .e1
     sub = equality_instance("cor32", 3, {})
     plane = _NOT_PLANES[name]((sub.tangent[0], sub.tangent[1]))
     message = f"^plane must be a frames.Plane, got {type(plane).__name__}$"
