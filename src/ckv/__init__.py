@@ -28,7 +28,6 @@ from .errors import (
     WrongConnectionKind,
 )
 from .frames import Plane, orthonormalize
-from .fuzz import FuzzConfig, FuzzReport, run_fuzz
 from .scenario import load_scenario, parse_scenario, save_scenario, scenario_from_parts
 from .submanifold import (
     CasoratiCurvatures,
@@ -56,3 +55,14 @@ from .verifier import (
 )
 
 __version__ = "0.1.0"
+
+# Resolved from ckv.fuzz on first use (PEP 562), so importing ckv, and so
+# every CLI command but ``fuzz``, loads no campaign code.
+_FUZZ_NAMES = ("FuzzConfig", "FuzzReport", "run_fuzz")
+
+
+def __getattr__(name: str):
+    if name in _FUZZ_NAMES:
+        from . import fuzz
+        return getattr(fuzz, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -46,7 +46,7 @@ KIND_SECOND = 2
 PARAMETERS = {KIND_FIRST: ("lambda1", "lambda2"), KIND_SECOND: ("a", "b")}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectionSpec:
     """Connection parameters plus the pointwise data P and D = grad(pi).
 
@@ -114,7 +114,7 @@ def second_connection(a: float, b: float, P, D) -> ConnectionSpec:
     return ConnectionSpec(kind=KIND_SECOND, P=P, D=D, a=a, b=b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrectionTensors:
     """The (0,2) correction tensors of the first connection.
 

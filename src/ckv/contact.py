@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactPointModel:
     """Structure data at a point: (phi, xi, h') plus (kappa, mu, c).
 

@@ -152,7 +152,7 @@ def complete_frame(frame: np.ndarray) -> np.ndarray:
     return extra - (extra @ frame.T) @ frame  # second pass kills rounding residue
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Plane:
     """Ordered orthonormal pair spanning a 2-plane."""
 

@@ -49,7 +49,7 @@ __all__ = [
     "scenario_from_parts",
 ]
 
-@dataclass
+@dataclass(eq=False)
 class Checks:
     theorems: list[str] | None = None
     plane: tuple[int, int] | None = None

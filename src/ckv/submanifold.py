@@ -64,7 +64,7 @@ __all__ = [
 _TANGENCY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubmanifoldPoint:
     """Immutable bundle of a submanifold germ and its derived data.
 
@@ -90,7 +90,7 @@ class SubmanifoldPoint:
     eta_t: np.ndarray         # eta on the tangent frame, length n
     pi_nor: np.ndarray        # pi on the normal frame, length p
     riem: np.ndarray          # induced curvature tensor, n^4
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
+    cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -298,13 +298,14 @@ def ricci(sub: SubmanifoldPoint, X) -> float:
     its first two slots, so this is the sum over any orthonormal completion
     of X.  The symmetrized Ricci curvature is ``ricci_form``'s quadratic form.
     """
-    return _ricci_at(sub, sub.tangent_coords(X))
+    return _ricci_at(sub, sub.tangent_coords(X), "ricci")
 
 
-def _ricci_at(sub: SubmanifoldPoint, x: np.ndarray) -> float:
-    """``ricci`` of the direction with tangent-frame coordinates x."""
-    if abs(np.sqrt(x @ x) - 1.0) > 1e-10:
-        raise ValueError("ricci requires a unit vector")
+def _ricci_at(sub: SubmanifoldPoint, x: np.ndarray, who: str) -> float:
+    """``ricci`` of the direction with tangent-frame coordinates x; a
+    non-unit x raises ValueError with ``who`` (the caller) and its norm."""
+    if abs((norm := float(np.sqrt(x @ x))) - 1.0) > 1e-10:
+        raise ValueError(f"{who}: X must be a unit vector, got norm {norm}")
     return float(x @ np.einsum("abbd->ad", sub.riem) @ x)
 
 
@@ -404,6 +405,14 @@ def _bivector_form(sub: SubmanifoldPoint) -> np.ndarray:
     return (B + B.T) / 2.0
 
 
+def _checked_k(sub: SubmanifoldPoint, k) -> int:
+    """k checked for ``theta_k``: a Python int in [2, n]
+    (``frames.as_integer``: numpy's integers pass, a bool does not)."""
+    if (k := as_integer(k, "k", 2)) > sub.n:
+        raise ValueError(f"k must be <= n = {sub.n}, got {k}")
+    return k
+
+
 def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     """The normalized k-Ricci infimum Theta_k over k-planes and unit directions.
 
@@ -420,15 +429,12 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     call per stage on every k's rows; the evaluator is batch-invariant, so
     each value is the one-k search's, attained at a concrete direction.
     Raises ValueError for a k that is not an integer in [2, n]
-    (``frames.as_integer``: numpy's integers pass, a bool does not) and
-    when the curvature data overflows.  The n - 2 searched
-    values are memoized on the point together, so a second k < n at the
-    same point is a memo read; k = n and the n = 3 grid rerun their
+    (``_checked_k``) and when the curvature data overflows.  The n - 2
+    searched values are memoized on the point together, so a second k < n
+    at the same point is a memo read; k = n and the n = 3 grid rerun their
     eigenvalue problem.
     """
-    n = sub.n
-    if (k := as_integer(k, "k", 2)) > n:
-        raise ValueError(f"k must be <= n = {n}, got {k}")
+    n, k = sub.n, _checked_k(sub, k)
     if k == n:
         w = np.linalg.eigvalsh(_finite(ricci_form(sub)))
         return ThetaEstimate(float(w[0]) / (n - 1), "exact_eigen", 0)
@@ -444,7 +450,7 @@ def theta_k(sub: SubmanifoldPoint, k: int) -> ThetaEstimate:
     return ThetaEstimate(float(value), "multistart", LAYOUT_SIZE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CasoratiCurvatures:
     """Casorati curvature, its hyperplane extrema, and the delta invariants.
 
@@ -475,7 +481,7 @@ class CasoratiCurvatures:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Quartic:
     """F(u) = ||h||^2 - 2 u^T S u + sum_r (u^T h_r u)^2 with S = sum_r h_r^2,
     over the nonzero slices h_r; C(L) = F(u) / (n - 1) for the hyperplane

@@ -65,6 +65,7 @@ from .submanifold import (
     scalar_tau_pair,
     theta_k,
     _Quartic,
+    _checked_k,
     _form_rows,
     _ricci_at,
     _sectional_batch,
@@ -420,7 +421,7 @@ def _sides(sub: SubmanifoldPoint, theorem_id: str, takes: str | None, r, value) 
                                   "shape_match": _adapted_block_match(sub, v1, v2)}
     if takes == "X":
         x = sub.tangent_coords(value)
-        lhs = _ricci_at(sub, x)  # rejects a non-unit X
+        lhs = _ricci_at(sub, x, theorem_id)  # rejects a non-unit X
         vals = _pair_nongauss(sub, np.broadcast_to(x, (n + 1, n)), np.vstack([np.eye(n), x]))
         rhs = float(vals[:n].sum() - vals[n]) + n ** 2 / 4.0 * H_sq
         return lhs, rhs, lambda: {"H_zero": bool(H_sq < 1e-20),
@@ -428,12 +429,15 @@ def _sides(sub: SubmanifoldPoint, theorem_id: str, takes: str | None, r, value) 
                                   "h_zero": bool(np.abs(sub.h).max() < 1e-12)}
     if takes == "k":
         E = 2.0 * _tau_nongauss(sub)
-        k = n if value is None else value
-        est = theta_k(sub, k)
-        exact = est if k == n else theta_k(sub, n)
+        k = n if value is None else _checked_k(sub, value)
+        try:   # k passed, so what raises here is overflowing curvature data
+            est = theta_k(sub, k)
+            exact = est if k == n else theta_k(sub, n)
+        except ValueError as exc:
+            raise ValueError(f"{theorem_id}: {exc}") from None
 
         def report():
-            diag = {"theta_mode": est.mode, "theta_value": est.value, "k": int(k),
+            diag = {"theta_mode": est.mode, "theta_value": est.value, "k": k,
                     "theta_samples": est.samples}
             if est.mode == "multistart":
                 diag["identity_residual"], diag["cauchy_schwarz_slack"] = _trace_chain(sub, E)

@@ -12,18 +12,28 @@ spells out the kind-1 parameter names as string literals; only the
 ``THEOREMS`` and ``EQUALITY_THEOREM`` literals of ``verifier`` spell out a
 theorem id, and no other module-level set or dict is keyed by ids; only
 ``frames`` tests a value against a scalar type, save the JSON-type checks
-of ``scenario`` named in ``JSON_TYPE_CHECKS``."""
+of ``scenario`` named in ``JSON_TYPE_CHECKS``; importing the CLI and
+running ``ckv verify`` load no ``ckv.fuzz``; every dataclass with an
+ndarray field compares and hashes by identity."""
 
 import ast
+import dataclasses
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ckv
-from ckv import verifier
+from ckv import fuzz, verifier
+from ckv.contact import standard_point
+from ckv.frames import Plane
+from ckv.scenario import save_scenario
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ckv.__path__))
 
@@ -45,6 +55,44 @@ def test_package_imports_resolve():
         for alias in node.names:
             assert hasattr(module, alias.name), f"ckv.{node.module}.{alias.name}"
             assert getattr(ckv, alias.asname or alias.name) is getattr(module, alias.name)
+    # the names resolved from ckv.fuzz on first use
+    from ckv import FuzzConfig, FuzzReport, run_fuzz
+    assert ckv._FUZZ_NAMES == ("FuzzConfig", "FuzzReport", "run_fuzz")
+    assert (FuzzConfig, FuzzReport, run_fuzz) == (fuzz.FuzzConfig, fuzz.FuzzReport, fuzz.run_fuzz)
+    for name in ckv._FUZZ_NAMES:
+        assert getattr(ckv, name) is getattr(fuzz, name)
+    with pytest.raises(AttributeError, match="has no attribute 'random_scenario'"):
+        ckv.random_scenario
+
+
+def _fresh_imports(args, cwd):
+    """The process and the set of modules a fresh ``python -X importtime
+    *args`` imports (its ``import time:`` lines), on this ckv."""
+    package_root = str(Path(ckv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env=env, cwd=cwd)
+    return proc, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+
+
+def test_verify_loads_no_fuzz_code(tmp_path):
+    # ckv.fuzz costs every ckv verify its compile and exec time, and only
+    # ckv fuzz runs it
+    proc, loaded = _fresh_imports(["-c", "import ckv.cli"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "ckv.verifier" in loaded and "ckv.fuzz" not in loaded
+    path = tmp_path / "point.json"
+    save_scenario(path, fuzz.random_scenario(0, fuzz.FuzzConfig(seed=44, kind=1)))
+    proc, loaded = _fresh_imports(["-m", "ckv.cli", "verify", str(path), "--json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == len(verifier.applicable_theorems(1))
+    assert "ckv.verifier" in loaded and "ckv.fuzz" not in loaded
+    # the first use of a lazy name loads it
+    proc, loaded = _fresh_imports(["-c", "import ckv; ckv.run_fuzz"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "ckv.fuzz" in loaded
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -384,3 +432,32 @@ def test_scalar_rules_live_in_frames():
     stray = [check for path in sorted(root.glob("*.py")) if path.name != "frames.py"
              for check in _scalar_type_checks(path) if check not in JSON_TYPE_CHECKS]
     assert stray == []
+
+
+def _array_dataclasses():
+    """Every dataclass defined in a ckv module with an ndarray field."""
+    found = []
+    for name in MODULES:
+        module = importlib.import_module(f"ckv.{name}")
+        found += [cls for cls in vars(module).values()
+                  if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                  and cls.__module__ == module.__name__
+                  and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))]
+    return found
+
+
+def test_array_dataclasses_compare_by_identity():
+    # a generated __eq__ compares ndarray fields elementwise and raises on
+    # two distinct instances, and with eq the generated __hash__ raises too
+    classes = _array_dataclasses()
+    assert {"Plane", "ContactPointModel", "SubmanifoldPoint", "Checks"} <= \
+        {cls.__name__ for cls in classes}
+    for cls in classes:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls.__qualname__
+    e = np.eye(3)
+    pairs = [(standard_point(2), standard_point(2)), (Plane(e[0], e[1]), Plane(e[0], e[1])),
+             (verifier.equality_instance("cor32", 3, {}),
+              verifier.equality_instance("cor32", 3, {}))]
+    for a, b in pairs:
+        assert a == a and not a == b and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2

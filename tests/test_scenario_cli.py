@@ -544,15 +544,23 @@ def test_cli_verify_overflow_is_an_input_error(tmp_path, capsys, section, key):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("theorems,overflow,line", [
-    ("4.1", False, "error: 4.1 needs a kind-2 connection"),
-    ("3.1", True, "error: 3.1: non-finite side (lhs nan, rhs inf)"),
-], ids=["wrong-kind", "overflow"])
-def test_cli_verify_error_names_the_theorem_once(tmp_path, capsys, theorems, overflow, line):
+@pytest.mark.parametrize("theorems,edit,line", [
+    ("4.1", {}, "error: 4.1 needs a kind-2 connection"),
+    ("3.1", {"hhat": 1e200}, "error: 3.1: non-finite side (lhs nan, rhs inf)"),
+    ("3.3", {"X": [2.0, 0.0, 0.0, 0.0, 0.0]},
+     "error: 3.3: X must be a unit vector, got norm 2.0"),
+    ("3.4", {"c": 1e308},
+     "error: 3.4: Theta_k: the curvature data overflows (non-finite curvature form)"),
+], ids=["wrong-kind", "overflow", "non-unit-X", "theta-overflow"])
+def test_cli_verify_error_names_the_theorem_once(tmp_path, capsys, theorems, edit, line):
     data = _equality_scenario()
-    if overflow:
-        data["submanifold"]["hhat"][0][0][0] = 1e200
-    assert main(["verify", _write(tmp_path, data), "--theorems", theorems]) == 2
+    if "hhat" in edit:
+        data["submanifold"]["hhat"][0][0][0] = edit["hhat"]
+    if "X" in edit:
+        data["checks"] = {"X": edit["X"]}
+    if "c" in edit:
+        data["ambient"]["c"] = edit["c"]
+    assert _main_without_warnings(["verify", _write(tmp_path, data), "--theorems", theorems]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == line + "\n"
@@ -665,7 +673,7 @@ def test_cli_fuzz_bad_out_fails_before_the_campaign(tmp_path, monkeypatch, capsy
     def no_campaign(cfg):
         raise AssertionError("run_fuzz ran before --out was checked")
 
-    monkeypatch.setattr("ckv.cli.run_fuzz", no_campaign)
+    monkeypatch.setattr("ckv.fuzz.run_fuzz", no_campaign)
     blocker = tmp_path / "report"
     blocker.write_text("", encoding="utf-8")
     assert main(["fuzz", "--count", "1", "--out", str(blocker)]) == 2

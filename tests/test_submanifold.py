@@ -313,7 +313,7 @@ def test_ricci_form_trace_is_twice_tau():
 
 def test_ricci_rejects_non_unit():
     sub = _plain_sub()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ricci: X must be a unit vector, got norm 2\.0$"):
         ricci(sub, 2.0 * E5[0])
 
 

@@ -286,9 +286,11 @@ def test_theta_overflow_is_named(n, k):
     hhat = np.zeros((5 - n, n, n))
     hhat[0] = np.diag(np.arange(1.0, n + 1))
     sub = attach(dataclasses.replace(standard_point(2), c=1e308), _zero_spec(), E5[:n], hhat)
-    with pytest.raises(ValueError, match="overflows") as info:
-        verify(sub, "3.4", k=k)
-    assert not isinstance(info.value, np.linalg.LinAlgError)
+    # named by its row, like every other row's error
+    for call in (lambda: verify(sub, "3.4", k=k), lambda: decide(sub, "3.4", k, DEFAULT_TOL)):
+        with pytest.raises(ValueError, match=r"^3\.4: .*overflows") as info:
+            call()
+        assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 # --- equality witnesses --------------------------------------------------------
@@ -971,6 +973,11 @@ def test_decide_requires_the_argument_verify_does():
         for call in (lambda: verify(sub, tid), lambda: decide(sub, tid, None, DEFAULT_TOL)):
             with pytest.raises(MissingArgument, match=f"^{message}$"):
                 call()
+    # a non-unit X is named by its row and its norm
+    X = 2.0 * sub.tangent[0]
+    for call in (lambda: verify(sub, "3.3", X=X), lambda: decide(sub, "3.3", X, DEFAULT_TOL)):
+        with pytest.raises(ValueError, match=r"^3\.3: X must be a unit vector, got norm 2\.0$"):
+            call()
     assert decide(sub, "3.4", None, DEFAULT_TOL) == decide(sub, "3.4", 3, DEFAULT_TOL)
 
 
