@@ -437,7 +437,7 @@ def _sides(sub: SubmanifoldPoint, theorem_id: str, takes: str | None, r, value) 
             raise ValueError(f"{theorem_id}: {exc}") from None
 
         def report():
-            diag = {"theta_mode": est.mode, "theta_value": est.value, "k": k,
+            diag = {"theta_mode": est.mode, "theta_value": est.value, "k": int(k),
                     "theta_samples": est.samples}
             if est.mode == "multistart":
                 diag["identity_residual"], diag["cauchy_schwarz_slack"] = _trace_chain(sub, E)

@@ -58,7 +58,8 @@ def test_package_imports_resolve():
     # the names resolved from ckv.fuzz on first use
     from ckv import FuzzConfig, FuzzReport, run_fuzz
     assert ckv._FUZZ_NAMES == ("FuzzConfig", "FuzzReport", "run_fuzz")
-    assert (FuzzConfig, FuzzReport, run_fuzz) == (fuzz.FuzzConfig, fuzz.FuzzReport, fuzz.run_fuzz)
+    assert FuzzConfig is fuzz.FuzzConfig and FuzzReport is fuzz.FuzzReport
+    assert run_fuzz is fuzz.run_fuzz
     for name in ckv._FUZZ_NAMES:
         assert getattr(ckv, name) is getattr(fuzz, name)
     with pytest.raises(AttributeError, match="has no attribute 'random_scenario'"):
